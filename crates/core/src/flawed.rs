@@ -18,9 +18,9 @@
 //! exactly Algorithm 1 (`TwoTable`).
 
 use dpsyn_noise::{PrivacyParams, TruncatedLaplace};
-use dpsyn_pmw::{Pmw, PmwConfig};
+use dpsyn_pmw::PmwConfig;
 use dpsyn_query::QueryFamily;
-use dpsyn_relational::{join_size, Instance, JoinQuery};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery};
 use dpsyn_sensitivity::two_table_local_sensitivity;
 use rand::Rng;
 
@@ -65,18 +65,47 @@ impl FlawedJoinAsOne {
         params: PrivacyParams,
         rng: &mut R,
     ) -> Result<SyntheticRelease> {
+        self.release_in(
+            &ExecContext::default(),
+            query,
+            instance,
+            family,
+            params,
+            rng,
+        )
+    }
+
+    /// Runs the strawman release, joining at `ctx`'s parallelism.
+    pub fn release_in<R: Rng>(
+        &self,
+        ctx: &ExecContext,
+        query: &JoinQuery,
+        instance: &Instance,
+        family: &QueryFamily,
+        params: PrivacyParams,
+        rng: &mut R,
+    ) -> Result<SyntheticRelease> {
         check_two_table(query, params)?;
         let half = params.halve();
         let delta = two_table_local_sensitivity(query, instance)? as f64;
         let tlap = TruncatedLaplace::calibrated(half.epsilon(), half.delta(), 1.0)?;
         let delta_tilde = delta + tlap.sample(rng);
 
-        let pmw_out = Pmw::new(self.pmw).run(query, instance, family, half, delta_tilde, rng)?;
+        let pmw_out = crate::run_pmw(
+            self.pmw,
+            ctx,
+            query,
+            instance,
+            family,
+            half,
+            delta_tilde,
+            rng,
+        )?;
         // The flaw: force the released mass back to the *exact* join size, as
         // the single-table PMW of [25] would (its histogram always carries the
         // true record count).
         let mut histogram = pmw_out.histogram;
-        let count = join_size(query, instance)? as f64;
+        let count = ctx.join_size(query, instance)? as f64;
         histogram.normalize_to(count);
 
         Ok(SyntheticRelease::new(
@@ -114,6 +143,26 @@ impl FlawedPadAfter {
         params: PrivacyParams,
         rng: &mut R,
     ) -> Result<SyntheticRelease> {
+        self.release_in(
+            &ExecContext::default(),
+            query,
+            instance,
+            family,
+            params,
+            rng,
+        )
+    }
+
+    /// Runs the strawman release, joining at `ctx`'s parallelism.
+    pub fn release_in<R: Rng>(
+        &self,
+        ctx: &ExecContext,
+        query: &JoinQuery,
+        instance: &Instance,
+        family: &QueryFamily,
+        params: PrivacyParams,
+        rng: &mut R,
+    ) -> Result<SyntheticRelease> {
         check_two_table(query, params)?;
         let half = params.halve();
 
@@ -126,9 +175,18 @@ impl FlawedPadAfter {
         let eta = pad_noise.sample(rng);
 
         // Step 3: the mass-revealing release (as in FlawedJoinAsOne).
-        let pmw_out = Pmw::new(self.pmw).run(query, instance, family, half, delta_tilde, rng)?;
+        let pmw_out = crate::run_pmw(
+            self.pmw,
+            ctx,
+            query,
+            instance,
+            family,
+            half,
+            delta_tilde,
+            rng,
+        )?;
         let mut histogram = pmw_out.histogram;
-        let count = join_size(query, instance)? as f64;
+        let count = ctx.join_size(query, instance)? as f64;
         histogram.normalize_to(count);
 
         // Step 4: pad afterwards — η mass spread uniformly over the domain

@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use dpsyn_noise::{PrivacyParams, TruncatedLaplace};
 use dpsyn_pmw::{Histogram, PmwConfig};
 use dpsyn_query::QueryFamily;
-use dpsyn_relational::{deg_multi, AttrId, AttributeTree, ExecContext, Instance, JoinQuery, Value};
+use dpsyn_relational::{AttrId, AttributeTree, ExecContext, Instance, JoinQuery, Value};
 use dpsyn_sensitivity::config::{bucket_of, DegreeConfiguration};
 use dpsyn_sensitivity::SensitivityConfig;
 use rand::Rng;
@@ -78,7 +78,9 @@ pub struct HierarchicalPart {
 
 /// Algorithm 7: `Decompose_{ε,δ}(I, x)` — splits one sub-instance by the
 /// noisy degrees of attribute `x` over its ancestors.
+#[allow(clippy::too_many_arguments)]
 fn decompose<R: Rng>(
+    ctx: &ExecContext,
     query: &JoinQuery,
     tree: &AttributeTree,
     part: &HierarchicalPart,
@@ -98,7 +100,7 @@ fn decompose<R: Rng>(
     // Noisy degree per ancestor tuple (Algorithm 7, lines 3-6).  Only tuples
     // with non-zero degree matter: zero-degree ancestor tuples induce empty
     // sub-relations.
-    let degrees = deg_multi(query, instance, &relations, &ancestors)?;
+    let degrees = ctx.deg_multi(query, instance, &relations, &ancestors)?;
     let tlap = TruncatedLaplace::calibrated(params.epsilon(), params.delta(), 1.0)?;
     let mut bucket_members: BTreeMap<usize, std::collections::BTreeSet<Vec<Value>>> =
         BTreeMap::new();
@@ -144,8 +146,10 @@ fn decompose<R: Rng>(
 /// Algorithm 6: `Partition-Hierarchical_{ε,δ}(H, I)` — walks the attribute
 /// tree bottom-up and decomposes every current sub-instance at every
 /// attribute.  `params` is the budget of a *single* noisy-degree mechanism;
-/// the caller is responsible for the Lemma 4.11 accounting.
+/// the caller is responsible for the Lemma 4.11 accounting.  Degree
+/// sub-joins run at `ctx`'s parallelism.
 pub fn partition_hierarchical<R: Rng>(
+    ctx: &ExecContext,
     query: &JoinQuery,
     instance: &Instance,
     per_step: PrivacyParams,
@@ -162,7 +166,9 @@ pub fn partition_hierarchical<R: Rng>(
     for &attr in tree.bottom_up_order() {
         let mut next = Vec::new();
         for part in &parts {
-            next.extend(decompose(query, &tree, part, attr, per_step, lambda, rng)?);
+            next.extend(decompose(
+                ctx, query, &tree, part, attr, per_step, lambda, rng,
+            )?);
             if next.len() > max_sub_instances {
                 return Err(ReleaseError::InvalidConfig(format!(
                     "hierarchical partition produced more than {max_sub_instances} sub-instances; \
@@ -283,6 +289,7 @@ impl HierarchicalRelease {
         )?;
 
         let parts = partition_hierarchical(
+            ctx,
             query,
             instance,
             per_step,
@@ -354,6 +361,7 @@ impl HierarchicalRelease {
             (params.delta() / (2.0 * replication * tree_size as f64)).max(f64::MIN_POSITIVE),
         )?;
         partition_hierarchical(
+            &ExecContext::default(),
             query,
             instance,
             per_step,
@@ -418,7 +426,16 @@ mod tests {
         let (q, inst) = star_instance();
         let per_step = PrivacyParams::new(4.0, 1e-3).unwrap();
         let mut rng = seeded_rng(1);
-        let parts = partition_hierarchical(&q, &inst, per_step, 4.0, 4096, &mut rng).unwrap();
+        let parts = partition_hierarchical(
+            &ExecContext::sequential(),
+            &q,
+            &inst,
+            per_step,
+            4.0,
+            4096,
+            &mut rng,
+        )
+        .unwrap();
         assert!(!parts.is_empty());
         assert!(verify_hierarchical_partition(&q, &inst, &parts).unwrap());
         // Join sizes add up.
@@ -434,7 +451,16 @@ mod tests {
         let (q, inst) = star_instance();
         let per_step = PrivacyParams::new(4.0, 1e-3).unwrap();
         let mut rng = seeded_rng(2);
-        let parts = partition_hierarchical(&q, &inst, per_step, 4.0, 4096, &mut rng).unwrap();
+        let parts = partition_hierarchical(
+            &ExecContext::sequential(),
+            &q,
+            &inst,
+            per_step,
+            4.0,
+            4096,
+            &mut rng,
+        )
+        .unwrap();
         let tree = AttributeTree::build(&q).unwrap();
         for part in &parts {
             for &attr in tree.bottom_up_order() {

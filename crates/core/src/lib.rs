@@ -38,6 +38,8 @@ pub mod flawed;
 pub mod hierarchical;
 pub mod mechanism;
 pub mod multi_table;
+#[cfg(test)]
+mod pmw_oracle;
 pub mod release;
 pub mod two_table;
 pub mod uniformize;
@@ -59,3 +61,25 @@ pub use uniformize::{
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, ReleaseError>;
+
+/// Runs `PMW_{ε,δ,Δ̃}` (Algorithm 2) for a mechanism, joining through `ctx`.
+///
+/// Unit tests can swap in the dense reference implementation
+/// (`pmw_oracle`) to check that every mechanism's release bytes match it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_pmw<R: rand::Rng>(
+    config: dpsyn_pmw::PmwConfig,
+    ctx: &dpsyn_relational::ExecContext,
+    query: &dpsyn_relational::JoinQuery,
+    instance: &dpsyn_relational::Instance,
+    family: &dpsyn_query::QueryFamily,
+    params: dpsyn_noise::PrivacyParams,
+    delta_tilde: f64,
+    rng: &mut R,
+) -> Result<dpsyn_pmw::PmwOutput> {
+    #[cfg(test)]
+    if pmw_oracle::enabled() {
+        return pmw_oracle::dense_run(config, query, instance, family, params, delta_tilde, rng);
+    }
+    Ok(dpsyn_pmw::Pmw::new(config).run(ctx, query, instance, family, params, delta_tilde, rng)?)
+}

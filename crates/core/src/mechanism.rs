@@ -24,8 +24,9 @@
 //! long-lived
 //! context (a `dpsyn::Session`) reuses the `2^m` sub-join lattice across
 //! repeated releases over the same instance.  The two-table mechanisms'
-//! sensitivity is a cheap degree scan with nothing worth caching; they
-//! accept the context for uniformity and ignore it.
+//! sensitivity is a cheap degree scan with nothing worth caching.  Every
+//! mechanism's PMW step joins at the context's parallelism, so a
+//! sequential context (`dpsyn::Session::sequential`) spawns no thread.
 //!
 //! The per-query Laplace baseline (`IndependentLaplaceBaseline`) is *not* a
 //! `Mechanism`: it answers a fixed workload directly and never materialises
@@ -77,16 +78,14 @@ impl Mechanism for TwoTable {
 
     fn release_ctx(
         &self,
-        _ctx: &ExecContext,
+        ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
         params: PrivacyParams,
         mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
-        // Two-table local sensitivity is a single degree scan; there is no
-        // lattice work for the context to cache.
-        self.release(query, instance, family, params, &mut rng)
+        self.release_in(ctx, query, instance, family, params, &mut rng)
     }
 }
 
@@ -115,16 +114,14 @@ impl Mechanism for UniformizedTwoTable {
 
     fn release_ctx(
         &self,
-        _ctx: &ExecContext,
+        ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
         params: PrivacyParams,
         mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
-        // Per-bucket sub-instances are fresh data; the inner TwoTable
-        // releases have no lattice work to share.
-        self.release(query, instance, family, params, &mut rng)
+        self.release_in(ctx, query, instance, family, params, &mut rng)
     }
 }
 
@@ -153,14 +150,14 @@ impl Mechanism for FlawedJoinAsOne {
 
     fn release_ctx(
         &self,
-        _ctx: &ExecContext,
+        ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
         params: PrivacyParams,
         mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
-        self.release(query, instance, family, params, &mut rng)
+        self.release_in(ctx, query, instance, family, params, &mut rng)
     }
 }
 
@@ -171,14 +168,14 @@ impl Mechanism for FlawedPadAfter {
 
     fn release_ctx(
         &self,
-        _ctx: &ExecContext,
+        ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
         params: PrivacyParams,
         mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
-        self.release(query, instance, family, params, &mut rng)
+        self.release_in(ctx, query, instance, family, params, &mut rng)
     }
 }
 

@@ -18,7 +18,7 @@
 //! `O((√(count(I)·RS^β(I)) + RS^β(I)·√λ) · f_upper)`.
 
 use dpsyn_noise::{PrivacyParams, TruncatedLaplace};
-use dpsyn_pmw::{Pmw, PmwConfig};
+use dpsyn_pmw::PmwConfig;
 use dpsyn_query::QueryFamily;
 use dpsyn_relational::{ExecContext, Instance, JoinQuery};
 use dpsyn_sensitivity::{SensitivityConfig, SensitivityOps};
@@ -123,7 +123,16 @@ impl MultiTable {
         let delta_tilde = rs.value.max(1.0) * tlap.sample(rng).exp();
 
         // Line 3: PMW with the remaining half of the budget.
-        let pmw_out = Pmw::new(self.pmw).run(query, instance, family, half, delta_tilde, rng)?;
+        let pmw_out = crate::run_pmw(
+            self.pmw,
+            ctx,
+            query,
+            instance,
+            family,
+            half,
+            delta_tilde,
+            rng,
+        )?;
 
         Ok(SyntheticRelease::new(
             query.clone(),

@@ -16,9 +16,9 @@
 //! `O((√(count(I)·(Δ+λ)) + (Δ+λ)·√λ) · f_upper)`.
 
 use dpsyn_noise::{PrivacyParams, TruncatedLaplace};
-use dpsyn_pmw::{Pmw, PmwConfig};
+use dpsyn_pmw::PmwConfig;
 use dpsyn_query::QueryFamily;
-use dpsyn_relational::{Instance, JoinQuery};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery};
 use dpsyn_sensitivity::two_table_local_sensitivity;
 use rand::Rng;
 
@@ -52,6 +52,28 @@ impl TwoTable {
         params: PrivacyParams,
         rng: &mut R,
     ) -> Result<SyntheticRelease> {
+        self.release_in(
+            &ExecContext::default(),
+            query,
+            instance,
+            family,
+            params,
+            rng,
+        )
+    }
+
+    /// Runs the release through an explicit execution context: PMW joins at
+    /// `ctx`'s parallelism.  Output is byte-identical to
+    /// [`TwoTable::release`] at the same seed.
+    pub fn release_in<R: Rng>(
+        &self,
+        ctx: &ExecContext,
+        query: &JoinQuery,
+        instance: &Instance,
+        family: &QueryFamily,
+        params: PrivacyParams,
+        rng: &mut R,
+    ) -> Result<SyntheticRelease> {
         if query.num_relations() != 2 {
             return Err(ReleaseError::RequiresTwoTable {
                 got: query.num_relations(),
@@ -71,7 +93,16 @@ impl TwoTable {
         let delta_tilde = delta + tlap.sample(rng);
 
         // Line 2: PMW with the remaining half of the budget.
-        let pmw_out = Pmw::new(self.pmw).run(query, instance, family, half, delta_tilde, rng)?;
+        let pmw_out = crate::run_pmw(
+            self.pmw,
+            ctx,
+            query,
+            instance,
+            family,
+            half,
+            delta_tilde,
+            rng,
+        )?;
 
         Ok(SyntheticRelease::new(
             query.clone(),

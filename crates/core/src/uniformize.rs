@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use dpsyn_noise::{PrivacyParams, TruncatedLaplace};
 use dpsyn_pmw::{Histogram, PmwConfig};
 use dpsyn_query::QueryFamily;
-use dpsyn_relational::{AttrId, Instance, JoinQuery, Value};
+use dpsyn_relational::{AttrId, ExecContext, Instance, JoinQuery, Value};
 use dpsyn_sensitivity::config::bucket_of;
 use rand::Rng;
 
@@ -125,13 +125,35 @@ impl UniformizedTwoTable {
         params: PrivacyParams,
         rng: &mut R,
     ) -> Result<SyntheticRelease> {
+        self.release_in(
+            &ExecContext::default(),
+            query,
+            instance,
+            family,
+            params,
+            rng,
+        )
+    }
+
+    /// Runs the uniformized release through an explicit execution context:
+    /// each bucket's PMW joins at `ctx`'s parallelism.  Output is
+    /// byte-identical to [`UniformizedTwoTable::release`] at the same seed.
+    pub fn release_in<R: Rng>(
+        &self,
+        ctx: &ExecContext,
+        query: &JoinQuery,
+        instance: &Instance,
+        family: &QueryFamily,
+        params: PrivacyParams,
+        rng: &mut R,
+    ) -> Result<SyntheticRelease> {
         let half = params.halve();
         let buckets = partition_two_table(query, instance, half, rng)?;
 
         let inner = TwoTable::new(self.pmw);
         let mut combined: Option<SyntheticRelease> = None;
         for bucket in &buckets {
-            let release = inner.release(query, &bucket.sub_instance, family, half, rng)?;
+            let release = inner.release_in(ctx, query, &bucket.sub_instance, family, half, rng)?;
             match &mut combined {
                 None => combined = Some(release),
                 Some(c) => c.absorb(&release)?,

@@ -3,16 +3,29 @@
 //!
 //! The histogram is the released object `F` of the paper: any linear query
 //! can be answered from it by summing `F(x) · Π_i q_i(π_{x_i} x)` over the
-//! joint domain.  It is stored densely (row-major over the attribute domains),
-//! which is exactly the representation PMW's multiplicative-weights update
-//! needs; experiment configurations keep `|dom(x)|` small enough for this to
-//! be practical.
+//! joint domain.  Only `F` itself is dense (one `f64` per cell, row-major
+//! over the attribute domains); experiment configurations keep `|dom(x)|`
+//! small enough for this to be practical.
+//!
+//! Query weights are never stored per cell here.  A product query is
+//! evaluated through its per-relation **factor tables** — each component
+//! `q_i` evaluated once over its relation's own domain `dom(x_i)` — and a
+//! cell's weight is the product of its table entries, found by stride
+//! arithmetic while the cells are walked in order (see the `factor`
+//! module).  [`Histogram::answer_all`] answers a whole family in one such
+//! walk.  PMW holds each query's weights for its run as `u8` codes into a
+//! palette of the query's distinct values, or as a dense `f64` vector only
+//! for a query with more than 256 distinct values.  Every weight keeps the
+//! multiply order and zero exit of `JointEvaluator::weight`, and every sum
+//! keeps its cell order, so all answers are bit-identical to evaluating
+//! each cell's joint tuple directly.
 
-use dpsyn_query::{JointEvaluator, ProductQuery, QueryFamily};
+use dpsyn_query::{ProductQuery, QueryFamily};
 use dpsyn_relational::{AttrId, JoinQuery, JoinResult, Value};
 use rand::Rng;
 
 use crate::error::PmwError;
+use crate::factor::{cell_weight, Factorization};
 use crate::Result;
 
 /// Default cap on the number of dense cells a histogram may hold.
@@ -107,6 +120,17 @@ impl Histogram {
         &self.weights
     }
 
+    /// The raw weights, for PMW's fused update passes.
+    pub(crate) fn weights_mut(&mut self) -> &mut [f64] {
+        &mut self.weights
+    }
+
+    /// The factor-table layout of `query`'s relations over this histogram's
+    /// cells.
+    pub(crate) fn factorization(&self, query: &JoinQuery) -> Result<Factorization> {
+        Factorization::new(query, &self.attrs, &self.dims)
+    }
+
     /// The linear index of a joint tuple.
     pub fn index_of(&self, tuple: &[Value]) -> usize {
         let mut idx = 0usize;
@@ -133,29 +157,20 @@ impl Histogram {
     }
 
     /// Computes the per-cell weight vector `x ↦ Π_i q_i(π_{x_i} x)` of a
-    /// product query (used by both query answering and the PMW update).
+    /// product query from its factor tables.
     pub fn query_weight_vector(&self, query: &JoinQuery, q: &ProductQuery) -> Result<Vec<f64>> {
-        let evaluator = JointEvaluator::new(query, &self.attrs)?;
+        let fz = self.factorization(query)?;
+        let tables = fz.tables(query, q)?;
         let mut out = Vec::with_capacity(self.weights.len());
-        let mut tuple = vec![0u64; self.dims.len()];
-        for _ in 0..self.weights.len() {
-            out.push(evaluator.weight(q, &tuple));
-            // Odometer increment in row-major order (last attribute fastest).
-            for pos in (0..self.dims.len()).rev() {
-                tuple[pos] += 1;
-                if tuple[pos] < self.dims[pos] {
-                    break;
-                }
-                tuple[pos] = 0;
-            }
-        }
+        fz.for_each_chunk(|cells, offsets| {
+            out.extend((0..cells.len()).map(|k| cell_weight(&tables, offsets, k)));
+        });
         Ok(out)
     }
 
     /// Answers one query: `q(F) = Σ_x F(x) · Π_i q_i(π_{x_i} x)`.
     pub fn answer(&self, query: &JoinQuery, q: &ProductQuery) -> Result<f64> {
-        let weights = self.query_weight_vector(query, q)?;
-        Ok(self.answer_with_weights(&weights))
+        Ok(self.answers(query, std::slice::from_ref(q))?[0])
     }
 
     /// Answers a query given its pre-computed per-cell weight vector.
@@ -167,12 +182,30 @@ impl Histogram {
             .sum()
     }
 
-    /// Answers every query of a family.
+    /// Answers every query of a family in one walk over the cells, without
+    /// building any per-query weight vector.  Each answer equals
+    /// `answer_with_weights(&query_weight_vector(query, q)?)` bit for bit.
     pub fn answer_all(&self, query: &JoinQuery, family: &QueryFamily) -> Result<Vec<f64>> {
-        family
+        self.answers(query, family.queries())
+    }
+
+    fn answers(&self, query: &JoinQuery, queries: &[ProductQuery]) -> Result<Vec<f64>> {
+        let fz = self.factorization(query)?;
+        let tables = queries
             .iter()
-            .map(|q| self.answer(query, q))
-            .collect::<Result<Vec<_>>>()
+            .map(|q| fz.tables(query, q))
+            .collect::<Result<Vec<_>>>()?;
+        // One accumulator per query, each summed in cell order from -0.0,
+        // the neutral element `Iterator::sum::<f64>` starts from.
+        let mut sums = vec![-0.0f64; queries.len()];
+        fz.for_each_chunk(|cells, offsets| {
+            for (sum, t) in sums.iter_mut().zip(&tables) {
+                for (k, f) in self.weights[cells.clone()].iter().enumerate() {
+                    *sum += f * cell_weight(t, offsets, k);
+                }
+            }
+        });
+        Ok(sums)
     }
 
     /// Rescales the histogram so its total mass equals `total` (no-op if the
@@ -245,7 +278,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpsyn_query::RelationQuery;
+    use dpsyn_query::{JointEvaluator, RelationQuery};
     use dpsyn_relational::{Instance, Relation};
     use rand::SeedableRng;
 
@@ -333,7 +366,10 @@ mod tests {
         let evaluator = JointEvaluator::full_domain(&q).unwrap();
         for (idx, w) in weights.iter().enumerate() {
             let t = h.tuple_of(idx);
-            assert!((w - evaluator.weight(&pq, &t)).abs() < 1e-12);
+            assert_eq!(
+                w.to_bits(),
+                evaluator.weight(&pq, &t, &mut Vec::new()).to_bits()
+            );
         }
     }
 

@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+mod factor;
 pub mod histogram;
 pub mod pmw;
 pub mod theory;

@@ -14,14 +14,24 @@
 //!    with Laplace noise of scale `Δ̃/ε'`, and apply the multiplicative-weights
 //!    update;
 //! 4. release the average of the iterates.
+//!
+//! The run is factorized (see the `factor` module): each query's per-cell
+//! weights are built once from its per-relation factor tables and held as
+//! palette codes; the true answers are a row-order gather from those
+//! weights over the join rows; and each round scores every query in one pass
+//! over the cells, computes one `exp` per palette entry, and folds the
+//! renormalisation sum into the update pass.  Every product keeps its
+//! multiply order and every sum its cell or row order, so the released bits
+//! equal those of the direct per-cell evaluation at every thread count.
 
 use dpsyn_noise::budget::advanced_composition_per_step_epsilon;
 use dpsyn_noise::{exponential_mechanism, Laplace, PrivacyParams, TruncatedLaplace};
 use dpsyn_query::QueryFamily;
-use dpsyn_relational::{join, Instance, JoinQuery};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery};
 use rand::Rng;
 
 use crate::error::PmwError;
+use crate::factor::{self, QueryWeights};
 use crate::histogram::{Histogram, DEFAULT_MAX_CELLS};
 use crate::theory::recommended_iterations;
 use crate::Result;
@@ -35,7 +45,9 @@ pub struct PmwConfig {
     pub iterations_override: Option<usize>,
     /// Cap on the dense joint-domain size.
     pub max_domain_cells: u128,
-    /// Cap on `|Q| · |dom(x)|` for the pre-computed query weight vectors.
+    /// Cap on `|Q| · |dom(x)|`, the number of per-cell query weights a run
+    /// holds (as palette codes, or `f64`s for a query with more than 256
+    /// distinct weights).
     pub max_weight_entries: u128,
 }
 
@@ -85,9 +97,12 @@ impl Pmw {
     ///
     /// `delta_tilde` is the externally-derived (already private) upper bound
     /// on how much `count(·)` can differ between neighbouring instances; the
-    /// caller is responsible for its provenance (Algorithm 1 or 3).
+    /// caller is responsible for its provenance (Algorithm 1 or 3).  The
+    /// join runs at `ctx`'s parallelism; the rest of the run is sequential.
+    #[allow(clippy::too_many_arguments)]
     pub fn run<R: Rng>(
         &self,
+        ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
@@ -109,7 +124,7 @@ impl Pmw {
         let delta = params.delta();
 
         // Line 1: noisy join size.
-        let join_result = join(query, instance)?;
+        let join_result = ctx.join(query, instance)?;
         let count = join_result.total() as f64;
         let tlap = TruncatedLaplace::calibrated(
             epsilon / 2.0,
@@ -137,7 +152,7 @@ impl Pmw {
         let k = k.clamp(1, self.config.max_iterations.max(1));
         let eps_prime = advanced_composition_per_step_epsilon(params, k);
 
-        // Pre-compute true answers and per-query weight vectors.
+        // Pre-compute per-query weights and the true answers.
         let entries = family.len() as u128 * current.len() as u128;
         if entries > self.config.max_weight_entries {
             return Err(PmwError::WorkloadTooLarge {
@@ -145,40 +160,41 @@ impl Pmw {
                 limit: self.config.max_weight_entries,
             });
         }
-        let true_answers = family.answer_all_on_join(query, &join_result)?;
-        let mut weight_vectors = Vec::with_capacity(family.len());
-        for q in family.iter() {
-            weight_vectors.push(current.query_weight_vector(query, q)?);
-        }
+        let fz = current.factorization(query)?;
+        let weights = QueryWeights::build(&fz, query, family)?;
+        let true_answers =
+            factor::true_answers(&fz, current.attrs(), query, &join_result, family, &weights)?;
+        // The join is not read again; free it before the loop allocates.
+        drop(join_result);
 
         let laplace = Laplace::calibrated(delta_tilde, eps_prime)?;
         let mut average = Histogram::zeros(query, self.config.max_domain_cells)?;
         let mut selected_queries = Vec::with_capacity(k);
+        let mut answers = vec![0.0; family.len()];
+        let mut total = current.total();
 
         for _ in 0..k {
             // Line 5: exponential mechanism over the per-query error scores.
-            let scores: Vec<f64> = (0..family.len())
-                .map(|j| {
-                    (current.answer_with_weights(&weight_vectors[j]) - true_answers.get(j)).abs()
-                        / delta_tilde
-                })
+            factor::answer_all(&weights, current.weights(), &mut answers);
+            let scores: Vec<f64> = answers
+                .iter()
+                .zip(&true_answers)
+                .map(|(a, t)| (a - t).abs() / delta_tilde)
                 .collect();
             let j = exponential_mechanism(&scores, eps_prime, 1.0, rng)?;
             selected_queries.push(j);
 
             // Line 6: noisy measurement of the selected query.
-            let measurement = true_answers.get(j) + laplace.sample(rng);
+            let measurement = true_answers[j] + laplace.sample(rng);
 
-            // Line 7: multiplicative-weights update.
-            let current_answer = current.answer_with_weights(&weight_vectors[j]);
+            // Line 7: multiplicative-weights update, renormalised to the
+            // previous mass, then added to the running sum of iterates.
             let eta = if noisy_total > 0.0 {
-                ((measurement - current_answer) / (2.0 * noisy_total)).clamp(-1.0, 1.0)
+                ((measurement - answers[j]) / (2.0 * noisy_total)).clamp(-1.0, 1.0)
             } else {
                 0.0
             };
-            current.multiplicative_update(&weight_vectors[j], eta);
-
-            average.accumulate(&current)?;
+            total = update_and_accumulate(&mut current, &mut average, &weights[j], eta, total);
         }
         average.scale(1.0 / k as f64);
 
@@ -191,11 +207,51 @@ impl Pmw {
     }
 }
 
+/// One multiplicative-weights round on `current` followed by
+/// `average += current`; `total` is the mass of `current` before the round,
+/// and the mass after it is returned.
+///
+/// Bit-identical to `current.multiplicative_update(w, eta)` followed by
+/// `average.accumulate(&current)`: the renormalisation sum is taken during
+/// the update pass, and the next round's mass during the accumulate pass,
+/// each in cell order.
+fn update_and_accumulate(
+    current: &mut Histogram,
+    average: &mut Histogram,
+    weights: &QueryWeights,
+    eta: f64,
+    total: f64,
+) -> f64 {
+    let cells = current.weights_mut();
+    let mass = weights.reweight(cells, eta);
+    let sum = average.weights_mut();
+    if mass > 0.0 && total >= 0.0 {
+        let factor = total / mass;
+        let mut next = -0.0;
+        for (f, s) in cells.iter_mut().zip(sum.iter_mut()) {
+            *f *= factor;
+            *s += *f;
+            next += *f;
+        }
+        next
+    } else {
+        for (f, s) in cells.iter().zip(sum.iter_mut()) {
+            *s += f;
+        }
+        mass
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpsyn_noise::seeded_rng;
     use dpsyn_query::linf_error;
+
+    fn ctx() -> ExecContext {
+        ExecContext::sequential()
+    }
+
     /// A small but non-trivial two-table instance over a tiny domain.
     fn small_case() -> (JoinQuery, Instance) {
         let q = JoinQuery::two_table(4, 4, 4);
@@ -220,7 +276,7 @@ mod tests {
         let family = QueryFamily::random_sign(&q, 16, &mut rng).unwrap();
         let params = PrivacyParams::new(1.0, 1e-6).unwrap();
         let out = Pmw::default()
-            .run(&q, &inst, &family, params, 4.0, &mut rng)
+            .run(&ctx(), &q, &inst, &family, params, 4.0, &mut rng)
             .unwrap();
         assert!(out.histogram.weights().iter().all(|&w| w >= 0.0));
         assert!((out.histogram.total() - out.noisy_total).abs() / out.noisy_total < 1e-6);
@@ -255,7 +311,9 @@ mod tests {
             iterations_override: Some(20),
             ..PmwConfig::default()
         });
-        let out = pmw.run(&q, &inst, &family, params, 2.0, &mut rng).unwrap();
+        let out = pmw
+            .run(&ctx(), &q, &inst, &family, params, 2.0, &mut rng)
+            .unwrap();
         let truth = family.answer_all_on_instance(&q, &inst).unwrap();
         let released = out.histogram.answer_all(&q, &family).unwrap();
         let err = linf_error(truth.values(), &released).unwrap();
@@ -281,7 +339,7 @@ mod tests {
             let mut rng = seeded_rng(seed);
             let family = QueryFamily::random_sign(&q, 8, &mut rng).unwrap();
             let out = Pmw::default()
-                .run(&q, &inst, &family, params, 2.0, &mut rng)
+                .run(&ctx(), &q, &inst, &family, params, 2.0, &mut rng)
                 .unwrap();
             (out.noisy_total, out.histogram.weights().to_vec())
         };
@@ -303,7 +361,9 @@ mod tests {
             iterations_override: Some(5),
             ..PmwConfig::default()
         });
-        let out = pmw.run(&q, &inst, &family, params, 1.0, &mut rng).unwrap();
+        let out = pmw
+            .run(&ctx(), &q, &inst, &family, params, 1.0, &mut rng)
+            .unwrap();
         assert_eq!(out.iterations, 5);
     }
 
@@ -314,10 +374,10 @@ mod tests {
         let family = QueryFamily::counting(&q);
         let params = PrivacyParams::new(1.0, 1e-6).unwrap();
         assert!(Pmw::default()
-            .run(&q, &inst, &family, params, f64::NAN, &mut rng)
+            .run(&ctx(), &q, &inst, &family, params, f64::NAN, &mut rng)
             .is_err());
         assert!(Pmw::default()
-            .run(&q, &inst, &family, params, -3.0, &mut rng)
+            .run(&ctx(), &q, &inst, &family, params, -3.0, &mut rng)
             .is_err());
     }
 
@@ -332,7 +392,7 @@ mod tests {
             ..PmwConfig::default()
         });
         assert!(matches!(
-            pmw.run(&q, &inst, &family, params, 1.0, &mut rng),
+            pmw.run(&ctx(), &q, &inst, &family, params, 1.0, &mut rng),
             Err(PmwError::WorkloadTooLarge { .. })
         ));
     }
@@ -345,7 +405,7 @@ mod tests {
         let family = QueryFamily::counting(&q);
         let params = PrivacyParams::new(1.0, 1e-4).unwrap();
         let out = Pmw::default()
-            .run(&q, &inst, &family, params, 1.0, &mut rng)
+            .run(&ctx(), &q, &inst, &family, params, 1.0, &mut rng)
             .unwrap();
         // The only mass comes from the truncated-Laplace padding, which is at
         // most 2τ(ε/2, δ/2, 1).

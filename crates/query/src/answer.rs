@@ -94,9 +94,10 @@ fn answer_all_on_join_impl(
     }
     let answers = dpsyn_relational::exec::par_map(par, queries.len(), |i| {
         let q = queries[i];
+        let mut scratch = Vec::new();
         let mut total = 0.0;
         for (tuple, weight) in join_result.iter_unordered() {
-            total += weight as f64 * evaluator.weight(q, tuple);
+            total += weight as f64 * evaluator.weight(q, tuple, &mut scratch);
         }
         total
     });
@@ -186,11 +187,12 @@ pub fn answer_on_join(
 ) -> Result<f64> {
     q.validate(query)?;
     let evaluator = JointEvaluator::new(query, join_result.attrs())?;
+    let mut scratch = Vec::new();
     let mut total = 0.0;
     // Construction order is deterministic and each tuple contributes exactly
     // once, so the sorted view (an O(n log n) emit) is unnecessary here.
     for (tuple, weight) in join_result.iter_unordered() {
-        total += weight as f64 * evaluator.weight(q, tuple);
+        total += weight as f64 * evaluator.weight(q, tuple, &mut scratch);
     }
     Ok(total)
 }

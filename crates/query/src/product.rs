@@ -1,6 +1,6 @@
 //! Product queries `q = (q_1, …, q_m)` and joint-domain evaluation.
 
-use dpsyn_relational::tuple::{project_positions, project_with_positions};
+use dpsyn_relational::tuple::{project_into, project_positions};
 use dpsyn_relational::{AttrId, JoinQuery, Value};
 
 use crate::error::QueryError;
@@ -93,11 +93,17 @@ impl JointEvaluator {
     }
 
     /// Evaluates `Π_i q_i(π_{x_i} x)` for a joint tuple `x`.
-    pub fn weight(&self, q: &ProductQuery, joint_tuple: &[Value]) -> f64 {
+    ///
+    /// Each projection `π_{x_i} x` is written into `scratch`, so a loop that
+    /// passes the same buffer for every row allocates nothing.  The factors
+    /// multiply left to right, and the first zero partial product returns
+    /// `+0.0`; the factorized evaluators in `dpsyn-pmw` keep exactly this
+    /// order to stay bit-identical.
+    pub fn weight(&self, q: &ProductQuery, joint_tuple: &[Value], scratch: &mut Vec<Value>) -> f64 {
         let mut w = 1.0;
         for (i, pos) in self.positions.iter().enumerate() {
-            let projected = project_with_positions(joint_tuple, pos);
-            w *= q.component(i).eval(&projected);
+            project_into(joint_tuple, pos, scratch);
+            w *= q.component(i).eval(scratch);
             if w == 0.0 {
                 return 0.0;
             }
@@ -165,8 +171,8 @@ mod tests {
             RelationQuery::AllOne,
         ]);
         // Joint tuple (A=1, B=2, C=7) projects to R1 tuple (1,2) and R2 tuple (2,7).
-        assert_eq!(eval.weight(&q, &[1, 2, 7]), 0.5);
-        assert_eq!(eval.weight(&q, &[0, 2, 7]), 0.0);
+        assert_eq!(eval.weight(&q, &[1, 2, 7], &mut Vec::new()), 0.5);
+        assert_eq!(eval.weight(&q, &[0, 2, 7], &mut Vec::new()), 0.0);
     }
 
     #[test]
@@ -174,7 +180,7 @@ mod tests {
         let jq = JoinQuery::star(3, 4).unwrap();
         let eval = JointEvaluator::full_domain(&jq).unwrap();
         let q = ProductQuery::counting(3);
-        assert_eq!(eval.weight(&q, &[0, 1, 2, 3]), 1.0);
+        assert_eq!(eval.weight(&q, &[0, 1, 2, 3], &mut Vec::new()), 1.0);
     }
 
     #[test]
@@ -185,10 +191,11 @@ mod tests {
             RelationQuery::SignHash { seed: 1 },
             RelationQuery::SignHash { seed: 2 },
         ]);
+        let mut scratch = Vec::new();
         for a in 0..4u64 {
             for b in 0..4u64 {
                 for c in 0..4u64 {
-                    let w = eval.weight(&q, &[a, b, c]);
+                    let w = eval.weight(&q, &[a, b, c], &mut scratch);
                     assert!(w == 1.0 || w == -1.0);
                 }
             }

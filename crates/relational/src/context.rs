@@ -487,6 +487,19 @@ impl ExecContext {
         grouped_join_size_impl(query, instance, rels, group_by, self.parallelism)
     }
 
+    /// The degree map `deg_{E,y}` of Definition 4.7
+    /// ([`crate::degree::deg_multi`]), joining at this context's
+    /// parallelism.
+    pub fn deg_multi(
+        &self,
+        query: &JoinQuery,
+        instance: &Instance,
+        e: &[usize],
+        y: &[AttrId],
+    ) -> Result<std::collections::BTreeMap<Vec<Value>, u64>> {
+        crate::degree::deg_multi_impl(query, instance, e, y, self.parallelism)
+    }
+
     /// The full join of `(query, instance)`, cached across calls.
     ///
     /// The first call on a given fingerprint computes the join with the

@@ -12,9 +12,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::attr::AttrId;
 use crate::cache::SubJoinCache;
 use crate::error::RelationalError;
+use crate::exec::Parallelism;
 use crate::hypergraph::JoinQuery;
 use crate::instance::Instance;
-use crate::join::join_subset;
+use crate::join::join_subset_impl;
 use crate::tuple::{project_positions, project_with_positions, Value};
 use crate::Result;
 
@@ -31,14 +32,23 @@ pub fn deg_single(
 /// `Ψ_E(I)`: the set of projections onto `⋂_{i∈E} x_i` of the tuples in the
 /// sub-join of the relations in `E` (Definition 4.7).
 pub fn psi(query: &JoinQuery, instance: &Instance, e: &[usize]) -> Result<BTreeSet<Vec<Value>>> {
+    psi_impl(query, instance, e, Parallelism::default())
+}
+
+/// [`psi`] with its sub-join at an explicit parallelism level.
+fn psi_impl(
+    query: &JoinQuery,
+    instance: &Instance,
+    e: &[usize],
+    par: Parallelism,
+) -> Result<BTreeSet<Vec<Value>>> {
     if e.is_empty() {
         return Err(RelationalError::InvalidRelationSubset(
             "Ψ_E requires a non-empty relation subset".to_string(),
         ));
     }
     let cap = query.intersect_attrs(e)?;
-    let result = join_subset(query, instance, e)?;
-    result.distinct_projections(&cap)
+    join_subset_impl(query, instance, e, par)?.distinct_projections(&cap)
 }
 
 /// [`psi`] evaluated through a [`SubJoinCache`], so that enumerating many
@@ -65,6 +75,18 @@ pub fn deg_multi(
     e: &[usize],
     y: &[AttrId],
 ) -> Result<BTreeMap<Vec<Value>, u64>> {
+    deg_multi_impl(query, instance, e, y, Parallelism::default())
+}
+
+/// Shared implementation behind [`deg_multi`] and
+/// [`crate::ExecContext::deg_multi`].
+pub(crate) fn deg_multi_impl(
+    query: &JoinQuery,
+    instance: &Instance,
+    e: &[usize],
+    y: &[AttrId],
+    par: Parallelism,
+) -> Result<BTreeMap<Vec<Value>, u64>> {
     match e.len() {
         0 => Err(RelationalError::InvalidRelationSubset(
             "deg_{E,y} requires a non-empty relation subset".to_string(),
@@ -72,7 +94,7 @@ pub fn deg_multi(
         1 => deg_single(instance, e[0], y),
         _ => {
             let cap = query.intersect_attrs(e)?;
-            let members = psi(query, instance, e)?;
+            let members = psi_impl(query, instance, e, par)?;
             count_projections(&members, &cap, y)
         }
     }
