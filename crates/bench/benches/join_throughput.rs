@@ -51,9 +51,8 @@ use dpsyn_datagen::{
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive};
 use dpsyn_relational::{
-    fold_fully_packable, hash_join_step_mode, join_encoded, join_size, AttrDictionary, ExecContext,
-    FxHashSet, Instance, JoinPlan, JoinQuery, JoinResult, Parallelism, PlanConfig, ProbeMode,
-    RelationStats, Schedule, ShardedSubJoinCache, SubJoinCache, Value,
+    join_size, ExecContext, FxHashSet, Instance, JoinPlan, JoinQuery, Parallelism, PlanConfig,
+    RelationStats, ShardedSubJoinCache, Value,
 };
 use dpsyn_sensitivity::{all_boundary_values, SensitivityConfig, SensitivityOps};
 
@@ -580,194 +579,64 @@ fn planner_rows(quick: bool) -> Vec<Row> {
     rows
 }
 
-/// The scheduler group: morsel-driven work stealing vs the historical fixed
-/// stride on a heavy-hitter skewed star's lattice populate.
+/// The scheduler group: the morsel-driven work-stealing lattice populate at
+/// [`SCALING_THREADS`] workers vs the sequential populate on a heavy-hitter
+/// skewed star.
 ///
-/// Byte-identity of both schedules against the sequential cache is asserted
-/// for every mask before timing.  Each row records the per-worker claim
-/// counts ([`dpsyn_relational::SchedulerStats`]): under stealing the spread
-/// tracks actual mask cost (the worker stuck on the heavy-hitter mask claims
-/// few while the others drain the level), under striding the split is fixed
-/// by arithmetic regardless of skew — that spread, not wall-clock (which is
-/// capped by `available_cores`), is the rebalancing evidence.
+/// Byte-identity of the parallel populate against the sequential one is
+/// asserted for every mask before timing, as is that every mask is claimed
+/// exactly once.  The row records the per-worker claim counts
+/// ([`dpsyn_relational::SchedulerStats`]): the spread tracks actual mask cost
+/// (the worker stuck on the heavy-hitter mask claims few while the others
+/// drain the level) — that spread, not wall-clock (which is capped by
+/// `available_cores`), is the rebalancing evidence.
 fn sched_rows(quick: bool) -> Vec<Row> {
-    let mut rows = Vec::new();
     let per_rel = if quick { 120 } else { 300 };
     let (query, instance) = heavy_hitter_star(4, 64, per_rel, 0.6, &mut seeded_rng(31));
     let m = query.num_relations();
     let par = Parallelism::threads(SCALING_THREADS);
-    let mut seq_cache = SubJoinCache::new(&query, &instance).expect("cache");
-    let mut claim_stats = Vec::new();
-    for sched in [Schedule::Stealing, Schedule::Strided] {
-        let cache = ShardedSubJoinCache::new(&query, &instance).expect("cache");
-        let stats = cache
-            .populate_proper_subsets_sched(par, sched)
-            .expect("populate");
-        assert_eq!(stats.total(), (1usize << m) - 2, "every mask claimed once");
-        for mask in 1u32..((1u32 << m) - 1) {
-            assert_eq!(
-                cache.get(mask).expect("populated").as_ref(),
-                seq_cache.join_mask(mask).expect("sub-join"),
-                "{sched:?} lattice must be byte-identical to sequential"
-            );
-        }
-        claim_stats.push((sched, stats));
+    let seq_cache = ShardedSubJoinCache::new(&query, &instance).expect("cache");
+    seq_cache
+        .populate_proper_subsets(Parallelism::SEQUENTIAL)
+        .expect("populate");
+    let cache = ShardedSubJoinCache::new(&query, &instance).expect("cache");
+    let stats = cache.populate_proper_subsets(par).expect("populate");
+    assert_eq!(stats.total(), (1usize << m) - 2, "every mask claimed once");
+    for mask in 1u32..((1u32 << m) - 1) {
+        let got = cache.get(mask).expect("populated");
+        let want = seq_cache.get(mask).expect("populated");
+        assert!(
+            got.iter_unordered().eq(want.iter_unordered()),
+            "mask {mask:#b}: parallel lattice must be byte-identical to sequential"
+        );
     }
-    let run = |sched: Schedule| {
+    let run = |par: Parallelism| {
         let cache = ShardedSubJoinCache::new(&query, &instance).expect("cache");
-        let stats = cache
-            .populate_proper_subsets_sched(par, sched)
-            .expect("populate");
+        let stats = cache.populate_proper_subsets(par).expect("populate");
         black_box(stats.total());
     };
     let probe = Instant::now();
-    run(Schedule::Strided);
+    run(Parallelism::SEQUENTIAL);
     let samples = sample_count(probe.elapsed());
-    let (stealing_ns, strided_ns) =
-        median_ns_interleaved(samples, &mut || run(Schedule::Stealing), &mut || {
-            run(Schedule::Strided)
-        });
-    let speedup = strided_ns / stealing_ns.max(1.0);
+    let (par_ns, seq_ns) = median_ns_interleaved(samples, &mut || run(par), &mut || {
+        run(Parallelism::SEQUENTIAL)
+    });
+    let speedup = seq_ns / par_ns.max(1.0);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let label = format!("sched/populate/heavy_star{m}/{per_rel}");
-    let (_, steal) = &claim_stats[0];
-    let (_, strided) = &claim_stats[1];
     println!(
-        "bench: {label:<32} steal {stealing_ns:>13.1} ns  stride {strided_ns:>13.1} ns  speedup {speedup:>6.2}x  claims steal {:?} vs stride {:?} ({SCALING_THREADS} threads, {cores} cores)",
-        steal.claimed(),
-        strided.claimed()
+        "bench: {label:<32} par  {par_ns:>14.1} ns  seq   {seq_ns:>14.1} ns  speedup {speedup:>6.2}x  claims {:?} ({SCALING_THREADS} threads, {cores} cores)",
+        stats.claimed()
     );
-    rows.push(
-        Row::new(&label)
-            .with("stealing_ns", stealing_ns)
-            .with("strided_ns", strided_ns)
-            .with("speedup", speedup)
-            .with("steal_max_claimed", steal.max_claimed() as f64)
-            .with("steal_min_claimed", steal.min_claimed() as f64)
-            .with("strided_max_claimed", strided.max_claimed() as f64)
-            .with("strided_min_claimed", strided.min_claimed() as f64)
-            .with("morsels", steal.total() as f64)
-            .with("threads", SCALING_THREADS as f64)
-            .with("available_cores", cores as f64),
-    );
-    rows
-}
-
-/// The probe-loop group: batched vs scalar probing on a large two-table
-/// zipf join, and dictionary-encoded (packed single-`u64`) vs raw wide-value
-/// probe keys on the wide-attribute pair.  Byte-identity is asserted before
-/// every timing; all rows are single-thread so the inner loop itself is
-/// measured, not pool scaling.
-fn probe_rows(quick: bool) -> Vec<Row> {
-    let mut rows = Vec::new();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Batched vs scalar probe: same index, same candidate order, different
-    // inner loop — on a narrow single-attribute key (two-table) and on the
-    // wide four-attribute key (probe side of the wide-attribute pair).
-    let step_pair = |label: &str, acc: &JoinResult, rel: &dpsyn_relational::Relation| {
-        let batched =
-            hash_join_step_mode(acc, rel, Parallelism::SEQUENTIAL, ProbeMode::Batched).unwrap();
-        let scalar =
-            hash_join_step_mode(acc, rel, Parallelism::SEQUENTIAL, ProbeMode::Scalar).unwrap();
-        assert_eq!(batched, scalar, "probe modes must be byte-identical");
-        let probe = Instant::now();
-        let _ = hash_join_step_mode(acc, rel, Parallelism::SEQUENTIAL, ProbeMode::Batched);
-        let samples = sample_count(probe.elapsed());
-        let batched_ns = median_ns(samples, || {
-            black_box(
-                hash_join_step_mode(acc, rel, Parallelism::SEQUENTIAL, ProbeMode::Batched).unwrap(),
-            );
-        });
-        let scalar_ns = median_ns(samples, || {
-            black_box(
-                hash_join_step_mode(acc, rel, Parallelism::SEQUENTIAL, ProbeMode::Scalar).unwrap(),
-            );
-        });
-        let speedup = scalar_ns / batched_ns.max(1.0);
-        println!(
-            "bench: {label:<32} batch {batched_ns:>13.1} ns  scalar {scalar_ns:>13.1} ns  speedup {speedup:>6.2}x (1 thread, {cores} cores)"
-        );
-        Row::new(label)
-            .with("batched_ns", batched_ns)
-            .with("scalar_ns", scalar_ns)
-            .with("speedup", speedup)
-            .with("threads", 1.0)
-            .with("available_cores", cores as f64)
-    };
-    {
-        let n = if quick { 8_000 } else { 30_000 };
-        let (_, instance) = random_two_table(16_384, n, &mut seeded_rng(41));
-        let acc = JoinResult::from_relation(instance.relation(0));
-        rows.push(step_pair(
-            &format!("probe_batch/two_table/{n}"),
-            &acc,
-            instance.relation(1),
-        ));
-    }
-    {
-        let (key_space, n) = if quick {
-            (512u64, 8_000)
-        } else {
-            (2_048, 40_000)
-        };
-        let (_, instance) = wide_attribute_pair(key_space, n, &mut seeded_rng(43));
-        // Mirror the engine's fold: the small key-distinct relation is the
-        // accumulated side, the large wide-key relation probes.
-        let acc = JoinResult::from_relation(instance.relation(1));
-        rows.push(step_pair(
-            &format!("probe_batch/wide4/{n}"),
-            &acc,
-            instance.relation(0),
-        ));
-    }
-
-    // Dictionary-encoded packed keys vs raw wide-value keys.  The encode is
-    // excluded from the timing: ExecContext builds and caches it once per
-    // instance fingerprint, so steady-state joins pay only the probe loop
-    // plus the decode-on-emit (which IS included).
-    {
-        let (key_space, n) = if quick {
-            (512u64, 8_000)
-        } else {
-            (2_048, 40_000)
-        };
-        let (query, instance) = wide_attribute_pair(key_space, n, &mut seeded_rng(42));
-        let ctx = ExecContext::sequential();
-        let raw = ctx.join(&query, &instance).expect("raw join");
-        let dict = AttrDictionary::build(&query, &instance);
-        let (enc_q, enc_i) = dict.encode_instance(&query, &instance).expect("encode");
-        assert!(
-            fold_fully_packable(&enc_i, &dict),
-            "four encoded wide attributes must pack into one u64"
-        );
-        let encoded = join_encoded(&enc_q, &enc_i, &dict, Parallelism::SEQUENTIAL).unwrap();
-        assert_eq!(encoded, raw, "dictionary path must be byte-identical");
-        let probe = Instant::now();
-        let _ = join_encoded(&enc_q, &enc_i, &dict, Parallelism::SEQUENTIAL);
-        let samples = sample_count(probe.elapsed());
-        let dict_ns = median_ns(samples, || {
-            black_box(join_encoded(&enc_q, &enc_i, &dict, Parallelism::SEQUENTIAL).unwrap());
-        });
-        let raw_ns = median_ns(samples, || {
-            black_box(ctx.join(&query, &instance).unwrap());
-        });
-        let speedup = raw_ns / dict_ns.max(1.0);
-        let label = format!("probe_batch/wide_dict/{n}");
-        println!(
-            "bench: {label:<32} dict  {dict_ns:>13.1} ns  raw    {raw_ns:>13.1} ns  speedup {speedup:>6.2}x (1 thread, {cores} cores)"
-        );
-        rows.push(
-            Row::new(&label)
-                .with("dict_ns", dict_ns)
-                .with("raw_ns", raw_ns)
-                .with("speedup", speedup)
-                .with("key_space", key_space as f64)
-                .with("threads", 1.0)
-                .with("available_cores", cores as f64),
-        );
-    }
-    rows
+    vec![Row::new(&label)
+        .with("par_ns", par_ns)
+        .with("seq_ns", seq_ns)
+        .with("speedup", speedup)
+        .with("max_claimed", stats.max_claimed() as f64)
+        .with("min_claimed", stats.min_claimed() as f64)
+        .with("morsels", stats.total() as f64)
+        .with("threads", SCALING_THREADS as f64)
+        .with("available_cores", cores as f64)]
 }
 
 fn join_scenarios() -> Vec<(String, JoinQuery, Instance)> {
@@ -832,15 +701,11 @@ fn main() {
         println!("wrote {path}");
         return;
     }
-    // CI's scheduler smoke: the morsel scheduler and probe-loop groups only
-    // (quick sizes, byte-identity asserts included), no JSON write.
+    // CI's scheduler smoke: the morsel scheduler group only (quick sizes,
+    // byte-identity and claim-once asserts included), no JSON write.
     if std::env::args().any(|a| a == "--sched-smoke") {
-        let mut rows = sched_rows(true);
-        rows.extend(probe_rows(true));
-        print_table(
-            "scheduler smoke — work stealing + vectorized dictionary probes",
-            &rows,
-        );
+        let rows = sched_rows(true);
+        print_table("scheduler smoke — work-stealing lattice populate", &rows);
         return;
     }
     let mut rows = Vec::new();
@@ -1095,9 +960,8 @@ fn main() {
         );
     }
 
-    // --- Morsel scheduler + vectorized probe loops --------------------------
+    // --- Morsel scheduler: stealing populate vs sequential ------------------
     rows.extend(sched_rows(quick));
-    rows.extend(probe_rows(quick));
 
     // --- Cost-based planner vs fixed-prefix decomposition -------------------
     rows.extend(planner_rows(quick));

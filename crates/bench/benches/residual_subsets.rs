@@ -1,5 +1,5 @@
 //! Residual-sensitivity subset-enumeration scaling: the shared
-//! [`SubJoinCache`]d boundary-value computation against the naive
+//! sub-join-cached boundary-value computation against the naive
 //! from-scratch recomputation, across star sizes `m`, plus the end-to-end
 //! `residual_sensitivity` call that dominates the multi-table release, plus
 //! worker-pool thread scaling (1 vs N threads over the same enumeration).

@@ -7,41 +7,37 @@
 //! all of the work: the join of `{0, 1, 2}` contains the join of `{0, 1}` as
 //! an intermediate.
 //!
-//! [`SubJoinCache`] memoises sub-join results keyed by the subset's bitmask.
-//! A subset's result is computed with **one** binary hash-join step from the
-//! cached result of the subset minus one relation, so the whole `2^m`
-//! enumeration performs exactly one join step per *distinct* non-singleton
-//! subset instead of up to `m - 1` steps per subset — and each shared
-//! parent is computed once, ever.
+//! [`ShardedSubJoinCache`] memoises sub-join results keyed by the subset's
+//! bitmask.  A subset's result is computed with **one** binary hash-join
+//! step from the cached result of the subset minus one relation, so the
+//! whole `2^m` enumeration performs exactly one join step per *distinct*
+//! non-singleton subset instead of up to `m - 1` steps per subset — and
+//! each shared parent is computed once, ever.
 //!
-//! **Which** relation a subset peels off is governed by a
-//! [`JoinPlan`]: bare caches ([`SubJoinCache::new`],
-//! [`ShardedSubJoinCache::new`]) default to the historical fixed-prefix
-//! chain (always drop the highest relation index), while the `with_plan`
-//! constructors accept the cost-based decomposition DAG the planner builds
-//! from per-relation statistics — dropping the relation whose removal
-//! leaves the smallest estimated intermediate, so lazy walks route around
-//! cross-product parents and the resident intermediates shrink (see
-//! [`crate::plan`]).  [`crate::ExecContext`] builds the plan once per
-//! instance fingerprint and hands the same `Arc` to every checkout, so all
-//! consumers — warm or cold, sequential or parallel — decompose
-//! identically.  Decomposition never changes values: a sub-join is the same
+//! **Which** relation a subset peels off is governed by a [`JoinPlan`]: a
+//! bare cache ([`ShardedSubJoinCache::new`]) defaults to the historical
+//! fixed-prefix chain (always drop the highest relation index), while the
+//! `with_plan` constructors accept the cost-based decomposition DAG the
+//! planner builds from per-relation statistics — dropping the relation
+//! whose removal leaves the smallest estimated intermediate, so lazy walks
+//! route around cross-product parents and the resident intermediates
+//! shrink (see [`crate::plan`]).  [`crate::ExecContext`] builds the plan
+//! once per instance fingerprint and hands the same `Arc` to every
+//! checkout, so all consumers — warm or cold, sequential or parallel —
+//! decompose identically.  Decomposition never changes values: a sub-join is the same
 //! weighted tuple set under every plan, and the lattice is only ever read
 //! through order-free aggregates or sorted emits, so outputs stay
 //! byte-identical to the fixed-prefix path.
 //!
 //! The cache borrows the query and instance immutably; drop it before
-//! mutating the instance.  `SubJoinCache` is **strictly sequential**: its
-//! join steps pin `Parallelism::SEQUENTIAL`, so callers that request the
-//! sequential path get it even on multicore machines where the engine's
-//! defaults resolve parallel.
-//!
-//! [`ShardedSubJoinCache`] is the concurrency-safe sibling used by the
-//! parallel execution layer ([`crate::exec`]): the memo table is split into
-//! mutex-guarded shards by the mask's low bits and values are `Arc`-shared,
-//! so the worker pool populates independent subsets concurrently (level by
-//! level over the subset lattice) while producing exactly the values the
-//! sequential cache would.
+//! mutating the instance.  It is safe to share across the worker pool of
+//! [`crate::exec`]: the memo table is split into mutex-guarded shards by the
+//! mask's low bits and values are `Arc`-shared, so the pool populates
+//! independent subsets concurrently (level by level over the subset
+//! lattice).  Every method takes the [`Parallelism`] of its join steps
+//! explicitly; at `Parallelism::SEQUENTIAL` no thread is spawned, so callers
+//! that request the sequential path get it even on multicore machines where
+//! the engine's defaults resolve parallel.
 //!
 //! **Memory trade-off:** every materialised sub-join stays resident until
 //! the cache is dropped, so a full `2^m` enumeration holds all `2^m - 1`
@@ -63,170 +59,6 @@ use crate::join::{hash_join_step_agg, hash_join_step_with, AggSummary, JoinResul
 use crate::plan::{AggMode, JoinPlan, PlanConfig, ReplanStats, SharedJoinPlan};
 use crate::Result;
 
-/// Memoised sub-join results over one `(query, instance)` pair, keyed by the
-/// relation-subset bitmask.
-#[derive(Debug)]
-pub struct SubJoinCache<'a> {
-    query: &'a JoinQuery,
-    instance: &'a Instance,
-    plan: SharedJoinPlan,
-    memo: FxHashMap<u32, JoinResult>,
-}
-
-impl<'a> SubJoinCache<'a> {
-    /// Creates an empty cache for the given query and instance, decomposing
-    /// subsets along the historical fixed-prefix chain.
-    pub fn new(query: &'a JoinQuery, instance: &'a Instance) -> Result<Self> {
-        let plan = Arc::new(JoinPlan::fixed_prefix(query.num_relations()));
-        Self::with_plan(query, instance, plan)
-    }
-
-    /// Creates an empty cache decomposing subsets along an explicit
-    /// [`JoinPlan`] (usually the cost-based plan of
-    /// [`crate::plan::JoinPlan::cost_based`]).
-    pub fn with_plan(
-        query: &'a JoinQuery,
-        instance: &'a Instance,
-        plan: SharedJoinPlan,
-    ) -> Result<Self> {
-        if instance.num_relations() != query.num_relations() {
-            return Err(RelationalError::RelationCountMismatch {
-                expected: query.num_relations(),
-                got: instance.num_relations(),
-            });
-        }
-        // Strictly below 32 so that `mask >> m` in `join_mask` never shifts
-        // by the full bit width.
-        if query.num_relations() >= 32 {
-            return Err(RelationalError::InvalidRelationSubset(format!(
-                "SubJoinCache supports at most 31 relations, got {}",
-                query.num_relations()
-            )));
-        }
-        plan.check_relations(query.num_relations())?;
-        Ok(SubJoinCache {
-            query,
-            instance,
-            plan,
-            memo: FxHashMap::default(),
-        })
-    }
-
-    /// The query this cache evaluates sub-joins of.
-    pub fn query(&self) -> &JoinQuery {
-        self.query
-    }
-
-    /// The instance this cache evaluates sub-joins over.
-    pub fn instance(&self) -> &Instance {
-        self.instance
-    }
-
-    /// The decomposition plan driving this cache.
-    pub fn plan(&self) -> &SharedJoinPlan {
-        &self.plan
-    }
-
-    /// Number of sub-join results currently memoised.
-    pub fn cached_count(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Total distinct tuples across all memoised sub-join results — the
-    /// resident intermediate footprint the planner works to shrink.
-    pub fn cached_tuples(&self) -> usize {
-        self.memo.values().map(|r| r.distinct_count()).sum()
-    }
-
-    /// Converts a sorted relation-index subset to its bitmask.
-    pub fn mask_of(&self, rels: &[usize]) -> Result<u32> {
-        self.query.check_subset(rels)?;
-        Ok(rels.iter().fold(0u32, |m, &i| m | (1u32 << i)))
-    }
-
-    /// The memoised sub-join of the subset given as a sorted index list.
-    /// Computes (and caches) any missing prefixes on the way.
-    pub fn join_rels(&mut self, rels: &[usize]) -> Result<&JoinResult> {
-        let mask = self.mask_of(rels)?;
-        if mask == 0 {
-            return Err(RelationalError::InvalidRelationSubset(
-                "cannot join an empty set of relations; the empty join is handled by callers"
-                    .to_string(),
-            ));
-        }
-        self.join_mask(mask)
-    }
-
-    /// The memoised sub-join of the subset given as a bitmask (bit `i` set ⇔
-    /// relation `i` participates).  `mask` must be non-zero and within range.
-    pub fn join_mask(&mut self, mask: u32) -> Result<&JoinResult> {
-        let m = self.query.num_relations();
-        if mask == 0 || (mask >> m) != 0 {
-            return Err(RelationalError::InvalidRelationSubset(format!(
-                "invalid sub-join bitmask {mask:#b} for m = {m}"
-            )));
-        }
-        self.ensure(mask)?;
-        Ok(self.memo.get(&mask).expect("ensured above"))
-    }
-
-    /// Computes the sub-join of `rels` reusing (and extending) cached
-    /// parents, but **without memoising the final step**: the returned
-    /// result is owned by the caller and freed when dropped.
-    ///
-    /// Use this when the top-level results are large and consumed once —
-    /// e.g. local sensitivity's `m` size-`(m-1)` sub-joins, which share only
-    /// their smaller parents.  Memoising them would pin `m` full-size join
-    /// results in memory for no reuse.
-    pub fn join_rels_transient(&mut self, rels: &[usize]) -> Result<JoinResult> {
-        let mask = self.mask_of(rels)?;
-        if mask == 0 {
-            return Err(RelationalError::InvalidRelationSubset(
-                "cannot join an empty set of relations; the empty join is handled by callers"
-                    .to_string(),
-            ));
-        }
-        let pivot = self.plan.pivot(mask);
-        let rest = mask & !(1u32 << pivot);
-        // Copy the instance reference out so the shared borrow of the memo
-        // entry below doesn't conflict with it.
-        let instance = self.instance;
-        if rest == 0 {
-            return Ok(JoinResult::from_relation(instance.relation(pivot)));
-        }
-        let sub = self.join_mask(rest)?;
-        // Strictly sequential: this cache is the single-threaded path (the
-        // sharded cache is the parallel one), so it must not inherit the
-        // default parallelism of the plain `hash_join_step`.
-        hash_join_step_with(sub, instance.relation(pivot), Parallelism::SEQUENTIAL)
-    }
-
-    /// Materialises `mask` (and every missing parent of its decomposition
-    /// chain) in the memo table.
-    fn ensure(&mut self, mask: u32) -> Result<()> {
-        // Walk down the plan's chain mask → parent(mask) → … until we hit a
-        // cached parent (or a singleton), then build back up.
-        let mut missing: Vec<u32> = Vec::new();
-        let mut cur = mask;
-        while cur != 0 && !self.memo.contains_key(&cur) {
-            missing.push(cur);
-            cur = self.plan.parent(cur);
-        }
-        for &step in missing.iter().rev() {
-            let pivot = self.plan.pivot(step);
-            let rest = step & !(1u32 << pivot);
-            let result = if rest == 0 {
-                JoinResult::from_relation(self.instance.relation(pivot))
-            } else {
-                let sub = self.memo.get(&rest).expect("parent built first");
-                hash_join_step_with(sub, self.instance.relation(pivot), Parallelism::SEQUENTIAL)?
-            };
-            self.memo.insert(step, result);
-        }
-        Ok(())
-    }
-}
-
 /// Number of memo shards in a [`ShardedSubJoinCache`] (a power of two; masks
 /// map to shards by their low bits, so sibling subsets land apart).
 const SHARD_COUNT: usize = 16;
@@ -234,8 +66,8 @@ const SHARD_COUNT: usize = 16;
 /// One mutex-guarded memo shard of a [`ShardedSubJoinCache`].
 type MemoShard = Mutex<FxHashMap<u32, Arc<JoinResult>>>;
 
-/// A concurrency-safe variant of [`SubJoinCache`]: the memo table is split
-/// into `SHARD_COUNT` mutex-guarded shards keyed by the subset bitmask's
+/// Memoised sub-join results over one `(query, instance)` pair, keyed by the
+/// relation-subset bitmask.  The memo table is split into `SHARD_COUNT` mutex-guarded shards keyed by the subset bitmask's
 /// low bits, and results are stored behind `Arc` so readers hold no lock
 /// while consuming a sub-join.
 ///
@@ -243,10 +75,10 @@ type MemoShard = Mutex<FxHashMap<u32, Arc<JoinResult>>>;
 /// subset enumerations of residual sensitivity walk the lattice level by
 /// level ([`ShardedSubJoinCache::populate_proper_subsets`]), with every mask
 /// of a level computed by the worker pool from the already-complete previous
-/// level, and workers inserting into (mostly) distinct shards.  Values are
-/// identical to the sequential cache's — a sub-join is the same weighted
-/// tuple set under every decomposition — so parallel and sequential
-/// consumers observe the same results.
+/// level, and workers inserting into (mostly) distinct shards.  A sub-join is
+/// the same weighted tuple set under every decomposition and at every
+/// parallelism, so parallel and sequential consumers observe the same
+/// results.
 ///
 /// Locks are held only for map lookups/inserts, never across a join step.
 /// If two workers race to materialise the same parent through
@@ -301,6 +133,8 @@ impl<'a> ShardedSubJoinCache<'a> {
                 got: instance.num_relations(),
             });
         }
+        // Strictly below 32 so that `mask >> m` in the mask checks never
+        // shifts by the full bit width.
         if query.num_relations() >= 32 {
             return Err(RelationalError::InvalidRelationSubset(format!(
                 "ShardedSubJoinCache supports at most 31 relations, got {}",
@@ -480,9 +314,14 @@ impl<'a> ShardedSubJoinCache<'a> {
         Ok(self.get(mask).expect("ensured above"))
     }
 
-    /// Computes the sub-join of `mask` reusing cached parents but without
-    /// memoising the final step (the sharded counterpart of
-    /// [`SubJoinCache::join_rels_transient`]).
+    /// Computes the sub-join of `mask` reusing (and extending) cached
+    /// parents, but **without memoising the final step**: the returned
+    /// result is owned by the caller and freed when dropped.
+    ///
+    /// Use this when the top-level results are large and consumed once —
+    /// e.g. local sensitivity's `m` size-`(m-1)` sub-joins, which share only
+    /// their smaller parents.  Memoising them would pin `m` full-size join
+    /// results in memory for no reuse.
     pub fn join_mask_transient(&self, mask: u32, par: Parallelism) -> Result<JoinResult> {
         self.check_mask(mask)?;
         let pivot = self.plan.pivot(mask);
@@ -507,29 +346,17 @@ impl<'a> ShardedSubJoinCache<'a> {
     /// Masks within a level are claimed by **work stealing** (one shared
     /// atomic counter per level): sub-join sizes vary wildly across masks on
     /// skewed instances, so a worker finishing a light mask immediately
-    /// claims the next instead of idling behind a fixed stride.  Values are
+    /// claims the next instead of idling behind a slow peer.  Values are
     /// inserted keyed by mask, so the memo contents — and every downstream
     /// read — are independent of which worker computed what.
-    pub fn populate_proper_subsets(&self, par: Parallelism) -> Result<()> {
-        self.populate_proper_subsets_sched(par, exec::Schedule::Stealing)
-            .map(|_| ())
-    }
-
-    /// [`Self::populate_proper_subsets`] with an explicit schedule, returning
-    /// the per-worker claim counts aggregated across all lattice levels.
     ///
-    /// The returned [`exec::SchedulerStats`] sums each level's claims
-    /// worker-by-worker (index 0 is always the calling thread), which is how
-    /// the bench harness demonstrates rebalancing: under
-    /// [`exec::Schedule::Stealing`] the max/min spread tracks actual mask
-    /// cost, while [`exec::Schedule::Strided`] fixes the split by arithmetic
-    /// regardless of skew.  Single-mask levels run inline on the caller and
-    /// are counted as one claim by worker 0.
-    pub fn populate_proper_subsets_sched(
-        &self,
-        par: Parallelism,
-        sched: exec::Schedule,
-    ) -> Result<exec::SchedulerStats> {
+    /// Returns the per-worker claim counts aggregated across all lattice
+    /// levels: [`exec::SchedulerStats`] sums each level's claims
+    /// worker-by-worker (index 0 is always the calling thread), so the
+    /// max/min spread shows how stealing tracked actual mask cost.
+    /// Single-mask levels run inline on the caller and are counted as one
+    /// claim by worker 0.
+    pub fn populate_proper_subsets(&self, par: Parallelism) -> Result<exec::SchedulerStats> {
         let m = self.query.num_relations() as u32;
         let full = (1u32 << m) - 1;
         let mut stats = exec::SchedulerStats::default();
@@ -537,7 +364,7 @@ impl<'a> ShardedSubJoinCache<'a> {
             let masks: Vec<u32> = (1..full)
                 .filter(|mask| mask.count_ones() == level)
                 .collect();
-            self.populate_level(par, sched, &masks, &mut stats)?;
+            self.populate_level(par, &masks, &mut stats)?;
         }
         Ok(stats)
     }
@@ -549,7 +376,6 @@ impl<'a> ShardedSubJoinCache<'a> {
     fn populate_level(
         &self,
         par: Parallelism,
-        sched: exec::Schedule,
         masks: &[u32],
         stats: &mut exec::SchedulerStats,
     ) -> Result<()> {
@@ -563,7 +389,7 @@ impl<'a> ShardedSubJoinCache<'a> {
             }
         } else {
             let (outcomes, level_stats) =
-                exec::par_map_sched_stats(par, sched, masks.len(), |i| -> Result<()> {
+                exec::par_map_stats(par, masks.len(), |i| -> Result<()> {
                     let mask = masks[i];
                     if self.get(mask).is_none() {
                         let result = self.compute_from_parent(mask, Parallelism::SEQUENTIAL)?;
@@ -642,7 +468,7 @@ impl<'a> ShardedSubJoinCache<'a> {
         }
     }
 
-    /// [`Self::populate_proper_subsets_sched`] with the runtime feedback
+    /// [`Self::populate_proper_subsets`] with the runtime feedback
     /// loop closed: after each lattice level is materialised, every mask's
     /// actual cardinality is compared against its estimate, and when the
     /// error factor `max(actual/est, est/actual)` of any mask exceeds
@@ -654,11 +480,10 @@ impl<'a> ShardedSubJoinCache<'a> {
     /// level are complete before any error is read, and both actuals and
     /// estimates are thread-count-invariant — so the re-plan decisions, the
     /// final decomposition, and (since values are plan-invariant) every
-    /// result are byte-identical at every thread count and schedule.
+    /// result are byte-identical at every thread count.
     pub fn populate_proper_subsets_adaptive(
         &mut self,
         par: Parallelism,
-        sched: exec::Schedule,
         config: &PlanConfig,
     ) -> Result<(exec::SchedulerStats, ReplanStats)> {
         let m = self.query.num_relations() as u32;
@@ -669,7 +494,7 @@ impl<'a> ShardedSubJoinCache<'a> {
             let masks: Vec<u32> = (1..full)
                 .filter(|mask| mask.count_ones() == level)
                 .collect();
-            self.populate_level(par, sched, &masks, &mut stats)?;
+            self.populate_level(par, &masks, &mut stats)?;
             if !self.plan.is_cost_based() {
                 continue;
             }
@@ -1000,11 +825,10 @@ impl<'a> ShardedSubJoinCache<'a> {
     pub fn populate_demanded_adaptive(
         &mut self,
         par: Parallelism,
-        sched: exec::Schedule,
         config: &PlanConfig,
     ) -> Result<(exec::SchedulerStats, ReplanStats)> {
         if self.agg_mode == AggMode::Never {
-            return self.populate_proper_subsets_adaptive(par, sched, config);
+            return self.populate_proper_subsets_adaptive(par, config);
         }
         let m = self.query.num_relations() as u32;
         let full = (1u32 << m) - 1;
@@ -1020,11 +844,10 @@ impl<'a> ShardedSubJoinCache<'a> {
                     stats.absorb(&exec::SchedulerStats::from_claims(vec![1]));
                 }
             } else {
-                let (outcomes, level_stats) =
-                    exec::par_map_sched_stats(par, sched, masks.len(), |i| {
-                        self.join_mask(masks[i], Parallelism::SEQUENTIAL)
-                            .map(|_| ())
-                    });
+                let (outcomes, level_stats) = exec::par_map_stats(par, masks.len(), |i| {
+                    self.join_mask(masks[i], Parallelism::SEQUENTIAL)
+                        .map(|_| ())
+                });
                 for outcome in outcomes {
                     outcome?;
                 }
@@ -1102,10 +925,37 @@ mod tests {
     use super::*;
     use crate::attr::AttrId;
     use crate::join::join_subset;
+    use crate::naive::join_subset_naive;
     use crate::relation::Relation;
+    use crate::tuple::Value;
 
     fn ids(v: &[u16]) -> Vec<AttrId> {
         v.iter().map(|&x| AttrId(x)).collect()
+    }
+
+    fn rels_of(mask: u32, m: usize) -> Vec<usize> {
+        (0..m).filter(|i| mask & (1 << i) != 0).collect()
+    }
+
+    /// The naive engine's sub-join of `mask` as sorted `(tuple, weight)` rows.
+    fn naive_rows(q: &JoinQuery, inst: &Instance, mask: u32) -> Vec<(Vec<Value>, u128)> {
+        let rels = rels_of(mask, q.num_relations());
+        join_subset_naive(q, inst, &rels)
+            .unwrap()
+            .iter()
+            .map(|(t, w)| (t.clone(), w))
+            .collect()
+    }
+
+    /// A result's rows in sorted (emit) order.
+    fn sorted_rows(result: &JoinResult) -> Vec<(Vec<Value>, u128)> {
+        result.iter().map(|(t, w)| (t.to_vec(), w)).collect()
+    }
+
+    /// A result's rows in construction order: equal only if the two results
+    /// are byte-identical, not merely equal as weighted tuple sets.
+    fn stored_rows(result: &JoinResult) -> Vec<(&[Value], u128)> {
+        result.iter_unordered().collect()
     }
 
     fn star_instance(m: usize) -> (JoinQuery, Instance) {
@@ -1126,14 +976,17 @@ mod tests {
     #[test]
     fn cached_subjoins_match_direct_evaluation() {
         let (q, inst) = star_instance(4);
-        let mut cache = SubJoinCache::new(&q, &inst).unwrap();
+        let cache = ShardedSubJoinCache::new(&q, &inst).unwrap();
         for mask in 1u32..(1 << 4) {
-            let rels: Vec<usize> = (0..4).filter(|i| mask & (1 << i) != 0).collect();
+            let rels = rels_of(mask, 4);
             let direct = join_subset(&q, &inst, &rels).unwrap();
-            let cached = cache.join_rels(&rels).unwrap();
+            let cached = cache
+                .join_mask(cache.mask_of(&rels).unwrap(), Parallelism::SEQUENTIAL)
+                .unwrap();
             assert_eq!(cached.attrs(), direct.attrs());
             assert_eq!(cached.total(), direct.total());
             assert_eq!(cached.distinct_count(), direct.distinct_count());
+            assert_eq!(sorted_rows(&cached), naive_rows(&q, &inst, mask));
         }
         // Every non-empty subset is memoised exactly once.
         assert_eq!(cache.cached_count(), (1 << 4) - 1);
@@ -1142,23 +995,28 @@ mod tests {
     #[test]
     fn enumeration_reuses_prefixes() {
         let (q, inst) = star_instance(3);
-        let mut cache = SubJoinCache::new(&q, &inst).unwrap();
-        cache.join_rels(&[0, 1, 2]).unwrap();
+        let cache = ShardedSubJoinCache::new(&q, &inst).unwrap();
+        cache.join_mask(0b111, Parallelism::SEQUENTIAL).unwrap();
         // The chain {0} → {0,1} → {0,1,2} is materialised by one call.
         assert_eq!(cache.cached_count(), 3);
         // Asking for the prefix again computes nothing new.
-        cache.join_rels(&[0, 1]).unwrap();
+        cache.join_mask(0b011, Parallelism::SEQUENTIAL).unwrap();
         assert_eq!(cache.cached_count(), 3);
     }
 
     #[test]
     fn rejects_invalid_masks_and_subsets() {
         let (q, inst) = star_instance(2);
-        let mut cache = SubJoinCache::new(&q, &inst).unwrap();
-        assert!(cache.join_rels(&[]).is_err());
-        assert!(cache.join_rels(&[5]).is_err());
-        assert!(cache.join_mask(0).is_err());
-        assert!(cache.join_mask(1 << 3).is_err());
+        let cache = ShardedSubJoinCache::new(&q, &inst).unwrap();
+        let seq = Parallelism::SEQUENTIAL;
+        // The empty subset maps to mask 0, which no lookup accepts.
+        assert!(cache.join_mask(cache.mask_of(&[]).unwrap(), seq).is_err());
+        assert!(cache.mask_of(&[5]).is_err());
+        for mask in [0, 1 << 3] {
+            assert!(cache.join_mask(mask, seq).is_err());
+            assert!(cache.join_mask_transient(mask, seq).is_err());
+            assert!(cache.max_group_weight(mask, &[], seq).is_err());
+        }
     }
 
     #[test]
@@ -1166,14 +1024,18 @@ mod tests {
         let q = JoinQuery::two_table(4, 4, 4);
         let r1 = Relation::from_tuples(ids(&[0, 1]), vec![(vec![0, 0], 1)]).unwrap();
         let inst = Instance::new(vec![r1]);
-        assert!(SubJoinCache::new(&q, &inst).is_err());
         assert!(ShardedSubJoinCache::new(&q, &inst).is_err());
     }
 
     #[test]
-    fn sharded_cache_matches_sequential_cache() {
+    fn parallel_populate_matches_sequential_populate() {
         let (q, inst) = star_instance(4);
-        let mut sequential = SubJoinCache::new(&q, &inst).unwrap();
+        let full = (1u32 << 4) - 1;
+        let sequential = ShardedSubJoinCache::new(&q, &inst).unwrap();
+        sequential
+            .populate_proper_subsets(Parallelism::SEQUENTIAL)
+            .unwrap();
+        let seq_full = sequential.join_mask(full, Parallelism::SEQUENTIAL).unwrap();
         for &threads in &[1usize, 2, 4] {
             let sharded = ShardedSubJoinCache::new(&q, &inst).unwrap();
             sharded
@@ -1181,45 +1043,51 @@ mod tests {
                 .unwrap();
             // All proper non-empty subsets are materialised, nothing else.
             assert_eq!(sharded.cached_count(), (1 << 4) - 2);
-            for mask in 1u32..((1 << 4) - 1) {
+            for mask in 1u32..full {
                 let a = sharded.get(mask).expect("populated");
-                let b = sequential.join_mask(mask).unwrap();
-                assert_eq!(a.as_ref(), b, "mask {mask:#b}, threads {threads}");
+                let b = sequential.get(mask).expect("populated");
+                assert_eq!(
+                    stored_rows(&a),
+                    stored_rows(&b),
+                    "mask {mask:#b}, threads {threads}"
+                );
+                assert_eq!(sorted_rows(&a), naive_rows(&q, &inst, mask));
             }
             // The full mask is still reachable lazily.
-            let full = sharded
-                .join_mask((1 << 4) - 1, Parallelism::threads(threads))
+            let full_join = sharded
+                .join_mask(full, Parallelism::threads(threads))
                 .unwrap();
             assert_eq!(
-                full.as_ref(),
-                sequential.join_mask((1 << 4) - 1).unwrap(),
+                stored_rows(&full_join),
+                stored_rows(&seq_full),
                 "threads {threads}"
             );
         }
     }
 
     #[test]
-    fn populate_sched_stats_account_every_mask_under_both_schedules() {
+    fn populate_stats_account_every_mask_once() {
         let (q, inst) = star_instance(4);
-        let mut sequential = SubJoinCache::new(&q, &inst).unwrap();
+        let sequential = ShardedSubJoinCache::new(&q, &inst).unwrap();
         // 2^4 - 2 proper non-empty subsets, every one claimed exactly once.
         let proper = (1usize << 4) - 2;
-        for sched in [exec::Schedule::Stealing, exec::Schedule::Strided] {
-            for &threads in &[1usize, 2, 4] {
-                let sharded = ShardedSubJoinCache::new(&q, &inst).unwrap();
-                let stats = sharded
-                    .populate_proper_subsets_sched(Parallelism::threads(threads), sched)
-                    .unwrap();
-                assert_eq!(stats.total(), proper, "{sched:?}, threads {threads}");
-                assert!(stats.workers() >= 1);
-                assert_eq!(sharded.cached_count(), proper);
-                for mask in 1u32..((1 << 4) - 1) {
-                    assert_eq!(
-                        sharded.get(mask).expect("populated").as_ref(),
-                        sequential.join_mask(mask).unwrap(),
-                        "mask {mask:#b}, {sched:?}, threads {threads}"
-                    );
-                }
+        for &threads in &[1usize, 2, 4] {
+            let sharded = ShardedSubJoinCache::new(&q, &inst).unwrap();
+            let stats = sharded
+                .populate_proper_subsets(Parallelism::threads(threads))
+                .unwrap();
+            assert_eq!(stats.total(), proper, "threads {threads}");
+            assert!(stats.workers() >= 1);
+            assert_eq!(sharded.cached_count(), proper);
+            for mask in 1u32..((1 << 4) - 1) {
+                assert_eq!(
+                    sharded.get(mask).expect("populated").as_ref(),
+                    sequential
+                        .join_mask(mask, Parallelism::SEQUENTIAL)
+                        .unwrap()
+                        .as_ref(),
+                    "mask {mask:#b}, threads {threads}"
+                );
             }
         }
     }
@@ -1254,10 +1122,11 @@ mod tests {
         memo.insert(1 << 5, stale);
         let reseeded = ShardedSubJoinCache::with_memo(&q, &inst, memo).unwrap();
         assert_eq!(reseeded.cached_count(), count);
-        let mut reference = SubJoinCache::new(&q, &inst).unwrap();
+        let reference = ShardedSubJoinCache::new(&q, &inst).unwrap();
         for mask in 1u32..((1 << 3) - 1) {
             let warm = reseeded.get(mask).expect("seeded entry");
-            assert_eq!(warm.as_ref(), reference.join_mask(mask).unwrap());
+            let cold = reference.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
+            assert_eq!(warm.as_ref(), cold.as_ref());
         }
     }
 
@@ -1278,25 +1147,33 @@ mod tests {
     fn planner_cache_matches_fixed_prefix_and_direct_on_every_mask() {
         let (q, inst) = path_instance(4, 24);
         let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
-        let mut planned = SubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
-        let mut fixed = SubJoinCache::new(&q, &inst).unwrap();
+        let seq = Parallelism::SEQUENTIAL;
+        let planned = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
+        let fixed = ShardedSubJoinCache::new(&q, &inst).unwrap();
         let sharded = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
         assert!(sharded.plan().is_cost_based());
+        assert!(!fixed.plan().is_cost_based());
         for mask in 1u32..(1 << 4) {
-            let rels: Vec<usize> = (0..4).filter(|i| mask & (1 << i) != 0).collect();
+            let rels = rels_of(mask, 4);
             let direct = join_subset(&q, &inst, &rels).unwrap();
             // Order-insensitive equality: decompositions may emit rows in
             // different construction orders, but the weighted tuple sets —
             // and every aggregate downstream consumers read — must match.
-            assert_eq!(planned.join_mask(mask).unwrap(), &direct, "mask {mask:#b}");
-            assert_eq!(fixed.join_mask(mask).unwrap(), &direct, "mask {mask:#b}");
+            let planned_join = planned.join_mask(mask, seq).unwrap();
+            assert_eq!(planned_join.as_ref(), &direct, "mask {mask:#b}");
+            assert_eq!(
+                fixed.join_mask(mask, seq).unwrap().as_ref(),
+                &direct,
+                "mask {mask:#b}"
+            );
             let concurrent = sharded.join_mask(mask, Parallelism::threads(2)).unwrap();
             assert_eq!(concurrent.as_ref(), &direct, "sharded mask {mask:#b}");
             assert_eq!(
-                planned.join_rels_transient(&rels).unwrap(),
+                planned.join_mask_transient(mask, seq).unwrap(),
                 direct,
                 "transient mask {mask:#b}"
             );
+            assert_eq!(sorted_rows(&planned_join), naive_rows(&q, &inst, mask));
         }
     }
 
@@ -1376,11 +1253,7 @@ mod tests {
             let mut adaptive =
                 ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
             let (sched_stats, replan) = adaptive
-                .populate_proper_subsets_adaptive(
-                    Parallelism::threads(threads),
-                    exec::Schedule::Stealing,
-                    &config,
-                )
+                .populate_proper_subsets_adaptive(Parallelism::threads(threads), &config)
                 .unwrap();
             // Every proper mask is materialised and byte-identical to the
             // static populate, at every thread count.
@@ -1445,13 +1318,15 @@ mod tests {
         let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
         let mut stress = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
         let config = PlanConfig::with_replan_ratio(1.0);
-        let mut reference = SubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
+        let reference = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
         let full = (1u32 << m) - 1;
         for mask in 1u32..=full {
             let a = stress
                 .join_mask_adaptive(mask, Parallelism::SEQUENTIAL, &config)
                 .unwrap();
-            assert_eq!(a.as_ref(), reference.join_mask(mask).unwrap(), "{mask:#b}");
+            let b = reference.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
+            assert_eq!(a.as_ref(), b.as_ref(), "{mask:#b}");
+            assert_eq!(sorted_rows(&a), naive_rows(&q, &inst, mask), "{mask:#b}");
         }
     }
 
@@ -1493,11 +1368,7 @@ mod tests {
         for &threads in &[1usize, 2, 4] {
             let mut cache = ShardedSubJoinCache::new(&q, &inst).unwrap();
             let (sched_stats, _) = cache
-                .populate_demanded_adaptive(
-                    Parallelism::threads(threads),
-                    exec::Schedule::Stealing,
-                    &config,
-                )
+                .populate_demanded_adaptive(Parallelism::threads(threads), &config)
                 .unwrap();
             // Under the fixed-prefix plan the chain parents are exactly the
             // non-empty subsets of {0, …, m-2}: every terminal mask (one
@@ -1596,16 +1467,6 @@ mod tests {
     fn plan_for_mismatched_arity_is_rejected() {
         let (q, inst) = star_instance(3);
         let wrong = Arc::new(crate::plan::JoinPlan::fixed_prefix(5));
-        assert!(SubJoinCache::with_plan(&q, &inst, Arc::clone(&wrong)).is_err());
         assert!(ShardedSubJoinCache::with_plan(&q, &inst, wrong).is_err());
-    }
-
-    #[test]
-    fn sharded_cache_rejects_invalid_masks() {
-        let (q, inst) = star_instance(2);
-        let sharded = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        assert!(sharded.join_mask(0, Parallelism::SEQUENTIAL).is_err());
-        assert!(sharded.join_mask(1 << 3, Parallelism::SEQUENTIAL).is_err());
-        assert!(sharded.mask_of(&[5]).is_err());
     }
 }

@@ -43,12 +43,7 @@
 //! once from per-relation statistics and handed to **every** sub-join cache
 //! checkout, so parallel and sequential consumers decompose the lattice
 //! identically (see [`crate::plan`]).  [`ExecContext::plan_stats`] exposes
-//! the chosen orders with estimated and actual intermediate sizes.  A slot
-//! further retains the pair's [`DictionaryState`]
-//! ([`ExecContext::attr_dictionary`]): the order-preserving attribute
-//! dictionary and the instance re-encoded to dense `u32` codes, so the
-//! dictionary-encoded probe path ([`ExecContext::join_dict`]) pays the
-//! encode once per instance and probes on integer keys thereafter.
+//! the chosen orders with estimated and actual intermediate sizes.
 //!
 //! **Trust model:** the fingerprint is a *non-cryptographic* Fx hash.  It
 //! guards against accidental staleness (edits, instance swaps), not against
@@ -85,14 +80,13 @@ use crate::hash::{FxHashMap, FxHasher};
 use crate::hypergraph::JoinQuery;
 use crate::instance::{Instance, NeighborEdit};
 use crate::join::{
-    fold_fully_packable, grouped_join_size_impl, join_encoded, join_impl, join_size_impl,
-    join_subset_impl, AggSummary, JoinResult,
+    grouped_join_size_impl, join_impl, join_size_impl, join_subset_impl, AggSummary, JoinResult,
 };
 use crate::plan::{
     JoinPlan, PlanConfig, PlanNodeStats, PlanStats, ReplanStats, SharedJoinPlan, PLAN_MAX_RELATIONS,
 };
-use crate::stream::{self, UpdateBatch, UpdateOp, UpdateStats};
-use crate::tuple::{AttrDictionary, Value};
+use crate::stream::{self, UpdateBatch, UpdateStats};
+use crate::tuple::Value;
 use crate::Result;
 
 /// Default threshold (total distinct tuples across relations) below which
@@ -141,36 +135,6 @@ pub fn instance_fingerprint(query: &JoinQuery, instance: &Instance) -> u64 {
     h.finish()
 }
 
-/// The per-instance dictionary state cached in an LRU slot: the
-/// order-preserving [`AttrDictionary`] plus the `(query, instance)` pair
-/// re-encoded to dense `u32` codes, built once per instance fingerprint (see
-/// [`ExecContext::attr_dictionary`]).
-///
-/// Codes are per-attribute sorted ranks, so encoding is monotone and the
-/// decoded output of a join over the encoded pair is byte-identical to the
-/// raw join.  When every fold step's key tuple packs into a single `u64`
-/// ([`fully_packable`](DictionaryState::fully_packable)), the probe loops run
-/// entirely on integer compares.
-#[derive(Debug)]
-pub struct DictionaryState {
-    /// The per-attribute dictionary mapping wide values to dense codes.
-    pub dictionary: AttrDictionary,
-    /// The query with every attribute domain shrunk to its code count.
-    pub encoded_query: JoinQuery,
-    /// The instance with every value replaced by its dense code.
-    pub encoded_instance: Instance,
-    fully_packable: bool,
-}
-
-impl DictionaryState {
-    /// Whether every binary step of the engine's fold over the encoded
-    /// instance packs its probe-key tuple into one `u64` (the fast path of
-    /// [`crate::join::hash_join_step_dict`]).
-    pub fn fully_packable(&self) -> bool {
-        self.fully_packable
-    }
-}
-
 /// What [`ExecContext::apply_updates`] did with one [`UpdateBatch`]: the
 /// fingerprint transition plus how much warm state survived it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,11 +153,6 @@ pub struct UpdateReport {
     /// Per-mask maintenance counters from the semi-naive lattice patch
     /// ([`crate::stream`]).
     pub stats: UpdateStats,
-    /// Whether the slot's [`DictionaryState`] survived the batch (every
-    /// inserted value already had a code, so the dictionary was re-used to
-    /// re-encode the updated instance); `false` means it was invalidated
-    /// (absent or an unseen value arrived) and rebuilds lazily.
-    pub dictionary_retained: bool,
 }
 
 /// One `(query, instance)` entry of the persistent cache LRU.
@@ -214,9 +173,6 @@ struct CacheSlot {
     /// this pair (see [`ReplanStats`]): carried out on checkout, merged back
     /// on check-in, surfaced via [`ExecContext::plan_stats`].
     replan: Option<ReplanStats>,
-    /// The pair's attribute dictionary and encoded instance (see
-    /// [`DictionaryState`]), built alongside the join plan on first use.
-    dictionary: Option<Arc<DictionaryState>>,
     /// Per-mask streaming indexes over the lattice entries (see
     /// [`crate::stream::EntryIndex`]), kept across batches so a steady
     /// update stream pays each index build once.
@@ -312,7 +268,6 @@ impl CacheState {
             delta_plan: None,
             join_plan: None,
             replan: None,
-            dictionary: None,
             stream_index: FxHashMap::default(),
             agg_lattice: FxHashMap::default(),
             last_used: clock,
@@ -578,72 +533,6 @@ impl ExecContext {
         }
     }
 
-    // --- dictionary-encoded probing -----------------------------------------
-
-    /// The pair's [`DictionaryState`] — attribute dictionary plus encoded
-    /// `(query, instance)` — built once per instance fingerprint and cached
-    /// in the LRU slot alongside the join plan.
-    ///
-    /// The first call pays one pass over the instance (collect + sort the
-    /// per-attribute value sets, re-encode every tuple); later calls on the
-    /// same data return the same `Arc`.  Mutating the instance changes its
-    /// fingerprint, so a stale dictionary can never be served.
-    pub fn attr_dictionary(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-    ) -> Result<Arc<DictionaryState>> {
-        let fp = instance_fingerprint(query, instance);
-        {
-            let mut state = self.state.lock().expect("context cache poisoned");
-            if let Some(dict) = state
-                .slot_mut(fp)
-                .and_then(|slot| slot.dictionary.as_ref().map(Arc::clone))
-            {
-                state.hits += 1;
-                return Ok(dict);
-            }
-        }
-        let dictionary = AttrDictionary::build(query, instance);
-        let (encoded_query, encoded_instance) = dictionary.encode_instance(query, instance)?;
-        let fully_packable = fold_fully_packable(&encoded_instance, &dictionary);
-        let dict = Arc::new(DictionaryState {
-            dictionary,
-            encoded_query,
-            encoded_instance,
-            fully_packable,
-        });
-        let mut state = self.state.lock().expect("context cache poisoned");
-        state.misses += 1;
-        Ok(Arc::clone(
-            state
-                .slot_mut_or_insert(fp, self.cache_slots)
-                .dictionary
-                .get_or_insert_with(|| Arc::clone(&dict)),
-        ))
-    }
-
-    /// Joins all relations through the dictionary-encoded probe path:
-    /// values are replaced by dense per-attribute codes (cached via
-    /// [`ExecContext::attr_dictionary`]), the fold probes on code tuples —
-    /// packed into single `u64` keys wherever they fit — and the result is
-    /// decoded on emit.
-    ///
-    /// **Byte-identical** to [`ExecContext::join`]: codes are sorted ranks,
-    /// so encoding preserves per-attribute order, every fold makes the same
-    /// build/probe choices, and decode restores the exact raw values.  The
-    /// win is wall-clock on wide-valued attributes, where key equality and
-    /// hashing collapse to integer ops.
-    pub fn join_dict(&self, query: &JoinQuery, instance: &Instance) -> Result<JoinResult> {
-        let dict = self.attr_dictionary(query, instance)?;
-        join_encoded(
-            &dict.encoded_query,
-            &dict.encoded_instance,
-            &dict.dictionary,
-            self.parallelism,
-        )
-    }
-
     // --- persistent sub-join lattice ---------------------------------------
 
     /// Checks the persistent sub-join lattice out of the context for
@@ -820,19 +709,17 @@ impl ExecContext {
     ///
     /// When a slot exists under the pre-update fingerprint, its sub-join
     /// lattice and cached full join are maintained **in place** semi-naive
-    /// style (see the [`crate::stream`] module docs), its [`DeltaJoinPlan`] is
-    /// regrouped from the maintained lattice without recomputing a single
-    /// join, and its [`DictionaryState`] is re-used when every inserted
-    /// value is already coded (invalidated otherwise — it rebuilds lazily).
-    /// The migrated slot is re-keyed under the post-update fingerprint, so
-    /// warm state survives writes instead of being orphaned.  Without a
-    /// warm slot the batch is applied as a plain mutation and caches
-    /// rebuild lazily.
+    /// style (see the [`crate::stream`] module docs), and its
+    /// [`DeltaJoinPlan`] is regrouped from the maintained lattice without
+    /// recomputing a single join.  The migrated slot is re-keyed under the
+    /// post-update fingerprint, so warm state survives writes instead of
+    /// being orphaned.  Without a warm slot the batch is applied as a plain
+    /// mutation and caches rebuild lazily.
     ///
     /// **Byte-identity:** maintained state holds exactly the weighted tuple
     /// sets a cold rebuild of the updated instance produces, so every
     /// downstream observable is byte-identical to dropping the cache and
-    /// starting over — at every thread count, morsel size and schedule.
+    /// starting over — at every thread count and morsel size.
     /// Validation errors leave both the instance and the cache untouched; a
     /// failure during maintenance itself discards the (now unreliable) slot
     /// rather than ever serving stale state.
@@ -866,7 +753,6 @@ impl ExecContext {
                 ops: batch.len(),
                 warm: false,
                 stats: UpdateStats::default(),
-                dictionary_retained: false,
             });
         };
         // The cached full join is exactly the full-mask lattice entry;
@@ -888,16 +774,6 @@ impl ExecContext {
             par,
         )?;
         let new_fp = instance_fingerprint(query, instance);
-        // Dictionary: retained and re-applied when it still covers every
-        // value, invalidated when an unseen value arrived (satellite fix:
-        // a stale dictionary must never survive a fingerprint migration).
-        let dictionary = match slot.dictionary.take() {
-            Some(dict) => {
-                refresh_dictionary(&dict.dictionary, query, instance, batch)?.map(Arc::new)
-            }
-            None => None,
-        };
-        let dictionary_retained = dictionary.is_some();
         // Delta plan: the probe state is derived from the lattice, so
         // rebuilding it from the maintained memo is pure regrouping — no
         // sub-join is recomputed.
@@ -931,9 +807,6 @@ impl ExecContext {
         }
         if let Some(dp) = delta_plan {
             new_slot.delta_plan.get_or_insert(dp);
-        }
-        if let Some(dict) = dictionary {
-            new_slot.dictionary.get_or_insert(dict);
         }
         // Patch the retained plan's sketch statistics from the batch's net
         // deltas instead of keeping stale estimates (or re-gathering from
@@ -978,7 +851,6 @@ impl ExecContext {
             ops: batch.len(),
             warm: true,
             stats,
-            dictionary_retained,
         })
     }
 
@@ -1123,8 +995,8 @@ impl ExecContext {
         (state.hits, state.misses)
     }
 
-    /// Drops every persisted cache slot (full joins, lattices, delta plans,
-    /// join plans and dictionaries), releasing their memory.  The context remains usable;
+    /// Drops every persisted cache slot (full joins, lattices, delta plans
+    /// and join plans), releasing their memory.  The context remains usable;
     /// the next call simply starts cold.
     pub fn clear_cache(&self) {
         let mut state = self.state.lock().expect("context cache poisoned");
@@ -1152,43 +1024,6 @@ impl ExecContext {
     {
         exec::par_map_ranges(self.parallelism, len, min_chunk, f)
     }
-}
-
-/// Carries a retained [`AttrDictionary`] across an update, or decides it
-/// must be invalidated: when every *inserted* value already has a code, the
-/// dictionary still covers the updated instance (deletes can only leave
-/// harmless extra codes — the mapping stays an order-preserving injection)
-/// and the updated instance is re-encoded through it; any unseen value
-/// returns `None` and the dictionary rebuilds lazily.  The gross insert
-/// list is checked rather than the net effect, so a covered batch can at
-/// worst over-invalidate — never retain a dictionary missing a value.
-fn refresh_dictionary(
-    old: &AttrDictionary,
-    query: &JoinQuery,
-    instance: &Instance,
-    batch: &UpdateBatch,
-) -> Result<Option<DictionaryState>> {
-    for op in batch.ops() {
-        if let UpdateOp::Insert {
-            relation, tuple, ..
-        } = op
-        {
-            let attrs = instance.relation(*relation).attrs();
-            for (pos, &attr) in attrs.iter().enumerate() {
-                if old.code(attr, tuple[pos]).is_none() {
-                    return Ok(None);
-                }
-            }
-        }
-    }
-    let (encoded_query, encoded_instance) = old.encode_instance(query, instance)?;
-    let fully_packable = fold_fully_packable(&encoded_instance, old);
-    Ok(Some(DictionaryState {
-        dictionary: old.clone(),
-        encoded_query,
-        encoded_instance,
-        fully_packable,
-    }))
 }
 
 #[cfg(test)]
@@ -1545,50 +1380,6 @@ mod tests {
     }
 
     #[test]
-    fn join_dict_is_cached_and_byte_identical_to_join() {
-        // Wide sparse values so the dictionary actually shrinks domains.
-        let schema = crate::attr::Schema::new(vec![
-            crate::attr::Attribute::new("a", 1 << 40),
-            crate::attr::Attribute::new("b", 1 << 40),
-            crate::attr::Attribute::new("c", 1 << 40),
-        ]);
-        let q = JoinQuery::new(
-            schema,
-            vec![vec![AttrId(0), AttrId(1)], vec![AttrId(1), AttrId(2)]],
-        )
-        .unwrap();
-        let mut inst = Instance::empty_for(&q).unwrap();
-        for i in 0..6u64 {
-            inst.relation_mut(0)
-                .add(vec![i * 7_000_000_000, (i % 3) * 9_999_999_937], 1 + i % 2)
-                .unwrap();
-            inst.relation_mut(1)
-                .add(vec![(i % 3) * 9_999_999_937, i * 123_456_789_123], 2)
-                .unwrap();
-        }
-        for &threads in &[1usize, 4] {
-            let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
-            let raw = ctx.join(&q, &inst).unwrap();
-            let dict = ctx.join_dict(&q, &inst).unwrap();
-            assert_eq!(dict, raw, "threads {threads}");
-            // The dictionary state is built once per fingerprint.
-            let a = ctx.attr_dictionary(&q, &inst).unwrap();
-            let b = ctx.attr_dictionary(&q, &inst).unwrap();
-            assert!(Arc::ptr_eq(&a, &b), "same Arc on a warm slot");
-            assert!(a.fully_packable(), "6 codes per attr pack easily");
-            // Mutation changes the fingerprint: a fresh dictionary is built.
-            let mut edited = inst.clone();
-            edited.relation_mut(0).add(vec![42, 43], 1).unwrap();
-            let c = ctx.attr_dictionary(&q, &edited).unwrap();
-            assert!(!Arc::ptr_eq(&a, &c));
-            assert_eq!(
-                ctx.join_dict(&q, &edited).unwrap(),
-                ctx.join(&q, &edited).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn small_instance_threshold_is_configurable() {
         let (_, inst) = star_instance(3);
         let big = ExecContext::with_threads(4).with_min_par_instance(usize::MAX);
@@ -1682,57 +1473,6 @@ mod tests {
         ctx.shared_join(&q, &inst).unwrap();
         let (hits_after, _) = ctx.cache_stats();
         assert_eq!(hits_after, hits_before + 1, "slot survived the bad batch");
-    }
-
-    #[test]
-    fn dictionary_survives_covered_updates_and_dies_on_unseen_values() {
-        // Wide values so the dictionary actually matters.
-        let q = JoinQuery::two_table(u64::MAX, u64::MAX, u64::MAX);
-        let mut inst = Instance::empty_for(&q).unwrap();
-        for i in 0..6u64 {
-            inst.relation_mut(0)
-                .add(vec![i * 7_000_000_000, (i % 3) * 9_999_999_937], 1)
-                .unwrap();
-            inst.relation_mut(1)
-                .add(vec![(i % 3) * 9_999_999_937, i * 123_456_789_123], 2)
-                .unwrap();
-        }
-        let ctx = ExecContext::sequential();
-        let before = ctx.attr_dictionary(&q, &inst).unwrap();
-        // Covered batch: every value already has a code (tuple reweights).
-        let mut covered = UpdateBatch::new();
-        covered.insert(0, vec![0, 0], 5);
-        covered.delete(1, vec![0, 0], 1);
-        let report = ctx.apply_updates(&q, &mut inst, &covered).unwrap();
-        assert!(report.warm);
-        assert!(report.dictionary_retained);
-        let after = ctx.attr_dictionary(&q, &inst).unwrap();
-        assert_eq!(after.dictionary, before.dictionary, "codes unchanged");
-        // Regression: the retained state must encode the *updated*
-        // instance, not serve the pre-update encoding.
-        assert_eq!(
-            after.encoded_instance.relation(0).freq(&[0, 0]),
-            inst.relation(0).freq(&[0, 0])
-        );
-        assert_eq!(
-            ctx.join_dict(&q, &inst).unwrap(),
-            ctx.join(&q, &inst).unwrap(),
-            "dict path must reflect the update"
-        );
-        // Unseen value: the dictionary is invalidated, then rebuilt lazily
-        // with the new code present — never served stale.
-        let mut unseen = UpdateBatch::new();
-        unseen.insert(0, vec![42, 9_999_999_937], 1);
-        let report = ctx.apply_updates(&q, &mut inst, &unseen).unwrap();
-        assert!(report.warm);
-        assert!(!report.dictionary_retained);
-        let rebuilt = ctx.attr_dictionary(&q, &inst).unwrap();
-        assert!(rebuilt.dictionary.code(AttrId(0), 42).is_some());
-        assert_eq!(
-            ctx.join_dict(&q, &inst).unwrap(),
-            ctx.join(&q, &inst).unwrap(),
-            "rebuilt dict path must see the new value"
-        );
     }
 
     #[test]

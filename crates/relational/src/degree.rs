@@ -10,7 +10,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::attr::AttrId;
-use crate::cache::SubJoinCache;
 use crate::error::RelationalError;
 use crate::exec::Parallelism;
 use crate::hypergraph::JoinQuery;
@@ -51,18 +50,6 @@ fn psi_impl(
     join_subset_impl(query, instance, e, par)?.distinct_projections(&cap)
 }
 
-/// [`psi`] evaluated through a [`SubJoinCache`], so that enumerating many
-/// subsets `E` of the same instance shares sub-join work.
-pub fn psi_cached(cache: &mut SubJoinCache<'_>, e: &[usize]) -> Result<BTreeSet<Vec<Value>>> {
-    if e.is_empty() {
-        return Err(RelationalError::InvalidRelationSubset(
-            "Ψ_E requires a non-empty relation subset".to_string(),
-        ));
-    }
-    let cap = cache.query().intersect_attrs(e)?;
-    cache.join_rels(e)?.distinct_projections(&cap)
-}
-
 /// Degree map `deg_{E,y}` of Definition 4.7:
 ///
 /// * `|E| = 1`, say `E = {i}`: the frequency-weighted degree of relation `i`
@@ -100,27 +87,7 @@ pub(crate) fn deg_multi_impl(
     }
 }
 
-/// [`deg_multi`] evaluated through a [`SubJoinCache`]: same semantics, but
-/// the `|E| > 1` case reuses memoised sub-joins across calls.
-pub fn deg_multi_cached(
-    cache: &mut SubJoinCache<'_>,
-    e: &[usize],
-    y: &[AttrId],
-) -> Result<BTreeMap<Vec<Value>, u64>> {
-    match e.len() {
-        0 => Err(RelationalError::InvalidRelationSubset(
-            "deg_{E,y} requires a non-empty relation subset".to_string(),
-        )),
-        1 => cache.instance().relation(e[0]).degree_map(y),
-        _ => {
-            let cap = cache.query().intersect_attrs(e)?;
-            let members = psi_cached(cache, e)?;
-            count_projections(&members, &cap, y)
-        }
-    }
-}
-
-/// Shared `|E| > 1` body of [`deg_multi`] / [`deg_multi_cached`]: counts, for
+/// The `|E| > 1` body of [`deg_multi`]: counts, for
 /// each tuple of `dom(y)`, the members of `Ψ_E` (over `cap = ⋂ x_i`)
 /// projecting onto it.
 fn count_projections(

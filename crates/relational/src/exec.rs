@@ -16,11 +16,8 @@
 //! until the counter passes the morsel count.  A worker stuck on a heavy
 //! morsel (a skewed hash bucket, a hot lattice subset) simply claims fewer
 //! morsels while the others drain the queue, so imbalance self-corrects
-//! without any cost model.  The historical fixed-stride splitter (worker `w`
-//! of `W` runs morsels `w, w + W, w + 2W, …`) is retained behind
-//! [`Schedule::Strided`] as a cross-check reference and for measuring what
-//! stealing buys; [`SchedulerStats`] reports how many morsels each worker
-//! actually claimed so benches can show the rebalancing directly.
+//! without any cost model.  [`SchedulerStats`] reports how many morsels each
+//! worker actually claimed so benches can show the rebalancing directly.
 //!
 //! ### Determinism contract
 //!
@@ -42,10 +39,9 @@
 //!    the sequential emission order *regardless of the worker count, the
 //!    morsel size, or which worker claimed what*.
 //!
-//! Consequently `Parallelism::threads(1)`, `threads(4)` and `threads(64)` —
-//! and [`Schedule::Stealing`] vs [`Schedule::Strided`], at any morsel size
-//! down to 1 — all produce identical bytes; only wall-clock time and the
-//! per-worker claim counts differ.
+//! Consequently `Parallelism::threads(1)`, `threads(4)` and `threads(64)`, at
+//! any morsel size down to 1, all produce identical bytes; only wall-clock
+//! time and the per-worker claim counts differ.
 //!
 //! ### Panic handling
 //!
@@ -145,30 +141,13 @@ impl Default for Parallelism {
     }
 }
 
-/// How morsels are assigned to workers.  Outputs are byte-identical under
-/// both schedules (see the module docs); only wall-clock time and the
-/// per-worker claim counts differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Schedule {
-    /// Morsels are claimed dynamically from a shared atomic counter, so a
-    /// worker stalled on a heavy morsel claims fewer while idle workers
-    /// drain the rest.  The engine default.
-    #[default]
-    Stealing,
-    /// The historical fixed-stride assignment: worker `w` of `W` runs
-    /// morsels `w, w + W, w + 2W, …` regardless of cost.  Kept as the
-    /// determinism cross-check reference and the bench baseline.
-    Strided,
-}
-
 /// Per-invocation scheduler telemetry: how many morsels each worker claimed.
 ///
-/// Under [`Schedule::Stealing`] on a skewed workload the spread between
+/// On a skewed workload the spread between
 /// [`max_claimed`](SchedulerStats::max_claimed) and
 /// [`min_claimed`](SchedulerStats::min_claimed) shows the rebalancing at
 /// work — the worker that drew the heavy morsel claims few, the others pick
-/// up the slack.  Under [`Schedule::Strided`] the counts are fixed by the
-/// stride arithmetic no matter what the morsels cost.
+/// up the slack.
 #[derive(Debug, Clone, Default)]
 pub struct SchedulerStats {
     claimed: Vec<usize>,
@@ -220,46 +199,32 @@ impl SchedulerStats {
     }
 }
 
-/// A worker's source of morsel indices under a given [`Schedule`].
-enum Claimer<'a> {
-    Stealing {
-        counter: &'a AtomicUsize,
-        tasks: usize,
-    },
-    Strided(std::iter::StepBy<Range<usize>>),
-}
-
-impl Claimer<'_> {
-    fn new(
-        sched: Schedule,
-        counter: &AtomicUsize,
-        w: usize,
-        workers: usize,
-        tasks: usize,
-    ) -> Claimer<'_> {
-        match sched {
-            Schedule::Stealing => Claimer::Stealing { counter, tasks },
-            Schedule::Strided => Claimer::Strided((w..tasks).step_by(workers)),
+/// Claims morsel indices from the shared `counter` until it passes `tasks`,
+/// running `run(i)` on each; returns how many morsels this worker claimed.
+#[inline]
+fn claim_until_done(
+    counter: &AtomicUsize,
+    tasks: usize,
+    mut run: impl FnMut(usize) -> bool,
+) -> usize {
+    let mut claimed = 0usize;
+    loop {
+        let i = counter.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks {
+            return claimed;
         }
-    }
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            Claimer::Stealing { counter, tasks } => {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                (i < *tasks).then_some(i)
-            }
-            Claimer::Strided(it) => it.next(),
+        claimed += 1;
+        if !run(i) {
+            return claimed;
         }
     }
 }
 
-/// Runs `f(0), …, f(tasks - 1)` on up to `par` workers under `sched` and
-/// returns the results **in task order** plus the per-worker claim counts.
+/// Runs `f(0), …, f(tasks - 1)` on up to `par` workers and returns the
+/// results **in task order** plus the per-worker claim counts.
 ///
-/// This is the scheduler core: morsel indices are claimed (stolen or
-/// strided), workers 1… send `(index, result)` pairs over a channel while
+/// This is the scheduler core: morsel indices are stolen from a shared
+/// counter, workers 1… send `(index, result)` pairs over a channel while
 /// worker 0 (the calling thread) claims from the same queue and fills its
 /// own slots directly, and the slot vector — indexed by task — is the
 /// merge-in-morsel-order step that makes output independent of who ran
@@ -268,12 +233,7 @@ impl Claimer<'_> {
 ///
 /// A panicking task propagates its payload to the caller after all workers
 /// have been joined (see the module docs).
-pub fn par_map_sched_stats<T, F>(
-    par: Parallelism,
-    sched: Schedule,
-    tasks: usize,
-    f: F,
-) -> (Vec<T>, SchedulerStats)
+pub fn par_map_stats<T, F>(par: Parallelism, tasks: usize, f: F) -> (Vec<T>, SchedulerStats)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -297,30 +257,21 @@ where
         let f = &f;
         let counter = &counter;
         let claim_counts = &claim_counts;
-        for (w, count) in claim_counts.iter().enumerate().skip(1) {
+        for count in claim_counts.iter().skip(1) {
             let tx = tx.clone();
             scope.spawn(move || {
-                let mut claimer = Claimer::new(sched, counter, w, workers, tasks);
-                let mut claimed = 0usize;
-                while let Some(i) = claimer.next() {
-                    claimed += 1;
-                    // A closed receiver means the coordinator bailed out
-                    // (it panicked in its own morsels); stop early.
-                    if tx.send((i, f(i))).is_err() {
-                        break;
-                    }
-                }
+                // A closed receiver means the coordinator bailed out (it
+                // panicked in its own morsels); stop early.
+                let claimed = claim_until_done(counter, tasks, |i| tx.send((i, f(i))).is_ok());
                 count.store(claimed, Ordering::Relaxed);
             });
         }
         drop(tx);
         // Worker 0 claims from the same queue inline on the calling thread.
-        let mut claimer = Claimer::new(sched, counter, 0, workers, tasks);
-        let mut claimed = 0usize;
-        while let Some(i) = claimer.next() {
-            claimed += 1;
+        let claimed = claim_until_done(counter, tasks, |i| {
             slots[i] = Some(f(i));
-        }
+            true
+        });
         claim_counts[0].store(claimed, Ordering::Relaxed);
         // Collect until every sender is gone.  If a worker panicked, its
         // sender is dropped early, the loop ends, and the scope re-raises
@@ -340,19 +291,9 @@ where
     (out, SchedulerStats { claimed })
 }
 
-/// [`par_map_sched_stats`] without the telemetry.
-pub fn par_map_sched<T, F>(par: Parallelism, sched: Schedule, tasks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_sched_stats(par, sched, tasks, f).0
-}
-
 /// Runs `f(0), …, f(tasks - 1)` on up to `par` workers and returns the
-/// results **in task order**, claiming tasks by work stealing
-/// ([`Schedule::Stealing`]).  Each task is its own morsel, so this is the
-/// maximal-interleaving case (morsel size 1).
+/// results **in task order**, claiming tasks by work stealing.  Each task is
+/// its own morsel, so this is the maximal-interleaving case (morsel size 1).
 ///
 /// A panicking task propagates its payload to the caller after all workers
 /// have been joined (see the module docs).
@@ -361,7 +302,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_map_sched(par, Schedule::Stealing, tasks, f)
+    par_map_stats(par, tasks, f).0
 }
 
 /// Splits `0..len` into at most `chunks` contiguous ranges of near-equal
@@ -405,17 +346,16 @@ pub fn morsel_ranges(len: usize, morsel: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Maps `f` over fixed-size morsels of `0..len` on up to `par` workers
-/// under `sched`, returning the per-morsel results **in morsel order** plus
+/// Maps `f` over fixed-size morsels of `0..len` on up to `par` workers,
+/// returning the per-morsel results **in morsel order** plus
 /// the per-worker claim counts.
 ///
 /// Morsel boundaries come from [`morsel_ranges`] (a pure function of `len`
 /// and `morsel`), so concatenating the returned parts reproduces the
-/// sequential emission order byte for byte at every worker count, morsel
-/// size (including 1) and schedule.
+/// sequential emission order byte for byte at every worker count and morsel
+/// size (including 1).
 pub fn par_map_morsels_stats<T, F>(
     par: Parallelism,
-    sched: Schedule,
     len: usize,
     morsel: usize,
     f: F,
@@ -425,16 +365,16 @@ where
     F: Fn(Range<usize>) -> T + Sync,
 {
     let ranges = morsel_ranges(len, morsel);
-    par_map_sched_stats(par, sched, ranges.len(), |i| f(ranges[i].clone()))
+    par_map_stats(par, ranges.len(), |i| f(ranges[i].clone()))
 }
 
-/// [`par_map_morsels_stats`] with work stealing and no telemetry.
+/// [`par_map_morsels_stats`] without the telemetry.
 pub fn par_map_morsels<T, F>(par: Parallelism, len: usize, morsel: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    par_map_morsels_stats(par, Schedule::Stealing, len, morsel, f).0
+    par_map_morsels_stats(par, len, morsel, f).0
 }
 
 /// Partitions `0..len` into contiguous morsels of at least `min_chunk`
@@ -451,30 +391,13 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    par_map_ranges_sched(par, Schedule::Stealing, len, min_chunk, f)
-}
-
-/// [`par_map_ranges`] under an explicit [`Schedule`] — the cross-check and
-/// bench entry point for stealing-vs-strided comparisons.  The morsel
-/// boundaries are identical under both schedules.
-pub fn par_map_ranges_sched<T, F>(
-    par: Parallelism,
-    sched: Schedule,
-    len: usize,
-    min_chunk: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
     let workers = par.get();
     if workers <= 1 || len <= min_chunk.max(1) {
         return vec![f(0..len)];
     }
     let chunks = (len / min_chunk.max(1)).clamp(1, workers * 8);
     let ranges = chunk_ranges(len, chunks);
-    par_map_sched(par, sched, ranges.len(), |i| f(ranges[i].clone()))
+    par_map(par, ranges.len(), |i| f(ranges[i].clone()))
 }
 
 #[cfg(test)]
@@ -537,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn stealing_and_strided_agree_with_sequential() {
+    fn stealing_agrees_with_sequential() {
         let f = |i: usize| {
             // Skew: a few tasks are far heavier than the rest.
             let reps = if i.is_multiple_of(97) { 40_000 } else { 50 };
@@ -548,23 +471,11 @@ mod tests {
         };
         let expect: Vec<u64> = (0..311).map(f).collect();
         for threads in [1, 2, 4, 8] {
-            let par = Parallelism::threads(threads);
-            for sched in [Schedule::Stealing, Schedule::Strided] {
-                let (got, stats) = par_map_sched_stats(par, sched, 311, f);
-                assert_eq!(got, expect, "threads={threads} sched={sched:?}");
-                assert_eq!(stats.total(), 311, "every morsel claimed exactly once");
-                assert!(stats.workers() >= 1 && stats.workers() <= threads);
-            }
+            let (got, stats) = par_map_stats(Parallelism::threads(threads), 311, f);
+            assert_eq!(got, expect, "threads={threads}");
+            assert_eq!(stats.total(), 311, "every morsel claimed exactly once");
+            assert!(stats.workers() >= 1 && stats.workers() <= threads);
         }
-    }
-
-    #[test]
-    fn strided_claim_counts_are_fixed_by_arithmetic() {
-        let (_, stats) = par_map_sched_stats(Parallelism::threads(4), Schedule::Strided, 10, |i| i);
-        // Worker w of 4 runs tasks w, w+4, w+8 … of 10: counts 3, 3, 2, 2.
-        assert_eq!(stats.claimed(), &[3, 3, 2, 2]);
-        assert_eq!(stats.max_claimed(), 3);
-        assert_eq!(stats.min_claimed(), 2);
     }
 
     #[test]
@@ -625,12 +536,9 @@ mod tests {
         let f = |r: Range<usize>| data[r].to_vec();
         let seq: Vec<u64> = f(0..data.len());
         for threads in [1, 2, 4, 9] {
-            for sched in [Schedule::Stealing, Schedule::Strided] {
-                let parts =
-                    par_map_ranges_sched(Parallelism::threads(threads), sched, data.len(), 16, f);
-                let merged: Vec<u64> = parts.concat();
-                assert_eq!(merged, seq, "threads = {threads}, sched = {sched:?}");
-            }
+            let parts = par_map_ranges(Parallelism::threads(threads), data.len(), 16, f);
+            let merged: Vec<u64> = parts.concat();
+            assert_eq!(merged, seq, "threads = {threads}");
         }
     }
 
@@ -642,39 +550,26 @@ mod tests {
         let f = |r: Range<usize>| data[r].to_vec();
         let seq: Vec<u64> = f(0..data.len());
         for threads in [1, 2, 4, 8] {
-            for sched in [Schedule::Stealing, Schedule::Strided] {
-                for morsel in [1usize, 7, 64] {
-                    let (parts, stats) = par_map_morsels_stats(
-                        Parallelism::threads(threads),
-                        sched,
-                        data.len(),
-                        morsel,
-                        f,
-                    );
-                    assert_eq!(
-                        parts.concat(),
-                        seq,
-                        "threads={threads} sched={sched:?} morsel={morsel}"
-                    );
-                    assert_eq!(stats.total(), data.len().div_ceil(morsel));
-                }
+            for morsel in [1usize, 7, 64] {
+                let (parts, stats) =
+                    par_map_morsels_stats(Parallelism::threads(threads), data.len(), morsel, f);
+                assert_eq!(parts.concat(), seq, "threads={threads} morsel={morsel}");
+                assert_eq!(stats.total(), data.len().div_ceil(morsel));
             }
         }
     }
 
     #[test]
     fn worker_panics_propagate_to_the_caller() {
-        for sched in [Schedule::Stealing, Schedule::Strided] {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                par_map_sched(Parallelism::threads(4), sched, 64, |i| {
-                    if i == 37 {
-                        panic!("worker task failed deliberately");
-                    }
-                    i
-                })
-            }));
-            assert!(outcome.is_err(), "panic must cross the pool boundary");
-        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(Parallelism::threads(4), 64, |i| {
+                if i == 37 {
+                    panic!("worker task failed deliberately");
+                }
+                i
+            })
+        }));
+        assert!(outcome.is_err(), "panic must cross the pool boundary");
     }
 
     #[test]

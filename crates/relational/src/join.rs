@@ -33,27 +33,14 @@
 //!
 //! ### Batched probe
 //!
-//! The probe side is processed in fixed-size batches
-//! ([`ProbeMode::Batched`], the default): pass one projects a batch of
-//! probe keys into a reusable arena and hashes them all, pass two walks the
-//! index chains and emits merges.  Splitting the loop this way amortises
-//! projection dispatch and bounds checks across the batch and keeps the
-//! hash computation out of the dependent load chain of the bucket walk.
-//! [`ProbeMode::Scalar`] (project + hash + probe one row at a time) is kept
-//! as the bench baseline; both modes visit identical (probe row, build row)
-//! pairs in identical order, so outputs are byte-identical.
-//!
-//! ### Dictionary-encoded probe keys
-//!
-//! For instances whose attribute values are *wide* (sparse identifiers from
-//! huge domains), [`join_dict`] / [`join_encoded`] evaluate the fold over a
-//! dictionary-encoded instance ([`crate::tuple::AttrDictionary`]): values
-//! become dense codes, and whenever a step's shared-attribute code widths
-//! sum to ≤ 64 bits the probe key is packed into a **single `u64`**
-//! ([`crate::tuple::KeyPacker`]), making key hash and equality one integer
-//! operation each.  Codes are assigned in value order, so the encoded fold
-//! emits rows in exactly the raw fold's order and the decode-on-emit step
-//! ([`JoinResult::map_values`]) reproduces raw output byte for byte.
+//! The probe side is processed in fixed-size batches: pass one projects a
+//! batch of probe keys into a reusable arena and hashes them all, pass two
+//! walks the index chains and emits merges.  Splitting the loop this way
+//! amortises projection dispatch and bounds checks across the batch and
+//! keeps the hash computation out of the dependent load chain of the bucket
+//! walk.  Width-1 keys skip the arena (the batch is a plain value buffer).
+//! The aggregate fold below runs the same loop with a Bloom-filter test
+//! between the two passes.
 //!
 //! ### Parallel probe
 //!
@@ -103,8 +90,7 @@ use crate::hypergraph::JoinQuery;
 use crate::instance::Instance;
 use crate::relation::Relation;
 use crate::tuple::{
-    intersect_attrs, project_into, project_positions, union_attrs, AttrDictionary, KeyArena,
-    KeyPacker, TupleKey, Value,
+    intersect_attrs, project_into, project_positions, union_attrs, KeyArena, TupleKey, Value,
 };
 use crate::Result;
 
@@ -133,26 +119,13 @@ fn hash_key(key: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Fx-hashes a packed single-word key.
+/// Fx-hashes a width-1 key; equals [`hash_key`] of the one-value slice.
 #[inline]
 fn hash_word(word: u64) -> u64 {
     use std::hash::Hasher;
     let mut h = crate::hash::FxHasher::default();
     h.write_u64(word);
     h.finish()
-}
-
-/// How the hash-probe inner loop consumes probe rows.  Outputs are
-/// byte-identical under both modes; only instruction-level behavior differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProbeMode {
-    /// Project and hash a batch of probe keys, then walk the index for the
-    /// whole batch (the engine default — see the module docs).
-    #[default]
-    Batched,
-    /// Project, hash and probe one row at a time (the historical loop
-    /// shape, kept as the bench baseline).
-    Scalar,
 }
 
 /// A frozen chained hash index over the build side's projected keys.
@@ -258,50 +231,6 @@ impl FlatRows {
     #[inline]
     fn freq(&self, i: usize) -> u64 {
         self.freqs[i]
-    }
-}
-
-/// The packed-key sibling of [`ProbeIndex`]: build keys are single `u64`
-/// words (dictionary codes bit-packed by a [`KeyPacker`]), so key equality
-/// is one integer compare and no stored hash is needed.
-struct PackedProbeIndex {
-    keys: Vec<u64>,
-    heads: Vec<u32>,
-    next: Vec<u32>,
-}
-
-impl PackedProbeIndex {
-    fn build(keys: Vec<u64>) -> PackedProbeIndex {
-        let n = keys.len();
-        assert!(
-            n < EMPTY_SLOT as usize,
-            "build side exceeds u32 row indexing"
-        );
-        let cap = (n.max(4) * 2).next_power_of_two();
-        let mask = cap - 1;
-        let mut heads = vec![EMPTY_SLOT; cap];
-        let mut next = vec![EMPTY_SLOT; n];
-        for i in (0..n).rev() {
-            let b = (hash_word(keys[i]) as usize) & mask;
-            next[i] = heads[b];
-            heads[b] = i as u32;
-        }
-        PackedProbeIndex { keys, heads, next }
-    }
-
-    /// Calls `on_match` with every build-row index whose packed key equals
-    /// `key`, in ascending row order.
-    #[inline]
-    fn for_each_match(&self, key: u64, mut on_match: impl FnMut(usize)) {
-        let mask = self.heads.len() - 1;
-        let mut cur = self.heads[(hash_word(key) as usize) & mask];
-        while cur != EMPTY_SLOT {
-            let i = cur as usize;
-            if self.keys[i] == key {
-                on_match(i);
-            }
-            cur = self.next[i];
-        }
     }
 }
 
@@ -535,24 +464,6 @@ impl JoinResult {
             weights,
         }
     }
-
-    /// Rewrites every stored value through `f(attr, value)`, preserving row
-    /// order, attribute order and weights.
-    ///
-    /// This is the dictionary **decode-on-emit** step: a result computed
-    /// over an encoded instance is mapped back to raw values in place, so
-    /// no downstream consumer can tell the encoded fold ran.  `f` must be
-    /// injective per attribute (dictionary decode is), otherwise distinct
-    /// rows could collapse.
-    pub fn map_values(mut self, mut f: impl FnMut(AttrId, Value) -> Value) -> JoinResult {
-        let width = self.attrs.len();
-        if width > 0 {
-            for (k, v) in self.values.iter_mut().enumerate() {
-                *v = f(self.attrs[k % width], *v);
-            }
-        }
-        self
-    }
 }
 
 /// The aggregate summary of one sub-join: everything the sensitivity layer
@@ -665,74 +576,71 @@ pub fn hash_join_step(acc: &JoinResult, rel: &Relation) -> Result<JoinResult> {
 /// Drives one probe-row range against a [`ProbeIndex`]: projects each
 /// probe row's key via `positions`, hashes it, and calls
 /// `on_match(probe_row, build_row)` for every key match — in probe-row
-/// order, matches in ascending build-row order.  Under
-/// [`ProbeMode::Batched`] keys are projected and hashed [`PROBE_BATCH`]
-/// rows at a time before any chain is walked; under [`ProbeMode::Scalar`]
-/// the three steps run row by row.  The (probe, build) pair sequence is
-/// identical either way.
+/// order, matches in ascending build-row order.  Keys are projected and
+/// hashed [`PROBE_BATCH`] rows at a time before any chain is walked.
+///
+/// With a `bloom` filter, each key's membership is tested between the hash
+/// pass and the chain walk, so keys the build side cannot contain never
+/// touch the index.  The filter has no false negatives, so the emitted
+/// (probe, build) pair sequence is the same with or without it.
 fn probe_rows<'a>(
     index: &ProbeIndex,
-    mode: ProbeMode,
+    bloom: Option<&BlockedBloom>,
     range: std::ops::Range<usize>,
     key_width: usize,
     row_of: impl Fn(usize) -> &'a [Value],
     positions: &[usize],
     mut on_match: impl FnMut(usize, usize),
 ) {
-    match mode {
-        ProbeMode::Batched if key_width == 1 => {
-            // Width-1 keys need no arena: the projected key is one value, so
-            // the batch is a plain value buffer and hashing needs no slice
-            // walk.  Candidate order — and thus every output byte — matches
-            // the general arm.
-            let pos = positions[0];
-            let mut batch: Vec<Value> = Vec::with_capacity(PROBE_BATCH);
-            let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + PROBE_BATCH).min(range.end);
-                batch.clear();
-                hashes.clear();
-                for i in start..end {
-                    batch.push(row_of(i)[pos]);
-                }
-                hashes.extend(batch.iter().map(|&v| hash_word(v)));
-                for (k, i) in (start..end).enumerate() {
+    let may_match = |hash: u64| bloom.is_none_or(|b| b.may_contain(hash));
+    if key_width == 1 {
+        // Width-1 keys need no arena: the projected key is one value, so the
+        // batch is a plain value buffer and hashing needs no slice walk.
+        // Candidate order — and thus every output byte — matches the
+        // general arm.
+        let pos = positions[0];
+        let mut batch: Vec<Value> = Vec::with_capacity(PROBE_BATCH);
+        let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
+        let mut start = range.start;
+        while start < range.end {
+            let end = (start + PROBE_BATCH).min(range.end);
+            batch.clear();
+            hashes.clear();
+            for i in start..end {
+                batch.push(row_of(i)[pos]);
+            }
+            hashes.extend(batch.iter().map(|&v| hash_word(v)));
+            for (k, i) in (start..end).enumerate() {
+                if may_match(hashes[k]) {
                     index.for_each_match(std::slice::from_ref(&batch[k]), hashes[k], |j| {
                         on_match(i, j)
                     });
                 }
-                start = end;
             }
+            start = end;
         }
-        ProbeMode::Batched => {
-            let mut batch = KeyArena::with_capacity(key_width, PROBE_BATCH);
-            let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + PROBE_BATCH).min(range.end);
-                batch.clear();
-                hashes.clear();
-                // Pass 1: project and hash the whole batch.
-                for i in start..end {
-                    batch.push_projected(row_of(i), positions);
-                }
-                for k in 0..batch.len() {
-                    hashes.push(hash_key(batch.row(k)));
-                }
-                // Pass 2: walk the chains.
-                for (k, i) in (start..end).enumerate() {
+    } else {
+        let mut batch = KeyArena::with_capacity(key_width, PROBE_BATCH);
+        let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
+        let mut start = range.start;
+        while start < range.end {
+            let end = (start + PROBE_BATCH).min(range.end);
+            batch.clear();
+            hashes.clear();
+            // Pass 1: project and hash the whole batch.
+            for i in start..end {
+                batch.push_projected(row_of(i), positions);
+            }
+            for k in 0..batch.len() {
+                hashes.push(hash_key(batch.row(k)));
+            }
+            // Pass 2: walk the chains.
+            for (k, i) in (start..end).enumerate() {
+                if may_match(hashes[k]) {
                     index.for_each_match(batch.row(k), hashes[k], |j| on_match(i, j));
                 }
-                start = end;
             }
-        }
-        ProbeMode::Scalar => {
-            let mut scratch: Vec<Value> = Vec::with_capacity(key_width);
-            for i in range {
-                project_into(row_of(i), positions, &mut scratch);
-                index.for_each_match(&scratch, hash_key(&scratch), |j| on_match(i, j));
-            }
+            start = end;
         }
     }
 }
@@ -751,9 +659,8 @@ const BLOOM_BITS_PER_KEY: usize = 12;
 /// hash's high bits, so a membership test is one load, one mask and one
 /// compare — no cache line is ever split.  The filter is built from the
 /// hashes the [`ProbeIndex`] already computed, so keying matches the probe
-/// loop exactly: a single packed word for width-1 keys (the [`KeyPacker`]
-/// framing — one value *is* its packed `u64`), the Fx fold of the key slice
-/// otherwise.  Every key present in the index sets its bits, so there are
+/// loop exactly: the Fx fold of the projected key (one word for width-1
+/// keys).  Every key present in the index sets its bits, so there are
 /// **no false negatives**: pruning never changes the (probe, build) match
 /// sequence, only how fast non-matching probe rows are discarded.
 struct BlockedBloom {
@@ -799,98 +706,24 @@ impl BlockedBloom {
     }
 }
 
-/// [`probe_rows`]' batched arms with Bloom semi-join pruning: each probe
-/// key's membership is tested against `bloom` between the hash pass and the
-/// chain walk, so keys the build side cannot contain never touch the index.
-/// Because the filter has no false negatives, the emitted (probe, build)
-/// pair sequence is identical to [`probe_rows`]' under any [`ProbeMode`].
-fn probe_rows_bloom<'a>(
-    index: &ProbeIndex,
-    bloom: &BlockedBloom,
-    range: std::ops::Range<usize>,
-    key_width: usize,
-    row_of: impl Fn(usize) -> &'a [Value],
-    positions: &[usize],
-    mut on_match: impl FnMut(usize, usize),
-) {
-    if key_width == 1 {
-        // Width-1 keys need no arena (see probe_rows).
-        let pos = positions[0];
-        let mut batch: Vec<Value> = Vec::with_capacity(PROBE_BATCH);
-        let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + PROBE_BATCH).min(range.end);
-            batch.clear();
-            hashes.clear();
-            for i in start..end {
-                batch.push(row_of(i)[pos]);
-            }
-            hashes.extend(batch.iter().map(|&v| hash_word(v)));
-            for (k, i) in (start..end).enumerate() {
-                if bloom.may_contain(hashes[k]) {
-                    index.for_each_match(std::slice::from_ref(&batch[k]), hashes[k], |j| {
-                        on_match(i, j)
-                    });
-                }
-            }
-            start = end;
-        }
-    } else {
-        let mut batch = KeyArena::with_capacity(key_width, PROBE_BATCH);
-        let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + PROBE_BATCH).min(range.end);
-            batch.clear();
-            hashes.clear();
-            for i in start..end {
-                batch.push_projected(row_of(i), positions);
-            }
-            for k in 0..batch.len() {
-                hashes.push(hash_key(batch.row(k)));
-            }
-            for (k, i) in (start..end).enumerate() {
-                if bloom.may_contain(hashes[k]) {
-                    index.for_each_match(batch.row(k), hashes[k], |j| on_match(i, j));
-                }
-            }
-            start = end;
-        }
-    }
-}
-
-/// One binary hash-join step at an explicit parallelism level, with the
-/// default [`ProbeMode::Batched`] inner loop.  See [`hash_join_step_mode`].
-pub fn hash_join_step_with(
-    acc: &JoinResult,
-    rel: &Relation,
-    par: Parallelism,
-) -> Result<JoinResult> {
-    hash_join_step_mode(acc, rel, par, ProbeMode::default())
-}
-
-/// One binary hash-join step at an explicit parallelism level and probe
-/// mode.
+/// One binary hash-join step at an explicit parallelism level.
 ///
 /// The smaller operand (by distinct tuple count) becomes the hash-build
 /// side: its shared-attribute projections are materialised into a frozen
 /// [`KeyArena`] and indexed by a chained hash table (no per-key
-/// allocation at any arity).  The larger side probes the index — in
-/// hash-then-walk batches under [`ProbeMode::Batched`], one row at a time
-/// under [`ProbeMode::Scalar`] — and with `par` workers the probe rows are
+/// allocation at any arity).  The larger side probes the index in
+/// hash-then-walk batches, and with `par` workers the probe rows are
 /// partitioned into contiguous morsels, each worker emits into its own
 /// flat buffer, and the buffers are concatenated in morsel order —
-/// byte-identical to the sequential emission at every worker count and in
-/// both probe modes.  Output tuples need no dedup map: distinct operand
-/// pairs always produce distinct merged tuples.  Weight multiplication
-/// saturates instead of wrapping, so adversarial worst-case instances
-/// degrade gracefully rather than overflow-panicking.
-pub fn hash_join_step_mode(
+/// byte-identical to the sequential emission at every worker count.
+/// Output tuples need no dedup map: distinct operand pairs always produce
+/// distinct merged tuples.  Weight multiplication saturates instead of
+/// wrapping, so adversarial worst-case instances degrade gracefully rather
+/// than overflow-panicking.
+pub fn hash_join_step_with(
     acc: &JoinResult,
     rel: &Relation,
     par: Parallelism,
-    mode: ProbeMode,
 ) -> Result<JoinResult> {
     let shared = intersect_attrs(&acc.attrs, rel.attrs());
     let (new_attrs, plan) = merge_plan(&acc.attrs, rel.attrs());
@@ -911,7 +744,7 @@ pub fn hash_join_step_mode(
             let mut weights: Vec<u128> = Vec::new();
             probe_rows(
                 &index,
-                mode,
+                None,
                 range,
                 shared.len(),
                 |i| acc.row(i),
@@ -941,7 +774,7 @@ pub fn hash_join_step_mode(
             let mut weights: Vec<u128> = Vec::new();
             probe_rows(
                 &index,
-                mode,
+                None,
                 range,
                 shared.len(),
                 |i| rel_rows.row(i),
@@ -1030,7 +863,7 @@ fn merge_agg_parts(
 /// entirely.
 ///
 /// Build-side selection, the match sequence and the weight arithmetic are
-/// exactly [`hash_join_step_mode`]'s, and grouping reproduces
+/// exactly [`hash_join_step_with`]'s, and grouping reproduces
 /// [`JoinResult::group_by_key`]'s saturating sums, so the returned summary
 /// equals [`AggSummary::from_join_result`] over the materialised step for
 /// every operand pair, thread count and morsel partition — only the
@@ -1069,9 +902,9 @@ pub fn hash_join_step_agg(
             let mut scratch: Vec<Value> = Vec::with_capacity(group_plan.len());
             let mut distinct = 0usize;
             let mut total = 0u128;
-            probe_rows_bloom(
+            probe_rows(
                 &index,
-                &bloom,
+                Some(&bloom),
                 range,
                 shared.len(),
                 |i| acc.row(i),
@@ -1111,9 +944,9 @@ pub fn hash_join_step_agg(
             let mut scratch: Vec<Value> = Vec::with_capacity(group_plan.len());
             let mut distinct = 0usize;
             let mut total = 0u128;
-            probe_rows_bloom(
+            probe_rows(
                 &index,
-                &bloom,
+                Some(&bloom),
                 range,
                 shared.len(),
                 |i| rel_rows.row(i),
@@ -1148,188 +981,6 @@ pub fn hash_join_step_agg(
         total_weight: total,
         distinct_count: distinct,
     })
-}
-
-/// Drives one probe-row range against a [`PackedProbeIndex`]: packs a batch
-/// of probe keys, then walks the chains.  The (probe, build) pair sequence
-/// equals [`probe_rows`]' for the same operands.
-fn probe_rows_packed<'a>(
-    index: &PackedProbeIndex,
-    range: std::ops::Range<usize>,
-    packer: &KeyPacker,
-    row_of: impl Fn(usize) -> &'a [Value],
-    positions: &[usize],
-    mut on_match: impl FnMut(usize, usize),
-) {
-    let mut batch: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-    let mut start = range.start;
-    while start < range.end {
-        let end = (start + PROBE_BATCH).min(range.end);
-        batch.clear();
-        for i in start..end {
-            batch.push(packer.pack_projected(row_of(i), positions));
-        }
-        for (k, i) in (start..end).enumerate() {
-            index.for_each_match(batch[k], |j| on_match(i, j));
-        }
-        start = end;
-    }
-}
-
-/// One binary hash-join step over **dictionary-encoded** operands.
-///
-/// When the shared attributes' code widths pack into one `u64` under
-/// `dict` (the common case for encoded instances — see
-/// [`AttrDictionary::packer`]), the probe key becomes a single packed word:
-/// key hash and equality are one integer operation each instead of
-/// per-value loops.  Steps whose keys don't pack fall back to the generic
-/// batched step.  Either way the (probe row, build row) match sequence —
-/// and therefore every output byte — equals [`hash_join_step_with`] on the
-/// same encoded operands.
-pub fn hash_join_step_dict(
-    acc: &JoinResult,
-    rel: &Relation,
-    dict: &AttrDictionary,
-    par: Parallelism,
-) -> Result<JoinResult> {
-    let shared = intersect_attrs(&acc.attrs, rel.attrs());
-    let Some(packer) = dict.packer(&shared) else {
-        return hash_join_step_mode(acc, rel, par, ProbeMode::Batched);
-    };
-    let (new_attrs, plan) = merge_plan(&acc.attrs, rel.attrs());
-    let acc_shared_pos = project_positions(&acc.attrs, &shared)?;
-    let rel_shared_pos = project_positions(rel.attrs(), &shared)?;
-    let plan = &plan[..];
-    let packer = &packer;
-
-    let rel_rows = FlatRows::from_relation(rel);
-    let (out_values, out_weights) = if rel.distinct_count() <= acc.distinct_count() {
-        // Build on the relation, probe with the accumulated result.
-        let keys: Vec<u64> = (0..rel_rows.len())
-            .map(|i| packer.pack_projected(rel_rows.row(i), &rel_shared_pos))
-            .collect();
-        let index = PackedProbeIndex::build(keys);
-        let probe = |range: std::ops::Range<usize>| {
-            let mut values: Vec<Value> = Vec::new();
-            let mut weights: Vec<u128> = Vec::new();
-            probe_rows_packed(
-                &index,
-                range,
-                packer,
-                |i| acc.row(i),
-                &acc_shared_pos,
-                |i, j| {
-                    merge_row(plan, acc.row(i), rel_rows.row(j), &mut values);
-                    weights.push(acc.weights[i].saturating_mul(rel_rows.freq(j) as u128));
-                },
-            );
-            (values, weights)
-        };
-        merge_parts(exec::par_map_ranges(
-            par,
-            acc.distinct_count(),
-            MIN_PAR_PROBE,
-            probe,
-        ))
-    } else {
-        // Build on the accumulated result, probe with the relation.
-        let keys: Vec<u64> = (0..acc.distinct_count())
-            .map(|i| packer.pack_projected(acc.row(i), &acc_shared_pos))
-            .collect();
-        let index = PackedProbeIndex::build(keys);
-        let probe = |range: std::ops::Range<usize>| {
-            let mut values: Vec<Value> = Vec::new();
-            let mut weights: Vec<u128> = Vec::new();
-            probe_rows_packed(
-                &index,
-                range,
-                packer,
-                |i| rel_rows.row(i),
-                &rel_shared_pos,
-                |i, j| {
-                    merge_row(plan, acc.row(j), rel_rows.row(i), &mut values);
-                    weights.push(acc.weights[j].saturating_mul(rel_rows.freq(i) as u128));
-                },
-            );
-            (values, weights)
-        };
-        merge_parts(exec::par_map_ranges(
-            par,
-            rel_rows.len(),
-            MIN_PAR_PROBE,
-            probe,
-        ))
-    };
-
-    Ok(JoinResult {
-        attrs: new_attrs,
-        values: out_values,
-        weights: out_weights,
-    })
-}
-
-/// Joins all relations of an **already dictionary-encoded** instance with
-/// packed probe keys wherever the dictionary allows, then decodes the
-/// result back to raw values.
-///
-/// `enc_query` / `enc_instance` must come from
-/// [`AttrDictionary::encode_instance`] with the same `dict`.  Because
-/// encoding is a per-relation bijection preserving distinct counts and
-/// tuple order, the encoded fold visits the same relation order, builds on
-/// the same sides and emits rows in the same sequence as the raw fold —
-/// the decoded output is **byte-identical** to [`join`] on the raw
-/// instance.
-pub fn join_encoded(
-    enc_query: &JoinQuery,
-    enc_instance: &Instance,
-    dict: &AttrDictionary,
-    par: Parallelism,
-) -> Result<JoinResult> {
-    if enc_instance.num_relations() != enc_query.num_relations() {
-        return Err(RelationalError::RelationCountMismatch {
-            expected: enc_query.num_relations(),
-            got: enc_instance.num_relations(),
-        });
-    }
-    let all: Vec<usize> = (0..enc_query.num_relations()).collect();
-    let order = fold_order(enc_instance, &all);
-    let mut acc = JoinResult::from_relation(enc_instance.relation(order[0]));
-    for &ri in &order[1..] {
-        acc = hash_join_step_dict(&acc, enc_instance.relation(ri), dict, par)?;
-    }
-    Ok(acc.map_values(|a, code| dict.decode(a, code)))
-}
-
-/// Joins all relations through a freshly built attribute dictionary:
-/// builds the dictionary, encodes the instance, folds with packed probe
-/// keys and decodes on emit.  Byte-identical to [`join`]; callers that
-/// answer repeatedly over one instance should cache the dictionary and
-/// encoded instance via [`crate::ExecContext`] instead of re-encoding.
-pub fn join_dict(query: &JoinQuery, instance: &Instance, par: Parallelism) -> Result<JoinResult> {
-    let dict = AttrDictionary::build(query, instance);
-    let (enc_query, enc_instance) = dict.encode_instance(query, instance)?;
-    join_encoded(&enc_query, &enc_instance, &dict, par)
-}
-
-/// Whether every binary step of the engine's full fold over `instance` can
-/// use a packed single-word probe key under `dict` — the condition for
-/// [`join_encoded`] to run entirely on integer-compare keys.  Pure
-/// simulation over attribute lists; no tuples are touched.
-pub fn fold_fully_packable(instance: &Instance, dict: &AttrDictionary) -> bool {
-    let all: Vec<usize> = (0..instance.num_relations()).collect();
-    let order = fold_order(instance, &all);
-    let Some(&first) = order.first() else {
-        return true;
-    };
-    let mut acc_attrs: Vec<AttrId> = instance.relation(first).attrs().to_vec();
-    for &ri in &order[1..] {
-        let shared = intersect_attrs(&acc_attrs, instance.relation(ri).attrs());
-        if dict.packer(&shared).is_none() {
-            return false;
-        }
-        acc_attrs = union_attrs(&acc_attrs, instance.relation(ri).attrs());
-    }
-    true
 }
 
 /// The engine's greedy fold order for joining the relation subset `rels`:
@@ -1722,115 +1373,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scalar_and_batched_probe_modes_are_byte_identical() {
-        let q = JoinQuery::two_table(64, 4096, 64);
-        let mut inst = Instance::empty_for(&q).unwrap();
+    /// Two-relation instances whose single join step probes on a width-1
+    /// key (`B`) and on a two-attribute key (`A, B`), each large enough to
+    /// clear [`MIN_PAR_PROBE`].
+    fn narrow_and_wide_key_instances() -> Vec<(JoinQuery, Instance)> {
+        use crate::attr::{Attribute, Schema};
+        let narrow = JoinQuery::two_table(64, 4096, 64);
+        let mut narrow_inst = Instance::empty_for(&narrow).unwrap();
         for i in 0..3000u64 {
-            inst.relation_mut(0).add(vec![i % 37, i % 4096], 1).unwrap();
-            inst.relation_mut(1)
+            narrow_inst
+                .relation_mut(0)
+                .add(vec![i % 37, i % 4096], 1)
+                .unwrap();
+            narrow_inst
+                .relation_mut(1)
                 .add(vec![(i * 7) % 4096, i % 29], 1 + i % 3)
                 .unwrap();
         }
-        let acc = JoinResult::from_relation(inst.relation(0));
-        for par in [Parallelism::SEQUENTIAL, Parallelism::threads(4)] {
-            let batched =
-                hash_join_step_mode(&acc, inst.relation(1), par, ProbeMode::Batched).unwrap();
-            let scalar =
-                hash_join_step_mode(&acc, inst.relation(1), par, ProbeMode::Scalar).unwrap();
-            let b: Vec<(&[Value], u128)> = batched.iter_unordered().collect();
-            let s: Vec<(&[Value], u128)> = scalar.iter_unordered().collect();
-            assert_eq!(b, s, "modes must emit identical rows in identical order");
-        }
-    }
-
-    #[test]
-    fn dict_join_is_byte_identical_to_raw_join_on_wide_values() {
-        use crate::attr::{Attribute, Schema};
-        // Two relations sharing three wide attributes: the dictionary packs
-        // the 3-attribute key into one word.
-        let schema = Schema::new(vec![
-            Attribute::new("A", 1 << 40),
-            Attribute::new("B", 1 << 40),
-            Attribute::new("C", 1 << 40),
-            Attribute::new("D", 1 << 40),
-            Attribute::new("E", 1 << 40),
-        ]);
-        let q = JoinQuery::new(schema, vec![ids(&[0, 1, 2, 3]), ids(&[0, 1, 2, 4])]).unwrap();
-        let mut inst = Instance::empty_for(&q).unwrap();
-        let wide = |v: u64| v.wrapping_mul(0x9e37_79b9) % (1 << 40);
-        for i in 0..2000u64 {
-            inst.relation_mut(0)
-                .add(
-                    vec![wide(i % 61), wide(i % 53), wide(i % 47), wide(i)],
-                    1 + i % 2,
-                )
-                .unwrap();
-            inst.relation_mut(1)
-                .add(
-                    vec![wide(i % 61), wide(i % 53), wide(i % 43), wide(i + 7)],
-                    1,
-                )
-                .unwrap();
-        }
-        let raw = join(&q, &inst).unwrap();
-        for threads in [1usize, 4] {
-            let dict = join_dict(&q, &inst, Parallelism::threads(threads)).unwrap();
-            assert_eq!(dict.attrs(), raw.attrs());
-            let d: Vec<(&[Value], u128)> = dict.iter_unordered().collect();
-            let r: Vec<(&[Value], u128)> = raw.iter_unordered().collect();
-            assert_eq!(d, r, "threads = {threads}");
-        }
-        // The packability probe agrees with what the fold actually did.
-        let dict = crate::tuple::AttrDictionary::build(&q, &inst);
-        assert!(fold_fully_packable(&inst, &dict));
-    }
-
-    #[test]
-    fn dict_join_falls_back_when_keys_do_not_pack() {
-        // Cross product: the shared set is empty, which trivially packs; to
-        // force the fallback we need > 64 summed bits, i.e. wide keys over
-        // many dense attributes.  Build a 2-relation query sharing 5 attrs
-        // of 8192 codes each (5 × 13 bits = 65 > 64).
-        use crate::attr::{Attribute, Schema};
-        let n_codes = 8192u64;
         let schema = Schema::new(
-            (0..6)
-                .map(|i| Attribute::new(format!("x{i}"), n_codes))
+            ["A", "B", "C", "D"]
+                .iter()
+                .map(|n| Attribute::new(*n, 64))
                 .collect(),
         );
-        let q = JoinQuery::new(
-            schema,
-            vec![ids(&[0, 1, 2, 3, 4]), ids(&[0, 1, 2, 3, 4, 5])],
-        )
-        .unwrap();
-        let mut inst = Instance::empty_for(&q).unwrap();
-        for i in 0..n_codes {
-            inst.relation_mut(0).add(vec![i, i, i, i, i], 1).unwrap();
-            if i % 3 == 0 {
-                inst.relation_mut(1)
-                    .add(vec![i, i, i, i, i, i % 7], 2)
-                    .unwrap();
-            }
+        let wide = JoinQuery::new(schema, vec![ids(&[0, 1, 2]), ids(&[0, 1, 3])]).unwrap();
+        let mut wide_inst = Instance::empty_for(&wide).unwrap();
+        for i in 0..2000u64 {
+            wide_inst
+                .relation_mut(0)
+                .add(vec![i % 7, i % 11, i % 64], 1 + i % 2)
+                .unwrap();
+            wide_inst
+                .relation_mut(1)
+                .add(vec![(i * 3) % 7, i % 11, (i * 5) % 64], 1 + i % 3)
+                .unwrap();
         }
-        let dict = crate::tuple::AttrDictionary::build(&q, &inst);
-        assert!(!fold_fully_packable(&inst, &dict));
-        let raw = join(&q, &inst).unwrap();
-        let viadict = join_dict(&q, &inst, Parallelism::SEQUENTIAL).unwrap();
-        let d: Vec<(&[Value], u128)> = viadict.iter_unordered().collect();
-        let r: Vec<(&[Value], u128)> = raw.iter_unordered().collect();
-        assert_eq!(d, r);
+        vec![(narrow, narrow_inst), (wide, wide_inst)]
     }
 
     #[test]
-    fn map_values_rewrites_in_place() {
-        let (q, inst) = two_table();
-        let result = join(&q, &inst).unwrap();
-        let shifted = result.clone().map_values(|_, v| v + 100);
-        for ((t, w), (s, sw)) in result.iter_unordered().zip(shifted.iter_unordered()) {
-            assert_eq!(w, sw);
-            for (a, b) in t.iter().zip(s.iter()) {
-                assert_eq!(*b, *a + 100);
+    fn batched_probe_matches_naive_with_and_without_bloom() {
+        for (q, inst) in narrow_and_wide_key_instances() {
+            let acc = JoinResult::from_relation(inst.relation(0));
+            let rel = inst.relation(1);
+            let shared = intersect_attrs(acc.attrs(), rel.attrs());
+            let naive = crate::naive::join_naive(&q, &inst).unwrap();
+            let naive_rows: Vec<(Vec<Value>, u128)> =
+                naive.iter().map(|(t, w)| (t.clone(), w)).collect();
+            for par in [Parallelism::SEQUENTIAL, Parallelism::threads(4)] {
+                // Without the filter: the materializing step.
+                let step = hash_join_step_with(&acc, rel, par).unwrap();
+                assert_eq!(step.attrs(), naive.attrs());
+                let rows: Vec<(Vec<Value>, u128)> =
+                    step.iter().map(|(t, w)| (t.to_vec(), w)).collect();
+                assert_eq!(rows, naive_rows, "key width {}", shared.len());
+                // With the filter: the aggregate fold.
+                let agg = hash_join_step_agg(&acc, rel, &shared, par).unwrap();
+                assert_eq!(
+                    agg.max_group_weight,
+                    naive.max_group_weight(&shared).unwrap()
+                );
+                assert_eq!(agg.total_weight, naive.total());
+                assert_eq!(agg.distinct_count, naive.distinct_count());
             }
         }
     }
@@ -1986,7 +1590,7 @@ mod tests {
         let mut plain: Vec<(usize, usize)> = Vec::new();
         probe_rows(
             &index,
-            ProbeMode::Batched,
+            None,
             0..acc.distinct_count(),
             shared.len(),
             |i| acc.row(i),
@@ -1994,9 +1598,9 @@ mod tests {
             |i, j| plain.push((i, j)),
         );
         let mut pruned: Vec<(usize, usize)> = Vec::new();
-        probe_rows_bloom(
+        probe_rows(
             &index,
-            &bloom,
+            Some(&bloom),
             0..acc.distinct_count(),
             shared.len(),
             |i| acc.row(i),

@@ -50,7 +50,7 @@
 //!
 //! # Adaptive join planning
 //!
-//! [`SubJoinCache`] memoises sub-join results per subset bitmask so that
+//! [`ShardedSubJoinCache`] memoises sub-join results per subset bitmask so that
 //! `2^m`-subset enumerations (residual sensitivity, multi-relation degree
 //! statistics) perform one hash-join step per distinct subset instead of
 //! re-joining from the base relations each time.  *How* each subset
@@ -115,28 +115,21 @@
 //! The [`exec`] module provides a dependency-free scoped worker pool with a
 //! [`Parallelism`] knob and a **morsel-driven, work-stealing scheduler**:
 //! work is cut into fixed-size index morsels that workers claim dynamically
-//! from a shared atomic counter ([`Schedule::Stealing`], the default; the
-//! historical fixed stride survives as [`Schedule::Strided`] and per-worker
-//! claim counts surface through [`SchedulerStats`]).  The join engine's
-//! probe loops partition across the pool ([`join::hash_join_step_with`]) and
-//! [`ShardedSubJoinCache`] populates each lattice level by stealing — with
-//! outputs that are **byte-identical** to sequential execution at every
-//! worker count, morsel size and schedule (morsel boundaries are pure
-//! functions of the input length and results merge in morsel order; only
-//! *claiming* order varies), so the determinism contract above is
-//! unchanged.  Defaults come from [`Parallelism::available`] (the
+//! from a shared atomic counter, and per-worker claim counts surface through
+//! [`SchedulerStats`].  The join engine's probe loops partition across the
+//! pool ([`join::hash_join_step_with`]) and [`ShardedSubJoinCache`]
+//! populates each lattice level by stealing — with outputs that are
+//! **byte-identical** to sequential execution at every worker count and
+//! morsel size (morsel boundaries are pure functions of the input length
+//! and results merge in morsel order; only *claiming* order varies), so the
+//! determinism contract above is unchanged.  Defaults come from [`Parallelism::available`] (the
 //! `DPSYN_THREADS` environment variable — read once per process — or the
 //! machine's core count); `Parallelism::SEQUENTIAL` is the exact
 //! single-threaded code path.
 //!
-//! The probe loops themselves are **batched** ([`join::ProbeMode`]): probe
-//! keys are projected and hashed a batch at a time before the chains are
-//! walked.  On wide-valued attributes the engine can further run the whole
-//! fold on **dictionary-encoded keys** ([`tuple::AttrDictionary`],
-//! [`join::join_dict`], [`ExecContext::join_dict`]): values are replaced by
-//! dense per-attribute codes (sorted ranks, so encoding is monotone), key
-//! tuples that fit pack into a single `u64`, and results are decoded on
-//! emit — byte-identical to the raw-value path.
+//! The probe loops themselves are **batched**: probe keys are projected and
+//! hashed a batch at a time before the chains are walked (see the
+//! [`join`](mod@join) module docs).
 //!
 //! # Execution contexts
 //!
@@ -171,7 +164,7 @@
 //! slot across the [`instance_fingerprint`] transition so caches survive
 //! writes, and the rebuild-from-scratch path remains the cross-check oracle:
 //! maintained state is byte-identical to a cold rebuild at every thread
-//! count, morsel size and schedule.
+//! count and morsel size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -196,23 +189,22 @@ pub mod tree;
 pub mod tuple;
 
 pub use attr::{AttrId, Attribute, Schema};
-pub use cache::{ShardedSubJoinCache, SubJoinCache};
+pub use cache::ShardedSubJoinCache;
 pub use context::{
-    instance_fingerprint, DictionaryState, EvictionStats, ExecContext, UpdateReport,
-    DEFAULT_CACHE_SLOTS, DEFAULT_MIN_PAR_INSTANCE,
+    instance_fingerprint, EvictionStats, ExecContext, UpdateReport, DEFAULT_CACHE_SLOTS,
+    DEFAULT_MIN_PAR_INSTANCE,
 };
 pub use cover::{agm_bound, fractional_edge_cover, fractional_edge_cover_number};
-pub use degree::{deg_multi, deg_multi_cached, deg_single, max_degree, psi, psi_cached};
+pub use degree::{deg_multi, deg_single, max_degree, psi};
 pub use delta::{DeltaJoinPlan, JoinSizeDelta};
 pub use error::RelationalError;
-pub use exec::{Parallelism, Schedule, SchedulerStats};
+pub use exec::{Parallelism, SchedulerStats};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hypergraph::JoinQuery;
 pub use instance::{Instance, NeighborEdit};
 pub use join::{
-    fold_fully_packable, fold_order, grouped_join_size, hash_join_step, hash_join_step_agg,
-    hash_join_step_dict, hash_join_step_mode, hash_join_step_with, join, join_dict, join_encoded,
-    join_size, join_subset, AggSummary, JoinResult, ProbeMode,
+    fold_order, grouped_join_size, hash_join_step, hash_join_step_agg, hash_join_step_with, join,
+    join_size, join_subset, AggSummary, JoinResult,
 };
 pub use plan::{
     AggMode, DistinctSketch, JoinPlan, PlanConfig, PlanNodeStats, PlanStats, RelationStats,
@@ -221,9 +213,7 @@ pub use plan::{
 pub use relation::Relation;
 pub use stream::{apply_batch, UpdateBatch, UpdateOp, UpdateStats};
 pub use tree::AttributeTree;
-pub use tuple::{
-    project, project_positions, AttrDictionary, KeyArena, KeyPacker, TupleKey, Value, INLINE_ARITY,
-};
+pub use tuple::{project, project_positions, KeyArena, TupleKey, Value, INLINE_ARITY};
 
 /// Result alias used throughout the relational crate.
 pub type Result<T> = std::result::Result<T, RelationalError>;

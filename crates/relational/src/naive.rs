@@ -185,7 +185,7 @@ pub fn join_size_naive(query: &JoinQuery, instance: &Instance) -> Result<u128> {
 }
 
 /// All boundary values `T_F(I)` for proper subsets `F ⊊ [m]` computed from
-/// scratch with the naive engine — the pre-`SubJoinCache` strategy, kept as
+/// scratch with the naive engine — the pre-sub-join-cache strategy, kept as
 /// the oracle for the residual-sensitivity property tests and the
 /// `residual_subsets` benchmark.
 pub fn all_boundary_values_naive(

@@ -53,10 +53,10 @@
 //! [`crate::ExecContext::join_plan`] and stored in the context's LRU slot
 //! alongside the lattice, the shared full join and the delta plan; every
 //! checkout of the sub-join cache carries the same `Arc`, so parallel and
-//! sequential consumers observe the identical decomposition.  Bare caches
-//! ([`crate::SubJoinCache::new`], [`crate::ShardedSubJoinCache::new`])
-//! default to [`JoinPlan::fixed_prefix`] — the exact historical chain — and
-//! accept a planner-built plan through their `with_plan` constructors.
+//! sequential consumers observe the identical decomposition.  A bare cache
+//! ([`crate::ShardedSubJoinCache::new`]) defaults to
+//! [`JoinPlan::fixed_prefix`] — the exact historical chain — and accepts a
+//! planner-built plan through its `with_plan` constructor.
 //!
 //! ### Determinism contract
 //!

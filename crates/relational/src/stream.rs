@@ -68,7 +68,7 @@
 //! rebuild of the updated instance produces: the additive identity above is
 //! exact over `Z≥0` weights, and every observable surface of
 //! [`JoinResult`] sorts on emit, so downstream bytes are identical to a
-//! cold rebuild at every thread count, morsel size and schedule.  The
+//! cold rebuild at every thread count and morsel size.  The
 //! rebuild path stays available as the cross-check oracle
 //! ([`apply_batch`] + a fresh context), and `tests/properties.rs` asserts
 //! maintained ≡ rebuilt ≡ naive per mask.

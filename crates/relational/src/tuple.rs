@@ -266,218 +266,6 @@ impl KeyArena {
     }
 }
 
-/// A per-instance **attribute dictionary**: for every schema attribute, the
-/// sorted list of values that actually occur in the instance, so each value
-/// can be replaced by its dense rank (`u32`-sized code).
-///
-/// Wide attribute values — sparse identifiers drawn from huge domains — make
-/// tuple keys expensive: multi-word hashing and multi-word equality on every
-/// probe.  Encoding the instance through the dictionary shrinks every value
-/// to its dense code, after which multi-attribute join keys usually fit a
-/// single `u64` (see [`AttrDictionary::packer`]) and key equality/hash is
-/// one integer compare.
-///
-/// **Order preservation.**  Codes are assigned in ascending value order
-/// (`code(v) < code(w) ⟺ v < w` for values of the same attribute), so
-/// encoding is monotone per attribute and the lexicographic order of whole
-/// tuples is preserved.  Every sorted-on-emit surface of the engine
-/// therefore emits encoded tuples in exactly the order of their raw
-/// counterparts, and decoding on emit reproduces raw output **byte for
-/// byte** — the dictionary is invisible downstream.
-///
-/// The dictionary is a snapshot of one instance: values not present when it
-/// was built have no code, and [`AttrDictionary::encode_instance`] fails on
-/// them.  `ExecContext` caches one dictionary per instance fingerprint, so
-/// an edited instance gets a fresh dictionary rather than a stale one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttrDictionary {
-    /// Per schema attribute (indexed by `AttrId::index`): the sorted
-    /// distinct values of that attribute across all relations that mention
-    /// it.  A value's code is its position in this table.
-    tables: Vec<Vec<Value>>,
-}
-
-impl AttrDictionary {
-    /// Builds the dictionary for `(query, instance)`: one pass over every
-    /// relation, collecting each attribute's distinct values, then sorting.
-    /// The result depends only on the instance contents — never on hash or
-    /// scheduling order.
-    pub fn build(
-        query: &crate::hypergraph::JoinQuery,
-        instance: &crate::instance::Instance,
-    ) -> Self {
-        let mut tables: Vec<Vec<Value>> = vec![Vec::new(); query.schema().attr_count()];
-        for rel in instance.relations() {
-            let attrs = rel.attrs();
-            for (tuple, _) in rel.iter() {
-                for (pos, attr) in attrs.iter().enumerate() {
-                    tables[attr.index()].push(tuple[pos]);
-                }
-            }
-        }
-        for table in &mut tables {
-            table.sort_unstable();
-            table.dedup();
-        }
-        AttrDictionary { tables }
-    }
-
-    /// Number of distinct values (codes) of `attr` in the instance.
-    pub fn code_count(&self, attr: AttrId) -> usize {
-        self.tables.get(attr.index()).map_or(0, Vec::len)
-    }
-
-    /// Per-attribute code counts, indexed by [`AttrId::index`].
-    pub fn code_counts(&self) -> Vec<usize> {
-        self.tables.iter().map(Vec::len).collect()
-    }
-
-    /// The dense code of `value` for `attr`, if the value occurred in the
-    /// instance the dictionary was built from.
-    #[inline]
-    pub fn code(&self, attr: AttrId, value: Value) -> Option<u32> {
-        self.tables
-            .get(attr.index())?
-            .binary_search(&value)
-            .ok()
-            .map(|c| c as u32)
-    }
-
-    /// The raw value behind `code` for `attr`.  Panics if the code is out
-    /// of range — encoded data only ever contains codes this dictionary
-    /// issued, so an out-of-range code is a logic error, not bad input.
-    #[inline]
-    pub fn decode(&self, attr: AttrId, code: Value) -> Value {
-        self.tables[attr.index()][code as usize]
-    }
-
-    /// Bits needed to store any code of `attr` (at least 1).
-    fn code_bits(&self, attr: AttrId) -> u32 {
-        let max_code = self.code_count(attr).saturating_sub(1) as u64;
-        (u64::BITS - max_code.leading_zeros()).max(1)
-    }
-
-    /// A packer squeezing a key over `attrs` (sorted) into a single `u64`,
-    /// if the attributes' summed code widths fit 64 bits.  Keys packed by
-    /// the same packer are equal iff the underlying code tuples are equal.
-    pub fn packer(&self, attrs: &[AttrId]) -> Option<KeyPacker> {
-        let bits: Vec<u32> = attrs.iter().map(|&a| self.code_bits(a)).collect();
-        KeyPacker::new(bits)
-    }
-
-    /// Encodes `(query, instance)` through the dictionary: every value is
-    /// replaced by its dense code and every attribute's domain shrinks to
-    /// its code count.  Relation iteration order (sorted by tuple) maps
-    /// 1:1 because encoding is monotone per attribute.
-    ///
-    /// Fails with [`RelationalError::ValueOutOfDomain`] if the instance
-    /// contains a value the dictionary has never seen (i.e. the dictionary
-    /// was built from a different instance).
-    pub fn encode_instance(
-        &self,
-        query: &crate::hypergraph::JoinQuery,
-        instance: &crate::instance::Instance,
-    ) -> Result<(crate::hypergraph::JoinQuery, crate::instance::Instance)> {
-        use crate::attr::{Attribute, Schema};
-
-        let schema = query.schema();
-        let enc_attrs: Vec<Attribute> = (0..schema.attr_count() as u16)
-            .map(|i| {
-                let attr = schema.attr(AttrId(i)).expect("index in range");
-                Attribute::new(attr.name.clone(), self.code_count(AttrId(i)).max(1) as u64)
-            })
-            .collect();
-        let enc_query =
-            crate::hypergraph::JoinQuery::new(Schema::new(enc_attrs), query.relations().to_vec())?;
-
-        let mut enc_relations = Vec::with_capacity(instance.num_relations());
-        for rel in instance.relations() {
-            let attrs = rel.attrs();
-            let mut enc = crate::relation::Relation::new(attrs.to_vec())?;
-            for (tuple, freq) in rel.iter() {
-                let mut enc_tuple = Vec::with_capacity(tuple.len());
-                for (pos, &attr) in attrs.iter().enumerate() {
-                    let code =
-                        self.code(attr, tuple[pos])
-                            .ok_or(RelationalError::ValueOutOfDomain {
-                                attr: attr.0,
-                                value: tuple[pos],
-                                domain_size: self.code_count(attr) as u64,
-                            })?;
-                    enc_tuple.push(code as Value);
-                }
-                enc.add(enc_tuple, freq)?;
-            }
-            enc_relations.push(enc);
-        }
-        Ok((enc_query, crate::instance::Instance::new(enc_relations)))
-    }
-}
-
-/// Packs a fixed-width code tuple into one `u64` by bit concatenation.
-///
-/// Built by [`AttrDictionary::packer`] from per-attribute code widths; only
-/// exists when the widths sum to ≤ 64 bits, so packing is always injective
-/// and two packed keys are equal iff their code tuples are.  The packed
-/// word is an internal probe key only — it never appears in emitted output
-/// (results are decoded value-by-value), so its exact layout is free to
-/// favor speed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyPacker {
-    bits: Vec<u32>,
-}
-
-impl KeyPacker {
-    /// A packer for fields of the given bit widths, if they fit 64 bits.
-    pub fn new(bits: Vec<u32>) -> Option<Self> {
-        let total: u32 = bits.iter().sum();
-        (total <= u64::BITS && bits.iter().all(|&b| b >= 1)).then_some(KeyPacker { bits })
-    }
-
-    /// Number of fields per key.
-    pub fn width(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Packs `vals` (one per field, each `< 2^bits`) into a single word.
-    #[inline]
-    pub fn pack(&self, vals: &[Value]) -> u64 {
-        debug_assert_eq!(vals.len(), self.bits.len(), "packed key width mismatch");
-        let mut out: u64 = 0;
-        for (&v, &b) in vals.iter().zip(self.bits.iter()) {
-            debug_assert!(
-                b == u64::BITS || v < (1u64 << b),
-                "value exceeds field width"
-            );
-            // b = 64 only as the sole field (widths sum to ≤ 64), where out
-            // is still 0; a plain shift would overflow-panic in debug.
-            out = if b == u64::BITS { v } else { (out << b) | v };
-        }
-        out
-    }
-
-    /// Packs the projection of `tuple` onto pre-computed `positions`
-    /// without materialising the projected slice.
-    #[inline]
-    pub fn pack_projected(&self, tuple: &[Value], positions: &[usize]) -> u64 {
-        debug_assert_eq!(
-            positions.len(),
-            self.bits.len(),
-            "packed key width mismatch"
-        );
-        let mut out: u64 = 0;
-        for (&p, &b) in positions.iter().zip(self.bits.iter()) {
-            let v = tuple[p];
-            debug_assert!(
-                b == u64::BITS || v < (1u64 << b),
-                "value exceeds field width"
-            );
-            out = if b == u64::BITS { v } else { (out << b) | v };
-        }
-        out
-    }
-}
-
 /// Computes, for each attribute in `onto`, its position inside `attrs`.
 ///
 /// Both lists must be sorted; `onto` must be a subset of `attrs`.
@@ -738,119 +526,6 @@ mod tests {
         assert!(arena.is_empty());
         arena.push_projected(&[4, 5, 6], &[1, 2]);
         assert_eq!(arena.row(0), &[5, 6]);
-    }
-
-    fn wide_value_pair() -> (crate::hypergraph::JoinQuery, crate::instance::Instance) {
-        use crate::attr::{Attribute, Schema};
-        // Two relations sharing attribute 1; values are sparse in a huge
-        // domain (the "wide attribute" case the dictionary exists for).
-        let schema = Schema::new(vec![
-            Attribute::new("A", 1 << 40),
-            Attribute::new("B", 1 << 40),
-            Attribute::new("C", 1 << 40),
-        ]);
-        let q =
-            crate::hypergraph::JoinQuery::new(schema, vec![ids(&[0, 1]), ids(&[1, 2])]).unwrap();
-        let r1 = crate::relation::Relation::from_tuples(
-            ids(&[0, 1]),
-            vec![
-                (vec![1 << 30, 5_000_000_000], 2),
-                (vec![77, 9_999_999_999], 1),
-            ],
-        )
-        .unwrap();
-        let r2 = crate::relation::Relation::from_tuples(
-            ids(&[1, 2]),
-            vec![
-                (vec![5_000_000_000, 3], 1),
-                (vec![9_999_999_999, 1 << 35], 4),
-            ],
-        )
-        .unwrap();
-        (q, crate::instance::Instance::new(vec![r1, r2]))
-    }
-
-    #[test]
-    fn dictionary_codes_are_dense_sorted_and_monotone() {
-        let (q, inst) = wide_value_pair();
-        let dict = AttrDictionary::build(&q, &inst);
-        assert_eq!(dict.code_counts(), vec![2, 2, 2]);
-        // Codes are ranks in ascending value order.
-        assert_eq!(dict.code(AttrId(0), 77), Some(0));
-        assert_eq!(dict.code(AttrId(0), 1 << 30), Some(1));
-        assert_eq!(dict.code(AttrId(1), 5_000_000_000), Some(0));
-        assert_eq!(dict.code(AttrId(1), 9_999_999_999), Some(1));
-        assert_eq!(dict.code(AttrId(1), 42), None);
-        // Decode inverts.
-        assert_eq!(dict.decode(AttrId(1), 1), 9_999_999_999);
-        // Monotone: value order and code order agree.
-        assert!(dict.code(AttrId(2), 3).unwrap() < dict.code(AttrId(2), 1 << 35).unwrap());
-    }
-
-    #[test]
-    fn encode_instance_round_trips_and_shrinks_domains() {
-        let (q, inst) = wide_value_pair();
-        let dict = AttrDictionary::build(&q, &inst);
-        let (enc_q, enc_inst) = dict.encode_instance(&q, &inst).unwrap();
-        assert_eq!(enc_q.schema().domain_size(AttrId(0)).unwrap(), 2);
-        assert!(enc_inst.validate(&enc_q).is_ok());
-        // Frequencies and tuple counts are preserved.
-        assert_eq!(enc_inst.input_size(), inst.input_size());
-        // Encoded relation iterates in the same order as the raw relation
-        // (monotone encoding preserves lexicographic tuple order), and
-        // decoding each value reproduces the raw tuple stream exactly.
-        for (rel, enc_rel) in inst.relations().iter().zip(enc_inst.relations()) {
-            let attrs = rel.attrs();
-            for ((raw, rf), (enc, ef)) in rel.iter().zip(enc_rel.iter()) {
-                assert_eq!(rf, ef);
-                let decoded: Vec<Value> = enc
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &code)| dict.decode(attrs[pos], code))
-                    .collect();
-                assert_eq!(&decoded, raw);
-            }
-        }
-        // A foreign instance with unseen values fails to encode.
-        let mut other = inst.clone();
-        other
-            .relation_mut(0)
-            .add_one(vec![123_456, 654_321])
-            .unwrap();
-        assert!(dict.encode_instance(&q, &other).is_err());
-    }
-
-    #[test]
-    fn key_packer_is_injective_and_respects_widths() {
-        let (q, inst) = wide_value_pair();
-        let dict = AttrDictionary::build(&q, &inst);
-        // 2 codes per attr → 1 bit each; a 3-attr key packs into 3 bits.
-        let packer = dict.packer(&ids(&[0, 1, 2])).unwrap();
-        assert_eq!(packer.width(), 3);
-        let mut seen = std::collections::BTreeSet::new();
-        for a in 0..2u64 {
-            for b in 0..2u64 {
-                for c in 0..2u64 {
-                    assert!(
-                        seen.insert(packer.pack(&[a, b, c])),
-                        "packing must be injective"
-                    );
-                }
-            }
-        }
-        // pack_projected agrees with pack on the projected slice.
-        let tuple = [1u64, 0, 1, 0];
-        assert_eq!(
-            packer.pack_projected(&tuple, &[0, 2, 3]),
-            packer.pack(&[1, 1, 0])
-        );
-        // Oversized widths refuse to build.
-        assert!(KeyPacker::new(vec![33, 32]).is_none());
-        assert!(KeyPacker::new(vec![64]).is_some());
-        assert!(KeyPacker::new(vec![0, 4]).is_none());
-        // A single 64-bit field packs without overflow.
-        let wide = KeyPacker::new(vec![64]).unwrap();
-        assert_eq!(wide.pack(&[u64::MAX]), u64::MAX);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! maximum degrees.
 
 use dpsyn_relational::{
-    grouped_join_size, AttrId, Instance, JoinQuery, Parallelism, ShardedSubJoinCache, SubJoinCache,
+    grouped_join_size, AttrId, Instance, JoinQuery, Parallelism, ShardedSubJoinCache,
 };
 
 use crate::Result;
@@ -34,32 +34,10 @@ pub fn aggregate_query(
     Ok(groups.values().copied().max().unwrap_or(0))
 }
 
-/// [`aggregate_query`] evaluated through a [`SubJoinCache`], so that
+/// [`aggregate_query`] evaluated through a [`ShardedSubJoinCache`], so that
 /// enumerating many subsets `E` of the same instance shares sub-join work
-/// (the `2^m` enumeration of residual sensitivity in particular).
-pub fn aggregate_query_cached(
-    cache: &mut SubJoinCache<'_>,
-    e: &[usize],
-    y: &[AttrId],
-) -> Result<u128> {
-    if e.is_empty() {
-        return Ok(1);
-    }
-    Ok(cache.join_rels(e)?.max_group_weight(y)?)
-}
-
-/// [`boundary_query`] evaluated through a [`SubJoinCache`].
-pub fn boundary_query_cached(cache: &mut SubJoinCache<'_>, e: &[usize]) -> Result<u128> {
-    if e.is_empty() {
-        return Ok(1);
-    }
-    let boundary = cache.query().boundary(e)?;
-    aggregate_query_cached(cache, e, &boundary)
-}
-
-/// [`aggregate_query`] evaluated through a [`ShardedSubJoinCache`], the
-/// concurrency-safe variant pool workers call while enumerating many subsets
-/// of the same instance in parallel.
+/// (the `2^m` enumeration of residual sensitivity in particular).  Safe to
+/// call from pool workers enumerating subsets in parallel.
 ///
 /// Routes through [`ShardedSubJoinCache::max_group_weight`], so terminal
 /// masks fold count-only under the cache's aggregate-pushdown mode instead of

@@ -160,7 +160,7 @@ impl SensitivityOps for ExecContext {
             // re-plans the remaining levels (values are identical to the
             // static populate; see `dpsyn_relational::plan`).  The feedback
             // stats ride the cache back into the context's slot.
-            cache.populate_demanded_adaptive(par, exec::Schedule::Stealing, self.plan_config())?;
+            cache.populate_demanded_adaptive(par, self.plan_config())?;
         }
         let full = (1u32 << m) - 1;
         let entries = exec::par_map(par, full as usize, |i| -> Result<(Vec<usize>, u128)> {

@@ -54,8 +54,7 @@ pub mod settings;
 pub mod smooth;
 
 pub use boundary::{
-    aggregate_query, aggregate_query_cached, aggregate_query_sharded, boundary_query,
-    boundary_query_cached, boundary_query_sharded,
+    aggregate_query, aggregate_query_sharded, boundary_query, boundary_query_sharded,
 };
 pub use config::{DegreeConfiguration, UniformPartitionSpec};
 pub use context_ext::SensitivityOps;

@@ -14,7 +14,7 @@
 //! `Δ = max_b max{deg_{1,B}(b), deg_{2,B}(b)}`.
 
 use dpsyn_relational::degree::two_table_max_shared_degree;
-use dpsyn_relational::{Instance, JoinQuery, SubJoinCache};
+use dpsyn_relational::{Instance, JoinQuery, Parallelism, ShardedSubJoinCache};
 
 use crate::boundary::boundary_query;
 use crate::context_ext::SensitivityOps;
@@ -25,8 +25,8 @@ use crate::Result;
 /// query, at the default execution settings.
 ///
 /// The `m` size-`(m-1)` sub-joins overlap heavily, so they are evaluated
-/// through one shared [`SubJoinCache`].  Builds a throwaway context per
-/// call; hold an [`dpsyn_relational::ExecContext`] (or a `dpsyn::Session`)
+/// through the context's shared sub-join lattice.  Builds a throwaway
+/// context per call; hold an [`dpsyn_relational::ExecContext`] (or a `dpsyn::Session`)
 /// to reuse the sub-join lattice across calls.
 pub fn local_sensitivity(query: &JoinQuery, instance: &Instance) -> Result<u128> {
     SensitivityConfig::default()
@@ -41,14 +41,14 @@ pub fn local_sensitivity(query: &JoinQuery, instance: &Instance) -> Result<u128>
 pub(crate) fn local_sensitivity_seq(query: &JoinQuery, instance: &Instance) -> Result<u128> {
     let m = query.num_relations();
     let mut best = 0u128;
-    let mut cache = if m < 32 {
-        Some(SubJoinCache::new(query, instance)?)
+    let cache = if m < 32 {
+        Some(ShardedSubJoinCache::new(query, instance)?)
     } else {
         None
     };
     for i in 0..m {
         let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-        let t = match &mut cache {
+        let t = match &cache {
             Some(cache) => {
                 // Transient top-level join: the m size-(m-1) results are
                 // each consumed once and can dwarf the inputs, so only
@@ -58,7 +58,7 @@ pub(crate) fn local_sensitivity_seq(query: &JoinQuery, instance: &Instance) -> R
                     1
                 } else {
                     cache
-                        .join_rels_transient(&others)?
+                        .join_mask_transient(cache.mask_of(&others)?, Parallelism::SEQUENTIAL)?
                         .max_group_weight(&boundary)?
                 }
             }

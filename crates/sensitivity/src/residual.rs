@@ -24,9 +24,9 @@
 
 use std::collections::BTreeMap;
 
-use dpsyn_relational::{Instance, JoinQuery, SubJoinCache};
+use dpsyn_relational::{Instance, JoinQuery, Parallelism, ShardedSubJoinCache};
 
-use crate::boundary::boundary_query_cached;
+use crate::boundary::boundary_query_sharded;
 use crate::context_ext::SensitivityOps;
 use crate::error::SensitivityError;
 use crate::settings::SensitivityConfig;
@@ -75,11 +75,11 @@ pub(crate) fn check_beta(beta: f64) -> Result<()> {
 /// Precomputes `T_F(I)` for every proper subset `F ⊊ [m]`, keyed by the sorted
 /// subset (the empty subset maps to 1).
 ///
-/// All `2^m - 1` sub-joins are evaluated through one shared [`SubJoinCache`]
-/// (on its historical fixed-prefix decomposition — this free function
-/// doubles as the planner's cross-check path), so each subset costs a single
-/// incremental hash-join step over its cached parent instead of a full
-/// re-join from the base relations.  The context method
+/// All `2^m - 1` sub-joins are evaluated sequentially through one shared
+/// [`ShardedSubJoinCache`] (on its historical fixed-prefix decomposition —
+/// this free function doubles as the planner's cross-check path), so each
+/// subset costs a single incremental hash-join step over its cached parent
+/// instead of a full re-join from the base relations.  The context method
 /// ([`SensitivityOps::all_boundary_values`]) additionally decomposes along
 /// the cost-based join plan and persists the lattice across calls.
 pub fn all_boundary_values(
@@ -87,11 +87,11 @@ pub fn all_boundary_values(
     instance: &Instance,
 ) -> Result<BTreeMap<Vec<usize>, u128>> {
     let m = query.num_relations();
-    let mut cache = SubJoinCache::new(query, instance)?;
+    let cache = ShardedSubJoinCache::new(query, instance)?;
     let mut out = BTreeMap::new();
     for mask in 0u32..((1u32 << m) - 1) {
         let f: Vec<usize> = (0..m).filter(|i| mask & (1 << i) != 0).collect();
-        let value = boundary_query_cached(&mut cache, &f)?;
+        let value = boundary_query_sharded(&cache, &f, Parallelism::SEQUENTIAL)?;
         out.insert(f, value);
     }
     Ok(out)

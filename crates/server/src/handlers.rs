@@ -260,10 +260,6 @@ pub fn update_dataset(store: &Store, name: &str, body: &[u8]) -> Reply {
                         "relations_touched",
                         Json::Num(report.stats.relations_touched as f64),
                     ),
-                    (
-                        "dictionary_retained",
-                        Json::Bool(report.dictionary_retained),
-                    ),
                 ]),
             ),
         ])))

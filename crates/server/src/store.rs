@@ -418,7 +418,7 @@ impl Store {
 
     /// Applies an update batch to a served dataset, maintaining its warm
     /// execution state in place (`ExecContext::apply_updates`: the cached
-    /// sub-join lattice, full join, delta plan and dictionary migrate to
+    /// sub-join lattice, full join, delta plan and join plan migrate to
     /// the updated instance's fingerprint instead of being orphaned).
     ///
     /// Like uploads, updates are in-memory only and never touch the ledger.

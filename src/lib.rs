@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`session`] | (this crate) | [`Session`] + [`ReleaseRequest`]: the long-lived entry point owning parallelism, sensitivity settings and the persistent sub-join caches |
-//! | [`relational`] | `dpsyn-relational` | schemas, annotated relations, join hypergraphs, the hash-join engine (columnar `JoinResult`, inline `TupleKey`), the `ExecContext` execution layer, the `SubJoinCache` for subset enumerations, degrees, attribute trees, plus the retained `naive` reference engine |
+//! | [`relational`] | `dpsyn-relational` | schemas, annotated relations, join hypergraphs, the hash-join engine (columnar `JoinResult`, inline `TupleKey`), the `ExecContext` execution layer, the `ShardedSubJoinCache` for subset enumerations, degrees, attribute trees, plus the retained `naive` reference engine |
 //! | [`noise`] | `dpsyn-noise` | Laplace / truncated Laplace, exponential mechanism, privacy budgets & composition |
 //! | [`sensitivity`] | `dpsyn-sensitivity` | local, global, and residual sensitivity; maximum degrees; degree configurations |
 //! | [`query`] | `dpsyn-query` | linear query families over joins and their evaluation |
@@ -131,8 +131,8 @@
 //! ([`relational::stream`]): per updated relation, the Δ-relation is joined
 //! against the current cached intermediates and folded in (deletes as
 //! weight retraction under the engine's saturating-arithmetic rules), and
-//! the whole LRU slot — sub-join lattice, full join, delta plan, attribute
-//! dictionary — migrates to the updated instance's fingerprint instead of
+//! the whole LRU slot — sub-join lattice, full join, delta plan, join
+//! plan — migrates to the updated instance's fingerprint instead of
 //! being orphaned.  Maintenance never changes bytes: a post-update release
 //! is identical to one from a cold session at the same seed, at every
 //! thread count (the rebuild path remains the cross-check oracle in
@@ -148,7 +148,7 @@
 //! [`relational::TupleKey`], multi-way joins pick their fold order by
 //! relation size, and the `2^m` relation-subset enumerations behind residual
 //! sensitivity share sub-join work through a
-//! [`relational::SubJoinCache`] — decomposed by the cost-based join planner
+//! [`relational::ShardedSubJoinCache`] — decomposed by the cost-based join planner
 //! ([`relational::plan`]: per-subset pivots chosen from per-relation
 //! statistics, so cached intermediates are the smallest available; tracked
 //! by the `planner/*` rows of `BENCH_join.json`) and persisted **across

@@ -98,20 +98,17 @@
 //!    with work stealing ([`dpsyn_relational::exec`]): workers claim
 //!    morsels dynamically, but every result is tagged with its morsel index
 //!    and merged in morsel order — so `Session::sequential()` and a
-//!    64-thread session produce the same bytes at every morsel size and
-//!    schedule, differing only in wall-clock time.  The same holds for the
-//!    dictionary-encoded probe path ([`Session::join_dict`]), which decodes
-//!    on emit.
+//!    64-thread session produce the same bytes at every morsel size,
+//!    differing only in wall-clock time.
 
 use dpsyn_core::{IndependentLaplaceBaseline, Mechanism, SyntheticRelease};
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::{AnswerOps, AnswerSet, ProductQuery, QueryFamily};
 use dpsyn_relational::{
-    DictionaryState, ExecContext, Instance, JoinQuery, JoinResult, JoinSizeDelta, NeighborEdit,
-    Parallelism, PlanConfig, PlanStats, UpdateBatch, UpdateReport,
+    ExecContext, Instance, JoinQuery, JoinSizeDelta, NeighborEdit, Parallelism, PlanConfig,
+    PlanStats, UpdateBatch, UpdateReport,
 };
 use dpsyn_sensitivity::{ResidualSensitivity, SensitivityConfig, SensitivityOps};
-use std::sync::Arc;
 
 /// Everything one release needs, bundled: the join query, the private
 /// instance, the query workload, the privacy budget, and the RNG seed that
@@ -334,33 +331,6 @@ impl Session {
     ) -> dpsyn_query::Result<QueryFamily> {
         let mut rng = seeded_rng(seed);
         QueryFamily::random_sign(query, size, &mut rng)
-    }
-
-    /// The full join through the **dictionary-encoded probe path**: values
-    /// are replaced by dense per-attribute codes (built once per instance and
-    /// cached in the session's LRU slot), the fold probes on integer keys —
-    /// packed into a single `u64` wherever the code widths fit — and the
-    /// result is decoded on emit.  Byte-identical to the raw-value join;
-    /// faster on wide-valued attributes (see
-    /// [`dpsyn_relational::join::join_dict`]).
-    pub fn join_dict(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-    ) -> dpsyn_relational::Result<JoinResult> {
-        self.ctx.join_dict(query, instance)
-    }
-
-    /// The pair's cached [`DictionaryState`] — the per-attribute dictionary
-    /// plus the encoded instance — for diagnostics: code counts per
-    /// attribute, and whether every fold step packs its probe keys into one
-    /// `u64` ([`DictionaryState::fully_packable`]).
-    pub fn attr_dictionary(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-    ) -> dpsyn_relational::Result<Arc<DictionaryState>> {
-        self.ctx.attr_dictionary(query, instance)
     }
 
     // --- sensitivity -------------------------------------------------------
@@ -604,19 +574,6 @@ mod tests {
 
         session.clear_cache();
         assert_eq!(session.cached_subjoins(), 0);
-    }
-
-    #[test]
-    fn session_dict_join_matches_raw_join_and_caches_the_dictionary() {
-        let (q, inst) = fixture();
-        let session = Session::sequential();
-        let raw = session.context().join(&q, &inst).unwrap();
-        let dict = session.join_dict(&q, &inst).unwrap();
-        assert_eq!(dict, raw);
-        let state = session.attr_dictionary(&q, &inst).unwrap();
-        let again = session.attr_dictionary(&q, &inst).unwrap();
-        assert!(Arc::ptr_eq(&state, &again), "dictionary built once");
-        assert!(state.fully_packable(), "small codes pack into one u64");
     }
 
     #[test]

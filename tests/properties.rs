@@ -13,8 +13,7 @@ use dpsyn_datagen::{random_path, random_star, random_two_table, zipf_two_table};
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive, join_subset_naive};
 use dpsyn_relational::{
-    deg_multi, deg_multi_cached, join_subset, NeighborEdit, ShardedSubJoinCache, SubJoinCache,
-    Value,
+    deg_multi, join_subset, JoinResult, NeighborEdit, ShardedSubJoinCache, Value,
 };
 use dpsyn_sensitivity::{
     all_boundary_values, candidate_edits, ls_hat_k, SensitivityConfig, SensitivityOps,
@@ -139,17 +138,33 @@ fn cached_boundary_values_match_naive_recomputation() {
     }
 }
 
-/// Cached multi-relation degree maps agree with the uncached definition.
+/// Multi-relation degree maps through an execution context (the path the
+/// hierarchical release takes) agree with the free function at every
+/// thread count, and with Definition 4.7 evaluated over the naive engine:
+/// for `|E| > 1`, `deg_{E,y}(t)` counts the distinct projections of the
+/// sub-join onto `⋂_{i∈E} x_i` that project further onto `t`.
 #[test]
-fn cached_degree_maps_match_uncached() {
+fn context_degree_maps_match_free_function_and_naive() {
     for seed in 0..CASES {
         let (query, inst) = random_star(3, 8, 30, 1.0, &mut seeded_rng(2000 + seed));
-        let mut cache = SubJoinCache::new(&query, &inst).unwrap();
         let hub = vec![AttrId(0)];
         for rels in non_empty_subsets(query.num_relations()) {
             let plain = deg_multi(&query, &inst, &rels, &hub).unwrap();
-            let cached = deg_multi_cached(&mut cache, &rels, &hub).unwrap();
-            assert_eq!(plain, cached, "degree maps differ, seed {seed}");
+            for threads in [1usize, 4] {
+                let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
+                let via_ctx = ctx.deg_multi(&query, &inst, &rels, &hub).unwrap();
+                assert_eq!(plain, via_ctx, "seed {seed}, threads {threads}, E {rels:?}");
+            }
+            if rels.len() > 1 {
+                // In a star every relation holds the hub, so ⋂ x_i = {hub}
+                // and each distinct hub value of the sub-join counts once.
+                let naive = join_subset_naive(&query, &inst, &rels).unwrap();
+                let mut expect: std::collections::BTreeMap<Vec<Value>, u64> = Default::default();
+                for (hub_value, _) in naive.group_by(&hub).unwrap() {
+                    expect.insert(hub_value, 1);
+                }
+                assert_eq!(plain, expect, "seed {seed}, E {rels:?}");
+            }
         }
     }
 }
@@ -555,7 +570,7 @@ fn distinct_sketch_is_accurate_and_merge_is_a_semilattice() {
 #[test]
 fn adaptive_planning_is_byte_identical_to_static_and_naive() {
     use dpsyn_datagen::{correlated_pair, heavy_hitter_star};
-    use dpsyn_relational::{PlanConfig, Schedule};
+    use dpsyn_relational::PlanConfig;
     for seed in 0..2u64 {
         let shapes: Vec<(&str, (JoinQuery, Instance))> = vec![
             (
@@ -587,7 +602,6 @@ fn adaptive_planning_is_byte_identical_to_static_and_naive() {
                     let (_, replan) = adaptive
                         .populate_proper_subsets_adaptive(
                             Parallelism::threads(threads),
-                            Schedule::Stealing,
                             &PlanConfig::with_replan_ratio(ratio),
                         )
                         .unwrap();
@@ -1039,15 +1053,18 @@ fn scheduler_shapes(seed: u64) -> Vec<(&'static str, JoinQuery, Instance)> {
     ]
 }
 
-/// Work-stealing, strided, sequential and naive evaluation agree
-/// **byte-per-byte** at 1/2/4/8 threads on chain, star and heavy-hitter
-/// skewed shapes, on cold and warm contexts alike.  `JoinResult` equality
-/// compares the full columnar layout (flat row-major values plus weights),
-/// so `assert_eq!` here really is a byte-level check, not just a multiset
-/// check.
+/// Work-stealing, sequential and naive evaluation agree at 1/2/4/8 threads
+/// on chain, star and heavy-hitter skewed shapes, on cold and warm contexts
+/// alike.  Parallel results are compared to sequential ones in construction
+/// order (`iter_unordered`), which is a byte-level check; `JoinResult`'s own
+/// equality is order-insensitive, so it serves only the value checks
+/// against the naive engine.
 #[test]
-fn work_stealing_is_byte_identical_to_strided_sequential_and_naive() {
-    use dpsyn_relational::{exec, Schedule};
+fn work_stealing_is_byte_identical_to_sequential_and_naive() {
+    use dpsyn_relational::exec;
+    fn stored(result: &JoinResult) -> Vec<(&[Value], u128)> {
+        result.iter_unordered().collect()
+    }
     for seed in 0..1u64 {
         for (shape, query, inst) in scheduler_shapes(seed) {
             let all: Vec<usize> = (0..query.num_relations()).collect();
@@ -1060,62 +1077,81 @@ fn work_stealing_is_byte_identical_to_strided_sequential_and_naive() {
                 "{shape}, seed {seed}"
             );
             let m = query.num_relations();
-            let mut seq_cache = SubJoinCache::new(&query, &inst).unwrap();
+            let seq_cache = ShardedSubJoinCache::new(&query, &inst).unwrap();
+            seq_cache
+                .populate_proper_subsets(Parallelism::SEQUENTIAL)
+                .unwrap();
+            // The sequential populate is the reference below; pin its values
+            // to the naive engine once, mask by mask, as sorted rows.
+            for mask in 1u32..((1u32 << m) - 1) {
+                let rels: Vec<usize> = (0..m).filter(|r| mask & (1 << r) != 0).collect();
+                let naive_rows: Vec<(Vec<Value>, u128)> = join_subset_naive(&query, &inst, &rels)
+                    .unwrap()
+                    .iter()
+                    .map(|(t, w)| (t.clone(), w))
+                    .collect();
+                let seq_rows: Vec<(Vec<Value>, u128)> = seq_cache
+                    .get(mask)
+                    .expect("populated")
+                    .iter()
+                    .map(|(t, w)| (t.to_vec(), w))
+                    .collect();
+                assert_eq!(seq_rows, naive_rows, "{shape}, mask {mask:#b}");
+            }
             for threads in [1usize, 2, 4, 8] {
                 let par = Parallelism::threads(threads);
                 // Cold context: the engine's default (stealing) join.
                 let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
                 let cold = ctx.join(&query, &inst).unwrap();
-                assert_eq!(cold, seq, "{shape}, seed {seed}, threads {threads}");
-                // The dictionary-encoded probe path is byte-identical too.
-                let dict = ctx.join_dict(&query, &inst).unwrap();
-                assert_eq!(dict, seq, "{shape} dict, seed {seed}, threads {threads}");
-                // Lattice populate under stealing AND strided: every mask's
-                // sub-join equals the sequential cache's, and every mask is
-                // claimed exactly once.
-                for sched in [Schedule::Stealing, Schedule::Strided] {
-                    let sharded = ShardedSubJoinCache::new(&query, &inst).unwrap();
-                    let stats = sharded.populate_proper_subsets_sched(par, sched).unwrap();
+                assert_eq!(
+                    stored(&cold),
+                    stored(&seq),
+                    "{shape}, seed {seed}, threads {threads}"
+                );
+                // Lattice populate under stealing: every mask's sub-join is
+                // byte-identical to the sequential populate's, and every mask
+                // is claimed exactly once.
+                let sharded = ShardedSubJoinCache::new(&query, &inst).unwrap();
+                let stats = sharded.populate_proper_subsets(par).unwrap();
+                assert_eq!(
+                    stats.total(),
+                    (1usize << m) - 2,
+                    "{shape}, seed {seed}, threads {threads}"
+                );
+                for mask in 1u32..((1u32 << m) - 1) {
+                    let got = sharded.get(mask).expect("populated");
+                    let want = seq_cache.get(mask).expect("populated");
                     assert_eq!(
-                        stats.total(),
-                        (1usize << m) - 2,
-                        "{shape}, seed {seed}, threads {threads}, {sched:?}"
+                        stored(&got),
+                        stored(&want),
+                        "{shape}, mask {mask:#b}, threads {threads}"
                     );
-                    for mask in 1u32..((1u32 << m) - 1) {
-                        assert_eq!(
-                            sharded.get(mask).expect("populated").as_ref(),
-                            seq_cache.join_mask(mask).unwrap(),
-                            "{shape}, mask {mask:#b}, threads {threads}, {sched:?}"
-                        );
-                    }
                 }
                 // Warm context: the cached shared join is the same bytes.
                 let warm_first = ctx.shared_join(&query, &inst).unwrap();
                 let warm_again = ctx.shared_join(&query, &inst).unwrap();
-                assert_eq!(warm_first.as_ref(), &seq, "{shape} warm, threads {threads}");
+                assert_eq!(
+                    stored(&warm_first),
+                    stored(&seq),
+                    "{shape} warm, threads {threads}"
+                );
                 assert!(std::sync::Arc::ptr_eq(&warm_first, &warm_again));
             }
             // Morsel-level merge is order-stable down to morsel size 1 (the
-            // maximal-interleaving case) under both schedules: per-morsel
-            // row dumps concatenate to exactly the sequential emission.
+            // maximal-interleaving case): per-morsel row dumps concatenate
+            // to exactly the sequential emission.
             let rows: Vec<(Vec<Value>, u128)> = seq.iter().map(|(t, w)| (t.to_vec(), w)).collect();
             for threads in [1usize, 2, 4, 8] {
-                for sched in [Schedule::Stealing, Schedule::Strided] {
-                    for morsel in [1usize, 7, 64] {
-                        let (parts, stats) = exec::par_map_morsels_stats(
-                            Parallelism::threads(threads),
-                            sched,
-                            rows.len(),
-                            morsel,
-                            |r| rows[r].to_vec(),
-                        );
-                        let merged: Vec<(Vec<Value>, u128)> = parts.into_iter().flatten().collect();
-                        assert_eq!(
-                            merged, rows,
-                            "{shape}, threads {threads}, morsel {morsel}, {sched:?}"
-                        );
-                        assert_eq!(stats.total(), rows.len().div_ceil(morsel).max(1));
-                    }
+                for morsel in [1usize, 7, 64] {
+                    let (parts, stats) = exec::par_map_morsels_stats(
+                        Parallelism::threads(threads),
+                        rows.len(),
+                        morsel,
+                        |r| rows[r].to_vec(),
+                    );
+                    let merged: Vec<(Vec<Value>, u128)> = parts.into_iter().flatten().collect();
+                    assert_eq!(merged, rows, "{shape}, threads {threads}, morsel {morsel}");
+                    assert_eq!(stats.total(), rows.len().div_ceil(morsel).max(1));
                 }
             }
         }

@@ -342,6 +342,21 @@ fn wire_updates_maintain_warm_state_and_preserve_release_bytes() {
     assert_eq!(status, 200, "{body:?}");
     assert_eq!(body.get("ops").and_then(Json::as_f64), Some(3.0));
     let maintenance = body.get("maintenance").expect("maintenance block");
+    // The exact key set, in wire order: adding, dropping or renaming a
+    // field is a wire change and must fail here.
+    let Json::Obj(fields) = maintenance else {
+        panic!("maintenance must be an object: {maintenance:?}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "warm",
+            "maintained_masks",
+            "rebuilt_masks",
+            "relations_touched"
+        ]
+    );
     assert_eq!(
         maintenance.get("warm"),
         Some(&Json::Bool(true)),
