@@ -2,12 +2,14 @@
 //! sub-join-cached boundary-value computation against the naive
 //! from-scratch recomputation, across star sizes `m`, plus the end-to-end
 //! `residual_sensitivity` call that dominates the multi-table release, plus
-//! worker-pool thread scaling (1 vs N threads over the same enumeration).
+//! worker-pool thread scaling (1 vs N threads over the same enumeration),
+//! plus the `RS^β` sweep alone at the small β of the hierarchical release.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsyn_datagen::random_star;
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::all_boundary_values_naive;
+use dpsyn_relational::ExecContext;
 use dpsyn_sensitivity::{
     all_boundary_values, residual_sensitivity, SensitivityConfig, SensitivityOps,
 };
@@ -128,10 +130,45 @@ fn bench_session_cache_reuse(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("residual/sweep");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2));
+    // s_cap = ⌈1/β⌉ = 374: a hierarchical-release part's β, where the sweep
+    // (not the lattice) is the cost.  `residual/end_to_end` runs at s_cap 14.
+    let beta = 1.0 / 373.6;
+    for &(m, tuples, seed) in &[(3usize, 3000usize, 70u64), (4, 1000, 71)] {
+        let mut rng = seeded_rng(seed);
+        let (query, instance) = random_star(m, 8, tuples, 0.8, &mut rng);
+        // Warm the lattice once, so every timed call reads it from the
+        // context cache and only the sweep is measured.
+        let ctx = ExecContext::sequential();
+        ctx.all_boundary_values(&query, &instance).unwrap();
+        let warm = ctx.residual_sensitivity(&query, &instance, beta).unwrap();
+        let fresh = ExecContext::sequential()
+            .residual_sensitivity(&query, &instance, beta)
+            .unwrap();
+        assert_eq!(
+            warm, fresh,
+            "warm sweep must equal a fresh context's, m {m}"
+        );
+        group.bench_with_input(BenchmarkId::new("s_cap_374", m), &m, |b, _| {
+            b.iter(|| {
+                ctx.residual_sensitivity(&query, &instance, beta)
+                    .unwrap()
+                    .value
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_boundary_enumeration,
     bench_residual_end_to_end,
+    bench_sweep,
     bench_thread_scaling,
     bench_session_cache_reuse
 );

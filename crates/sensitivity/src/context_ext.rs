@@ -37,7 +37,7 @@ use dpsyn_relational::{
 
 use crate::boundary::boundary_query_sharded;
 use crate::local::local_sensitivity_seq;
-use crate::residual::{check_beta, maximize_over_assignments, ResidualSensitivity};
+use crate::residual::{check_beta, maximize_over_assignments, BoundaryTable, ResidualSensitivity};
 use crate::smooth::{candidate_edits, candidate_neighbors};
 use crate::Result;
 
@@ -187,8 +187,9 @@ impl SensitivityOps for ExecContext {
         // module docs).
         let s_cap: u64 = (1.0 / beta).ceil() as u64;
 
+        let table = BoundaryTable::new(m, &boundary_values);
         let per_relation = exec::par_map(self.parallelism(), m, |i| {
-            maximize_over_assignments(m, i, beta, s_cap, &boundary_values)
+            maximize_over_assignments(&table, i, beta, s_cap)
         });
 
         let mut best_value = 0.0f64;

@@ -21,6 +21,27 @@
 //! are non-increasing in `s_j` beyond `1/β`, so no coordinate of an optimal
 //! `s` ever needs to exceed `⌈1/β⌉`.  We therefore enumerate
 //! `s ∈ {0, …, ⌈1/β⌉}^{m-1}` exactly — polynomial for constant `m`.
+//!
+//! ### Cost and bit-identity
+//!
+//! The sweep evaluates `m·(⌈1/β⌉+1)^{m-1}·2^{m-1}` terms (one `exp` per
+//! assignment, `2^{m-1}` terms per assignment) in `O(2^m)` memory: the
+//! `T_F` live in one dense table indexed by relation bitmask, each excluded
+//! relation `i` reads a `2^{m-1}`-entry view of it, and the odometer
+//! updates `s` and `k` in place, so nothing is allocated per assignment or
+//! per term.  Small `β` is the expensive case: the hierarchical release runs
+//! at `β = ε'/ln(1/δ')` with `ε' = ε/(2G)`, where `⌈1/β⌉` reaches the
+//! hundreds.
+//!
+//! The result is bit-identical to the historical map-keyed sweep (kept as
+//! the test oracle) because every assignment performs the same f64
+//! operations in the same order: `product = 1.0 · s_b` multiplied in
+//! ascending bit order, the zero-product skip for non-empty `E`,
+//! `total += product · T` accumulated in mask order, `value = e^{-βk} ·
+//! total`, and a strictly-greater update.  Products must not be
+//! reassociated or hoisted across assignments (that is only exact while
+//! `⌈1/β⌉^{m-1} < 2^53`), and `e^{-βk}` is not tabulated by `k` (a table of
+//! `(m-1)·⌈1/β⌉` entries is unbounded for tiny `β`).
 
 use std::collections::BTreeMap;
 
@@ -97,31 +118,67 @@ pub fn all_boundary_values(
     Ok(out)
 }
 
-/// Evaluates `Σ_{E ⊆ O} T_{O∖E} Π_{j∈E} s_j` for a fixed relation-exclusion
-/// set `O` (given as a sorted list) and assignment `s` (aligned with `O`).
-fn inner_sum(o: &[usize], s: &[u64], boundary_values: &BTreeMap<Vec<usize>, u128>) -> f64 {
-    let len = o.len();
-    let mut total = 0.0;
-    for mask in 0u32..(1u32 << len) {
-        let mut product = 1.0f64;
-        let mut complement: Vec<usize> = Vec::with_capacity(len);
-        for (bit, &rel) in o.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                product *= s[bit] as f64;
-            } else {
-                complement.push(rel);
+/// `T_F(I)` as `f64` for every `F ⊆ [m]`, indexed by the relation bitmask
+/// of `F` (bit `r` set iff `r ∈ F`), with `T_∅ = 1`.
+///
+/// Built once per residual-sensitivity call from the boundary map; subsets
+/// absent from the map read as 0.  Each entry is the map's `u128` converted
+/// with `as f64`, exactly the conversion the sweep's terms have always used.
+pub(crate) struct BoundaryTable {
+    m: usize,
+    values: Vec<f64>,
+}
+
+impl BoundaryTable {
+    pub(crate) fn new(m: usize, boundary_values: &BTreeMap<Vec<usize>, u128>) -> Self {
+        let mut values = vec![0.0f64; 1 << m];
+        values[0] = 1.0;
+        for (f, &t) in boundary_values {
+            if !f.is_empty() {
+                values[f.iter().fold(0usize, |acc, &r| acc | 1 << r)] = t as f64;
             }
         }
-        if product == 0.0 && mask != 0 {
-            // A zero s_j annihilates the term; skip the lookup.
+        BoundaryTable { m, values }
+    }
+
+    /// `T_{O_i∖E}` for every `E ⊆ O_i = [m]∖{i}`, indexed by `E`'s mask over
+    /// the positions of `O_i` (bit `b` stands for the `b`-th relation of
+    /// `O_i` in ascending order).
+    fn excluding(&self, i: usize) -> Vec<f64> {
+        let others = ((1usize << self.m) - 1) & !(1 << i);
+        let low = (1usize << i) - 1;
+        (0..1usize << (self.m - 1))
+            .map(|e| {
+                let global = (e & low) | ((e & !low) << 1);
+                self.values[others & !global]
+            })
+            .collect()
+    }
+}
+
+/// Evaluates `Σ_{E ⊆ O} T_{O∖E} Π_{j∈E} s_j` for one exclusion table `t`
+/// (from [`BoundaryTable::excluding`]) and assignment `s` (aligned with
+/// `O`), using `products` (as long as `t`) as scratch.
+///
+/// Each product is the chain `1.0 · s_b · …` over `E`'s bits in ascending
+/// order, and terms accumulate in mask order, so every f64 operation
+/// matches the historical sweep's.  A chain's prefix without its highest
+/// bit is a smaller mask's chain, so it is read back from `products`
+/// instead of recomputed: same operands, same operation, same bits.
+#[inline]
+fn inner_sum(t: &[f64], s: &[f64], products: &mut [f64]) -> f64 {
+    products[0] = 1.0;
+    let mut total = 0.0;
+    total += 1.0 * t[0];
+    for mask in 1..t.len() {
+        let high = (usize::BITS - 1 - mask.leading_zeros()) as usize;
+        let product = products[mask ^ (1 << high)] * s[high];
+        products[mask] = product;
+        if product == 0.0 {
+            // A zero s_j annihilates the term.
             continue;
         }
-        let t = if complement.is_empty() {
-            1u128
-        } else {
-            boundary_values.get(&complement).copied().unwrap_or(0)
-        };
-        total += product * t as f64;
+        total += product * t[mask];
     }
     total
 }
@@ -130,42 +187,44 @@ fn inner_sum(o: &[usize], s: &[u64], boundary_values: &BTreeMap<Vec<usize>, u128
 /// fixed excluded relation `i`, returning the best value and its distance
 /// `k`.  The odometer enumeration order and the strictly-greater update rule
 /// make the result (including tie-breaks) identical to the historical
-/// sequential sweep.
+/// sequential sweep.  Nothing is allocated per assignment: the odometer
+/// keeps `s`, its `f64` copy and `k` up to date in place, and the product
+/// scratch is reused.
 pub(crate) fn maximize_over_assignments(
-    m: usize,
+    table: &BoundaryTable,
     i: usize,
     beta: f64,
     s_cap: u64,
-    boundary_values: &BTreeMap<Vec<usize>, u128>,
 ) -> (f64, u64) {
-    let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-    let mut s = vec![0u64; others.len()];
+    let t = table.excluding(i);
+    let len = table.m - 1;
+    let mut s = vec![0u64; len];
+    let mut s_f64 = vec![0.0f64; len];
+    let mut products = vec![0.0f64; t.len()];
+    let mut k = 0u64;
     let mut best_value = 0.0f64;
     let mut best_distance = 0u64;
     loop {
-        let k: u64 = s.iter().sum();
-        let value = (-beta * k as f64).exp() * inner_sum(&others, &s, boundary_values);
+        let value = (-beta * k as f64).exp() * inner_sum(&t, &s_f64, &mut products);
         if value > best_value {
             best_value = value;
             best_distance = k;
         }
         // Odometer increment over {0..=s_cap}^{m-1}.
         let mut pos = 0;
-        loop {
-            if pos == s.len() {
-                break;
-            }
+        while pos < len {
             if s[pos] < s_cap {
                 s[pos] += 1;
+                s_f64[pos] = s[pos] as f64;
+                k += 1;
                 break;
             }
+            k -= s[pos];
             s[pos] = 0;
+            s_f64[pos] = 0.0;
             pos += 1;
         }
-        if pos == s.len() {
-            break;
-        }
-        if s.is_empty() {
+        if pos == len {
             break;
         }
     }
@@ -195,37 +254,123 @@ pub fn residual_sensitivity(
 /// never calls it.
 pub fn ls_hat_k(query: &JoinQuery, instance: &Instance, k: u64) -> Result<f64> {
     let m = query.num_relations();
-    let boundary_values = all_boundary_values(query, instance)?;
+    let table = BoundaryTable::new(m, &all_boundary_values(query, instance)?);
     let mut best = 0.0f64;
     for i in 0..m {
-        let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-        let parts = others.len();
+        let t = table.excluding(i);
+        let mut products = vec![0.0f64; t.len()];
+        let parts = m - 1;
         if parts == 0 {
-            best = best.max(inner_sum(&others, &[], &boundary_values));
+            best = best.max(inner_sum(&t, &[], &mut products));
             continue;
         }
         // Enumerate all non-negative integer vectors of length `parts` summing
-        // to exactly k.
-        let mut s = vec![0u64; parts];
-        s[0] = k;
+        // to exactly k (integer-valued f64s, exact below 2^53).
+        let mut s = vec![0.0f64; parts];
+        s[0] = k as f64;
         loop {
-            best = best.max(inner_sum(&others, &s, &boundary_values));
+            best = best.max(inner_sum(&t, &s, &mut products));
             // Next composition in colex order: move one unit from the first
             // non-zero prefix position to the next position.
-            let first_nonzero = match s[..parts - 1].iter().position(|&v| v > 0) {
+            let first_nonzero = match s[..parts - 1].iter().position(|&v| v > 0.0) {
                 Some(p) => p,
                 None => break,
             };
-            let moved = s[first_nonzero] - 1;
-            s[first_nonzero + 1] += 1;
-            s[first_nonzero] = 0;
+            let moved = s[first_nonzero] - 1.0;
+            s[first_nonzero + 1] += 1.0;
+            s[first_nonzero] = 0.0;
             s[0] = moved;
-            if false {
-                break;
-            }
         }
     }
     Ok(best)
+}
+
+/// The historical map-keyed sweep, verbatim: a fresh complement `Vec` per
+/// term looked up in the boundary map, `exp` per assignment.  The test
+/// oracle the dense sweep must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use std::collections::BTreeMap;
+
+    fn inner_sum(o: &[usize], s: &[u64], boundary_values: &BTreeMap<Vec<usize>, u128>) -> f64 {
+        let len = o.len();
+        let mut total = 0.0;
+        for mask in 0u32..(1u32 << len) {
+            let mut product = 1.0f64;
+            let mut complement: Vec<usize> = Vec::with_capacity(len);
+            for (bit, &rel) in o.iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    product *= s[bit] as f64;
+                } else {
+                    complement.push(rel);
+                }
+            }
+            if product == 0.0 && mask != 0 {
+                continue;
+            }
+            let t = if complement.is_empty() {
+                1u128
+            } else {
+                boundary_values.get(&complement).copied().unwrap_or(0)
+            };
+            total += product * t as f64;
+        }
+        total
+    }
+
+    fn maximize_over_assignments(
+        m: usize,
+        i: usize,
+        beta: f64,
+        s_cap: u64,
+        boundary_values: &BTreeMap<Vec<usize>, u128>,
+    ) -> (f64, u64) {
+        let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
+        let mut s = vec![0u64; others.len()];
+        let mut best_value = 0.0f64;
+        let mut best_distance = 0u64;
+        loop {
+            let k: u64 = s.iter().sum();
+            let value = (-beta * k as f64).exp() * inner_sum(&others, &s, boundary_values);
+            if value > best_value {
+                best_value = value;
+                best_distance = k;
+            }
+            let mut pos = 0;
+            loop {
+                if pos == s.len() {
+                    break;
+                }
+                if s[pos] < s_cap {
+                    s[pos] += 1;
+                    break;
+                }
+                s[pos] = 0;
+                pos += 1;
+            }
+            if pos == s.len() {
+                break;
+            }
+        }
+        (best_value, best_distance)
+    }
+
+    /// `(value, maximizing_relation, maximizing_distance)` of `RS^β`.
+    pub(super) fn residual(
+        m: usize,
+        beta: f64,
+        boundary_values: &BTreeMap<Vec<usize>, u128>,
+    ) -> (f64, usize, u64) {
+        let s_cap: u64 = (1.0 / beta).ceil() as u64;
+        let mut best = (0.0f64, 0usize, 0u64);
+        for i in 0..m {
+            let (value, distance) = maximize_over_assignments(m, i, beta, s_cap, boundary_values);
+            if value > best.0 {
+                best = (value, i, distance);
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]
@@ -425,5 +570,136 @@ mod tests {
             .map(|k| (-0.5 * k as f64).exp() * k as f64)
             .fold(0.0f64, f64::max);
         assert!((rs.value - expect).abs() < 1e-9);
+    }
+
+    /// The dense sweep's `(value, maximizing_relation, maximizing_distance)`,
+    /// combined across relations exactly as the context method does.
+    fn dense_residual(
+        m: usize,
+        beta: f64,
+        boundary_values: &BTreeMap<Vec<usize>, u128>,
+    ) -> (f64, usize, u64) {
+        let table = BoundaryTable::new(m, boundary_values);
+        let s_cap: u64 = (1.0 / beta).ceil() as u64;
+        let mut best = (0.0f64, 0usize, 0u64);
+        for i in 0..m {
+            let (value, distance) = maximize_over_assignments(&table, i, beta, s_cap);
+            if value > best.0 {
+                best = (value, i, distance);
+            }
+        }
+        best
+    }
+
+    fn assert_same(dense: (f64, usize, u64), oracle: (f64, usize, u64), what: &str) {
+        assert_eq!(dense.0.to_bits(), oracle.0.to_bits(), "value: {what}");
+        assert_eq!(dense.1, oracle.1, "maximizing_relation: {what}");
+        assert_eq!(dense.2, oracle.2, "maximizing_distance: {what}");
+    }
+
+    /// β = 1/373.6 (s_cap 374, the hierarchical release's shape), 1/13.8,
+    /// exact reciprocals of integers, β > 1 (s_cap 1), and ln 2, where
+    /// all-zero `T_F` tie `e^{-β}·1` with `e^{-2β}·2` (both 0.5).
+    const SWEEP_BETAS: [f64; 6] = [
+        1.0 / 373.6,
+        1.0 / 13.8,
+        0.25,
+        0.5,
+        1.5,
+        std::f64::consts::LN_2,
+    ];
+
+    /// Sweep terms per (m, β) pair the map-keyed oracle is run on; larger
+    /// pairs (m ≥ 4 at s_cap 374, m = 5 at s_cap 14) take minutes through it.
+    const ORACLE_TERMS: u64 = 2_000_000;
+
+    /// `m·(s_cap+1)^{m-1}·2^{m-1}`, the sweep's term count.
+    fn sweep_terms(m: usize, beta: f64) -> u64 {
+        let s_cap = (1.0 / beta).ceil() as u64;
+        (m as u64 * (s_cap + 1).pow(m as u32 - 1)) << (m - 1)
+    }
+
+    #[test]
+    fn dense_sweep_is_bit_identical_to_the_map_oracle() {
+        // splitmix64: a dependency-free stream of test values.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut checked = 0;
+        for m in 1usize..=5 {
+            for trial in 0..4 {
+                // Random T_F over every proper subset: zeros, small counts,
+                // values above 2^53 (inexact as f64), and absent keys.  Trial
+                // 2 is all above 2^53, so the sum's rounding depends on its
+                // order; trial 3 is all zeros (an empty instance), full of ties.
+                let mut bv = BTreeMap::new();
+                for mask in 0u32..((1u32 << m) - 1) {
+                    let f: Vec<usize> = (0..m).filter(|r| mask & (1 << r) != 0).collect();
+                    let value = match next() % 5 {
+                        _ if trial == 3 => 0,
+                        _ if trial == 2 => (1u128 << 53) + u128::from(next() >> 24),
+                        0 => 0u128,
+                        1 => (1u128 << 53) + u128::from(next() >> 24),
+                        2 if trial == 1 => continue,
+                        _ => u128::from(next() % 1000),
+                    };
+                    bv.insert(f, value);
+                }
+                for &beta in &SWEEP_BETAS {
+                    if sweep_terms(m, beta) > ORACLE_TERMS {
+                        continue;
+                    }
+                    let what = format!("m {m}, trial {trial}, beta {beta}");
+                    assert_same(
+                        dense_residual(m, beta, &bv),
+                        oracle::residual(m, beta, &bv),
+                        &what,
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        // m ≤ 3 meets all six β, m = 4 five and m = 5 four.
+        assert_eq!(checked, 4 * (3 * 6 + 5 + 4));
+        // m = 1 has no other relation: only T_∅ = 1 at k = 0.
+        assert_eq!(dense_residual(1, 0.25, &BTreeMap::new()), (1.0, 0, 0));
+    }
+
+    #[test]
+    fn context_sweep_matches_the_map_oracle_at_every_thread_count() {
+        for m in [3usize, 4] {
+            let q = JoinQuery::star(m, 16).unwrap();
+            let mut inst = Instance::empty_for(&q).unwrap();
+            for r in 0..m {
+                for hub in 0..6u64 {
+                    for petal in 0..(1 + (hub + r as u64) % 4) {
+                        inst.relation_mut(r)
+                            .add(vec![hub, (hub * 3 + petal) % 16], 1 + petal % 2)
+                            .unwrap();
+                    }
+                }
+            }
+            for &beta in &SWEEP_BETAS {
+                if sweep_terms(m, beta) > ORACLE_TERMS {
+                    continue;
+                }
+                for threads in [1usize, 4] {
+                    let rs = SensitivityConfig::with_threads(threads)
+                        .to_context()
+                        .residual_sensitivity(&q, &inst, beta)
+                        .unwrap();
+                    assert_same(
+                        (rs.value, rs.maximizing_relation, rs.maximizing_distance),
+                        oracle::residual(m, beta, &rs.boundary_values),
+                        &format!("m {m}, beta {beta}, threads {threads}"),
+                    );
+                }
+            }
+        }
     }
 }
