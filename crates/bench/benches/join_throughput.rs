@@ -51,8 +51,8 @@ use dpsyn_datagen::{
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive};
 use dpsyn_relational::{
-    join_size, ExecContext, FxHashSet, Instance, JoinPlan, JoinQuery, Parallelism, PlanConfig,
-    RelationStats, ShardedSubJoinCache, Value,
+    join_size, AggMode, ExecContext, FxHashSet, Instance, JoinPlan, JoinQuery, Keep, Parallelism,
+    PlanConfig, RelationStats, ShardedSubJoinCache, Value,
 };
 use dpsyn_sensitivity::{all_boundary_values, SensitivityConfig, SensitivityOps};
 
@@ -143,11 +143,14 @@ fn bench_scaling(label: &str, mut par: impl FnMut(), mut seq: impl FnMut()) -> R
 }
 
 /// A local-sensitivity-style lattice pass over one cache: the `m`
-/// size-`(m-1)` directions evaluated as transient tops, memoising (and thus
-/// keeping resident) exactly the decomposition chains the cache's plan
-/// chooses.  Returns the local sensitivity, so identity across plans is
-/// checked by the caller.
-fn lattice_pass(query: &JoinQuery, cache: &ShardedSubJoinCache<'_>) -> u128 {
+/// size-`(m-1)` directions read with [`Keep::Chain`], memoising (and thus
+/// keeping resident) exactly the decomposition chains the cache walks.
+/// Each built chain step's actual cardinality is measured against the
+/// plan's estimate, and a breach of the cache's re-plan ratio re-routes
+/// later targets around correlation traps; at ratio `f64::INFINITY` this is
+/// the static walk.  Returns the local sensitivity, so identity across
+/// plans and ratios is checked by the caller.
+fn lattice_pass(query: &JoinQuery, cache: &mut ShardedSubJoinCache<'_>) -> u128 {
     let m = query.num_relations();
     let full = (1u32 << m) - 1;
     let mut best = 0u128;
@@ -156,7 +159,7 @@ fn lattice_pass(query: &JoinQuery, cache: &ShardedSubJoinCache<'_>) -> u128 {
         let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
         let boundary = query.boundary(&others).expect("valid subset");
         let value = cache
-            .join_mask_transient(others_mask, Parallelism::SEQUENTIAL)
+            .join_mask_adaptive(others_mask, Parallelism::SEQUENTIAL, Keep::Chain)
             .expect("sub-join")
             .max_group_weight(&boundary)
             .expect("grouping");
@@ -165,32 +168,17 @@ fn lattice_pass(query: &JoinQuery, cache: &ShardedSubJoinCache<'_>) -> u128 {
     best
 }
 
-/// The adaptive twin of [`lattice_pass`]: the same m transient targets,
-/// walked adaptively — each materialised chain step's actual cardinality is
-/// measured against the plan's estimate and a breach of the configured
-/// ratio re-plans the remainder, re-routing later targets around
-/// correlation traps.  Values are identical to [`lattice_pass`]; only the
-/// set of resident intermediates differs.
-fn lattice_pass_adaptive(
-    query: &JoinQuery,
-    cache: &mut ShardedSubJoinCache<'_>,
-    config: &PlanConfig,
-) -> u128 {
-    let m = query.num_relations();
-    let full = (1u32 << m) - 1;
-    let mut best = 0u128;
-    for i in 0..m {
-        let others_mask = full & !(1u32 << i);
-        let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-        let boundary = query.boundary(&others).expect("valid subset");
-        let value = cache
-            .join_mask_transient_adaptive(others_mask, Parallelism::SEQUENTIAL, config)
-            .expect("sub-join")
-            .max_group_weight(&boundary)
-            .expect("grouping");
-        best = best.max(value);
-    }
-    best
+/// A cold cache over `plan` whose walks re-plan at `ratio`
+/// (`f64::INFINITY`: never — the static walk).
+fn cache_at<'a>(
+    query: &'a JoinQuery,
+    instance: &'a Instance,
+    plan: &Arc<JoinPlan>,
+    ratio: f64,
+) -> ShardedSubJoinCache<'a> {
+    ShardedSubJoinCache::with_plan(query, instance, Arc::clone(plan))
+        .expect("cache")
+        .with_config(PlanConfig::with_replan_ratio(ratio))
 }
 
 /// The adaptive-planning group.
@@ -201,8 +189,9 @@ fn lattice_pass_adaptive(
 /// estimate asserted inside the HyperLogLog error envelope of the exact
 /// count before timing.
 ///
-/// `adaptive/tuples/*`: a cold local-sensitivity lattice pass (transient
-/// walks) under the static plan vs the adaptive walks, on the
+/// `adaptive/tuples/*`: one cold local-sensitivity [`lattice_pass`] on a
+/// cache that never re-plans (ratio infinity, the static walk) vs a cache
+/// re-planning at the configured ratio, on the
 /// correlated-pair workload whose functional dependency provably breaks
 /// independence estimates, and on the heavy-hitter star where estimates
 /// mostly hold (the control: adaptivity must not hurt it).  Adaptive
@@ -290,7 +279,7 @@ fn adaptive_rows(quick: bool) -> Vec<Row> {
     }
 
     // --- (b) resident intermediates: static vs adaptive walks -------------
-    let config = PlanConfig::default();
+    let ratio = PlanConfig::default().replan_ratio;
     let walk_scenarios: Vec<(String, JoinQuery, Instance)> = vec![
         {
             let (keys, fanout, pair_rows, payloads) = if quick {
@@ -313,14 +302,12 @@ fn adaptive_rows(quick: bool) -> Vec<Row> {
         // static pass's local sensitivity, and its resident footprint is
         // what the row records.
         let (static_value, static_tuples) = {
-            let cache =
-                ShardedSubJoinCache::with_plan(query, instance, Arc::clone(&plan)).expect("cache");
-            (lattice_pass(query, &cache), cache.cached_tuples())
+            let mut cache = cache_at(query, instance, &plan, f64::INFINITY);
+            (lattice_pass(query, &mut cache), cache.cached_tuples())
         };
         let (adaptive_value, adaptive_tuples, replans, triggers) = {
-            let mut cache =
-                ShardedSubJoinCache::with_plan(query, instance, Arc::clone(&plan)).expect("cache");
-            let value = lattice_pass_adaptive(query, &mut cache, &config);
+            let mut cache = cache_at(query, instance, &plan, ratio);
+            let value = lattice_pass(query, &mut cache);
             let feedback = cache.replan_stats().cloned().unwrap_or_default();
             (
                 value,
@@ -333,16 +320,14 @@ fn adaptive_rows(quick: bool) -> Vec<Row> {
             adaptive_value, static_value,
             "{label}: adaptive walks must be byte-identical to static"
         );
-        let static_run = || {
-            let cache =
-                ShardedSubJoinCache::with_plan(query, instance, Arc::clone(&plan)).expect("cache");
-            black_box(lattice_pass(query, &cache));
+        let run = |ratio: f64| {
+            black_box(lattice_pass(
+                query,
+                &mut cache_at(query, instance, &plan, ratio),
+            ));
         };
-        let adaptive_run = || {
-            let mut cache =
-                ShardedSubJoinCache::with_plan(query, instance, Arc::clone(&plan)).expect("cache");
-            black_box(lattice_pass_adaptive(query, &mut cache, &config));
-        };
+        let static_run = || run(f64::INFINITY);
+        let adaptive_run = || run(ratio);
         let probe = Instant::now();
         static_run();
         let samples = sample_count(probe.elapsed());
@@ -382,7 +367,6 @@ fn adaptive_rows(quick: bool) -> Vec<Row> {
 /// cache bytes after the sweep under each mode (`bytes_ratio` is the
 /// footprint reduction the mode buys) and how many masks stayed count-only.
 fn agg_rows(quick: bool) -> Vec<Row> {
-    use dpsyn_relational::AggMode;
     let mut rows = Vec::new();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let betas = [0.2f64, 0.5, 1.0];
@@ -515,14 +499,14 @@ fn planner_rows(quick: bool) -> Vec<Row> {
         let plan = Arc::new(JoinPlan::cost_based(query, instance).expect("plan"));
         // Identity before timing: the planner pass computes exactly the
         // fixed-prefix pass's local sensitivity.
+        let fixed_plan = Arc::new(JoinPlan::fixed_prefix(query.num_relations()));
         let (fixed_value, prefix_tuples) = {
-            let cache = ShardedSubJoinCache::new(query, instance).expect("cache");
-            (lattice_pass(query, &cache), cache.cached_tuples())
+            let mut cache = cache_at(query, instance, &fixed_plan, f64::INFINITY);
+            (lattice_pass(query, &mut cache), cache.cached_tuples())
         };
         let (planned_value, planner_tuples) = {
-            let cache =
-                ShardedSubJoinCache::with_plan(query, instance, Arc::clone(&plan)).expect("cache");
-            (lattice_pass(query, &cache), cache.cached_tuples())
+            let mut cache = cache_at(query, instance, &plan, f64::INFINITY);
+            (lattice_pass(query, &mut cache), cache.cached_tuples())
         };
         assert_eq!(
             planned_value, fixed_value,
@@ -533,12 +517,12 @@ fn planner_rows(quick: bool) -> Vec<Row> {
             // The plan build (statistics + pivot table) is part of the
             // measured cost: this is what a cold context checkout pays.
             let plan = Arc::new(JoinPlan::cost_based(query, instance).expect("plan"));
-            let cache = ShardedSubJoinCache::with_plan(query, instance, plan).expect("cache");
-            black_box(lattice_pass(query, &cache));
+            let mut cache = cache_at(query, instance, &plan, f64::INFINITY);
+            black_box(lattice_pass(query, &mut cache));
         };
         let mut prefix_run = || {
-            let cache = ShardedSubJoinCache::new(query, instance).expect("cache");
-            black_box(lattice_pass(query, &cache));
+            let mut cache = cache_at(query, instance, &fixed_plan, f64::INFINITY);
+            black_box(lattice_pass(query, &mut cache));
         };
         let probe = Instant::now();
         prefix_run();
@@ -595,12 +579,17 @@ fn sched_rows(quick: bool) -> Vec<Row> {
     let (query, instance) = heavy_hitter_star(4, 64, per_rel, 0.6, &mut seeded_rng(31));
     let m = query.num_relations();
     let par = Parallelism::threads(SCALING_THREADS);
-    let seq_cache = ShardedSubJoinCache::new(&query, &instance).expect("cache");
-    seq_cache
-        .populate_proper_subsets(Parallelism::SEQUENTIAL)
-        .expect("populate");
-    let cache = ShardedSubJoinCache::new(&query, &instance).expect("cache");
-    let stats = cache.populate_proper_subsets(par).expect("populate");
+    // The materialize-everything populate: every proper mask, built level
+    // by level along the fixed-prefix chain.
+    let populated = |par: Parallelism| {
+        let mut cache = ShardedSubJoinCache::new(&query, &instance)
+            .expect("cache")
+            .with_config(PlanConfig::default().with_agg_mode(AggMode::Never));
+        let stats = cache.populate(par).expect("populate");
+        (cache, stats)
+    };
+    let (seq_cache, _) = populated(Parallelism::SEQUENTIAL);
+    let (cache, stats) = populated(par);
     assert_eq!(stats.total(), (1usize << m) - 2, "every mask claimed once");
     for mask in 1u32..((1u32 << m) - 1) {
         let got = cache.get(mask).expect("populated");
@@ -611,9 +600,7 @@ fn sched_rows(quick: bool) -> Vec<Row> {
         );
     }
     let run = |par: Parallelism| {
-        let cache = ShardedSubJoinCache::new(&query, &instance).expect("cache");
-        let stats = cache.populate_proper_subsets(par).expect("populate");
-        black_box(stats.total());
+        black_box(populated(par).1.total());
     };
     let probe = Instant::now();
     run(Parallelism::SEQUENTIAL);

@@ -39,13 +39,22 @@
 //! that request the sequential path get it even on multicore machines where
 //! the engine's defaults resolve parallel.
 //!
-//! **Memory trade-off:** every materialised sub-join stays resident until
-//! the cache is dropped, so a full `2^m` enumeration holds all `2^m - 1`
+//! The lattice has five entry points.  [`ShardedSubJoinCache::populate`]
+//! materialises it level by level; the four reads —
+//! [`ShardedSubJoinCache::join_mask`] and
+//! [`ShardedSubJoinCache::max_group_weight`] (`&self`, safe on pool
+//! workers, never re-plan) and their `_adaptive` twins (`&mut self`,
+//! measure each step they build and re-plan per the cache's
+//! [`PlanConfig`]) — evaluate one mask, memoising its result or only its
+//! chain parents per [`Keep`].  Plan decisions are made only through
+//! `&mut self`, so they never depend on how a pool scheduled its workers.
+//!
+//! **Memory trade-off:** every memoised sub-join stays resident until the
+//! cache is dropped, so a full `2^m` enumeration holds all `2^m - 1`
 //! results at once where the uncached path held one at a time.  `m` is a
-//! small constant in the paper's data-complexity setting, but on instances
-//! with very heavy sub-joins callers can bound the footprint by splitting
-//! the enumeration across several shorter-lived caches (an eviction policy
-//! is tracked as a ROADMAP follow-on).
+//! small constant in the paper's data-complexity setting; callers with very
+//! heavy sub-joins read them with [`Keep::Chain`], or split the
+//! enumeration across several shorter-lived caches.
 
 use std::sync::{Arc, Mutex};
 
@@ -59,6 +68,21 @@ use crate::join::{hash_join_step_agg, hash_join_step_with, AggSummary, JoinResul
 use crate::plan::{AggMode, JoinPlan, PlanConfig, ReplanStats, SharedJoinPlan};
 use crate::Result;
 
+/// What a lattice read leaves memoised.  Either way the read materialises
+/// (and memoises) every missing parent of the mask's decomposition chain;
+/// the choice concerns only the mask's own result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keep {
+    /// Memoise the result, so later reads of the mask are free.
+    Target,
+    /// Memoise only the result's chain parents: the result itself belongs
+    /// to the caller and is freed when dropped.  For large results consumed
+    /// once — e.g. local sensitivity's `m` size-`(m-1)` sub-joins, which
+    /// share only their smaller parents; memoising them would pin `m`
+    /// full-size join results for no reuse.
+    Chain,
+}
+
 /// Number of memo shards in a [`ShardedSubJoinCache`] (a power of two; masks
 /// map to shards by their low bits, so sibling subsets land apart).
 const SHARD_COUNT: usize = 16;
@@ -67,13 +91,13 @@ const SHARD_COUNT: usize = 16;
 type MemoShard = Mutex<FxHashMap<u32, Arc<JoinResult>>>;
 
 /// Memoised sub-join results over one `(query, instance)` pair, keyed by the
-/// relation-subset bitmask.  The memo table is split into `SHARD_COUNT` mutex-guarded shards keyed by the subset bitmask's
-/// low bits, and results are stored behind `Arc` so readers hold no lock
-/// while consuming a sub-join.
+/// relation-subset bitmask.  The memo table is split into `SHARD_COUNT`
+/// mutex-guarded shards keyed by the bitmask's low bits, and results are
+/// stored behind `Arc` so readers hold no lock while consuming a sub-join.
 ///
 /// Independent subsets therefore populate **concurrently**: the parallel
 /// subset enumerations of residual sensitivity walk the lattice level by
-/// level ([`ShardedSubJoinCache::populate_proper_subsets`]), with every mask
+/// level ([`ShardedSubJoinCache::populate`]), with every mask
 /// of a level computed by the worker pool from the already-complete previous
 /// level, and workers inserting into (mostly) distinct shards.  A sub-join is
 /// the same weighted tuple set under every decomposition and at every
@@ -94,10 +118,9 @@ pub struct ShardedSubJoinCache<'a> {
     /// [`crate::ExecContext`] on checkout so check-in does not have to
     /// re-hash the whole instance.
     pub(crate) fingerprint: Option<u64>,
-    /// Runtime-feedback diagnostics accumulated by the adaptive walks of
-    /// this checkout ([`Self::populate_proper_subsets_adaptive`],
-    /// [`Self::join_mask_adaptive`]); `None` until one has run.  Carried
-    /// back to the context slot on check-in.
+    /// Runtime-feedback diagnostics accumulated by this checkout's
+    /// populates and adaptive reads; `None` until one has measured a mask.
+    /// Merged into the context slot on check-in.
     pub(crate) replan: Option<ReplanStats>,
     /// Count-only aggregate summaries, an **overlay** over the materialised
     /// memo: none of the materialised lookups ([`Self::get`],
@@ -106,10 +129,11 @@ pub struct ShardedSubJoinCache<'a> {
     /// mask; a stored summary is only valid for reads over its recorded
     /// `group_by` list (checked on every hit).
     agg: Mutex<FxHashMap<u32, Arc<AggSummary>>>,
-    /// The materialize-vs-aggregate policy of this checkout (see
-    /// [`AggMode`]).  Set from the context's [`PlanConfig`] on checkout;
-    /// standalone caches default to the environment's setting.
-    pub(crate) agg_mode: AggMode,
+    /// The re-plan ratio of the adaptive entry points and the
+    /// materialize-vs-aggregate policy of every read and populate.  Set
+    /// from the context's [`PlanConfig`] on checkout; standalone caches
+    /// take [`PlanConfig::default`] unless given one by [`Self::with_config`].
+    pub(crate) config: PlanConfig,
 }
 
 impl<'a> ShardedSubJoinCache<'a> {
@@ -154,8 +178,17 @@ impl<'a> ShardedSubJoinCache<'a> {
             fingerprint: None,
             replan: None,
             agg: Mutex::new(FxHashMap::default()),
-            agg_mode: PlanConfig::default().agg_mode,
+            config: PlanConfig::default(),
         })
+    }
+
+    /// This cache with explicit planning knobs: a `replan_ratio` of
+    /// `f64::INFINITY` makes the adaptive entry points walk the plan
+    /// statically, and [`AggMode::Never`] makes [`Self::populate`]
+    /// materialise every proper mask and every read go through tuples.
+    pub fn with_config(mut self, config: PlanConfig) -> Self {
+        self.config = config;
+        self
     }
 
     /// Creates a sharded cache pre-seeded with previously materialised
@@ -186,19 +219,8 @@ impl<'a> ShardedSubJoinCache<'a> {
         Ok(cache)
     }
 
-    /// [`ShardedSubJoinCache::with_memo_and_plan`] with the fixed-prefix
-    /// decomposition.
-    pub fn with_memo(
-        query: &'a JoinQuery,
-        instance: &'a Instance,
-        memo: FxHashMap<u32, Arc<JoinResult>>,
-    ) -> Result<Self> {
-        let plan = Arc::new(JoinPlan::fixed_prefix(query.num_relations()));
-        Self::with_memo_and_plan(query, instance, memo, plan)
-    }
-
     /// Consumes the cache and returns its materialised sub-join results as
-    /// one flat memo map (see [`ShardedSubJoinCache::with_memo`]).
+    /// one flat memo map (see [`ShardedSubJoinCache::with_memo_and_plan`]).
     pub fn into_memo(self) -> FxHashMap<u32, Arc<JoinResult>> {
         let mut out = FxHashMap::default();
         for shard in self.shards.into_vec() {
@@ -230,12 +252,11 @@ impl<'a> ShardedSubJoinCache<'a> {
             .cloned()
     }
 
-    fn insert(&self, mask: u32, result: Arc<JoinResult>) {
-        self.shard(mask)
-            .lock()
-            .expect("cache shard poisoned")
-            .entry(mask)
-            .or_insert(result);
+    /// Memoises `result` unless a racing worker got there first; returns
+    /// the resident entry (the results are equal either way).
+    fn insert(&self, mask: u32, result: Arc<JoinResult>) -> Arc<JoinResult> {
+        let mut shard = self.shard(mask).lock().expect("cache shard poisoned");
+        Arc::clone(shard.entry(mask).or_insert(result))
     }
 
     /// The decomposition plan driving this cache.
@@ -284,65 +305,111 @@ impl<'a> ShardedSubJoinCache<'a> {
 
     /// Computes `mask`'s sub-join with one hash-join step from the cached
     /// result of `mask` minus its plan pivot (which must already be
-    /// materialised — the level-by-level populate guarantees it).
-    fn compute_from_parent(&self, mask: u32, par: Parallelism) -> Result<JoinResult> {
+    /// materialised), memoising it per `keep`.
+    fn build_step(&self, mask: u32, par: Parallelism, keep: Keep) -> Result<Arc<JoinResult>> {
         let pivot = self.plan.pivot(mask);
         let rest = mask & !(1u32 << pivot);
-        if rest == 0 {
-            Ok(JoinResult::from_relation(self.instance.relation(pivot)))
+        let result = Arc::new(if rest == 0 {
+            JoinResult::from_relation(self.instance.relation(pivot))
         } else {
             let sub = self.get(rest).expect("parent materialised before use");
-            hash_join_step_with(&sub, self.instance.relation(pivot), par)
-        }
+            hash_join_step_with(&sub, self.instance.relation(pivot), par)?
+        });
+        Ok(match keep {
+            Keep::Target => self.insert(mask, result),
+            Keep::Chain => result,
+        })
     }
 
-    /// The memoised sub-join of the subset given as a bitmask, materialising
-    /// any missing parents of its decomposition chain on the way.  Safe to
-    /// call from pool workers concurrently.
-    pub fn join_mask(&self, mask: u32, par: Parallelism) -> Result<Arc<JoinResult>> {
+    /// Builds the deepest not-yet-materialised step of `mask`'s
+    /// decomposition chain under the current plan — the first chain mask
+    /// whose parent is materialised (or empty), `mask` itself once its
+    /// parent is — and returns it with its result.  A parent step is
+    /// memoised; `mask` itself per `keep`.
+    fn build_next(
+        &self,
+        mask: u32,
+        par: Parallelism,
+        keep: Keep,
+    ) -> Result<(u32, Arc<JoinResult>)> {
+        let mut step = mask;
+        loop {
+            let parent = self.plan.parent(step);
+            if parent == 0 || self.get(parent).is_some() {
+                break;
+            }
+            step = parent;
+        }
+        let keep = if step == mask { keep } else { Keep::Target };
+        Ok((step, self.build_step(step, par, keep)?))
+    }
+
+    /// The sub-join of the subset given as a bitmask, materialising (and
+    /// memoising) any missing parents of its decomposition chain on the
+    /// way; the result itself is memoised per `keep`.  Never re-plans, so
+    /// it is safe to call from pool workers concurrently.
+    pub fn join_mask(&self, mask: u32, par: Parallelism, keep: Keep) -> Result<Arc<JoinResult>> {
         self.check_mask(mask)?;
-        let mut missing: Vec<u32> = Vec::new();
-        let mut cur = mask;
-        while cur != 0 && self.get(cur).is_none() {
-            missing.push(cur);
-            cur = self.plan.parent(cur);
+        if let Some(hit) = self.get(mask) {
+            return Ok(hit);
         }
-        for &step in missing.iter().rev() {
-            let result = self.compute_from_parent(step, par)?;
-            self.insert(step, Arc::new(result));
+        loop {
+            let (step, built) = self.build_next(mask, par, keep)?;
+            if step == mask {
+                return Ok(built);
+            }
         }
-        Ok(self.get(mask).expect("ensured above"))
     }
 
-    /// Computes the sub-join of `mask` reusing (and extending) cached
-    /// parents, but **without memoising the final step**: the returned
-    /// result is owned by the caller and freed when dropped.
+    /// [`Self::join_mask`] with the runtime feedback loop closed on the
+    /// lazy chain walk: each chain step's actual cardinality is measured as
+    /// soon as it is built, and a breach of the configured
+    /// [`PlanConfig::replan_ratio`] re-plans the not-yet-walked remainder —
+    /// so one blown estimate re-routes every step still to come, instead of
+    /// compounding through the rest of the walk.  This is where adaptive
+    /// planning shrinks resident intermediates: on correlated instances the
+    /// static chain commits to a trap parent for every target, while the
+    /// adaptive walk pays for the trap once and routes subsequent targets
+    /// around it.
     ///
-    /// Use this when the top-level results are large and consumed once —
-    /// e.g. local sensitivity's `m` size-`(m-1)` sub-joins, which share only
-    /// their smaller parents.  Memoising them would pin `m` full-size join
-    /// results in memory for no reuse.
-    pub fn join_mask_transient(&self, mask: u32, par: Parallelism) -> Result<JoinResult> {
+    /// Values are identical to [`Self::join_mask`] under any plan; only the
+    /// set of memoised intermediates differs.
+    pub fn join_mask_adaptive(
+        &mut self,
+        mask: u32,
+        par: Parallelism,
+        keep: Keep,
+    ) -> Result<Arc<JoinResult>> {
         self.check_mask(mask)?;
-        let pivot = self.plan.pivot(mask);
-        let rest = mask & !(1u32 << pivot);
-        if rest == 0 {
-            return Ok(JoinResult::from_relation(self.instance.relation(pivot)));
+        if let Some(hit) = self.get(mask) {
+            return Ok(hit);
         }
-        let sub = self.join_mask(rest, par)?;
-        hash_join_step_with(&sub, self.instance.relation(pivot), par)
+        loop {
+            // The chain is re-read from the *current* plan every step: a
+            // re-plan triggered below can re-route `mask` itself, and the
+            // walk must follow the new route before a stale parent is paid
+            // for (each step builds one new mask, so this terminates).
+            let (step, built) = self.build_next(mask, par, keep)?;
+            if self.measure(step, built.distinct_count()) {
+                self.replan_now();
+            }
+            if step == mask {
+                return Ok(built);
+            }
+        }
     }
 
-    /// Materialises every non-empty **proper** subset of `[m]` (all masks
-    /// except the full one — exactly the sub-joins residual sensitivity's
-    /// boundary values need), walking the subset lattice level by level
-    /// through the worker pool.
+    /// Materialises the lattice masks this cache's [`PlanConfig::agg_mode`]
+    /// demands as tuples, walking the subset lattice level by level through
+    /// the worker pool: every non-empty **proper** subset of `[m]` under
+    /// [`AggMode::Never`] (exactly the sub-joins residual sensitivity's
+    /// boundary values read), only the chain parents otherwise — terminal
+    /// masks are left to the count-only reads of
+    /// [`Self::max_group_weight`].
     ///
-    /// Level `k` masks depend only on level `k - 1` parents (every plan
-    /// peels exactly one relation per step), so all masks of a level are
-    /// computed concurrently; when a level has a single mask the parallelism
-    /// is spent inside the join step's probe loop instead.
-    ///
+    /// All masks of a level are built concurrently through the lazy chain
+    /// walk of [`Self::join_mask`]; when a level has a single mask the
+    /// parallelism is spent inside the join step's probe loop instead.
     /// Masks within a level are claimed by **work stealing** (one shared
     /// atomic counter per level): sub-join sizes vary wildly across masks on
     /// skewed instances, so a worker finishing a light mask immediately
@@ -350,63 +417,68 @@ impl<'a> ShardedSubJoinCache<'a> {
     /// inserted keyed by mask, so the memo contents — and every downstream
     /// read — are independent of which worker computed what.
     ///
+    /// After each level, every demanded mask's actual cardinality is
+    /// measured against its estimate, and when an error factor
+    /// `max(actual/est, est/actual)` exceeds [`PlanConfig::replan_ratio`]
+    /// the remaining levels are re-planned with the measured cardinalities
+    /// as exact anchors ([`JoinPlan::replanned`]); each level's demand set
+    /// is re-read from the current plan.  The measurement happens at a
+    /// **level barrier** and both actuals and estimates are
+    /// thread-count-invariant, so the re-plan decisions, the final
+    /// decomposition and every result are identical at every thread count.
+    /// A fixed-prefix plan (no estimates) or a ratio of `f64::INFINITY`
+    /// never re-plans.
+    ///
     /// Returns the per-worker claim counts aggregated across all lattice
     /// levels: [`exec::SchedulerStats`] sums each level's claims
     /// worker-by-worker (index 0 is always the calling thread), so the
     /// max/min spread shows how stealing tracked actual mask cost.
     /// Single-mask levels run inline on the caller and are counted as one
-    /// claim by worker 0.
-    pub fn populate_proper_subsets(&self, par: Parallelism) -> Result<exec::SchedulerStats> {
+    /// claim by worker 0.  The feedback is read via [`Self::replan_stats`].
+    pub fn populate(&mut self, par: Parallelism) -> Result<exec::SchedulerStats> {
         let m = self.query.num_relations() as u32;
         let full = (1u32 << m) - 1;
+        let every_mask = self.config.agg_mode == AggMode::Never;
         let mut stats = exec::SchedulerStats::default();
         for level in 1..m.max(1) {
             let masks: Vec<u32> = (1..full)
-                .filter(|mask| mask.count_ones() == level)
+                .filter(|&mask| {
+                    mask.count_ones() == level && (every_mask || self.plan.is_chain_parent(mask))
+                })
                 .collect();
-            self.populate_level(par, &masks, &mut stats)?;
+            if masks.len() <= 1 {
+                for &mask in &masks {
+                    self.join_mask(mask, par, Keep::Target)?;
+                    stats.absorb(&exec::SchedulerStats::from_claims(vec![1]));
+                }
+            } else {
+                let this = &*self;
+                let (outcomes, level_stats) = exec::par_map_stats(par, masks.len(), |i| {
+                    this.join_mask(masks[i], Parallelism::SEQUENTIAL, Keep::Target)
+                        .map(|_| ())
+                });
+                for outcome in outcomes {
+                    outcome?;
+                }
+                stats.absorb(&level_stats);
+            }
+            let mut breach = false;
+            for &mask in &masks {
+                if let Some(result) = self.get(mask) {
+                    breach |= self.measure(mask, result.distinct_count());
+                }
+            }
+            if breach {
+                self.replan_now();
+            }
         }
         Ok(stats)
     }
 
-    /// Materialises one lattice level's masks through the worker pool (the
-    /// shared body of the static and adaptive populates).  Single-mask
-    /// levels run inline with the full parallelism spent inside the join
-    /// step instead.
-    fn populate_level(
-        &self,
-        par: Parallelism,
-        masks: &[u32],
-        stats: &mut exec::SchedulerStats,
-    ) -> Result<()> {
-        if masks.len() <= 1 {
-            for &mask in masks {
-                if self.get(mask).is_none() {
-                    let result = self.compute_from_parent(mask, par)?;
-                    self.insert(mask, Arc::new(result));
-                }
-                stats.absorb(&exec::SchedulerStats::from_claims(vec![1]));
-            }
-        } else {
-            let (outcomes, level_stats) =
-                exec::par_map_stats(par, masks.len(), |i| -> Result<()> {
-                    let mask = masks[i];
-                    if self.get(mask).is_none() {
-                        let result = self.compute_from_parent(mask, Parallelism::SEQUENTIAL)?;
-                        self.insert(mask, Arc::new(result));
-                    }
-                    Ok(())
-                });
-            for outcome in outcomes {
-                outcome?;
-            }
-            stats.absorb(&level_stats);
-        }
-        Ok(())
-    }
-
-    /// Runtime-feedback diagnostics of this checkout's adaptive walks, if
-    /// any have run (see [`ReplanStats`]).
+    /// Runtime-feedback diagnostics of this cache's adaptive reads and
+    /// populates, if any has measured a mask (see [`ReplanStats`]).  A
+    /// checkout of [`crate::ExecContext::subjoin_cache`] starts empty, so
+    /// these describe this checkout alone.
     pub fn replan_stats(&self) -> Option<&ReplanStats> {
         self.replan.as_ref()
     }
@@ -427,33 +499,27 @@ impl<'a> ShardedSubJoinCache<'a> {
     /// estimate; returns whether the error factor breaches the configured
     /// re-plan ratio.  Cardinalities below one tuple compare as one, so
     /// near-empty results never divide by zero or trigger on noise.
-    fn measure(
-        &self,
-        mask: u32,
-        actual: usize,
-        config: &PlanConfig,
-        replan: &mut ReplanStats,
-    ) -> bool {
+    fn measure(&mut self, mask: u32, actual: usize) -> bool {
         let Some(est) = self.plan.estimated_rows(mask) else {
             return false;
         };
         let est = est.max(1.0);
         let actual = (actual as f64).max(1.0);
         let err = (actual / est).max(est / actual);
+        let replan = self.replan.get_or_insert_with(ReplanStats::default);
         replan.record_error(err);
-        if err > config.replan_ratio {
+        let breach = err > self.config.replan_ratio;
+        if breach {
             replan.triggers += 1;
-            true
-        } else {
-            false
         }
+        breach
     }
 
     /// Re-plans the not-yet-materialised remainder of the lattice from the
     /// measured anchors and swaps the cache onto the new decomposition.
     /// Values are plan-invariant, so the swap can never change results —
     /// only which parents the remaining masks are built from.
-    fn replan_now(&mut self, replan: &mut ReplanStats) {
+    fn replan_now(&mut self) {
         let anchors = self.materialised_anchors();
         if let Some(new_plan) = self.plan.replanned(self.query, &anchors) {
             let full = (1u32 << self.query.num_relations()) - 1;
@@ -462,151 +528,11 @@ impl<'a> ShardedSubJoinCache<'a> {
                     !anchors.contains_key(mask) && new_plan.pivot(*mask) != self.plan.pivot(*mask)
                 })
                 .count();
+            let replan = self.replan.get_or_insert_with(ReplanStats::default);
             replan.replans += 1;
             replan.pivots_changed += changed;
             self.plan = Arc::new(new_plan);
         }
-    }
-
-    /// [`Self::populate_proper_subsets`] with the runtime feedback
-    /// loop closed: after each lattice level is materialised, every mask's
-    /// actual cardinality is compared against its estimate, and when the
-    /// error factor `max(actual/est, est/actual)` of any mask exceeds
-    /// [`PlanConfig::replan_ratio`] the remaining levels are re-planned
-    /// with the measured cardinalities as exact anchors
-    /// ([`JoinPlan::replanned`]).
-    ///
-    /// The measurement happens at a **level barrier** — all masks of a
-    /// level are complete before any error is read, and both actuals and
-    /// estimates are thread-count-invariant — so the re-plan decisions, the
-    /// final decomposition, and (since values are plan-invariant) every
-    /// result are byte-identical at every thread count.
-    pub fn populate_proper_subsets_adaptive(
-        &mut self,
-        par: Parallelism,
-        config: &PlanConfig,
-    ) -> Result<(exec::SchedulerStats, ReplanStats)> {
-        let m = self.query.num_relations() as u32;
-        let full = (1u32 << m) - 1;
-        let mut stats = exec::SchedulerStats::default();
-        let mut replan = self.replan.take().unwrap_or_default();
-        for level in 1..m.max(1) {
-            let masks: Vec<u32> = (1..full)
-                .filter(|mask| mask.count_ones() == level)
-                .collect();
-            self.populate_level(par, &masks, &mut stats)?;
-            if !self.plan.is_cost_based() {
-                continue;
-            }
-            let mut breach = false;
-            for &mask in &masks {
-                if let Some(result) = self.get(mask) {
-                    breach |= self.measure(mask, result.distinct_count(), config, &mut replan);
-                }
-            }
-            if breach {
-                self.replan_now(&mut replan);
-            }
-        }
-        let out = replan.clone();
-        self.replan = Some(replan);
-        Ok((stats, out))
-    }
-
-    /// [`Self::join_mask`] with the runtime feedback loop closed on the
-    /// lazy chain walk: each chain step's actual cardinality is measured as
-    /// soon as it materialises, and a breach of
-    /// [`PlanConfig::replan_ratio`] re-plans the not-yet-walked remainder
-    /// of the chain — so one blown estimate re-routes every step still to
-    /// come, instead of compounding through the rest of the walk.  This is
-    /// where adaptive planning shrinks resident intermediates: on
-    /// correlated instances the static chain commits to a trap parent for
-    /// every target, while the adaptive walk pays for the trap once and
-    /// routes subsequent targets around it.
-    ///
-    /// Values are identical to [`Self::join_mask`] under any plan; only the
-    /// set of memoised intermediates differs.
-    pub fn join_mask_adaptive(
-        &mut self,
-        mask: u32,
-        par: Parallelism,
-        config: &PlanConfig,
-    ) -> Result<Arc<JoinResult>> {
-        self.check_mask(mask)?;
-        let mut replan = self.replan.take().unwrap_or_default();
-        let result = loop {
-            if let Some(hit) = self.get(mask) {
-                break hit;
-            }
-            self.advance_chain(mask, par, config, &mut replan)?;
-        };
-        self.replan = Some(replan);
-        Ok(result)
-    }
-
-    /// Materialises the **deepest missing step** of `mask`'s current-plan
-    /// decomposition chain — one join step whose parent is already
-    /// materialised (or empty) — then measures it and re-plans on a breach.
-    /// One call, one new mask: callers re-read the (possibly re-routed)
-    /// plan between steps, which is what lets a mid-chain re-plan steer the
-    /// walk away from a stale route before it is paid for.
-    fn advance_chain(
-        &mut self,
-        mask: u32,
-        par: Parallelism,
-        config: &PlanConfig,
-        replan: &mut ReplanStats,
-    ) -> Result<()> {
-        let mut step = mask;
-        loop {
-            let parent = self.plan.parent(step);
-            if parent == 0 || self.get(parent).is_some() {
-                break;
-            }
-            step = parent;
-        }
-        let computed = self.compute_from_parent(step, par)?;
-        let actual = computed.distinct_count();
-        self.insert(step, Arc::new(computed));
-        if self.measure(step, actual, config, replan) {
-            self.replan_now(replan);
-        }
-        Ok(())
-    }
-
-    /// [`Self::join_mask_transient`] with the adaptive chain walk of
-    /// [`Self::join_mask_adaptive`]: the chain below `mask` materialises
-    /// (and measures, and possibly re-plans) adaptively, while the final
-    /// step stays un-memoised and owned by the caller — the footprint shape
-    /// local sensitivity wants for its `m` full-size targets.
-    pub fn join_mask_transient_adaptive(
-        &mut self,
-        mask: u32,
-        par: Parallelism,
-        config: &PlanConfig,
-    ) -> Result<JoinResult> {
-        self.check_mask(mask)?;
-        let mut replan = self.replan.take().unwrap_or_default();
-        let out = loop {
-            // Pivot and rest are re-read from the *current* plan every
-            // step: a re-plan triggered anywhere below can re-route `mask`
-            // itself, and the walk must follow the new route before the
-            // stale rest mask is materialised (each iteration either
-            // finishes or materialises one new mask, so this terminates).
-            let pivot = self.plan.pivot(mask);
-            let rest = mask & !(1u32 << pivot);
-            if rest == 0 {
-                break Ok(JoinResult::from_relation(self.instance.relation(pivot)));
-            }
-            if let Some(sub) = self.get(rest) {
-                break hash_join_step_with(&sub, self.instance.relation(pivot), par);
-            }
-            if let Err(e) = self.advance_chain(rest, par, config, &mut replan) {
-                break Err(e);
-            }
-        };
-        self.replan = Some(replan);
-        out
     }
 
     // ---- Aggregate-pushdown (count-only) evaluation --------------------
@@ -633,21 +559,26 @@ impl<'a> ShardedSubJoinCache<'a> {
             .cloned()
     }
 
-    fn agg_insert(&self, mask: u32, summary: Arc<AggSummary>) {
-        // Unlike the materialised memo this replaces: a later read over a
-        // different group list supersedes the stored summary (values for
-        // the same list are deterministic, so replacement is safe).
-        self.agg
-            .lock()
-            .expect("agg overlay poisoned")
-            .insert(mask, summary);
+    /// Memoises `summary` per `keep` and returns its maximum group weight.
+    fn keep_agg(&self, mask: u32, summary: AggSummary, keep: Keep) -> u128 {
+        let max = summary.max_group_weight;
+        if keep == Keep::Target {
+            // Unlike the materialised memo this replaces: a later read over
+            // a different group list supersedes the stored summary (values
+            // for the same list are deterministic, so replacement is safe).
+            self.agg
+                .lock()
+                .expect("agg overlay poisoned")
+                .insert(mask, Arc::new(summary));
+        }
+        max
     }
 
     /// Whether an aggregate read over `mask` should go through the
     /// materialised lattice instead of the count-only fold.
     fn reads_materialized(&self, mask: u32) -> bool {
         let full = (1u32 << self.query.num_relations()) - 1;
-        match self.agg_mode {
+        match self.config.agg_mode {
             AggMode::Never => true,
             // Stress mode: force the fold on every proper mask, even when a
             // materialised entry is warm.
@@ -661,84 +592,69 @@ impl<'a> ShardedSubJoinCache<'a> {
         }
     }
 
-    /// Computes `mask`'s count-only summary with one aggregate fold from
-    /// its plan parent.  The parent is materialised through the **lazy
-    /// chain walk**, never assumed present: a mid-populate re-plan can
-    /// re-route a chain through a mask the demanded populate skipped, and
-    /// the walk builds such ancestors instead of panicking.
-    fn compute_agg(&self, mask: u32, group_by: &[AttrId], par: Parallelism) -> Result<AggSummary> {
-        let pivot = self.plan.pivot(mask);
-        let rest = mask & !(1u32 << pivot);
-        if rest == 0 {
-            AggSummary::from_join_result(
-                &JoinResult::from_relation(self.instance.relation(pivot)),
-                group_by,
-            )
-        } else {
-            let sub = self.join_mask(rest, par)?;
-            hash_join_step_agg(&sub, self.instance.relation(pivot), group_by, par)
+    /// The count-only summary of the sub-join `sub ⋈ R_pivot` (just
+    /// `R_pivot` for a singleton mask, whose parent `sub` is `None`) in one
+    /// aggregate fold.
+    fn fold(
+        &self,
+        pivot: usize,
+        sub: Option<&JoinResult>,
+        group_by: &[AttrId],
+        par: Parallelism,
+    ) -> Result<AggSummary> {
+        let relation = self.instance.relation(pivot);
+        match sub {
+            None => AggSummary::from_join_result(&JoinResult::from_relation(relation), group_by),
+            Some(sub) => hash_join_step_agg(sub, relation, group_by, par),
         }
     }
 
     /// The maximum group weight of `mask`'s sub-join over `group_by` (the
     /// boundary query; an empty list yields the join size).  Serves the
-    /// read count-only where the [`AggMode`] policy allows, memoising the
-    /// summary in the overlay; otherwise reads the materialised lattice via
-    /// [`Self::join_mask`].  Values are identical either way.
+    /// read count-only where the [`AggMode`] policy allows — one aggregate
+    /// fold from the plan parent, which is materialised through the lazy
+    /// chain walk, never assumed present — memoising the summary in the
+    /// overlay per `keep`; otherwise reads the materialised lattice via
+    /// [`Self::join_mask`].  Values are identical either way.  Never
+    /// re-plans, so it is safe to call from pool workers concurrently.
     pub fn max_group_weight(
         &self,
         mask: u32,
         group_by: &[AttrId],
         par: Parallelism,
+        keep: Keep,
     ) -> Result<u128> {
         self.check_mask(mask)?;
         if let Some(hit) = self.agg_get(mask, group_by) {
             return Ok(hit.max_group_weight);
         }
         if self.reads_materialized(mask) {
-            return self.join_mask(mask, par)?.max_group_weight(group_by);
+            return self.join_mask(mask, par, keep)?.max_group_weight(group_by);
         }
-        let summary = Arc::new(self.compute_agg(mask, group_by, par)?);
-        let max = summary.max_group_weight;
-        self.agg_insert(mask, summary);
-        Ok(max)
-    }
-
-    /// [`Self::max_group_weight`] without memoising anything for `mask`
-    /// itself (parents materialise as usual) — the footprint shape local
-    /// sensitivity wants for its `m` full-size targets.
-    pub fn max_group_weight_transient(
-        &self,
-        mask: u32,
-        group_by: &[AttrId],
-        par: Parallelism,
-    ) -> Result<u128> {
-        self.check_mask(mask)?;
-        if let Some(hit) = self.agg_get(mask, group_by) {
-            return Ok(hit.max_group_weight);
-        }
-        if self.reads_materialized(mask) {
-            return self
-                .join_mask_transient(mask, par)?
-                .max_group_weight(group_by);
-        }
-        Ok(self.compute_agg(mask, group_by, par)?.max_group_weight)
+        let pivot = self.plan.pivot(mask);
+        let rest = mask & !(1u32 << pivot);
+        let sub = match rest {
+            0 => None,
+            _ => Some(self.join_mask(rest, par, Keep::Target)?),
+        };
+        let summary = self.fold(pivot, sub.as_deref(), group_by, par)?;
+        Ok(self.keep_agg(mask, summary, keep))
     }
 
     /// [`Self::max_group_weight`] with the runtime feedback loop closed:
-    /// the count-only fold measures the summary's recorded distinct count
+    /// the parent chain is walked by [`Self::join_mask_adaptive`], and the
+    /// count-only fold measures the summary's recorded distinct count
     /// against the planner estimate (exactly what the materializing path
-    /// would have measured — the fold counts the same match pairs), and a
-    /// breach re-plans the not-yet-built remainder.  A re-plan below can
-    /// re-route `mask` itself; values are plan-invariant, so the fold over
-    /// the already-chosen pivot stays correct — only later masks take the
-    /// new route.
+    /// would have measured — the fold counts the same match pairs).  The
+    /// pivot is committed before the walk: a re-plan below can re-route
+    /// `mask` itself, but values are plan-invariant, so the fold over the
+    /// committed pivot stays correct — only later masks take the new route.
     pub fn max_group_weight_adaptive(
         &mut self,
         mask: u32,
         group_by: &[AttrId],
         par: Parallelism,
-        config: &PlanConfig,
+        keep: Keep,
     ) -> Result<u128> {
         self.check_mask(mask)?;
         if let Some(hit) = self.agg_get(mask, group_by) {
@@ -746,129 +662,20 @@ impl<'a> ShardedSubJoinCache<'a> {
         }
         if self.reads_materialized(mask) {
             return self
-                .join_mask_adaptive(mask, par, config)?
+                .join_mask_adaptive(mask, par, keep)?
                 .max_group_weight(group_by);
         }
-        let summary = Arc::new(self.compute_agg_adaptive(mask, group_by, par, config)?);
-        let mut replan = self.replan.take().unwrap_or_default();
-        if self.measure(mask, summary.distinct_count, config, &mut replan) {
-            self.replan_now(&mut replan);
-        }
-        self.replan = Some(replan);
-        let max = summary.max_group_weight;
-        self.agg_insert(mask, summary);
-        Ok(max)
-    }
-
-    /// [`Self::max_group_weight_transient`] with the adaptive chain walk
-    /// below (parents materialise, measure and possibly re-plan) and the
-    /// final fold measured too; nothing is memoised for `mask` itself.
-    pub fn max_group_weight_transient_adaptive(
-        &mut self,
-        mask: u32,
-        group_by: &[AttrId],
-        par: Parallelism,
-        config: &PlanConfig,
-    ) -> Result<u128> {
-        self.check_mask(mask)?;
-        if let Some(hit) = self.agg_get(mask, group_by) {
-            return Ok(hit.max_group_weight);
-        }
-        if self.reads_materialized(mask) {
-            return self
-                .join_mask_transient_adaptive(mask, par, config)?
-                .max_group_weight(group_by);
-        }
-        let summary = self.compute_agg_adaptive(mask, group_by, par, config)?;
-        let mut replan = self.replan.take().unwrap_or_default();
-        if self.measure(mask, summary.distinct_count, config, &mut replan) {
-            self.replan_now(&mut replan);
-        }
-        self.replan = Some(replan);
-        Ok(summary.max_group_weight)
-    }
-
-    /// [`Self::compute_agg`] with the parent chain walked adaptively.  The
-    /// pivot is committed before the walk; a re-plan triggered below may
-    /// re-route `mask`, but the fold over the committed pivot still yields
-    /// `mask`'s sub-join aggregates (values are plan-invariant).
-    fn compute_agg_adaptive(
-        &mut self,
-        mask: u32,
-        group_by: &[AttrId],
-        par: Parallelism,
-        config: &PlanConfig,
-    ) -> Result<AggSummary> {
         let pivot = self.plan.pivot(mask);
         let rest = mask & !(1u32 << pivot);
-        if rest == 0 {
-            return AggSummary::from_join_result(
-                &JoinResult::from_relation(self.instance.relation(pivot)),
-                group_by,
-            );
+        let sub = match rest {
+            0 => None,
+            _ => Some(self.join_mask_adaptive(rest, par, Keep::Target)?),
+        };
+        let summary = self.fold(pivot, sub.as_deref(), group_by, par)?;
+        if self.measure(mask, summary.distinct_count) {
+            self.replan_now();
         }
-        let sub = self.join_mask_adaptive(rest, par, config)?;
-        hash_join_step_agg(&sub, self.instance.relation(pivot), group_by, par)
-    }
-
-    /// [`Self::populate_proper_subsets_adaptive`] restricted to the masks
-    /// the lattice actually *demands* as tuples: under
-    /// [`AggMode::Auto`]/[`AggMode::Always`] only chain parents are
-    /// materialised and terminal masks are left to the count-only reads;
-    /// under [`AggMode::Never`] this is exactly the full adaptive populate.
-    ///
-    /// Each level's demand set is re-read from the **current** plan, so a
-    /// mid-populate re-plan re-routes later levels' demand too, and masks
-    /// are built through the lazy chain walk ([`Self::join_mask`]) rather
-    /// than a parent-present assumption — a re-plan may demand a mask whose
-    /// new parent was skipped at an earlier level, and the walk builds it.
-    pub fn populate_demanded_adaptive(
-        &mut self,
-        par: Parallelism,
-        config: &PlanConfig,
-    ) -> Result<(exec::SchedulerStats, ReplanStats)> {
-        if self.agg_mode == AggMode::Never {
-            return self.populate_proper_subsets_adaptive(par, config);
-        }
-        let m = self.query.num_relations() as u32;
-        let full = (1u32 << m) - 1;
-        let mut stats = exec::SchedulerStats::default();
-        let mut replan = self.replan.take().unwrap_or_default();
-        for level in 1..m.max(1) {
-            let masks: Vec<u32> = (1..full)
-                .filter(|&mask| mask.count_ones() == level && self.plan.is_chain_parent(mask))
-                .collect();
-            if masks.len() <= 1 {
-                for &mask in &masks {
-                    self.join_mask(mask, par)?;
-                    stats.absorb(&exec::SchedulerStats::from_claims(vec![1]));
-                }
-            } else {
-                let (outcomes, level_stats) = exec::par_map_stats(par, masks.len(), |i| {
-                    self.join_mask(masks[i], Parallelism::SEQUENTIAL)
-                        .map(|_| ())
-                });
-                for outcome in outcomes {
-                    outcome?;
-                }
-                stats.absorb(&level_stats);
-            }
-            if !self.plan.is_cost_based() {
-                continue;
-            }
-            let mut breach = false;
-            for &mask in &masks {
-                if let Some(result) = self.get(mask) {
-                    breach |= self.measure(mask, result.distinct_count(), config, &mut replan);
-                }
-            }
-            if breach {
-                self.replan_now(&mut replan);
-            }
-        }
-        let out = replan.clone();
-        self.replan = Some(replan);
-        Ok((stats, out))
+        Ok(self.keep_agg(mask, summary, keep))
     }
 
     /// Snapshot of the count-only overlay (cheap `Arc` clones), taken by
@@ -958,6 +765,19 @@ mod tests {
         result.iter_unordered().collect()
     }
 
+    /// The materialize-everything oracle config: [`Self::populate`] builds
+    /// every proper mask and nothing re-plans.
+    fn static_never() -> PlanConfig {
+        PlanConfig::with_replan_ratio(f64::INFINITY).with_agg_mode(AggMode::Never)
+    }
+
+    /// A fixed-prefix cache that materialises every proper mask on populate.
+    fn materializing<'a>(q: &'a JoinQuery, inst: &'a Instance) -> ShardedSubJoinCache<'a> {
+        ShardedSubJoinCache::new(q, inst)
+            .unwrap()
+            .with_config(static_never())
+    }
+
     fn star_instance(m: usize) -> (JoinQuery, Instance) {
         let q = JoinQuery::star(m, 16).unwrap();
         let mut inst = Instance::empty_for(&q).unwrap();
@@ -981,7 +801,11 @@ mod tests {
             let rels = rels_of(mask, 4);
             let direct = join_subset(&q, &inst, &rels).unwrap();
             let cached = cache
-                .join_mask(cache.mask_of(&rels).unwrap(), Parallelism::SEQUENTIAL)
+                .join_mask(
+                    cache.mask_of(&rels).unwrap(),
+                    Parallelism::SEQUENTIAL,
+                    Keep::Target,
+                )
                 .unwrap();
             assert_eq!(cached.attrs(), direct.attrs());
             assert_eq!(cached.total(), direct.total());
@@ -996,11 +820,15 @@ mod tests {
     fn enumeration_reuses_prefixes() {
         let (q, inst) = star_instance(3);
         let cache = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        cache.join_mask(0b111, Parallelism::SEQUENTIAL).unwrap();
+        cache
+            .join_mask(0b111, Parallelism::SEQUENTIAL, Keep::Target)
+            .unwrap();
         // The chain {0} → {0,1} → {0,1,2} is materialised by one call.
         assert_eq!(cache.cached_count(), 3);
         // Asking for the prefix again computes nothing new.
-        cache.join_mask(0b011, Parallelism::SEQUENTIAL).unwrap();
+        cache
+            .join_mask(0b011, Parallelism::SEQUENTIAL, Keep::Target)
+            .unwrap();
         assert_eq!(cache.cached_count(), 3);
     }
 
@@ -1010,12 +838,19 @@ mod tests {
         let cache = ShardedSubJoinCache::new(&q, &inst).unwrap();
         let seq = Parallelism::SEQUENTIAL;
         // The empty subset maps to mask 0, which no lookup accepts.
-        assert!(cache.join_mask(cache.mask_of(&[]).unwrap(), seq).is_err());
+        let empty = cache.mask_of(&[]).unwrap();
+        assert!(cache.join_mask(empty, seq, Keep::Target).is_err());
         assert!(cache.mask_of(&[5]).is_err());
+        let mut cache = cache;
         for mask in [0, 1 << 3] {
-            assert!(cache.join_mask(mask, seq).is_err());
-            assert!(cache.join_mask_transient(mask, seq).is_err());
-            assert!(cache.max_group_weight(mask, &[], seq).is_err());
+            for keep in [Keep::Target, Keep::Chain] {
+                assert!(cache.join_mask(mask, seq, keep).is_err());
+                assert!(cache.max_group_weight(mask, &[], seq, keep).is_err());
+                assert!(cache.join_mask_adaptive(mask, seq, keep).is_err());
+                assert!(cache
+                    .max_group_weight_adaptive(mask, &[], seq, keep)
+                    .is_err());
+            }
         }
     }
 
@@ -1031,16 +866,14 @@ mod tests {
     fn parallel_populate_matches_sequential_populate() {
         let (q, inst) = star_instance(4);
         let full = (1u32 << 4) - 1;
-        let sequential = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        sequential
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
+        let mut sequential = materializing(&q, &inst);
+        sequential.populate(Parallelism::SEQUENTIAL).unwrap();
+        let seq_full = sequential
+            .join_mask(full, Parallelism::SEQUENTIAL, Keep::Target)
             .unwrap();
-        let seq_full = sequential.join_mask(full, Parallelism::SEQUENTIAL).unwrap();
         for &threads in &[1usize, 2, 4] {
-            let sharded = ShardedSubJoinCache::new(&q, &inst).unwrap();
-            sharded
-                .populate_proper_subsets(Parallelism::threads(threads))
-                .unwrap();
+            let mut sharded = materializing(&q, &inst);
+            sharded.populate(Parallelism::threads(threads)).unwrap();
             // All proper non-empty subsets are materialised, nothing else.
             assert_eq!(sharded.cached_count(), (1 << 4) - 2);
             for mask in 1u32..full {
@@ -1055,7 +888,7 @@ mod tests {
             }
             // The full mask is still reachable lazily.
             let full_join = sharded
-                .join_mask(full, Parallelism::threads(threads))
+                .join_mask(full, Parallelism::threads(threads), Keep::Target)
                 .unwrap();
             assert_eq!(
                 stored_rows(&full_join),
@@ -1072,10 +905,8 @@ mod tests {
         // 2^4 - 2 proper non-empty subsets, every one claimed exactly once.
         let proper = (1usize << 4) - 2;
         for &threads in &[1usize, 2, 4] {
-            let sharded = ShardedSubJoinCache::new(&q, &inst).unwrap();
-            let stats = sharded
-                .populate_proper_subsets(Parallelism::threads(threads))
-                .unwrap();
+            let mut sharded = materializing(&q, &inst);
+            let stats = sharded.populate(Parallelism::threads(threads)).unwrap();
             assert_eq!(stats.total(), proper, "threads {threads}");
             assert!(stats.workers() >= 1);
             assert_eq!(sharded.cached_count(), proper);
@@ -1083,7 +914,7 @@ mod tests {
                 assert_eq!(
                     sharded.get(mask).expect("populated").as_ref(),
                     sequential
-                        .join_mask(mask, Parallelism::SEQUENTIAL)
+                        .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
                         .unwrap()
                         .as_ref(),
                     "mask {mask:#b}, threads {threads}"
@@ -1098,21 +929,22 @@ mod tests {
         let sharded = ShardedSubJoinCache::new(&q, &inst).unwrap();
         let mask = 0b111u32;
         let transient = sharded
-            .join_mask_transient(mask, Parallelism::threads(2))
+            .join_mask(mask, Parallelism::threads(2), Keep::Chain)
             .unwrap();
         // The top-level result is not memoised, only its prefixes are.
         assert!(sharded.get(mask).is_none());
-        let memoised = sharded.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
-        assert_eq!(&transient, memoised.as_ref());
+        assert!(sharded.get(0b011).is_some());
+        let memoised = sharded
+            .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
+            .unwrap();
+        assert_eq!(transient.as_ref(), memoised.as_ref());
     }
 
     #[test]
     fn memo_roundtrip_preserves_entries_and_drops_stale_masks() {
         let (q, inst) = star_instance(3);
-        let sharded = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        sharded
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
+        let mut sharded = materializing(&q, &inst);
+        sharded.populate(Parallelism::SEQUENTIAL).unwrap();
         let count = sharded.cached_count();
         let mut memo = sharded.into_memo();
         assert_eq!(memo.len(), count);
@@ -1120,12 +952,15 @@ mod tests {
         // on re-seed instead of poisoning lookups.
         let stale = memo.values().next().unwrap().clone();
         memo.insert(1 << 5, stale);
-        let reseeded = ShardedSubJoinCache::with_memo(&q, &inst, memo).unwrap();
+        let plan = Arc::new(JoinPlan::fixed_prefix(3));
+        let reseeded = ShardedSubJoinCache::with_memo_and_plan(&q, &inst, memo, plan).unwrap();
         assert_eq!(reseeded.cached_count(), count);
         let reference = ShardedSubJoinCache::new(&q, &inst).unwrap();
         for mask in 1u32..((1 << 3) - 1) {
             let warm = reseeded.get(mask).expect("seeded entry");
-            let cold = reference.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
+            let cold = reference
+                .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
+                .unwrap();
             assert_eq!(warm.as_ref(), cold.as_ref());
         }
     }
@@ -1159,20 +994,23 @@ mod tests {
             // Order-insensitive equality: decompositions may emit rows in
             // different construction orders, but the weighted tuple sets —
             // and every aggregate downstream consumers read — must match.
-            let planned_join = planned.join_mask(mask, seq).unwrap();
+            // The chain-only read runs first, so it builds its own result.
+            assert_eq!(
+                planned.join_mask(mask, seq, Keep::Chain).unwrap().as_ref(),
+                &direct,
+                "transient mask {mask:#b}"
+            );
+            let planned_join = planned.join_mask(mask, seq, Keep::Target).unwrap();
             assert_eq!(planned_join.as_ref(), &direct, "mask {mask:#b}");
             assert_eq!(
-                fixed.join_mask(mask, seq).unwrap().as_ref(),
+                fixed.join_mask(mask, seq, Keep::Target).unwrap().as_ref(),
                 &direct,
                 "mask {mask:#b}"
             );
-            let concurrent = sharded.join_mask(mask, Parallelism::threads(2)).unwrap();
+            let concurrent = sharded
+                .join_mask(mask, Parallelism::threads(2), Keep::Target)
+                .unwrap();
             assert_eq!(concurrent.as_ref(), &direct, "sharded mask {mask:#b}");
-            assert_eq!(
-                planned.join_mask_transient(mask, seq).unwrap(),
-                direct,
-                "transient mask {mask:#b}"
-            );
             assert_eq!(sorted_rows(&planned_join), naive_rows(&q, &inst, mask));
         }
     }
@@ -1186,8 +1024,12 @@ mod tests {
         let planned = ShardedSubJoinCache::with_plan(&q, &inst, plan).unwrap();
         let fixed = ShardedSubJoinCache::new(&q, &inst).unwrap();
         let mask = 0b1101u32;
-        let a = planned.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
-        let b = fixed.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
+        let a = planned
+            .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
+            .unwrap();
+        let b = fixed
+            .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
+            .unwrap();
         assert_eq!(a.as_ref(), b.as_ref());
         assert!(
             planned.cached_tuples() < fixed.cached_tuples(),
@@ -1244,17 +1086,17 @@ mod tests {
         let (q, inst) = correlated_instance();
         let m = q.num_relations();
         let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
-        let reference = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
-        reference
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
-        let config = PlanConfig::with_replan_ratio(8.0);
+        let mut reference = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan))
+            .unwrap()
+            .with_config(static_never());
+        reference.populate(Parallelism::SEQUENTIAL).unwrap();
+        let config = PlanConfig::with_replan_ratio(8.0).with_agg_mode(AggMode::Never);
         for &threads in &[1usize, 2, 4] {
-            let mut adaptive =
-                ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
-            let (sched_stats, replan) = adaptive
-                .populate_proper_subsets_adaptive(Parallelism::threads(threads), &config)
-                .unwrap();
+            let mut adaptive = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan))
+                .unwrap()
+                .with_config(config);
+            let sched_stats = adaptive.populate(Parallelism::threads(threads)).unwrap();
+            let replan = adaptive.replan_stats().expect("measured").clone();
             // Every proper mask is materialised and byte-identical to the
             // static populate, at every thread count.
             assert_eq!(sched_stats.total(), (1 << m) - 2, "threads {threads}");
@@ -1272,8 +1114,11 @@ mod tests {
             assert!(replan.triggers >= 1, "threads {threads}: {replan:?}");
             assert!(replan.replans >= 1, "threads {threads}: {replan:?}");
             assert!(replan.max_error >= 15.0, "threads {threads}: {replan:?}");
-            assert_eq!(adaptive.replan_stats(), Some(&replan));
         }
+        // The ratio-∞ reference measured the same masks but never re-planned.
+        let reference = reference.replan_stats().expect("measured");
+        assert_eq!(reference.measured, (1 << m) - 2);
+        assert_eq!((reference.triggers, reference.replans), (0, 0));
     }
 
     #[test]
@@ -1287,18 +1132,21 @@ mod tests {
         let targets: Vec<u32> = (0..m as u32)
             .map(|r| ((1u32 << m) - 1) & !(1u32 << r))
             .collect();
-        let static_cache = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
-        let mut adaptive_cache =
-            ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
-        let config = PlanConfig::with_replan_ratio(8.0);
+        let cache = |ratio: f64| {
+            ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan))
+                .unwrap()
+                .with_config(PlanConfig::with_replan_ratio(ratio))
+        };
+        let (mut static_cache, mut adaptive_cache) = (cache(f64::INFINITY), cache(8.0));
         for &t in &targets {
+            let seq = Parallelism::SEQUENTIAL;
             let s = static_cache
-                .join_mask_transient(t, Parallelism::SEQUENTIAL)
+                .join_mask_adaptive(t, seq, Keep::Chain)
                 .unwrap();
             let a = adaptive_cache
-                .join_mask_transient_adaptive(t, Parallelism::SEQUENTIAL, &config)
+                .join_mask_adaptive(t, seq, Keep::Chain)
                 .unwrap();
-            assert_eq!(a, s, "target {t:#b}");
+            assert_eq!(a.as_ref(), s.as_ref(), "target {t:#b}");
         }
         let static_tuples = static_cache.cached_tuples();
         let adaptive_tuples = adaptive_cache.cached_tuples();
@@ -1316,15 +1164,18 @@ mod tests {
         let (q, inst) = correlated_instance();
         let m = q.num_relations();
         let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
-        let mut stress = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
-        let config = PlanConfig::with_replan_ratio(1.0);
+        let mut stress = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan))
+            .unwrap()
+            .with_config(PlanConfig::with_replan_ratio(1.0));
         let reference = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
         let full = (1u32 << m) - 1;
         for mask in 1u32..=full {
             let a = stress
-                .join_mask_adaptive(mask, Parallelism::SEQUENTIAL, &config)
+                .join_mask_adaptive(mask, Parallelism::SEQUENTIAL, Keep::Target)
                 .unwrap();
-            let b = reference.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
+            let b = reference
+                .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
+                .unwrap();
             assert_eq!(a.as_ref(), b.as_ref(), "{mask:#b}");
             assert_eq!(sorted_rows(&a), naive_rows(&q, &inst, mask), "{mask:#b}");
         }
@@ -1336,8 +1187,9 @@ mod tests {
         let m = q.num_relations();
         for mode in [AggMode::Auto, AggMode::Always, AggMode::Never] {
             for &threads in &[1usize, 2, 4] {
-                let mut cache = ShardedSubJoinCache::new(&q, &inst).unwrap();
-                cache.agg_mode = mode;
+                let cache = ShardedSubJoinCache::new(&q, &inst)
+                    .unwrap()
+                    .with_config(PlanConfig::default().with_agg_mode(mode));
                 let par = Parallelism::threads(threads);
                 for mask in 1u32..(1 << m) {
                     let rels: Vec<usize> = (0..m).filter(|i| mask & (1 << i) != 0).collect();
@@ -1345,7 +1197,7 @@ mod tests {
                     let boundary = q.boundary(&rels).unwrap();
                     for y in [&boundary[..], &[]] {
                         assert_eq!(
-                            cache.max_group_weight(mask, y, par).unwrap(),
+                            cache.max_group_weight(mask, y, par, Keep::Target).unwrap(),
                             direct.max_group_weight(y).unwrap(),
                             "mask {mask:#b}, {mode:?}, threads {threads}, y {y:?}"
                         );
@@ -1360,16 +1212,13 @@ mod tests {
         let (q, inst) = star_instance(4);
         let m = q.num_relations();
         let full = (1u32 << m) - 1;
-        let reference = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        reference
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
-        let config = PlanConfig::default();
+        let mut reference = materializing(&q, &inst);
+        reference.populate(Parallelism::SEQUENTIAL).unwrap();
         for &threads in &[1usize, 2, 4] {
-            let mut cache = ShardedSubJoinCache::new(&q, &inst).unwrap();
-            let (sched_stats, _) = cache
-                .populate_demanded_adaptive(Parallelism::threads(threads), &config)
-                .unwrap();
+            let mut cache = ShardedSubJoinCache::new(&q, &inst)
+                .unwrap()
+                .with_config(PlanConfig::default().with_agg_mode(AggMode::Auto));
+            let sched_stats = cache.populate(Parallelism::threads(threads)).unwrap();
             // Under the fixed-prefix plan the chain parents are exactly the
             // non-empty subsets of {0, …, m-2}: every terminal mask (one
             // containing relation m-1) is skipped, halving the populate.
@@ -1389,7 +1238,7 @@ mod tests {
                 let boundary = q.boundary(&rels).unwrap();
                 assert_eq!(
                     cache
-                        .max_group_weight(mask, &boundary, Parallelism::SEQUENTIAL)
+                        .max_group_weight(mask, &boundary, Parallelism::SEQUENTIAL, Keep::Target)
                         .unwrap(),
                     reference
                         .get(mask)
@@ -1413,18 +1262,19 @@ mod tests {
     #[test]
     fn aggregate_overlay_round_trips_and_reuses_exact_group_hits() {
         let (q, inst) = star_instance(3);
-        let mut cache = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        cache.agg_mode = AggMode::Always;
+        let cache = ShardedSubJoinCache::new(&q, &inst)
+            .unwrap()
+            .with_config(PlanConfig::default().with_agg_mode(AggMode::Always));
         let mask = 0b101u32;
         let boundary = q.boundary(&[0, 2]).unwrap();
         let first = cache
-            .max_group_weight(mask, &boundary, Parallelism::SEQUENTIAL)
+            .max_group_weight(mask, &boundary, Parallelism::SEQUENTIAL, Keep::Target)
             .unwrap();
         assert_eq!(cache.cached_agg_count(), 1);
         // A repeat read with the same grouping serves the overlay entry.
         assert_eq!(
             cache
-                .max_group_weight(mask, &boundary, Parallelism::SEQUENTIAL)
+                .max_group_weight(mask, &boundary, Parallelism::SEQUENTIAL, Keep::Target)
                 .unwrap(),
             first
         );
@@ -1432,7 +1282,7 @@ mod tests {
         // A different grouping misses the overlay, recomputes correctly and
         // replaces the entry.
         let total = cache
-            .max_group_weight(mask, &[], Parallelism::SEQUENTIAL)
+            .max_group_weight(mask, &[], Parallelism::SEQUENTIAL, Keep::Target)
             .unwrap();
         assert_eq!(
             total,
@@ -1457,7 +1307,7 @@ mod tests {
         warm.seed_agg(entries);
         assert_eq!(warm.cached_agg_count(), 1, "out-of-range mask dropped");
         assert_eq!(
-            warm.max_group_weight(mask, &[], Parallelism::SEQUENTIAL)
+            warm.max_group_weight(mask, &[], Parallelism::SEQUENTIAL, Keep::Target)
                 .unwrap(),
             total
         );

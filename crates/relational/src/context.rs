@@ -361,9 +361,8 @@ impl ExecContext {
     }
 
     /// Sets the adaptive-planning knobs (default [`PlanConfig::default`],
-    /// which reads `DPSYN_REPLAN_RATIO` from the environment).  Consumers
-    /// running adaptive populates or walks over this context's checkouts
-    /// read the config via [`ExecContext::plan_config`].
+    /// which reads `DPSYN_REPLAN_RATIO` and `DPSYN_AGG_FORCE` from the
+    /// environment).  Every sub-join cache checkout carries it.
     pub fn with_plan_config(mut self, plan_config: PlanConfig) -> Self {
         self.plan_config = plan_config;
         self
@@ -542,7 +541,9 @@ impl ExecContext {
     /// [`ShardedSubJoinCache`] starts **warm** (seeded with every previously
     /// materialised sub-join); otherwise it starts empty.  Either way it
     /// decomposes subsets along the slot's shared cost-based [`JoinPlan`]
-    /// (built on first checkout).  Pair with
+    /// (built on first checkout), runs on this context's [`PlanConfig`],
+    /// and starts with empty feedback stats, so its
+    /// [`ShardedSubJoinCache::replan_stats`] describe this checkout alone.  Pair with
     /// [`ExecContext::retain_subjoin_cache`] to persist whatever the
     /// computation materialised.  The memo entries are `Arc`-shared clones,
     /// so concurrent checkouts of the same context all see the warm lattice
@@ -554,57 +555,47 @@ impl ExecContext {
     ) -> Result<ShardedSubJoinCache<'a>> {
         let fp = instance_fingerprint(query, instance);
         let plan = self.join_plan_at(fp, query, instance)?;
-        let (memo, agg, replan) = {
+        let (memo, agg) = {
             let mut state = self.state.lock().expect("context cache poisoned");
-            match state.slot_mut(fp) {
-                Some(slot) if !slot.lattice.is_empty() || !slot.agg_lattice.is_empty() => {
-                    let out = (
-                        slot.lattice.clone(),
-                        slot.agg_lattice.clone(),
-                        slot.replan.clone(),
-                    );
+            let warm = state
+                .slot_mut(fp)
+                .filter(|slot| !slot.lattice.is_empty() || !slot.agg_lattice.is_empty())
+                .map(|slot| (slot.lattice.clone(), slot.agg_lattice.clone()));
+            match warm {
+                Some(warm) => {
                     state.hits += 1;
-                    out
-                }
-                Some(slot) => {
-                    let out = (
-                        FxHashMap::default(),
-                        FxHashMap::default(),
-                        slot.replan.clone(),
-                    );
-                    state.misses += 1;
-                    out
+                    warm
                 }
                 None => {
                     state.misses += 1;
-                    (FxHashMap::default(), FxHashMap::default(), None)
+                    Default::default()
                 }
             }
         };
-        let mut cache = ShardedSubJoinCache::with_memo_and_plan(query, instance, memo, plan)?;
+        // The cache runs on the context's plan config; its feedback stats
+        // start empty (they are merged back on check-in), and the warm
+        // overlay re-seeds so repeated aggregate reads stay free.
+        let mut cache = ShardedSubJoinCache::with_memo_and_plan(query, instance, memo, plan)?
+            .with_config(self.plan_config);
         cache.fingerprint = Some(fp);
-        cache.replan = replan;
-        // The materialize-vs-aggregate policy rides the context's plan
-        // config; the warm overlay re-seeds so repeated aggregate reads
-        // stay free across checkouts.
-        cache.agg_mode = self.plan_config.agg_mode;
         cache.seed_agg(agg);
         Ok(cache)
     }
 
     /// Checks a sub-join cache back into the context, persisting its
     /// materialised lattice for the next call over the same data.  The
-    /// entries are merged into the pair's LRU slot (so concurrent callers
-    /// compound instead of clobbering each other); an unknown pair claims a
+    /// entries and the checkout's feedback stats are merged into the pair's
+    /// LRU slot (so concurrent callers compound instead of clobbering each
+    /// other); an unknown pair claims a
     /// fresh slot, evicting the least-recently-used one when the context is
     /// at capacity.
-    pub fn retain_subjoin_cache(&self, cache: ShardedSubJoinCache<'_>) {
+    pub fn retain_subjoin_cache(&self, mut cache: ShardedSubJoinCache<'_>) {
         // Checkout stamped the fingerprint; hand-built caches pay one hash.
         let fp = cache
             .fingerprint
             .unwrap_or_else(|| instance_fingerprint(cache.query(), cache.instance()));
         let plan = Arc::clone(cache.plan());
-        let replan = cache.replan.clone();
+        let replan = cache.replan.take();
         let agg = cache.agg_entries();
         let memo = cache.into_memo();
         let mut state = self.state.lock().expect("context cache poisoned");
@@ -622,16 +613,19 @@ impl ExecContext {
         // stale-estimate plan, so the next checkout starts on the
         // anchor-corrected decomposition.
         if plan.is_cost_based() {
-            if replan.as_ref().map(|r| r.replans).unwrap_or(0) > 0 {
+            if replan.as_ref().is_some_and(|r| r.replans > 0) {
                 slot.join_plan = Some(plan);
             } else {
                 slot.join_plan.get_or_insert(plan);
             }
         }
-        // The checkout's feedback stats started from the slot's (copied out
-        // at checkout), so storing them back is a merge, not a clobber.
-        if replan.is_some() {
-            slot.replan = replan;
+        // Each checkout measures from empty stats, so merging them keeps
+        // the feedback of checkouts that interleave.
+        if let Some(replan) = replan {
+            match slot.replan.as_mut() {
+                Some(total) => total.absorb(&replan),
+                None => slot.replan = Some(replan),
+            }
         }
     }
 
@@ -1029,7 +1023,16 @@ impl ExecContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Keep;
     use crate::join::{join, join_subset};
+    use crate::plan::AggMode;
+
+    /// A sequential context whose checkouts materialise every proper mask
+    /// on `populate`, whatever `DPSYN_AGG_FORCE` says.
+    fn materializing_ctx() -> ExecContext {
+        ExecContext::sequential()
+            .with_plan_config(PlanConfig::default().with_agg_mode(AggMode::Never))
+    }
 
     fn star_instance(m: usize) -> (JoinQuery, Instance) {
         let q = JoinQuery::star(m, 16).unwrap();
@@ -1089,11 +1092,9 @@ mod tests {
     #[test]
     fn lattice_survives_checkin_checkout_roundtrip() {
         let (q, inst) = star_instance(4);
-        let ctx = ExecContext::sequential();
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
+        let ctx = materializing_ctx();
+        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        cache.populate(Parallelism::SEQUENTIAL).unwrap();
         let populated = cache.cached_count();
         assert_eq!(populated, (1 << 4) - 2);
         ctx.retain_subjoin_cache(cache);
@@ -1122,11 +1123,9 @@ mod tests {
     fn multiple_instances_share_the_lru_without_clobbering() {
         let (q, inst) = star_instance(3);
         let (q2, inst2) = star_instance(4);
-        let ctx = ExecContext::sequential();
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
+        let ctx = materializing_ctx();
+        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        cache.populate(Parallelism::SEQUENTIAL).unwrap();
         let first = cache.cached_count();
         ctx.retain_subjoin_cache(cache);
         // A different pair checks out cold, claims its own slot, and does
@@ -1143,12 +1142,10 @@ mod tests {
     fn single_slot_context_reproduces_the_historical_eviction() {
         let (q, inst) = star_instance(3);
         let (q2, inst2) = star_instance(4);
-        let ctx = ExecContext::sequential().with_cache_slots(1);
+        let ctx = materializing_ctx().with_cache_slots(1);
         assert_eq!(ctx.cache_slots(), 1);
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
+        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         assert!(ctx.cached_subjoins() > 0);
         // A different pair checks out cold and evicts on check-in.
@@ -1171,21 +1168,17 @@ mod tests {
                 inst
             })
             .collect();
-        let ctx = ExecContext::sequential().with_cache_slots(3);
+        let ctx = materializing_ctx().with_cache_slots(3);
         for inst in &variants[..3] {
-            let cache = ctx.subjoin_cache(&q, inst).unwrap();
-            cache
-                .populate_proper_subsets(Parallelism::SEQUENTIAL)
-                .unwrap();
+            let mut cache = ctx.subjoin_cache(&q, inst).unwrap();
+            cache.populate(Parallelism::SEQUENTIAL).unwrap();
             ctx.retain_subjoin_cache(cache);
         }
         assert_eq!(ctx.cached_instances(), 3);
         // Touch instance 0 so instance 1 becomes the LRU victim.
         assert!(ctx.subjoin_cache(&q, &variants[0]).unwrap().cached_count() > 0);
-        let cache = ctx.subjoin_cache(&q, &variants[3]).unwrap();
-        cache
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
+        let mut cache = ctx.subjoin_cache(&q, &variants[3]).unwrap();
+        cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         assert_eq!(ctx.cached_instances(), 3, "capacity bound holds");
         // Instance 1 (least recently used) was evicted; 0, 2 and 3 are warm.
@@ -1214,13 +1207,11 @@ mod tests {
                 inst
             })
             .collect();
-        let ctx = ExecContext::sequential().with_cache_slots(1);
+        let ctx = materializing_ctx().with_cache_slots(1);
         assert_eq!(ctx.cached_subjoin_bytes(), 0);
         assert_eq!(ctx.eviction_stats(), EvictionStats::default());
-        let cache = ctx.subjoin_cache(&q, &variants[0]).unwrap();
-        cache
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
+        let mut cache = ctx.subjoin_cache(&q, &variants[0]).unwrap();
+        cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         let resident = ctx.cached_subjoin_bytes();
         assert!(resident > 0, "populated lattice has resident bytes");
@@ -1241,19 +1232,18 @@ mod tests {
 
     #[test]
     fn aggregate_overlay_persists_in_the_slot_and_surfaces_in_plan_stats() {
-        use crate::plan::AggMode;
         let (q, inst) = star_instance(3);
         let m = q.num_relations();
         let full = (1u32 << m) - 1;
         let ctx = ExecContext::sequential()
             .with_plan_config(PlanConfig::default().with_agg_mode(AggMode::Always));
         let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        assert_eq!(cache.agg_mode, AggMode::Always);
+        assert_eq!(cache.config.agg_mode, AggMode::Always);
         let terminal = full & !(1u32); // proper mask containing relation m-1
         let expected = join_subset(&q, &inst, &[1, 2]).unwrap().total();
         assert_eq!(
             cache
-                .max_group_weight(terminal, &[], Parallelism::SEQUENTIAL)
+                .max_group_weight(terminal, &[], Parallelism::SEQUENTIAL, Keep::Target)
                 .unwrap(),
             expected
         );
@@ -1329,7 +1319,7 @@ mod tests {
     #[test]
     fn plan_stats_report_orders_and_materialised_sizes() {
         let (q, inst) = star_instance(4);
-        let ctx = ExecContext::sequential();
+        let ctx = materializing_ctx();
         let cold = ctx.plan_stats(&q, &inst).unwrap();
         assert!(cold.cost_based);
         assert_eq!(cold.top_order.len(), 4);
@@ -1338,10 +1328,8 @@ mod tests {
         assert_eq!(cold.cached_masks, 0);
         assert_eq!(cold.cached_tuples, 0);
         // Populate the lattice; the stats now carry actual sizes.
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
+        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         let warm = ctx.plan_stats(&q, &inst).unwrap();
         assert_eq!(warm.cached_masks, (1 << 4) - 2);
@@ -1362,12 +1350,10 @@ mod tests {
     #[test]
     fn clear_cache_releases_entries() {
         let (q, inst) = star_instance(3);
-        let ctx = ExecContext::sequential();
+        let ctx = materializing_ctx();
         ctx.shared_join(&q, &inst).unwrap();
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
+        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         assert!(ctx.cached_subjoins() > 0);
         ctx.clear_cache();
@@ -1402,13 +1388,11 @@ mod tests {
     fn apply_updates_migrates_the_warm_slot() {
         let (q, base) = star_instance(3);
         let batch = star_batch();
-        let ctx = ExecContext::sequential();
+        let ctx = materializing_ctx();
         // Warm everything a slot can hold.
         let mut inst = base.clone();
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache
-            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-            .unwrap();
+        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         ctx.shared_join(&q, &inst).unwrap();
         ctx.delta_plan(&q, &inst).unwrap();

@@ -48,7 +48,7 @@
 //! edited instance, as the smooth-sensitivity BFS does per frontier node).
 
 use crate::attr::AttrId;
-use crate::cache::ShardedSubJoinCache;
+use crate::cache::{Keep, ShardedSubJoinCache};
 use crate::error::RelationalError;
 use crate::exec::Parallelism;
 use crate::hash::{FxHashMap, FxHashSet};
@@ -190,7 +190,7 @@ impl DeltaJoinPlan {
             let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
             let boundary = query.boundary(&others)?;
             let boundary_positions = crate::tuple::project_positions(attrs, &boundary)?;
-            let joined = cache.join_mask_transient(others_mask, par)?;
+            let joined = cache.join_mask(others_mask, par, Keep::Chain)?;
             let groups = joined.group_by_key(&boundary)?;
             let mut sorted: Vec<(u128, TupleKey)> =
                 groups.iter().map(|(k, &w)| (w, k.clone())).collect();
@@ -248,7 +248,9 @@ impl DeltaJoinPlan {
                     unit.insert(TupleKey::from_slice(&[]), 1u128);
                     unit
                 } else {
-                    cache.join_mask(s_mask, par)?.group_by_key(&key_attrs)?
+                    cache
+                        .join_mask(s_mask, par, Keep::Target)?
+                        .group_by_key(&key_attrs)?
                 };
                 let mut index: FxHashMap<TupleKey, Vec<(TupleKey, u128)>> = FxHashMap::default();
                 for (key, w) in grouped {

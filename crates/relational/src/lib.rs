@@ -70,10 +70,15 @@
 //!    classical independence assumption, shrinking every cached
 //!    intermediate relative to the historical fixed highest-index chain.
 //! 3. **Populate / measure** — as the cache materialises intermediates
-//!    ([`ShardedSubJoinCache::populate_proper_subsets_adaptive`], the
-//!    adaptive lazy walks [`ShardedSubJoinCache::join_mask_adaptive`] and
-//!    [`ShardedSubJoinCache::join_mask_transient_adaptive`]), each actual
-//!    cardinality is compared against its estimate.
+//!    ([`ShardedSubJoinCache::populate`] at each level barrier, the
+//!    adaptive reads [`ShardedSubJoinCache::join_mask_adaptive`] and
+//!    [`ShardedSubJoinCache::max_group_weight_adaptive`] at each step they
+//!    build, whether they memoise the read mask itself or — with
+//!    [`Keep::Chain`] — only its chain parents), each actual cardinality
+//!    is compared against its estimate.  The `&self` reads
+//!    ([`ShardedSubJoinCache::join_mask`],
+//!    [`ShardedSubJoinCache::max_group_weight`]) never measure, so pool
+//!    workers cannot make a plan depend on scheduling.
 //! 4. **Re-plan** — when the worst estimate error exceeds
 //!    [`PlanConfig::replan_ratio`] (default [`DEFAULT_REPLAN_RATIO`],
 //!    overridable via the `DPSYN_REPLAN_RATIO` environment variable), the
@@ -189,7 +194,7 @@ pub mod tree;
 pub mod tuple;
 
 pub use attr::{AttrId, Attribute, Schema};
-pub use cache::ShardedSubJoinCache;
+pub use cache::{Keep, ShardedSubJoinCache};
 pub use context::{
     instance_fingerprint, EvictionStats, ExecContext, UpdateReport, DEFAULT_CACHE_SLOTS,
     DEFAULT_MIN_PAR_INSTANCE,

@@ -31,8 +31,8 @@
 //!    each subset's parent is chosen to minimise the estimated intermediate
 //!    it must materialise.
 //! 3. **Populate / measure.** As the cache materialises subsets
-//!    ([`crate::ShardedSubJoinCache::populate_proper_subsets`]), each
-//!    actual cardinality is compared against its estimate.
+//!    ([`crate::ShardedSubJoinCache::populate`] and the `_adaptive`
+//!    reads), each actual cardinality is compared against its estimate.
 //! 4. **Re-plan.** When the error factor `max(actual/est, est/actual)`
 //!    exceeds [`PlanConfig::replan_ratio`], the not-yet-materialised
 //!    remainder of the lattice is re-planned with the measured
@@ -305,8 +305,9 @@ pub enum AggMode {
 /// Knobs of the adaptive planning layer.
 ///
 /// Carried by [`crate::ExecContext`] (see
-/// [`crate::ExecContext::with_plan_config`]) and threaded into every
-/// populate of the sub-join lattice.
+/// [`crate::ExecContext::with_plan_config`]) into every sub-join cache it
+/// checks out, and by each [`crate::ShardedSubJoinCache`] (see
+/// [`crate::ShardedSubJoinCache::with_config`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanConfig {
     /// Estimate-error factor that triggers a re-plan: when a materialised

@@ -8,7 +8,7 @@
 //! maximum degrees.
 
 use dpsyn_relational::{
-    grouped_join_size, AttrId, Instance, JoinQuery, Parallelism, ShardedSubJoinCache,
+    grouped_join_size, AttrId, Instance, JoinQuery, Keep, Parallelism, ShardedSubJoinCache,
 };
 
 use crate::Result;
@@ -52,7 +52,7 @@ pub fn aggregate_query_sharded(
         return Ok(1);
     }
     let mask = cache.mask_of(e)?;
-    Ok(cache.max_group_weight(mask, y, par)?)
+    Ok(cache.max_group_weight(mask, y, par, Keep::Target)?)
 }
 
 /// [`boundary_query`] evaluated through a [`ShardedSubJoinCache`].

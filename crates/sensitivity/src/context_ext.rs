@@ -31,8 +31,8 @@ use std::collections::BTreeMap;
 
 use dpsyn_relational::exec;
 use dpsyn_relational::{
-    AttrId, DeltaJoinPlan, ExecContext, Instance, JoinPlan, JoinQuery, NeighborEdit, Parallelism,
-    ShardedSubJoinCache,
+    AttrId, DeltaJoinPlan, ExecContext, Instance, JoinPlan, JoinQuery, Keep, NeighborEdit,
+    Parallelism, ShardedSubJoinCache,
 };
 
 use crate::boundary::boundary_query_sharded;
@@ -160,7 +160,7 @@ impl SensitivityOps for ExecContext {
             // re-plans the remaining levels (values are identical to the
             // static populate; see `dpsyn_relational::plan`).  The feedback
             // stats ride the cache back into the context's slot.
-            cache.populate_demanded_adaptive(par, self.plan_config())?;
+            cache.populate(par)?;
         }
         let full = (1u32 << m) - 1;
         let entries = exec::par_map(par, full as usize, |i| -> Result<(Vec<usize>, u128)> {
@@ -220,47 +220,27 @@ impl SensitivityOps for ExecContext {
         }
         let mut cache = self.subjoin_cache(query, instance)?;
         let par = self.effective_parallelism(instance);
-        // Transient top-level joins either way: the m size-(m-1) results are
-        // each consumed once and can dwarf the inputs, so only their shared
-        // prefixes are memoised (and persisted for the next call).
-        let values: Vec<Result<u128>> = if par.is_sequential() {
-            // Sequential targets walk **adaptively**: each chain step's
-            // actual cardinality is measured as it materialises, and a
-            // blown estimate re-routes every later target around the trap
-            // parent — this is where correlated instances shed resident
-            // intermediates (values are identical to the static walk).
-            (0..m)
-                .map(|i| -> Result<u128> {
-                    let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-                    if others.is_empty() {
-                        return Ok(1);
-                    }
-                    let boundary = query.boundary(&others)?;
-                    let mask = cache.mask_of(&others)?;
-                    Ok(cache.max_group_weight_transient_adaptive(
-                        mask,
-                        &boundary,
-                        Parallelism::SEQUENTIAL,
-                        self.plan_config(),
-                    )?)
-                })
-                .collect()
-        } else {
-            exec::par_map(par, m, |i| -> Result<u128> {
-                let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-                if others.is_empty() {
-                    return Ok(1);
-                }
-                let boundary = query.boundary(&others)?;
-                let mask = cache.mask_of(&others)?;
-                Ok(cache.max_group_weight_transient(mask, &boundary, Parallelism::SEQUENTIAL)?)
-            })
-        };
-        self.retain_subjoin_cache(cache);
+        // One adaptive walk at every thread count, with the parallelism
+        // spent inside the join steps: each chain step's actual cardinality
+        // is measured as it materialises, and a blown estimate re-routes
+        // every later target around the trap parent — this is where
+        // correlated instances shed resident intermediates, identically at
+        // every thread count (values equal the static walk's).  The m
+        // size-(m-1) targets are each consumed once and can dwarf the
+        // inputs, so only their chain parents are memoised (and persisted
+        // for the next call).
         let mut best = 0u128;
-        for value in values {
-            best = best.max(value?);
+        for i in 0..m {
+            let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
+            if others.is_empty() {
+                best = best.max(1);
+                continue;
+            }
+            let boundary = query.boundary(&others)?;
+            let mask = cache.mask_of(&others)?;
+            best = best.max(cache.max_group_weight_adaptive(mask, &boundary, par, Keep::Chain)?);
         }
+        self.retain_subjoin_cache(cache);
         Ok(best)
     }
 
@@ -440,12 +420,8 @@ impl SensitivityOps for ExecContext {
         // Adaptive lazy chain: a mid-chain estimate breach re-plans the
         // not-yet-walked remainder (values are plan-invariant).  Terminal
         // masks fold count-only under the cache's aggregate-pushdown mode.
-        let value = cache.max_group_weight_adaptive(
-            mask,
-            y,
-            self.effective_parallelism(instance),
-            self.plan_config(),
-        )?;
+        let par = self.effective_parallelism(instance);
+        let value = cache.max_group_weight_adaptive(mask, y, par, Keep::Target)?;
         self.retain_subjoin_cache(cache);
         Ok(value)
     }

@@ -14,7 +14,7 @@
 //! `Δ = max_b max{deg_{1,B}(b), deg_{2,B}(b)}`.
 
 use dpsyn_relational::degree::two_table_max_shared_degree;
-use dpsyn_relational::{Instance, JoinQuery, Parallelism, ShardedSubJoinCache};
+use dpsyn_relational::{Instance, JoinQuery, Keep, Parallelism, ShardedSubJoinCache};
 
 use crate::boundary::boundary_query;
 use crate::context_ext::SensitivityOps;
@@ -58,7 +58,11 @@ pub(crate) fn local_sensitivity_seq(query: &JoinQuery, instance: &Instance) -> R
                     1
                 } else {
                     cache
-                        .join_mask_transient(cache.mask_of(&others)?, Parallelism::SEQUENTIAL)?
+                        .join_mask(
+                            cache.mask_of(&others)?,
+                            Parallelism::SEQUENTIAL,
+                            Keep::Chain,
+                        )?
                         .max_group_weight(&boundary)?
                 }
             }

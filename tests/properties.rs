@@ -13,7 +13,7 @@ use dpsyn_datagen::{random_path, random_star, random_two_table, zipf_two_table};
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive, join_subset_naive};
 use dpsyn_relational::{
-    deg_multi, join_subset, JoinResult, NeighborEdit, ShardedSubJoinCache, Value,
+    deg_multi, join_subset, JoinResult, Keep, NeighborEdit, ShardedSubJoinCache, Value,
 };
 use dpsyn_sensitivity::{
     all_boundary_values, candidate_edits, ls_hat_k, SensitivityConfig, SensitivityOps,
@@ -417,8 +417,9 @@ fn planner_decomposition_matches_fixed_prefix_and_naive() {
             let fixed = ShardedSubJoinCache::new(&query, &inst).unwrap();
             for rels in non_empty_subsets(m) {
                 let mask = planned.mask_of(&rels).unwrap();
-                let a = planned.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
-                let b = fixed.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
+                let seq = Parallelism::SEQUENTIAL;
+                let a = planned.join_mask(mask, seq, Keep::Target).unwrap();
+                let b = fixed.join_mask(mask, seq, Keep::Target).unwrap();
                 let naive = join_subset_naive(&query, &inst, &rels).unwrap();
                 assert_eq!(a.total(), naive.total(), "{shape}, seed {seed}");
                 assert_eq!(
@@ -570,7 +571,6 @@ fn distinct_sketch_is_accurate_and_merge_is_a_semilattice() {
 #[test]
 fn adaptive_planning_is_byte_identical_to_static_and_naive() {
     use dpsyn_datagen::{correlated_pair, heavy_hitter_star};
-    use dpsyn_relational::PlanConfig;
     for seed in 0..2u64 {
         let shapes: Vec<(&str, (JoinQuery, Instance))> = vec![
             (
@@ -588,23 +588,23 @@ fn adaptive_planning_is_byte_identical_to_static_and_naive() {
 
             // Direct lattice check: adaptive populate ≡ static populate,
             // mask for mask, at every worker count — even with the ratio
-            // dropped to 1 so every level re-plans.
+            // dropped to 1 so every level re-plans.  Both populates
+            // materialise every proper mask; the static one never re-plans.
             let plan = Arc::new(JoinPlan::cost_based(query, inst).unwrap());
-            let static_cache =
-                ShardedSubJoinCache::with_plan(query, inst, Arc::clone(&plan)).unwrap();
-            static_cache
-                .populate_proper_subsets(Parallelism::SEQUENTIAL)
-                .unwrap();
+            let populated = |ratio: f64, par: Parallelism| {
+                let mut cache = ShardedSubJoinCache::with_plan(query, inst, Arc::clone(&plan))
+                    .unwrap()
+                    .with_config(
+                        PlanConfig::with_replan_ratio(ratio).with_agg_mode(AggMode::Never),
+                    );
+                cache.populate(par).unwrap();
+                cache
+            };
+            let static_cache = populated(f64::INFINITY, Parallelism::SEQUENTIAL);
             for threads in [1usize, 2, 4, 8] {
                 for ratio in [1.0f64, 8.0] {
-                    let mut adaptive =
-                        ShardedSubJoinCache::with_plan(query, inst, Arc::clone(&plan)).unwrap();
-                    let (_, replan) = adaptive
-                        .populate_proper_subsets_adaptive(
-                            Parallelism::threads(threads),
-                            &PlanConfig::with_replan_ratio(ratio),
-                        )
-                        .unwrap();
+                    let adaptive = populated(ratio, Parallelism::threads(threads));
+                    let replan = adaptive.replan_stats().expect("measured");
                     for mask in 1u32..((1u32 << m) - 1) {
                         assert_eq!(
                             adaptive.get(mask).expect("populated").as_ref(),
@@ -661,24 +661,25 @@ fn adaptive_planning_is_byte_identical_to_static_and_naive() {
 #[test]
 fn adaptive_transient_walks_cut_cached_tuples_on_correlated_workloads() {
     use dpsyn_datagen::correlated_pair;
-    use dpsyn_relational::PlanConfig;
     for seed in 0..2u64 {
         let (query, inst) = correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(22_000 + seed));
         let m = query.num_relations();
         let plan = Arc::new(JoinPlan::cost_based(&query, &inst).unwrap());
-        let static_cache =
-            ShardedSubJoinCache::with_plan(&query, &inst, Arc::clone(&plan)).unwrap();
-        let mut adaptive_cache =
-            ShardedSubJoinCache::with_plan(&query, &inst, Arc::clone(&plan)).unwrap();
-        let config = PlanConfig::with_replan_ratio(8.0);
+        let cache = |ratio: f64| {
+            ShardedSubJoinCache::with_plan(&query, &inst, Arc::clone(&plan))
+                .unwrap()
+                .with_config(PlanConfig::with_replan_ratio(ratio))
+        };
+        let (mut static_cache, mut adaptive_cache) = (cache(f64::INFINITY), cache(8.0));
         let full = (1u32 << m) - 1;
         for i in 0..m {
             let mask = full & !(1u32 << i);
+            let seq = Parallelism::SEQUENTIAL;
             let s = static_cache
-                .join_mask_transient(mask, Parallelism::SEQUENTIAL)
+                .join_mask_adaptive(mask, seq, Keep::Chain)
                 .unwrap();
             let a = adaptive_cache
-                .join_mask_transient_adaptive(mask, Parallelism::SEQUENTIAL, &config)
+                .join_mask_adaptive(mask, seq, Keep::Chain)
                 .unwrap();
             assert_eq!(s, a, "seed {seed}, target {i}: values must not change");
         }
@@ -1077,10 +1078,13 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
                 "{shape}, seed {seed}"
             );
             let m = query.num_relations();
-            let seq_cache = ShardedSubJoinCache::new(&query, &inst).unwrap();
-            seq_cache
-                .populate_proper_subsets(Parallelism::SEQUENTIAL)
-                .unwrap();
+            let materializing = || {
+                ShardedSubJoinCache::new(&query, &inst)
+                    .unwrap()
+                    .with_config(PlanConfig::default().with_agg_mode(AggMode::Never))
+            };
+            let mut seq_cache = materializing();
+            seq_cache.populate(Parallelism::SEQUENTIAL).unwrap();
             // The sequential populate is the reference below; pin its values
             // to the naive engine once, mask by mask, as sorted rows.
             for mask in 1u32..((1u32 << m) - 1) {
@@ -1111,8 +1115,8 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
                 // Lattice populate under stealing: every mask's sub-join is
                 // byte-identical to the sequential populate's, and every mask
                 // is claimed exactly once.
-                let sharded = ShardedSubJoinCache::new(&query, &inst).unwrap();
-                let stats = sharded.populate_proper_subsets(par).unwrap();
+                let mut sharded = materializing();
+                let stats = sharded.populate(par).unwrap();
                 assert_eq!(
                     stats.total(),
                     (1usize << m) - 2,

@@ -271,7 +271,12 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
             Arc::new(inst)
         })
         .collect();
-    let ctx = Arc::new(ExecContext::sequential().with_cache_slots(2));
+    // Checkouts materialise every proper mask, whatever DPSYN_AGG_FORCE says.
+    let ctx = Arc::new(
+        ExecContext::sequential()
+            .with_cache_slots(2)
+            .with_plan_config(PlanConfig::default().with_agg_mode(AggMode::Never)),
+    );
 
     const THREADS: usize = 4;
     const ROUNDS: usize = 6;
@@ -286,10 +291,8 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
                     // the same instant (maximising eviction races).
                     for i in 0..instances.len() {
                         let inst = &instances[(i + t + round) % instances.len()];
-                        let cache = ctx.subjoin_cache(&query, inst).unwrap();
-                        cache
-                            .populate_proper_subsets(Parallelism::SEQUENTIAL)
-                            .unwrap();
+                        let mut cache = ctx.subjoin_cache(&query, inst).unwrap();
+                        cache.populate(Parallelism::SEQUENTIAL).unwrap();
                         // The checked-out lattice stays valid even if the
                         // slot it came from is evicted concurrently.
                         assert!(cache.cached_count() > 0);
@@ -319,10 +322,8 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
 
     // Correctness after the storm: a warm checkout's sub-joins are exactly
     // the cold path's.
-    let cache = ctx.subjoin_cache(&query, &instances[0]).unwrap();
-    cache
-        .populate_proper_subsets(Parallelism::SEQUENTIAL)
-        .unwrap();
+    let mut cache = ctx.subjoin_cache(&query, &instances[0]).unwrap();
+    cache.populate(Parallelism::SEQUENTIAL).unwrap();
     for mask in 1u32..0b111 {
         let rels: Vec<usize> = (0..3).filter(|r| mask & (1 << r) != 0).collect();
         let cold = join_subset(&query, &instances[0], &rels).unwrap();
@@ -334,4 +335,54 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
             "mask {mask:03b}: distinct tuples"
         );
     }
+}
+
+/// Interleaved checkouts of one pair — A out, B out, A in, B in, the order
+/// a shared server context produces — merge both checkouts' re-plan
+/// feedback into the slot: the later check-in must not clobber the
+/// earlier one's measurements.
+#[test]
+fn interleaved_checkouts_merge_their_replan_feedback() {
+    let (q, inst) = datagen::correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(7));
+    let ctx = ExecContext::sequential().with_plan_config(PlanConfig::with_replan_ratio(8.0));
+    let mut a = ctx.subjoin_cache(&q, &inst).unwrap();
+    let mut b = ctx.subjoin_cache(&q, &inst).unwrap();
+    a.populate(Parallelism::SEQUENTIAL).unwrap();
+    b.populate(Parallelism::SEQUENTIAL).unwrap();
+    let measured_a = a.replan_stats().expect("checkout A measured").measured;
+    let measured_b = b.replan_stats().expect("checkout B measured").measured;
+    assert!(measured_a > 0 && measured_b > 0);
+    ctx.retain_subjoin_cache(a);
+    ctx.retain_subjoin_cache(b);
+    let slot = ctx.plan_stats(&q, &inst).unwrap().replan.unwrap();
+    assert_eq!(slot.measured, measured_a + measured_b);
+    // A checkout's stats describe that checkout alone.
+    assert!(ctx
+        .subjoin_cache(&q, &inst)
+        .unwrap()
+        .replan_stats()
+        .is_none());
+}
+
+/// Local sensitivity walks its targets adaptively at every thread count —
+/// the parallelism goes into the join steps, never into plan decisions —
+/// so the recorded feedback and the resident lattice are identical at 1, 2
+/// and 4 threads.
+#[test]
+fn local_sensitivity_feedback_is_identical_at_every_thread_count() {
+    let (q, inst) = datagen::correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(7));
+    let expected = local_sensitivity(&q, &inst).unwrap();
+    let runs: Vec<_> = [1usize, 2, 4]
+        .iter()
+        .map(|&threads| {
+            let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
+            let ls = ctx.local_sensitivity(&q, &inst).unwrap();
+            assert_eq!(ls, expected, "threads {threads}");
+            let stats = ctx.plan_stats(&q, &inst).unwrap();
+            let replan = stats.replan.expect("adaptive walks record feedback");
+            (replan, stats.cached_tuples)
+        })
+        .collect();
+    assert_eq!(runs[1], runs[0], "2 threads vs 1");
+    assert_eq!(runs[2], runs[0], "4 threads vs 1");
 }
