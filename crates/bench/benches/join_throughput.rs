@@ -13,10 +13,7 @@
 //! are asserted byte-identical before timing), plus a `session/cache_reuse`
 //! row measuring a warm (one `ExecContext`, lattice persisted across calls)
 //! against a cold (fresh context per call) residual-sensitivity β sweep,
-//! plus `edit_sweep/*` rows measuring delta-join maintenance (probe one
-//! edited tuple through the cached sub-join lattice) against the full
-//! re-join baseline on removal and smooth-sensitivity sweeps, plus
-//! `planner/*` rows comparing the cost-based lattice decomposition against
+//! plus `planner/*` rows comparing the cost-based lattice decomposition against
 //! the historical fixed-prefix chain on chain / star / skewed scenarios —
 //! recording the chosen decomposition (`spine`, `top_order`) and the total
 //! cached-intermediate tuple counts alongside wall-clock (`--planner-smoke`
@@ -847,103 +844,6 @@ fn main() {
                 .with("cold_ns", cold_ns)
                 .with("speedup", speedup)
                 .with("sweep_len", betas.len() as f64),
-        );
-    }
-
-    // --- Edit sweeps: delta-join maintenance vs full re-join ---------------
-    // The local sensitivity of every single-tuple removal of a star
-    // instance, computed (a) through the cached DeltaJoinPlan — one lattice
-    // pass, then a hash probe per edit — and (b) by materialising every
-    // neighbour instance and re-joining from scratch.  Equality is asserted
-    // before timing; fresh contexts per iteration keep the delta side
-    // honest (the plan build is inside the measurement).
-    {
-        let per_rel = if quick { 60 } else { 150 };
-        let mut rng = seeded_rng(14);
-        let (query, instance) = random_star(4, 32, per_rel, 1.0, &mut rng);
-        let edits = instance.removal_edits();
-        let delta_sweep = || {
-            SensitivityConfig::sequential()
-                .to_context()
-                .local_sensitivity_sweep(&query, &instance, &edits)
-                .unwrap()
-        };
-        let rejoin_sweep = || {
-            SensitivityConfig::sequential()
-                .to_context()
-                .local_sensitivity_sweep_materializing(&query, &instance, &edits)
-                .unwrap()
-        };
-        assert_eq!(
-            delta_sweep(),
-            rejoin_sweep(),
-            "delta sweep must equal full re-join"
-        );
-        let probe = Instant::now();
-        let _ = delta_sweep();
-        let samples = sample_count(probe.elapsed());
-        let delta_ns = median_ns(samples, || {
-            black_box(delta_sweep());
-        });
-        let rejoin_ns = median_ns(samples.min(9), || {
-            black_box(rejoin_sweep());
-        });
-        let speedup = rejoin_ns / delta_ns.max(1.0);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let label = format!("edit_sweep/local_removal/star4/{}edits", edits.len());
-        println!(
-            "bench: {label:<32} delta {delta_ns:>13.1} ns  rejoin {rejoin_ns:>13.1} ns  speedup {speedup:>6.2}x"
-        );
-        rows.push(
-            Row::new(&label)
-                .with("delta_ns", delta_ns)
-                .with("rejoin_ns", rejoin_ns)
-                .with("speedup", speedup)
-                .with("edits", edits.len() as f64)
-                .with("available_cores", cores as f64),
-        );
-    }
-    // Radius-2 brute-force smooth sensitivity: the delta-maintained BFS vs
-    // the materializing oracle (identical bits, asserted before timing).
-    {
-        let per_rel = if quick { 10 } else { 16 };
-        let mut rng = seeded_rng(15);
-        let (query, instance) = random_star(3, 8, per_rel, 1.0, &mut rng);
-        let beta = 0.2;
-        let delta_smooth = || {
-            SensitivityConfig::sequential()
-                .to_context()
-                .smooth_sensitivity_bruteforce(&query, &instance, beta, 2)
-                .unwrap()
-        };
-        let oracle_smooth = || {
-            SensitivityConfig::sequential()
-                .to_context()
-                .smooth_sensitivity_bruteforce_materializing(&query, &instance, beta, 2)
-                .unwrap()
-        };
-        assert_eq!(delta_smooth().to_bits(), oracle_smooth().to_bits());
-        let probe = Instant::now();
-        let _ = delta_smooth();
-        let samples = sample_count(probe.elapsed());
-        let delta_ns = median_ns(samples, || {
-            black_box(delta_smooth());
-        });
-        let rejoin_ns = median_ns(samples.min(9), || {
-            black_box(oracle_smooth());
-        });
-        let speedup = rejoin_ns / delta_ns.max(1.0);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let label = "edit_sweep/smooth/star3/r2";
-        println!(
-            "bench: {label:<32} delta {delta_ns:>13.1} ns  rejoin {rejoin_ns:>13.1} ns  speedup {speedup:>6.2}x"
-        );
-        rows.push(
-            Row::new(label)
-                .with("delta_ns", delta_ns)
-                .with("rejoin_ns", rejoin_ns)
-                .with("speedup", speedup)
-                .with("available_cores", cores as f64),
         );
     }
 

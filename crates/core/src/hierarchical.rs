@@ -381,10 +381,11 @@ pub fn verify_hierarchical_partition(
     instance: &Instance,
     parts: &[HierarchicalPart],
 ) -> Result<bool> {
-    let full = dpsyn_relational::join(query, instance)?;
+    let ctx = ExecContext::default();
+    let full = ctx.join(query, instance)?;
     let mut recombined: BTreeMap<Vec<Value>, u128> = BTreeMap::new();
     for part in parts {
-        let j = dpsyn_relational::join(query, &part.sub_instance)?;
+        let j = ctx.join(query, &part.sub_instance)?;
         // The BTreeMap orders keys itself; skip the sorted emit.
         for (t, w) in j.iter_unordered() {
             *recombined.entry(t.to_vec()).or_insert(0) += w;

@@ -197,10 +197,10 @@ pub fn answer_on_join(
     Ok(total)
 }
 
-/// Evaluates one query on an instance (computing the join internally).
+/// Evaluates one query on an instance (computing the join internally,
+/// through a throwaway default [`ExecContext`]).
 pub fn answer_on_instance(query: &JoinQuery, instance: &Instance, q: &ProductQuery) -> Result<f64> {
-    let j = dpsyn_relational::join(query, instance)?;
-    answer_on_join(query, &j, q)
+    ExecContext::default().answer_on_instance(query, instance, q)
 }
 
 impl QueryFamily {
@@ -210,7 +210,7 @@ impl QueryFamily {
         query: &JoinQuery,
         join_result: &JoinResult,
     ) -> Result<AnswerSet> {
-        answer_all_on_join_impl(self, query, join_result, Parallelism::default())
+        ExecContext::default().answer_all_on_join(query, join_result, self)
     }
 
     /// Answers every query in the family directly on an instance.
@@ -219,8 +219,7 @@ impl QueryFamily {
         query: &JoinQuery,
         instance: &Instance,
     ) -> Result<AnswerSet> {
-        let j = dpsyn_relational::join(query, instance)?;
-        answer_all_on_join_impl(self, query, &j, Parallelism::default())
+        ExecContext::default().answer_all_on_instance(query, instance, self)
     }
 }
 

@@ -124,7 +124,7 @@ pub struct ShardedSubJoinCache<'a> {
     pub(crate) replan: Option<ReplanStats>,
     /// Count-only aggregate summaries, an **overlay** over the materialised
     /// memo: none of the materialised lookups ([`Self::get`],
-    /// [`Self::join_mask`], delta/stream maintenance) ever see it, so a
+    /// [`Self::join_mask`], stream maintenance) ever see it, so a
     /// mask's evaluation mode affects cost only, never values.  Keyed by
     /// mask; a stored summary is only valid for reads over its recorded
     /// `group_by` list (checked on every hit).

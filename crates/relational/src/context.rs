@@ -35,10 +35,7 @@
 //! Mutating an instance changes its fingerprint, so ordinary edits can
 //! never be served stale results.
 //!
-//! Each slot also retains the instance's [`DeltaJoinPlan`]
-//! ([`ExecContext::delta_plan`]): the precomputed probe state that prices a
-//! single-tuple neighbour edit at a hash lookup instead of a full re-join
-//! (see [`crate::delta`]) — and the pair's cost-based [`JoinPlan`]
+//! Each slot also retains the pair's cost-based [`JoinPlan`]
 //! ([`ExecContext::join_plan`]): the boundary-aware decomposition DAG built
 //! once from per-relation statistics and handed to **every** sub-join cache
 //! checkout, so parallel and sequential consumers decompose the lattice
@@ -74,11 +71,10 @@ use std::sync::{Arc, Mutex};
 
 use crate::attr::AttrId;
 use crate::cache::ShardedSubJoinCache;
-use crate::delta::{DeltaJoinPlan, JoinSizeDelta};
 use crate::exec::{self, Parallelism};
 use crate::hash::{FxHashMap, FxHasher};
 use crate::hypergraph::JoinQuery;
-use crate::instance::{Instance, NeighborEdit};
+use crate::instance::Instance;
 use crate::join::{
     grouped_join_size_impl, join_impl, join_size_impl, join_subset_impl, AggSummary, JoinResult,
 };
@@ -164,8 +160,6 @@ struct CacheSlot {
     lattice: FxHashMap<u32, Arc<JoinResult>>,
     /// The full join produced by the standard size-ordered fold.
     full_join: Option<Arc<JoinResult>>,
-    /// The instance's precomputed delta-join plan (see [`crate::delta`]).
-    delta_plan: Option<Arc<DeltaJoinPlan>>,
     /// The pair's cost-based decomposition plan (see [`crate::plan`]),
     /// shared by every sub-join cache checkout.
     join_plan: Option<SharedJoinPlan>,
@@ -265,7 +259,6 @@ impl CacheState {
             fingerprint,
             lattice: FxHashMap::default(),
             full_join: None,
-            delta_plan: None,
             join_plan: None,
             replan: None,
             stream_index: FxHashMap::default(),
@@ -629,72 +622,6 @@ impl ExecContext {
         }
     }
 
-    // --- delta-join maintenance ---------------------------------------------
-
-    /// The instance's precomputed [`DeltaJoinPlan`], cached in the pair's
-    /// LRU slot: the first call builds it from the (possibly warm) sub-join
-    /// lattice; later calls on the same data return the same `Arc`.  Edit
-    /// sweeps over one instance therefore pay the plan precomputation once
-    /// and price every subsequent edit at a hash probe (see [`crate::delta`]).
-    pub fn delta_plan(&self, query: &JoinQuery, instance: &Instance) -> Result<Arc<DeltaJoinPlan>> {
-        let fp = instance_fingerprint(query, instance);
-        {
-            let mut state = self.state.lock().expect("context cache poisoned");
-            if let Some(plan) = state
-                .slot_mut(fp)
-                .and_then(|slot| slot.delta_plan.as_ref().map(Arc::clone))
-            {
-                state.hits += 1;
-                return Ok(plan);
-            }
-        }
-        let cache = self.subjoin_cache(query, instance)?;
-        let par = self.effective_parallelism(instance);
-        let plan = Arc::new(DeltaJoinPlan::build(query, instance, &cache, par)?);
-        self.retain_subjoin_cache(cache);
-        let mut state = self.state.lock().expect("context cache poisoned");
-        state
-            .slot_mut_or_insert(fp, self.cache_slots)
-            .delta_plan
-            .get_or_insert_with(|| Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// The signed join-size change of applying one neighbouring `edit` to
-    /// `instance`, via the cached delta plan — no join over the edited
-    /// instance is ever built.
-    ///
-    /// Each call pays one structural fingerprint of `instance` to find the
-    /// cached plan; for per-edit loops use [`ExecContext::join_size_deltas`]
-    /// (or hold the [`ExecContext::delta_plan`] and probe it directly),
-    /// which fingerprints once for the whole sweep.
-    pub fn join_size_delta(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        edit: &NeighborEdit,
-    ) -> Result<JoinSizeDelta> {
-        self.delta_plan(query, instance)?.join_size_delta(edit)
-    }
-
-    /// The signed join-size changes of a batch of neighbouring edits, in
-    /// edit order: one plan lookup (a single instance fingerprint) plus a
-    /// hash probe per edit, swept through the worker pool.
-    pub fn join_size_deltas(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        edits: &[NeighborEdit],
-    ) -> Result<Vec<JoinSizeDelta>> {
-        let plan = self.delta_plan(query, instance)?;
-        // Probes are cheap: honour the small-instance sequential fallback.
-        exec::par_map(self.effective_parallelism(instance), edits.len(), |i| {
-            plan.join_size_delta(&edits[i])
-        })
-        .into_iter()
-        .collect()
-    }
-
     // --- streaming updates --------------------------------------------------
 
     /// Applies a streaming [`UpdateBatch`] to `instance` while migrating the
@@ -703,12 +630,10 @@ impl ExecContext {
     ///
     /// When a slot exists under the pre-update fingerprint, its sub-join
     /// lattice and cached full join are maintained **in place** semi-naive
-    /// style (see the [`crate::stream`] module docs), and its
-    /// [`DeltaJoinPlan`] is regrouped from the maintained lattice without
-    /// recomputing a single join.  The migrated slot is re-keyed under the
-    /// post-update fingerprint, so warm state survives writes instead of
-    /// being orphaned.  Without a warm slot the batch is applied as a plain
-    /// mutation and caches rebuild lazily.
+    /// style (see the [`crate::stream`] module docs).  The migrated slot is
+    /// re-keyed under the post-update fingerprint, so warm state survives
+    /// writes instead of being orphaned.  Without a warm slot the batch is
+    /// applied as a plain mutation and caches rebuild lazily.
     ///
     /// **Byte-identity:** maintained state holds exactly the weighted tuple
     /// sets a cold rebuild of the updated instance produces, so every
@@ -768,24 +693,6 @@ impl ExecContext {
             par,
         )?;
         let new_fp = instance_fingerprint(query, instance);
-        // Delta plan: the probe state is derived from the lattice, so
-        // rebuilding it from the maintained memo is pure regrouping — no
-        // sub-join is recomputed.
-        let delta_plan = if slot.delta_plan.take().is_some() {
-            let plan = match slot.join_plan.as_ref() {
-                Some(plan) => Arc::clone(plan),
-                None => Arc::new(JoinPlan::cost_based_with(query, instance, par)?),
-            };
-            let mut cache =
-                ShardedSubJoinCache::with_memo_and_plan(query, instance, memo, Arc::clone(&plan))?;
-            cache.fingerprint = Some(new_fp);
-            let dp = Arc::new(DeltaJoinPlan::build(query, instance, &cache, par)?);
-            memo = cache.into_memo();
-            slot.join_plan.get_or_insert(plan);
-            Some(dp)
-        } else {
-            None
-        };
         let full_join = memo.get(&full_mask).map(Arc::clone);
         let mut state = self.state.lock().expect("context cache poisoned");
         // Merge-don't-clobber, mirroring `retain_subjoin_cache`: if a
@@ -798,9 +705,6 @@ impl ExecContext {
         new_slot.stream_index.extend(indexes);
         if let Some(full) = full_join {
             new_slot.full_join.get_or_insert(full);
-        }
-        if let Some(dp) = delta_plan {
-            new_slot.delta_plan.get_or_insert(dp);
         }
         // Patch the retained plan's sketch statistics from the batch's net
         // deltas instead of keeping stale estimates (or re-gathering from
@@ -849,7 +753,7 @@ impl ExecContext {
     }
 
     /// Number of sub-join lattice entries currently persisted across all LRU
-    /// slots (excluding cached full joins and delta plans).
+    /// slots (excluding cached full joins).
     pub fn cached_subjoins(&self) -> usize {
         self.state
             .lock()
@@ -981,16 +885,15 @@ impl ExecContext {
             .len()
     }
 
-    /// `(hits, misses)` of the persistent caches: a hit is a checkout,
-    /// shared-join or delta-plan call that found warm data for its
-    /// fingerprint.
+    /// `(hits, misses)` of the persistent caches: a hit is a checkout or
+    /// shared-join call that found warm data for its fingerprint.
     pub fn cache_stats(&self) -> (u64, u64) {
         let state = self.state.lock().expect("context cache poisoned");
         (state.hits, state.misses)
     }
 
-    /// Drops every persisted cache slot (full joins, lattices, delta plans
-    /// and join plans), releasing their memory.  The context remains usable;
+    /// Drops every persisted cache slot (full joins, lattices and join
+    /// plans), releasing their memory.  The context remains usable;
     /// the next call simply starts cold.
     pub fn clear_cache(&self) {
         let mut state = self.state.lock().expect("context cache poisoned");
@@ -1268,33 +1171,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_plan_is_cached_per_slot_and_invalidated_by_edits() {
-        let (q, inst) = star_instance(3);
-        let ctx = ExecContext::sequential();
-        let plan = ctx.delta_plan(&q, &inst).unwrap();
-        let again = ctx.delta_plan(&q, &inst).unwrap();
-        assert!(Arc::ptr_eq(&plan, &again), "same Arc on a warm slot");
-        // Plan building populated (and persisted) lattice prefixes.
-        assert!(ctx.cached_subjoins() > 0);
-        // An edited instance gets a fresh plan under its own fingerprint.
-        let mut edited = inst.clone();
-        edited.relation_mut(0).add(vec![5, 5], 1).unwrap();
-        let other = ctx.delta_plan(&q, &edited).unwrap();
-        assert!(!Arc::ptr_eq(&plan, &other));
-        // And the context-level join-size delta agrees with re-joining.
-        let edit = crate::instance::NeighborEdit::Remove {
-            relation: 0,
-            tuple: vec![0, 0],
-        };
-        let base = join(&q, &inst).unwrap().total();
-        let delta = ctx.join_size_delta(&q, &inst, &edit).unwrap();
-        assert_eq!(
-            delta.apply(base),
-            join(&q, &inst.apply_edit(&edit).unwrap()).unwrap().total()
-        );
-    }
-
-    #[test]
     fn join_plan_is_shared_per_slot_and_survives_checkin() {
         let (q, inst) = star_instance(3);
         let ctx = ExecContext::sequential();
@@ -1395,15 +1271,13 @@ mod tests {
         cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         ctx.shared_join(&q, &inst).unwrap();
-        ctx.delta_plan(&q, &inst).unwrap();
         let report = ctx.apply_updates(&q, &mut inst, &batch).unwrap();
         assert!(report.warm);
         assert_ne!(report.old_fingerprint, report.new_fingerprint);
         assert_eq!(report.new_fingerprint, instance_fingerprint(&q, &inst));
         assert!(report.stats.maintained_masks > 0);
         // The migrated slot is warm under the new fingerprint: a checkout
-        // finds every mask, the shared join is served without a join, and
-        // the delta plan survived.
+        // finds every mask and the shared join is served without a join.
         assert_eq!(ctx.cached_instances(), 1);
         let warm = ctx.subjoin_cache(&q, &inst).unwrap();
         for mask in 1u32..(1 << 3) {
@@ -1457,32 +1331,5 @@ mod tests {
         ctx.shared_join(&q, &inst).unwrap();
         let (hits_after, _) = ctx.cache_stats();
         assert_eq!(hits_after, hits_before + 1, "slot survived the bad batch");
-    }
-
-    #[test]
-    fn delta_plan_survives_migration_and_stays_correct() {
-        let (q, base) = star_instance(3);
-        let batch = star_batch();
-        let ctx = ExecContext::sequential();
-        let mut inst = base.clone();
-        ctx.delta_plan(&q, &inst).unwrap();
-        let report = ctx.apply_updates(&q, &mut inst, &batch).unwrap();
-        assert!(report.warm);
-        // The migrated plan is served from the slot (same Arc on lookup)…
-        let migrated = ctx.delta_plan(&q, &inst).unwrap();
-        let again = ctx.delta_plan(&q, &inst).unwrap();
-        assert!(Arc::ptr_eq(&migrated, &again));
-        // …and prices edits over the *updated* instance exactly like a
-        // cold plan over the same data.
-        let cold_ctx = ExecContext::sequential();
-        let cold = cold_ctx.delta_plan(&q, &inst).unwrap();
-        let edit = NeighborEdit::Add {
-            relation: 0,
-            tuple: vec![3, 3],
-        };
-        assert_eq!(
-            migrated.join_size_delta(&edit).unwrap(),
-            cold.join_size_delta(&edit).unwrap()
-        );
     }
 }

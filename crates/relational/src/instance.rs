@@ -33,27 +33,6 @@ pub enum NeighborEdit {
     },
 }
 
-impl NeighborEdit {
-    /// Index of the relation the edit targets.
-    pub fn relation(&self) -> usize {
-        match self {
-            NeighborEdit::Add { relation, .. } | NeighborEdit::Remove { relation, .. } => *relation,
-        }
-    }
-
-    /// The tuple whose frequency the edit changes.
-    pub fn tuple(&self) -> &[Value] {
-        match self {
-            NeighborEdit::Add { tuple, .. } | NeighborEdit::Remove { tuple, .. } => tuple,
-        }
-    }
-
-    /// Whether the edit removes a copy (`true`) or adds one (`false`).
-    pub fn is_removal(&self) -> bool {
-        matches!(self, NeighborEdit::Remove { .. })
-    }
-}
-
 impl Instance {
     /// Creates an instance from relations (one per query relation, in order).
     pub fn new(relations: Vec<Relation>) -> Self {

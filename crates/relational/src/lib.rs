@@ -143,29 +143,19 @@
 //! slots, each holding the sub-join lattice that survives across calls (so
 //! repeated sensitivity enumerations over the same `(query, instance)` pair
 //! reuse the `2^m` subset lattice instead of rebuilding it), a cached full
-//! join for repeated query answering, the instance's [`DeltaJoinPlan`], and
-//! the pair's cost-based [`JoinPlan`] shared by every checkout.  It backs
-//! the facade crate's `dpsyn::Session`.  Cache reuse never changes output
-//! bytes — see the [`context`] module docs for the contract.
-//!
-//! # Delta-join maintenance
-//!
-//! The [`delta`] module prices **single-tuple neighbour edits** (the
-//! sensitivity sweeps of the paper) incrementally: a [`DeltaJoinPlan`]
-//! precomputes grouped probe indexes from the sub-join lattice, after which
-//! the join-size change and the post-edit boundary maxima of any edit cost a
-//! hash probe instead of a full re-join — exactly equal to re-joining, at
-//! every worker count.
+//! join for repeated query answering, and the pair's cost-based
+//! [`JoinPlan`] shared by every checkout.  It backs the facade crate's
+//! `dpsyn::Session`.  Cache reuse never changes output bytes — see the
+//! [`context`] module docs for the contract.
 //!
 //! # Streaming updates
 //!
-//! The [`stream`] module generalises delta maintenance from priced
-//! *hypothetical* edits to **applied write batches**: an [`UpdateBatch`] of
-//! mixed inserts and deletes is folded into the live instance while the
-//! cached `2^m` sub-join lattice (full join included) is updated *in place*,
-//! semi-naive style — per relation, Δ-relations are joined against the
-//! current intermediates and folded in, with deletes as weight retraction —
-//! instead of rebuilt.  [`ExecContext::apply_updates`] migrates the warm LRU
+//! The [`stream`] module maintains the caches across **applied write
+//! batches**: an [`UpdateBatch`] of mixed inserts and deletes is folded into
+//! the live instance while the cached `2^m` sub-join lattice (full join
+//! included) is updated *in place*, semi-naive style — per relation,
+//! Δ-relations are joined against the current intermediates and folded in,
+//! with deletes as weight retraction — instead of rebuilt.  [`ExecContext::apply_updates`] migrates the warm LRU
 //! slot across the [`instance_fingerprint`] transition so caches survive
 //! writes, and the rebuild-from-scratch path remains the cross-check oracle:
 //! maintained state is byte-identical to a cold rebuild at every thread
@@ -179,7 +169,6 @@ pub mod cache;
 pub mod context;
 pub mod cover;
 pub mod degree;
-pub mod delta;
 pub mod error;
 pub mod exec;
 pub mod hash;
@@ -201,7 +190,6 @@ pub use context::{
 };
 pub use cover::{agm_bound, fractional_edge_cover, fractional_edge_cover_number};
 pub use degree::{deg_multi, deg_single, max_degree, psi};
-pub use delta::{DeltaJoinPlan, JoinSizeDelta};
 pub use error::RelationalError;
 pub use exec::{Parallelism, SchedulerStats};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};

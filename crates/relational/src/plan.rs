@@ -2,15 +2,14 @@
 //! lattice, with sketch-based statistics and runtime-feedback re-planning.
 //!
 //! Every sub-join the engine materialises — the `2^m` subset lattice behind
-//! residual sensitivity, the size-`(m-1)` joins of local sensitivity, the
-//! size-`(m-2)` probe indexes of [`crate::delta`] — is computed by peeling
-//! one relation off a subset and joining it against the memoised rest (see
-//! [`crate::cache`]).  *Which* relation gets peeled fixes the decomposition
-//! chain, and with it the set (and size) of intermediate results the cache
-//! keeps resident.  The historical choice — always drop the highest relation
-//! index — is oblivious to the data: on a path query it happily routes the
-//! chain of `{0, 1, 3}` through the cross product `{0, 3}` when the linear
-//! `{0, 1}` was one bit away.
+//! residual sensitivity, the size-`(m-1)` joins of local sensitivity — is
+//! computed by peeling one relation off a subset and joining it against the
+//! memoised rest (see [`crate::cache`]).  *Which* relation gets peeled fixes
+//! the decomposition chain, and with it the set (and size) of intermediate
+//! results the cache keeps resident.  The historical choice — always drop
+//! the highest relation index — is oblivious to the data: on a path query it
+//! happily routes the chain of `{0, 1, 3}` through the cross product
+//! `{0, 3}` when the linear `{0, 1}` was one bit away.
 //!
 //! A [`JoinPlan`] replaces that fixed rule with a **cost-based decomposition
 //! DAG** in the spirit of Selinger-style optimizers, shrunk to the lattice
@@ -51,7 +50,7 @@
 //!
 //! Plans are built **once per instance fingerprint** by
 //! [`crate::ExecContext::join_plan`] and stored in the context's LRU slot
-//! alongside the lattice, the shared full join and the delta plan; every
+//! alongside the lattice and the shared full join; every
 //! checkout of the sub-join cache carries the same `Arc`, so parallel and
 //! sequential consumers observe the identical decomposition.  A bare cache
 //! ([`crate::ShardedSubJoinCache::new`]) defaults to

@@ -1,14 +1,13 @@
 //! Streaming ingestion: semi-naive batch delta maintenance of the sub-join
 //! lattice.
 //!
-//! The delta module ([`crate::delta`]) prices a *single* neighbour edit at a
-//! hash probe, but real write traffic arrives as **batches** of inserts and
-//! deletes across relations, and historically any real update orphaned every
-//! warm cache under the old instance fingerprint and forced a full lattice
-//! rebuild.  This module makes an [`UpdateBatch`] a first-class operation:
-//! the cached `2^m` sub-join intermediates (and the shared full join, which
-//! is just the full-mask entry) are **updated in place**, semi-naive style,
-//! instead of rebuilt.
+//! Real write traffic arrives as **batches** of inserts and deletes across
+//! relations, and historically any real update orphaned every warm cache
+//! under the old instance fingerprint and forced a full lattice rebuild.
+//! This module makes an [`UpdateBatch`] a first-class operation: the cached
+//! `2^m` sub-join intermediates (and the shared full join, which is just the
+//! full-mask entry) are **updated in place**, semi-naive style, instead of
+//! rebuilt.
 //!
 //! # The maintenance identity
 //!

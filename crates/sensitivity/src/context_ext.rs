@@ -10,8 +10,8 @@
 //! `(query, instance)` pair — a residual sensitivity at a different `β`, a
 //! local-sensitivity probe, a boundary query — reuses the `2^m` subset
 //! lattice instead of recomputing it, and every lazy walk (local
-//! sensitivity's transient joins, delta-plan builds, single boundary
-//! queries) materialises the planner's smallest intermediates.
+//! sensitivity's transient joins, single boundary queries) materialises the
+//! planner's smallest intermediates.
 //!
 //! ### Determinism
 //!
@@ -30,21 +30,12 @@
 use std::collections::BTreeMap;
 
 use dpsyn_relational::exec;
-use dpsyn_relational::{
-    AttrId, DeltaJoinPlan, ExecContext, Instance, JoinPlan, JoinQuery, Keep, NeighborEdit,
-    Parallelism, ShardedSubJoinCache,
-};
+use dpsyn_relational::{AttrId, ExecContext, Instance, JoinQuery, Keep, Parallelism};
 
 use crate::boundary::boundary_query_sharded;
 use crate::local::local_sensitivity_seq;
 use crate::residual::{check_beta, maximize_over_assignments, BoundaryTable, ResidualSensitivity};
-use crate::smooth::{candidate_edits, candidate_neighbors};
 use crate::Result;
-
-/// Frontier width kept between radius levels of the brute-force
-/// smooth-sensitivity exploration (the highest-sensitivity instances, ties
-/// in generation order).
-const SMOOTH_FRONTIER: usize = 16;
 
 /// Sensitivity computations evaluated through an [`ExecContext`] — the
 /// context supplies the parallelism level, the small-instance sequential
@@ -76,56 +67,6 @@ pub trait SensitivityOps {
 
     /// Local sensitivity `LS_count(I) = max_i T_{[m]∖{i}}(I)`.
     fn local_sensitivity(&self, query: &JoinQuery, instance: &Instance) -> Result<u128>;
-
-    /// The local sensitivities of every edited instance `I ± edit`, swept
-    /// **incrementally**: one cached [`DeltaJoinPlan`] prices each edit at a
-    /// hash probe instead of a full re-join, and the edits run through the
-    /// context's worker pool (results in edit order, byte-identical at any
-    /// thread count and to [`SensitivityOps::local_sensitivity_sweep_materializing`]).
-    fn local_sensitivity_sweep(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        edits: &[NeighborEdit],
-    ) -> Result<Vec<u128>>;
-
-    /// The materializing cross-check oracle for
-    /// [`SensitivityOps::local_sensitivity_sweep`]: applies every edit,
-    /// producing a neighbour [`Instance`], and recomputes its local
-    /// sensitivity from scratch.  `O(edits × full-join)` — kept for
-    /// verification and benchmarking, not for production sweeps.
-    fn local_sensitivity_sweep_materializing(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        edits: &[NeighborEdit],
-    ) -> Result<Vec<u128>>;
-
-    /// Restricted brute-force smooth sensitivity (see
-    /// [`crate::smooth::smooth_sensitivity_bruteforce`]); each radius
-    /// level's edit sweep is delta-maintained (one plan per frontier
-    /// instance, probes instead of re-joins) and runs through the context's
-    /// worker pool.
-    fn smooth_sensitivity_bruteforce(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        beta: f64,
-        max_radius: usize,
-    ) -> Result<f64>;
-
-    /// The materializing cross-check oracle for
-    /// [`SensitivityOps::smooth_sensitivity_bruteforce`]: the historical
-    /// implementation that materialises every candidate neighbour and
-    /// re-joins from scratch.  Byte-identical results, `O(edits)` times the
-    /// cost.
-    fn smooth_sensitivity_bruteforce_materializing(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        beta: f64,
-        max_radius: usize,
-    ) -> Result<f64>;
 
     /// The maximum boundary query `T_E(I)` (Equation 1), cached through the
     /// context lattice.
@@ -242,153 +183,6 @@ impl SensitivityOps for ExecContext {
         }
         self.retain_subjoin_cache(cache);
         Ok(best)
-    }
-
-    fn local_sensitivity_sweep(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        edits: &[NeighborEdit],
-    ) -> Result<Vec<u128>> {
-        if query.num_relations() >= 32 {
-            // Beyond the bitmask lattice's representation limit: no delta
-            // plan, fall back to materializing.
-            return self.local_sensitivity_sweep_materializing(query, instance, edits);
-        }
-        let plan = self.delta_plan(query, instance)?;
-        // Probes are cheap: honour the small-instance sequential fallback so
-        // tiny sweeps don't pay pool spawn overhead per call.
-        let values = exec::par_map(self.effective_parallelism(instance), edits.len(), |i| {
-            plan.max_boundary_after(&edits[i])
-        });
-        values.into_iter().map(|v| v.map_err(Into::into)).collect()
-    }
-
-    fn local_sensitivity_sweep_materializing(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        edits: &[NeighborEdit],
-    ) -> Result<Vec<u128>> {
-        let neighbors = edits
-            .iter()
-            .map(|edit| instance.apply_edit(edit))
-            .collect::<dpsyn_relational::Result<Vec<Instance>>>()?;
-        let values = exec::par_map(self.parallelism(), neighbors.len(), |i| {
-            local_sensitivity_seq(query, &neighbors[i])
-        });
-        values.into_iter().collect()
-    }
-
-    fn smooth_sensitivity_bruteforce(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        beta: f64,
-        max_radius: usize,
-    ) -> Result<f64> {
-        check_beta(beta)?;
-        if query.num_relations() >= 32 {
-            return self
-                .smooth_sensitivity_bruteforce_materializing(query, instance, beta, max_radius);
-        }
-        let mut frontier = vec![instance.clone()];
-        let mut best = self.local_sensitivity(query, instance)? as f64;
-        let mut result = best;
-        for k in 1..=max_radius {
-            // Sweep every frontier instance's candidate edits through its
-            // delta plan: the plan build is one lattice pass per frontier
-            // node, after which each edit is a hash probe.  The base
-            // instance (radius 1) reuses the context's persisted plan; the
-            // short-lived frontier instances of deeper levels build local
-            // plans so they never thrash the context's LRU slots.
-            let mut scored: Vec<(u128, usize, NeighborEdit)> = Vec::new();
-            for (fi, inst) in frontier.iter().enumerate() {
-                let edits = candidate_edits(query, inst)?;
-                let local_plan;
-                let plan: &DeltaJoinPlan = if k == 1 {
-                    local_plan = self.delta_plan(query, inst)?;
-                    &local_plan
-                } else {
-                    // Short-lived frontier instances bypass the context's
-                    // LRU, but still decompose along a cost-based join plan
-                    // of their own, so each per-node lattice pass
-                    // materialises the planner's smallest intermediates.
-                    let join_plan = std::sync::Arc::new(JoinPlan::cost_based(query, inst)?);
-                    let cache = ShardedSubJoinCache::with_plan(query, inst, join_plan)?;
-                    local_plan = std::sync::Arc::new(DeltaJoinPlan::build(
-                        query,
-                        inst,
-                        &cache,
-                        self.effective_parallelism(inst),
-                    )?);
-                    &local_plan
-                };
-                // Probe-cheap sweep: the small-instance fallback applies
-                // (results are identical at every level; only wall-clock —
-                // and pool-spawn overhead per frontier node — differs).
-                let sensitivities =
-                    exec::par_map(self.effective_parallelism(inst), edits.len(), |i| {
-                        plan.max_boundary_after(&edits[i])
-                    });
-                for (edit, ls) in edits.into_iter().zip(sensitivities) {
-                    let ls = ls?;
-                    best = best.max(ls as f64);
-                    scored.push((ls, fi, edit));
-                }
-            }
-            // Keep the frontier small: the highest-sensitivity instances are
-            // the ones whose further neighbourhoods matter.  The sort is
-            // stable, so ties keep generation order regardless of the worker
-            // count — and the delta-computed sensitivities are exactly the
-            // materialized path's, so the explored neighbourhood is too.
-            scored.sort_by_key(|(ls, _, _)| std::cmp::Reverse(*ls));
-            scored.truncate(SMOOTH_FRONTIER);
-            frontier = scored
-                .into_iter()
-                .map(|(_, fi, edit)| frontier[fi].apply_edit(&edit))
-                .collect::<dpsyn_relational::Result<Vec<Instance>>>()?;
-            result = result.max((-beta * k as f64).exp() * best);
-        }
-        Ok(result)
-    }
-
-    fn smooth_sensitivity_bruteforce_materializing(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        beta: f64,
-        max_radius: usize,
-    ) -> Result<f64> {
-        check_beta(beta)?;
-        let mut frontier = vec![instance.clone()];
-        let mut best = self.local_sensitivity(query, instance)? as f64;
-        let mut result = best;
-        for k in 1..=max_radius {
-            // Generate this level's neighbours sequentially (cheap), then
-            // sweep their local sensitivities through the pool (the
-            // expensive part: one multi-way join per edit).  Neighbour
-            // instances have fresh fingerprints, so they deliberately bypass
-            // the persistent cache instead of thrashing it.
-            let mut neighbors: Vec<Instance> = Vec::new();
-            for inst in &frontier {
-                neighbors.extend(candidate_neighbors(query, inst)?);
-            }
-            let sensitivities = exec::par_map(self.parallelism(), neighbors.len(), |i| {
-                local_sensitivity_seq(query, &neighbors[i])
-            });
-            let mut next: Vec<(u128, Instance)> = Vec::with_capacity(neighbors.len());
-            for (neighbor, ls) in neighbors.into_iter().zip(sensitivities) {
-                let ls = ls?;
-                best = best.max(ls as f64);
-                next.push((ls, neighbor));
-            }
-            next.sort_by_key(|(ls, _)| std::cmp::Reverse(*ls));
-            next.truncate(SMOOTH_FRONTIER);
-            frontier = next.into_iter().map(|(_, inst)| inst).collect();
-            result = result.max((-beta * k as f64).exp() * best);
-        }
-        Ok(result)
     }
 
     fn boundary_query(&self, query: &JoinQuery, instance: &Instance, e: &[usize]) -> Result<u128> {
@@ -515,90 +309,5 @@ mod tests {
         // from the stale lattice.
         assert_eq!(after, local_sensitivity(&q, &edited).unwrap());
         assert_ne!(before, after);
-    }
-
-    #[test]
-    fn smooth_bruteforce_matches_free_function() {
-        let (q, inst) = two_table();
-        let ctx = ExecContext::sequential();
-        for &beta in &[0.2, 1.0] {
-            assert_eq!(
-                ctx.smooth_sensitivity_bruteforce(&q, &inst, beta, 2)
-                    .unwrap(),
-                crate::smooth_sensitivity_bruteforce(&q, &inst, beta, 2).unwrap(),
-                "beta {beta}"
-            );
-        }
-        assert!(ctx
-            .smooth_sensitivity_bruteforce(&q, &inst, 0.0, 1)
-            .is_err());
-        assert!(ctx
-            .smooth_sensitivity_bruteforce_materializing(&q, &inst, 0.0, 1)
-            .is_err());
-    }
-
-    #[test]
-    fn delta_smooth_bruteforce_is_byte_identical_to_materializing() {
-        let (q, inst) = two_table();
-        for &beta in &[0.2, 0.7] {
-            let oracle = ExecContext::sequential()
-                .smooth_sensitivity_bruteforce_materializing(&q, &inst, beta, 2)
-                .unwrap();
-            for threads in [1usize, 2, 4] {
-                let delta = ExecContext::with_threads(threads)
-                    .smooth_sensitivity_bruteforce(&q, &inst, beta, 2)
-                    .unwrap();
-                // Bit-for-bit equality of the f64, not approximate.
-                assert_eq!(
-                    delta.to_bits(),
-                    oracle.to_bits(),
-                    "beta {beta}, threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn delta_sweep_matches_materializing_sweep() {
-        let (q, inst) = two_table();
-        let mut edits = inst.removal_edits();
-        for relation in 0..2usize {
-            for v in 0..4u64 {
-                edits.push(NeighborEdit::Add {
-                    relation,
-                    tuple: vec![v, (v + 3) % 8],
-                });
-            }
-        }
-        let ctx = ExecContext::sequential();
-        let delta = ctx.local_sensitivity_sweep(&q, &inst, &edits).unwrap();
-        let oracle = ctx
-            .local_sensitivity_sweep_materializing(&q, &inst, &edits)
-            .unwrap();
-        assert_eq!(delta, oracle);
-        // The sweep reuses the context's cached plan: a second sweep hits.
-        let (hits_before, _) = ctx.cache_stats();
-        let again = ctx.local_sensitivity_sweep(&q, &inst, &edits).unwrap();
-        assert_eq!(again, delta);
-        let (hits_after, _) = ctx.cache_stats();
-        assert!(hits_after > hits_before, "second sweep must hit the plan");
-        // Thread counts change nothing.
-        for threads in [2usize, 4] {
-            let par = ExecContext::with_threads(threads)
-                .local_sensitivity_sweep(&q, &inst, &edits)
-                .unwrap();
-            assert_eq!(par, delta, "threads {threads}");
-        }
-        // Invalid edits surface the same error family as apply_edit.
-        let absent = NeighborEdit::Remove {
-            relation: 0,
-            tuple: vec![7, 7],
-        };
-        assert!(ctx
-            .local_sensitivity_sweep(&q, &inst, std::slice::from_ref(&absent))
-            .is_err());
-        assert!(ctx
-            .local_sensitivity_sweep_materializing(&q, &inst, &[absent])
-            .is_err());
     }
 }

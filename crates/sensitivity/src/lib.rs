@@ -20,24 +20,16 @@
 //! Every expensive entry point is a method of the [`SensitivityOps`]
 //! extension trait on [`dpsyn_relational::ExecContext`]: the context supplies
 //! the [`Parallelism`](dpsyn_relational::Parallelism) knob driving the subset
-//! enumerations, probe loops and edit sweeps through the relational engine's
-//! worker pool ([`dpsyn_relational::exec`]), the small-instance sequential
-//! fallback ([`SensitivityConfig::min_par_instance`]), the cost-based
-//! **join plan** that decomposes every sub-join the enumerations
-//! materialise ([`dpsyn_relational::plan`]), and — on a long-lived context
+//! enumerations and probe loops through the relational engine's worker pool
+//! ([`dpsyn_relational::exec`]), the small-instance sequential fallback
+//! ([`SensitivityConfig::min_par_instance`]), the cost-based **join plan**
+//! that decomposes every sub-join the enumerations materialise
+//! ([`dpsyn_relational::plan`]), and — on a long-lived context
 //! (`dpsyn::Session`) — a **persistent sub-join lattice cache** that makes
 //! repeated sensitivity computations over the same instance near-free.
 //! Results are byte-identical at every parallelism level, on warm or cold
 //! caches, and under every decomposition; the plain free functions use a
 //! throwaway default context.
-//!
-//! Neighbour-edit sweeps are **delta-maintained**: the local sensitivities of
-//! all single-tuple edits of an instance
-//! ([`SensitivityOps::local_sensitivity_sweep`]) and the brute-force
-//! smooth-sensitivity exploration are priced per edit at a hash probe through
-//! a precomputed [`dpsyn_relational::DeltaJoinPlan`] instead of a full
-//! re-join, with the historical materializing implementations retained as
-//! cross-check oracles (`*_materializing`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,10 +56,7 @@ pub use local::{local_sensitivity, two_table_local_sensitivity};
 pub use mdeg_bound::{lemma48_mdeg_terms, t_e_mdeg_upper_bound, MdegTerm};
 pub use residual::{all_boundary_values, ls_hat_k, residual_sensitivity, ResidualSensitivity};
 pub use settings::SensitivityConfig;
-pub use smooth::{
-    candidate_edits, is_smooth_upper_bound, smooth_sensitivity_bruteforce,
-    smooth_sensitivity_bruteforce_materializing,
-};
+pub use smooth::{candidate_edits, is_smooth_upper_bound, smooth_sensitivity_bruteforce};
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, SensitivityError>;

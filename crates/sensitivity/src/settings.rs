@@ -19,8 +19,8 @@ pub(crate) const MIN_PAR_INSTANCE: usize = DEFAULT_MIN_PAR_INSTANCE;
 
 /// Tunables for the sensitivity computations.
 ///
-/// Two knobs: how many worker threads the subset enumerations, probe loops
-/// and edit sweeps may use, and the instance size below which the sequential
+/// Two knobs: how many worker threads the subset enumerations and probe
+/// loops may use, and the instance size below which the sequential
 /// code paths run regardless (pool and shard-lock overhead would dominate
 /// tiny joins).  The parallelism default resolves to the machine's available
 /// cores (or the `DPSYN_THREADS` environment variable);
@@ -41,7 +41,7 @@ pub struct SensitivityConfig {
     /// [`DEFAULT_MIN_PAR_INSTANCE`].
     pub min_par_instance: usize,
     /// Number of `(query, instance)` slots the context's persistent cache
-    /// LRU keeps warm at once (lattices, full joins and delta plans).
+    /// LRU keeps warm at once (lattices, full joins and join plans).
     /// Defaults to the engine's [`DEFAULT_CACHE_SLOTS`]; one slot reproduces
     /// the historical single-instance behaviour.
     pub cache_slots: usize,

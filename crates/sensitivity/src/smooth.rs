@@ -14,13 +14,22 @@
 
 use std::collections::BTreeSet;
 
-use dpsyn_relational::{Instance, JoinQuery, NeighborEdit, Value};
+use dpsyn_relational::{exec, Instance, JoinQuery, NeighborEdit, Value};
 
 use crate::context_ext::SensitivityOps;
 use crate::error::SensitivityError;
-use crate::local::local_sensitivity;
+use crate::local::{local_sensitivity, local_sensitivity_seq};
+use crate::residual::check_beta;
 use crate::settings::SensitivityConfig;
 use crate::Result;
+
+/// Cap on the candidate additions [`candidate_edits`] generates per relation.
+const MAX_ADDITIONS: usize = 4096;
+
+/// Frontier width kept between radius levels of the brute-force
+/// smooth-sensitivity exploration (the highest-sensitivity instances, ties
+/// in generation order).
+const SMOOTH_FRONTIER: usize = 16;
 
 /// Enumerates the candidate neighbouring **edits** of `instance`: all
 /// single-copy removals plus additions of candidate tuples drawn from the
@@ -28,12 +37,9 @@ use crate::Result;
 /// attribute when the domain allows it).  This covers the edits that can
 /// change degree structure.
 ///
-/// This is the edit-level form of the crate-private `candidate_neighbors`
-/// generator: the delta-join
-/// sweeps evaluate these edits through a
-/// [`DeltaJoinPlan`](dpsyn_relational::DeltaJoinPlan) without materialising
-/// the edited instances, in exactly this order (so the delta and
-/// materializing explorations coincide).
+/// Additions are emitted in lexicographic order of the per-attribute
+/// candidate lists (first attribute most significant), at most 4,096
+/// complete tuples per relation.
 pub fn candidate_edits(query: &JoinQuery, instance: &Instance) -> Result<Vec<NeighborEdit>> {
     let mut out = Vec::new();
     out.extend(instance.removal_edits());
@@ -75,28 +81,28 @@ pub fn candidate_edits(query: &JoinQuery, instance: &Instance) -> Result<Vec<Nei
             }
             per_attr.push(values.into_iter().collect());
         }
-        // Cartesian product of candidate values (bounded in tests by small
-        // instances; guard against blow-up with a hard cap).
-        let mut tuples: Vec<Vec<Value>> = vec![Vec::new()];
-        for values in &per_attr {
-            let mut next = Vec::with_capacity(tuples.len() * values.len());
-            for t in &tuples {
-                for &v in values {
-                    let mut t2 = t.clone();
-                    t2.push(v);
-                    next.push(t2);
-                }
-            }
-            tuples = next;
-            if tuples.len() > 4096 {
-                break;
-            }
-        }
-        for tuple in tuples.into_iter().take(4096) {
-            if tuple.len() != attrs.len() {
-                continue;
-            }
+        // Cartesian product of the candidate values, walked as an odometer
+        // (last attribute fastest) so the cap counts complete tuples only.
+        let mut digits = vec![0usize; per_attr.len()];
+        'product: for _ in 0..MAX_ADDITIONS {
+            let tuple = digits
+                .iter()
+                .zip(&per_attr)
+                .map(|(&d, values)| values[d])
+                .collect();
             out.push(NeighborEdit::Add { relation: i, tuple });
+            let mut pos = digits.len();
+            loop {
+                if pos == 0 {
+                    break 'product;
+                }
+                pos -= 1;
+                digits[pos] += 1;
+                if digits[pos] < per_attr[pos].len() {
+                    break;
+                }
+                digits[pos] = 0;
+            }
         }
     }
     Ok(out)
@@ -104,8 +110,8 @@ pub fn candidate_edits(query: &JoinQuery, instance: &Instance) -> Result<Vec<Nei
 
 /// Generates the set of candidate neighbouring **instances** of `instance`
 /// (the materialised form of [`candidate_edits`], applied in the same
-/// order).  Retained for the materializing cross-check paths and the
-/// smoothness checker; the production sweeps consume the edits directly.
+/// order), consumed by the smoothness checker and the brute-force
+/// exploration.
 pub(crate) fn candidate_neighbors(query: &JoinQuery, instance: &Instance) -> Result<Vec<Instance>> {
     candidate_edits(query, instance)?
         .iter()
@@ -158,37 +164,45 @@ pub fn is_smooth_upper_bound(
 /// upper-bounds smooth sensitivity, tests check
 /// `smooth_sensitivity_bruteforce ≤ RS^β`.
 ///
-/// Each frontier level's edit sweep runs **incrementally**: one delta-join
-/// plan per frontier instance prices every candidate edit at a hash probe
-/// instead of a full re-join (see `dpsyn_relational::delta`), with results
-/// byte-identical to the materializing oracle
-/// ([`smooth_sensitivity_bruteforce_materializing`]).
+/// Every candidate neighbour is materialised as an [`Instance`] and its
+/// local sensitivity recomputed from scratch, swept through the default
+/// context's worker pool.
 pub fn smooth_sensitivity_bruteforce(
     query: &JoinQuery,
     instance: &Instance,
     beta: f64,
     max_radius: usize,
 ) -> Result<f64> {
-    SensitivityConfig::default()
-        .to_context()
-        .smooth_sensitivity_bruteforce(query, instance, beta, max_radius)
-}
-
-/// The materializing cross-check oracle for [`smooth_sensitivity_bruteforce`]:
-/// same exploration, but every candidate neighbour is materialised as an
-/// [`Instance`] and its local sensitivity recomputed from scratch.  Kept (and
-/// exercised by the randomized property tests) so the delta path always has
-/// an independent reference; prefer the delta-maintained entry point
-/// everywhere else — it is the same value at a fraction of the cost.
-pub fn smooth_sensitivity_bruteforce_materializing(
-    query: &JoinQuery,
-    instance: &Instance,
-    beta: f64,
-    max_radius: usize,
-) -> Result<f64> {
-    SensitivityConfig::default()
-        .to_context()
-        .smooth_sensitivity_bruteforce_materializing(query, instance, beta, max_radius)
+    check_beta(beta)?;
+    let ctx = SensitivityConfig::default().to_context();
+    let mut frontier = vec![instance.clone()];
+    let mut best = ctx.local_sensitivity(query, instance)? as f64;
+    let mut result = best;
+    for k in 1..=max_radius {
+        // Generate this level's neighbours sequentially (cheap), then
+        // sweep their local sensitivities through the pool (the
+        // expensive part: one multi-way join per edit).  Neighbour
+        // instances have fresh fingerprints, so they deliberately bypass
+        // the persistent cache instead of thrashing it.
+        let mut neighbors: Vec<Instance> = Vec::new();
+        for inst in &frontier {
+            neighbors.extend(candidate_neighbors(query, inst)?);
+        }
+        let sensitivities = exec::par_map(ctx.parallelism(), neighbors.len(), |i| {
+            local_sensitivity_seq(query, &neighbors[i])
+        });
+        let mut next: Vec<(u128, Instance)> = Vec::with_capacity(neighbors.len());
+        for (neighbor, ls) in neighbors.into_iter().zip(sensitivities) {
+            let ls = ls?;
+            best = best.max(ls as f64);
+            next.push((ls, neighbor));
+        }
+        next.sort_by_key(|(ls, _)| std::cmp::Reverse(*ls));
+        next.truncate(SMOOTH_FRONTIER);
+        frontier = next.into_iter().map(|(_, inst)| inst).collect();
+        result = result.max((-beta * k as f64).exp() * best);
+    }
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -267,23 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_bruteforce_equals_materializing_oracle() {
-        let (q, inst) = small_two_table();
-        for &beta in &[0.2, 0.5, 1.0] {
-            for radius in 1..=3usize {
-                let delta = smooth_sensitivity_bruteforce(&q, &inst, beta, radius).unwrap();
-                let oracle =
-                    smooth_sensitivity_bruteforce_materializing(&q, &inst, beta, radius).unwrap();
-                assert_eq!(
-                    delta.to_bits(),
-                    oracle.to_bits(),
-                    "beta {beta}, radius {radius}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn candidate_edits_and_neighbors_align() {
         let (q, inst) = small_two_table();
         let edits = candidate_edits(&q, &inst).unwrap();
@@ -296,5 +293,36 @@ mod tests {
         // Removals come first, in removal_edits order.
         let removals = inst.removal_edits();
         assert_eq!(&edits[..removals.len()], removals.as_slice());
+    }
+
+    #[test]
+    fn candidate_additions_cap_counts_complete_tuples() {
+        // R0(A,B,C) ⋈ R1(C,D) over domain 128: relation 0's candidate lists
+        // have 71 · 71 · 2 > MAX_ADDITIONS tuples, and the partial product
+        // of A and B alone already exceeds the cap.
+        let q = JoinQuery::new(
+            dpsyn_relational::Schema::uniform(&["A", "B", "C", "D"], 128),
+            vec![ids(&[0, 1, 2]), ids(&[2, 3])],
+        )
+        .unwrap();
+        let r0 =
+            Relation::from_tuples(ids(&[0, 1, 2]), (0..70u64).map(|v| (vec![v, v, 0], 1))).unwrap();
+        let r1 = Relation::from_tuples(ids(&[2, 3]), vec![(vec![0, 0], 1)]).unwrap();
+        let inst = Instance::new(vec![r0, r1]);
+        let additions = |relation: usize| -> Vec<Vec<Value>> {
+            candidate_edits(&q, &inst)
+                .unwrap()
+                .into_iter()
+                .filter_map(|e| match e {
+                    NeighborEdit::Add { relation: r, tuple } if r == relation => Some(tuple),
+                    _ => None,
+                })
+                .collect()
+        };
+        let r0_adds = additions(0);
+        assert_eq!(r0_adds.len(), MAX_ADDITIONS);
+        // Lexicographic order, last attribute fastest.
+        assert_eq!(r0_adds[..3], [vec![0, 0, 0], vec![0, 0, 1], vec![0, 1, 0]]);
+        assert_eq!(additions(1).len(), 4);
     }
 }

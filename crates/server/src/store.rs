@@ -418,8 +418,8 @@ impl Store {
 
     /// Applies an update batch to a served dataset, maintaining its warm
     /// execution state in place (`ExecContext::apply_updates`: the cached
-    /// sub-join lattice, full join, delta plan and join plan migrate to
-    /// the updated instance's fingerprint instead of being orphaned).
+    /// sub-join lattice, full join and join plan migrate to the updated
+    /// instance's fingerprint instead of being orphaned).
     ///
     /// Like uploads, updates are in-memory only and never touch the ledger.
     /// The maintenance itself runs outside the store lock; the swap-in is

@@ -16,8 +16,8 @@ fn main() {
     let (query, mut instance) = dpsyn::datagen::random_star(3, 32, 400, 1.0, &mut seeded_rng(7));
     let session = Session::new();
 
-    // 2. A first release warms the session: the sub-join lattice, the full
-    //    join and the delta-join plan are now cached for this instance.
+    // 2. A first release warms the session: the sub-join lattice and the
+    //    full join are now cached for this instance.
     let workload = session.random_sign_workload(&query, 64, 7).unwrap();
     let budget = PrivacyParams::new(1.0, 1e-6).unwrap();
     let request = ReleaseRequest::new(&query, &instance, &workload, budget).with_seed(7);

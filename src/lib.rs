@@ -66,14 +66,7 @@
 //! let rs = session.residual_sensitivity(&query, &instance, 0.5)?;
 //! println!("RS^0.5 = {:.2} ({} cached sub-joins)", rs.value, session.cached_subjoins());
 //!
-//! // 6. Neighbour-edit sweeps are delta-maintained: the local sensitivity
-//! //    of every single-tuple removal is priced at a hash probe through the
-//! //    session's cached delta-join plan — no re-join per edit.
-//! let edits = instance.removal_edits();
-//! let swept = session.local_sensitivity_sweep(&query, &instance, &edits)?;
-//! println!("swept {} edits incrementally", swept.len());
-//!
-//! // 7. Every sub-join above decomposed along the session's cost-based
+//! // 6. Every sub-join above decomposed along the session's cost-based
 //! //    join plan; inspect the chosen orders and intermediate sizes.
 //! let plan = session.plan_stats(&query, &instance)?;
 //! println!(
@@ -131,9 +124,9 @@
 //! ([`relational::stream`]): per updated relation, the Δ-relation is joined
 //! against the current cached intermediates and folded in (deletes as
 //! weight retraction under the engine's saturating-arithmetic rules), and
-//! the whole LRU slot — sub-join lattice, full join, delta plan, join
-//! plan — migrates to the updated instance's fingerprint instead of
-//! being orphaned.  Maintenance never changes bytes: a post-update release
+//! the whole LRU slot — sub-join lattice, full join, join plan —
+//! migrates to the updated instance's fingerprint instead of being
+//! orphaned.  Maintenance never changes bytes: a post-update release
 //! is identical to one from a cold session at the same seed, at every
 //! thread count (the rebuild path remains the cross-check oracle in
 //! `tests/properties.rs`).  Served datasets take the same path through
@@ -153,11 +146,9 @@
 //! statistics, so cached intermediates are the smallest available; tracked
 //! by the `planner/*` rows of `BENCH_join.json`) and persisted **across
 //! calls** by [`Session`] / [`relational::ExecContext`] (a small
-//! per-instance LRU of join plans, lattices, full joins and
-//! [`relational::DeltaJoinPlan`]s), so repeated releases and sensitivity
-//! sweeps over a working set of instances pay for the lattice once, and
-//! neighbour-edit sweeps probe instead of re-joining (tracked by the
-//! `edit_sweep/*` rows of `BENCH_join.json`).  Lattice masks whose tuples
+//! per-instance LRU of join plans, lattices and full joins), so repeated
+//! releases and sensitivity sweeps over a working set of instances pay for
+//! the lattice once.  Lattice masks whose tuples
 //! nobody reads — the terminal subsets consumed only as join sizes and
 //! boundary maxima — are not materialised at all: the cache's
 //! **aggregate-pushdown mode** ([`relational::AggMode`], the
@@ -201,9 +192,9 @@ pub mod prelude {
     pub use dpsyn_pmw::{Histogram, Pmw, PmwConfig};
     pub use dpsyn_query::{AnswerOps, LinearQuery, ProductQuery, QueryFamily};
     pub use dpsyn_relational::{
-        join, join_size, AggMode, AttrId, Attribute, DeltaJoinPlan, EvictionStats, ExecContext,
-        Instance, JoinPlan, JoinQuery, JoinSizeDelta, NeighborEdit, Parallelism, PlanConfig,
-        PlanStats, Relation, ReplanStats, Schema, UpdateBatch, UpdateOp, UpdateReport,
+        join, join_size, AggMode, AttrId, Attribute, EvictionStats, ExecContext, Instance,
+        JoinPlan, JoinQuery, NeighborEdit, Parallelism, PlanConfig, PlanStats, Relation,
+        ReplanStats, Schema, UpdateBatch, UpdateOp, UpdateReport,
     };
     pub use dpsyn_sensitivity::{
         local_sensitivity, residual_sensitivity, ResidualSensitivity, SensitivityConfig,

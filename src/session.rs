@@ -38,10 +38,9 @@
 //! The expensive substrate of the releases is shared **across calls**: the
 //! `2^m` sub-join lattice that residual/local sensitivity enumerate is
 //! checked into the session after every call and checked back out by the
-//! next one, and the full join used for truth evaluation — plus the
-//! instance's delta-join plan — is kept alongside.  A session keeps a small
-//! **LRU of per-instance slots** (default
-//! [`dpsyn_relational::DEFAULT_CACHE_SLOTS`], configurable via
+//! next one, and the full join used for truth evaluation is kept
+//! alongside.  A session keeps a small **LRU of per-instance slots**
+//! (default [`dpsyn_relational::DEFAULT_CACHE_SLOTS`], configurable via
 //! [`SensitivityConfig::with_cache_slots`]), each keyed by a structural
 //! fingerprint of the data
 //! ([`dpsyn_relational::instance_fingerprint`]): repeat releases,
@@ -70,17 +69,6 @@
 //! intermediate sizes, and the re-plan feedback counters
 //! ([`dpsyn_relational::ReplanStats`]).
 //!
-//! ### Neighbour-edit sweeps
-//!
-//! Sensitivity sweeps over single-tuple edits are **delta-maintained**:
-//! [`Session::local_sensitivity_sweep`] and
-//! [`Session::smooth_sensitivity_bruteforce`] price each edit at a hash
-//! probe through the cached
-//! [`DeltaJoinPlan`](dpsyn_relational::DeltaJoinPlan) instead of
-//! materialising and re-joining every neighbour instance, with byte-identical
-//! results (the materializing paths survive as `*_materializing` oracles on
-//! [`SensitivityOps`]).
-//!
 //! ### Determinism contract
 //!
 //! Sessions never trade correctness for speed:
@@ -105,8 +93,7 @@ use dpsyn_core::{IndependentLaplaceBaseline, Mechanism, SyntheticRelease};
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::{AnswerOps, AnswerSet, ProductQuery, QueryFamily};
 use dpsyn_relational::{
-    ExecContext, Instance, JoinQuery, JoinSizeDelta, NeighborEdit, Parallelism, PlanConfig,
-    PlanStats, UpdateBatch, UpdateReport,
+    ExecContext, Instance, JoinQuery, Parallelism, PlanConfig, PlanStats, UpdateBatch, UpdateReport,
 };
 use dpsyn_sensitivity::{ResidualSensitivity, SensitivityConfig, SensitivityOps};
 
@@ -355,70 +342,14 @@ impl Session {
         self.ctx.residual_sensitivity(query, instance, beta)
     }
 
-    // --- neighbour-edit deltas ---------------------------------------------
-
-    /// The local sensitivities of every neighbour `I ± edit`, swept
-    /// incrementally: the session's cached
-    /// [`DeltaJoinPlan`](dpsyn_relational::DeltaJoinPlan) prices each edit
-    /// at a hash probe instead of a full re-join.  Results are in edit order
-    /// and byte-identical to materialising every neighbour.
-    pub fn local_sensitivity_sweep(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        edits: &[NeighborEdit],
-    ) -> dpsyn_sensitivity::Result<Vec<u128>> {
-        self.ctx.local_sensitivity_sweep(query, instance, edits)
-    }
-
-    /// Restricted brute-force smooth sensitivity (delta-maintained edit
-    /// sweeps; see
-    /// [`dpsyn_sensitivity::smooth_sensitivity_bruteforce`]).
-    pub fn smooth_sensitivity_bruteforce(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        beta: f64,
-        max_radius: usize,
-    ) -> dpsyn_sensitivity::Result<f64> {
-        self.ctx
-            .smooth_sensitivity_bruteforce(query, instance, beta, max_radius)
-    }
-
-    /// The signed join-size change `count(I ± edit) - count(I)` of one
-    /// neighbouring edit, via the cached delta plan — no join over the
-    /// edited instance is built.  For per-edit loops prefer
-    /// [`Session::join_size_deltas`], which resolves the plan once for the
-    /// whole sweep.
-    pub fn join_size_delta(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        edit: &NeighborEdit,
-    ) -> dpsyn_relational::Result<JoinSizeDelta> {
-        self.ctx.join_size_delta(query, instance, edit)
-    }
-
-    /// The signed join-size changes of a batch of neighbouring edits, in
-    /// edit order (one plan lookup, a hash probe per edit).
-    pub fn join_size_deltas(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        edits: &[NeighborEdit],
-    ) -> dpsyn_relational::Result<Vec<JoinSizeDelta>> {
-        self.ctx.join_size_deltas(query, instance, edits)
-    }
-
     // --- streaming updates --------------------------------------------------
 
     /// Applies a streaming [`UpdateBatch`] of inserts and deletes to
     /// `instance` while keeping the session's warm state warm: the cached
-    /// sub-join lattice, full join and delta plan are maintained **in
-    /// place** semi-naive style and migrated to the updated instance's
-    /// fingerprint, instead of being orphaned and rebuilt (see
-    /// [`dpsyn_relational::stream`] and
-    /// [`ExecContext::apply_updates`]).
+    /// sub-join lattice and full join are maintained **in place**
+    /// semi-naive style and migrated to the updated instance's fingerprint,
+    /// instead of being orphaned and rebuilt (see
+    /// [`dpsyn_relational::stream`] and [`ExecContext::apply_updates`]).
     ///
     /// A post-update release over the updated instance is byte-identical to
     /// one from a cold session at the same seed — maintenance never changes
@@ -622,59 +553,6 @@ mod tests {
         session.local_sensitivity(&q, &inst).unwrap();
         let warm = session.plan_stats(&q, &inst).unwrap().replan.unwrap();
         assert!(warm.measured >= replan.measured);
-    }
-
-    #[test]
-    fn session_edit_sweeps_match_materializing_and_lru_keeps_instances_warm() {
-        let (q, inst) = fixture();
-        let session = Session::sequential();
-        // Delta sweep over every removal edit equals materialising each
-        // neighbour and recomputing from scratch.
-        let edits = inst.removal_edits();
-        let swept = session.local_sensitivity_sweep(&q, &inst, &edits).unwrap();
-        for (edit, ls) in edits.iter().zip(&swept) {
-            let neighbor = inst.apply_edit(edit).unwrap();
-            assert_eq!(
-                *ls,
-                dpsyn_sensitivity::local_sensitivity(&q, &neighbor).unwrap()
-            );
-        }
-        // Join-size deltas agree with re-joining (batch API: one plan
-        // lookup for the whole sweep).
-        let base = session.join_size(&q, &inst).unwrap();
-        let deltas = session.join_size_deltas(&q, &inst, &edits).unwrap();
-        for (edit, delta) in edits.iter().zip(&deltas) {
-            let neighbor = inst.apply_edit(edit).unwrap();
-            assert_eq!(delta.apply(base), session.join_size(&q, &neighbor).unwrap());
-        }
-        assert_eq!(
-            session.join_size_delta(&q, &inst, &edits[0]).unwrap(),
-            deltas[0]
-        );
-        // Smooth sensitivity through the session equals the free function.
-        assert_eq!(
-            session
-                .smooth_sensitivity_bruteforce(&q, &inst, 0.4, 2)
-                .unwrap(),
-            dpsyn_sensitivity::smooth_sensitivity_bruteforce(&q, &inst, 0.4, 2).unwrap()
-        );
-        // The LRU keeps several instances warm at once: touching a second
-        // instance must not evict the first one's lattice or plan.
-        let mut other = inst.clone();
-        other.relation_mut(0).add(vec![7, 7], 2).unwrap();
-        session
-            .local_sensitivity_sweep(&q, &other, &other.removal_edits())
-            .unwrap();
-        let (hits_before, _) = session.cache_stats();
-        session.local_sensitivity_sweep(&q, &inst, &edits).unwrap();
-        session
-            .local_sensitivity_sweep(&q, &other, &other.removal_edits())
-            .unwrap();
-        let (hits_after, _) = session.cache_stats();
-        assert!(
-            hits_after >= hits_before + 2,
-            "both instances must stay warm across interleaved sweeps"
-        );
     }
 
     #[test]

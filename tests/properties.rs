@@ -265,124 +265,6 @@ fn parallel_sensitivity_matches_sequential_and_naive() {
 }
 
 // ---------------------------------------------------------------------------
-// Delta-join maintenance: delta ≡ full-rejoin ≡ naive
-// ---------------------------------------------------------------------------
-
-/// A mixed edit list for an instance: every removal plus a sample of the
-/// candidate additions (the ones that can change degree structure).
-fn sampled_edits(query: &JoinQuery, inst: &Instance) -> Vec<NeighborEdit> {
-    let mut edits = inst.removal_edits();
-    edits.extend(
-        candidate_edits(query, inst)
-            .unwrap()
-            .into_iter()
-            .filter(|e| !e.is_removal())
-            .step_by(7),
-    );
-    edits
-}
-
-/// Delta-maintained join sizes after one edit agree with re-joining the
-/// edited instance with the hash engine AND with the naive oracle, for
-/// removals and additions across query shapes.
-#[test]
-fn delta_join_size_matches_rejoin_and_naive() {
-    for seed in 0..8u64 {
-        let shapes: Vec<(JoinQuery, Instance)> = vec![
-            random_two_table(8, 40, &mut seeded_rng(11_000 + seed)),
-            zipf_two_table(8, 40, 1.2, &mut seeded_rng(11_100 + seed)),
-            random_star(3, 8, 25, 1.0, &mut seeded_rng(11_200 + seed)),
-            random_star(4, 8, 18, 1.1, &mut seeded_rng(11_300 + seed)),
-        ];
-        for (query, inst) in &shapes {
-            let ctx = ExecContext::sequential();
-            let base = join_size(query, inst).unwrap();
-            for edit in sampled_edits(query, inst) {
-                let delta = ctx.join_size_delta(query, inst, &edit).unwrap();
-                let neighbor = inst.apply_edit(&edit).unwrap();
-                let rejoined = join_size(query, &neighbor).unwrap();
-                assert_eq!(delta.apply(base), rejoined, "seed {seed}, edit {edit:?}");
-                assert_eq!(
-                    rejoined,
-                    join_size_naive(query, &neighbor).unwrap(),
-                    "seed {seed}, edit {edit:?}"
-                );
-            }
-        }
-    }
-}
-
-/// Delta-maintained local-sensitivity sweeps agree with the materializing
-/// full-rejoin path and with the naive boundary-value oracle, at every
-/// thread count.
-#[test]
-fn delta_local_sensitivity_sweep_matches_rejoin_and_naive() {
-    for seed in 0..6u64 {
-        let shapes: Vec<(JoinQuery, Instance)> = vec![
-            random_two_table(8, 30, &mut seeded_rng(12_000 + seed)),
-            random_star(3, 8, 20, 1.0, &mut seeded_rng(12_100 + seed)),
-            random_star(4, 8, 14, 1.0, &mut seeded_rng(12_200 + seed)),
-        ];
-        for (query, inst) in &shapes {
-            let edits = sampled_edits(query, inst);
-            let ctx = SensitivityConfig::sequential().to_context();
-            let delta = ctx.local_sensitivity_sweep(query, inst, &edits).unwrap();
-            let rejoin = ctx
-                .local_sensitivity_sweep_materializing(query, inst, &edits)
-                .unwrap();
-            assert_eq!(delta, rejoin, "seed {seed}");
-            for threads in [2usize, 4] {
-                let par = SensitivityConfig::with_threads(threads)
-                    .to_context()
-                    .local_sensitivity_sweep(query, inst, &edits)
-                    .unwrap();
-                assert_eq!(par, delta, "seed {seed}, threads {threads}");
-            }
-            // Naive oracle on a sample of the edits: LS(I') is the largest
-            // boundary value over the size-(m-1) subsets of the edited
-            // instance, computed from scratch with the BTreeMap engine.
-            let m = query.num_relations();
-            for (edit, ls) in edits.iter().zip(&delta).step_by(5) {
-                let neighbor = inst.apply_edit(edit).unwrap();
-                let naive_ls = all_boundary_values_naive(query, &neighbor)
-                    .unwrap()
-                    .into_iter()
-                    .filter(|(subset, _)| subset.len() == m - 1)
-                    .map(|(_, value)| value)
-                    .max()
-                    .unwrap_or(1);
-                assert_eq!(*ls, naive_ls, "seed {seed}, edit {edit:?}");
-            }
-        }
-    }
-}
-
-/// The delta-maintained smooth-sensitivity exploration is byte-identical to
-/// the materializing oracle on random instances, at every thread count.
-#[test]
-fn delta_smooth_sensitivity_matches_materializing_oracle() {
-    for seed in 0..4u64 {
-        let (query, inst) = random_pairs(13_000 + seed, 14);
-        let beta = 0.1 + (seed as f64) / 8.0;
-        let oracle = SensitivityConfig::sequential()
-            .to_context()
-            .smooth_sensitivity_bruteforce_materializing(&query, &inst, beta, 2)
-            .unwrap();
-        for threads in [1usize, 2, 4] {
-            let delta = SensitivityConfig::with_threads(threads)
-                .to_context()
-                .smooth_sensitivity_bruteforce(&query, &inst, beta, 2)
-                .unwrap();
-            assert_eq!(
-                delta.to_bits(),
-                oracle.to_bits(),
-                "seed {seed}, threads {threads}"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Cost-based join planner: planner ≡ fixed-prefix ≡ naive
 // ---------------------------------------------------------------------------
 
@@ -822,17 +704,27 @@ fn join_size_matches_degree_formula() {
 // ---------------------------------------------------------------------------
 
 /// Local sensitivity really bounds the join-size change of any single
-/// removal edit.
+/// candidate edit (every removal and every candidate addition), and the
+/// hash engine's join size of each neighbour matches the naive oracle.
 #[test]
 fn local_sensitivity_bounds_single_edits() {
     for seed in 0..CASES {
         let (query, inst) = random_pairs(4000 + seed, 30);
         let ls = local_sensitivity(&query, &inst).unwrap();
         let base = join_size(&query, &inst).unwrap();
-        for edit in inst.removal_edits() {
+        for edit in candidate_edits(&query, &inst).unwrap() {
             let neighbor = inst.apply_edit(&edit).unwrap();
-            let diff = join_size(&query, &neighbor).unwrap().abs_diff(base);
-            assert!(diff <= ls, "seed {seed}: diff {diff} exceeds LS {ls}");
+            let size = join_size(&query, &neighbor).unwrap();
+            assert_eq!(
+                size,
+                join_size_naive(&query, &neighbor).unwrap(),
+                "seed {seed}, edit {edit:?}"
+            );
+            let diff = size.abs_diff(base);
+            assert!(
+                diff <= ls,
+                "seed {seed}, edit {edit:?}: diff {diff} exceeds LS {ls}"
+            );
         }
     }
 }
