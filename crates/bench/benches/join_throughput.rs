@@ -17,17 +17,13 @@
 //! the historical fixed-prefix chain on chain / star / skewed scenarios —
 //! recording the chosen decomposition (`spine`, `top_order`) and the total
 //! cached-intermediate tuple counts alongside wall-clock (`--planner-smoke`
-//! runs only this group, for CI), plus `adaptive/*` rows measuring (a) the
+//! runs only this group, for CI), plus `gather/*` rows measuring the
 //! mergeable-sketch statistics gather against the historical exact
-//! distinct-set gather and (b) the resident-intermediate footprint and
-//! wall-clock of runtime-feedback re-planning against the static plan on
-//! the correlated-pair workload (where independence estimates provably
-//! fail) and the heavy-hitter star control (`--adaptive-smoke` runs only
-//! this group — adaptive values are asserted identical to static before
-//! any timing), plus `agg/*` rows measuring the count-only
-//! aggregate-pushdown evaluation (terminal lattice masks folded into
-//! grouped accumulators behind a Bloom semi-join pre-filter, never
-//! materialised) against the materializing oracle on residual sweeps —
+//! distinct-set gather (`--gather-smoke` runs only this group — sketch
+//! accuracy is asserted before any timing), plus `agg/*` rows measuring
+//! the count-only aggregate-pushdown evaluation (terminal lattice masks
+//! folded into grouped accumulators behind a Bloom semi-join pre-filter,
+//! never materialised) against the materializing oracle on residual sweeps —
 //! byte-identity of both modes against the naive engine is asserted before
 //! timing, and rows record the resident-byte reduction alongside
 //! wall-clock (`--agg-smoke` runs only this group and refreshes the
@@ -42,14 +38,14 @@ use std::time::{Duration, Instant};
 use criterion::black_box;
 use dpsyn_bench::{existing_rows_json, print_table, raw_rows_to_json_pretty, Row};
 use dpsyn_datagen::{
-    correlated_pair, heavy_hitter_star, random_path, random_star, random_two_table,
-    wide_attribute_pair, zipf_two_table,
+    heavy_hitter_star, random_path, random_star, random_two_table, wide_attribute_pair,
+    zipf_two_table,
 };
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive};
 use dpsyn_relational::{
     join_size, AggMode, ExecContext, FxHashSet, Instance, JoinPlan, JoinQuery, Keep, Parallelism,
-    PlanConfig, RelationStats, ShardedSubJoinCache, Value,
+    RelationStats, ShardedSubJoinCache, Value,
 };
 use dpsyn_sensitivity::{all_boundary_values, SensitivityConfig, SensitivityOps};
 
@@ -139,15 +135,13 @@ fn bench_scaling(label: &str, mut par: impl FnMut(), mut seq: impl FnMut()) -> R
         .with("available_cores", cores as f64)
 }
 
-/// A local-sensitivity-style lattice pass over one cache: the `m`
-/// size-`(m-1)` directions read with [`Keep::Chain`], memoising (and thus
-/// keeping resident) exactly the decomposition chains the cache walks.
-/// Each built chain step's actual cardinality is measured against the
-/// plan's estimate, and a breach of the cache's re-plan ratio re-routes
-/// later targets around correlation traps; at ratio `f64::INFINITY` this is
-/// the static walk.  Returns the local sensitivity, so identity across
-/// plans and ratios is checked by the caller.
-fn lattice_pass(query: &JoinQuery, cache: &mut ShardedSubJoinCache<'_>) -> u128 {
+/// One cold local-sensitivity-style lattice pass over a fresh cache on
+/// `plan`: the `m` size-`(m-1)` directions read with [`Keep::Chain`],
+/// memoising (and thus keeping resident) exactly the decomposition chains
+/// the plan walks.  Returns the local sensitivity, so identity across plans
+/// is checked by the caller, and the resident intermediate tuple count.
+fn lattice_pass(query: &JoinQuery, instance: &Instance, plan: &Arc<JoinPlan>) -> (u128, usize) {
+    let cache = ShardedSubJoinCache::with_plan(query, instance, Arc::clone(plan)).expect("cache");
     let m = query.num_relations();
     let full = (1u32 << m) - 1;
     let mut best = 0u128;
@@ -156,54 +150,28 @@ fn lattice_pass(query: &JoinQuery, cache: &mut ShardedSubJoinCache<'_>) -> u128 
         let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
         let boundary = query.boundary(&others).expect("valid subset");
         let value = cache
-            .join_mask_adaptive(others_mask, Parallelism::SEQUENTIAL, Keep::Chain)
+            .join_mask(others_mask, Parallelism::SEQUENTIAL, Keep::Chain)
             .expect("sub-join")
             .max_group_weight(&boundary)
             .expect("grouping");
         best = best.max(value);
     }
-    best
+    (best, cache.cached_tuples())
 }
 
-/// A cold cache over `plan` whose walks re-plan at `ratio`
-/// (`f64::INFINITY`: never — the static walk).
-fn cache_at<'a>(
-    query: &'a JoinQuery,
-    instance: &'a Instance,
-    plan: &Arc<JoinPlan>,
-    ratio: f64,
-) -> ShardedSubJoinCache<'a> {
-    ShardedSubJoinCache::with_plan(query, instance, Arc::clone(plan))
-        .expect("cache")
-        .with_config(PlanConfig::with_replan_ratio(ratio))
-}
-
-/// The adaptive-planning group.
-///
-/// `adaptive/gather/*`: the mergeable-sketch statistics gather
-/// ([`RelationStats::gather`]) against the historical exact per-attribute
-/// distinct-set gather over the same iteration path — with every sketch
-/// estimate asserted inside the HyperLogLog error envelope of the exact
-/// count before timing.
-///
-/// `adaptive/tuples/*`: one cold local-sensitivity [`lattice_pass`] on a
-/// cache that never re-plans (ratio infinity, the static walk) vs a cache
-/// re-planning at the configured ratio, on the
-/// correlated-pair workload whose functional dependency provably breaks
-/// independence estimates, and on the heavy-hitter star where estimates
-/// mostly hold (the control: adaptivity must not hurt it).  Adaptive
-/// values are asserted identical to static before timing; rows record the
-/// resident-intermediate tuple counts and the re-plan feedback counters.
-fn adaptive_rows(quick: bool) -> Vec<Row> {
+/// The sketch-gather group (`gather/*`): the mergeable-sketch statistics
+/// gather ([`RelationStats::gather`]) against the historical exact
+/// per-attribute distinct-set gather over the same iteration path — with
+/// every sketch estimate asserted inside the HyperLogLog error envelope of
+/// the exact count before timing.
+fn gather_rows(quick: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // --- (a) sketch gather vs exact distinct sets -------------------------
     let gather_scenarios: Vec<(String, JoinQuery, Instance)> = vec![
         {
             let n = if quick { 20_000 } else { 60_000 };
             let (q, i) = random_two_table(16_384, n, &mut seeded_rng(51));
-            (format!("adaptive/gather/two_table/{n}"), q, i)
+            (format!("gather/two_table/{n}"), q, i)
         },
         {
             let (key_space, n) = if quick {
@@ -212,7 +180,7 @@ fn adaptive_rows(quick: bool) -> Vec<Row> {
                 (2_048, 40_000)
             };
             let (q, i) = wide_attribute_pair(key_space, n, &mut seeded_rng(52));
-            (format!("adaptive/gather/wide4/{n}"), q, i)
+            (format!("gather/wide4/{n}"), q, i)
         },
     ];
     for (label, query, instance) in &gather_scenarios {
@@ -275,79 +243,6 @@ fn adaptive_rows(quick: bool) -> Vec<Row> {
         );
     }
 
-    // --- (b) resident intermediates: static vs adaptive walks -------------
-    let ratio = PlanConfig::default().replan_ratio;
-    let walk_scenarios: Vec<(String, JoinQuery, Instance)> = vec![
-        {
-            let (keys, fanout, pair_rows, payloads) = if quick {
-                (48, 12, 256, 6)
-            } else {
-                (64, 16, 512, 8)
-            };
-            let (q, i) = correlated_pair(3, keys, fanout, pair_rows, payloads, &mut seeded_rng(53));
-            (format!("adaptive/tuples/correlated_pair/{pair_rows}"), q, i)
-        },
-        {
-            let per_rel = if quick { 120 } else { 300 };
-            let (q, i) = heavy_hitter_star(4, 64, per_rel, 0.6, &mut seeded_rng(54));
-            (format!("adaptive/tuples/heavy_hitter_star/{per_rel}"), q, i)
-        },
-    ];
-    for (label, query, instance) in &walk_scenarios {
-        let plan = Arc::new(JoinPlan::cost_based(query, instance).expect("plan"));
-        // Identity before timing: the adaptive pass computes exactly the
-        // static pass's local sensitivity, and its resident footprint is
-        // what the row records.
-        let (static_value, static_tuples) = {
-            let mut cache = cache_at(query, instance, &plan, f64::INFINITY);
-            (lattice_pass(query, &mut cache), cache.cached_tuples())
-        };
-        let (adaptive_value, adaptive_tuples, replans, triggers) = {
-            let mut cache = cache_at(query, instance, &plan, ratio);
-            let value = lattice_pass(query, &mut cache);
-            let feedback = cache.replan_stats().cloned().unwrap_or_default();
-            (
-                value,
-                cache.cached_tuples(),
-                feedback.replans,
-                feedback.triggers,
-            )
-        };
-        assert_eq!(
-            adaptive_value, static_value,
-            "{label}: adaptive walks must be byte-identical to static"
-        );
-        let run = |ratio: f64| {
-            black_box(lattice_pass(
-                query,
-                &mut cache_at(query, instance, &plan, ratio),
-            ));
-        };
-        let static_run = || run(f64::INFINITY);
-        let adaptive_run = || run(ratio);
-        let probe = Instant::now();
-        static_run();
-        let samples = sample_count(probe.elapsed());
-        let adaptive_ns = median_ns(samples, adaptive_run);
-        let static_ns = median_ns(samples, static_run);
-        let speedup = static_ns / adaptive_ns.max(1.0);
-        let tuple_ratio = static_tuples as f64 / (adaptive_tuples as f64).max(1.0);
-        println!(
-            "bench: {label:<32} adapt {adaptive_ns:>13.1} ns  static {static_ns:>13.1} ns  speedup {speedup:>6.2}x  tuples {adaptive_tuples} vs {static_tuples} ({tuple_ratio:.2}x, {replans} replans / {triggers} triggers)"
-        );
-        rows.push(
-            Row::new(label)
-                .with("adaptive_ns", adaptive_ns)
-                .with("static_ns", static_ns)
-                .with("speedup", speedup)
-                .with("adaptive_tuples", adaptive_tuples as f64)
-                .with("static_tuples", static_tuples as f64)
-                .with("tuple_ratio", tuple_ratio)
-                .with("replans", replans as f64)
-                .with("triggers", triggers as f64)
-                .with("available_cores", cores as f64),
-        );
-    }
     rows
 }
 
@@ -381,8 +276,7 @@ fn agg_rows(quick: bool) -> Vec<Row> {
     ];
     for (label, query, instance) in &scenarios {
         let sweep = |mode: AggMode| {
-            let ctx = ExecContext::sequential()
-                .with_plan_config(PlanConfig::default().with_agg_mode(mode));
+            let ctx = ExecContext::sequential().with_agg_mode(mode);
             let bv = ctx
                 .all_boundary_values(query, instance)
                 .expect("boundary values");
@@ -497,14 +391,8 @@ fn planner_rows(quick: bool) -> Vec<Row> {
         // Identity before timing: the planner pass computes exactly the
         // fixed-prefix pass's local sensitivity.
         let fixed_plan = Arc::new(JoinPlan::fixed_prefix(query.num_relations()));
-        let (fixed_value, prefix_tuples) = {
-            let mut cache = cache_at(query, instance, &fixed_plan, f64::INFINITY);
-            (lattice_pass(query, &mut cache), cache.cached_tuples())
-        };
-        let (planned_value, planner_tuples) = {
-            let mut cache = cache_at(query, instance, &plan, f64::INFINITY);
-            (lattice_pass(query, &mut cache), cache.cached_tuples())
-        };
+        let (fixed_value, prefix_tuples) = lattice_pass(query, instance, &fixed_plan);
+        let (planned_value, planner_tuples) = lattice_pass(query, instance, &plan);
         assert_eq!(
             planned_value, fixed_value,
             "planner pass must equal fixed-prefix pass"
@@ -514,12 +402,10 @@ fn planner_rows(quick: bool) -> Vec<Row> {
             // The plan build (statistics + pivot table) is part of the
             // measured cost: this is what a cold context checkout pays.
             let plan = Arc::new(JoinPlan::cost_based(query, instance).expect("plan"));
-            let mut cache = cache_at(query, instance, &plan, f64::INFINITY);
-            black_box(lattice_pass(query, &mut cache));
+            black_box(lattice_pass(query, instance, &plan));
         };
         let mut prefix_run = || {
-            let mut cache = cache_at(query, instance, &fixed_plan, f64::INFINITY);
-            black_box(lattice_pass(query, &mut cache));
+            black_box(lattice_pass(query, instance, &fixed_plan));
         };
         let probe = Instant::now();
         prefix_run();
@@ -579,9 +465,9 @@ fn sched_rows(quick: bool) -> Vec<Row> {
     // The materialize-everything populate: every proper mask, built level
     // by level along the fixed-prefix chain.
     let populated = |par: Parallelism| {
-        let mut cache = ShardedSubJoinCache::new(&query, &instance)
+        let cache = ShardedSubJoinCache::new(&query, &instance)
             .expect("cache")
-            .with_config(PlanConfig::default().with_agg_mode(AggMode::Never));
+            .with_agg_mode(AggMode::Never);
         let stats = cache.populate(par).expect("populate");
         (cache, stats)
     };
@@ -651,15 +537,11 @@ fn main() {
         );
         return;
     }
-    // CI's adaptive smoke: the sketch-gather and adaptive-walk groups only
-    // (quick sizes; adaptive ≡ static identity and sketch-accuracy asserts
-    // included), no JSON write.
-    if std::env::args().any(|a| a == "--adaptive-smoke") {
-        let rows = adaptive_rows(true);
-        print_table(
-            "adaptive smoke — sketch gather + runtime-feedback re-planning",
-            &rows,
-        );
+    // CI's gather smoke: the sketch-gather group only (quick sizes;
+    // sketch-accuracy asserts included), no JSON write.
+    if std::env::args().any(|a| a == "--gather-smoke") {
+        let rows = gather_rows(true);
+        print_table("gather smoke — sketch statistics vs exact sets", &rows);
         return;
     }
     // CI's aggregate-pushdown smoke: the count-only-vs-materializing group
@@ -853,8 +735,8 @@ fn main() {
     // --- Cost-based planner vs fixed-prefix decomposition -------------------
     rows.extend(planner_rows(quick));
 
-    // --- Adaptive planning: sketch gather + runtime-feedback re-planning ----
-    rows.extend(adaptive_rows(quick));
+    // --- Planner statistics: sketch gather vs exact distinct sets ----------
+    rows.extend(gather_rows(quick));
 
     // --- Aggregate pushdown: count-only lattice vs materializing oracle -----
     rows.extend(agg_rows(quick));

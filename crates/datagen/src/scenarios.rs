@@ -186,16 +186,15 @@ pub fn heavy_hitter_star<R: Rng>(
 /// distinct counts, but since `kk` is determined by `k` the second factor
 /// is pure fiction — matching on `k` already implies matching on `kk`, so
 /// the true cardinality is larger than the estimate by roughly
-/// `fanout`×.  A static plan therefore routes sub-joins *through* the
-/// `R0 ⋈ R1` pair (it looks cheap), while measured feedback re-plans
-/// around it — which makes this the canonical workload for the adaptive
-/// planner's re-optimization tests and benchmarks.
+/// `fanout`×.  A cost-based plan therefore routes sub-joins *through* the
+/// `R0 ⋈ R1` pair (it looks cheap), which makes this the canonical
+/// workload for checking that a badly mis-estimated plan still produces
+/// exactly the naive engine's values.
 ///
 /// `pair_rows` rows are generated for each of `R0`/`R1` (keys uniform over
 /// `0..keys`, payloads uniform over `0..payloads`); each satellite holds
 /// one row per key.  The expected estimate error on the pair is
-/// `≈ fanout`, so pick `fanout` comfortably above the planner's re-plan
-/// ratio to guarantee a trigger.
+/// `≈ fanout`.
 pub fn correlated_pair<R: Rng>(
     satellites: usize,
     keys: u64,

@@ -23,8 +23,9 @@
 //! route around cross-product parents and the resident intermediates
 //! shrink (see [`crate::plan`]).  [`crate::ExecContext`] builds the plan
 //! once per instance fingerprint and hands the same `Arc` to every
-//! checkout, so all consumers — warm or cold, sequential or parallel —
-//! decompose identically.  Decomposition never changes values: a sub-join is the same
+//! checkout and no cache ever swaps it, so all consumers — warm or cold,
+//! sequential or parallel — decompose identically.  Decomposition never
+//! changes values: a sub-join is the same
 //! weighted tuple set under every plan, and the lattice is only ever read
 //! through order-free aggregates or sorted emits, so outputs stay
 //! byte-identical to the fixed-prefix path.
@@ -39,15 +40,12 @@
 //! that request the sequential path get it even on multicore machines where
 //! the engine's defaults resolve parallel.
 //!
-//! The lattice has five entry points.  [`ShardedSubJoinCache::populate`]
-//! materialises it level by level; the four reads —
-//! [`ShardedSubJoinCache::join_mask`] and
-//! [`ShardedSubJoinCache::max_group_weight`] (`&self`, safe on pool
-//! workers, never re-plan) and their `_adaptive` twins (`&mut self`,
-//! measure each step they build and re-plan per the cache's
-//! [`PlanConfig`]) — evaluate one mask, memoising its result or only its
-//! chain parents per [`Keep`].  Plan decisions are made only through
-//! `&mut self`, so they never depend on how a pool scheduled its workers.
+//! The lattice has three entry points, all `&self` and safe on pool
+//! workers.  [`ShardedSubJoinCache::populate`] materialises it level by
+//! level; the two reads — [`ShardedSubJoinCache::join_mask`] (tuples) and
+//! [`ShardedSubJoinCache::max_group_weight`] (one aggregate, count-only
+//! where the cache's [`AggMode`] allows) — evaluate one mask, memoising its
+//! result or only its chain parents per [`Keep`].
 //!
 //! **Memory trade-off:** every memoised sub-join stays resident until the
 //! cache is dropped, so a full `2^m` enumeration holds all `2^m - 1`
@@ -65,7 +63,7 @@ use crate::hash::FxHashMap;
 use crate::hypergraph::JoinQuery;
 use crate::instance::Instance;
 use crate::join::{hash_join_step_agg, hash_join_step_with, AggSummary, JoinResult};
-use crate::plan::{AggMode, JoinPlan, PlanConfig, ReplanStats, SharedJoinPlan};
+use crate::plan::{AggMode, JoinPlan, SharedJoinPlan};
 use crate::Result;
 
 /// What a lattice read leaves memoised.  Either way the read materialises
@@ -118,10 +116,6 @@ pub struct ShardedSubJoinCache<'a> {
     /// [`crate::ExecContext`] on checkout so check-in does not have to
     /// re-hash the whole instance.
     pub(crate) fingerprint: Option<u64>,
-    /// Runtime-feedback diagnostics accumulated by this checkout's
-    /// populates and adaptive reads; `None` until one has measured a mask.
-    /// Merged into the context slot on check-in.
-    pub(crate) replan: Option<ReplanStats>,
     /// Count-only aggregate summaries, an **overlay** over the materialised
     /// memo: none of the materialised lookups ([`Self::get`],
     /// [`Self::join_mask`], stream maintenance) ever see it, so a
@@ -129,11 +123,10 @@ pub struct ShardedSubJoinCache<'a> {
     /// mask; a stored summary is only valid for reads over its recorded
     /// `group_by` list (checked on every hit).
     agg: Mutex<FxHashMap<u32, Arc<AggSummary>>>,
-    /// The re-plan ratio of the adaptive entry points and the
-    /// materialize-vs-aggregate policy of every read and populate.  Set
-    /// from the context's [`PlanConfig`] on checkout; standalone caches
-    /// take [`PlanConfig::default`] unless given one by [`Self::with_config`].
-    pub(crate) config: PlanConfig,
+    /// The materialize-vs-aggregate policy of every read and populate.  Set
+    /// from the context's policy on checkout; standalone caches take
+    /// [`AggMode::from_env`] unless given one by [`Self::with_agg_mode`].
+    pub(crate) agg_mode: AggMode,
 }
 
 impl<'a> ShardedSubJoinCache<'a> {
@@ -176,18 +169,16 @@ impl<'a> ShardedSubJoinCache<'a> {
             plan,
             shards,
             fingerprint: None,
-            replan: None,
             agg: Mutex::new(FxHashMap::default()),
-            config: PlanConfig::default(),
+            agg_mode: AggMode::from_env(),
         })
     }
 
-    /// This cache with explicit planning knobs: a `replan_ratio` of
-    /// `f64::INFINITY` makes the adaptive entry points walk the plan
-    /// statically, and [`AggMode::Never`] makes [`Self::populate`]
-    /// materialise every proper mask and every read go through tuples.
-    pub fn with_config(mut self, config: PlanConfig) -> Self {
-        self.config = config;
+    /// This cache with an explicit materialize-vs-aggregate policy:
+    /// [`AggMode::Never`] makes [`Self::populate`] materialise every proper
+    /// mask and every read go through tuples.
+    pub fn with_agg_mode(mut self, agg_mode: AggMode) -> Self {
+        self.agg_mode = agg_mode;
         self
     }
 
@@ -321,86 +312,31 @@ impl<'a> ShardedSubJoinCache<'a> {
         })
     }
 
-    /// Builds the deepest not-yet-materialised step of `mask`'s
-    /// decomposition chain under the current plan — the first chain mask
-    /// whose parent is materialised (or empty), `mask` itself once its
-    /// parent is — and returns it with its result.  A parent step is
-    /// memoised; `mask` itself per `keep`.
-    fn build_next(
-        &self,
-        mask: u32,
-        par: Parallelism,
-        keep: Keep,
-    ) -> Result<(u32, Arc<JoinResult>)> {
-        let mut step = mask;
-        loop {
-            let parent = self.plan.parent(step);
-            if parent == 0 || self.get(parent).is_some() {
-                break;
-            }
-            step = parent;
-        }
-        let keep = if step == mask { keep } else { Keep::Target };
-        Ok((step, self.build_step(step, par, keep)?))
-    }
-
     /// The sub-join of the subset given as a bitmask, materialising (and
     /// memoising) any missing parents of its decomposition chain on the
-    /// way; the result itself is memoised per `keep`.  Never re-plans, so
-    /// it is safe to call from pool workers concurrently.
+    /// way; the result itself is memoised per `keep`.  Safe to call from
+    /// pool workers concurrently.
     pub fn join_mask(&self, mask: u32, par: Parallelism, keep: Keep) -> Result<Arc<JoinResult>> {
         self.check_mask(mask)?;
         if let Some(hit) = self.get(mask) {
             return Ok(hit);
         }
-        loop {
-            let (step, built) = self.build_next(mask, par, keep)?;
-            if step == mask {
-                return Ok(built);
-            }
+        // Walk down the chain to the deepest materialised (or empty)
+        // parent, then build the missing steps back up.
+        let mut missing = Vec::new();
+        let mut parent = self.plan.parent(mask);
+        while parent != 0 && self.get(parent).is_none() {
+            missing.push(parent);
+            parent = self.plan.parent(parent);
         }
+        for &step in missing.iter().rev() {
+            self.build_step(step, par, Keep::Target)?;
+        }
+        self.build_step(mask, par, keep)
     }
 
-    /// [`Self::join_mask`] with the runtime feedback loop closed on the
-    /// lazy chain walk: each chain step's actual cardinality is measured as
-    /// soon as it is built, and a breach of the configured
-    /// [`PlanConfig::replan_ratio`] re-plans the not-yet-walked remainder —
-    /// so one blown estimate re-routes every step still to come, instead of
-    /// compounding through the rest of the walk.  This is where adaptive
-    /// planning shrinks resident intermediates: on correlated instances the
-    /// static chain commits to a trap parent for every target, while the
-    /// adaptive walk pays for the trap once and routes subsequent targets
-    /// around it.
-    ///
-    /// Values are identical to [`Self::join_mask`] under any plan; only the
-    /// set of memoised intermediates differs.
-    pub fn join_mask_adaptive(
-        &mut self,
-        mask: u32,
-        par: Parallelism,
-        keep: Keep,
-    ) -> Result<Arc<JoinResult>> {
-        self.check_mask(mask)?;
-        if let Some(hit) = self.get(mask) {
-            return Ok(hit);
-        }
-        loop {
-            // The chain is re-read from the *current* plan every step: a
-            // re-plan triggered below can re-route `mask` itself, and the
-            // walk must follow the new route before a stale parent is paid
-            // for (each step builds one new mask, so this terminates).
-            let (step, built) = self.build_next(mask, par, keep)?;
-            if self.measure(step, built.distinct_count()) {
-                self.replan_now();
-            }
-            if step == mask {
-                return Ok(built);
-            }
-        }
-    }
-
-    /// Materialises the lattice masks this cache's [`PlanConfig::agg_mode`]
-    /// demands as tuples, walking the subset lattice level by level through
+    /// Materialises the lattice masks this cache's [`AggMode`] demands as
+    /// tuples, walking the subset lattice level by level through
     /// the worker pool: every non-empty **proper** subset of `[m]` under
     /// [`AggMode::Never`] (exactly the sub-joins residual sensitivity's
     /// boundary values read), only the chain parents otherwise — terminal
@@ -417,28 +353,16 @@ impl<'a> ShardedSubJoinCache<'a> {
     /// inserted keyed by mask, so the memo contents — and every downstream
     /// read — are independent of which worker computed what.
     ///
-    /// After each level, every demanded mask's actual cardinality is
-    /// measured against its estimate, and when an error factor
-    /// `max(actual/est, est/actual)` exceeds [`PlanConfig::replan_ratio`]
-    /// the remaining levels are re-planned with the measured cardinalities
-    /// as exact anchors ([`JoinPlan::replanned`]); each level's demand set
-    /// is re-read from the current plan.  The measurement happens at a
-    /// **level barrier** and both actuals and estimates are
-    /// thread-count-invariant, so the re-plan decisions, the final
-    /// decomposition and every result are identical at every thread count.
-    /// A fixed-prefix plan (no estimates) or a ratio of `f64::INFINITY`
-    /// never re-plans.
-    ///
     /// Returns the per-worker claim counts aggregated across all lattice
     /// levels: [`exec::SchedulerStats`] sums each level's claims
     /// worker-by-worker (index 0 is always the calling thread), so the
     /// max/min spread shows how stealing tracked actual mask cost.
     /// Single-mask levels run inline on the caller and are counted as one
-    /// claim by worker 0.  The feedback is read via [`Self::replan_stats`].
-    pub fn populate(&mut self, par: Parallelism) -> Result<exec::SchedulerStats> {
+    /// claim by worker 0.
+    pub fn populate(&self, par: Parallelism) -> Result<exec::SchedulerStats> {
         let m = self.query.num_relations() as u32;
         let full = (1u32 << m) - 1;
-        let every_mask = self.config.agg_mode == AggMode::Never;
+        let every_mask = self.agg_mode == AggMode::Never;
         let mut stats = exec::SchedulerStats::default();
         for level in 1..m.max(1) {
             let masks: Vec<u32> = (1..full)
@@ -452,9 +376,8 @@ impl<'a> ShardedSubJoinCache<'a> {
                     stats.absorb(&exec::SchedulerStats::from_claims(vec![1]));
                 }
             } else {
-                let this = &*self;
                 let (outcomes, level_stats) = exec::par_map_stats(par, masks.len(), |i| {
-                    this.join_mask(masks[i], Parallelism::SEQUENTIAL, Keep::Target)
+                    self.join_mask(masks[i], Parallelism::SEQUENTIAL, Keep::Target)
                         .map(|_| ())
                 });
                 for outcome in outcomes {
@@ -462,77 +385,8 @@ impl<'a> ShardedSubJoinCache<'a> {
                 }
                 stats.absorb(&level_stats);
             }
-            let mut breach = false;
-            for &mask in &masks {
-                if let Some(result) = self.get(mask) {
-                    breach |= self.measure(mask, result.distinct_count());
-                }
-            }
-            if breach {
-                self.replan_now();
-            }
         }
         Ok(stats)
-    }
-
-    /// Runtime-feedback diagnostics of this cache's adaptive reads and
-    /// populates, if any has measured a mask (see [`ReplanStats`]).  A
-    /// checkout of [`crate::ExecContext::subjoin_cache`] starts empty, so
-    /// these describe this checkout alone.
-    pub fn replan_stats(&self) -> Option<&ReplanStats> {
-        self.replan.as_ref()
-    }
-
-    /// Measured cardinalities of every materialised mask — the exact
-    /// anchors a re-plan prices from.
-    fn materialised_anchors(&self) -> FxHashMap<u32, f64> {
-        let mut anchors = FxHashMap::default();
-        for shard in self.shards.iter() {
-            for (&mask, result) in shard.lock().expect("cache shard poisoned").iter() {
-                anchors.insert(mask, result.distinct_count() as f64);
-            }
-        }
-        anchors
-    }
-
-    /// Records `mask`'s measured cardinality against the current plan's
-    /// estimate; returns whether the error factor breaches the configured
-    /// re-plan ratio.  Cardinalities below one tuple compare as one, so
-    /// near-empty results never divide by zero or trigger on noise.
-    fn measure(&mut self, mask: u32, actual: usize) -> bool {
-        let Some(est) = self.plan.estimated_rows(mask) else {
-            return false;
-        };
-        let est = est.max(1.0);
-        let actual = (actual as f64).max(1.0);
-        let err = (actual / est).max(est / actual);
-        let replan = self.replan.get_or_insert_with(ReplanStats::default);
-        replan.record_error(err);
-        let breach = err > self.config.replan_ratio;
-        if breach {
-            replan.triggers += 1;
-        }
-        breach
-    }
-
-    /// Re-plans the not-yet-materialised remainder of the lattice from the
-    /// measured anchors and swaps the cache onto the new decomposition.
-    /// Values are plan-invariant, so the swap can never change results —
-    /// only which parents the remaining masks are built from.
-    fn replan_now(&mut self) {
-        let anchors = self.materialised_anchors();
-        if let Some(new_plan) = self.plan.replanned(self.query, &anchors) {
-            let full = (1u32 << self.query.num_relations()) - 1;
-            let changed = (1..=full)
-                .filter(|mask| {
-                    !anchors.contains_key(mask) && new_plan.pivot(*mask) != self.plan.pivot(*mask)
-                })
-                .count();
-            let replan = self.replan.get_or_insert_with(ReplanStats::default);
-            replan.replans += 1;
-            replan.pivots_changed += changed;
-            self.plan = Arc::new(new_plan);
-        }
     }
 
     // ---- Aggregate-pushdown (count-only) evaluation --------------------
@@ -541,7 +395,7 @@ impl<'a> ShardedSubJoinCache<'a> {
     // per-boundary-key maximum group weights and join sizes.  The methods
     // below serve those reads from an `AggSummary` computed by the
     // non-materializing fold (`hash_join_step_agg`) whenever the mask is
-    // *terminal* — nobody's chain parent under the current plan — and from
+    // *terminal* — nobody's chain parent under the plan — and from
     // the materialised lattice otherwise.  Both paths produce identical
     // numbers (the fold replicates the materializing oracle's grouping and
     // saturation exactly), so the per-mask decision is invisible in every
@@ -578,7 +432,7 @@ impl<'a> ShardedSubJoinCache<'a> {
     /// materialised lattice instead of the count-only fold.
     fn reads_materialized(&self, mask: u32) -> bool {
         let full = (1u32 << self.query.num_relations()) - 1;
-        match self.config.agg_mode {
+        match self.agg_mode {
             AggMode::Never => true,
             // Stress mode: force the fold on every proper mask, even when a
             // materialised entry is warm.
@@ -615,8 +469,8 @@ impl<'a> ShardedSubJoinCache<'a> {
     /// fold from the plan parent, which is materialised through the lazy
     /// chain walk, never assumed present — memoising the summary in the
     /// overlay per `keep`; otherwise reads the materialised lattice via
-    /// [`Self::join_mask`].  Values are identical either way.  Never
-    /// re-plans, so it is safe to call from pool workers concurrently.
+    /// [`Self::join_mask`].  Values are identical either way.  Safe to call
+    /// from pool workers concurrently.
     pub fn max_group_weight(
         &self,
         mask: u32,
@@ -638,43 +492,6 @@ impl<'a> ShardedSubJoinCache<'a> {
             _ => Some(self.join_mask(rest, par, Keep::Target)?),
         };
         let summary = self.fold(pivot, sub.as_deref(), group_by, par)?;
-        Ok(self.keep_agg(mask, summary, keep))
-    }
-
-    /// [`Self::max_group_weight`] with the runtime feedback loop closed:
-    /// the parent chain is walked by [`Self::join_mask_adaptive`], and the
-    /// count-only fold measures the summary's recorded distinct count
-    /// against the planner estimate (exactly what the materializing path
-    /// would have measured — the fold counts the same match pairs).  The
-    /// pivot is committed before the walk: a re-plan below can re-route
-    /// `mask` itself, but values are plan-invariant, so the fold over the
-    /// committed pivot stays correct — only later masks take the new route.
-    pub fn max_group_weight_adaptive(
-        &mut self,
-        mask: u32,
-        group_by: &[AttrId],
-        par: Parallelism,
-        keep: Keep,
-    ) -> Result<u128> {
-        self.check_mask(mask)?;
-        if let Some(hit) = self.agg_get(mask, group_by) {
-            return Ok(hit.max_group_weight);
-        }
-        if self.reads_materialized(mask) {
-            return self
-                .join_mask_adaptive(mask, par, keep)?
-                .max_group_weight(group_by);
-        }
-        let pivot = self.plan.pivot(mask);
-        let rest = mask & !(1u32 << pivot);
-        let sub = match rest {
-            0 => None,
-            _ => Some(self.join_mask_adaptive(rest, par, Keep::Target)?),
-        };
-        let summary = self.fold(pivot, sub.as_deref(), group_by, par)?;
-        if self.measure(mask, summary.distinct_count) {
-            self.replan_now();
-        }
         Ok(self.keep_agg(mask, summary, keep))
     }
 
@@ -765,17 +582,11 @@ mod tests {
         result.iter_unordered().collect()
     }
 
-    /// The materialize-everything oracle config: [`Self::populate`] builds
-    /// every proper mask and nothing re-plans.
-    fn static_never() -> PlanConfig {
-        PlanConfig::with_replan_ratio(f64::INFINITY).with_agg_mode(AggMode::Never)
-    }
-
     /// A fixed-prefix cache that materialises every proper mask on populate.
     fn materializing<'a>(q: &'a JoinQuery, inst: &'a Instance) -> ShardedSubJoinCache<'a> {
         ShardedSubJoinCache::new(q, inst)
             .unwrap()
-            .with_config(static_never())
+            .with_agg_mode(AggMode::Never)
     }
 
     fn star_instance(m: usize) -> (JoinQuery, Instance) {
@@ -841,15 +652,10 @@ mod tests {
         let empty = cache.mask_of(&[]).unwrap();
         assert!(cache.join_mask(empty, seq, Keep::Target).is_err());
         assert!(cache.mask_of(&[5]).is_err());
-        let mut cache = cache;
         for mask in [0, 1 << 3] {
             for keep in [Keep::Target, Keep::Chain] {
                 assert!(cache.join_mask(mask, seq, keep).is_err());
                 assert!(cache.max_group_weight(mask, &[], seq, keep).is_err());
-                assert!(cache.join_mask_adaptive(mask, seq, keep).is_err());
-                assert!(cache
-                    .max_group_weight_adaptive(mask, &[], seq, keep)
-                    .is_err());
             }
         }
     }
@@ -866,13 +672,13 @@ mod tests {
     fn parallel_populate_matches_sequential_populate() {
         let (q, inst) = star_instance(4);
         let full = (1u32 << 4) - 1;
-        let mut sequential = materializing(&q, &inst);
+        let sequential = materializing(&q, &inst);
         sequential.populate(Parallelism::SEQUENTIAL).unwrap();
         let seq_full = sequential
             .join_mask(full, Parallelism::SEQUENTIAL, Keep::Target)
             .unwrap();
         for &threads in &[1usize, 2, 4] {
-            let mut sharded = materializing(&q, &inst);
+            let sharded = materializing(&q, &inst);
             sharded.populate(Parallelism::threads(threads)).unwrap();
             // All proper non-empty subsets are materialised, nothing else.
             assert_eq!(sharded.cached_count(), (1 << 4) - 2);
@@ -905,7 +711,7 @@ mod tests {
         // 2^4 - 2 proper non-empty subsets, every one claimed exactly once.
         let proper = (1usize << 4) - 2;
         for &threads in &[1usize, 2, 4] {
-            let mut sharded = materializing(&q, &inst);
+            let sharded = materializing(&q, &inst);
             let stats = sharded.populate(Parallelism::threads(threads)).unwrap();
             assert_eq!(stats.total(), proper, "threads {threads}");
             assert!(stats.workers() >= 1);
@@ -943,7 +749,7 @@ mod tests {
     #[test]
     fn memo_roundtrip_preserves_entries_and_drops_stale_masks() {
         let (q, inst) = star_instance(3);
-        let mut sharded = materializing(&q, &inst);
+        let sharded = materializing(&q, &inst);
         sharded.populate(Parallelism::SEQUENTIAL).unwrap();
         let count = sharded.cached_count();
         let mut memo = sharded.into_memo();
@@ -978,72 +784,11 @@ mod tests {
         (q, inst)
     }
 
-    #[test]
-    fn planner_cache_matches_fixed_prefix_and_direct_on_every_mask() {
-        let (q, inst) = path_instance(4, 24);
-        let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
-        let seq = Parallelism::SEQUENTIAL;
-        let planned = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
-        let fixed = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        let sharded = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
-        assert!(sharded.plan().is_cost_based());
-        assert!(!fixed.plan().is_cost_based());
-        for mask in 1u32..(1 << 4) {
-            let rels = rels_of(mask, 4);
-            let direct = join_subset(&q, &inst, &rels).unwrap();
-            // Order-insensitive equality: decompositions may emit rows in
-            // different construction orders, but the weighted tuple sets —
-            // and every aggregate downstream consumers read — must match.
-            // The chain-only read runs first, so it builds its own result.
-            assert_eq!(
-                planned.join_mask(mask, seq, Keep::Chain).unwrap().as_ref(),
-                &direct,
-                "transient mask {mask:#b}"
-            );
-            let planned_join = planned.join_mask(mask, seq, Keep::Target).unwrap();
-            assert_eq!(planned_join.as_ref(), &direct, "mask {mask:#b}");
-            assert_eq!(
-                fixed.join_mask(mask, seq, Keep::Target).unwrap().as_ref(),
-                &direct,
-                "mask {mask:#b}"
-            );
-            let concurrent = sharded
-                .join_mask(mask, Parallelism::threads(2), Keep::Target)
-                .unwrap();
-            assert_eq!(concurrent.as_ref(), &direct, "sharded mask {mask:#b}");
-            assert_eq!(sorted_rows(&planned_join), naive_rows(&q, &inst, mask));
-        }
-    }
-
-    #[test]
-    fn planner_lazy_chains_keep_fewer_intermediate_tuples_on_paths() {
-        // {0, 2, 3} under the fixed chain routes through the cross product
-        // {0, 2}; the planner peels 0 and keeps the linear {2, 3} instead.
-        let (q, inst) = path_instance(4, 32);
-        let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
-        let planned = ShardedSubJoinCache::with_plan(&q, &inst, plan).unwrap();
-        let fixed = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        let mask = 0b1101u32;
-        let a = planned
-            .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
-            .unwrap();
-        let b = fixed
-            .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
-            .unwrap();
-        assert_eq!(a.as_ref(), b.as_ref());
-        assert!(
-            planned.cached_tuples() < fixed.cached_tuples(),
-            "planner {} vs fixed {}",
-            planned.cached_tuples(),
-            fixed.cached_tuples()
-        );
-    }
-
     /// Five relations all joining on `k`; R0 and R1 additionally share the
     /// functionally-correlated `kk = k mod 16`, so the independence
     /// estimate prices their pairwise join 16× too low (estimated 256,
     /// actual 4096) while every other join is estimated honestly.  The
-    /// static planner therefore routes every mask containing {0, 1}
+    /// cost-based plan therefore routes every mask containing {0, 1}
     /// through the trap pair; the payload attributes `p0`/`p1` make the
     /// trap join genuinely fat (8×8 payload combinations per key).
     fn correlated_instance() -> (JoinQuery, Instance) {
@@ -1082,103 +827,69 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_populate_matches_static_and_records_feedback() {
-        let (q, inst) = correlated_instance();
-        let m = q.num_relations();
-        let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
-        let mut reference = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan))
-            .unwrap()
-            .with_config(static_never());
-        reference.populate(Parallelism::SEQUENTIAL).unwrap();
-        let config = PlanConfig::with_replan_ratio(8.0).with_agg_mode(AggMode::Never);
-        for &threads in &[1usize, 2, 4] {
-            let mut adaptive = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan))
-                .unwrap()
-                .with_config(config);
-            let sched_stats = adaptive.populate(Parallelism::threads(threads)).unwrap();
-            let replan = adaptive.replan_stats().expect("measured").clone();
-            // Every proper mask is materialised and byte-identical to the
-            // static populate, at every thread count.
-            assert_eq!(sched_stats.total(), (1 << m) - 2, "threads {threads}");
-            for mask in 1u32..((1u32 << m) - 1) {
-                assert_eq!(
-                    adaptive.get(mask).expect("populated").as_ref(),
-                    reference.get(mask).expect("populated").as_ref(),
-                    "mask {mask:#b}, threads {threads}"
-                );
-            }
-            // The correlated pair blew its estimate: the feedback loop saw
-            // it, triggered, and re-planned at least once, identically at
-            // every thread count.
-            assert_eq!(replan.measured, (1 << m) - 2);
-            assert!(replan.triggers >= 1, "threads {threads}: {replan:?}");
-            assert!(replan.replans >= 1, "threads {threads}: {replan:?}");
-            assert!(replan.max_error >= 15.0, "threads {threads}: {replan:?}");
-        }
-        // The ratio-∞ reference measured the same masks but never re-planned.
-        let reference = reference.replan_stats().expect("measured");
-        assert_eq!(reference.measured, (1 << m) - 2);
-        assert_eq!((reference.triggers, reference.replans), (0, 0));
-    }
-
-    #[test]
-    fn adaptive_lazy_walks_cut_intermediates_on_correlated_pairs() {
-        let (q, inst) = correlated_instance();
-        let m = q.num_relations();
-        let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
-        // Local-sensitivity-style workload: every size-(m-1) subset,
-        // consumed transiently (targets are not memoised; only the chain
-        // intermediates stay resident).
-        let targets: Vec<u32> = (0..m as u32)
-            .map(|r| ((1u32 << m) - 1) & !(1u32 << r))
-            .collect();
-        let cache = |ratio: f64| {
-            ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan))
-                .unwrap()
-                .with_config(PlanConfig::with_replan_ratio(ratio))
-        };
-        let (mut static_cache, mut adaptive_cache) = (cache(f64::INFINITY), cache(8.0));
-        for &t in &targets {
+    fn planner_cache_matches_fixed_prefix_and_direct_on_every_mask() {
+        // A linear path, and the correlated instance whose cost-based plan
+        // walks through a mis-estimated trap pair.
+        for (q, inst) in [path_instance(4, 24), correlated_instance()] {
+            let m = q.num_relations();
+            let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
             let seq = Parallelism::SEQUENTIAL;
-            let s = static_cache
-                .join_mask_adaptive(t, seq, Keep::Chain)
-                .unwrap();
-            let a = adaptive_cache
-                .join_mask_adaptive(t, seq, Keep::Chain)
-                .unwrap();
-            assert_eq!(a.as_ref(), s.as_ref(), "target {t:#b}");
+            let planned = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
+            let fixed = ShardedSubJoinCache::new(&q, &inst).unwrap();
+            let sharded = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
+            assert!(sharded.plan().is_cost_based());
+            assert!(!fixed.plan().is_cost_based());
+            for mask in 1u32..(1 << m) {
+                let rels = rels_of(mask, m);
+                let direct = join_subset(&q, &inst, &rels).unwrap();
+                // Order-insensitive equality: decompositions may emit rows in
+                // different construction orders, but the weighted tuple sets
+                // — and every aggregate downstream consumers read — must
+                // match.  The chain-only read runs first, so it builds its
+                // own result.
+                assert_eq!(
+                    planned.join_mask(mask, seq, Keep::Chain).unwrap().as_ref(),
+                    &direct,
+                    "transient mask {mask:#b}"
+                );
+                let planned_join = planned.join_mask(mask, seq, Keep::Target).unwrap();
+                assert_eq!(planned_join.as_ref(), &direct, "mask {mask:#b}");
+                assert_eq!(
+                    fixed.join_mask(mask, seq, Keep::Target).unwrap().as_ref(),
+                    &direct,
+                    "mask {mask:#b}"
+                );
+                let concurrent = sharded
+                    .join_mask(mask, Parallelism::threads(2), Keep::Target)
+                    .unwrap();
+                assert_eq!(concurrent.as_ref(), &direct, "sharded mask {mask:#b}");
+                assert_eq!(sorted_rows(&planned_join), naive_rows(&q, &inst, mask));
+            }
         }
-        let static_tuples = static_cache.cached_tuples();
-        let adaptive_tuples = adaptive_cache.cached_tuples();
-        // The headline acceptance bound: ≥1.5× fewer resident intermediate
-        // tuples on the correlated workload.
-        assert!(
-            2 * static_tuples >= 3 * adaptive_tuples,
-            "static {static_tuples} vs adaptive {adaptive_tuples}"
-        );
     }
 
     #[test]
-    fn adaptive_walks_stay_correct_under_stress_ratio() {
-        // Ratio 1: any deviation re-plans (the CI stress configuration).
-        let (q, inst) = correlated_instance();
-        let m = q.num_relations();
+    fn planner_lazy_chains_keep_fewer_intermediate_tuples_on_paths() {
+        // {0, 2, 3} under the fixed chain routes through the cross product
+        // {0, 2}; the planner peels 0 and keeps the linear {2, 3} instead.
+        let (q, inst) = path_instance(4, 32);
         let plan = Arc::new(crate::plan::JoinPlan::cost_based(&q, &inst).unwrap());
-        let mut stress = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan))
-            .unwrap()
-            .with_config(PlanConfig::with_replan_ratio(1.0));
-        let reference = ShardedSubJoinCache::with_plan(&q, &inst, Arc::clone(&plan)).unwrap();
-        let full = (1u32 << m) - 1;
-        for mask in 1u32..=full {
-            let a = stress
-                .join_mask_adaptive(mask, Parallelism::SEQUENTIAL, Keep::Target)
-                .unwrap();
-            let b = reference
-                .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
-                .unwrap();
-            assert_eq!(a.as_ref(), b.as_ref(), "{mask:#b}");
-            assert_eq!(sorted_rows(&a), naive_rows(&q, &inst, mask), "{mask:#b}");
-        }
+        let planned = ShardedSubJoinCache::with_plan(&q, &inst, plan).unwrap();
+        let fixed = ShardedSubJoinCache::new(&q, &inst).unwrap();
+        let mask = 0b1101u32;
+        let a = planned
+            .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
+            .unwrap();
+        let b = fixed
+            .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
+            .unwrap();
+        assert_eq!(a.as_ref(), b.as_ref());
+        assert!(
+            planned.cached_tuples() < fixed.cached_tuples(),
+            "planner {} vs fixed {}",
+            planned.cached_tuples(),
+            fixed.cached_tuples()
+        );
     }
 
     #[test]
@@ -1189,7 +900,7 @@ mod tests {
             for &threads in &[1usize, 2, 4] {
                 let cache = ShardedSubJoinCache::new(&q, &inst)
                     .unwrap()
-                    .with_config(PlanConfig::default().with_agg_mode(mode));
+                    .with_agg_mode(mode);
                 let par = Parallelism::threads(threads);
                 for mask in 1u32..(1 << m) {
                     let rels: Vec<usize> = (0..m).filter(|i| mask & (1 << i) != 0).collect();
@@ -1212,12 +923,12 @@ mod tests {
         let (q, inst) = star_instance(4);
         let m = q.num_relations();
         let full = (1u32 << m) - 1;
-        let mut reference = materializing(&q, &inst);
+        let reference = materializing(&q, &inst);
         reference.populate(Parallelism::SEQUENTIAL).unwrap();
         for &threads in &[1usize, 2, 4] {
-            let mut cache = ShardedSubJoinCache::new(&q, &inst)
+            let cache = ShardedSubJoinCache::new(&q, &inst)
                 .unwrap()
-                .with_config(PlanConfig::default().with_agg_mode(AggMode::Auto));
+                .with_agg_mode(AggMode::Auto);
             let sched_stats = cache.populate(Parallelism::threads(threads)).unwrap();
             // Under the fixed-prefix plan the chain parents are exactly the
             // non-empty subsets of {0, …, m-2}: every terminal mask (one
@@ -1264,7 +975,7 @@ mod tests {
         let (q, inst) = star_instance(3);
         let cache = ShardedSubJoinCache::new(&q, &inst)
             .unwrap()
-            .with_config(PlanConfig::default().with_agg_mode(AggMode::Always));
+            .with_agg_mode(AggMode::Always);
         let mask = 0b101u32;
         let boundary = q.boundary(&[0, 2]).unwrap();
         let first = cache

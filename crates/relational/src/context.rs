@@ -37,10 +37,11 @@
 //!
 //! Each slot also retains the pair's cost-based [`JoinPlan`]
 //! ([`ExecContext::join_plan`]): the boundary-aware decomposition DAG built
-//! once from per-relation statistics and handed to **every** sub-join cache
-//! checkout, so parallel and sequential consumers decompose the lattice
-//! identically (see [`crate::plan`]).  [`ExecContext::plan_stats`] exposes
-//! the chosen orders with estimated and actual intermediate sizes.
+//! once per fingerprint from per-relation statistics and handed to **every**
+//! sub-join cache checkout, so parallel and sequential consumers decompose
+//! the lattice identically (see [`crate::plan`]).
+//! [`ExecContext::plan_stats`] exposes the chosen orders with estimated and
+//! actual intermediate sizes.
 //!
 //! **Trust model:** the fingerprint is a *non-cryptographic* Fx hash.  It
 //! guards against accidental staleness (edits, instance swaps), not against
@@ -79,7 +80,7 @@ use crate::join::{
     grouped_join_size_impl, join_impl, join_size_impl, join_subset_impl, AggSummary, JoinResult,
 };
 use crate::plan::{
-    JoinPlan, PlanConfig, PlanNodeStats, PlanStats, ReplanStats, SharedJoinPlan, PLAN_MAX_RELATIONS,
+    AggMode, JoinPlan, PlanNodeStats, PlanStats, SharedJoinPlan, PLAN_MAX_RELATIONS,
 };
 use crate::stream::{self, UpdateBatch, UpdateStats};
 use crate::tuple::Value;
@@ -163,10 +164,6 @@ struct CacheSlot {
     /// The pair's cost-based decomposition plan (see [`crate::plan`]),
     /// shared by every sub-join cache checkout.
     join_plan: Option<SharedJoinPlan>,
-    /// Runtime-feedback diagnostics accumulated by adaptive checkouts over
-    /// this pair (see [`ReplanStats`]): carried out on checkout, merged back
-    /// on check-in, surfaced via [`ExecContext::plan_stats`].
-    replan: Option<ReplanStats>,
     /// Per-mask streaming indexes over the lattice entries (see
     /// [`crate::stream::EntryIndex`]), kept across batches so a steady
     /// update stream pays each index build once.
@@ -260,7 +257,6 @@ impl CacheState {
             lattice: FxHashMap::default(),
             full_join: None,
             join_plan: None,
-            replan: None,
             stream_index: FxHashMap::default(),
             agg_lattice: FxHashMap::default(),
             last_used: clock,
@@ -294,7 +290,7 @@ pub struct ExecContext {
     parallelism: Parallelism,
     min_par_instance: usize,
     cache_slots: usize,
-    plan_config: PlanConfig,
+    agg_mode: AggMode,
     state: Mutex<CacheState>,
 }
 
@@ -313,7 +309,7 @@ impl ExecContext {
             parallelism,
             min_par_instance: DEFAULT_MIN_PAR_INSTANCE,
             cache_slots: DEFAULT_CACHE_SLOTS,
-            plan_config: PlanConfig::default(),
+            agg_mode: AggMode::from_env(),
             state: Mutex::new(CacheState::default()),
         }
     }
@@ -353,17 +349,12 @@ impl ExecContext {
         self.cache_slots
     }
 
-    /// Sets the adaptive-planning knobs (default [`PlanConfig::default`],
-    /// which reads `DPSYN_REPLAN_RATIO` and `DPSYN_AGG_FORCE` from the
-    /// environment).  Every sub-join cache checkout carries it.
-    pub fn with_plan_config(mut self, plan_config: PlanConfig) -> Self {
-        self.plan_config = plan_config;
+    /// Sets the lattice's materialize-vs-aggregate policy (default
+    /// [`AggMode::from_env`], which reads `DPSYN_AGG_FORCE`).  Every
+    /// sub-join cache checkout carries it.
+    pub fn with_agg_mode(mut self, agg_mode: AggMode) -> Self {
+        self.agg_mode = agg_mode;
         self
-    }
-
-    /// The adaptive-planning knobs (see [`PlanConfig`]).
-    pub fn plan_config(&self) -> &PlanConfig {
-        &self.plan_config
     }
 
     /// The worker-thread knob.
@@ -534,11 +525,9 @@ impl ExecContext {
     /// [`ShardedSubJoinCache`] starts **warm** (seeded with every previously
     /// materialised sub-join); otherwise it starts empty.  Either way it
     /// decomposes subsets along the slot's shared cost-based [`JoinPlan`]
-    /// (built on first checkout), runs on this context's [`PlanConfig`],
-    /// and starts with empty feedback stats, so its
-    /// [`ShardedSubJoinCache::replan_stats`] describe this checkout alone.  Pair with
-    /// [`ExecContext::retain_subjoin_cache`] to persist whatever the
-    /// computation materialised.  The memo entries are `Arc`-shared clones,
+    /// (built on first checkout) and runs on this context's [`AggMode`].
+    /// Pair with [`ExecContext::retain_subjoin_cache`] to persist whatever
+    /// the computation materialised.  The memo entries are `Arc`-shared clones,
     /// so concurrent checkouts of the same context all see the warm lattice
     /// and check-ins merge rather than overwrite each other's work.
     pub fn subjoin_cache<'a>(
@@ -565,11 +554,10 @@ impl ExecContext {
                 }
             }
         };
-        // The cache runs on the context's plan config; its feedback stats
-        // start empty (they are merged back on check-in), and the warm
+        // The cache runs on the context's aggregate policy, and the warm
         // overlay re-seeds so repeated aggregate reads stay free.
         let mut cache = ShardedSubJoinCache::with_memo_and_plan(query, instance, memo, plan)?
-            .with_config(self.plan_config);
+            .with_agg_mode(self.agg_mode);
         cache.fingerprint = Some(fp);
         cache.seed_agg(agg);
         Ok(cache)
@@ -577,18 +565,16 @@ impl ExecContext {
 
     /// Checks a sub-join cache back into the context, persisting its
     /// materialised lattice for the next call over the same data.  The
-    /// entries and the checkout's feedback stats are merged into the pair's
-    /// LRU slot (so concurrent callers compound instead of clobbering each
-    /// other); an unknown pair claims a
+    /// entries are merged into the pair's LRU slot (so concurrent callers
+    /// compound instead of clobbering each other); an unknown pair claims a
     /// fresh slot, evicting the least-recently-used one when the context is
     /// at capacity.
-    pub fn retain_subjoin_cache(&self, mut cache: ShardedSubJoinCache<'_>) {
+    pub fn retain_subjoin_cache(&self, cache: ShardedSubJoinCache<'_>) {
         // Checkout stamped the fingerprint; hand-built caches pay one hash.
         let fp = cache
             .fingerprint
             .unwrap_or_else(|| instance_fingerprint(cache.query(), cache.instance()));
         let plan = Arc::clone(cache.plan());
-        let replan = cache.replan.take();
         let agg = cache.agg_entries();
         let memo = cache.into_memo();
         let mut state = self.state.lock().expect("context cache poisoned");
@@ -600,25 +586,11 @@ impl ExecContext {
         slot.lattice.extend(memo);
         slot.agg_lattice.extend(agg);
         // Persist the checkout's cost-based plan so the next checkout
-        // decomposes identically without rebuilding it.  Hand-built
-        // fixed-prefix caches never displace a planner plan — but an
-        // adaptive checkout that actually re-planned supersedes the slot's
-        // stale-estimate plan, so the next checkout starts on the
-        // anchor-corrected decomposition.
+        // decomposes identically without rebuilding it.  A slot keeps the
+        // first plan it stores, and hand-built fixed-prefix caches never
+        // displace a planner plan.
         if plan.is_cost_based() {
-            if replan.as_ref().is_some_and(|r| r.replans > 0) {
-                slot.join_plan = Some(plan);
-            } else {
-                slot.join_plan.get_or_insert(plan);
-            }
-        }
-        // Each checkout measures from empty stats, so merging them keeps
-        // the feedback of checkouts that interleave.
-        if let Some(replan) = replan {
-            match slot.replan.as_mut() {
-                Some(total) => total.absorb(&replan),
-                None => slot.replan = Some(replan),
-            }
+            slot.join_plan.get_or_insert(plan);
         }
     }
 
@@ -712,9 +684,9 @@ impl ExecContext {
         // row counts are set exactly, so the migrated slot plans from
         // current cardinalities at delta cost per batch.  Insert-only
         // sketches cannot forget, so after net removals the distinct
-        // estimates become upper bounds — bounded drift the runtime
-        // re-plan feedback absorbs; only once a relation has lost a
-        // sizeable share of its rows is it re-gathered from scratch.
+        // estimates become upper bounds; a relation whose net removals in
+        // this batch reach a quarter of its post-update rows is re-gathered
+        // from scratch.
         if let Some(plan) = slot.join_plan.take() {
             if plan.is_cost_based() {
                 let patched = plan.stats().and_then(|stats| {
@@ -735,14 +707,9 @@ impl ExecContext {
                 new_slot.join_plan.get_or_insert(plan);
             }
         }
-        // Feedback stats describe estimate quality of the same query family;
-        // they ride the migration like the lattice does.  The old slot's
-        // count-only summaries do NOT migrate: they describe pre-update
-        // aggregates with no delta-maintenance story, so they are dropped
-        // with the taken slot and recompute (cheaply) on demand.
-        if let Some(replan) = slot.replan.take() {
-            new_slot.replan.get_or_insert(replan);
-        }
+        // The old slot's count-only summaries do NOT migrate: they describe
+        // pre-update aggregates with no delta-maintenance story, so they are
+        // dropped with the taken slot and recompute (cheaply) on demand.
         Ok(UpdateReport {
             old_fingerprint: old_fp,
             new_fingerprint: new_fp,
@@ -821,12 +788,7 @@ impl ExecContext {
         let fp = instance_fingerprint(query, instance);
         let plan = self.join_plan_at(fp, query, instance)?;
         type Actuals = FxHashMap<u32, usize>;
-        let (actuals, agg_actuals, cached_bytes, replan): (
-            Actuals,
-            Actuals,
-            usize,
-            Option<ReplanStats>,
-        ) = {
+        let (actuals, agg_actuals, cached_bytes): (Actuals, Actuals, usize) = {
             let mut state = self.state.lock().expect("context cache poisoned");
             match state.slot_mut(fp) {
                 Some(slot) => (
@@ -839,9 +801,8 @@ impl ExecContext {
                         .map(|(&mask, summary)| (mask, summary.distinct_count))
                         .collect(),
                     slot.approx_bytes(),
-                    slot.replan.clone(),
                 ),
-                None => (FxHashMap::default(), FxHashMap::default(), 0, None),
+                None => (FxHashMap::default(), FxHashMap::default(), 0),
             }
         };
         let m = query.num_relations();
@@ -872,7 +833,6 @@ impl ExecContext {
                 .filter(|mask| !actuals.contains_key(mask))
                 .count(),
             cached_bytes,
-            replan,
         })
     }
 
@@ -928,13 +888,11 @@ mod tests {
     use super::*;
     use crate::cache::Keep;
     use crate::join::{join, join_subset};
-    use crate::plan::AggMode;
 
     /// A sequential context whose checkouts materialise every proper mask
     /// on `populate`, whatever `DPSYN_AGG_FORCE` says.
     fn materializing_ctx() -> ExecContext {
-        ExecContext::sequential()
-            .with_plan_config(PlanConfig::default().with_agg_mode(AggMode::Never))
+        ExecContext::sequential().with_agg_mode(AggMode::Never)
     }
 
     fn star_instance(m: usize) -> (JoinQuery, Instance) {
@@ -996,7 +954,7 @@ mod tests {
     fn lattice_survives_checkin_checkout_roundtrip() {
         let (q, inst) = star_instance(4);
         let ctx = materializing_ctx();
-        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
         cache.populate(Parallelism::SEQUENTIAL).unwrap();
         let populated = cache.cached_count();
         assert_eq!(populated, (1 << 4) - 2);
@@ -1027,7 +985,7 @@ mod tests {
         let (q, inst) = star_instance(3);
         let (q2, inst2) = star_instance(4);
         let ctx = materializing_ctx();
-        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
         cache.populate(Parallelism::SEQUENTIAL).unwrap();
         let first = cache.cached_count();
         ctx.retain_subjoin_cache(cache);
@@ -1047,7 +1005,7 @@ mod tests {
         let (q2, inst2) = star_instance(4);
         let ctx = materializing_ctx().with_cache_slots(1);
         assert_eq!(ctx.cache_slots(), 1);
-        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
         cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         assert!(ctx.cached_subjoins() > 0);
@@ -1073,14 +1031,14 @@ mod tests {
             .collect();
         let ctx = materializing_ctx().with_cache_slots(3);
         for inst in &variants[..3] {
-            let mut cache = ctx.subjoin_cache(&q, inst).unwrap();
+            let cache = ctx.subjoin_cache(&q, inst).unwrap();
             cache.populate(Parallelism::SEQUENTIAL).unwrap();
             ctx.retain_subjoin_cache(cache);
         }
         assert_eq!(ctx.cached_instances(), 3);
         // Touch instance 0 so instance 1 becomes the LRU victim.
         assert!(ctx.subjoin_cache(&q, &variants[0]).unwrap().cached_count() > 0);
-        let mut cache = ctx.subjoin_cache(&q, &variants[3]).unwrap();
+        let cache = ctx.subjoin_cache(&q, &variants[3]).unwrap();
         cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         assert_eq!(ctx.cached_instances(), 3, "capacity bound holds");
@@ -1113,7 +1071,7 @@ mod tests {
         let ctx = materializing_ctx().with_cache_slots(1);
         assert_eq!(ctx.cached_subjoin_bytes(), 0);
         assert_eq!(ctx.eviction_stats(), EvictionStats::default());
-        let mut cache = ctx.subjoin_cache(&q, &variants[0]).unwrap();
+        let cache = ctx.subjoin_cache(&q, &variants[0]).unwrap();
         cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         let resident = ctx.cached_subjoin_bytes();
@@ -1138,10 +1096,9 @@ mod tests {
         let (q, inst) = star_instance(3);
         let m = q.num_relations();
         let full = (1u32 << m) - 1;
-        let ctx = ExecContext::sequential()
-            .with_plan_config(PlanConfig::default().with_agg_mode(AggMode::Always));
+        let ctx = ExecContext::sequential().with_agg_mode(AggMode::Always);
         let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        assert_eq!(cache.config.agg_mode, AggMode::Always);
+        assert_eq!(cache.agg_mode, AggMode::Always);
         let terminal = full & !(1u32); // proper mask containing relation m-1
         let expected = join_subset(&q, &inst, &[1, 2]).unwrap().total();
         assert_eq!(
@@ -1204,7 +1161,7 @@ mod tests {
         assert_eq!(cold.cached_masks, 0);
         assert_eq!(cold.cached_tuples, 0);
         // Populate the lattice; the stats now carry actual sizes.
-        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
         cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         let warm = ctx.plan_stats(&q, &inst).unwrap();
@@ -1228,7 +1185,7 @@ mod tests {
         let (q, inst) = star_instance(3);
         let ctx = materializing_ctx();
         ctx.shared_join(&q, &inst).unwrap();
-        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
         cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         assert!(ctx.cached_subjoins() > 0);
@@ -1267,7 +1224,7 @@ mod tests {
         let ctx = materializing_ctx();
         // Warm everything a slot can hold.
         let mut inst = base.clone();
-        let mut cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
         cache.populate(Parallelism::SEQUENTIAL).unwrap();
         ctx.retain_subjoin_cache(cache);
         ctx.shared_join(&q, &inst).unwrap();

@@ -48,15 +48,15 @@
 //! `iter_unordered` escape hatches expose the raw hash containers for hot
 //! paths that aggregate further; callers must not let their order escape.
 //!
-//! # Adaptive join planning
+//! # Join planning
 //!
 //! [`ShardedSubJoinCache`] memoises sub-join results per subset bitmask so that
 //! `2^m`-subset enumerations (residual sensitivity, multi-relation degree
 //! statistics) perform one hash-join step per distinct subset instead of
 //! re-joining from the base relations each time.  *How* each subset
 //! decomposes into parent-plus-relation is owned by the cost-based join
-//! planner ([`plan`]), which runs a **gather → estimate → populate →
-//! measure → re-plan** lifecycle:
+//! planner ([`plan`]), which runs a **gather → estimate → populate**
+//! lifecycle:
 //!
 //! 1. **Gather** — [`RelationStats::gather`] scans each relation once and
 //!    summarises per-attribute distinct counts into mergeable
@@ -69,32 +69,24 @@
 //!    whose removal leaves the smallest estimated intermediate under the
 //!    classical independence assumption, shrinking every cached
 //!    intermediate relative to the historical fixed highest-index chain.
-//! 3. **Populate / measure** — as the cache materialises intermediates
-//!    ([`ShardedSubJoinCache::populate`] at each level barrier, the
-//!    adaptive reads [`ShardedSubJoinCache::join_mask_adaptive`] and
-//!    [`ShardedSubJoinCache::max_group_weight_adaptive`] at each step they
-//!    build, whether they memoise the read mask itself or — with
-//!    [`Keep::Chain`] — only its chain parents), each actual cardinality
-//!    is compared against its estimate.  The `&self` reads
-//!    ([`ShardedSubJoinCache::join_mask`],
-//!    [`ShardedSubJoinCache::max_group_weight`]) never measure, so pool
-//!    workers cannot make a plan depend on scheduling.
-//! 4. **Re-plan** — when the worst estimate error exceeds
-//!    [`PlanConfig::replan_ratio`] (default [`DEFAULT_REPLAN_RATIO`],
-//!    overridable via the `DPSYN_REPLAN_RATIO` environment variable), the
-//!    not-yet-materialised remainder is re-planned with every measured
-//!    cardinality pinned as an exact anchor, routing later subsets around
-//!    correlation traps that independence estimates cannot see.  Feedback
-//!    counters surface as [`ReplanStats`] on [`PlanStats`].
+//! 3. **Populate** — the cache materialises intermediates along the plan's
+//!    pivots: [`ShardedSubJoinCache::populate`] level by level through the
+//!    worker pool, and the lazy reads [`ShardedSubJoinCache::join_mask`] and
+//!    [`ShardedSubJoinCache::max_group_weight`] along one mask's chain,
+//!    memoising the read mask itself or — with [`Keep::Chain`] — only its
+//!    chain parents.  All three take `&self`, and [`PlanStats`] reports
+//!    each subset's estimate next to its actual cardinality.
 //!
-//! Re-planning never changes *values*: plans only choose decomposition
-//! order, so adaptive output bytes are identical to the static planner and
-//! the naive oracle at every thread count.  Streaming updates keep the
-//! statistics warm instead of re-gathering: sketches absorb inserted
-//! tuples incrementally, row counts are patched exactly, and deletions —
-//! which insert-only sketches cannot subtract — leave the distinct
-//! estimates as upper bounds (drift the re-plan feedback absorbs) until a
-//! relation has lost enough rows to warrant a single-relation re-gather.
+//! A `(query, instance)` pair gets one plan per fingerprint, and plans
+//! never change *values*: they only choose decomposition order, so the
+//! output bytes are identical to the fixed-prefix chain and the naive
+//! oracle at every thread count.  Streaming updates keep the statistics
+//! warm instead of re-gathering: sketches absorb inserted tuples
+//! incrementally, row counts are patched exactly, and deletions — which
+//! insert-only sketches cannot subtract — leave the distinct estimates as
+//! upper bounds until one batch's net removals from a relation reach a
+//! quarter of its post-update rows, which triggers a single-relation
+//! re-gather.
 //!
 //! **Materialize vs. aggregate.**  Sensitivity consumers read only
 //! *aggregates* of most lattice entries — join sizes and per-boundary-key
@@ -107,9 +99,9 @@
 //! accumulators (an [`AggSummary`]) without building a [`JoinResult`],
 //! pre-filtering probe rows against a blocked Bloom filter built from the
 //! build side's key hashes (no false negatives, so the surviving match
-//! sequence is identical).  The decision is owned by
-//! [`PlanConfig::agg_mode`] / [`AggMode`] (overridable via the
-//! `DPSYN_AGG_FORCE` environment variable), recorded on
+//! sequence is identical).  The decision is owned by [`AggMode`]
+//! ([`AggMode::from_env`] reads the `DPSYN_AGG_FORCE` environment
+//! variable), recorded on
 //! [`PlanNodeStats::aggregated`], and changes *how much work and memory*
 //! the same numbers cost — never the numbers: every aggregate is
 //! byte-identical to folding the materializing engine's output, which is
@@ -200,8 +192,8 @@ pub use join::{
     join_size, join_subset, AggSummary, JoinResult,
 };
 pub use plan::{
-    AggMode, DistinctSketch, JoinPlan, PlanConfig, PlanNodeStats, PlanStats, RelationStats,
-    ReplanStats, SharedJoinPlan, DEFAULT_REPLAN_RATIO, PLAN_MAX_RELATIONS,
+    AggMode, DistinctSketch, JoinPlan, PlanNodeStats, PlanStats, RelationStats, SharedJoinPlan,
+    PLAN_MAX_RELATIONS,
 };
 pub use relation::Relation;
 pub use stream::{apply_batch, UpdateBatch, UpdateOp, UpdateStats};

@@ -1,5 +1,5 @@
 //! Cost-based join planning: boundary-aware decomposition of the sub-join
-//! lattice, with sketch-based statistics and runtime-feedback re-planning.
+//! lattice from sketch-based statistics.
 //!
 //! Every sub-join the engine materialises — the `2^m` subset lattice behind
 //! residual sensitivity, the size-`(m-1)` joins of local sensitivity — is
@@ -13,8 +13,7 @@
 //!
 //! A [`JoinPlan`] replaces that fixed rule with a **cost-based decomposition
 //! DAG** in the spirit of Selinger-style optimizers, shrunk to the lattice
-//! setting.  The lifecycle is gather → estimate → populate → measure →
-//! re-plan:
+//! setting.  The lifecycle is gather → estimate → populate:
 //!
 //! 1. **Gather.** [`RelationStats::gather`] sweeps each relation once and
 //!    summarises every attribute with a [`DistinctSketch`] — a hand-rolled
@@ -29,30 +28,27 @@
 //!    price every subset's join cardinality bottom-up over the lattice, and
 //!    each subset's parent is chosen to minimise the estimated intermediate
 //!    it must materialise.
-//! 3. **Populate / measure.** As the cache materialises subsets
-//!    ([`crate::ShardedSubJoinCache::populate`] and the `_adaptive`
-//!    reads), each actual cardinality is compared against its estimate.
-//! 4. **Re-plan.** When the error factor `max(actual/est, est/actual)`
-//!    exceeds [`PlanConfig::replan_ratio`], the not-yet-materialised
-//!    remainder of the lattice is re-planned with the measured
-//!    cardinalities as exact anchors ([`JoinPlan::replanned`]); the
-//!    feedback loop is summarised in [`ReplanStats`].
+//! 3. **Populate.** The cache materialises subsets along the plan's pivots
+//!    ([`crate::ShardedSubJoinCache::populate`] and the lazy chain walks of
+//!    its reads).  [`PlanStats`] records each subset's estimate next to its
+//!    actual cardinality once materialised.
 //!
 //! On streaming updates, [`crate::ExecContext::apply_updates`] patches the
 //! sketches incrementally from the update batch's net per-relation deltas
 //! and rebuilds the plan from the patched statistics — no full statistics
 //! pass per batch.  Sketches are insert-only, so net removals leave the
-//! distinct estimates as upper bounds (bounded drift the re-plan feedback
-//! absorbs); a relation that has lost a sizeable share of its rows is
-//! re-gathered from scratch.
+//! distinct estimates as upper bounds; a relation whose net removals in one
+//! batch reach a quarter of its post-update rows is re-gathered from
+//! scratch.
 //!
 //! ### Where the plan lives
 //!
 //! Plans are built **once per instance fingerprint** by
 //! [`crate::ExecContext::join_plan`] and stored in the context's LRU slot
 //! alongside the lattice and the shared full join; every
-//! checkout of the sub-join cache carries the same `Arc`, so parallel and
-//! sequential consumers observe the identical decomposition.  A bare cache
+//! checkout of the sub-join cache carries the same `Arc`, and no cache ever
+//! swaps it, so parallel and sequential consumers observe the identical
+//! decomposition.  A bare cache
 //! ([`crate::ShardedSubJoinCache::new`]) defaults to
 //! [`JoinPlan::fixed_prefix`] — the exact historical chain — and accepts a
 //! planner-built plan through its `with_plan` constructor.
@@ -66,11 +62,9 @@
 //! astronomically large joins), and every consumer of the lattice reads it
 //! through order-free aggregates or sorted emits.  The plan itself is a
 //! pure function of the query and the instance statistics — no randomness,
-//! no thread-count dependence — and re-planning decisions compare
-//! thread-count-invariant actual cardinalities against
-//! thread-count-invariant estimates at level barriers, so warm, cold,
-//! sequential, parallel, static and adaptive callers all produce
-//! byte-identical outputs (adaptive ≡ static ≡ naive is property-tested).
+//! no thread-count dependence — so warm, cold, sequential and parallel
+//! callers all produce byte-identical outputs (cost-based ≡ fixed-prefix ≡
+//! naive is property-tested).
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -121,9 +115,8 @@ const SKETCH_REGISTERS: usize = 1 << SKETCH_PRECISION;
 /// finish in: merged sketches are identical at every thread count.
 ///
 /// The sketch is insert-only (registers cannot forget): after deletions the
-/// estimate is an upper bound on the surviving distinct count — bounded
-/// drift the runtime re-plan feedback absorbs — until the affected relation
-/// is re-gathered ([`RelationStats::refresh_relation`]).
+/// estimate is an upper bound on the surviving distinct count until the
+/// affected relation is re-gathered ([`RelationStats::refresh_relation`]).
 #[derive(Debug, Clone)]
 pub struct DistinctSketch {
     repr: SketchRepr,
@@ -271,10 +264,6 @@ impl DistinctSketch {
     }
 }
 
-/// Default [`PlanConfig::replan_ratio`]: re-plan when a subset's actual
-/// cardinality is off from its estimate by more than 8× either way.
-pub const DEFAULT_REPLAN_RATIO: f64 = 8.0;
-
 /// When the lattice evaluates a sub-join mask **count-only** (folding the
 /// hash-probe matches straight into an [`crate::join::AggSummary`] instead
 /// of materialising a [`crate::join::JoinResult`] — see the `join` module's
@@ -301,127 +290,26 @@ pub enum AggMode {
     Never,
 }
 
-/// Knobs of the adaptive planning layer.
-///
-/// Carried by [`crate::ExecContext`] (see
-/// [`crate::ExecContext::with_plan_config`]) into every sub-join cache it
-/// checks out, and by each [`crate::ShardedSubJoinCache`] (see
-/// [`crate::ShardedSubJoinCache::with_config`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanConfig {
-    /// Estimate-error factor that triggers a re-plan: when a materialised
-    /// subset's `max(actual/estimate, estimate/actual)` exceeds this ratio,
-    /// the not-yet-materialised remainder of the lattice is re-planned with
-    /// measured cardinalities as exact anchors.  Must be ≥ 1; `1.0` re-plans
-    /// on any deviation (the CI stress setting), `f64::INFINITY` disables
-    /// re-planning.  Defaults to [`DEFAULT_REPLAN_RATIO`], overridable with
-    /// the `DPSYN_REPLAN_RATIO` environment variable.
-    pub replan_ratio: f64,
-    /// Per-mask materialize-vs-aggregate policy.  Defaults to
-    /// [`AggMode::Auto`], overridable with the `DPSYN_AGG_FORCE`
-    /// environment variable (`always`, `never` or `auto`).
-    pub agg_mode: AggMode,
-}
-
-impl Default for PlanConfig {
-    /// Reads `DPSYN_REPLAN_RATIO` and `DPSYN_AGG_FORCE` (falling back to
-    /// [`DEFAULT_REPLAN_RATIO`] / [`AggMode::Auto`]), same as
-    /// [`PlanConfig::from_env`].
-    fn default() -> Self {
-        PlanConfig::from_env()
-    }
-}
-
-impl PlanConfig {
-    /// A config with an explicit re-plan ratio (clamped up to 1), ignoring
-    /// the environment.
-    pub fn with_replan_ratio(replan_ratio: f64) -> Self {
-        PlanConfig {
-            replan_ratio: if replan_ratio.is_nan() {
-                DEFAULT_REPLAN_RATIO
-            } else {
-                replan_ratio.max(1.0)
-            },
-            agg_mode: AggMode::default(),
-        }
-    }
-
-    /// This config with an explicit materialize-vs-aggregate policy.
-    pub fn with_agg_mode(mut self, agg_mode: AggMode) -> Self {
-        self.agg_mode = agg_mode;
-        self
-    }
-
-    /// Reads the config from the environment: `DPSYN_REPLAN_RATIO` (a float
-    /// ≥ 1) overrides [`DEFAULT_REPLAN_RATIO`] and `DPSYN_AGG_FORCE`
-    /// (`always` / `never` / `auto`) overrides [`AggMode::Auto`]; unset,
-    /// empty or invalid values fall back to the defaults.
+impl AggMode {
+    /// Reads the policy from the `DPSYN_AGG_FORCE` environment variable
+    /// (`always`, `never` or `auto`, case-insensitive); unset, empty or
+    /// invalid values fall back to [`AggMode::Auto`].  Contexts and
+    /// standalone caches start from this.
     pub fn from_env() -> Self {
-        let ratio = std::env::var("DPSYN_REPLAN_RATIO")
+        std::env::var("DPSYN_AGG_FORCE")
             .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .filter(|r| !r.is_nan() && *r >= 1.0)
-            .unwrap_or(DEFAULT_REPLAN_RATIO);
-        let agg_mode = std::env::var("DPSYN_AGG_FORCE")
-            .ok()
-            .and_then(|s| match s.trim().to_ascii_lowercase().as_str() {
-                "always" => Some(AggMode::Always),
-                "never" => Some(AggMode::Never),
-                "auto" => Some(AggMode::Auto),
-                _ => None,
-            })
-            .unwrap_or_default();
-        PlanConfig {
-            replan_ratio: ratio,
-            agg_mode,
-        }
-    }
-}
-
-/// Feedback-loop diagnostics from one adaptive populate of the lattice:
-/// how far the estimates were off, how often the re-plan threshold fired,
-/// and what the re-plans changed.  Recorded on the context's LRU slot and
-/// surfaced through [`PlanStats::replan`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReplanStats {
-    /// Materialised subsets whose actual cardinality was compared against a
-    /// planner estimate.
-    pub measured: usize,
-    /// Of those, how many breached [`PlanConfig::replan_ratio`].
-    pub triggers: usize,
-    /// Re-planning rounds executed (at most one per lattice level or lazy
-    /// chain step, however many subsets breached in it).
-    pub replans: usize,
-    /// Not-yet-materialised subsets whose pivot changed across all re-plans.
-    pub pivots_changed: usize,
-    /// Largest observed error factor `max(actual/est, est/actual)`.
-    pub max_error: f64,
-    /// Mean error factor over all measured subsets.
-    pub mean_error: f64,
-}
-
-impl ReplanStats {
-    /// Records one measured subset's error factor.
-    pub(crate) fn record_error(&mut self, err: f64) {
-        self.measured += 1;
-        self.max_error = self.max_error.max(err);
-        self.mean_error += (err - self.mean_error) / self.measured as f64;
+            .and_then(|s| AggMode::parse(&s))
+            .unwrap_or_default()
     }
 
-    /// Accumulates another populate's stats into this one (weighted mean,
-    /// max of maxima, sums elsewhere).
-    pub fn absorb(&mut self, other: &ReplanStats) {
-        let total = self.measured + other.measured;
-        if total > 0 {
-            self.mean_error = (self.mean_error * self.measured as f64
-                + other.mean_error * other.measured as f64)
-                / total as f64;
+    /// Parses one `DPSYN_AGG_FORCE` value.
+    fn parse(s: &str) -> Option<Self> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "always" => Some(AggMode::Always),
+            "never" => Some(AggMode::Never),
+            "auto" => Some(AggMode::Auto),
+            _ => None,
         }
-        self.measured = total;
-        self.triggers += other.triggers;
-        self.replans += other.replans;
-        self.pivots_changed += other.pivots_changed;
-        self.max_error = self.max_error.max(other.max_error);
     }
 }
 
@@ -532,9 +420,11 @@ impl RelationStats {
     /// sketches — the streaming-update fast path (one sketch insert per
     /// value, no relation scan).  Sketches are insert-only: tuples *removed*
     /// by an update cannot be subtracted here, so after net removals the
-    /// distinct estimates become upper bounds — bounded drift the runtime
-    /// re-plan feedback absorbs.  Call [`Self::refresh_relation`] to restore
-    /// exactness once removals pile up.
+    /// distinct estimates become upper bounds.  Call
+    /// [`Self::refresh_relation`] to restore exactness once removals pile
+    /// up; [`crate::ExecContext::apply_updates`] does so for every relation
+    /// whose net removals in one batch reach a quarter of its post-update
+    /// rows.
     pub fn absorb_inserts<'a, I>(&mut self, r: usize, tuples: I)
     where
         I: IntoIterator<Item = &'a [Value]>,
@@ -593,25 +483,8 @@ enum Decomposition {
 }
 
 /// Builds the full bottom-up decomposition table from per-relation
-/// statistics.  `anchors` maps already-materialised subset masks to their
-/// **actual** cardinalities, which override the independence estimates —
-/// the runtime-feedback hook: children of an anchored subset estimate from
-/// measured truth instead of compounding a bad guess.
-///
-/// Anchors also propagate **upward** as a monotone floor: an unanchored
-/// mask's estimate is raised to the largest measured cardinality among its
-/// anchored subsets (computed with a subset-max DP, `O(2^m · m)`).  Without
-/// this, a correlated attribute pair that fooled the independence estimate
-/// on one measured mask keeps fooling it on every sibling route that joins
-/// the same pair of relations along a different chain — the floor is how
-/// one measurement disqualifies the whole family of trap routes.  Joins can
-/// in principle shrink below a subset's cardinality, so the floor is a
-/// heuristic, not a bound; estimates only ever steer routing, never values.
-fn build_nodes(
-    query: &JoinQuery,
-    stats: &RelationStats,
-    anchors: &FxHashMap<u32, f64>,
-) -> Vec<PlanNode> {
+/// statistics.
+fn build_nodes(query: &JoinQuery, stats: &RelationStats) -> Vec<PlanNode> {
     let m = query.num_relations();
     // For each attribute, the bitmask of relations carrying it.
     let mut attr_rels: FxHashMap<AttrId, u32> = FxHashMap::default();
@@ -643,10 +516,6 @@ fn build_nodes(
         };
         full_count
     ];
-    // Subset-max DP over the anchors: `floor[mask]` is the largest anchored
-    // cardinality among `mask`'s (improper) subsets, built alongside the
-    // nodes in the same bottom-up sweep.
-    let mut floor = vec![0.0f64; full_count];
     // Bottom-up over popcount: every proper sub-mask of `mask` is
     // already planned when `mask` is visited.
     for count in 1..=m as u32 {
@@ -654,20 +523,11 @@ fn build_nodes(
             if mask.count_ones() != count {
                 continue;
             }
-            let mut fl = 0.0f64;
-            let mut bits = mask;
-            while bits != 0 {
-                let p = bits.trailing_zeros();
-                bits &= bits - 1;
-                fl = fl.max(floor[(mask & !(1u32 << p)) as usize]);
-            }
-            let anchored = anchors.get(&mask).copied();
-            floor[mask as usize] = fl.max(anchored.unwrap_or(0.0));
             if count == 1 {
                 let r = mask.trailing_zeros() as usize;
                 nodes[mask as usize] = PlanNode {
                     pivot: r as u8,
-                    est_rows: anchored.unwrap_or(stats.rows(r) as f64),
+                    est_rows: stats.rows(r) as f64,
                 };
                 continue;
             }
@@ -702,7 +562,7 @@ fn build_nodes(
             let (_, est_rows, pivot) = best.expect("non-empty mask has a pivot");
             nodes[mask as usize] = PlanNode {
                 pivot: pivot as u8,
-                est_rows: anchored.unwrap_or_else(|| est_rows.max(fl)),
+                est_rows,
             };
         }
     }
@@ -713,8 +573,8 @@ fn build_nodes(
 /// peels off, with the estimated intermediate cardinalities that justified
 /// it) plus the greedy fold order of the top-level join.  Cost-based plans
 /// carry the [`RelationStats`] they were built from, so streaming updates
-/// can patch the statistics and re-planning can re-price the lattice
-/// without a fresh gather.  See the module docs for where plans are built
+/// can patch the statistics and re-price the lattice without a fresh
+/// gather.  See the module docs for where plans are built
 /// and shared.
 #[derive(Debug)]
 pub struct JoinPlan {
@@ -792,36 +652,12 @@ impl JoinPlan {
                 stats: Some(stats),
             });
         }
-        let nodes = build_nodes(query, &stats, &FxHashMap::default());
+        let nodes = build_nodes(query, &stats);
         Ok(JoinPlan {
             num_relations: m,
             decomp: Decomposition::CostBased(nodes),
             top_order,
             stats: Some(stats),
-        })
-    }
-
-    /// Re-prices the whole decomposition table with measured cardinalities
-    /// as exact anchors: each mask in `anchors` takes its actual row count
-    /// instead of the independence estimate, anchored cardinalities
-    /// propagate to supersets as a monotone floor (see `build_nodes`), and
-    /// every not-yet-materialised subset re-chooses its pivot against the
-    /// corrected costs.  Returns
-    /// `None` when the plan carries no statistics (fixed-prefix plans have
-    /// nothing to re-price).  Values are plan-invariant, so swapping a
-    /// re-planned decomposition in mid-populate never changes results —
-    /// only which intermediates get built.
-    pub fn replanned(&self, query: &JoinQuery, anchors: &FxHashMap<u32, f64>) -> Option<JoinPlan> {
-        let stats = self.stats.as_ref()?;
-        if !self.is_cost_based() {
-            return None;
-        }
-        let nodes = build_nodes(query, stats, anchors);
-        Some(JoinPlan {
-            num_relations: self.num_relations,
-            decomp: Decomposition::CostBased(nodes),
-            top_order: self.top_order.clone(),
-            stats: Some(stats.clone()),
         })
     }
 
@@ -867,10 +703,9 @@ impl JoinPlan {
     /// the candidates for count-only evaluation under [`AggMode::Auto`].
     ///
     /// A proper mask only ever parents its immediate supersets, so one pass
-    /// over the unset bits decides.  The answer is plan-relative: a re-plan
-    /// can re-route chains, which is why the count-only populate always
-    /// materializes missing ancestors through the lazy chain walk rather
-    /// than assuming a parent was kept.
+    /// over the unset bits decides.  Count-only reads never assume a chain
+    /// parent is resident: they materialize a missing one through the lazy
+    /// chain walk, since sequential callers skip the populate entirely.
     pub fn is_chain_parent(&self, mask: u32) -> bool {
         debug_assert!(mask != 0 && (mask >> self.num_relations) == 0);
         let full = (1u32 << self.num_relations) - 1;
@@ -936,8 +771,7 @@ pub type SharedJoinPlan = Arc<JoinPlan>;
 
 /// Planner diagnostics for one `(query, instance)` pair: the decomposition
 /// choices with estimated and (where materialised) actual intermediate
-/// cardinalities, plus the adaptive feedback loop's [`ReplanStats`] when a
-/// measured populate has run.  Produced by
+/// cardinalities.  Produced by
 /// [`crate::ExecContext::plan_stats`] / `dpsyn::Session::plan_stats`.
 #[derive(Debug, Clone)]
 pub struct PlanStats {
@@ -962,9 +796,6 @@ pub struct PlanStats {
     /// buffers for materialised entries, a fixed-size summary for
     /// aggregated ones).
     pub cached_bytes: usize,
-    /// Runtime-feedback diagnostics from the slot's most recent adaptive
-    /// populate (`None` before one has run).
-    pub replan: Option<ReplanStats>,
 }
 
 /// One subset's row in [`PlanStats`].
@@ -1111,25 +942,19 @@ mod tests {
     }
 
     #[test]
-    fn plan_config_reads_ratio_with_sane_fallbacks() {
-        assert_eq!(PlanConfig::with_replan_ratio(3.0).replan_ratio, 3.0);
-        // Sub-unit and NaN ratios are clamped to sane values.
-        assert_eq!(PlanConfig::with_replan_ratio(0.25).replan_ratio, 1.0);
+    fn agg_mode_parses_the_env_values_with_an_auto_fallback() {
+        assert_eq!(AggMode::parse("always"), Some(AggMode::Always));
+        assert_eq!(AggMode::parse(" Never\n"), Some(AggMode::Never));
+        assert_eq!(AggMode::parse("AUTO"), Some(AggMode::Auto));
+        assert_eq!(AggMode::parse(""), None);
+        assert_eq!(AggMode::parse("sometimes"), None);
+        assert_eq!(AggMode::default(), AggMode::Auto);
+        // Whatever the environment says (CI exports DPSYN_AGG_FORCE), the
+        // parsed mode agrees with parsing the raw variable.
+        let raw = std::env::var("DPSYN_AGG_FORCE").unwrap_or_default();
         assert_eq!(
-            PlanConfig::with_replan_ratio(f64::NAN).replan_ratio,
-            DEFAULT_REPLAN_RATIO
-        );
-        // Whatever the environment says, the parsed ratio is a finite-or-inf
-        // value ≥ 1 (the CI stress run exports DPSYN_REPLAN_RATIO=1).
-        let cfg = PlanConfig::from_env();
-        assert!(cfg.replan_ratio >= 1.0);
-        // Explicit constructors ignore the environment for the agg mode too.
-        assert_eq!(PlanConfig::with_replan_ratio(3.0).agg_mode, AggMode::Auto);
-        assert_eq!(
-            PlanConfig::with_replan_ratio(3.0)
-                .with_agg_mode(AggMode::Always)
-                .agg_mode,
-            AggMode::Always
+            AggMode::from_env(),
+            AggMode::parse(&raw).unwrap_or_default()
         );
     }
 
@@ -1172,25 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn replan_stats_absorb_keeps_weighted_means_and_maxima() {
-        let mut a = ReplanStats::default();
-        a.record_error(2.0);
-        a.record_error(4.0);
-        let mut b = ReplanStats::default();
-        b.record_error(10.0);
-        b.triggers = 1;
-        b.replans = 1;
-        b.pivots_changed = 3;
-        a.absorb(&b);
-        assert_eq!(a.measured, 3);
-        assert_eq!(a.triggers, 1);
-        assert_eq!(a.replans, 1);
-        assert_eq!(a.pivots_changed, 3);
-        assert_eq!(a.max_error, 10.0);
-        assert!((a.mean_error - 16.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn fixed_prefix_plan_peels_the_highest_index() {
         let plan = JoinPlan::fixed_prefix(4);
         assert!(!plan.is_cost_based());
@@ -1218,30 +1024,6 @@ mod tests {
         let cross = plan.estimated_rows(0b0101).unwrap();
         let linear = plan.estimated_rows(0b0011).unwrap();
         assert!(cross > linear * 4.0, "cross {cross} vs linear {linear}");
-    }
-
-    #[test]
-    fn replanned_anchors_reroute_around_measured_blowups() {
-        let (q, inst) = path_instance(4, 40);
-        let plan = JoinPlan::cost_based(&q, &inst).unwrap();
-        // Unanchored, {0, 1, 3} routes through the linear {0, 1}.
-        assert_eq!(plan.parent(0b1011), 0b0011);
-        // Pretend populate measured {0, 1} as enormous: the re-planned
-        // table must stop routing through it, and the anchored mask itself
-        // reports the measured cardinality.
-        let mut anchors = FxHashMap::default();
-        anchors.insert(0b0011u32, 1e9);
-        let replanned = plan.replanned(&q, &anchors).unwrap();
-        assert_ne!(replanned.parent(0b1011), 0b0011);
-        assert_eq!(replanned.estimated_rows(0b0011), Some(1e9));
-        // No anchors ⇒ the re-planned table is the original.
-        let same = plan.replanned(&q, &FxHashMap::default()).unwrap();
-        for mask in 1u32..(1 << 4) {
-            assert_eq!(same.pivot(mask), plan.pivot(mask));
-            assert_eq!(same.estimated_rows(mask), plan.estimated_rows(mask));
-        }
-        // Fixed-prefix plans have nothing to re-price.
-        assert!(JoinPlan::fixed_prefix(4).replanned(&q, &anchors).is_none());
     }
 
     #[test]

@@ -90,17 +90,13 @@ impl SensitivityOps for ExecContext {
         instance: &Instance,
     ) -> Result<BTreeMap<Vec<usize>, u128>> {
         let m = query.num_relations();
-        let mut cache = self.subjoin_cache(query, instance)?;
+        let cache = self.subjoin_cache(query, instance)?;
         let par = self.effective_parallelism(instance);
         if !par.is_sequential() {
-            // Adaptive demanded populate: only the masks other masks
-            // decompose through are materialised eagerly; terminal masks
-            // fold count-only below, under the cache's aggregate-pushdown
-            // mode.  Each materialised level's actual cardinalities are
-            // measured against the plan's estimates, and a blown estimate
-            // re-plans the remaining levels (values are identical to the
-            // static populate; see `dpsyn_relational::plan`).  The feedback
-            // stats ride the cache back into the context's slot.
+            // Demanded populate: only the masks other masks decompose
+            // through are materialised eagerly, level by level through the
+            // pool; terminal masks fold count-only below, under the cache's
+            // aggregate-pushdown mode.
             cache.populate(par)?;
         }
         let full = (1u32 << m) - 1;
@@ -159,17 +155,13 @@ impl SensitivityOps for ExecContext {
             // Beyond the bitmask cache's representation limit; no lattice.
             return local_sensitivity_seq(query, instance);
         }
-        let mut cache = self.subjoin_cache(query, instance)?;
+        let cache = self.subjoin_cache(query, instance)?;
         let par = self.effective_parallelism(instance);
-        // One adaptive walk at every thread count, with the parallelism
-        // spent inside the join steps: each chain step's actual cardinality
-        // is measured as it materialises, and a blown estimate re-routes
-        // every later target around the trap parent — this is where
-        // correlated instances shed resident intermediates, identically at
-        // every thread count (values equal the static walk's).  The m
-        // size-(m-1) targets are each consumed once and can dwarf the
-        // inputs, so only their chain parents are memoised (and persisted
-        // for the next call).
+        // One lazy walk per target at every thread count, with the
+        // parallelism spent inside the join steps.  The m size-(m-1)
+        // targets are each consumed once and can dwarf the inputs, so only
+        // their chain parents are memoised (and persisted for the next
+        // call).
         let mut best = 0u128;
         for i in 0..m {
             let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
@@ -179,7 +171,7 @@ impl SensitivityOps for ExecContext {
             }
             let boundary = query.boundary(&others)?;
             let mask = cache.mask_of(&others)?;
-            best = best.max(cache.max_group_weight_adaptive(mask, &boundary, par, Keep::Chain)?);
+            best = best.max(cache.max_group_weight(mask, &boundary, par, Keep::Chain)?);
         }
         self.retain_subjoin_cache(cache);
         Ok(best)
@@ -209,13 +201,12 @@ impl SensitivityOps for ExecContext {
             let groups = self.grouped_join_size(query, instance, e, y)?;
             return Ok(groups.values().copied().max().unwrap_or(0));
         }
-        let mut cache = self.subjoin_cache(query, instance)?;
+        let cache = self.subjoin_cache(query, instance)?;
         let mask = cache.mask_of(e)?;
-        // Adaptive lazy chain: a mid-chain estimate breach re-plans the
-        // not-yet-walked remainder (values are plan-invariant).  Terminal
-        // masks fold count-only under the cache's aggregate-pushdown mode.
+        // Lazy chain walk; terminal masks fold count-only under the cache's
+        // aggregate-pushdown mode.
         let par = self.effective_parallelism(instance);
-        let value = cache.max_group_weight_adaptive(mask, y, par, Keep::Target)?;
+        let value = cache.max_group_weight(mask, y, par, Keep::Target)?;
         self.retain_subjoin_cache(cache);
         Ok(value)
     }

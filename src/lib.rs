@@ -193,8 +193,8 @@ pub mod prelude {
     pub use dpsyn_query::{AnswerOps, LinearQuery, ProductQuery, QueryFamily};
     pub use dpsyn_relational::{
         join, join_size, AggMode, AttrId, Attribute, EvictionStats, ExecContext, Instance,
-        JoinPlan, JoinQuery, NeighborEdit, Parallelism, PlanConfig, PlanStats, Relation,
-        ReplanStats, Schema, UpdateBatch, UpdateOp, UpdateReport,
+        JoinPlan, JoinQuery, NeighborEdit, Parallelism, PlanStats, Relation, Schema, UpdateBatch,
+        UpdateOp, UpdateReport,
     };
     pub use dpsyn_sensitivity::{
         local_sensitivity, residual_sensitivity, ResidualSensitivity, SensitivityConfig,

@@ -59,15 +59,11 @@
 //! fingerprint from mergeable sketch statistics, stored in the same LRU
 //! slot as the lattice, and shared by every consumer — so the lattice's
 //! intermediates are the planner's smallest, identically for sequential and
-//! parallel callers.  Plans are **adaptive**: as intermediates materialise,
-//! actual cardinalities are measured against the plan's estimates, and an
-//! estimate off by more than [`PlanConfig::replan_ratio`]
-//! ([`Session::with_plan_config`], or the `DPSYN_REPLAN_RATIO` environment
-//! variable) re-plans the not-yet-built remainder with the measured sizes
-//! pinned as exact anchors — without ever changing output bytes.
-//! [`Session::plan_stats`] exposes the chosen orders, the estimated/actual
-//! intermediate sizes, and the re-plan feedback counters
-//! ([`dpsyn_relational::ReplanStats`]).
+//! parallel callers.  The plan is fixed for the fingerprint (a streaming
+//! update rebuilds it from patched sketches under the new fingerprint) and
+//! only orders join steps, so it never changes output bytes.
+//! [`Session::plan_stats`] exposes the chosen orders and the
+//! estimated/actual intermediate sizes.
 //!
 //! ### Determinism contract
 //!
@@ -93,7 +89,7 @@ use dpsyn_core::{IndependentLaplaceBaseline, Mechanism, SyntheticRelease};
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::{AnswerOps, AnswerSet, ProductQuery, QueryFamily};
 use dpsyn_relational::{
-    ExecContext, Instance, JoinQuery, Parallelism, PlanConfig, PlanStats, UpdateBatch, UpdateReport,
+    ExecContext, Instance, JoinQuery, Parallelism, PlanStats, UpdateBatch, UpdateReport,
 };
 use dpsyn_sensitivity::{ResidualSensitivity, SensitivityConfig, SensitivityOps};
 
@@ -204,17 +200,6 @@ impl Session {
             config,
             ctx: config.to_context(),
         }
-    }
-
-    /// Overrides the adaptive planner's knobs for this session — most
-    /// notably the estimate-error ratio past which materialised
-    /// cardinalities trigger a re-plan (see
-    /// [`dpsyn_relational::PlanConfig`]).  The default honours the
-    /// `DPSYN_REPLAN_RATIO` environment variable.  Re-planning only
-    /// changes decomposition routes, never output bytes.
-    pub fn with_plan_config(mut self, plan_config: PlanConfig) -> Self {
-        self.ctx = self.ctx.with_plan_config(plan_config);
-        self
     }
 
     /// The session's execution settings.
@@ -369,12 +354,9 @@ impl Session {
 
     /// Planner diagnostics for `(query, instance)`: the cost-based
     /// decomposition the session's every sub-join flows through — per-subset
-    /// pivots with estimated cardinalities, the top-level join order, the
-    /// actual sizes of the lattice entries currently materialised, and the
-    /// runtime-feedback counters ([`PlanStats::replan`]: subsets measured,
-    /// estimate-error triggers, re-plans taken, pivots changed) when the
-    /// slot has executed adaptively (see [`dpsyn_relational::plan`]).
-    /// Benches use this to track the cached-intermediate footprint next to
+    /// pivots with estimated cardinalities, the top-level join order, and
+    /// the actual sizes of the lattice entries currently materialised (see
+    /// [`dpsyn_relational::plan`]).  Benches use this to track the cached-intermediate footprint next to
     /// wall-clock.
     pub fn plan_stats(
         &self,
@@ -524,35 +506,6 @@ mod tests {
         // of entry proves the lattice got populated.
         assert!(warm.cached_masks + warm.aggregated_masks > 0);
         assert!(warm.nodes.iter().any(|n| n.actual_rows.is_some()));
-    }
-
-    #[test]
-    fn session_plan_stats_surface_adaptive_replan_feedback() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        // The correlated-pair workload provably breaks independence
-        // estimates (kk is a functional dependency of k), so the adaptive
-        // walks must measure, trigger and re-plan — and the feedback must
-        // surface through the session's diagnostics.
-        let (q, inst) = dpsyn_datagen::correlated_pair(3, 64, 16, 512, 8, &mut rng);
-        let session = Session::sequential().with_plan_config(PlanConfig::with_replan_ratio(8.0));
-        let ls = session.local_sensitivity(&q, &inst).unwrap();
-        assert_eq!(ls, dpsyn_sensitivity::local_sensitivity(&q, &inst).unwrap());
-        let stats = session.plan_stats(&q, &inst).unwrap();
-        let replan = stats.replan.expect("adaptive walks must record feedback");
-        assert!(replan.measured > 0);
-        assert!(replan.triggers >= 1, "the correlation trap must trigger");
-        assert!(replan.replans >= 1);
-        assert!(
-            replan.max_error > 8.0,
-            "error {} too small",
-            replan.max_error
-        );
-        // Feedback survives check-in/check-out: a second (warm) call keeps
-        // the counters monotone instead of resetting them.
-        session.local_sensitivity(&q, &inst).unwrap();
-        let warm = session.plan_stats(&q, &inst).unwrap().replan.unwrap();
-        assert!(warm.measured >= replan.measured);
     }
 
     #[test]

@@ -362,7 +362,7 @@ fn planner_decomposition_matches_fixed_prefix_and_naive() {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive planner: sketch statistics + runtime-feedback re-optimization
+// Join planner: sketch statistics + cost-based decomposition
 // ---------------------------------------------------------------------------
 
 /// The mergeable distinct sketch tracks exact distinct counts within the
@@ -444,14 +444,14 @@ fn distinct_sketch_is_accurate_and_merge_is_a_semilattice() {
     }
 }
 
-/// Adaptive planning (measure + re-plan) never changes observable bytes:
-/// on the correlated workload that provably breaks independence estimates
-/// and on the heavy-hitter skewed star, the adaptive populate produces the
-/// same lattice as the static populate per mask, and the context entry
-/// points (which measure and re-plan internally) match the naive oracle —
-/// cold and warm, at 1/2/4/8 threads.
+/// The cost-based plan never changes observable bytes: on the correlated
+/// workload that provably breaks independence estimates and on the
+/// heavy-hitter skewed star, the cost-based populate produces the same
+/// lattice at every worker count as the sequential populate, mask for mask,
+/// and the context entry points match the naive oracle — cold and warm, at
+/// 1/2/4/8 threads.
 #[test]
-fn adaptive_planning_is_byte_identical_to_static_and_naive() {
+fn cost_based_populate_is_byte_identical_across_threads_and_naive() {
     use dpsyn_datagen::{correlated_pair, heavy_hitter_star};
     for seed in 0..2u64 {
         let shapes: Vec<(&str, (JoinQuery, Instance))> = vec![
@@ -468,52 +468,30 @@ fn adaptive_planning_is_byte_identical_to_static_and_naive() {
             let m = query.num_relations();
             let naive_bv = all_boundary_values_naive(query, inst).unwrap();
 
-            // Direct lattice check: adaptive populate ≡ static populate,
-            // mask for mask, at every worker count — even with the ratio
-            // dropped to 1 so every level re-plans.  Both populates
-            // materialise every proper mask; the static one never re-plans.
+            // Direct lattice check: both populates materialise every proper
+            // mask along the same cost-based plan.
             let plan = Arc::new(JoinPlan::cost_based(query, inst).unwrap());
-            let populated = |ratio: f64, par: Parallelism| {
-                let mut cache = ShardedSubJoinCache::with_plan(query, inst, Arc::clone(&plan))
+            let populated = |par: Parallelism| {
+                let cache = ShardedSubJoinCache::with_plan(query, inst, Arc::clone(&plan))
                     .unwrap()
-                    .with_config(
-                        PlanConfig::with_replan_ratio(ratio).with_agg_mode(AggMode::Never),
-                    );
+                    .with_agg_mode(AggMode::Never);
                 cache.populate(par).unwrap();
                 cache
             };
-            let static_cache = populated(f64::INFINITY, Parallelism::SEQUENTIAL);
+            let sequential = populated(Parallelism::SEQUENTIAL);
             for threads in [1usize, 2, 4, 8] {
-                for ratio in [1.0f64, 8.0] {
-                    let adaptive = populated(ratio, Parallelism::threads(threads));
-                    let replan = adaptive.replan_stats().expect("measured");
-                    for mask in 1u32..((1u32 << m) - 1) {
-                        assert_eq!(
-                            adaptive.get(mask).expect("populated").as_ref(),
-                            static_cache.get(mask).expect("populated").as_ref(),
-                            "{shape}, seed {seed}, threads {threads}, ratio {ratio}, mask {mask:#b}"
-                        );
-                    }
+                let parallel = populated(Parallelism::threads(threads));
+                for mask in 1u32..((1u32 << m) - 1) {
                     assert_eq!(
-                        replan.measured,
-                        (1usize << m) - 2,
-                        "{shape}, seed {seed}: every proper subset must be measured"
+                        parallel.get(mask).expect("populated").as_ref(),
+                        sequential.get(mask).expect("populated").as_ref(),
+                        "{shape}, seed {seed}, threads {threads}, mask {mask:#b}"
                     );
-                    // The correlated shape's functional dependency guarantees
-                    // a trigger at the default ratio.
-                    if *shape == "correlated" {
-                        assert!(
-                            replan.replans >= 1,
-                            "{shape}, seed {seed}, threads {threads}, ratio {ratio}: \
-                             correlation trap did not trigger a re-plan"
-                        );
-                        assert!(replan.max_error >= 8.0, "{shape}, seed {seed}");
-                    }
                 }
             }
 
-            // Context entry points measure and re-plan internally; cold and
-            // warm answers match the naive oracle at every thread count.
+            // Context entry points: cold and warm answers match the naive
+            // oracle at every thread count.
             for threads in [1usize, 2, 4, 8] {
                 let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
                 let cold = ctx.all_boundary_values(query, inst).unwrap();
@@ -533,48 +511,6 @@ fn adaptive_planning_is_byte_identical_to_static_and_naive() {
                 );
             }
         }
-    }
-}
-
-/// On the generated correlated workload, the adaptive transient walks (the
-/// local-sensitivity access pattern) keep at least 1.5× fewer resident
-/// intermediate tuples than the static plan — while returning identical
-/// values.
-#[test]
-fn adaptive_transient_walks_cut_cached_tuples_on_correlated_workloads() {
-    use dpsyn_datagen::correlated_pair;
-    for seed in 0..2u64 {
-        let (query, inst) = correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(22_000 + seed));
-        let m = query.num_relations();
-        let plan = Arc::new(JoinPlan::cost_based(&query, &inst).unwrap());
-        let cache = |ratio: f64| {
-            ShardedSubJoinCache::with_plan(&query, &inst, Arc::clone(&plan))
-                .unwrap()
-                .with_config(PlanConfig::with_replan_ratio(ratio))
-        };
-        let (mut static_cache, mut adaptive_cache) = (cache(f64::INFINITY), cache(8.0));
-        let full = (1u32 << m) - 1;
-        for i in 0..m {
-            let mask = full & !(1u32 << i);
-            let seq = Parallelism::SEQUENTIAL;
-            let s = static_cache
-                .join_mask_adaptive(mask, seq, Keep::Chain)
-                .unwrap();
-            let a = adaptive_cache
-                .join_mask_adaptive(mask, seq, Keep::Chain)
-                .unwrap();
-            assert_eq!(s, a, "seed {seed}, target {i}: values must not change");
-        }
-        assert!(
-            adaptive_cache.replan_stats().map_or(0, |r| r.replans) >= 1,
-            "seed {seed}: the correlation trap must trigger a re-plan"
-        );
-        let st = static_cache.cached_tuples();
-        let ad = adaptive_cache.cached_tuples();
-        assert!(
-            2 * st >= 3 * ad,
-            "seed {seed}: static keeps {st} resident tuples, adaptive {ad} — less than 1.5×"
-        );
     }
 }
 
@@ -616,7 +552,7 @@ fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
                 for threads in [1usize, 2, 4, 8] {
                     let ctx = ExecContext::with_threads(threads)
                         .with_min_par_instance(1)
-                        .with_plan_config(PlanConfig::default().with_agg_mode(mode));
+                        .with_agg_mode(mode);
                     let tag = format!("{shape}, seed {seed}, {mode:?}, threads {threads}");
                     let cold = ctx.all_boundary_values(query, inst).unwrap();
                     assert_eq!(cold, naive_bv, "{tag} (cold)");
@@ -664,7 +600,7 @@ fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
         for threads in [1usize, 2, 4] {
             let ctx = ExecContext::with_threads(threads)
                 .with_min_par_instance(1)
-                .with_plan_config(PlanConfig::default().with_agg_mode(mode));
+                .with_agg_mode(mode);
             assert_eq!(
                 ctx.all_boundary_values(&query, &inst).unwrap(),
                 naive_bv,
@@ -973,9 +909,9 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
             let materializing = || {
                 ShardedSubJoinCache::new(&query, &inst)
                     .unwrap()
-                    .with_config(PlanConfig::default().with_agg_mode(AggMode::Never))
+                    .with_agg_mode(AggMode::Never)
             };
-            let mut seq_cache = materializing();
+            let seq_cache = materializing();
             seq_cache.populate(Parallelism::SEQUENTIAL).unwrap();
             // The sequential populate is the reference below; pin its values
             // to the naive engine once, mask by mask, as sorted rows.
@@ -1007,7 +943,7 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
                 // Lattice populate under stealing: every mask's sub-join is
                 // byte-identical to the sequential populate's, and every mask
                 // is claimed exactly once.
-                let mut sharded = materializing();
+                let sharded = materializing();
                 let stats = sharded.populate(par).unwrap();
                 assert_eq!(
                     stats.total(),

@@ -275,7 +275,7 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
     let ctx = Arc::new(
         ExecContext::sequential()
             .with_cache_slots(2)
-            .with_plan_config(PlanConfig::default().with_agg_mode(AggMode::Never)),
+            .with_agg_mode(AggMode::Never),
     );
 
     const THREADS: usize = 4;
@@ -291,7 +291,7 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
                     // the same instant (maximising eviction races).
                     for i in 0..instances.len() {
                         let inst = &instances[(i + t + round) % instances.len()];
-                        let mut cache = ctx.subjoin_cache(&query, inst).unwrap();
+                        let cache = ctx.subjoin_cache(&query, inst).unwrap();
                         cache.populate(Parallelism::SEQUENTIAL).unwrap();
                         // The checked-out lattice stays valid even if the
                         // slot it came from is evicted concurrently.
@@ -322,7 +322,7 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
 
     // Correctness after the storm: a warm checkout's sub-joins are exactly
     // the cold path's.
-    let mut cache = ctx.subjoin_cache(&query, &instances[0]).unwrap();
+    let cache = ctx.subjoin_cache(&query, &instances[0]).unwrap();
     cache.populate(Parallelism::SEQUENTIAL).unwrap();
     for mask in 1u32..0b111 {
         let rels: Vec<usize> = (0..3).filter(|r| mask & (1 << r) != 0).collect();
@@ -338,35 +338,38 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
 }
 
 /// Interleaved checkouts of one pair — A out, B out, A in, B in, the order
-/// a shared server context produces — merge both checkouts' re-plan
-/// feedback into the slot: the later check-in must not clobber the
-/// earlier one's measurements.
+/// a shared server context produces — both land their lattice entries in
+/// the slot: the later check-in must not clobber the earlier one's.
 #[test]
-fn interleaved_checkouts_merge_their_replan_feedback() {
+fn interleaved_checkouts_merge_their_lattice_entries() {
+    use dpsyn_relational::Keep;
     let (q, inst) = datagen::correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(7));
-    let ctx = ExecContext::sequential().with_plan_config(PlanConfig::with_replan_ratio(8.0));
-    let mut a = ctx.subjoin_cache(&q, &inst).unwrap();
-    let mut b = ctx.subjoin_cache(&q, &inst).unwrap();
+    let m = q.num_relations();
+    let full = (1u32 << m) - 1;
+    let ctx = ExecContext::sequential().with_agg_mode(AggMode::Never);
+    let a = ctx.subjoin_cache(&q, &inst).unwrap();
+    let b = ctx.subjoin_cache(&q, &inst).unwrap();
+    // A materialises every proper mask, B only the full join's chain.
     a.populate(Parallelism::SEQUENTIAL).unwrap();
-    b.populate(Parallelism::SEQUENTIAL).unwrap();
-    let measured_a = a.replan_stats().expect("checkout A measured").measured;
-    let measured_b = b.replan_stats().expect("checkout B measured").measured;
-    assert!(measured_a > 0 && measured_b > 0);
+    b.join_mask(full, Parallelism::SEQUENTIAL, Keep::Target)
+        .unwrap();
+    assert_eq!(a.cached_count(), (1 << m) - 2);
+    assert!(b.get(full).is_some() && a.get(full).is_none());
     ctx.retain_subjoin_cache(a);
     ctx.retain_subjoin_cache(b);
-    let slot = ctx.plan_stats(&q, &inst).unwrap().replan.unwrap();
-    assert_eq!(slot.measured, measured_a + measured_b);
-    // A checkout's stats describe that checkout alone.
-    assert!(ctx
-        .subjoin_cache(&q, &inst)
-        .unwrap()
-        .replan_stats()
-        .is_none());
+    let merged = ctx.subjoin_cache(&q, &inst).unwrap();
+    for mask in 1..=full {
+        assert!(merged.get(mask).is_some(), "mask {mask:#b} lost on merge");
+    }
+    assert_eq!(
+        ctx.plan_stats(&q, &inst).unwrap().cached_masks,
+        full as usize
+    );
 }
 
-/// Local sensitivity walks its targets adaptively at every thread count —
-/// the parallelism goes into the join steps, never into plan decisions —
-/// so the recorded feedback and the resident lattice are identical at 1, 2
+/// Local sensitivity walks its targets lazily at every thread count — the
+/// parallelism goes into the join steps, never into which intermediates
+/// are built — so the value and the resident lattice are identical at 1, 2
 /// and 4 threads.
 #[test]
 fn local_sensitivity_feedback_is_identical_at_every_thread_count() {
@@ -378,11 +381,69 @@ fn local_sensitivity_feedback_is_identical_at_every_thread_count() {
             let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
             let ls = ctx.local_sensitivity(&q, &inst).unwrap();
             assert_eq!(ls, expected, "threads {threads}");
-            let stats = ctx.plan_stats(&q, &inst).unwrap();
-            let replan = stats.replan.expect("adaptive walks record feedback");
-            (replan, stats.cached_tuples)
+            ctx.plan_stats(&q, &inst).unwrap().cached_tuples
         })
         .collect();
     assert_eq!(runs[1], runs[0], "2 threads vs 1");
     assert_eq!(runs[2], runs[0], "4 threads vs 1");
+}
+
+/// One plan per fingerprint: whatever a context's sensitivity entry points
+/// build — a demanded populate, local sensitivity's lazy walks, single
+/// aggregate reads — the slot keeps the cost-based plan built on first
+/// checkout, pivot for pivot and estimate for estimate, on the correlated
+/// instance whose estimates are furthest off.  Every value equals the naive
+/// oracle.
+#[test]
+fn slot_plan_is_fixed_per_fingerprint() {
+    use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive};
+    let (q, inst) = datagen::correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(7));
+    let m = q.num_relations();
+    let full = (1u32 << m) - 1;
+    let naive_bv = all_boundary_values_naive(&q, &inst).unwrap();
+    let naive_ls = (0..m)
+        .map(|i| naive_bv[&(0..m).filter(|&j| j != i).collect::<Vec<_>>()])
+        .max()
+        .unwrap();
+    let fresh = JoinPlan::cost_based(&q, &inst).unwrap();
+    for threads in [1usize, 2, 4] {
+        let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
+        assert_eq!(
+            ctx.all_boundary_values(&q, &inst).unwrap(),
+            naive_bv,
+            "threads {threads}"
+        );
+        assert_eq!(
+            ctx.local_sensitivity(&q, &inst).unwrap(),
+            naive_ls,
+            "threads {threads}"
+        );
+        for mask in 1..=full {
+            let e: Vec<usize> = (0..m).filter(|&r| mask & (1 << r) != 0).collect();
+            let expected = if mask == full {
+                join_size_naive(&q, &inst).unwrap()
+            } else {
+                naive_bv[&e]
+            };
+            let y = q.boundary(&e).unwrap();
+            assert_eq!(
+                ctx.aggregate_query(&q, &inst, &e, &y).unwrap(),
+                expected,
+                "threads {threads}, mask {mask:#b}"
+            );
+        }
+        let plan = ctx.join_plan(&q, &inst).unwrap();
+        for mask in 1..=full {
+            assert_eq!(
+                plan.pivot(mask),
+                fresh.pivot(mask),
+                "threads {threads}, mask {mask:#b}"
+            );
+            assert_eq!(
+                plan.estimated_rows(mask),
+                fresh.estimated_rows(mask),
+                "threads {threads}, mask {mask:#b}"
+            );
+        }
+    }
 }
