@@ -47,7 +47,7 @@ use dpsyn_relational::{
     join_size, AggMode, ExecContext, FxHashSet, Instance, JoinPlan, JoinQuery, Keep, Parallelism,
     RelationStats, ShardedSubJoinCache, Value,
 };
-use dpsyn_sensitivity::{all_boundary_values, SensitivityConfig, SensitivityOps};
+use dpsyn_sensitivity::{all_boundary_values, SensitivityOps};
 
 /// Median wall-clock time of `f` over `samples` runs (with one warm-up run),
 /// in nanoseconds.
@@ -647,8 +647,7 @@ fn main() {
         // (the persistent-cache win is measured by the session scenario
         // below, not here).
         let cold_bv = |threads: usize| {
-            SensitivityConfig::with_threads(threads)
-                .to_context()
+            ExecContext::with_threads(threads)
                 .all_boundary_values(&query, &instance)
                 .unwrap()
         };
@@ -682,7 +681,7 @@ fn main() {
         let cold_sweep = || {
             let mut acc = 0.0f64;
             for &beta in &betas {
-                let ctx = SensitivityConfig::sequential().to_context();
+                let ctx = ExecContext::sequential();
                 acc += ctx
                     .residual_sensitivity(&query, &instance, beta)
                     .unwrap()
@@ -691,7 +690,7 @@ fn main() {
             acc
         };
         let warm_sweep = || {
-            let ctx = SensitivityConfig::sequential().to_context();
+            let ctx = ExecContext::sequential();
             let mut acc = 0.0f64;
             for &beta in &betas {
                 acc += ctx

@@ -10,9 +10,7 @@ use dpsyn_datagen::random_star;
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::all_boundary_values_naive;
 use dpsyn_relational::ExecContext;
-use dpsyn_sensitivity::{
-    all_boundary_values, residual_sensitivity, SensitivityConfig, SensitivityOps,
-};
+use dpsyn_sensitivity::{all_boundary_values, residual_sensitivity, SensitivityOps};
 use std::time::Duration;
 
 fn bench_boundary_enumeration(c: &mut Criterion) {
@@ -59,8 +57,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
     // Outputs are identical at every level; only wall-clock differs.  Fresh
     // contexts per call keep every measurement cold (lattice rebuilt).
     let cold_bv = |threads: usize| {
-        SensitivityConfig::with_threads(threads)
-            .to_context()
+        ExecContext::with_threads(threads)
             .all_boundary_values(&query, &instance)
             .unwrap()
     };
@@ -78,8 +75,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
             &threads,
             |b, _| {
                 b.iter(|| {
-                    SensitivityConfig::with_threads(threads)
-                        .to_context()
+                    ExecContext::with_threads(threads)
                         .residual_sensitivity(&query, &instance, beta)
                         .unwrap()
                         .value
@@ -101,7 +97,7 @@ fn bench_session_cache_reuse(c: &mut Criterion) {
     // Warm: one context, the β sweep reuses the persisted lattice.
     group.bench_function("warm_sweep", |b| {
         b.iter(|| {
-            let ctx = SensitivityConfig::sequential().to_context();
+            let ctx = ExecContext::sequential();
             betas
                 .iter()
                 .map(|&beta| {
@@ -118,8 +114,7 @@ fn bench_session_cache_reuse(c: &mut Criterion) {
             betas
                 .iter()
                 .map(|&beta| {
-                    SensitivityConfig::sequential()
-                        .to_context()
+                    ExecContext::sequential()
                         .residual_sensitivity(&query, &instance, beta)
                         .unwrap()
                         .value

@@ -14,7 +14,7 @@
 use dpsyn_noise::{Laplace, PrivacyParams, TruncatedLaplace};
 use dpsyn_query::{AnswerOps, AnswerSet, QueryFamily};
 use dpsyn_relational::{ExecContext, Instance, JoinQuery};
-use dpsyn_sensitivity::{global_sensitivity_bound, SensitivityConfig, SensitivityOps};
+use dpsyn_sensitivity::{global_sensitivity_bound, SensitivityOps};
 use rand::Rng;
 
 use crate::error::ReleaseError;
@@ -39,30 +39,18 @@ pub enum SensitivityChoice {
 #[derive(Debug, Clone)]
 pub struct IndependentLaplaceBaseline {
     sensitivity: SensitivityChoice,
-    config: SensitivityConfig,
 }
 
 impl Default for IndependentLaplaceBaseline {
     fn default() -> Self {
-        IndependentLaplaceBaseline {
-            sensitivity: SensitivityChoice::Residual,
-            config: SensitivityConfig::default(),
-        }
+        IndependentLaplaceBaseline::new(SensitivityChoice::Residual)
     }
 }
 
 impl IndependentLaplaceBaseline {
     /// Creates the baseline with the given sensitivity calibration.
     pub fn new(sensitivity: SensitivityChoice) -> Self {
-        IndependentLaplaceBaseline {
-            sensitivity,
-            config: SensitivityConfig::default(),
-        }
-    }
-
-    /// The execution settings in use.
-    pub fn sensitivity_config(&self) -> SensitivityConfig {
-        self.config
+        IndependentLaplaceBaseline { sensitivity }
     }
 
     /// Answers every query of the workload privately, splitting `(ε, δ)`
@@ -81,7 +69,7 @@ impl IndependentLaplaceBaseline {
         rng: &mut R,
     ) -> Result<AnswerSet> {
         self.answer_all_in(
-            &self.config.to_context(),
+            &ExecContext::default(),
             query,
             instance,
             family,

@@ -33,7 +33,6 @@ use dpsyn_pmw::{Histogram, PmwConfig};
 use dpsyn_query::QueryFamily;
 use dpsyn_relational::{AttrId, AttributeTree, ExecContext, Instance, JoinQuery, Value};
 use dpsyn_sensitivity::config::{bucket_of, DegreeConfiguration};
-use dpsyn_sensitivity::SensitivityConfig;
 use rand::Rng;
 
 use crate::error::ReleaseError;
@@ -228,7 +227,7 @@ impl HierarchicalRelease {
         rng: &mut R,
     ) -> Result<SyntheticRelease> {
         self.release_in(
-            &SensitivityConfig::default().to_context(),
+            &ExecContext::default(),
             query,
             instance,
             family,
@@ -249,7 +248,7 @@ impl HierarchicalRelease {
     /// **repeated** releases over the same instance and seed (which
     /// re-derive the same parts) find up to
     /// [`dpsyn_relational::DEFAULT_CACHE_SLOTS`] of them warm.  Raise the
-    /// slot capacity (`SensitivityConfig::with_cache_slots`) to cover larger
+    /// slot capacity ([`ExecContext::with_cache_slots`]) to cover larger
     /// partitions.
     pub fn release_in<R: Rng>(
         &self,

@@ -21,7 +21,7 @@ use dpsyn_noise::{PrivacyParams, TruncatedLaplace};
 use dpsyn_pmw::PmwConfig;
 use dpsyn_query::QueryFamily;
 use dpsyn_relational::{ExecContext, Instance, JoinQuery};
-use dpsyn_sensitivity::{SensitivityConfig, SensitivityOps};
+use dpsyn_sensitivity::SensitivityOps;
 use rand::Rng;
 
 use crate::error::ReleaseError;
@@ -32,26 +32,17 @@ use crate::Result;
 #[derive(Debug, Clone, Default)]
 pub struct MultiTable {
     pmw: PmwConfig,
-    sensitivity: SensitivityConfig,
 }
 
 impl MultiTable {
     /// Creates the algorithm with a custom PMW configuration.
     pub fn new(pmw: PmwConfig) -> Self {
-        MultiTable {
-            pmw,
-            sensitivity: SensitivityConfig::default(),
-        }
+        MultiTable { pmw }
     }
 
     /// The PMW configuration in use.
     pub fn pmw_config(&self) -> &PmwConfig {
         &self.pmw
-    }
-
-    /// The execution settings in use.
-    pub fn sensitivity_config(&self) -> SensitivityConfig {
-        self.sensitivity
     }
 
     /// The smoothing parameter `β = 1/λ` the algorithm will use for the given
@@ -69,10 +60,9 @@ impl MultiTable {
 
     /// Runs `MultiTable_{ε,δ}(I)` and returns the synthetic release.
     ///
-    /// Builds a throwaway execution context from this instance's
-    /// [`SensitivityConfig`]; use [`MultiTable::release_in`] (or
-    /// `dpsyn::Session::release`) to reuse a long-lived context's sub-join
-    /// lattice across repeated releases.
+    /// Builds a throwaway [`ExecContext::default`]; use
+    /// [`MultiTable::release_in`] (or `dpsyn::Session::release`) to reuse a
+    /// long-lived context's sub-join lattice across repeated releases.
     pub fn release<R: Rng>(
         &self,
         query: &JoinQuery,
@@ -82,7 +72,7 @@ impl MultiTable {
         rng: &mut R,
     ) -> Result<SyntheticRelease> {
         self.release_in(
-            &self.sensitivity.to_context(),
+            &ExecContext::default(),
             query,
             instance,
             family,
@@ -208,7 +198,7 @@ mod tests {
         let family = QueryFamily::counting(&q);
         let release_at = |threads: usize| {
             let mut rng = seeded_rng(11);
-            let ctx = SensitivityConfig::with_threads(threads).to_context();
+            let ctx = ExecContext::with_threads(threads);
             MultiTable::default()
                 .release_in(&ctx, &q, &inst, &family, params, &mut rng)
                 .unwrap()
@@ -224,7 +214,7 @@ mod tests {
         }
         // A warm context (lattice reused from a prior release over the same
         // instance) must also change nothing.
-        let ctx = SensitivityConfig::sequential().to_context();
+        let ctx = ExecContext::sequential();
         let mut rng = seeded_rng(11);
         let cold = MultiTable::default()
             .release_in(&ctx, &q, &inst, &family, params, &mut rng)

@@ -125,7 +125,7 @@ pub struct ShardedSubJoinCache<'a> {
     agg: Mutex<FxHashMap<u32, Arc<AggSummary>>>,
     /// The materialize-vs-aggregate policy of every read and populate.  Set
     /// from the context's policy on checkout; standalone caches take
-    /// [`AggMode::from_env`] unless given one by [`Self::with_agg_mode`].
+    /// [`AggMode::Auto`] unless given one by [`Self::with_agg_mode`].
     pub(crate) agg_mode: AggMode,
 }
 
@@ -170,7 +170,7 @@ impl<'a> ShardedSubJoinCache<'a> {
             shards,
             fingerprint: None,
             agg: Mutex::new(FxHashMap::default()),
-            agg_mode: AggMode::from_env(),
+            agg_mode: AggMode::default(),
         })
     }
 
@@ -434,9 +434,6 @@ impl<'a> ShardedSubJoinCache<'a> {
         let full = (1u32 << self.query.num_relations()) - 1;
         match self.agg_mode {
             AggMode::Never => true,
-            // Stress mode: force the fold on every proper mask, even when a
-            // materialised entry is warm.
-            AggMode::Always => mask == full,
             // Masks the lattice needs materialised anyway — the full join
             // and every chain parent — plus already-warm entries, read the
             // tuples directly.
@@ -896,7 +893,7 @@ mod tests {
     fn aggregate_reads_match_the_materializing_oracle_on_every_mask() {
         let (q, inst) = star_instance(4);
         let m = q.num_relations();
-        for mode in [AggMode::Auto, AggMode::Always, AggMode::Never] {
+        for mode in [AggMode::Auto, AggMode::Never] {
             for &threads in &[1usize, 2, 4] {
                 let cache = ShardedSubJoinCache::new(&q, &inst)
                     .unwrap()
@@ -975,8 +972,10 @@ mod tests {
         let (q, inst) = star_instance(3);
         let cache = ShardedSubJoinCache::new(&q, &inst)
             .unwrap()
-            .with_agg_mode(AggMode::Always);
+            .with_agg_mode(AggMode::Auto);
+        // A terminal mask: `Auto` folds it count-only.
         let mask = 0b101u32;
+        assert!(!cache.plan().is_chain_parent(mask));
         let boundary = q.boundary(&[0, 2]).unwrap();
         let first = cache
             .max_group_weight(mask, &boundary, Parallelism::SEQUENTIAL, Keep::Target)

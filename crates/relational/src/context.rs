@@ -59,12 +59,16 @@
 //! cold path computes (the planner's decomposition is a pure function of
 //! the query and instance statistics — deterministic and
 //! parallelism-independent — and a sub-join is the same weighted tuple set
-//! under every decomposition), and the cached full join is produced by the
-//! same size-ordered fold as [`crate::join::join`] — so a warm context's
-//! outputs are **byte-identical** to a cold context's, which are in turn
-//! byte-identical at every parallelism level and to the fixed-prefix
-//! decomposition.  The caches trade memory for wall-clock time, never
-//! output.
+//! under every decomposition; lattice entries are read only as join inputs
+//! and through integer aggregates, so their physical row order never
+//! shows).
+//! The cached full join is different: truth answers sum `f64` terms in its
+//! physical row order, so it is only ever produced by the same size-ordered
+//! fold as [`crate::join::join`] — [`ExecContext::apply_updates`] drops it
+//! rather than patching it.  A warm context's outputs are therefore
+//! **byte-identical** to a cold context's, which are in turn byte-identical
+//! at every parallelism level and to the fixed-prefix decomposition.  The
+//! caches trade memory for wall-clock time, never output.
 
 use std::hash::Hasher;
 use std::ops::Range;
@@ -309,7 +313,7 @@ impl ExecContext {
             parallelism,
             min_par_instance: DEFAULT_MIN_PAR_INSTANCE,
             cache_slots: DEFAULT_CACHE_SLOTS,
-            agg_mode: AggMode::from_env(),
+            agg_mode: AggMode::default(),
             state: Mutex::new(CacheState::default()),
         }
     }
@@ -344,14 +348,9 @@ impl ExecContext {
         self
     }
 
-    /// The cache LRU's slot capacity.
-    pub fn cache_slots(&self) -> usize {
-        self.cache_slots
-    }
-
     /// Sets the lattice's materialize-vs-aggregate policy (default
-    /// [`AggMode::from_env`], which reads `DPSYN_AGG_FORCE`).  Every
-    /// sub-join cache checkout carries it.
+    /// [`AggMode::Auto`]; [`AggMode::Never`] is the materializing test
+    /// oracle).  Every sub-join cache checkout carries it.
     pub fn with_agg_mode(mut self, agg_mode: AggMode) -> Self {
         self.agg_mode = agg_mode;
         self
@@ -601,16 +600,21 @@ impl ExecContext {
     /// [`crate::stream`]).
     ///
     /// When a slot exists under the pre-update fingerprint, its sub-join
-    /// lattice and cached full join are maintained **in place** semi-naive
-    /// style (see the [`crate::stream`] module docs).  The migrated slot is
-    /// re-keyed under the post-update fingerprint, so warm state survives
-    /// writes instead of being orphaned.  Without a warm slot the batch is
-    /// applied as a plain mutation and caches rebuild lazily.
+    /// lattice is maintained **in place** semi-naive style (see the
+    /// [`crate::stream`] module docs) and its cached full join is dropped.
+    /// The migrated slot is re-keyed under the post-update fingerprint, so
+    /// warm state survives writes instead of being orphaned.  Without a
+    /// warm slot the batch is applied as a plain mutation and caches
+    /// rebuild lazily.
     ///
-    /// **Byte-identity:** maintained state holds exactly the weighted tuple
-    /// sets a cold rebuild of the updated instance produces, so every
-    /// downstream observable is byte-identical to dropping the cache and
-    /// starting over — at every thread count and morsel size.
+    /// **Byte-identity:** maintained lattice entries hold exactly the
+    /// weighted tuple sets a cold rebuild of the updated instance produces
+    /// (only their physical row order differs, which no lattice reader
+    /// observes), and the full join — whose row order the f64
+    /// truth sums observe — is recomputed by the same fold a cold context
+    /// uses.  Every downstream observable is therefore byte-identical to
+    /// dropping the cache and starting over, at every thread count and
+    /// morsel size.
     /// Validation errors leave both the instance and the cache untouched; a
     /// failure during maintenance itself discards the (now unreliable) slot
     /// rather than ever serving stale state.
@@ -646,13 +650,10 @@ impl ExecContext {
                 stats: UpdateStats::default(),
             });
         };
-        // The cached full join is exactly the full-mask lattice entry;
-        // merge it in so one maintenance pass covers it too.
-        let full_mask = ((1u64 << m) - 1) as u32;
+        // The cached full join is dropped, not maintained: patching changes
+        // its physical row order, which the f64 truth sums read.  The next
+        // `shared_join` recomputes it with the cold fold.
         let mut memo = std::mem::take(&mut slot.lattice);
-        if let Some(full) = slot.full_join.take() {
-            memo.entry(full_mask).or_insert(full);
-        }
         let par = self.effective_parallelism(instance);
         let mut indexes = std::mem::take(&mut slot.stream_index);
         let stats = stream::maintain_memo(
@@ -665,7 +666,6 @@ impl ExecContext {
             par,
         )?;
         let new_fp = instance_fingerprint(query, instance);
-        let full_join = memo.get(&full_mask).map(Arc::clone);
         let mut state = self.state.lock().expect("context cache poisoned");
         // Merge-don't-clobber, mirroring `retain_subjoin_cache`: if a
         // concurrent caller already claimed the new fingerprint, its state
@@ -675,9 +675,6 @@ impl ExecContext {
         // Index validity is keyed to the entries' Arc identities, so stale
         // carriers are harmless — they just rebuild on next use.
         new_slot.stream_index.extend(indexes);
-        if let Some(full) = full_join {
-            new_slot.full_join.get_or_insert(full);
-        }
         // Patch the retained plan's sketch statistics from the batch's net
         // deltas instead of keeping stale estimates (or re-gathering from
         // scratch): inserts fold straight into the mergeable sketches and
@@ -728,20 +725,6 @@ impl ExecContext {
             .slots
             .iter()
             .map(|s| s.lattice.len())
-            .sum()
-    }
-
-    /// Total distinct tuples across all persisted lattice entries — the
-    /// resident intermediate footprint the cost-based planner works to
-    /// shrink (tracked by the `planner/*` rows of `BENCH_join.json`).
-    pub fn cached_subjoin_tuples(&self) -> usize {
-        self.state
-            .lock()
-            .expect("context cache poisoned")
-            .slots
-            .iter()
-            .flat_map(|s| s.lattice.values())
-            .map(|r| r.distinct_count())
             .sum()
     }
 
@@ -890,7 +873,7 @@ mod tests {
     use crate::join::{join, join_subset};
 
     /// A sequential context whose checkouts materialise every proper mask
-    /// on `populate`, whatever `DPSYN_AGG_FORCE` says.
+    /// on `populate`.
     fn materializing_ctx() -> ExecContext {
         ExecContext::sequential().with_agg_mode(AggMode::Never)
     }
@@ -1003,19 +986,25 @@ mod tests {
     fn single_slot_context_reproduces_the_historical_eviction() {
         let (q, inst) = star_instance(3);
         let (q2, inst2) = star_instance(4);
-        let ctx = materializing_ctx().with_cache_slots(1);
-        assert_eq!(ctx.cache_slots(), 1);
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache.populate(Parallelism::SEQUENTIAL).unwrap();
-        ctx.retain_subjoin_cache(cache);
-        assert!(ctx.cached_subjoins() > 0);
-        // A different pair checks out cold and evicts on check-in.
-        let other = ctx.subjoin_cache(&q2, &inst2).unwrap();
-        assert_eq!(other.cached_count(), 0);
-        ctx.retain_subjoin_cache(other);
-        assert_eq!(ctx.cached_instances(), 1);
-        let back = ctx.subjoin_cache(&q, &inst).unwrap();
-        assert_eq!(back.cached_count(), 0, "old instance must re-start cold");
+        // Zero slots clamps to one: the same single-slot eviction.
+        for slots in [1usize, 0] {
+            let ctx = materializing_ctx().with_cache_slots(slots);
+            let cache = ctx.subjoin_cache(&q, &inst).unwrap();
+            cache.populate(Parallelism::SEQUENTIAL).unwrap();
+            ctx.retain_subjoin_cache(cache);
+            assert!(ctx.cached_subjoins() > 0, "slots {slots}");
+            // A different pair checks out cold and evicts on check-in.
+            let other = ctx.subjoin_cache(&q2, &inst2).unwrap();
+            assert_eq!(other.cached_count(), 0);
+            ctx.retain_subjoin_cache(other);
+            assert_eq!(ctx.cached_instances(), 1, "slots {slots}");
+            let back = ctx.subjoin_cache(&q, &inst).unwrap();
+            assert_eq!(
+                back.cached_count(),
+                0,
+                "old instance must re-start cold, slots {slots}"
+            );
+        }
     }
 
     #[test]
@@ -1096,11 +1085,16 @@ mod tests {
         let (q, inst) = star_instance(3);
         let m = q.num_relations();
         let full = (1u32 << m) - 1;
-        let ctx = ExecContext::sequential().with_agg_mode(AggMode::Always);
+        let ctx = ExecContext::sequential();
         let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        assert_eq!(cache.agg_mode, AggMode::Always);
-        let terminal = full & !(1u32); // proper mask containing relation m-1
-        let expected = join_subset(&q, &inst, &[1, 2]).unwrap().total();
+        assert_eq!(cache.agg_mode, AggMode::Auto);
+        // A proper mask no chain is built through: `Auto` folds it
+        // count-only.
+        let terminal = (1..full)
+            .find(|&mask| !cache.plan().is_chain_parent(mask))
+            .expect("some proper mask is terminal");
+        let rels: Vec<usize> = (0..m).filter(|&r| terminal & (1 << r) != 0).collect();
+        let expected = join_subset(&q, &inst, &rels).unwrap().total();
         assert_eq!(
             cache
                 .max_group_weight(terminal, &[], Parallelism::SEQUENTIAL, Keep::Target)
@@ -1166,7 +1160,13 @@ mod tests {
         ctx.retain_subjoin_cache(cache);
         let warm = ctx.plan_stats(&q, &inst).unwrap();
         assert_eq!(warm.cached_masks, (1 << 4) - 2);
-        assert_eq!(warm.cached_tuples, ctx.cached_subjoin_tuples());
+        let direct: usize = (1u32..(1 << 4) - 1)
+            .map(|mask| {
+                let rels: Vec<usize> = (0..4).filter(|&r| mask & (1 << r) != 0).collect();
+                join_subset(&q, &inst, &rels).unwrap().distinct_count()
+            })
+            .sum();
+        assert_eq!(warm.cached_tuples, direct);
         assert!(warm.cached_tuples > 0);
         let materialised = warm
             .nodes
@@ -1234,17 +1234,18 @@ mod tests {
         assert_eq!(report.new_fingerprint, instance_fingerprint(&q, &inst));
         assert!(report.stats.maintained_masks > 0);
         // The migrated slot is warm under the new fingerprint: a checkout
-        // finds every mask and the shared join is served without a join.
+        // finds every proper mask.
         assert_eq!(ctx.cached_instances(), 1);
         let warm = ctx.subjoin_cache(&q, &inst).unwrap();
-        for mask in 1u32..(1 << 3) {
+        let full = (1u32 << 3) - 1;
+        for mask in 1u32..full {
             assert!(warm.get(mask).is_some(), "mask {mask:#b} went cold");
         }
         // Every maintained value equals the cold recomputation.
         let mut oracle = base.clone();
         stream::apply_batch(&q, &mut oracle, &batch).unwrap();
         assert_eq!(inst, oracle);
-        for mask in 1u32..(1 << 3) {
+        for mask in 1u32..full {
             let rels: Vec<usize> = (0..3).filter(|&r| mask & (1 << r) != 0).collect();
             assert_eq!(
                 warm.get(mask).unwrap().as_ref(),
@@ -1252,9 +1253,13 @@ mod tests {
                 "mask {mask:#b} diverged from rebuild"
             );
         }
-        assert_eq!(
-            ctx.shared_join(&q, &inst).unwrap().as_ref(),
-            &join(&q, &oracle).unwrap()
+        // The full join is not maintained: the next `shared_join` folds it
+        // afresh, row for row in a cold context's physical order.
+        let shared = ctx.shared_join(&q, &inst).unwrap();
+        let cold = ExecContext::sequential().shared_join(&q, &oracle).unwrap();
+        assert!(
+            shared.iter_unordered().eq(cold.iter_unordered()),
+            "shared join must match a cold join in row order"
         );
     }
 

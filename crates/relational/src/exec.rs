@@ -30,14 +30,14 @@
 //!    what real-time order morsels execute — depends on scheduling, load and
 //!    timing, and is *not* reproducible.  Nothing observable may depend on
 //!    it, and nothing does: morsel *boundaries* are a pure function of the
-//!    input length ([`morsel_ranges`], [`chunk_ranges`]), only the
-//!    assignment of morsels to workers floats.
+//!    input length ([`chunk_ranges`]), only the assignment of morsels to
+//!    workers floats.
 //! 2. **Merge order may not.**  Every result is delivered back tagged with
 //!    its morsel index and merged in morsel order.  For range-partitioned
-//!    loops ([`par_map_ranges`], [`par_map_morsels`]) each morsel emits its
-//!    outputs in input order, so the concatenation in morsel order equals
-//!    the sequential emission order *regardless of the worker count, the
-//!    morsel size, or which worker claimed what*.
+//!    loops ([`par_map_ranges`]) each morsel emits its outputs in input
+//!    order, so the concatenation in morsel order equals the sequential
+//!    emission order *regardless of the worker count, the morsel size, or
+//!    which worker claimed what*.
 //!
 //! Consequently `Parallelism::threads(1)`, `threads(4)` and `threads(64)`, at
 //! any morsel size down to 1, all produce identical bytes; only wall-clock
@@ -327,56 +327,6 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Splits `0..len` into contiguous morsels of exactly `morsel` indices (the
-/// last may be shorter), in ascending order.  `len = 0` yields a single
-/// empty range; `morsel = 0` is treated as 1.  The split depends only on
-/// `len` and `morsel` — never on scheduling.
-pub fn morsel_ranges(len: usize, morsel: usize) -> Vec<Range<usize>> {
-    if len == 0 {
-        return vec![Range { start: 0, end: 0 }];
-    }
-    let morsel = morsel.max(1);
-    let mut out = Vec::with_capacity(len.div_ceil(morsel));
-    let mut start = 0;
-    while start < len {
-        let end = (start + morsel).min(len);
-        out.push(start..end);
-        start = end;
-    }
-    out
-}
-
-/// Maps `f` over fixed-size morsels of `0..len` on up to `par` workers,
-/// returning the per-morsel results **in morsel order** plus
-/// the per-worker claim counts.
-///
-/// Morsel boundaries come from [`morsel_ranges`] (a pure function of `len`
-/// and `morsel`), so concatenating the returned parts reproduces the
-/// sequential emission order byte for byte at every worker count and morsel
-/// size (including 1).
-pub fn par_map_morsels_stats<T, F>(
-    par: Parallelism,
-    len: usize,
-    morsel: usize,
-    f: F,
-) -> (Vec<T>, SchedulerStats)
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let ranges = morsel_ranges(len, morsel);
-    par_map_stats(par, ranges.len(), |i| f(ranges[i].clone()))
-}
-
-/// [`par_map_morsels_stats`] without the telemetry.
-pub fn par_map_morsels<T, F>(par: Parallelism, len: usize, morsel: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    par_map_morsels_stats(par, len, morsel, f).0
-}
-
 /// Partitions `0..len` into contiguous morsels of at least `min_chunk`
 /// indices, maps `f` over the morsels on up to `par` workers (work
 /// stealing), and returns the per-morsel results **in range order**.
@@ -513,24 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn morsel_ranges_are_fixed_width_and_cover_in_order() {
-        for len in [0usize, 1, 7, 64, 1000] {
-            for morsel in [0usize, 1, 3, 64, 5000] {
-                let ranges = morsel_ranges(len, morsel);
-                let mut expect_start = 0;
-                for (k, r) in ranges.iter().enumerate() {
-                    assert_eq!(r.start, expect_start);
-                    expect_start = r.end;
-                    if k + 1 < ranges.len() {
-                        assert_eq!(r.len(), morsel.max(1), "only the last morsel may be short");
-                    }
-                }
-                assert_eq!(expect_start, len);
-            }
-        }
-    }
-
-    #[test]
     fn par_map_ranges_concatenation_is_order_stable() {
         let data: Vec<u64> = (0..10_000).map(|i| i * 3 + 1).collect();
         let f = |r: Range<usize>| data[r].to_vec();
@@ -539,23 +471,6 @@ mod tests {
             let parts = par_map_ranges(Parallelism::threads(threads), data.len(), 16, f);
             let merged: Vec<u64> = parts.concat();
             assert_eq!(merged, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn morsel_size_one_maximizes_interleaving_and_stays_byte_identical() {
-        let data: Vec<u64> = (0..997u64)
-            .map(|i| i.wrapping_mul(0x2545_f491_4f6c_dd1d))
-            .collect();
-        let f = |r: Range<usize>| data[r].to_vec();
-        let seq: Vec<u64> = f(0..data.len());
-        for threads in [1, 2, 4, 8] {
-            for morsel in [1usize, 7, 64] {
-                let (parts, stats) =
-                    par_map_morsels_stats(Parallelism::threads(threads), data.len(), morsel, f);
-                assert_eq!(parts.concat(), seq, "threads={threads} morsel={morsel}");
-                assert_eq!(stats.total(), data.len().div_ceil(morsel));
-            }
         }
     }
 

@@ -567,12 +567,6 @@ fn merge_parts(mut parts: Vec<(Vec<Value>, Vec<u128>)>) -> (Vec<Value>, Vec<u128
     (values, weights)
 }
 
-/// One binary hash-join step: joins an accumulated result with a relation.
-/// Shorthand for [`hash_join_step_with`] at the default parallelism.
-pub fn hash_join_step(acc: &JoinResult, rel: &Relation) -> Result<JoinResult> {
-    hash_join_step_with(acc, rel, Parallelism::default())
-}
-
 /// Drives one probe-row range against a [`ProbeIndex`]: projects each
 /// probe row's key via `positions`, hashes it, and calls
 /// `on_match(probe_row, build_row)` for every key match — in probe-row

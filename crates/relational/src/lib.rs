@@ -47,6 +47,11 @@
 //! [`Relation::max_degree`]) skip the sort entirely.  The `*_key` /
 //! `iter_unordered` escape hatches expose the raw hash containers for hot
 //! paths that aggregate further; callers must not let their order escape.
+//! The one reader that does is the `f64` truth sum over a full join
+//! (`dpsyn_query`'s answer functions), whose rounding follows row order, so
+//! a full join is only ever produced by the size-ordered fold — its
+//! physical order is deterministic at every thread count — and never
+//! patched in place (see [`stream`]).
 //!
 //! # Join planning
 //!
@@ -99,13 +104,13 @@
 //! accumulators (an [`AggSummary`]) without building a [`JoinResult`],
 //! pre-filtering probe rows against a blocked Bloom filter built from the
 //! build side's key hashes (no false negatives, so the surviving match
-//! sequence is identical).  The decision is owned by [`AggMode`]
-//! ([`AggMode::from_env`] reads the `DPSYN_AGG_FORCE` environment
-//! variable), recorded on
-//! [`PlanNodeStats::aggregated`], and changes *how much work and memory*
-//! the same numbers cost — never the numbers: every aggregate is
-//! byte-identical to folding the materializing engine's output, which is
-//! retained as the cross-check oracle ([`AggMode::Never`]).
+//! sequence is identical).  The decision is owned by [`AggMode`] — set only
+//! through [`ExecContext::with_agg_mode`] or
+//! [`ShardedSubJoinCache::with_agg_mode`], never from the environment —
+//! recorded on [`PlanNodeStats::aggregated`], and changes *how much work
+//! and memory* the same numbers cost — never the numbers: every aggregate
+//! is byte-identical to folding the materializing engine's output, which
+//! is retained as the cross-check oracle ([`AggMode::Never`]).
 //!
 //! # Parallel execution
 //!
@@ -188,8 +193,8 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hypergraph::JoinQuery;
 pub use instance::{Instance, NeighborEdit};
 pub use join::{
-    fold_order, grouped_join_size, hash_join_step, hash_join_step_agg, hash_join_step_with, join,
-    join_size, join_subset, AggSummary, JoinResult,
+    fold_order, grouped_join_size, hash_join_step_agg, hash_join_step_with, join, join_size,
+    join_subset, AggSummary, JoinResult,
 };
 pub use plan::{
     AggMode, DistinctSketch, JoinPlan, PlanNodeStats, PlanStats, RelationStats, SharedJoinPlan,

@@ -281,36 +281,9 @@ pub enum AggMode {
     /// materialized entry is still read directly when present.
     #[default]
     Auto,
-    /// Force the aggregate fold on every proper sub-join read, even when a
-    /// materialized entry exists (the CI stress setting).  The populate
-    /// skip set equals [`AggMode::Auto`]'s.
-    Always,
     /// Never aggregate: every mask is materialized (the historical
     /// behaviour, kept as the in-process oracle).
     Never,
-}
-
-impl AggMode {
-    /// Reads the policy from the `DPSYN_AGG_FORCE` environment variable
-    /// (`always`, `never` or `auto`, case-insensitive); unset, empty or
-    /// invalid values fall back to [`AggMode::Auto`].  Contexts and
-    /// standalone caches start from this.
-    pub fn from_env() -> Self {
-        std::env::var("DPSYN_AGG_FORCE")
-            .ok()
-            .and_then(|s| AggMode::parse(&s))
-            .unwrap_or_default()
-    }
-
-    /// Parses one `DPSYN_AGG_FORCE` value.
-    fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "always" => Some(AggMode::Always),
-            "never" => Some(AggMode::Never),
-            "auto" => Some(AggMode::Auto),
-            _ => None,
-        }
-    }
 }
 
 /// Per-relation statistics feeding the planner's cost model: exact row
@@ -939,23 +912,6 @@ mod tests {
         inst.relation_mut(0).set(vec![40, 41], 0).unwrap();
         stats.refresh_relation(&inst, 0);
         assert_eq!(stats.rows(0), inst.relation(0).distinct_count());
-    }
-
-    #[test]
-    fn agg_mode_parses_the_env_values_with_an_auto_fallback() {
-        assert_eq!(AggMode::parse("always"), Some(AggMode::Always));
-        assert_eq!(AggMode::parse(" Never\n"), Some(AggMode::Never));
-        assert_eq!(AggMode::parse("AUTO"), Some(AggMode::Auto));
-        assert_eq!(AggMode::parse(""), None);
-        assert_eq!(AggMode::parse("sometimes"), None);
-        assert_eq!(AggMode::default(), AggMode::Auto);
-        // Whatever the environment says (CI exports DPSYN_AGG_FORCE), the
-        // parsed mode agrees with parsing the raw variable.
-        let raw = std::env::var("DPSYN_AGG_FORCE").unwrap_or_default();
-        assert_eq!(
-            AggMode::from_env(),
-            AggMode::parse(&raw).unwrap_or_default()
-        );
     }
 
     #[test]

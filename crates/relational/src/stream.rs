@@ -5,9 +5,8 @@
 //! relations, and historically any real update orphaned every warm cache
 //! under the old instance fingerprint and forced a full lattice rebuild.
 //! This module makes an [`UpdateBatch`] a first-class operation: the cached
-//! `2^m` sub-join intermediates (and the shared full join, which is just the
-//! full-mask entry) are **updated in place**, semi-naive style, instead of
-//! rebuilt.
+//! `2^m` sub-join intermediates are **updated in place**, semi-naive style,
+//! instead of rebuilt.
 //!
 //! # The maintenance identity
 //!
@@ -41,8 +40,8 @@
 //! of any entry or parent — which is what makes single-op batches orders of
 //! magnitude cheaper than a rebuild (`stream/*` rows of `BENCH_join.json`).
 //! Retracted rows are swap-removed; physical row order diverges from a
-//! rebuild's probe order, which is unobservable because every public
-//! [`JoinResult`] surface sorts on emit.  A cost guard drops a mask to the
+//! rebuild's probe order (see "Determinism" below for why that stays
+//! invisible).  A cost guard drops a mask to the
 //! rebuild fallback when its delta-join output rivals the entry size, where
 //! the batched probe loops of a fresh sub-join are cheaper than row-at-a-time
 //! patching — large batches degrade to a rebuild instead of pathologically
@@ -65,10 +64,15 @@
 //!
 //! A maintained entry holds exactly the weighted tuple set a from-scratch
 //! rebuild of the updated instance produces: the additive identity above is
-//! exact over `Z≥0` weights, and every observable surface of
-//! [`JoinResult`] sorts on emit, so downstream bytes are identical to a
-//! cold rebuild at every thread count and morsel size.  The
-//! rebuild path stays available as the cross-check oracle
+//! exact over `Z≥0` weights.  Its *physical* row order is not a rebuild's,
+//! and [`JoinResult::iter_unordered`] exposes that order — an `f64` sum
+//! over it (a truth answer) rounds differently.  Maintained entries are
+//! therefore only ever read as integer aggregates (group weights, join
+//! sizes) or as join inputs, and the context never maintains the full join
+//! that truth answers read: `ExecContext::apply_updates` drops it and the
+//! next `shared_join` recomputes it with the cold fold.  Downstream bytes
+//! are identical to a cold rebuild at every thread count and morsel size.
+//! The rebuild path stays available as the cross-check oracle
 //! ([`apply_batch`] + a fresh context), and `tests/properties.rs` asserts
 //! maintained ≡ rebuilt ≡ naive per mask.
 //!
@@ -408,8 +412,8 @@ pub(crate) fn apply_net_deltas(instance: &mut Instance, deltas: &[RelationDelta]
 /// Applies a batch's validated net `deltas` (from
 /// [`UpdateBatch::net_deltas`], computed once by the caller and shared with
 /// the sketch patch) to `instance` while maintaining `memo` — a sub-join
-/// lattice keyed by relation-subset bitmask (the full-join entry rides
-/// along under the full mask) — in place via the semi-naive identity.
+/// lattice keyed by relation-subset bitmask — in place via the semi-naive
+/// identity.
 ///
 /// On success every surviving memo entry equals (as a weighted tuple set)
 /// the corresponding sub-join of the updated instance.  Entries that hit the
@@ -837,7 +841,7 @@ impl EntryIndex {
 /// Surviving rows keep their physical position, retracted rows are
 /// swap-removed, genuinely new rows are appended — the physical order
 /// differs from a rebuild's probe order, but the weighted tuple *set* is
-/// identical and every observable `JoinResult` surface sorts on emit.
+/// identical (see the module docs on which readers may see the order).
 ///
 /// Returns `None` when the entry must be recomputed instead: saturated
 /// arithmetic was detected (a weight at `u128::MAX`, an addition that would

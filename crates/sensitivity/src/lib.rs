@@ -22,14 +22,16 @@
 //! the [`Parallelism`](dpsyn_relational::Parallelism) knob driving the subset
 //! enumerations and probe loops through the relational engine's worker pool
 //! ([`dpsyn_relational::exec`]), the small-instance sequential fallback
-//! ([`SensitivityConfig::min_par_instance`]), the cost-based **join plan**
-//! that decomposes every sub-join the enumerations materialise
-//! ([`dpsyn_relational::plan`]), and — on a long-lived context
-//! (`dpsyn::Session`) — a **persistent sub-join lattice cache** that makes
-//! repeated sensitivity computations over the same instance near-free.
+//! ([`ExecContext::min_par_instance`](dpsyn_relational::ExecContext::min_par_instance)),
+//! the cost-based **join plan** that decomposes every sub-join the
+//! enumerations materialise ([`dpsyn_relational::plan`]), and — on a
+//! long-lived context (`dpsyn::Session`) — a **persistent sub-join lattice
+//! cache** that makes repeated sensitivity computations over the same
+//! instance near-free.
 //! Results are byte-identical at every parallelism level, on warm or cold
-//! caches, and under every decomposition; the plain free functions use a
-//! throwaway default context.
+//! caches, and under every decomposition.  `ExecContext` is the only place
+//! these execution settings live; the plain free functions use a throwaway
+//! [`ExecContext::default`](dpsyn_relational::ExecContext::default).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +44,6 @@ pub mod global;
 pub mod local;
 pub mod mdeg_bound;
 pub mod residual;
-pub mod settings;
 pub mod smooth;
 
 pub use boundary::{
@@ -55,7 +56,6 @@ pub use global::{global_sensitivity_bound, worst_case_error_exponent};
 pub use local::{local_sensitivity, two_table_local_sensitivity};
 pub use mdeg_bound::{lemma48_mdeg_terms, t_e_mdeg_upper_bound, MdegTerm};
 pub use residual::{all_boundary_values, ls_hat_k, residual_sensitivity, ResidualSensitivity};
-pub use settings::SensitivityConfig;
 pub use smooth::{candidate_edits, is_smooth_upper_bound, smooth_sensitivity_bruteforce};
 
 /// Result alias for this crate.

@@ -14,24 +14,21 @@
 //! `Δ = max_b max{deg_{1,B}(b), deg_{2,B}(b)}`.
 
 use dpsyn_relational::degree::two_table_max_shared_degree;
-use dpsyn_relational::{Instance, JoinQuery, Keep, Parallelism, ShardedSubJoinCache};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery, Keep, Parallelism, ShardedSubJoinCache};
 
 use crate::boundary::boundary_query;
 use crate::context_ext::SensitivityOps;
-use crate::settings::SensitivityConfig;
 use crate::Result;
 
 /// Local sensitivity `LS_count(I) = max_i T_{[m]∖{i}}(I)` of the counting
-/// query, at the default execution settings.
+/// query, on [`ExecContext::default`].
 ///
 /// The `m` size-`(m-1)` sub-joins overlap heavily, so they are evaluated
 /// through the context's shared sub-join lattice.  Builds a throwaway
-/// context per call; hold an [`dpsyn_relational::ExecContext`] (or a `dpsyn::Session`)
-/// to reuse the sub-join lattice across calls.
+/// context per call; hold an [`ExecContext`] (or a `dpsyn::Session`) to
+/// reuse the sub-join lattice across calls.
 pub fn local_sensitivity(query: &JoinQuery, instance: &Instance) -> Result<u128> {
-    SensitivityConfig::default()
-        .to_context()
-        .local_sensitivity(query, instance)
+    ExecContext::default().local_sensitivity(query, instance)
 }
 
 /// The historical single-threaded path (also the m ≥ 32 fallback, which
@@ -137,7 +134,7 @@ mod tests {
 
     #[test]
     fn parallel_local_sensitivity_matches_sequential() {
-        // Sized past MIN_PAR_INSTANCE so the pool path actually runs.
+        // Sized past DEFAULT_MIN_PAR_INSTANCE so the pool path actually runs.
         let q = JoinQuery::star(4, 64).unwrap();
         let mut inst = Instance::empty_for(&q).unwrap();
         for r in 0..4usize {
@@ -149,13 +146,11 @@ mod tests {
                 }
             }
         }
-        let seq = SensitivityConfig::sequential()
-            .to_context()
+        let seq = ExecContext::sequential()
             .local_sensitivity(&q, &inst)
             .unwrap();
         for threads in [2usize, 4, 7] {
-            let par = SensitivityConfig::with_threads(threads)
-                .to_context()
+            let par = ExecContext::with_threads(threads)
                 .local_sensitivity(&q, &inst)
                 .unwrap();
             assert_eq!(par, seq, "threads {threads}");

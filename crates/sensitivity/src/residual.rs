@@ -45,12 +45,11 @@
 
 use std::collections::BTreeMap;
 
-use dpsyn_relational::{Instance, JoinQuery, Parallelism, ShardedSubJoinCache};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery, Parallelism, ShardedSubJoinCache};
 
 use crate::boundary::boundary_query_sharded;
 use crate::context_ext::SensitivityOps;
 use crate::error::SensitivityError;
-use crate::settings::SensitivityConfig;
 use crate::Result;
 
 /// The result of a residual-sensitivity computation, retaining the
@@ -231,9 +230,9 @@ pub(crate) fn maximize_over_assignments(
     (best_value, best_distance)
 }
 
-/// Computes the residual sensitivity `RS^β_count(I)` at the default
-/// execution settings ([`SensitivityConfig::default`]: available cores,
-/// byte-identical to the sequential path).  Builds a throwaway context per
+/// Computes the residual sensitivity `RS^β_count(I)` on
+/// [`ExecContext::default`] (available cores, byte-identical to the
+/// sequential path).  Builds a throwaway context per
 /// call; hold an [`dpsyn_relational::ExecContext`] (or a `dpsyn::Session`)
 /// to reuse the sub-join lattice across calls.
 pub fn residual_sensitivity(
@@ -241,9 +240,7 @@ pub fn residual_sensitivity(
     instance: &Instance,
     beta: f64,
 ) -> Result<ResidualSensitivity> {
-    SensitivityConfig::default()
-        .to_context()
-        .residual_sensitivity(query, instance, beta)
+    ExecContext::default().residual_sensitivity(query, instance, beta)
 }
 
 /// The quantity `L̂S^k(I)` of Definition 3.6: the maximum local sensitivity
@@ -522,7 +519,7 @@ mod tests {
 
     #[test]
     fn parallel_enumeration_matches_sequential() {
-        // Large enough (≥ MIN_PAR_INSTANCE distinct tuples) that the
+        // Large enough (≥ DEFAULT_MIN_PAR_INSTANCE distinct tuples) that the
         // multi-thread calls really take the sharded-cache path instead of
         // the small-instance sequential fallback.
         let q = JoinQuery::star(4, 64).unwrap();
@@ -537,12 +534,11 @@ mod tests {
             }
         }
         let beta = 0.3;
-        let seq = SensitivityConfig::sequential()
-            .to_context()
+        let seq = ExecContext::sequential()
             .residual_sensitivity(&q, &inst, beta)
             .unwrap();
         for threads in [2usize, 4, 8] {
-            let ctx = SensitivityConfig::with_threads(threads).to_context();
+            let ctx = ExecContext::with_threads(threads);
             let bv = ctx.all_boundary_values(&q, &inst).unwrap();
             assert_eq!(bv, seq.boundary_values, "threads {threads}");
             let par = ctx.residual_sensitivity(&q, &inst, beta).unwrap();
@@ -689,8 +685,7 @@ mod tests {
                     continue;
                 }
                 for threads in [1usize, 4] {
-                    let rs = SensitivityConfig::with_threads(threads)
-                        .to_context()
+                    let rs = ExecContext::with_threads(threads)
                         .residual_sensitivity(&q, &inst, beta)
                         .unwrap();
                     assert_same(

@@ -14,13 +14,12 @@
 
 use std::collections::BTreeSet;
 
-use dpsyn_relational::{exec, Instance, JoinQuery, NeighborEdit, Value};
+use dpsyn_relational::{exec, ExecContext, Instance, JoinQuery, NeighborEdit, Value};
 
 use crate::context_ext::SensitivityOps;
 use crate::error::SensitivityError;
 use crate::local::{local_sensitivity, local_sensitivity_seq};
 use crate::residual::check_beta;
-use crate::settings::SensitivityConfig;
 use crate::Result;
 
 /// Cap on the candidate additions [`candidate_edits`] generates per relation.
@@ -174,7 +173,7 @@ pub fn smooth_sensitivity_bruteforce(
     max_radius: usize,
 ) -> Result<f64> {
     check_beta(beta)?;
-    let ctx = SensitivityConfig::default().to_context();
+    let ctx = ExecContext::default();
     let mut frontier = vec![instance.clone()];
     let mut best = ctx.local_sensitivity(query, instance)? as f64;
     let mut result = best;

@@ -23,8 +23,8 @@ fn main() {
         instance.relation_mut(1).add(vec![b, b], 1).unwrap();
     }
 
-    // 3. One long-lived session owns parallelism, sensitivity settings and
-    //    the persistent sub-join caches for everything below.
+    // 3. One long-lived session owns one execution context — parallelism
+    //    and the persistent sub-join caches — for everything below.
     let session = Session::new();
     println!("input size         : {}", instance.input_size());
     println!(

@@ -13,7 +13,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`session`] | (this crate) | [`Session`] + [`ReleaseRequest`]: the long-lived entry point owning parallelism, sensitivity settings and the persistent sub-join caches |
+//! | [`session`] | (this crate) | [`Session`] + [`ReleaseRequest`]: the long-lived entry point owning one `ExecContext`: parallelism, the other execution settings and the persistent sub-join caches |
 //! | [`relational`] | `dpsyn-relational` | schemas, annotated relations, join hypergraphs, the hash-join engine (columnar `JoinResult`, inline `TupleKey`), the `ExecContext` execution layer, the `ShardedSubJoinCache` for subset enumerations, degrees, attribute trees, plus the retained `naive` reference engine |
 //! | [`noise`] | `dpsyn-noise` | Laplace / truncated Laplace, exponential mechanism, privacy budgets & composition |
 //! | [`sensitivity`] | `dpsyn-sensitivity` | local, global, and residual sensitivity; maximum degrees; degree configurations |
@@ -151,8 +151,8 @@
 //! the lattice once.  Lattice masks whose tuples
 //! nobody reads — the terminal subsets consumed only as join sizes and
 //! boundary maxima — are not materialised at all: the cache's
-//! **aggregate-pushdown mode** ([`relational::AggMode`], the
-//! `DPSYN_AGG_FORCE` environment variable) streams their hash-probe
+//! **aggregate-pushdown mode** ([`relational::AggMode::Auto`], the default;
+//! `AggMode::Never` is the materializing test oracle) streams their hash-probe
 //! matches straight into grouped saturating accumulators behind a blocked
 //! Bloom semi-join pre-filter, cutting resident bytes
 //! ([`Session::cached_subjoin_bytes`], the `agg/*` rows of
@@ -197,7 +197,6 @@ pub mod prelude {
         UpdateOp, UpdateReport,
     };
     pub use dpsyn_sensitivity::{
-        local_sensitivity, residual_sensitivity, ResidualSensitivity, SensitivityConfig,
-        SensitivityOps,
+        local_sensitivity, residual_sensitivity, ResidualSensitivity, SensitivityOps,
     };
 }

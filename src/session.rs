@@ -1,11 +1,9 @@
 //! The [`Session`] API: one long-lived entry point for the whole pipeline.
 //!
-//! A session owns everything that used to travel through ad-hoc knobs —
-//! the [`Parallelism`] level, the [`SensitivityConfig`], and a persistent,
-//! instance-fingerprinted sub-join cache (an [`ExecContext`] under the
-//! hood) — and
-//! exposes the paper's six release algorithms behind the object-safe
-//! [`Mechanism`] trait:
+//! A session owns one [`ExecContext`] — the [`Parallelism`] level, the
+//! engine's other execution settings, and a persistent,
+//! instance-fingerprinted sub-join cache — and exposes the paper's six
+//! release algorithms behind the object-safe [`Mechanism`] trait:
 //!
 //! ```no_run
 //! use dpsyn::prelude::*;
@@ -40,8 +38,8 @@
 //! checked into the session after every call and checked back out by the
 //! next one, and the full join used for truth evaluation is kept
 //! alongside.  A session keeps a small **LRU of per-instance slots**
-//! (default [`dpsyn_relational::DEFAULT_CACHE_SLOTS`], configurable via
-//! [`SensitivityConfig::with_cache_slots`]), each keyed by a structural
+//! ([`dpsyn_relational::DEFAULT_CACHE_SLOTS`]; a bare context sets its own
+//! with [`ExecContext::with_cache_slots`]), each keyed by a structural
 //! fingerprint of the data
 //! ([`dpsyn_relational::instance_fingerprint`]): repeat releases,
 //! sensitivity sweeps over `β`, workload evaluations, and interleaved calls
@@ -91,7 +89,7 @@ use dpsyn_query::{AnswerOps, AnswerSet, ProductQuery, QueryFamily};
 use dpsyn_relational::{
     ExecContext, Instance, JoinQuery, Parallelism, PlanStats, UpdateBatch, UpdateReport,
 };
-use dpsyn_sensitivity::{ResidualSensitivity, SensitivityConfig, SensitivityOps};
+use dpsyn_sensitivity::{ResidualSensitivity, SensitivityOps};
 
 /// Everything one release needs, bundled: the join query, the private
 /// instance, the query workload, the privacy budget, and the RNG seed that
@@ -159,13 +157,12 @@ impl<'a> ReleaseRequest<'a> {
     }
 }
 
-/// A long-lived execution session: owns the parallelism knob, the
-/// sensitivity settings and the persistent sub-join caches, and runs every
+/// A long-lived execution session: owns an [`ExecContext`] (the
+/// parallelism knob and the persistent sub-join caches) and runs every
 /// release algorithm through [`Session::release`].  See the module docs for
 /// the cache-reuse and determinism contract.
 #[derive(Debug)]
 pub struct Session {
-    config: SensitivityConfig,
     ctx: ExecContext,
 }
 
@@ -179,32 +176,24 @@ impl Session {
     /// A session at the environment's default parallelism (available cores,
     /// or the `DPSYN_THREADS` environment variable).
     pub fn new() -> Self {
-        Session::with_config(SensitivityConfig::default())
+        Session {
+            ctx: ExecContext::default(),
+        }
     }
 
     /// A strictly sequential session (one worker, no spawned threads) —
     /// the exact historical single-threaded code paths.
     pub fn sequential() -> Self {
-        Session::with_config(SensitivityConfig::sequential())
+        Session {
+            ctx: ExecContext::sequential(),
+        }
     }
 
     /// A session with exactly `n` worker threads.
     pub fn with_threads(n: usize) -> Self {
-        Session::with_config(SensitivityConfig::with_threads(n))
-    }
-
-    /// A session with explicit execution settings (parallelism and the
-    /// small-instance sequential-fallback threshold).
-    pub fn with_config(config: SensitivityConfig) -> Self {
         Session {
-            config,
-            ctx: config.to_context(),
+            ctx: ExecContext::with_threads(n),
         }
-    }
-
-    /// The session's execution settings.
-    pub fn config(&self) -> SensitivityConfig {
-        self.config
     }
 
     /// The session's parallelism level.
@@ -405,6 +394,7 @@ impl Session {
 mod tests {
     use super::*;
     use dpsyn_core::{MultiTable, TwoTable};
+    use rand::Rng;
 
     fn fixture() -> (JoinQuery, Instance) {
         let q = JoinQuery::two_table(8, 8, 8);
@@ -453,9 +443,10 @@ mod tests {
         let request = ReleaseRequest::new(&q, &inst, &workload, params).with_seed(2);
 
         session.release(&MultiTable::default(), &request).unwrap();
-        // Under DPSYN_AGG_FORCE=always every proper mask folds count-only,
-        // so the persisted entries may all be aggregate summaries.
-        assert!(session.cached_subjoins() + session.cached_subjoin_aggregates() > 0);
+        // `Auto` keeps the chain parents as tuples and folds the terminal
+        // masks count-only: both kinds persist.
+        assert!(session.cached_subjoins() > 0);
+        assert!(session.cached_subjoin_aggregates() > 0);
         let (hits_before, _) = session.cache_stats();
         session.release(&MultiTable::default(), &request).unwrap();
         let (hits_after, _) = session.cache_stats();
@@ -501,11 +492,29 @@ mod tests {
         // planner; the stats now expose the materialised intermediates.
         session.residual_sensitivity(&q, &inst, 0.5).unwrap();
         let warm = session.plan_stats(&q, &inst).unwrap();
-        // Under DPSYN_AGG_FORCE=always the intermediates live in the
-        // count-only overlay instead of the materialised memo; either kind
-        // of entry proves the lattice got populated.
-        assert!(warm.cached_masks + warm.aggregated_masks > 0);
+        assert!(warm.cached_masks > 0);
+        assert!(warm.aggregated_masks > 0);
         assert!(warm.nodes.iter().any(|n| n.actual_rows.is_some()));
+    }
+
+    /// Product queries of two sparse components with weights uniform in
+    /// `[-1, 1)`: their truth answers are `f64` sums whose rounding depends
+    /// on the order the full join's rows are visited.
+    fn fractional_workload(q: &JoinQuery, size: usize, seed: u64) -> QueryFamily {
+        let mut rng = seeded_rng(seed);
+        let mut component = |domain: u64| {
+            let mut weights = std::collections::BTreeMap::new();
+            for a in 0..domain {
+                for b in 0..domain {
+                    weights.insert(vec![a, b], rng.random::<f64>() * 2.0 - 1.0);
+                }
+            }
+            dpsyn_query::RelationQuery::sparse(weights, 0.0).unwrap()
+        };
+        let queries = (0..size)
+            .map(|_| ProductQuery::new(vec![component(8), component(8)]))
+            .collect();
+        QueryFamily::new(q, queries).unwrap()
     }
 
     #[test]
@@ -514,9 +523,12 @@ mod tests {
         let params = PrivacyParams::new(1.0, 1e-5).unwrap();
         let warm = Session::sequential();
         let workload = warm.random_sign_workload(&q, 8, 3).unwrap();
-        // Warm the session with a release, then stream a batch through it.
+        let fractional = fractional_workload(&q, 8, 5);
+        // Warm the session with a release and truth answers, then stream a
+        // batch through it.
         let before = ReleaseRequest::new(&q, &base, &workload, params).with_seed(4);
         warm.release(&MultiTable::default(), &before).unwrap();
+        warm.answer_truth(&q, &base, &fractional).unwrap();
         let mut inst = base.clone();
         let mut batch = UpdateBatch::new();
         batch.insert(0, vec![7, 1], 2);
@@ -538,6 +550,15 @@ mod tests {
         assert_eq!(
             via_warm.answer_all(&workload).unwrap().values(),
             via_cold.answer_all(&workload).unwrap().values()
+        );
+        // Exact truth answers over the maintained slot round exactly as a
+        // cold session's: compare bits, not approximate values.
+        let bits = |answers: AnswerSet| -> Vec<u64> {
+            answers.values().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(warm.answer_truth(&q, &inst, &fractional).unwrap()),
+            bits(cold.answer_truth(&q, &cold_inst, &fractional).unwrap())
         );
     }
 }

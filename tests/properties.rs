@@ -15,9 +15,7 @@ use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive, join_s
 use dpsyn_relational::{
     deg_multi, join_subset, JoinResult, Keep, NeighborEdit, ShardedSubJoinCache, Value,
 };
-use dpsyn_sensitivity::{
-    all_boundary_values, candidate_edits, ls_hat_k, SensitivityConfig, SensitivityOps,
-};
+use dpsyn_sensitivity::{all_boundary_values, candidate_edits, ls_hat_k, SensitivityOps};
 use std::sync::Arc;
 
 const CASES: u64 = 24;
@@ -237,12 +235,12 @@ fn parallel_sensitivity_matches_sequential_and_naive() {
     for seed in 0..3u64 {
         let (query, inst) = random_star(4, 64, 800, 0.5, &mut seeded_rng(9500 + seed));
         let beta = 0.1 + (seed as f64) / 10.0;
-        let seq_ctx = SensitivityConfig::sequential().to_context();
+        let seq_ctx = ExecContext::sequential();
         let seq_bv = all_boundary_values(&query, &inst).unwrap();
         let seq_rs = seq_ctx.residual_sensitivity(&query, &inst, beta).unwrap();
         let seq_ls = seq_ctx.local_sensitivity(&query, &inst).unwrap();
         for threads in [2usize, 4] {
-            let ctx = SensitivityConfig::with_threads(threads).to_context();
+            let ctx = ExecContext::with_threads(threads);
             let par_bv = ctx.all_boundary_values(&query, &inst).unwrap();
             assert_eq!(par_bv, seq_bv, "seed {seed}, threads {threads}");
             let par_rs = ctx.residual_sensitivity(&query, &inst, beta).unwrap();
@@ -548,7 +546,7 @@ fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
             let naive_size = join_size_naive(query, inst).unwrap();
             let oracle_rs = residual_sensitivity(query, inst, 0.4).unwrap();
             let oracle_ls = local_sensitivity(query, inst).unwrap();
-            for mode in [AggMode::Never, AggMode::Auto, AggMode::Always] {
+            for mode in [AggMode::Never, AggMode::Auto] {
                 for threads in [1usize, 2, 4, 8] {
                     let ctx = ExecContext::with_threads(threads)
                         .with_min_par_instance(1)
@@ -596,7 +594,7 @@ fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
     inst.relation_mut(2).add(vec![0, 0], 1).unwrap();
     let naive_bv = all_boundary_values_naive(&query, &inst).unwrap();
     assert_eq!(naive_bv[&vec![0usize, 1]], u128::MAX, "fixture saturates");
-    for mode in [AggMode::Never, AggMode::Auto, AggMode::Always] {
+    for mode in [AggMode::Never, AggMode::Auto] {
         for threads in [1usize, 2, 4] {
             let ctx = ExecContext::with_threads(threads)
                 .with_min_par_instance(1)
@@ -973,17 +971,19 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
             // maximal-interleaving case): per-morsel row dumps concatenate
             // to exactly the sequential emission.
             let rows: Vec<(Vec<Value>, u128)> = seq.iter().map(|(t, w)| (t.to_vec(), w)).collect();
-            for threads in [1usize, 2, 4, 8] {
-                for morsel in [1usize, 7, 64] {
-                    let (parts, stats) = exec::par_map_morsels_stats(
-                        Parallelism::threads(threads),
-                        rows.len(),
-                        morsel,
-                        |r| rows[r].to_vec(),
-                    );
+            for morsel in [1usize, 7, 64] {
+                let morsels: Vec<std::ops::Range<usize>> = (0..rows.len())
+                    .step_by(morsel)
+                    .map(|start| start..(start + morsel).min(rows.len()))
+                    .collect();
+                for threads in [1usize, 2, 4, 8] {
+                    let (parts, stats) =
+                        exec::par_map_stats(Parallelism::threads(threads), morsels.len(), |i| {
+                            rows[morsels[i].clone()].to_vec()
+                        });
                     let merged: Vec<(Vec<Value>, u128)> = parts.into_iter().flatten().collect();
                     assert_eq!(merged, rows, "{shape}, threads {threads}, morsel {morsel}");
-                    assert_eq!(stats.total(), rows.len().div_ceil(morsel).max(1));
+                    assert_eq!(stats.total(), rows.len().div_ceil(morsel));
                 }
             }
         }

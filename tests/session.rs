@@ -271,7 +271,7 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
             Arc::new(inst)
         })
         .collect();
-    // Checkouts materialise every proper mask, whatever DPSYN_AGG_FORCE says.
+    // `Never`: checkouts materialise every proper mask.
     let ctx = Arc::new(
         ExecContext::sequential()
             .with_cache_slots(2)
