@@ -3,7 +3,8 @@
 //! from-scratch recomputation, across star sizes `m`, plus the end-to-end
 //! `residual_sensitivity` call that dominates the multi-table release, plus
 //! worker-pool thread scaling (1 vs N threads over the same enumeration),
-//! plus the `RS^β` sweep alone at the small β of the hierarchical release.
+//! plus the `RS^β` sweep alone at the small β of the hierarchical release
+//! and at β = 1e-6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsyn_datagen::random_star;
@@ -132,8 +133,13 @@ fn bench_sweep(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     // s_cap = ⌈1/β⌉ = 374: a hierarchical-release part's β, where the sweep
     // (not the lattice) is the cost.  `residual/end_to_end` runs at s_cap 14.
-    let beta = 1.0 / 373.6;
-    for &(m, tuples, seed) in &[(3usize, 3000usize, 70u64), (4, 1000, 71)] {
+    // At β = 1e-6 (s_cap 10^6) the dense sweep would visit ~10^12 points;
+    // the pruned sweep bounds 3·10^6 rows and walks the flat plateaus.
+    for &(name, beta, m, tuples, seed) in &[
+        ("s_cap_374", 1.0 / 373.6, 3usize, 3000usize, 70u64),
+        ("s_cap_374", 1.0 / 373.6, 4, 1000, 71),
+        ("beta_1e-6", 1e-6, 3, 3000, 70),
+    ] {
         let mut rng = seeded_rng(seed);
         let (query, instance) = random_star(m, 8, tuples, 0.8, &mut rng);
         // Warm the lattice once, so every timed call reads it from the
@@ -146,9 +152,9 @@ fn bench_sweep(c: &mut Criterion) {
             .unwrap();
         assert_eq!(
             warm, fresh,
-            "warm sweep must equal a fresh context's, m {m}"
+            "warm sweep must equal a fresh context's, {name} m {m}"
         );
-        group.bench_with_input(BenchmarkId::new("s_cap_374", m), &m, |b, _| {
+        group.bench_with_input(BenchmarkId::new(name, m), &m, |b, _| {
             b.iter(|| {
                 ctx.residual_sensitivity(&query, &instance, beta)
                     .unwrap()
