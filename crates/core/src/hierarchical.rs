@@ -247,7 +247,9 @@ impl HierarchicalRelease {
     /// lattice decomposes along the planner's smallest intermediates), and
     /// **repeated** releases over the same instance and seed (which
     /// re-derive the same parts) find up to
-    /// [`dpsyn_relational::DEFAULT_CACHE_SLOTS`] of them warm.  Raise the
+    /// [`dpsyn_relational::DEFAULT_CACHE_SLOTS`] of them warm, each with
+    /// its `count(I)`, true answers, `RS^β` and partition degree map
+    /// memoised in its slot ([`ExecContext::slot_memo`]).  Raise the
     /// slot capacity ([`ExecContext::with_cache_slots`]) to cover larger
     /// partitions.
     pub fn release_in<R: Rng>(

@@ -271,34 +271,76 @@ mod tests {
             && a.parts() == b.parts()
     }
 
-    /// Releases `mechanism` at `seed` through a fresh context and through a
-    /// context warmed by one release, asserting both equal the oracle.
-    fn assert_matches_oracle(
-        mechanism: &dyn Mechanism,
-        query: &JoinQuery,
-        instance: &Instance,
-        family: &QueryFamily,
+    /// One release configuration the oracle tests check.
+    struct Case<'a> {
+        label: &'static str,
+        mechanism: &'a dyn Mechanism,
+        query: &'a JoinQuery,
+        instance: &'a Instance,
+        family: &'a QueryFamily,
         params: PrivacyParams,
-        label: &str,
-    ) {
-        let release = |ctx: &ExecContext, seed: u64| {
-            mechanism
-                .release_ctx(ctx, query, instance, family, params, &mut seeded_rng(seed))
+    }
+
+    /// One case per workload of `workloads`.
+    fn cases<'a>(
+        mechanism: &'a dyn Mechanism,
+        query: &'a JoinQuery,
+        instance: &'a Instance,
+        workloads: &'a [(&'static str, QueryFamily)],
+        params: PrivacyParams,
+    ) -> impl Iterator<Item = Case<'a>> {
+        workloads.iter().map(move |(label, family)| Case {
+            label,
+            mechanism,
+            query,
+            instance,
+            family,
+            params,
+        })
+    }
+
+    impl Case<'_> {
+        fn release(&self, ctx: &ExecContext, seed: u64) -> SyntheticRelease {
+            let (q, i, f) = (self.query, self.instance, self.family);
+            self.mechanism
+                .release_ctx(ctx, q, i, f, self.params, &mut seeded_rng(seed))
                 .unwrap()
-        };
-        let oracle_ctx = ExecContext::sequential();
-        for seed in [3u64, 17] {
-            let expected = with_dense_oracle(|| release(&oracle_ctx, seed));
-            for threads in [1usize, 2, 8] {
-                let ctx = ExecContext::with_threads(threads);
-                let cold = release(&ctx, seed);
-                let warm = release(&ctx, seed);
-                for (state, got) in [("cold", cold), ("warm", warm)] {
-                    assert!(
-                        same_release(&got, &expected),
-                        "{label}: {} seed {seed} threads {threads} {state} differs from the oracle",
-                        mechanism.name()
-                    );
+        }
+    }
+
+    /// Asserts every release of `cases` equals the dense oracle's bytes.
+    ///
+    /// The oracle releases on a fresh context each time, so it shares no
+    /// memo with anything.  The releases under test share one context per
+    /// thread count and run every case twice, interleaved as A, B, …, A, B:
+    /// each case's workload replaces the previous one's memoised weights and
+    /// true answers, the second seed of a case hits them, and the second
+    /// pass finds them replaced again.
+    fn assert_match_oracle(cases: &[Case<'_>]) {
+        let seeds = [3u64, 17];
+        let expected: Vec<Vec<SyntheticRelease>> = cases
+            .iter()
+            .map(|case| {
+                seeds
+                    .iter()
+                    .map(|&seed| {
+                        with_dense_oracle(|| case.release(&ExecContext::sequential(), seed))
+                    })
+                    .collect()
+            })
+            .collect();
+        for threads in [1usize, 2, 8] {
+            let ctx = ExecContext::with_threads(threads);
+            for pass in 0..2 {
+                for (case, expected) in cases.iter().zip(&expected) {
+                    for (&seed, expected) in seeds.iter().zip(expected) {
+                        assert!(
+                            same_release(&case.release(&ctx, seed), expected),
+                            "{}: {} seed {seed} threads {threads} pass {pass} differs from the oracle",
+                            case.label,
+                            case.mechanism.name()
+                        );
+                    }
                 }
             }
         }
@@ -314,20 +356,19 @@ mod tests {
             Box::new(HierarchicalRelease::default()),
             Box::new(UniformizedTwoTable::default()),
         ];
-        for (label, family) in workloads(&q2) {
-            for m in &two_table_mechanisms {
-                assert_matches_oracle(m.as_ref(), &q2, &i2, &family, params, label);
-            }
-        }
         // Each hierarchical part gets ε/G, and the residual sweep over three
         // relations grows with (G/ε)²; a larger ε keeps the star's one fast.
         let (q3, i3) = star();
         let generous = PrivacyParams::new(24.0, 1e-5).unwrap();
-        for (label, family) in workloads(&q3) {
-            assert_matches_oracle(&MultiTable::default(), &q3, &i3, &family, params, label);
-            let hier = HierarchicalRelease::default();
-            assert_matches_oracle(&hier, &q3, &i3, &family, generous, label);
-        }
+        let (multi, hier) = (MultiTable::default(), HierarchicalRelease::default());
+        let (w2, w3) = (workloads(&q2), workloads(&q3));
+        let mut all: Vec<Case<'_>> = two_table_mechanisms
+            .iter()
+            .flat_map(|m| cases(m.as_ref(), &q2, &i2, &w2, params))
+            .collect();
+        all.extend(cases(&multi, &q3, &i3, &w3, params));
+        all.extend(cases(&hier, &q3, &i3, &w3, generous));
+        assert_match_oracle(&all);
     }
 
     #[test]
@@ -339,22 +380,20 @@ mod tests {
         inst.relation_mut(0).add(vec![1, 6], 3).unwrap();
         inst.relation_mut(2).add(vec![1, 9], 1).unwrap();
         let params = PrivacyParams::new(2.0, 1e-5).unwrap();
-        for (label, family) in workloads(&q) {
-            assert_matches_oracle(&MultiTable::default(), &q, &inst, &family, params, label);
-        }
+        let (mechanism, workloads) = (MultiTable::default(), workloads(&q));
+        assert_match_oracle(&cases(&mechanism, &q, &inst, &workloads, params).collect::<Vec<_>>());
     }
 
     #[test]
     fn histogram_answers_match_per_query_weight_vectors() {
         for (q, inst) in [two_table(), star()] {
-            let join = join(&q, &inst).unwrap();
-            let mut nonuniform = Histogram::zeros(&q, DEFAULT_MAX_CELLS).unwrap();
-            nonuniform
-                .accumulate(&Histogram::from_join(&q, &join, DEFAULT_MAX_CELLS).unwrap())
-                .unwrap();
-            nonuniform
-                .accumulate(&Histogram::uniform(&q, 0.5, DEFAULT_MAX_CELLS).unwrap())
-                .unwrap();
+            // The join's mass, moved off uniform by one MW step on a sign
+            // query.
+            let count = join(&q, &inst).unwrap().total() as f64;
+            let mut nonuniform = Histogram::uniform(&q, count, DEFAULT_MAX_CELLS).unwrap();
+            let sign = QueryFamily::random_sign(&q, 2, &mut seeded_rng(9)).unwrap();
+            let step = dense_weight_vector(&nonuniform, &q, sign.query(1));
+            nonuniform.multiplicative_update(&step, 0.5);
             let empty = Histogram::zeros(&q, DEFAULT_MAX_CELLS).unwrap();
             for h in [nonuniform, empty] {
                 for (label, family) in workloads(&q) {

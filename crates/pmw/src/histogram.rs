@@ -21,7 +21,7 @@
 //! each cell's joint tuple directly.
 
 use dpsyn_query::{ProductQuery, QueryFamily};
-use dpsyn_relational::{AttrId, JoinQuery, JoinResult, Value};
+use dpsyn_relational::{AttrId, JoinQuery, Value};
 use rand::Rng;
 
 use crate::error::PmwError;
@@ -73,31 +73,14 @@ impl Histogram {
         Ok(h)
     }
 
-    /// Builds the dense histogram of a join result (the non-private `Join_I`).
-    pub fn from_join(query: &JoinQuery, join_result: &JoinResult, max_cells: u128) -> Result<Self> {
-        let mut h = Self::zeros(query, max_cells)?;
-        // The join result attributes must equal the full attribute set for a
-        // direct copy; project up otherwise (attributes absent from the result
-        // would be ambiguous, so require equality).
-        if join_result.attrs() != h.attrs.as_slice() {
-            return Err(PmwError::InvalidConfig(format!(
-                "join result attributes {:?} do not cover the full schema {:?}",
-                join_result.attrs(),
-                h.attrs
-            )));
-        }
-        // Distinct join tuples map to distinct cells, so iteration order
-        // cannot affect the result — use the sort-free iterator.
-        for (tuple, weight) in join_result.iter_unordered() {
-            let idx = h.index_of(tuple);
-            h.weights[idx] += weight as f64;
-        }
-        Ok(h)
-    }
-
     /// The attribute list the histogram ranges over.
     pub fn attrs(&self) -> &[AttrId] {
         &self.attrs
+    }
+
+    /// The domain size of each attribute of [`Histogram::attrs`].
+    pub(crate) fn dims(&self) -> &[u64] {
+        &self.dims
     }
 
     /// Number of cells `|dom(x)|`.
@@ -131,13 +114,22 @@ impl Histogram {
         Factorization::new(query, &self.attrs, &self.dims)
     }
 
-    /// The linear index of a joint tuple.
-    pub fn index_of(&self, tuple: &[Value]) -> usize {
-        let mut idx = 0usize;
-        for (pos, &v) in tuple.iter().enumerate() {
-            idx = idx * self.dims[pos] as usize + v as usize;
+    /// The linear index of a joint tuple, or `None` when the tuple's arity
+    /// differs from the histogram's or a value lies outside its attribute's
+    /// domain (such a tuple has no cell).
+    pub fn index_of(&self, tuple: &[Value]) -> Option<usize> {
+        if tuple.len() != self.dims.len() {
+            return None;
         }
-        idx
+        let mut idx = 0usize;
+        for (&v, &d) in tuple.iter().zip(&self.dims) {
+            let d = d.max(1);
+            if v >= d {
+                return None;
+            }
+            idx = idx * d as usize + v as usize;
+        }
+        Some(idx)
     }
 
     /// The joint tuple at a linear index.
@@ -151,9 +143,9 @@ impl Histogram {
         out
     }
 
-    /// The weight of a joint tuple.
+    /// The weight of a joint tuple: `0.0` for a tuple outside the domain.
     pub fn weight(&self, tuple: &[Value]) -> f64 {
-        self.weights[self.index_of(tuple)]
+        self.index_of(tuple).map_or(0.0, |idx| self.weights[idx])
     }
 
     /// Computes the per-cell weight vector `x ↦ Π_i q_i(π_{x_i} x)` of a
@@ -279,12 +271,7 @@ impl Histogram {
 mod tests {
     use super::*;
     use dpsyn_query::{JointEvaluator, RelationQuery};
-    use dpsyn_relational::{Instance, Relation};
     use rand::SeedableRng;
-
-    fn ids(v: &[u16]) -> Vec<AttrId> {
-        v.iter().map(|&x| AttrId(x)).collect()
-    }
 
     fn tiny_query() -> JoinQuery {
         JoinQuery::two_table(3, 4, 5)
@@ -316,42 +303,34 @@ mod tests {
         let h = Histogram::zeros(&q, DEFAULT_MAX_CELLS).unwrap();
         for idx in 0..h.len() {
             let t = h.tuple_of(idx);
-            assert_eq!(h.index_of(&t), idx);
+            assert_eq!(h.index_of(&t), Some(idx));
             assert!(t[0] < 3 && t[1] < 4 && t[2] < 5);
         }
     }
 
-    fn small_instance(_q: &JoinQuery) -> Instance {
-        let r1 = Relation::from_tuples(
-            ids(&[0, 1]),
-            vec![(vec![0, 0], 1), (vec![1, 0], 2), (vec![2, 1], 1)],
-        )
-        .unwrap();
-        let r2 = Relation::from_tuples(
-            ids(&[1, 2]),
-            vec![(vec![0, 0], 1), (vec![0, 1], 1), (vec![1, 3], 3)],
-        )
-        .unwrap();
-        Instance::new(vec![r1, r2])
-    }
-
+    /// A tuple outside the domain, or of the wrong arity, has no cell: it
+    /// must not alias an in-domain cell or panic.
     #[test]
-    fn from_join_matches_sparse_result_and_answers_agree() {
-        let q = tiny_query();
-        let inst = small_instance(&q);
-        let join = dpsyn_relational::join(&q, &inst).unwrap();
-        let h = Histogram::from_join(&q, &join, DEFAULT_MAX_CELLS).unwrap();
-        assert!((h.total() - join.total() as f64).abs() < 1e-9);
-        assert_eq!(h.weight(&[1, 0, 1]), 2.0);
-        // Query answers over the dense histogram match answers over the
-        // sparse join result.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let family = QueryFamily::random_sign(&q, 10, &mut rng).unwrap();
-        let sparse = family.answer_all_on_join(&q, &join).unwrap();
-        let dense = h.answer_all(&q, &family).unwrap();
-        for (i, d) in dense.iter().enumerate() {
-            assert!((sparse.get(i) - d).abs() < 1e-9);
+    fn out_of_domain_tuples_have_no_cell() {
+        let q = JoinQuery::star(2, 8).unwrap();
+        let mut h = Histogram::zeros(&q, DEFAULT_MAX_CELLS).unwrap();
+        assert_eq!(h.dims(), &[8, 8, 8]);
+        // Cell (0, 1, 1) is what row-major arithmetic makes of (0, 0, 9).
+        let alias = h.index_of(&[0, 1, 1]).unwrap();
+        h.weights_mut()[alias] = 5.0;
+        for t in [
+            &[0, 0, 9][..],
+            &[0, 8, 0],
+            &[8, 0, 0],
+            &[0, 9],
+            &[0, 1],
+            &[0, 0, 0, 1],
+            &[],
+        ] {
+            assert_eq!(h.index_of(t), None, "{t:?}");
+            assert_eq!(h.weight(t), 0.0, "{t:?}");
         }
+        assert_eq!(h.weight(&[0, 1, 1]), 5.0);
     }
 
     #[test]

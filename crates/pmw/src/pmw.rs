@@ -23,6 +23,23 @@
 //! renormalisation sum into the update pass.  Every product keeps its
 //! multiply order and every sum its cell or row order, so the released bits
 //! equal those of the direct per-cell evaluation at every thread count.
+//!
+//! Everything before the first round except the noise is the same for every
+//! run over one `(I, Q)` pair, so [`Pmw::run`] memoises it in the
+//! [`ExecContext`]:
+//!
+//! - **Memoised in the context** ([`ExecContext::context_memo`]): the
+//!   per-cell query weights, keyed by the histogram layout and
+//!   [`QueryFamily::key`].
+//! - **Memoised in the instance's slot** ([`ExecContext::slot_memo`]):
+//!   `count(I)`, and the true answers keyed by [`QueryFamily::key`].  A run
+//!   that finds both never joins.
+//! - **Per run**: the parameter checks (in the same order, hit or miss),
+//!   the noisy total, the iteration count, the uniform start and every
+//!   round.
+//!
+//! A miss runs the same code a cold context runs, so the released bits do
+//! not depend on what the context holds.
 
 use dpsyn_noise::budget::advanced_composition_per_step_epsilon;
 use dpsyn_noise::{exponential_mechanism, Laplace, PrivacyParams, TruncatedLaplace};
@@ -123,9 +140,17 @@ impl Pmw {
         let epsilon = params.epsilon();
         let delta = params.delta();
 
-        // Line 1: noisy join size.
-        let join_result = ctx.join(query, instance)?;
-        let count = join_result.total() as f64;
+        // Line 1: noisy join size.  `count(I)` is memoised in the pair's
+        // slot; only a miss joins, and keeps the join for the true answers.
+        let mut join_result = None;
+        let count = ctx
+            .slot_memo(query, instance, &[], || {
+                let join = ctx.join(query, instance)?;
+                let count = JoinCount(join.total() as f64);
+                join_result = Some(join);
+                Ok::<_, PmwError>(count)
+            })?
+            .0;
         let tlap = TruncatedLaplace::calibrated(
             epsilon / 2.0,
             (delta / 2.0).max(f64::MIN_POSITIVE),
@@ -160,12 +185,25 @@ impl Pmw {
                 limit: self.config.max_weight_entries,
             });
         }
+        // The weights depend on the layout and the workload alone, so they
+        // are memoised in the context; the true answers depend on the data
+        // too, so they are memoised in the pair's slot.
         let fz = current.factorization(query)?;
-        let weights = QueryWeights::build(&fz, query, family)?;
-        let true_answers =
-            factor::true_answers(&fz, current.attrs(), query, &join_result, family, &weights)?;
+        let family_key = family.key();
+        let weights = ctx.context_memo(&weights_key(query, &current, &family_key), || {
+            QueryWeights::build(&fz, query, family)
+        })?;
+        let true_answers = ctx.slot_memo(query, instance, &family_key, || {
+            let join = match join_result.take() {
+                Some(join) => join,
+                None => ctx.join(query, instance)?,
+            };
+            factor::true_answers(&fz, current.attrs(), query, &join, family, &weights)
+                .map(TrueAnswers)
+        })?;
         // The join is not read again; free it before the loop allocates.
         drop(join_result);
+        let true_answers = &true_answers.0;
 
         let laplace = Laplace::calibrated(delta_tilde, eps_prime)?;
         let mut average = Histogram::zeros(query, self.config.max_domain_cells)?;
@@ -178,7 +216,7 @@ impl Pmw {
             factor::answer_all(&weights, current.weights(), &mut answers);
             let scores: Vec<f64> = answers
                 .iter()
-                .zip(&true_answers)
+                .zip(true_answers)
                 .map(|(a, t)| (a - t).abs() / delta_tilde)
                 .collect();
             let j = exponential_mechanism(&scores, eps_prime, 1.0, rng)?;
@@ -205,6 +243,29 @@ impl Pmw {
             selected_queries,
         })
     }
+}
+
+/// `count(I)` as an `f64`: the slot-memo entry of [`Pmw::run`]'s line 1.
+struct JoinCount(f64);
+
+/// The true answers of one workload: the slot-memo entry of [`Pmw::run`].
+struct TrueAnswers(Vec<f64>);
+
+/// The context-memo key of a run's query weights: the histogram layout
+/// (attributes and domain sizes), each relation's attributes (which fix the
+/// factor-table strides), then the workload's [`QueryFamily::key`].
+fn weights_key(query: &JoinQuery, histogram: &Histogram, family_key: &[u64]) -> Vec<u64> {
+    let mut key = vec![histogram.attrs().len() as u64];
+    for (a, d) in histogram.attrs().iter().zip(histogram.dims()) {
+        key.extend([a.index() as u64, *d]);
+    }
+    key.push(query.num_relations() as u64);
+    for attrs in query.relations() {
+        key.push(attrs.len() as u64);
+        key.extend(attrs.iter().map(|a| a.index() as u64));
+    }
+    key.extend(family_key);
+    key
 }
 
 /// One multiplicative-weights round on `current` followed by
@@ -395,6 +456,103 @@ mod tests {
             pmw.run(&ctx(), &q, &inst, &family, params, 1.0, &mut rng),
             Err(PmwError::WorkloadTooLarge { .. })
         ));
+    }
+
+    /// A memo read that must hit.
+    fn memoised<T>() -> Result<T> {
+        panic!("expected a memo hit")
+    }
+
+    /// A context keeps one workload's weights and true answers: running a
+    /// second workload frees the first's, and `clear_cache` frees the rest.
+    #[test]
+    fn memo_holds_one_workload_and_clear_cache_frees_it() {
+        use std::sync::{Arc, Weak};
+        let (q, inst) = small_case();
+        let ctx = ctx();
+        // Claim the pair's slot, as a mechanism's sensitivity step does.
+        ctx.shared_join(&q, &inst).unwrap();
+        let params = PrivacyParams::new(1.0, 1e-6).unwrap();
+        let layout = Histogram::zeros(&q, DEFAULT_MAX_CELLS).unwrap();
+        let run_and_watch = |seed: u64| {
+            let family = QueryFamily::random_sign(&q, 8, &mut seeded_rng(seed)).unwrap();
+            let out = Pmw::default()
+                .run(&ctx, &q, &inst, &family, params, 2.0, &mut seeded_rng(3))
+                .unwrap();
+            assert_eq!(out.iterations, out.selected_queries.len());
+            let key = family.key();
+            let weights: Arc<Vec<QueryWeights>> = ctx
+                .context_memo(&weights_key(&q, &layout, &key), memoised)
+                .unwrap();
+            let truths: Arc<TrueAnswers> = ctx.slot_memo(&q, &inst, &key, memoised).unwrap();
+            assert_eq!(weights.len(), 8);
+            assert_eq!(truths.0.len(), 8);
+            (Arc::downgrade(&weights), Arc::downgrade(&truths))
+        };
+        let (weights_a, truths_a) = run_and_watch(1);
+        let (weights_b, truths_b) = run_and_watch(2);
+        assert!(weights_a.upgrade().is_none(), "B's weights replaced A's");
+        assert!(
+            truths_a.upgrade().is_none(),
+            "B's true answers replaced A's"
+        );
+        assert!(weights_b.upgrade().is_some() && truths_b.upgrade().is_some());
+        let count: Weak<JoinCount> =
+            Arc::downgrade(&ctx.slot_memo(&q, &inst, &[], memoised).unwrap());
+        ctx.clear_cache();
+        assert!(weights_b.upgrade().is_none());
+        assert!(truths_b.upgrade().is_none());
+        assert!(count.upgrade().is_none());
+    }
+
+    /// Two workloads whose weight keys collide under the Fx hash still get
+    /// their own weights: a memo hit compares keys in full.
+    #[test]
+    fn workloads_with_colliding_key_hashes_get_their_own_weights() {
+        use dpsyn_query::{ProductQuery, RelationQuery};
+        use dpsyn_relational::hash::FxHasher;
+        use std::hash::{Hash, Hasher};
+        let (q, inst) = small_case();
+        let layout = Histogram::zeros(&q, DEFAULT_MAX_CELLS).unwrap();
+        let family = |seeds: [u64; 4]| {
+            let sign = |seed| RelationQuery::SignHash { seed };
+            let queries = vec![
+                ProductQuery::new(vec![sign(seeds[0]), sign(seeds[1])]),
+                ProductQuery::new(vec![sign(seeds[2]), sign(seeds[3])]),
+            ];
+            QueryFamily::new(&q, queries).unwrap()
+        };
+        let key = |f: &QueryFamily| weights_key(&q, &layout, &f.key());
+        // The hasher state before a key's last word, which is the last seed.
+        let before_last = |key: &[u64]| {
+            let mut h = FxHasher::default();
+            h.write_usize(key.len());
+            key[..key.len() - 1].iter().for_each(|&w| h.write_u64(w));
+            h.finish().rotate_left(5)
+        };
+        let fx = |key: &[u64]| {
+            let mut h = FxHasher::default();
+            key.hash(&mut h);
+            h.finish()
+        };
+        let a = family([1, 2, 3, 5]);
+        let last = 5 ^ before_last(&key(&a)) ^ before_last(&key(&family([1, 2, 4, 0])));
+        let b = family([1, 2, 4, last]);
+        assert_ne!(key(&a), key(&b));
+        assert_eq!(fx(&key(&a)), fx(&key(&b)), "the weight keys collide");
+
+        let params = PrivacyParams::new(1.0, 1e-6).unwrap();
+        let run = |ctx: &ExecContext, family: &QueryFamily| {
+            let out = Pmw::default()
+                .run(ctx, &q, &inst, family, params, 2.0, &mut seeded_rng(3))
+                .unwrap();
+            let bits = out.histogram.weights().iter().map(|w| w.to_bits());
+            bits.collect::<Vec<_>>()
+        };
+        let shared = ctx();
+        shared.shared_join(&q, &inst).unwrap();
+        run(&shared, &a);
+        assert_eq!(run(&shared, &b), run(&ctx(), &b));
     }
 
     #[test]

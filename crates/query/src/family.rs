@@ -182,6 +182,25 @@ impl QueryFamily {
     pub fn iter(&self) -> impl Iterator<Item = &ProductQuery> {
         self.queries.iter()
     }
+
+    /// An exact, length-prefixed encoding of the family: the number of
+    /// queries, then per query its number of components and each
+    /// component's variant tag and fields (seeds, `f64` bits, tuples and
+    /// predicate sets, every sequence prefixed by its length).
+    ///
+    /// Two families have equal keys exactly when they are bitwise-identical
+    /// — `-0.0` and `+0.0` weights give different keys — so memoised
+    /// per-workload values can be looked up by comparing keys in full.
+    pub fn key(&self) -> Vec<u64> {
+        let mut key = vec![self.queries.len() as u64];
+        for q in &self.queries {
+            key.push(q.arity() as u64);
+            for component in q.components() {
+                component.encode_key(&mut key);
+            }
+        }
+        key
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +272,88 @@ mod tests {
         assert!(QueryFamily::cross_product(&q, vec![vec![RelationQuery::AllOne]]).is_err());
         // Empty per-relation family is rejected.
         assert!(QueryFamily::cross_product(&q, vec![vec![], vec![RelationQuery::AllOne]]).is_err());
+    }
+
+    /// Families that differ in one bit, one boundary or one position.
+    #[test]
+    fn keys_are_exact() {
+        use std::collections::BTreeMap;
+        let q = JoinQuery::two_table(4, 4, 4);
+        let sparse = |pairs: &[(Vec<Value>, f64)], default: f64| {
+            let weights: BTreeMap<Vec<Value>, f64> = pairs.iter().cloned().collect();
+            RelationQuery::sparse(weights, default).unwrap()
+        };
+        let predicate = |sets: Vec<Option<Vec<Value>>>| RelationQuery::Predicate {
+            allowed: sets
+                .into_iter()
+                .map(|s| s.map(|s| s.into_iter().collect()))
+                .collect(),
+        };
+        let sign = |seed| RelationQuery::SignHash { seed };
+        let family = |queries: Vec<Vec<RelationQuery>>| QueryFamily {
+            queries: queries.into_iter().map(ProductQuery::new).collect(),
+        };
+        let one = RelationQuery::AllOne;
+        let families = [
+            // ±0.0 as a listed weight and as the default.
+            family(vec![vec![sparse(&[(vec![1, 2], 0.0)], 0.5), one.clone()]]),
+            family(vec![vec![sparse(&[(vec![1, 2], -0.0)], 0.5), one.clone()]]),
+            family(vec![vec![sparse(&[(vec![1, 2], 0.5)], 0.0), one.clone()]]),
+            family(vec![vec![sparse(&[(vec![1, 2], 0.5)], -0.0), one.clone()]]),
+            // Tuple boundaries inside a sparse map.
+            family(vec![vec![
+                sparse(&[(vec![1], 0.5), (vec![2, 3], 0.5)], 0.0),
+                one.clone(),
+            ]]),
+            family(vec![vec![
+                sparse(&[(vec![1, 2], 0.5), (vec![3], 0.5)], 0.0),
+                one.clone(),
+            ]]),
+            // Predicate-set boundaries.
+            family(vec![vec![
+                predicate(vec![Some(vec![1, 2]), Some(vec![3])]),
+                one.clone(),
+            ]]),
+            family(vec![vec![
+                predicate(vec![Some(vec![1]), Some(vec![2, 3])]),
+                one.clone(),
+            ]]),
+            family(vec![vec![
+                predicate(vec![Some(vec![1, 2]), None]),
+                one.clone(),
+            ]]),
+            family(vec![vec![
+                predicate(vec![None, Some(vec![1, 2])]),
+                one.clone(),
+            ]]),
+            family(vec![vec![predicate(vec![Some(vec![]), None]), one.clone()]]),
+            // Component order, variant tags and seeds.
+            family(vec![vec![sign(1), sign(2)]]),
+            family(vec![vec![sign(2), sign(1)]]),
+            family(vec![vec![sign(0), one.clone()]]),
+            family(vec![vec![one.clone(), sign(0)]]),
+            // Query boundaries and lengths: the same components split into
+            // different queries, or one query more.
+            family(vec![vec![sign(1), sign(2)], vec![sign(3), sign(4)]]),
+            family(vec![vec![sign(1)], vec![sign(2), sign(3), sign(4)]]),
+            family(vec![vec![sign(1), sign(2), sign(3)], vec![sign(4)]]),
+            family(vec![
+                vec![sign(1), sign(2)],
+                vec![sign(3), sign(4)],
+                vec![one.clone(), one],
+            ]),
+        ];
+        let keys: Vec<Vec<u64>> = families.iter().map(QueryFamily::key).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate() {
+                assert_eq!(a == b, i == j, "families {i} and {j}");
+            }
+        }
+        // Equal families have equal keys.
+        assert_eq!(families[0].clone().key(), keys[0]);
+        let f1 = QueryFamily::random_sign(&q, 8, &mut rng()).unwrap();
+        let f2 = QueryFamily::random_sign(&q, 8, &mut rng()).unwrap();
+        assert_eq!(f1.key(), f2.key());
     }
 
     #[test]

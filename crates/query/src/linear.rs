@@ -49,6 +49,37 @@ impl RelationQuery {
         Ok(RelationQuery::Sparse { weights, default })
     }
 
+    /// Appends this function's exact encoding to `key`: a variant tag, then
+    /// each field, every sequence prefixed by its length and every `f64` as
+    /// its bits.  The encoding is prefix-free, so concatenated encodings are
+    /// equal exactly when the functions are bitwise-identical.
+    pub(crate) fn encode_key(&self, key: &mut Vec<u64>) {
+        match self {
+            RelationQuery::AllOne => key.push(0),
+            RelationQuery::Sparse { weights, default } => {
+                key.extend([1, default.to_bits(), weights.len() as u64]);
+                for (tuple, w) in weights {
+                    key.push(tuple.len() as u64);
+                    key.extend(tuple);
+                    key.push(w.to_bits());
+                }
+            }
+            RelationQuery::Predicate { allowed } => {
+                key.extend([2, allowed.len() as u64]);
+                for constraint in allowed {
+                    match constraint {
+                        None => key.push(0),
+                        Some(set) => {
+                            key.extend([1, set.len() as u64]);
+                            key.extend(set);
+                        }
+                    }
+                }
+            }
+            RelationQuery::SignHash { seed } => key.extend([3, *seed]),
+        }
+    }
+
     /// Evaluates the weight of a tuple.
     pub fn eval(&self, tuple: &[Value]) -> f64 {
         match self {

@@ -35,13 +35,30 @@
 //! Mutating an instance changes its fingerprint, so ordinary edits can
 //! never be served stale results.
 //!
-//! Each slot also retains the pair's cost-based [`JoinPlan`]
-//! ([`ExecContext::join_plan`]): the boundary-aware decomposition DAG built
-//! once per fingerprint from per-relation statistics and handed to **every**
-//! sub-join cache checkout, so parallel and sequential consumers decompose
-//! the lattice identically (see [`crate::plan`]).
-//! [`ExecContext::plan_stats`] exposes the chosen orders with estimated and
-//! actual intermediate sizes.
+//! A slot holds, for its pair:
+//!
+//! * the materialised sub-join lattice and its count-only aggregate
+//!   overlay ([`ExecContext::subjoin_cache`]);
+//! * the full join of the size-ordered fold ([`ExecContext::shared_join`]);
+//! * the cost-based [`JoinPlan`] ([`ExecContext::join_plan`]): the
+//!   boundary-aware decomposition DAG built once per fingerprint from
+//!   per-relation statistics and handed to **every** sub-join cache
+//!   checkout, so parallel and sequential consumers decompose the lattice
+//!   identically (see [`crate::plan`]).  [`ExecContext::plan_stats`]
+//!   exposes the chosen orders with estimated and actual intermediate
+//!   sizes;
+//! * streaming indexes over the lattice entries ([`crate::stream`]);
+//! * the **slot memo** ([`ExecContext::slot_memo`]): release-invariant
+//!   values computed from the pair's data — PMW's true answers and
+//!   `count(I)` per workload, `RS^β(I)` per `β`, and the hierarchical
+//!   partition's `|E| > 1` degree maps per `(E, y)` — one entry per value
+//!   type, each keyed exactly by its non-data inputs.
+//!
+//! Beside the slots, the **context memo** ([`ExecContext::context_memo`])
+//! holds values that depend on no instance data — PMW's per-cell query
+//! weights, keyed by histogram layout and workload — one entry per value
+//! type.  Both memos are transparent: a miss runs the computation a cold
+//! context runs, and a hit returns that computation's value.
 //!
 //! **Trust model:** the fingerprint is a *non-cryptographic* Fx hash.  It
 //! guards against accidental staleness (edits, instance swaps), not against
@@ -51,7 +68,10 @@
 //! threat model (an adversary with instance-supplying access needs no hash
 //! collision to learn the data).  Callers embedding this engine behind an
 //! untrusted instance-upload boundary should call
-//! [`ExecContext::clear_cache`] between principals.
+//! [`ExecContext::clear_cache`] between principals.  Slot-memo entries
+//! inherit this model: their slot is found by fingerprint, but within it
+//! (and in the context memo) an entry is found only by its full key, never
+//! by a hash of it.
 //!
 //! ### Determinism contract
 //!
@@ -62,6 +82,8 @@
 //! under every decomposition; lattice entries are read only as join inputs
 //! and through integer aggregates, so their physical row order never
 //! shows).
+//! Memo entries are the values their cold computation returns, keyed by
+//! every input besides the slot's data, so a hit is byte-identical too.
 //! The cached full join is different: truth answers sum `f64` terms in its
 //! physical row order, so it is only ever produced by the same size-ordered
 //! fold as [`crate::join::join`] — [`ExecContext::apply_updates`] drops it
@@ -70,6 +92,7 @@
 //! at every parallelism level and to the fixed-prefix decomposition.  The
 //! caches trade memory for wall-clock time, never output.
 
+use std::any::{Any, TypeId};
 use std::hash::Hasher;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -156,6 +179,40 @@ pub struct UpdateReport {
     pub stats: UpdateStats,
 }
 
+/// One memoised value: the exact key it was built for, and the value.
+#[derive(Debug)]
+struct MemoEntry {
+    key: Box<[u64]>,
+    value: Arc<dyn Any + Send + Sync>,
+}
+
+/// A memo scope: at most one entry per value type.
+type Memo = FxHashMap<TypeId, MemoEntry>;
+
+/// The entry of type `T` in `memo`, if it was built for exactly `key`.
+fn memo_get<T: Any + Send + Sync>(memo: &Memo, key: &[u64]) -> Option<Arc<T>> {
+    let entry = memo.get(&TypeId::of::<T>())?;
+    if *entry.key != *key {
+        return None;
+    }
+    Arc::clone(&entry.value).downcast::<T>().ok()
+}
+
+/// Stores `value` as `memo`'s entry of type `T`, replacing an entry built
+/// for another key.  A concurrent build that stored the same key first
+/// wins, so every caller shares one `Arc`.
+fn memo_put<T: Any + Send + Sync>(memo: &mut Memo, key: &[u64], value: Arc<T>) -> Arc<T> {
+    if let Some(existing) = memo_get::<T>(memo, key) {
+        return existing;
+    }
+    let entry = MemoEntry {
+        key: key.into(),
+        value: Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
+    };
+    memo.insert(TypeId::of::<T>(), entry);
+    value
+}
+
 /// One `(query, instance)` entry of the persistent cache LRU.
 #[derive(Debug)]
 struct CacheSlot {
@@ -176,6 +233,10 @@ struct CacheSlot {
     /// the lattice overlay of masks evaluated without materialisation,
     /// carried across checkouts like the lattice itself.
     agg_lattice: FxHashMap<u32, Arc<AggSummary>>,
+    /// Data-dependent values memoised by [`ExecContext::slot_memo`] (true
+    /// answers, `count(I)`, `RS^β(I)`, degree maps): dropped when
+    /// [`ExecContext::apply_updates`] migrates the slot, evicted with it.
+    memo: Memo,
     /// Logical access time (monotonic per context) driving LRU eviction.
     last_used: u64,
 }
@@ -218,6 +279,9 @@ struct CacheState {
     hits: u64,
     misses: u64,
     evictions: EvictionStats,
+    /// Data-independent values memoised by [`ExecContext::context_memo`]
+    /// (PMW's per-cell query weights); they outlive updates and evictions.
+    memo: Memo,
 }
 
 impl CacheState {
@@ -263,6 +327,7 @@ impl CacheState {
             join_plan: None,
             stream_index: FxHashMap::default(),
             agg_lattice: FxHashMap::default(),
+            memo: Memo::default(),
             last_used: clock,
         });
         self.slots.last_mut().expect("just pushed")
@@ -426,7 +491,8 @@ impl ExecContext {
 
     /// The degree map `deg_{E,y}` of Definition 4.7
     /// ([`crate::degree::deg_multi`]), joining at this context's
-    /// parallelism.
+    /// parallelism.  A map over `|E| > 1` relations is memoised in the
+    /// pair's slot ([`ExecContext::slot_memo`]), keyed by `(E, y)`.
     pub fn deg_multi(
         &self,
         query: &JoinQuery,
@@ -434,7 +500,19 @@ impl ExecContext {
         e: &[usize],
         y: &[AttrId],
     ) -> Result<std::collections::BTreeMap<Vec<Value>, u64>> {
-        crate::degree::deg_multi_impl(query, instance, e, y, self.parallelism)
+        let build = || crate::degree::deg_multi_impl(query, instance, e, y, self.parallelism);
+        if e.len() <= 1 {
+            return build();
+        }
+        let key: Vec<u64> = std::iter::once(e.len() as u64)
+            .chain(e.iter().map(|&r| r as u64))
+            .chain(std::iter::once(y.len() as u64))
+            .chain(y.iter().map(|a| a.index() as u64))
+            .collect();
+        Ok(self
+            .slot_memo(query, instance, &key, build)?
+            .as_ref()
+            .clone())
     }
 
     /// The full join of `(query, instance)`, cached across calls.
@@ -462,6 +540,85 @@ impl ExecContext {
         state.misses += 1;
         state.slot_mut_or_insert(fp, self.cache_slots).full_join = Some(Arc::clone(&full));
         Ok(full)
+    }
+
+    // --- release-invariant memo ---------------------------------------------
+
+    /// The context-scope memo read: the value of type `T` built for `key`,
+    /// or `build()`'s value, stored under `key` in place of any `T` built
+    /// for another key.
+    ///
+    /// For values that depend on no instance data (PMW's per-cell query
+    /// weights): the scope holds one entry per `T`, which survives
+    /// [`ExecContext::apply_updates`] and slot eviction and is dropped by
+    /// [`ExecContext::clear_cache`].  `key` must encode every input of
+    /// `build`; a hit compares it in full.  `build` runs outside the state
+    /// lock, its errors are returned and never stored, and every read counts
+    /// as a hit or a miss in [`ExecContext::cache_stats`].
+    pub fn context_memo<T, E>(
+        &self,
+        key: &[u64],
+        build: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+    {
+        self.memo_at(None, key, build)
+    }
+
+    /// The slot-scope memo read: [`ExecContext::context_memo`] for values
+    /// that depend on the `(query, instance)` data, kept in the pair's LRU
+    /// slot (true answers, `count(I)`, `RS^β(I)`, degree maps).
+    ///
+    /// Like [`ExecContext::join_plan`], the read never claims or evicts a
+    /// slot: the value is stored only when the pair already holds one.  The
+    /// slot keeps one entry per `T`; its entries are dropped when
+    /// [`ExecContext::apply_updates`] migrates the slot to the updated
+    /// data, and evicted with the slot.
+    pub fn slot_memo<T, E>(
+        &self,
+        query: &JoinQuery,
+        instance: &Instance,
+        key: &[u64],
+        build: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+    {
+        self.memo_at(Some(instance_fingerprint(query, instance)), key, build)
+    }
+
+    /// The memo read of the context scope (`fp = None`) or of the slot
+    /// `fp`.
+    fn memo_at<T, E>(
+        &self,
+        fp: Option<u64>,
+        key: &[u64],
+        build: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+    {
+        fn scope(state: &mut CacheState, fp: Option<u64>) -> Option<&mut Memo> {
+            match fp {
+                None => Some(&mut state.memo),
+                Some(fp) => state.slot_mut(fp).map(|slot| &mut slot.memo),
+            }
+        }
+        {
+            let mut state = self.state.lock().expect("context cache poisoned");
+            if let Some(hit) = scope(&mut state, fp).and_then(|memo| memo_get::<T>(memo, key)) {
+                state.hits += 1;
+                return Ok(hit);
+            }
+        }
+        let value = Arc::new(build()?);
+        let mut state = self.state.lock().expect("context cache poisoned");
+        state.misses += 1;
+        Ok(match scope(&mut state, fp) {
+            Some(memo) => memo_put(memo, key, value),
+            None => value,
+        })
     }
 
     // --- join planning ------------------------------------------------------
@@ -603,7 +760,9 @@ impl ExecContext {
     /// lattice is maintained **in place** semi-naive style (see the
     /// [`crate::stream`] module docs) and its cached full join is dropped.
     /// The migrated slot is re-keyed under the post-update fingerprint, so
-    /// warm state survives writes instead of being orphaned.  Without a
+    /// warm state survives writes instead of being orphaned; its
+    /// [`ExecContext::slot_memo`] entries describe the old data and are
+    /// dropped.  Without a
     /// warm slot the batch is applied as a plain mutation and caches
     /// rebuild lazily.
     ///
@@ -704,9 +863,10 @@ impl ExecContext {
                 new_slot.join_plan.get_or_insert(plan);
             }
         }
-        // The old slot's count-only summaries do NOT migrate: they describe
-        // pre-update aggregates with no delta-maintenance story, so they are
-        // dropped with the taken slot and recompute (cheaply) on demand.
+        // The old slot's count-only summaries and memo entries do NOT
+        // migrate: they describe pre-update data with no delta-maintenance
+        // story, so they are dropped with the taken slot and recompute on
+        // demand.
         Ok(UpdateReport {
             old_fingerprint: old_fp,
             new_fingerprint: new_fp,
@@ -828,19 +988,21 @@ impl ExecContext {
             .len()
     }
 
-    /// `(hits, misses)` of the persistent caches: a hit is a checkout or
-    /// shared-join call that found warm data for its fingerprint.
+    /// `(hits, misses)` of the persistent caches: a hit is a checkout,
+    /// shared-join call or memo read that found warm data for its
+    /// fingerprint (or, in the context-scope memo, its key).
     pub fn cache_stats(&self) -> (u64, u64) {
         let state = self.state.lock().expect("context cache poisoned");
         (state.hits, state.misses)
     }
 
-    /// Drops every persisted cache slot (full joins, lattices and join
-    /// plans), releasing their memory.  The context remains usable;
-    /// the next call simply starts cold.
+    /// Drops every persisted cache slot (full joins, lattices, join plans
+    /// and slot memos) and the context-scope memo, releasing their memory.
+    /// The context remains usable; the next call simply starts cold.
     pub fn clear_cache(&self) {
         let mut state = self.state.lock().expect("context cache poisoned");
         state.slots.clear();
+        state.memo.clear();
         state.evictions = EvictionStats::default();
     }
 
@@ -1275,6 +1437,132 @@ mod tests {
         let mut oracle = base.clone();
         stream::apply_batch(&q, &mut oracle, &batch).unwrap();
         assert_eq!(inst, oracle);
+    }
+
+    /// Two-word keys whose Fx hashes collide: the memo must still tell
+    /// them apart, because a hit compares the whole key.
+    fn colliding_keys() -> ([u64; 2], [u64; 2]) {
+        // The hasher state after the length prefix and the first word.
+        let prefix = |w: u64| {
+            let mut h = FxHasher::default();
+            h.write_usize(2);
+            h.write_u64(w);
+            h.finish()
+        };
+        let a = [1, 0];
+        let b = [2, prefix(1).rotate_left(5) ^ prefix(2).rotate_left(5)];
+        let fx = |key: &[u64]| {
+            use std::hash::Hash;
+            let mut h = FxHasher::default();
+            key.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(fx(&a), fx(&b), "the keys collide under FxHasher");
+        (a, b)
+    }
+
+    #[test]
+    fn memo_hits_compare_the_full_key() {
+        let (a, b) = colliding_keys();
+        let (q, inst) = star_instance(3);
+        let ctx = ExecContext::sequential();
+        ctx.shared_join(&q, &inst).unwrap(); // claims the pair's slot
+        let read = |key: &[u64], value: u64, slot: bool| -> u64 {
+            let build = || Ok::<_, ()>(value);
+            *if slot {
+                ctx.slot_memo(&q, &inst, key, build)
+            } else {
+                ctx.context_memo(key, build)
+            }
+            .unwrap()
+        };
+        for slot in [false, true] {
+            assert_eq!(read(&a, 1, slot), 1);
+            assert_eq!(read(&a, 9, slot), 1, "same key hits");
+            assert_eq!(read(&b, 2, slot), 2, "a colliding key misses");
+            assert_eq!(read(&a, 3, slot), 3, "one entry per type: b replaced a");
+        }
+    }
+
+    #[test]
+    fn memo_stores_no_errors_and_counts_hits_and_misses() {
+        let ctx = ExecContext::sequential();
+        let before = ctx.cache_stats();
+        assert_eq!(ctx.context_memo::<u64, _>(&[1], || Err("no")), Err("no"));
+        assert_eq!(ctx.cache_stats(), before, "a failed build is no miss");
+        assert_eq!(*ctx.context_memo(&[1], || Ok::<_, ()>(5u64)).unwrap(), 5);
+        assert_eq!(*ctx.context_memo::<u64, ()>(&[1], || Err(())).unwrap(), 5);
+        let (hits, misses) = ctx.cache_stats();
+        assert_eq!((hits - before.0, misses - before.1), (1, 1));
+    }
+
+    #[test]
+    fn slot_memo_lives_and_dies_with_its_slot() {
+        let (q, base) = star_instance(3);
+        let ctx = materializing_ctx().with_cache_slots(1);
+        let slot_read = |inst: &Instance, value: u64| {
+            *ctx.slot_memo(&q, inst, &[], || Ok::<_, ()>(value)).unwrap()
+        };
+        // Without a slot, a read builds but stores nothing and claims no slot.
+        assert_eq!(slot_read(&base, 1), 1);
+        assert_eq!(slot_read(&base, 2), 2);
+        assert_eq!(ctx.cached_instances(), 0);
+        // With one, the value stays until the slot changes hands.
+        let mut inst = base.clone();
+        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
+        cache.populate(Parallelism::SEQUENTIAL).unwrap();
+        ctx.retain_subjoin_cache(cache);
+        assert_eq!(slot_read(&inst, 3), 3);
+        assert_eq!(slot_read(&inst, 4), 3);
+        assert_eq!(*ctx.context_memo(&[], || Ok::<_, ()>(10u64)).unwrap(), 10);
+        // A migrated slot keeps its lattice but drops its memo; the context
+        // memo survives the update.
+        let report = ctx.apply_updates(&q, &mut inst, &star_batch()).unwrap();
+        assert!(report.warm);
+        assert_eq!(ctx.cached_instances(), 1);
+        assert_eq!(slot_read(&inst, 5), 5);
+        assert_eq!(slot_read(&inst, 6), 5);
+        assert_eq!(*ctx.context_memo(&[], || Ok::<_, ()>(11u64)).unwrap(), 10);
+        // Evicting the slot evicts its memo; the context memo stays.
+        ctx.retain_subjoin_cache(ctx.subjoin_cache(&q, &base).unwrap());
+        ctx.retain_subjoin_cache(ctx.subjoin_cache(&q, &inst).unwrap());
+        assert_eq!(ctx.eviction_stats().evictions, 2);
+        assert_eq!(slot_read(&inst, 7), 7);
+        assert_eq!(*ctx.context_memo(&[], || Ok::<_, ()>(12u64)).unwrap(), 10);
+        // clear_cache drops both scopes.
+        let weak = Arc::downgrade(&ctx.slot_memo(&q, &inst, &[], || Ok::<_, ()>(0u64)).unwrap());
+        let weak_ctx = Arc::downgrade(&ctx.context_memo(&[], || Ok::<_, ()>(0u64)).unwrap());
+        assert!(weak.upgrade().is_some() && weak_ctx.upgrade().is_some());
+        ctx.clear_cache();
+        assert!(weak.upgrade().is_none() && weak_ctx.upgrade().is_none());
+    }
+
+    #[test]
+    fn degree_maps_are_memoised_per_relation_set_and_attributes() {
+        let (q, inst) = star_instance(3);
+        let ctx = ExecContext::sequential();
+        ctx.shared_join(&q, &inst).unwrap();
+        let hub = q.intersect_attrs(&[0, 1]).unwrap();
+        for (e, y) in [
+            (&[0usize, 1][..], &hub[..]),
+            (&[0, 1, 2], &[][..]),
+            (&[0, 1], &[]),
+        ] {
+            let expected = crate::degree::deg_multi(&q, &inst, e, y).unwrap();
+            for _ in 0..2 {
+                assert_eq!(
+                    ctx.deg_multi(&q, &inst, e, y).unwrap(),
+                    expected,
+                    "{e:?} {y:?}"
+                );
+            }
+        }
+        let (hits, misses) = ctx.cache_stats();
+        assert_eq!(
+            (hits, misses),
+            (3, 4),
+            "one shared join, then three degree maps twice"
+        );
     }
 
     #[test]

@@ -57,7 +57,9 @@ pub trait SensitivityOps {
     /// Residual sensitivity `RS^β_count(I)` (Definition 3.6).  The dominant
     /// cost — the boundary-value enumeration — is shared across calls via
     /// the context cache, so sweeping `β` over one instance pays for the
-    /// lattice once.
+    /// lattice once; the result itself is memoised in the pair's slot
+    /// ([`ExecContext::slot_memo`]), keyed by `β`'s bits, so a repeat call
+    /// at the same `β` runs no sweep.
     fn residual_sensitivity(
         &self,
         query: &JoinQuery,
@@ -117,36 +119,41 @@ impl SensitivityOps for ExecContext {
         beta: f64,
     ) -> Result<ResidualSensitivity> {
         check_beta(beta)?;
-        let m = query.num_relations();
-        let boundary_values = self.all_boundary_values(query, instance)?;
+        // RS^β(I) depends on the pair's data and β alone: memoised in the
+        // pair's slot, keyed by β's bits.
+        let rs = self.slot_memo(query, instance, &[beta.to_bits()], || -> Result<_> {
+            let m = query.num_relations();
+            let boundary_values = self.all_boundary_values(query, instance)?;
 
-        // No coordinate of an optimal s exceeds ⌈1/β⌉ (see the residual
-        // module docs).
-        let s_cap: u64 = (1.0 / beta).ceil() as u64;
+            // No coordinate of an optimal s exceeds ⌈1/β⌉ (see the residual
+            // module docs).
+            let s_cap: u64 = (1.0 / beta).ceil() as u64;
 
-        let table = BoundaryTable::new(m, &boundary_values);
-        let per_relation = exec::par_map(self.parallelism(), m, |i| {
-            maximize_over_assignments(&table, i, beta, s_cap)
-        });
+            let table = BoundaryTable::new(m, &boundary_values);
+            let per_relation = exec::par_map(self.parallelism(), m, |i| {
+                maximize_over_assignments(&table, i, beta, s_cap)
+            });
 
-        let mut best_value = 0.0f64;
-        let mut best_relation = 0usize;
-        let mut best_distance = 0u64;
-        for (i, &(value, distance)) in per_relation.iter().enumerate() {
-            if value > best_value {
-                best_value = value;
-                best_relation = i;
-                best_distance = distance;
+            let mut best_value = 0.0f64;
+            let mut best_relation = 0usize;
+            let mut best_distance = 0u64;
+            for (i, &(value, distance)) in per_relation.iter().enumerate() {
+                if value > best_value {
+                    best_value = value;
+                    best_relation = i;
+                    best_distance = distance;
+                }
             }
-        }
 
-        Ok(ResidualSensitivity {
-            beta,
-            value: best_value,
-            maximizing_relation: best_relation,
-            maximizing_distance: best_distance,
-            boundary_values,
-        })
+            Ok(ResidualSensitivity {
+                beta,
+                value: best_value,
+                maximizing_relation: best_relation,
+                maximizing_distance: best_distance,
+                boundary_values,
+            })
+        })?;
+        Ok(rs.as_ref().clone())
     }
 
     fn local_sensitivity(&self, query: &JoinQuery, instance: &Instance) -> Result<u128> {

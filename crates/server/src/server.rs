@@ -7,6 +7,17 @@
 //! for the in-flight request count to reach zero before returning —
 //! SIGTERM *drains*, it never cuts a response (or worse, a ledger append)
 //! in half.
+//!
+//! Between polls the loop sleeps a pause drawn uniformly from
+//! `[1.5, 6.5)` ms rather than a fixed period.  A fixed period phase-locks
+//! closed-loop clients to the poll: a client that reconnects `τ` after the
+//! loop last woke always waits the period minus `τ`, so its wait is set by
+//! its own previous request, and it is served promptly only when that
+//! request happened to end just before a poll.  With random pauses the wait
+//! no longer depends on the client's timing.  The bounds are empirical: on
+//! relbench's `serve_mixed` they keep the closed-loop request rate within
+//! ~10% of a fixed 5 ms period, and the 1.5 ms floor keeps most short
+//! requests from missing a pause and waiting out the next one.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -149,6 +160,7 @@ fn accept_loop(
     shutdown: Arc<AtomicBool>,
     inflight: Arc<AtomicUsize>,
 ) {
+    let mut pauses = IdlePauses::new();
     loop {
         if shutdown.load(Ordering::SeqCst) || signal::sigterm_received() {
             break;
@@ -168,12 +180,12 @@ fn accept_loop(
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(pauses.next_pause());
             }
             Err(_) => {
                 // Transient accept errors (e.g. aborted connections): keep
                 // serving.
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(pauses.next_pause());
             }
         }
     }
@@ -181,6 +193,38 @@ fn accept_loop(
     drop(listener);
     while inflight.load(Ordering::SeqCst) > 0 {
         std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The shortest pause between polls of an idle listener.
+const PAUSE_MIN: Duration = Duration::from_micros(1_500);
+
+/// The width of the range pauses are drawn from.
+const PAUSE_SPAN: Duration = Duration::from_millis(5);
+
+/// The accept loop's pauses: uniform in `[PAUSE_MIN, PAUSE_MIN +
+/// PAUSE_SPAN)`, from SplitMix64 over a per-loop random seed (see the module
+/// docs).
+struct IdlePauses(u64);
+
+impl IdlePauses {
+    fn new() -> Self {
+        use std::hash::{BuildHasher, Hasher};
+        IdlePauses(
+            std::collections::hash_map::RandomState::new()
+                .build_hasher()
+                .finish(),
+        )
+    }
+
+    fn next_pause(&mut self) -> Duration {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        // The top 53 bits as a fraction in [0, 1).
+        PAUSE_MIN + PAUSE_SPAN.mul_f64((z >> 11) as f64 / (1u64 << 53) as f64)
     }
 }
 
@@ -217,4 +261,24 @@ fn serve_connection(mut stream: TcpStream, store: &Store, config: &ServerConfig)
         config.exec_timeout,
     );
     http::respond(&mut stream, status, &body.to_json());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn idle_pauses_are_spread_evenly_over_their_range() {
+        let mut pauses = IdlePauses::new();
+        let drawn: Vec<Duration> = (0..4000).map(|_| pauses.next_pause()).collect();
+        let quarter = PAUSE_SPAN / 4;
+        for k in 0..4u32 {
+            let (lo, hi) = (PAUSE_MIN + quarter * k, PAUSE_MIN + quarter * (k + 1));
+            let n = drawn.iter().filter(|&&p| p >= lo && p < hi).count();
+            assert!((700..1300).contains(&n), "{n} pauses in [{lo:?}, {hi:?})");
+        }
+        assert!(drawn
+            .iter()
+            .all(|&p| p >= PAUSE_MIN && p < PAUSE_MIN + PAUSE_SPAN));
+    }
 }

@@ -50,6 +50,24 @@
 //! results (they are held until then; see the memory note in
 //! [`dpsyn_relational::cache`]).
 //!
+//! A release also memoises the work that is the same for every release
+//! over one `(instance, workload)` pair, so a warm release runs only its
+//! noise draws and the multiplicative-weights rounds:
+//!
+//! - **In the context** ([`ExecContext::context_memo`]): PMW's per-cell
+//!   query weights, which depend on the histogram layout and the workload
+//!   alone.  One workload's weights are held at a time; they survive
+//!   streaming updates and slot eviction.
+//! - **In the instance's slot** ([`ExecContext::slot_memo`]): `count(I)`,
+//!   PMW's true answers (one workload at a time), `RS^β(I)` (one `β` at a
+//!   time) and the hierarchical partition's `|E| > 1` degree maps.  They
+//!   are dropped when [`Session::apply_updates`] migrates the slot, and
+//!   evicted with it.
+//!
+//! Each entry is keyed by the exact encoding of its non-data inputs
+//! ([`QueryFamily::key`], `β`'s bits, the layout), compared in full on
+//! every hit.
+//!
 //! ### Join planning
 //!
 //! Every sub-join a session materialises decomposes along a **cost-based
@@ -74,8 +92,11 @@
 //! 2. **Warm equals cold.** Every cached sub-join equals what a fresh
 //!    computation produces (the planner's decomposition is a deterministic
 //!    function of the data; the cached full join comes from the same
-//!    size-ordered fold as [`dpsyn_relational::join()`]), so a warm
-//!    session's outputs are byte-identical to a cold session's.
+//!    size-ordered fold as [`dpsyn_relational::join()`]), and every memo
+//!    entry — the context's query weights, the slot's `count(I)`, true
+//!    answers, `RS^β` and degree maps — is the value its cold computation
+//!    returns for exactly the inputs its key encodes, so a warm session's
+//!    outputs are byte-identical to a cold session's.
 //! 3. **Parallelism is invisible.** Worker-pool loops are morsel-driven
 //!    with work stealing ([`dpsyn_relational::exec`]): workers claim
 //!    morsels dynamically, but every result is tagged with its morsel index
@@ -393,7 +414,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpsyn_core::{MultiTable, TwoTable};
+    use dpsyn_core::{HierarchicalRelease, MultiTable, TwoTable};
     use rand::Rng;
 
     fn fixture() -> (JoinQuery, Instance) {
@@ -524,10 +545,16 @@ mod tests {
         let warm = Session::sequential();
         let workload = warm.random_sign_workload(&q, 8, 3).unwrap();
         let fractional = fractional_workload(&q, 8, 5);
-        // Warm the session with a release and truth answers, then stream a
-        // batch through it.
-        let before = ReleaseRequest::new(&q, &base, &workload, params).with_seed(4);
-        warm.release(&MultiTable::default(), &before).unwrap();
+        let mechanisms: [&dyn Mechanism; 2] =
+            [&MultiTable::default(), &HierarchicalRelease::default()];
+        // Warm the session with releases of both mechanisms over both
+        // workloads, and with truth answers, then stream a batch through it.
+        for mechanism in mechanisms {
+            for family in [&workload, &fractional] {
+                let before = ReleaseRequest::new(&q, &base, family, params).with_seed(4);
+                warm.release(mechanism, &before).unwrap();
+            }
+        }
         warm.answer_truth(&q, &base, &fractional).unwrap();
         let mut inst = base.clone();
         let mut batch = UpdateBatch::new();
@@ -536,21 +563,35 @@ mod tests {
         batch.insert(1, vec![1, 7], 1);
         let report = warm.apply_updates(&q, &mut inst, &batch).unwrap();
         assert!(report.warm, "the release left a warm slot to migrate");
-        // The release over the maintained state is byte-identical to a cold
-        // session over the plainly-updated instance, at the same seed.
+        // Every release over the maintained state is byte-identical to a
+        // cold session's over the plainly-updated instance, at the same
+        // seed: nothing memoised for the old data survives the migration.
         let mut cold_inst = base.clone();
         dpsyn_relational::apply_batch(&q, &mut cold_inst, &batch).unwrap();
         assert_eq!(inst, cold_inst);
-        let request = ReleaseRequest::new(&q, &inst, &workload, params).with_seed(11);
-        let via_warm = warm.release(&MultiTable::default(), &request).unwrap();
+        let bits = |r: &SyntheticRelease| -> Vec<u64> {
+            let mut bits: Vec<u64> = r
+                .histogram()
+                .weights()
+                .iter()
+                .map(|w| w.to_bits())
+                .collect();
+            bits.extend([r.noisy_total().to_bits(), r.delta_tilde().to_bits()]);
+            bits
+        };
+        for mechanism in mechanisms {
+            for family in [&workload, &fractional] {
+                let request = ReleaseRequest::new(&q, &inst, family, params).with_seed(11);
+                let via_warm = warm.release(mechanism, &request).unwrap();
+                let cold_request =
+                    ReleaseRequest::new(&q, &cold_inst, family, params).with_seed(11);
+                let via_cold = Session::sequential()
+                    .release(mechanism, &cold_request)
+                    .unwrap();
+                assert_eq!(bits(&via_warm), bits(&via_cold), "{}", mechanism.name());
+            }
+        }
         let cold = Session::sequential();
-        let cold_request = ReleaseRequest::new(&q, &cold_inst, &workload, params).with_seed(11);
-        let via_cold = cold.release(&MultiTable::default(), &cold_request).unwrap();
-        assert_eq!(via_warm.delta_tilde(), via_cold.delta_tilde());
-        assert_eq!(
-            via_warm.answer_all(&workload).unwrap().values(),
-            via_cold.answer_all(&workload).unwrap().values()
-        );
         // Exact truth answers over the maintained slot round exactly as a
         // cold session's: compare bits, not approximate values.
         let bits = |answers: AnswerSet| -> Vec<u64> {

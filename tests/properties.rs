@@ -734,8 +734,12 @@ fn released_answers_are_linear_in_the_histogram() {
         let (query, inst) = random_pairs(8000 + seed, 20);
         let mut rng = seeded_rng(80_000 + seed);
         let family = QueryFamily::random_sign(&query, 4, &mut rng).unwrap();
-        let join = dpsyn_relational::join(&query, &inst).unwrap();
-        let hist = Histogram::from_join(&query, &join, 1 << 20).unwrap();
+        // A non-uniform histogram of the join's mass: one MW step on a
+        // sign query.
+        let count = join_size(&query, &inst).unwrap() as f64;
+        let mut hist = Histogram::uniform(&query, count, 1 << 20).unwrap();
+        let step = hist.query_weight_vector(&query, family.query(1)).unwrap();
+        hist.multiplicative_update(&step, 0.5);
         let answers = hist.answer_all(&query, &family).unwrap();
         let mut doubled = hist.clone();
         doubled.scale(2.0);
