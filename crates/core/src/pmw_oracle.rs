@@ -146,6 +146,7 @@ mod tests {
     };
     use dpsyn_noise::seeded_rng;
     use dpsyn_pmw::histogram::DEFAULT_MAX_CELLS;
+    use dpsyn_pmw::Pmw;
     use dpsyn_query::RelationQuery;
     use dpsyn_relational::ExecContext;
     use std::collections::BTreeMap;
@@ -384,8 +385,16 @@ mod tests {
         assert_match_oracle(&cases(&mechanism, &q, &inst, &workloads, params).collect::<Vec<_>>());
     }
 
+    /// Every answer path equals the dense per-query vectors bit for bit:
+    /// the streaming `answer_all`, one-query `answer`, and `answer_all_in`
+    /// over a cold context, over a context a PMW run over the same workload
+    /// warmed (the weight read must hit), and over a context holding
+    /// another workload's weights (a miss that rebuilds, then the first
+    /// workload again).
     #[test]
     fn histogram_answers_match_per_query_weight_vectors() {
+        let params = PrivacyParams::new(2.0, 1e-5).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
         for (q, inst) in [two_table(), star()] {
             // The join's mass, moved off uniform by one MW step on a sign
             // query.
@@ -395,12 +404,34 @@ mod tests {
             let step = dense_weight_vector(&nonuniform, &q, sign.query(1));
             nonuniform.multiplicative_update(&step, 0.5);
             let empty = Histogram::zeros(&q, DEFAULT_MAX_CELLS).unwrap();
+            // A query negative on every cell: on the empty histogram each
+            // term is -0.0, so only a sum that starts from -0.0 gives -0.0.
+            let mut negative = vec![RelationQuery::AllOne; q.num_relations()];
+            negative[0] = RelationQuery::sparse(BTreeMap::new(), -0.75).unwrap();
+            let negative = ProductQuery::new(negative);
+            let mut workloads = workloads(&q);
+            workloads.push((
+                "all_negative",
+                QueryFamily::new(&q, vec![negative]).unwrap(),
+            ));
             for h in [nonuniform, empty] {
-                for (label, family) in workloads(&q) {
-                    let got = h.answer_all(&q, &family).unwrap();
+                // `answer_all_in` on `ctx`, asserting its one memo read hit
+                // or missed.
+                let answer_in = |ctx: &ExecContext, family: &QueryFamily, hit: bool| {
+                    let (hits, misses) = ctx.cache_stats();
+                    let answers = h.answer_all_in(ctx, &q, family).unwrap();
+                    let read = if hit {
+                        (hits + 1, misses)
+                    } else {
+                        (hits, misses + 1)
+                    };
+                    assert_eq!(ctx.cache_stats(), read, "hit expected: {hit}");
+                    bits(&answers)
+                };
+                for (w, (label, family)) in workloads.iter().enumerate() {
+                    let got = h.answer_all(&q, family).unwrap();
                     for (j, pq) in family.iter().enumerate() {
                         let vector = dense_weight_vector(&h, &q, pq);
-                        let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
                         assert_eq!(
                             bits(&h.query_weight_vector(&q, pq).unwrap()),
                             bits(&vector),
@@ -414,6 +445,24 @@ mod tests {
                             "{label} query {j}"
                         );
                     }
+                    let got = bits(&got);
+                    assert_eq!(answer_in(&ExecContext::sequential(), family, false), got);
+                    let warm = ExecContext::sequential();
+                    Pmw::default()
+                        .run(&warm, &q, &inst, family, params, 2.0, &mut seeded_rng(1))
+                        .unwrap();
+                    assert_eq!(answer_in(&warm, family, true), got, "{label} warm");
+                    let (other, next) = &workloads[(w + 1) % workloads.len()];
+                    assert_eq!(
+                        answer_in(&warm, next, false),
+                        bits(&h.answer_all(&q, next).unwrap()),
+                        "{other} after {label}"
+                    );
+                    assert_eq!(
+                        answer_in(&warm, family, false),
+                        got,
+                        "{label} after {other}"
+                    );
                 }
             }
         }

@@ -4,7 +4,7 @@
 use dpsyn_noise::PrivacyParams;
 use dpsyn_pmw::Histogram;
 use dpsyn_query::{AnswerSet, ProductQuery, QueryFamily};
-use dpsyn_relational::{JoinQuery, Value};
+use dpsyn_relational::{ExecContext, JoinQuery, Value};
 use rand::Rng;
 
 use crate::Result;
@@ -104,11 +104,25 @@ impl SyntheticRelease {
         Ok(self.histogram.answer(&self.query, q)?)
     }
 
-    /// Answers every query of a family from the synthetic data.
+    /// Answers every query of a family from the synthetic data, with no
+    /// execution context (see [`Histogram::answer_all`]).
     pub fn answer_all(&self, family: &QueryFamily) -> Result<AnswerSet> {
         Ok(AnswerSet::new(
             self.histogram.answer_all(&self.query, family)?,
         ))
+    }
+
+    /// [`SyntheticRelease::answer_all`] from the query weights the release
+    /// memoised in `ctx`: answering the release's own workload over the
+    /// context that produced it reads them instead of rebuilding them (see
+    /// [`Histogram::answer_all_in`]).  Answers are bit-identical to
+    /// [`SyntheticRelease::answer_all`]'s.
+    pub fn answer_all_in(&self, ctx: &ExecContext, family: &QueryFamily) -> Result<AnswerSet> {
+        Ok(AnswerSet::new(self.histogram.answer_all_in(
+            ctx,
+            &self.query,
+            family,
+        )?))
     }
 
     /// The ℓ∞ error of this release against the true answers.

@@ -12,20 +12,33 @@
 //! `q_i` evaluated once over its relation's own domain `dom(x_i)` — and a
 //! cell's weight is the product of its table entries, found by stride
 //! arithmetic while the cells are walked in order (see the `factor`
-//! module).  [`Histogram::answer_all`] answers a whole family in one such
-//! walk.  PMW holds each query's weights for its run as `u8` codes into a
-//! palette of the query's distinct values, or as a dense `f64` vector only
-//! for a query with more than 256 distinct values.  Every weight keeps the
-//! multiply order and zero exit of `JointEvaluator::weight`, and every sum
-//! keeps its cell order, so all answers are bit-identical to evaluating
-//! each cell's joint tuple directly.
+//! module).  PMW holds each query's weights for its run as `u8` codes into
+//! a palette of the query's distinct values, or as a dense `f64` vector
+//! only for a query with more than 256 distinct values, and memoises them
+//! in the run's [`ExecContext`].  A workload is answered on one of two
+//! paths:
+//!
+//! - [`Histogram::answer_all_in`], given a context, reads those memoised
+//!   weights and scores them in one blocked pass.  This is the path for
+//!   answering a release right after it, over the context that produced
+//!   it: the server's `POST /v1/release` reply takes it.
+//! - [`Histogram::answer_all`], with no context, answers the family in one
+//!   streaming walk that multiplies out each cell's weight and stores no
+//!   per-cell weight.  It is the reference the context path is tested
+//!   against.
+//!
+//! Every weight keeps the multiply order and zero exit of
+//! `JointEvaluator::weight`, and every sum keeps its cell order, so both
+//! paths answer bit-identically to evaluating each cell's joint tuple
+//! directly.
 
 use dpsyn_query::{ProductQuery, QueryFamily};
-use dpsyn_relational::{AttrId, JoinQuery, Value};
+use dpsyn_relational::{AttrId, ExecContext, JoinQuery, Value};
 use rand::Rng;
 
 use crate::error::PmwError;
-use crate::factor::{cell_weight, Factorization};
+use crate::factor::{self, cell_weight, Factorization};
+use crate::pmw::query_weights;
 use crate::Result;
 
 /// Default cap on the number of dense cells a histogram may hold.
@@ -177,8 +190,34 @@ impl Histogram {
     /// Answers every query of a family in one walk over the cells, without
     /// building any per-query weight vector.  Each answer equals
     /// `answer_with_weights(&query_weight_vector(query, q)?)` bit for bit.
+    ///
+    /// This is the context-free path: it reads no memo and leaves nothing
+    /// resident.  To answer a release over the context that produced it,
+    /// [`Histogram::answer_all_in`] reuses the weights that run memoised.
     pub fn answer_all(&self, query: &JoinQuery, family: &QueryFamily) -> Result<Vec<f64>> {
         self.answers(query, family.queries())
+    }
+
+    /// [`Histogram::answer_all`] through an execution context: the per-cell
+    /// weights of `family` over this histogram's layout are read from
+    /// `ctx`'s context memo, where a [`crate::Pmw::run`] over the same
+    /// layout and family has left them, and scored in one blocked pass.
+    ///
+    /// A miss builds the weights exactly as that run would and keeps them
+    /// in `ctx` (a byte per cell per palette-coded query, eight for a
+    /// dense one) in place of the workload it held before, so the next run
+    /// over that workload misses in turn.  Answers equal
+    /// [`Histogram::answer_all`]'s bit for bit.
+    pub fn answer_all_in(
+        &self,
+        ctx: &ExecContext,
+        query: &JoinQuery,
+        family: &QueryFamily,
+    ) -> Result<Vec<f64>> {
+        let weights = query_weights(ctx, query, self, family, &family.key())?;
+        let mut answers = vec![0.0; family.len()];
+        factor::answer_all(&weights, &self.weights, &mut answers);
+        Ok(answers)
     }
 
     fn answers(&self, query: &JoinQuery, queries: &[ProductQuery]) -> Result<Vec<f64>> {

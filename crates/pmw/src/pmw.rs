@@ -30,7 +30,10 @@
 //!
 //! - **Memoised in the context** ([`ExecContext::context_memo`]): the
 //!   per-cell query weights, keyed by the histogram layout and
-//!   [`QueryFamily::key`].
+//!   [`QueryFamily::key`].  They have a second reader:
+//!   [`Histogram::answer_all_in`] answers the workload on the released
+//!   histogram from the weights the run just left there, so answering a
+//!   release right after it builds nothing and holds nothing more.
 //! - **Memoised in the instance's slot** ([`ExecContext::slot_memo`]):
 //!   `count(I)`, and the true answers keyed by [`QueryFamily::key`].  A run
 //!   that finds both never joins.
@@ -40,6 +43,8 @@
 //!
 //! A miss runs the same code a cold context runs, so the released bits do
 //! not depend on what the context holds.
+
+use std::sync::Arc;
 
 use dpsyn_noise::budget::advanced_composition_per_step_epsilon;
 use dpsyn_noise::{exponential_mechanism, Laplace, PrivacyParams, TruncatedLaplace};
@@ -188,16 +193,14 @@ impl Pmw {
         // The weights depend on the layout and the workload alone, so they
         // are memoised in the context; the true answers depend on the data
         // too, so they are memoised in the pair's slot.
-        let fz = current.factorization(query)?;
         let family_key = family.key();
-        let weights = ctx.context_memo(&weights_key(query, &current, &family_key), || {
-            QueryWeights::build(&fz, query, family)
-        })?;
+        let weights = query_weights(ctx, query, &current, family, &family_key)?;
         let true_answers = ctx.slot_memo(query, instance, &family_key, || {
             let join = match join_result.take() {
                 Some(join) => join,
                 None => ctx.join(query, instance)?,
             };
+            let fz = current.factorization(query)?;
             factor::true_answers(&fz, current.attrs(), query, &join, family, &weights)
                 .map(TrueAnswers)
         })?;
@@ -250,6 +253,22 @@ struct JoinCount(f64);
 
 /// The true answers of one workload: the slot-memo entry of [`Pmw::run`].
 struct TrueAnswers(Vec<f64>);
+
+/// The per-cell weights of every query of `family` over `layout`'s cells,
+/// read from `ctx`'s context memo: the one read shared by [`Pmw::run`] and
+/// [`Histogram::answer_all_in`].  A miss builds them as a cold context does
+/// and stores them in place of the workload the context held before.
+pub(crate) fn query_weights(
+    ctx: &ExecContext,
+    query: &JoinQuery,
+    layout: &Histogram,
+    family: &QueryFamily,
+    family_key: &[u64],
+) -> Result<Arc<Vec<QueryWeights>>> {
+    ctx.context_memo(&weights_key(query, layout, family_key), || {
+        QueryWeights::build(&layout.factorization(query)?, query, family)
+    })
+}
 
 /// The context-memo key of a run's query weights: the histogram layout
 /// (attributes and domain sizes), each relation's attributes (which fix the

@@ -10,10 +10,10 @@
 //!    intent and **refunds**, because no randomness or data was consumed);
 //! 4. run the mechanism inside [`run_isolated`] — its own thread, under
 //!    `catch_unwind`, with a deadline;
-//! 5. resolve: success commits and answers; a mechanism error, panic or
-//!    timeout **also commits** (the conservative resolution — the
-//!    mechanism may have consumed randomness derived from private data) and
-//!    answers 5xx.
+//! 5. resolve: success commits and answers the workload on the released
+//!    histogram; a mechanism error, panic or timeout **also commits** (the
+//!    conservative resolution — the mechanism may have consumed randomness
+//!    derived from private data) and answers 5xx.
 //!
 //! Only the four *sound* mechanisms are exposed.  The deliberately flawed
 //! Section 3.1 strawmen exist in `dpsyn-core` for experiments, but a
@@ -268,6 +268,10 @@ pub fn update_dataset(store: &Store, name: &str, body: &[u8]) -> Reply {
 }
 
 /// `GET /v1/dataset/<name>`.
+///
+/// `cache` reports the dataset context's cumulative cache and memo reads
+/// ([`dpsyn_relational::ExecContext::cache_stats`]); a served release
+/// counts its answer's query-weight read among them.
 pub fn get_dataset(store: &Store, name: &str) -> Reply {
     match store.dataset(name) {
         Ok(dataset) => {
@@ -295,6 +299,14 @@ pub fn get_dataset(store: &Store, name: &str) -> Reply {
 
 /// `POST /v1/release` — the privacy-critical path (see the module docs for
 /// the charge protocol).
+///
+/// The reply answers the workload with
+/// [`SyntheticRelease::answer_all_in`] over the dataset's context: the
+/// mechanism's PMW runs have just memoised the workload's query weights
+/// there for the same layout, so the answers read them rather than
+/// rebuilding them, and equal the context-free
+/// [`SyntheticRelease::answer_all`] bit for bit.  That read is one more
+/// hit in the dataset's cache counters.
 pub fn release(store: &Store, body: &[u8], exec_timeout: Duration) -> Reply {
     let req = match parse_body(body).and_then(|v| ReleaseReq::from_json(&v)) {
         Ok(req) => req,
@@ -364,7 +376,7 @@ pub fn release(store: &Store, body: &[u8], exec_timeout: Duration) -> Reply {
                 )
                 .map_err(|e| e.to_string())?;
             let answers = release
-                .answer_all(&family)
+                .answer_all_in(&dataset.ctx, &family)
                 .map(|a| a.values().to_vec())
                 .map_err(|e| e.to_string())?;
             Ok((release, answers))

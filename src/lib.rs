@@ -115,6 +115,29 @@
 //! `POST /v1/release` with versioned JSON bodies (`"v":1`) — see
 //! `examples/server_demo.rs` for a complete client round-trip over raw TCP.
 //!
+//! A release reply carries the workload's answers on the released
+//! histogram.  The server computes them as a library caller would over a
+//! session's context, from the query weights the release just memoised
+//! there (bit-identical to the context-free `answer_all`):
+//!
+//! ```no_run
+//! # use dpsyn::prelude::*;
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! # let query = JoinQuery::two_table(8, 8, 8);
+//! # let instance = Instance::empty_for(&query)?;
+//! let session = Session::new();
+//! let workload = session.random_sign_workload(&query, 16, 7)?;
+//! let params = PrivacyParams::new(1.0, 1e-6)?;
+//! let request = ReleaseRequest::new(&query, &instance, &workload, params).with_seed(7);
+//! let release = session.release(&MultiTable::default(), &request)?;
+//! let answers = release.answer_all_in(session.context(), &workload)?;
+//! # Ok(())
+//! # }
+//! ```
+//!
+//! That read is one memo hit, so a dataset's `GET /v1/dataset/{id}` cache
+//! counters gain one hit per served release.
+//!
 //! ## Streaming updates
 //!
 //! Instances are rarely static: real traffic is a stream of insert/delete

@@ -26,7 +26,8 @@
 //!
 //! // Any mechanism runs through the same entry point.
 //! let release = session.release(&TwoTable::default(), &request)?;
-//! let answers = release.answer_all(&workload)?;
+//! // Answered from the query weights the release memoised in the session.
+//! let answers = release.answer_all_in(session.context(), &workload)?;
 //! # Ok(())
 //! # }
 //! ```
@@ -57,7 +58,9 @@
 //! - **In the context** ([`ExecContext::context_memo`]): PMW's per-cell
 //!   query weights, which depend on the histogram layout and the workload
 //!   alone.  One workload's weights are held at a time; they survive
-//!   streaming updates and slot eviction.
+//!   streaming updates and slot eviction.  `SyntheticRelease::answer_all_in`
+//!   answers a release's workload from them, so answering right after a
+//!   release builds no weights (and counts one more cache hit).
 //! - **In the instance's slot** ([`ExecContext::slot_memo`]): `count(I)`,
 //!   PMW's true answers (one workload at a time), `RS^β(I)` (one `β` at a
 //!   time) and the hierarchical partition's `|E| > 1` degree maps.  They

@@ -306,6 +306,90 @@ fn wire_end_to_end_admission_and_reproducibility() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A served release replies with what the library computes in process:
+/// `Session::release` plus the context-free `SyntheticRelease::answer_all`
+/// over the same data, seed and workload give the same answers, noisy
+/// total and `Δ̃`.  The server answers from the query weights its release
+/// just memoised; a second workload replaces them, and the first comes
+/// back after it.
+#[test]
+fn served_releases_answer_like_the_library() {
+    use dpsyn::noise::seeded_rng;
+    use dpsyn::prelude::*;
+
+    let dir = temp_dir("library");
+    let handle = start(ServerConfig::new(&dir)).unwrap();
+    let addr = handle.addr.to_string();
+    let tenant = r#"{"v":1,"tenant":"lib","epsilon":100.0,"delta":1e-3}"#;
+    assert_eq!(call(&addr, "POST", "/v1/tenant", tenant).0, 200);
+    assert_eq!(call(&addr, "POST", "/v1/dataset", DATASET_BODY).0, 200);
+
+    // DATASET_BODY, built as the server builds an upload.
+    let schema = Schema::new((0..3).map(|i| Attribute::new(format!("a{i}"), 8)).collect());
+    let query = JoinQuery::new(
+        schema,
+        vec![vec![AttrId(0), AttrId(1)], vec![AttrId(1), AttrId(2)]],
+    )
+    .unwrap();
+    let mut instance = Instance::empty_for(&query).unwrap();
+    for (rel, tuple, count) in [
+        (0, [1, 2], 3),
+        (0, [4, 2], 1),
+        (0, [5, 6], 2),
+        (1, [2, 7], 2),
+        (1, [6, 0], 1),
+    ] {
+        instance
+            .relation_mut(rel)
+            .add(tuple.to_vec(), count)
+            .unwrap();
+    }
+    let session = Session::sequential();
+    let params = PrivacyParams::new(0.5, 1e-6).unwrap();
+    let (seed, size) = (11, 16);
+
+    for (name, mechanism) in [
+        ("two_table", &TwoTable::default() as &dyn Mechanism),
+        ("multi_table", &MultiTable::default()),
+    ] {
+        for workload_seed in [7, 8, 7] {
+            let body = format!(
+                r#"{{"v":1,"tenant":"lib","dataset":"demo","mechanism":"{name}",
+                    "epsilon":0.5,"delta":1e-6,"seed":{seed},"workload_size":{size},
+                    "workload_seed":{workload_seed}}}"#
+            );
+            let (status, reply) = call(&addr, "POST", "/v1/release", &body);
+            assert_eq!(status, 200, "{reply:?}");
+            let served = reply.get("result").expect("result");
+
+            let workload =
+                QueryFamily::random_sign(&query, size, &mut seeded_rng(workload_seed)).unwrap();
+            let request = ReleaseRequest::new(&query, &instance, &workload, params).with_seed(seed);
+            let release = session.release(mechanism, &request).unwrap();
+            let answers = release.answer_all(&workload).unwrap();
+            // Compared as wire text: the shortest round-trip form of each
+            // number, so equal text means equal bits.
+            let field = |key: &str| served.get(key).map(Json::to_json);
+            let expected = Json::Arr(answers.values().iter().map(|&a| Json::Num(a)).collect());
+            let label = format!("{name} workload_seed {workload_seed}");
+            assert_eq!(field("answers"), Some(expected.to_json()), "{label}");
+            assert_eq!(
+                field("noisy_total"),
+                Some(Json::Num(release.noisy_total()).to_json()),
+                "{label}"
+            );
+            assert_eq!(
+                field("delta_tilde"),
+                Some(Json::Num(release.delta_tilde()).to_json()),
+                "{label}"
+            );
+        }
+    }
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The streaming-updates route: a batch posted to a warm dataset is
 /// delta-maintained in place, and a release over the updated dataset is
 /// byte-identical to one over a freshly uploaded copy of the same data.
