@@ -14,6 +14,4 @@ pub mod experiments;
 pub mod reporting;
 
 pub use experiments::*;
-pub use reporting::{
-    existing_rows_json, print_table, raw_rows_to_json_pretty, rows_to_json_pretty, run_cli, Row,
-};
+pub use reporting::{print_table, rows_to_json_pretty, run_cli, Row};

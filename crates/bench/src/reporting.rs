@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One row of an experiment's output: a label plus named numeric columns
-/// (and optional named text columns, e.g. a planner's chosen join order).
+/// (and optional named text columns, e.g. a chosen join order).
 #[derive(Debug, Clone, Default)]
 pub struct Row {
     /// Row label (e.g. the swept parameter value).
@@ -117,51 +117,6 @@ pub fn rows_to_json_pretty(rows: &[Row]) -> String {
     out
 }
 
-/// Extracts `(label, raw JSON object)` pairs from a pretty-printed bench
-/// results array (the format written by [`rows_to_json_pretty`]: one object
-/// per line).  Tolerates an empty or missing file (`""` → no rows).
-///
-/// Benches that share one results file (`BENCH_join.json`) use this to
-/// read-merge-write: each bench replaces only the rows it owns and keeps
-/// every other bench's rows intact.
-pub fn existing_rows_json(existing: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for line in existing.lines() {
-        let trimmed = line.trim();
-        if !trimmed.starts_with('{') {
-            continue;
-        }
-        let raw = trimmed.strip_suffix(',').unwrap_or(trimmed).to_string();
-        let Some(start) = raw.find("\"label\":\"").map(|i| i + "\"label\":\"".len()) else {
-            continue;
-        };
-        let Some(len) = raw[start..].find('"') else {
-            continue;
-        };
-        out.push((raw[start..start + len].to_string(), raw));
-    }
-    out
-}
-
-/// Serializes pre-rendered row objects as a pretty-printed JSON array (the
-/// write-side counterpart of [`existing_rows_json`]).
-pub fn raw_rows_to_json_pretty(raws: &[String]) -> String {
-    if raws.is_empty() {
-        return "[]".to_string();
-    }
-    let mut out = String::from("[\n");
-    for (i, raw) in raws.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(raw);
-        if i + 1 < raws.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push(']');
-    out
-}
-
 /// Prints rows as an aligned plain-text table.
 pub fn print_table(title: &str, rows: &[Row]) {
     println!("== {title} ==");
@@ -246,35 +201,6 @@ mod tests {
         // Text-only rows still produce a well-formed values object.
         let only_text = Row::new("x").with_text("note", "n").to_json();
         assert!(only_text.contains("{\"note\":\"n\"}"));
-    }
-
-    #[test]
-    fn merge_round_trip_preserves_foreign_rows() {
-        let committed = rows_to_json_pretty(&[
-            Row::new("join/two_table/200").with("hash_ns", 1.0),
-            Row::new("stream/maintain/b1").with("maintain_ns", 2.0),
-        ]);
-        let parsed = existing_rows_json(&committed);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "join/two_table/200");
-        // Replace the stream row, keep the join row untouched byte for byte.
-        let mut raws: Vec<String> = parsed
-            .into_iter()
-            .filter(|(label, _)| !label.starts_with("stream/"))
-            .map(|(_, raw)| raw)
-            .collect();
-        raws.push(
-            Row::new("stream/maintain/b1")
-                .with("maintain_ns", 3.0)
-                .to_json(),
-        );
-        let merged = raw_rows_to_json_pretty(&raws);
-        assert!(merged.contains("\"hash_ns\":1"));
-        assert!(merged.contains("\"maintain_ns\":3"));
-        assert!(!merged.contains("\"maintain_ns\":2"));
-        assert_eq!(existing_rows_json(&merged).len(), 2);
-        assert!(existing_rows_json("").is_empty());
-        assert!(existing_rows_json("[]").is_empty());
     }
 
     #[test]

@@ -243,10 +243,8 @@ impl HierarchicalRelease {
     /// Note on caching: the decomposition produces *distinct* sub-instances,
     /// so their sensitivity computations cannot share lattice entries within
     /// one release — but each part claims its own slot in the context's
-    /// cache LRU (with its own cost-based join plan, so every per-part
-    /// lattice decomposes along the planner's smallest intermediates), and
-    /// **repeated** releases over the same instance and seed (which
-    /// re-derive the same parts) find up to
+    /// cache LRU, and **repeated** releases over the same instance and seed
+    /// (which re-derive the same parts) find up to
     /// [`dpsyn_relational::DEFAULT_CACHE_SLOTS`] of them warm, each with
     /// its `count(I)`, true answers, `RS^β` and partition degree map
     /// memoised in its slot ([`ExecContext::slot_memo`]).  Raise the

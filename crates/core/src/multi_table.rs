@@ -84,14 +84,13 @@ impl MultiTable {
     /// Runs the release through an explicit execution context.
     ///
     /// The residual-sensitivity computation that dominates this algorithm
-    /// flows through `ctx`'s persistent sub-join lattice cache — decomposed
-    /// along the pair's cost-based join plan — so repeated releases (or
-    /// sensitivity sweeps) over the same instance skip the `2^m` subset
-    /// enumeration — and because the context keeps an **LRU of per-instance
+    /// flows through `ctx`'s persistent sub-join lattice cache, so repeated
+    /// releases (or sensitivity sweeps) over the same instance skip the
+    /// `2^m` subset enumeration — and because the context keeps an **LRU of per-instance
     /// slots**, interleaved releases over a small working set of instances
     /// (e.g. `HierarchicalRelease`'s parts) stay warm too.  Output is
     /// byte-identical to [`MultiTable::release`] at the same seed — warm or
-    /// cold cache, at any parallelism level, under any decomposition.
+    /// cold cache, at any parallelism level.
     pub fn release_in<R: Rng>(
         &self,
         ctx: &ExecContext,

@@ -6,7 +6,7 @@
 //! | [`figures`] | Figure 1 neighbouring-style pair, Figure 2 lower-bound construction, Figure 3 non-uniform instance, Example 4.2 family, the Figure 4 hierarchical query |
 //! | [`random`] | uniform and Zipf-skewed two-table / star / path instances |
 //! | [`scenarios`] | realistic synthetic scenarios: a social network (users ⋈ follows), a retail star schema, an organisational hierarchy |
-//! | [`stream`] | seeded insert/delete update streams over any generated instance, for exercising semi-naive batch maintenance |
+//! | [`stream`] | seeded insert/delete update streams over any generated instance, for exercising streaming updates |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +20,5 @@ pub use figures::{example42_instance, fig1_pair, fig2_hard_instance, fig3_nonuni
 pub use random::{random_path, random_star, random_two_table, zipf_two_table};
 pub use scenarios::{
     correlated_pair, heavy_hitter_star, org_hierarchy, retail_star, social_network,
-    wide_attribute_pair,
 };
 pub use stream::{update_stream, UpdateStreamConfig};

@@ -64,9 +64,9 @@ pub fn zipf_two_table<R: Rng>(
 
 /// A random path (chain) join `R_1(A_0, A_1) ⋈ … ⋈ R_m(A_{m-1}, A_m)`:
 /// every shared attribute drawn Zipf(θ), end attributes uniform.  The chain
-/// shape is the planner's stress case — non-adjacent relation subsets are
-/// attribute-disjoint, so a data-oblivious decomposition routes lazy lattice
-/// walks through cross products the cost-based plan avoids.
+/// shape is the lattice's stress case — non-adjacent relation subsets are
+/// attribute-disjoint, so the fixed-prefix decomposition routes lazy lattice
+/// walks through cross products.
 pub fn random_path<R: Rng>(
     m: usize,
     domain_size: u64,

@@ -179,17 +179,15 @@ pub fn heavy_hitter_star<R: Rng>(
 /// `k` alone — where `kk = k mod fanout` is a **functional dependency**
 /// of `k`.
 ///
-/// This shape provably breaks the classical independence assumption that
-/// cost-based join planners estimate with: under independence the pair
-/// join is estimated as
+/// This shape breaks the classical independence assumption of join-size
+/// estimates: under independence the pair join is estimated as
 /// `|R0|·|R1| / (v(k)·v(kk))`, dividing by *both* shared attributes'
 /// distinct counts, but since `kk` is determined by `k` the second factor
 /// is pure fiction — matching on `k` already implies matching on `kk`, so
 /// the true cardinality is larger than the estimate by roughly
-/// `fanout`×.  A cost-based plan therefore routes sub-joins *through* the
-/// `R0 ⋈ R1` pair (it looks cheap), which makes this the canonical
-/// workload for checking that a badly mis-estimated plan still produces
-/// exactly the naive engine's values.
+/// `fanout`×.  The fat, two-attribute-key `R0 ⋈ R1` pair makes this a
+/// stress workload for the sub-join lattice's value checks against the
+/// naive engine.
 ///
 /// `pair_rows` rows are generated for each of `R0`/`R1` (keys uniform over
 /// `0..keys`, payloads uniform over `0..payloads`); each satellite holds
@@ -245,72 +243,6 @@ pub fn correlated_pair<R: Rng>(
     (query, inst)
 }
 
-/// A **wide-attribute pair**: a large probe relation
-/// `R(a, k1, k2, k3, k4)` joined with a small build relation
-/// `S(k1, k2, k3, k4, e)` on the four-attribute key `(k1, k2, k3, k4)`,
-/// every domain astronomically large (`2^40`) and every value sparse —
-/// large, spread-out integers standing in for hashed surrogate keys.
-///
-/// `S` holds exactly one row per key index in `0..key_space`; `R` holds
-/// `probe_rows` rows whose key indices are drawn uniformly from
-/// `0..16 * key_space`, so roughly one probe in sixteen finds a match and
-/// the join is **probe-dominated**: the per-probe key work (project, hash
-/// and compare a four-word wide-value key) is the hot loop, not output
-/// emission.  The distinct-value sets are tiny relative to the `2^40`
-/// domains, which also stresses statistics gathering (distinct sketches
-/// over wide, sparse values).
-pub fn wide_attribute_pair<R: Rng>(
-    key_space: u64,
-    probe_rows: usize,
-    rng: &mut R,
-) -> (JoinQuery, Instance) {
-    let domain = 1u64 << 40;
-    let key_space = key_space.max(1);
-    let schema = Schema::new(vec![
-        Attribute::new("a", domain),
-        Attribute::new("k1", domain),
-        Attribute::new("k2", domain),
-        Attribute::new("k3", domain),
-        Attribute::new("k4", domain),
-        Attribute::new("e", domain),
-    ]);
-    let query = JoinQuery::new(
-        schema,
-        vec![
-            vec![AttrId(0), AttrId(1), AttrId(2), AttrId(3), AttrId(4)],
-            vec![AttrId(1), AttrId(2), AttrId(3), AttrId(4), AttrId(5)],
-        ],
-    )
-    .expect("two-table query");
-    let mut inst = Instance::empty_for(&query).expect("schema matches");
-    // Spread values across the wide domain with a large odd stride so raw
-    // keys exercise full 64-bit hashing/compares.  Input classes mod 6 keep
-    // the key, `a` and `e` value streams disjoint.
-    let wide = |v: u64| (v.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & (domain - 1);
-    let quad = |t: u64| {
-        [
-            wide(6 * t + 1),
-            wide(6 * t + 2),
-            wide(6 * t + 3),
-            wide(6 * t + 4),
-        ]
-    };
-    for t in 0..key_space {
-        let [k1, k2, k3, k4] = quad(t);
-        inst.relation_mut(1)
-            .add(vec![k1, k2, k3, k4, wide(6 * t)], 1)
-            .expect("valid tuple");
-    }
-    for _ in 0..probe_rows {
-        let a = wide(6 * rng.random_range(0..1u64 << 20) + 5);
-        let [k1, k2, k3, k4] = quad(rng.random_range(0..16 * key_space));
-        inst.relation_mut(0)
-            .add(vec![a, k1, k2, k3, k4], 1)
-            .expect("valid tuple");
-    }
-    (query, inst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,9 +290,6 @@ mod tests {
         assert_eq!(a, b);
         let (_, a) = heavy_hitter_star(3, 32, 80, 0.6, &mut rng());
         let (_, b) = heavy_hitter_star(3, 32, 80, 0.6, &mut rng());
-        assert_eq!(a, b);
-        let (_, a) = wide_attribute_pair(24, 100, &mut rng());
-        let (_, b) = wide_attribute_pair(24, 100, &mut rng());
         assert_eq!(a, b);
     }
 
@@ -419,24 +348,5 @@ mod tests {
         let (_, a) = correlated_pair(3, 64, 16, 512, 8, &mut rng());
         let (_, b) = correlated_pair(3, 64, 16, 512, 8, &mut rng());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn wide_attribute_pair_has_wide_sparse_values() {
-        let (q, inst) = wide_attribute_pair(24, 150, &mut rng());
-        assert!(inst.validate(&q).is_ok());
-        assert!(q.schema().domain_size(AttrId(0)).unwrap() >= 1 << 40);
-        // Values really are wide (beyond u32) and sparse (few distinct).
-        let r0 = inst.relation(0);
-        assert!(r0.iter().any(|(t, _)| t[0] > u32::MAX as u64));
-        let distinct_k1: std::collections::BTreeSet<u64> = r0.iter().map(|(t, _)| t[1]).collect();
-        assert!(distinct_k1.len() <= 16 * 24);
-        // The build side is one row per key index: small and key-distinct.
-        assert_eq!(inst.relation(1).distinct_count(), 24);
-        // The pair joins on the four shared attributes, selectively: about
-        // one probe row in sixteen finds its key in the build side.
-        let size = join_size(&q, &inst).unwrap();
-        assert!(size > 0, "some probes must hit");
-        assert!(size < 150 / 4, "the join must stay probe-dominated");
     }
 }

@@ -1,6 +1,6 @@
 //! Seeded streaming-update generators: insert/delete batches over any
-//! generated instance, for exercising the engine's semi-naive batch
-//! maintenance ([`dpsyn_relational::stream`]).
+//! generated instance, for exercising the engine's streaming updates
+//! ([`dpsyn_relational::stream`]).
 //!
 //! [`update_stream`] produces a *sequence* of [`UpdateBatch`]es that are
 //! valid when applied in order (every delete retracts a tuple that exists
@@ -51,9 +51,9 @@ impl Default for UpdateStreamConfig {
 /// value Zipf(`theta`) from its domain (so updates concentrate on hot
 /// values under skew); deletes pick an existing tuple with Zipf(`theta`)
 /// rank over the relation's sorted tuple order and retract one copy.
-/// Callers replay the stream with [`dpsyn_relational::apply_batch`] or
-/// maintain caches through it with `ExecContext::apply_updates` /
-/// `Session::apply_updates`.
+/// Callers replay the stream with [`dpsyn_relational::apply_batch`], or
+/// with `ExecContext::apply_updates` / `Session::apply_updates` on a
+/// context whose caches it then invalidates.
 pub fn update_stream<R: Rng>(
     query: &JoinQuery,
     instance: &Instance,

@@ -13,8 +13,7 @@
 //!   ([`join`](mod@join)), with the original `BTreeMap` engine retained as
 //!   a cross-check oracle ([`naive`]),
 //! * shared sub-join caching for relation-subset enumerations ([`cache`]),
-//! * streaming insert/delete batches with in-place semi-naive maintenance
-//!   of the cached lattice ([`stream`]),
+//! * validated streaming insert/delete batches ([`stream`]),
 //! * degree statistics `deg`, `Ψ_E` and maximum degrees `mdeg` ([`degree`]),
 //! * attribute trees for hierarchical joins ([`tree`]),
 //! * fractional edge covers and the AGM bound ([`cover`]),
@@ -49,68 +48,26 @@
 //! paths that aggregate further; callers must not let their order escape.
 //! The one reader that does is the `f64` truth sum over a full join
 //! (`dpsyn_query`'s answer functions), whose rounding follows row order, so
-//! a full join is only ever produced by the size-ordered fold — its
-//! physical order is deterministic at every thread count — and never
-//! patched in place (see [`stream`]).
+//! a full join is only ever produced by the size-ordered fold
+//! ([`fold_order`]) — its physical order is deterministic at every thread
+//! count.
 //!
-//! # Join planning
+//! # The sub-join lattice
 //!
 //! [`ShardedSubJoinCache`] memoises sub-join results per subset bitmask so that
 //! `2^m`-subset enumerations (residual sensitivity, multi-relation degree
 //! statistics) perform one hash-join step per distinct subset instead of
-//! re-joining from the base relations each time.  *How* each subset
-//! decomposes into parent-plus-relation is owned by the cost-based join
-//! planner ([`plan`]), which runs a **gather → estimate → populate**
-//! lifecycle:
-//!
-//! 1. **Gather** — [`RelationStats::gather`] scans each relation once and
-//!    summarises per-attribute distinct counts into mergeable
-//!    [`DistinctSketch`]es (exact sets below a small threshold, promoting
-//!    to a dense HyperLogLog-style register array above it).  Gathering is
-//!    morsel-parallel under the stealing scheduler and the sketch merge is
-//!    associative and commutative, so the statistics — and therefore every
-//!    plan built from them — are identical at every worker count.
-//! 2. **Estimate** — [`JoinPlan::cost_based`] picks, per subset, the pivot
-//!    whose removal leaves the smallest estimated intermediate under the
-//!    classical independence assumption, shrinking every cached
-//!    intermediate relative to the historical fixed highest-index chain.
-//! 3. **Populate** — the cache materialises intermediates along the plan's
-//!    pivots: [`ShardedSubJoinCache::populate`] level by level through the
-//!    worker pool, and the lazy reads [`ShardedSubJoinCache::join_mask`] and
-//!    [`ShardedSubJoinCache::max_group_weight`] along one mask's chain,
-//!    memoising the read mask itself or — with [`Keep::Chain`] — only its
-//!    chain parents.  All three take `&self`, and [`PlanStats`] reports
-//!    each subset's estimate next to its actual cardinality.
-//!
-//! A `(query, instance)` pair gets one plan per fingerprint, and plans
-//! never change *values*: they only choose decomposition order, so the
-//! output bytes are identical to the fixed-prefix chain and the naive
-//! oracle at every thread count.  Streaming updates keep the statistics
-//! warm instead of re-gathering: sketches absorb inserted tuples
-//! incrementally, row counts are patched exactly, and deletions — which
-//! insert-only sketches cannot subtract — leave the distinct estimates as
-//! upper bounds until one batch's net removals from a relation reach a
-//! quarter of its post-update rows, which triggers a single-relation
-//! re-gather.
-//!
-//! **Materialize vs. aggregate.**  Sensitivity consumers read only
-//! *aggregates* of most lattice entries — join sizes and per-boundary-key
-//! maximum weights — so the cache additionally decides, per mask, whether
-//! a sub-join is worth keeping as tuples at all.  Masks another mask
-//! decomposes through ([`JoinPlan::is_chain_parent`]) and the full join
-//! stay materialized; terminal masks whose only consumers are aggregate
-//! reads are evaluated **count-only**: [`join::hash_join_step_agg`]
-//! streams hash-probe matches straight into grouped saturating
-//! accumulators (an [`AggSummary`]) without building a [`JoinResult`],
-//! pre-filtering probe rows against a blocked Bloom filter built from the
-//! build side's key hashes (no false negatives, so the surviving match
-//! sequence is identical).  The decision is owned by [`AggMode`] — set only
-//! through [`ExecContext::with_agg_mode`] or
-//! [`ShardedSubJoinCache::with_agg_mode`], never from the environment —
-//! recorded on [`PlanNodeStats::aggregated`], and changes *how much work
-//! and memory* the same numbers cost — never the numbers: every aggregate
-//! is byte-identical to folding the materializing engine's output, which
-//! is retained as the cross-check oracle ([`AggMode::Never`]).
+//! re-joining from the base relations each time.  Each subset is built from
+//! the subset minus its highest relation index (the fixed-prefix chain), so
+//! every consumer decomposes the lattice identically.  It has two entry
+//! points, both `&self`: [`ShardedSubJoinCache::populate`] materialises
+//! every proper subset level by level through the worker pool, and the lazy
+//! read [`ShardedSubJoinCache::join_mask`] evaluates one mask along its
+//! chain, memoising the read mask itself or — with [`Keep::Chain`] — only
+//! its chain parents.  A sub-join is the same weighted tuple set under
+//! every decomposition and lattice entries are read only as join inputs
+//! and through integer aggregates, so the output bytes equal the naive
+//! oracle's at every thread count.
 //!
 //! # Parallel execution
 //!
@@ -140,23 +97,19 @@
 //! slots, each holding the sub-join lattice that survives across calls (so
 //! repeated sensitivity enumerations over the same `(query, instance)` pair
 //! reuse the `2^m` subset lattice instead of rebuilding it), a cached full
-//! join for repeated query answering, and the pair's cost-based
-//! [`JoinPlan`] shared by every checkout.  It backs the facade crate's
+//! join for repeated query answering, and a memo of release-invariant
+//! values.  It backs the facade crate's
 //! `dpsyn::Session`.  Cache reuse never changes output bytes — see the
 //! [`context`] module docs for the contract.
 //!
 //! # Streaming updates
 //!
-//! The [`stream`] module maintains the caches across **applied write
-//! batches**: an [`UpdateBatch`] of mixed inserts and deletes is folded into
-//! the live instance while the cached `2^m` sub-join lattice (full join
-//! included) is updated *in place*, semi-naive style — per relation,
-//! Δ-relations are joined against the current intermediates and folded in,
-//! with deletes as weight retraction — instead of rebuilt.  [`ExecContext::apply_updates`] migrates the warm LRU
-//! slot across the [`instance_fingerprint`] transition so caches survive
-//! writes, and the rebuild-from-scratch path remains the cross-check oracle:
-//! maintained state is byte-identical to a cold rebuild at every thread
-//! count and morsel size.
+//! The [`stream`] module validates **write batches**: an [`UpdateBatch`] of
+//! mixed inserts and deletes is applied by its net effect.
+//! [`ExecContext::apply_updates`] applies it to the live instance and drops
+//! the pair's warm LRU slot, so the caches of the updated instance rebuild
+//! lazily under its new [`instance_fingerprint`] — byte-identical to a cold
+//! context at every thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -173,7 +126,6 @@ pub mod hypergraph;
 pub mod instance;
 pub mod join;
 pub mod naive;
-pub mod plan;
 pub mod relation;
 pub mod stream;
 pub mod tree;
@@ -193,15 +145,10 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hypergraph::JoinQuery;
 pub use instance::{Instance, NeighborEdit};
 pub use join::{
-    fold_order, grouped_join_size, hash_join_step_agg, hash_join_step_with, join, join_size,
-    join_subset, AggSummary, JoinResult,
-};
-pub use plan::{
-    AggMode, DistinctSketch, JoinPlan, PlanNodeStats, PlanStats, RelationStats, SharedJoinPlan,
-    PLAN_MAX_RELATIONS,
+    fold_order, grouped_join_size, hash_join_step_with, join, join_size, join_subset, JoinResult,
 };
 pub use relation::Relation;
-pub use stream::{apply_batch, UpdateBatch, UpdateOp, UpdateStats};
+pub use stream::{apply_batch, UpdateBatch, UpdateOp};
 pub use tree::AttributeTree;
 pub use tuple::{project, project_positions, KeyArena, TupleKey, Value, INLINE_ARITY};
 

@@ -38,10 +38,6 @@ pub fn aggregate_query(
 /// enumerating many subsets `E` of the same instance shares sub-join work
 /// (the `2^m` enumeration of residual sensitivity in particular).  Safe to
 /// call from pool workers enumerating subsets in parallel.
-///
-/// Routes through [`ShardedSubJoinCache::max_group_weight`], so terminal
-/// masks fold count-only under the cache's aggregate-pushdown mode instead of
-/// materialising tuples nobody reads; the value is byte-identical either way.
 pub fn aggregate_query_sharded(
     cache: &ShardedSubJoinCache<'_>,
     e: &[usize],
@@ -52,7 +48,9 @@ pub fn aggregate_query_sharded(
         return Ok(1);
     }
     let mask = cache.mask_of(e)?;
-    Ok(cache.max_group_weight(mask, y, par, Keep::Target)?)
+    Ok(cache
+        .join_mask(mask, par, Keep::Target)?
+        .max_group_weight(y)?)
 }
 
 /// [`boundary_query`] evaluated through a [`ShardedSubJoinCache`].

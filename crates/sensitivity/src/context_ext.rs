@@ -4,22 +4,18 @@
 //! These methods are the primary API of the crate (the plain free functions
 //! build a throwaway context per call).  Running through a **long-lived**
 //! context changes the cost model, not the results: every sub-join the
-//! enumerations materialise decomposes along the context's cost-based join
-//! plan ([`dpsyn_relational::plan`]) and is checked back into the context's
-//! instance-fingerprinted lattice cache, so a second call over the same
-//! `(query, instance)` pair — a residual sensitivity at a different `β`, a
-//! local-sensitivity probe, a boundary query — reuses the `2^m` subset
-//! lattice instead of recomputing it, and every lazy walk (local
-//! sensitivity's transient joins, single boundary queries) materialises the
-//! planner's smallest intermediates.
+//! enumerations materialise is checked back into the context's
+//! instance-fingerprinted lattice cache ([`dpsyn_relational::cache`]), so a
+//! second call over the same `(query, instance)` pair — a residual
+//! sensitivity at a different `β`, a local-sensitivity probe, a boundary
+//! query — reuses the `2^m` subset lattice instead of recomputing it.
 //!
 //! ### Determinism
 //!
-//! Warm or cold, sequential or parallel, planner or fixed-prefix, the
-//! returned values are identical: every cached sub-join equals what the
-//! cold path computes (a sub-join is the same weighted tuple set under
-//! every decomposition, and the plan is a pure function of the query and
-//! instance statistics), the engine's worker pools steal work in morsels
+//! Warm or cold, sequential or parallel, the returned values are identical:
+//! every cached sub-join equals what the cold path computes (a sub-join is
+//! the same weighted tuple set under every decomposition), the engine's
+//! worker pools steal work in morsels
 //! whose results merge in morsel order (claiming order is invisible — see
 //! `dpsyn_relational::exec`), and the aggregates consumed here (`max` over
 //! groups, boundary maps in `BTreeMap` order) are order-free.  The
@@ -95,10 +91,8 @@ impl SensitivityOps for ExecContext {
         let cache = self.subjoin_cache(query, instance)?;
         let par = self.effective_parallelism(instance);
         if !par.is_sequential() {
-            // Demanded populate: only the masks other masks decompose
-            // through are materialised eagerly, level by level through the
-            // pool; terminal masks fold count-only below, under the cache's
-            // aggregate-pushdown mode.
+            // Every proper mask is materialised level by level through the
+            // pool; the reads below then only group the cached tuples.
             cache.populate(par)?;
         }
         let full = (1u32 << m) - 1;
@@ -178,7 +172,8 @@ impl SensitivityOps for ExecContext {
             }
             let boundary = query.boundary(&others)?;
             let mask = cache.mask_of(&others)?;
-            best = best.max(cache.max_group_weight(mask, &boundary, par, Keep::Chain)?);
+            let sub_join = cache.join_mask(mask, par, Keep::Chain)?;
+            best = best.max(sub_join.max_group_weight(&boundary)?);
         }
         self.retain_subjoin_cache(cache);
         Ok(best)
@@ -210,10 +205,11 @@ impl SensitivityOps for ExecContext {
         }
         let cache = self.subjoin_cache(query, instance)?;
         let mask = cache.mask_of(e)?;
-        // Lazy chain walk; terminal masks fold count-only under the cache's
-        // aggregate-pushdown mode.
+        // Lazy chain walk: only the missing parents of `mask` are built.
         let par = self.effective_parallelism(instance);
-        let value = cache.max_group_weight(mask, y, par, Keep::Target)?;
+        let value = cache
+            .join_mask(mask, par, Keep::Target)?
+            .max_group_weight(y)?;
         self.retain_subjoin_cache(cache);
         Ok(value)
     }
@@ -273,14 +269,8 @@ mod tests {
         let (q, inst) = two_table();
         let ctx = ExecContext::sequential();
         let cold = ctx.residual_sensitivity(&q, &inst, 0.2).unwrap();
-        // `Auto` keeps chain parents as tuples and terminal masks as
-        // count-only summaries; both kinds persist across calls.
-        let cached_after_first = (ctx.cached_subjoins(), ctx.cached_subjoin_aggregates());
-        let (tuples, summaries) = cached_after_first;
-        assert!(
-            tuples > 0 && summaries > 0,
-            "lattice must persist across calls"
-        );
+        let cached_after_first = ctx.cached_subjoins();
+        assert!(cached_after_first > 0, "lattice must persist across calls");
         // A sweep over β reuses the lattice: the cached count stays put and
         // every result matches a cold single-shot context.
         for &beta in &[0.2, 0.5, 1.0] {
@@ -289,10 +279,7 @@ mod tests {
                 .residual_sensitivity(&q, &inst, beta)
                 .unwrap();
             assert_eq!(warm, fresh, "beta {beta}");
-            assert_eq!(
-                (ctx.cached_subjoins(), ctx.cached_subjoin_aggregates()),
-                cached_after_first
-            );
+            assert_eq!(ctx.cached_subjoins(), cached_after_first);
         }
         assert_eq!(cold, ctx.residual_sensitivity(&q, &inst, 0.2).unwrap());
         let (hits, _) = ctx.cache_stats();

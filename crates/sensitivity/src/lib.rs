@@ -23,13 +23,11 @@
 //! enumerations and probe loops through the relational engine's worker pool
 //! ([`dpsyn_relational::exec`]), the small-instance sequential fallback
 //! ([`ExecContext::min_par_instance`](dpsyn_relational::ExecContext::min_par_instance)),
-//! the cost-based **join plan** that decomposes every sub-join the
-//! enumerations materialise ([`dpsyn_relational::plan`]), and — on a
-//! long-lived context (`dpsyn::Session`) — a **persistent sub-join lattice
-//! cache** that makes repeated sensitivity computations over the same
-//! instance near-free.
-//! Results are byte-identical at every parallelism level, on warm or cold
-//! caches, and under every decomposition.  `ExecContext` is the only place
+//! and — on a long-lived context (`dpsyn::Session`) — a **persistent
+//! sub-join lattice cache** that makes repeated sensitivity computations
+//! over the same instance near-free.
+//! Results are byte-identical at every parallelism level and on warm or
+//! cold caches.  `ExecContext` is the only place
 //! these execution settings live; the plain free functions use a throwaway
 //! [`ExecContext::default`](dpsyn_relational::ExecContext::default).
 

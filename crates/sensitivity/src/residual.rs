@@ -133,12 +133,11 @@ pub(crate) fn check_beta(beta: f64) -> Result<()> {
 /// subset (the empty subset maps to 1).
 ///
 /// All `2^m - 1` sub-joins are evaluated sequentially through one shared
-/// [`ShardedSubJoinCache`] (on its historical fixed-prefix decomposition —
-/// this free function doubles as the planner's cross-check path), so each
-/// subset costs a single incremental hash-join step over its cached parent
-/// instead of a full re-join from the base relations.  The context method
-/// ([`SensitivityOps::all_boundary_values`]) additionally decomposes along
-/// the cost-based join plan and persists the lattice across calls.
+/// [`ShardedSubJoinCache`], so each subset costs a single incremental
+/// hash-join step over its cached parent instead of a full re-join from the
+/// base relations.  The context method
+/// ([`SensitivityOps::all_boundary_values`]) additionally persists the
+/// lattice across calls.
 pub fn all_boundary_values(
     query: &JoinQuery,
     instance: &Instance,

@@ -224,10 +224,11 @@ pub fn create_dataset(store: &Store, body: &[u8]) -> Reply {
 }
 
 /// `POST /v1/dataset/<name>/updates` — apply an insert/delete batch to a
-/// served dataset, maintaining its warm caches in place (semi-naive delta
-/// maintenance; see `dpsyn_relational::stream`).  Touches no budget: the
-/// tenant is charged when it *releases* over the updated data, not when it
-/// writes.
+/// served dataset (see `dpsyn_relational::stream`).  The reply's
+/// `maintenance.warm` says whether the dataset's warm cache slot was
+/// dropped; the next release rebuilds it for the updated data.  Touches no
+/// budget: the tenant is charged when it *releases* over the updated data,
+/// not when it writes.
 pub fn update_dataset(store: &Store, name: &str, body: &[u8]) -> Reply {
     let run = || -> Result<Reply, ApiError> {
         let req = UpdateDatasetReq::from_json(&parse_body(body)?)?;
@@ -249,16 +250,8 @@ pub fn update_dataset(store: &Store, name: &str, body: &[u8]) -> Reply {
                 obj(vec![
                     ("warm", Json::Bool(report.warm)),
                     (
-                        "maintained_masks",
-                        Json::Num(report.stats.maintained_masks as f64),
-                    ),
-                    (
-                        "rebuilt_masks",
-                        Json::Num(report.stats.rebuilt_masks as f64),
-                    ),
-                    (
                         "relations_touched",
-                        Json::Num(report.stats.relations_touched as f64),
+                        Json::Num(report.relations_touched as f64),
                     ),
                 ]),
             ),

@@ -33,10 +33,10 @@
 //! Datasets themselves are mutable between releases:
 //! `POST /v1/dataset/{id}/updates` applies a versioned batch of inserts and
 //! deletes (`{"v":1,"updates":[{"relation":0,"op":"insert","tuple":[1,2],
-//! "count":3}, ...]}`) through `ExecContext::apply_updates`, so the
-//! dataset's warm sub-join caches are delta-maintained in place rather than
-//! rebuilt — a post-update release is byte-identical to one over a freshly
-//! uploaded copy of the updated data.  Updates touch no budget (writes are
+//! "count":3}, ...]}`) through `ExecContext::apply_updates`, which drops
+//! the dataset's warm cache slot, so the next release rebuilds it — a
+//! post-update release is byte-identical to one over a freshly uploaded
+//! copy of the updated data.  Updates touch no budget (writes are
 //! free; *releases* are charged) and, like uploads, are in-memory only.
 //!
 //! The HTTP layer ([`http`]) is a deliberately small hand-rolled HTTP/1.1

@@ -416,13 +416,13 @@ impl Store {
         Ok(dataset)
     }
 
-    /// Applies an update batch to a served dataset, maintaining its warm
-    /// execution state in place (`ExecContext::apply_updates`: the cached
-    /// sub-join lattice, full join and join plan migrate to the updated
-    /// instance's fingerprint instead of being orphaned).
+    /// Applies an update batch to a served dataset
+    /// (`ExecContext::apply_updates`: the dataset context drops the old
+    /// instance's warm slot, and the next release rebuilds it under the
+    /// updated instance's fingerprint).
     ///
     /// Like uploads, updates are in-memory only and never touch the ledger.
-    /// The maintenance itself runs outside the store lock; the swap-in is
+    /// The batch is applied outside the store lock; the swap-in is
     /// optimistic — if another request changed the dataset meanwhile, this
     /// one answers `409` and the client retries against the new state.
     pub fn update_dataset(

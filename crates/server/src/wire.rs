@@ -473,8 +473,8 @@ pub struct CreateDatasetReq {
 }
 
 /// Hard caps on dataset uploads (the body-size bound is the primary
-/// defence; these keep the lattice enumeration and planner in their
-/// supported ranges).
+/// defence; these keep the lattice enumeration in its supported
+/// ranges).
 pub const MAX_DATASET_ATTRS: usize = 64;
 /// Maximum relations per dataset (the sub-join lattice is `2^m`).
 pub const MAX_DATASET_RELATIONS: usize = 12;

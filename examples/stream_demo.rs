@@ -1,8 +1,8 @@
 //! Streaming ingestion: apply seeded insert/delete batches to a live
-//! instance while the session's warm caches are delta-maintained in place
-//! (semi-naive batch maintenance, [`dpsyn::relational::stream`]), then
-//! verify that a post-update release is byte-identical to one from a cold
-//! session over the same data.
+//! instance ([`dpsyn::relational::stream`]).  An update drops the session's
+//! warm cache slot for the old data, and the next release rebuilds it for
+//! the new data; the demo verifies that this post-update release is
+//! byte-identical to one from a cold session over the same data.
 //!
 //! Run with `cargo run --release --example stream_demo`.
 
@@ -29,10 +29,9 @@ fn main() {
     );
 
     // 3. Live traffic: a seeded stream of mixed insert/delete batches.
-    //    `Session::apply_updates` applies each batch to the instance AND
-    //    migrates the warm caches to the updated fingerprint — Δ-relations
-    //    are joined against the cached intermediates and folded in, instead
-    //    of rebuilding the lattice from scratch.
+    //    `Session::apply_updates` applies each batch to the instance and
+    //    drops the warm slot cached for the old fingerprint: only the first
+    //    batch finds one, because no release runs between batches.
     let stream = update_stream(
         &query,
         &instance,
@@ -47,23 +46,23 @@ fn main() {
     for (i, batch) in stream.iter().enumerate() {
         let report = session.apply_updates(&query, &mut instance, batch).unwrap();
         println!(
-            "batch {i}            : {} ops, warm={}, {} masks maintained, {} rebuilt, \
+            "batch {i}            : {} ops, warm={}, {} relations touched, \
              fingerprint {:016x} -> {:016x}",
             report.ops,
             report.warm,
-            report.stats.maintained_masks,
-            report.stats.rebuilt_masks,
+            report.relations_touched,
             report.old_fingerprint,
             report.new_fingerprint,
         );
     }
 
-    // 4. Release over the updated instance from the maintained session...
+    // 4. Release over the updated instance from the same session, which
+    //    rebuilds the lattice and full join for the new fingerprint...
     let request = ReleaseRequest::new(&query, &instance, &workload, budget).with_seed(13);
     let warm = session.release(&MultiTable::default(), &request).unwrap();
 
     // 5. ...and from a brand-new session that has never seen the stream.
-    //    Maintenance never changes bytes: both releases are identical.
+    //    Reusing a session never changes bytes: both releases are identical.
     let cold_session = Session::new();
     let cold = cold_session
         .release(&MultiTable::default(), &request)

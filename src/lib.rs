@@ -65,14 +65,6 @@
 //! //    sub-join lattice and full join — same bytes, less work.
 //! let rs = session.residual_sensitivity(&query, &instance, 0.5)?;
 //! println!("RS^0.5 = {:.2} ({} cached sub-joins)", rs.value, session.cached_subjoins());
-//!
-//! // 6. Every sub-join above decomposed along the session's cost-based
-//! //    join plan; inspect the chosen orders and intermediate sizes.
-//! let plan = session.plan_stats(&query, &instance)?;
-//! println!(
-//!     "join order {:?}; {} cached intermediate tuples",
-//!     plan.top_order, plan.cached_tuples
-//! );
 //! # Ok(())
 //! # }
 //! ```
@@ -141,20 +133,14 @@
 //! ## Streaming updates
 //!
 //! Instances are rarely static: real traffic is a stream of insert/delete
-//! batches between releases.  [`Session::apply_updates`] applies an
-//! [`relational::UpdateBatch`] to the instance while maintaining the
-//! session's warm state **in place**, semi-naive style
-//! ([`relational::stream`]): per updated relation, the Δ-relation is joined
-//! against the current cached intermediates and folded in (deletes as
-//! weight retraction under the engine's saturating-arithmetic rules), and
-//! the whole LRU slot — sub-join lattice, full join, join plan —
-//! migrates to the updated instance's fingerprint instead of being
-//! orphaned.  Maintenance never changes bytes: a post-update release
-//! is identical to one from a cold session at the same seed, at every
-//! thread count (the rebuild path remains the cross-check oracle in
-//! `tests/properties.rs`).  Served datasets take the same path through
-//! `POST /v1/dataset/{id}/updates` (tracked by the `stream/*` rows of
-//! `BENCH_join.json`); see `examples/stream_demo.rs`.
+//! batches between releases.  [`Session::apply_updates`] validates an
+//! [`relational::UpdateBatch`] ([`relational::stream`]), drops the
+//! session's warm LRU slot for the old instance — sub-join lattice, full
+//! join, memoised release values — and applies the batch, so the next
+//! release rebuilds that state for the updated instance.  A post-update
+//! release is therefore identical to one from a cold session at the same
+//! seed, at every thread count.  Served datasets take the same path
+//! through `POST /v1/dataset/{id}/updates`; see `examples/stream_demo.rs`.
 //!
 //! ## Performance and determinism
 //!
@@ -164,24 +150,12 @@
 //! [`relational::TupleKey`], multi-way joins pick their fold order by
 //! relation size, and the `2^m` relation-subset enumerations behind residual
 //! sensitivity share sub-join work through a
-//! [`relational::ShardedSubJoinCache`] — decomposed by the cost-based join planner
-//! ([`relational::plan`]: per-subset pivots chosen from per-relation
-//! statistics, so cached intermediates are the smallest available; tracked
-//! by the `planner/*` rows of `BENCH_join.json`) and persisted **across
-//! calls** by [`Session`] / [`relational::ExecContext`] (a small
-//! per-instance LRU of join plans, lattices and full joins), so repeated
-//! releases and sensitivity sweeps over a working set of instances pay for
-//! the lattice once.  Lattice masks whose tuples
-//! nobody reads — the terminal subsets consumed only as join sizes and
-//! boundary maxima — are not materialised at all: the cache's
-//! **aggregate-pushdown mode** ([`relational::AggMode::Auto`], the default;
-//! `AggMode::Never` is the materializing test oracle) streams their hash-probe
-//! matches straight into grouped saturating accumulators behind a blocked
-//! Bloom semi-join pre-filter, cutting resident bytes
-//! ([`Session::cached_subjoin_bytes`], the `agg/*` rows of
-//! `BENCH_join.json`) without changing a single output byte.  Hash order
-//! is never
-//! observable: every tuple-exposing API sorts on emit, so runs are
+//! [`relational::ShardedSubJoinCache`] and persisted **across calls** by
+//! [`Session`] / [`relational::ExecContext`] (a small per-instance LRU of
+//! lattices, full joins and memoised release values), so repeated releases
+//! and sensitivity sweeps over a working set of instances pay for the
+//! lattice once ([`Session::cached_subjoin_bytes`] reports its resident
+//! bytes).  Hash order is never observable: every tuple-exposing API sorts on emit, so runs are
 //! byte-reproducible from an RNG seed — see the determinism contract in
 //! [`relational`]'s crate docs.  The previous `BTreeMap` engine survives as
 //! `relational::naive`, the cross-check oracle for `tests/properties.rs` and
@@ -215,9 +189,8 @@ pub mod prelude {
     pub use dpsyn_pmw::{Histogram, Pmw, PmwConfig};
     pub use dpsyn_query::{AnswerOps, LinearQuery, ProductQuery, QueryFamily};
     pub use dpsyn_relational::{
-        join, join_size, AggMode, AttrId, Attribute, EvictionStats, ExecContext, Instance,
-        JoinPlan, JoinQuery, NeighborEdit, Parallelism, PlanStats, Relation, Schema, UpdateBatch,
-        UpdateOp, UpdateReport,
+        join, join_size, AttrId, Attribute, EvictionStats, ExecContext, Instance, JoinQuery,
+        NeighborEdit, Parallelism, Relation, Schema, UpdateBatch, UpdateOp, UpdateReport,
     };
     pub use dpsyn_sensitivity::{
         local_sensitivity, residual_sensitivity, ResidualSensitivity, SensitivityOps,

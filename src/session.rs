@@ -64,25 +64,12 @@
 //! - **In the instance's slot** ([`ExecContext::slot_memo`]): `count(I)`,
 //!   PMW's true answers (one workload at a time), `RS^β(I)` (one `β` at a
 //!   time) and the hierarchical partition's `|E| > 1` degree maps.  They
-//!   are dropped when [`Session::apply_updates`] migrates the slot, and
-//!   evicted with it.
+//!   are dropped with the slot, by [`Session::apply_updates`] or by
+//!   eviction.
 //!
 //! Each entry is keyed by the exact encoding of its non-data inputs
 //! ([`QueryFamily::key`], `β`'s bits, the layout), compared in full on
 //! every hit.
-//!
-//! ### Join planning
-//!
-//! Every sub-join a session materialises decomposes along a **cost-based
-//! join plan** ([`dpsyn_relational::plan`]): built once per instance
-//! fingerprint from mergeable sketch statistics, stored in the same LRU
-//! slot as the lattice, and shared by every consumer — so the lattice's
-//! intermediates are the planner's smallest, identically for sequential and
-//! parallel callers.  The plan is fixed for the fingerprint (a streaming
-//! update rebuilds it from patched sketches under the new fingerprint) and
-//! only orders join steps, so it never changes output bytes.
-//! [`Session::plan_stats`] exposes the chosen orders and the
-//! estimated/actual intermediate sizes.
 //!
 //! ### Determinism contract
 //!
@@ -93,8 +80,8 @@
 //!    identical stream as its direct `release(...)` method — the released
 //!    histogram, noisy total and `Δ̃` match the legacy path bit for bit.
 //! 2. **Warm equals cold.** Every cached sub-join equals what a fresh
-//!    computation produces (the planner's decomposition is a deterministic
-//!    function of the data; the cached full join comes from the same
+//!    computation produces (a sub-join is the same weighted tuple set under
+//!    every decomposition; the cached full join comes from the same
 //!    size-ordered fold as [`dpsyn_relational::join()`]), and every memo
 //!    entry — the context's query weights, the slot's `count(I)`, true
 //!    answers, `RS^β` and degree maps — is the value its cold computation
@@ -110,9 +97,7 @@
 use dpsyn_core::{IndependentLaplaceBaseline, Mechanism, SyntheticRelease};
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::{AnswerOps, AnswerSet, ProductQuery, QueryFamily};
-use dpsyn_relational::{
-    ExecContext, Instance, JoinQuery, Parallelism, PlanStats, UpdateBatch, UpdateReport,
-};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery, Parallelism, UpdateBatch, UpdateReport};
 use dpsyn_sensitivity::{ResidualSensitivity, SensitivityOps};
 
 /// Everything one release needs, bundled: the join query, the private
@@ -343,15 +328,14 @@ impl Session {
     // --- streaming updates --------------------------------------------------
 
     /// Applies a streaming [`UpdateBatch`] of inserts and deletes to
-    /// `instance` while keeping the session's warm state warm: the cached
-    /// sub-join lattice and full join are maintained **in place**
-    /// semi-naive style and migrated to the updated instance's fingerprint,
-    /// instead of being orphaned and rebuilt (see
-    /// [`dpsyn_relational::stream`] and [`ExecContext::apply_updates`]).
+    /// `instance` and drops the session's warm slot for the old instance
+    /// (see [`dpsyn_relational::stream`] and [`ExecContext::apply_updates`]):
+    /// the next call over the updated instance rebuilds its lattice, full
+    /// join and memoised values.
     ///
     /// A post-update release over the updated instance is byte-identical to
-    /// one from a cold session at the same seed — maintenance never changes
-    /// output bytes, at any thread count.  On a validation error
+    /// one from a cold session at the same seed, at any thread count.  On a
+    /// validation error
     /// (unknown relation, bad arity or domain, a delete below zero) neither
     /// the instance nor the cache is modified.
     pub fn apply_updates(
@@ -365,36 +349,15 @@ impl Session {
 
     // --- cache introspection ------------------------------------------------
 
-    /// Planner diagnostics for `(query, instance)`: the cost-based
-    /// decomposition the session's every sub-join flows through — per-subset
-    /// pivots with estimated cardinalities, the top-level join order, and
-    /// the actual sizes of the lattice entries currently materialised (see
-    /// [`dpsyn_relational::plan`]).  Benches use this to track the cached-intermediate footprint next to
-    /// wall-clock.
-    pub fn plan_stats(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-    ) -> dpsyn_relational::Result<PlanStats> {
-        self.ctx.plan_stats(query, instance)
-    }
-
     /// Number of sub-join lattice entries currently persisted.
     pub fn cached_subjoins(&self) -> usize {
         self.ctx.cached_subjoins()
     }
 
-    /// Approximate resident bytes of all persisted lattice entries, both
-    /// materialised tuple buffers and count-only aggregate summaries — the
-    /// footprint aggregate pushdown shrinks.
+    /// Approximate resident bytes of all persisted lattice entries' tuple
+    /// buffers.
     pub fn cached_subjoin_bytes(&self) -> usize {
         self.ctx.cached_subjoin_bytes()
-    }
-
-    /// Number of count-only aggregate summaries currently persisted (the
-    /// overlay entries serving terminal-mask reads without materialising).
-    pub fn cached_subjoin_aggregates(&self) -> usize {
-        self.ctx.cached_subjoin_aggregates()
     }
 
     /// LRU slot-eviction counters since the session was created (or since
@@ -467,10 +430,7 @@ mod tests {
         let request = ReleaseRequest::new(&q, &inst, &workload, params).with_seed(2);
 
         session.release(&MultiTable::default(), &request).unwrap();
-        // `Auto` keeps the chain parents as tuples and folds the terminal
-        // masks count-only: both kinds persist.
         assert!(session.cached_subjoins() > 0);
-        assert!(session.cached_subjoin_aggregates() > 0);
         let (hits_before, _) = session.cache_stats();
         session.release(&MultiTable::default(), &request).unwrap();
         let (hits_after, _) = session.cache_stats();
@@ -505,20 +465,18 @@ mod tests {
     }
 
     #[test]
-    fn session_plan_stats_track_the_lattice_footprint() {
+    fn session_lattice_footprint_tracks_cached_subjoins() {
         let (q, inst) = fixture();
         let session = Session::sequential();
-        let cold = session.plan_stats(&q, &inst).unwrap();
-        assert!(cold.cost_based);
-        assert_eq!(cold.top_order.len(), 2);
-        assert_eq!(cold.cached_masks, 0);
-        // A residual-sensitivity call populates the lattice through the
-        // planner; the stats now expose the materialised intermediates.
+        assert_eq!(session.cached_subjoins(), 0);
+        assert_eq!(session.cached_subjoin_bytes(), 0);
+        // A residual-sensitivity call materialises every proper subset of
+        // the two relations, and the byte accounting follows.
         session.residual_sensitivity(&q, &inst, 0.5).unwrap();
-        let warm = session.plan_stats(&q, &inst).unwrap();
-        assert!(warm.cached_masks > 0);
-        assert!(warm.aggregated_masks > 0);
-        assert!(warm.nodes.iter().any(|n| n.actual_rows.is_some()));
+        assert_eq!(session.cached_subjoins(), (1 << 2) - 2);
+        assert!(session.cached_subjoin_bytes() > 0);
+        session.clear_cache();
+        assert_eq!(session.cached_subjoin_bytes(), 0);
     }
 
     /// Product queries of two sparse components with weights uniform in
@@ -565,10 +523,10 @@ mod tests {
         batch.delete(1, vec![0, 0], 1);
         batch.insert(1, vec![1, 7], 1);
         let report = warm.apply_updates(&q, &mut inst, &batch).unwrap();
-        assert!(report.warm, "the release left a warm slot to migrate");
-        // Every release over the maintained state is byte-identical to a
+        assert!(report.warm, "the release left a warm slot to drop");
+        // Every release over the updated instance is byte-identical to a
         // cold session's over the plainly-updated instance, at the same
-        // seed: nothing memoised for the old data survives the migration.
+        // seed: nothing memoised for the old data survives the update.
         let mut cold_inst = base.clone();
         dpsyn_relational::apply_batch(&q, &mut cold_inst, &batch).unwrap();
         assert_eq!(inst, cold_inst);
@@ -595,7 +553,7 @@ mod tests {
             }
         }
         let cold = Session::sequential();
-        // Exact truth answers over the maintained slot round exactly as a
+        // Exact truth answers over the rebuilt slot round exactly as a
         // cold session's: compare bits, not approximate values.
         let bits = |answers: AnswerSet| -> Vec<u64> {
             answers.values().iter().map(|v| v.to_bits()).collect()

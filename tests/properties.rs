@@ -16,7 +16,6 @@ use dpsyn_relational::{
     deg_multi, join_subset, JoinResult, Keep, NeighborEdit, ShardedSubJoinCache, Value,
 };
 use dpsyn_sensitivity::{all_boundary_values, candidate_edits, ls_hat_k, SensitivityOps};
-use std::sync::Arc;
 
 const CASES: u64 = 24;
 
@@ -263,18 +262,18 @@ fn parallel_sensitivity_matches_sequential_and_naive() {
 }
 
 // ---------------------------------------------------------------------------
-// Cost-based join planner: planner ≡ fixed-prefix ≡ naive
+// Sub-join lattice: lattice ≡ direct fold ≡ naive, warm ≡ cold
 // ---------------------------------------------------------------------------
 
-/// The planner-chosen decomposition produces exactly the same sub-join
-/// values as the historical fixed-prefix chain and the naive `BTreeMap`
+/// The lattice's fixed-prefix decomposition produces exactly the same
+/// sub-join values as the size-ordered direct fold and the naive `BTreeMap`
 /// oracle — per subset, per boundary grouping — on chain, star and
-/// skewed-degree instances; and the context entry points (which decompose
-/// along the planner) return identical sensitivities warm and cold, at the
-/// sequential and the environment-default parallelism (CI runs this suite
-/// at `DPSYN_THREADS=1` and at the default count).
+/// skewed-degree instances; and the context entry points return identical
+/// sensitivities warm and cold, at the sequential and the
+/// environment-default parallelism (CI runs this suite at
+/// `DPSYN_THREADS=1` and at the default count).
 #[test]
-fn planner_decomposition_matches_fixed_prefix_and_naive() {
+fn lattice_decomposition_matches_direct_fold_and_naive() {
     for seed in 0..5u64 {
         let shapes: Vec<(&str, (JoinQuery, Instance))> = vec![
             (
@@ -292,14 +291,13 @@ fn planner_decomposition_matches_fixed_prefix_and_naive() {
         ];
         for (shape, (query, inst)) in shapes {
             let m = query.num_relations();
-            let plan = Arc::new(JoinPlan::cost_based(&query, &inst).unwrap());
-            let planned = ShardedSubJoinCache::with_plan(&query, &inst, Arc::clone(&plan)).unwrap();
-            let fixed = ShardedSubJoinCache::new(&query, &inst).unwrap();
+            let lattice = ShardedSubJoinCache::new(&query, &inst).unwrap();
             for rels in non_empty_subsets(m) {
-                let mask = planned.mask_of(&rels).unwrap();
-                let seq = Parallelism::SEQUENTIAL;
-                let a = planned.join_mask(mask, seq, Keep::Target).unwrap();
-                let b = fixed.join_mask(mask, seq, Keep::Target).unwrap();
+                let mask = lattice.mask_of(&rels).unwrap();
+                let a = lattice
+                    .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
+                    .unwrap();
+                let b = join_subset(&query, &inst, &rels).unwrap();
                 let naive = join_subset_naive(&query, &inst, &rels).unwrap();
                 assert_eq!(a.total(), naive.total(), "{shape}, seed {seed}");
                 assert_eq!(
@@ -307,10 +305,10 @@ fn planner_decomposition_matches_fixed_prefix_and_naive() {
                     naive.distinct_count(),
                     "{shape}, seed {seed}"
                 );
-                // Planner and fixed-prefix agree as weighted tuple sets
+                // Lattice and direct fold agree as weighted tuple sets
                 // (order-insensitive equality), and on every aggregate the
                 // lattice consumers read.
-                assert_eq!(a.as_ref(), b.as_ref(), "{shape}, seed {seed}");
+                assert_eq!(a.as_ref(), &b, "{shape}, seed {seed}");
                 let boundary = query.boundary(&rels).unwrap();
                 assert_eq!(
                     a.group_by(&boundary).unwrap(),
@@ -319,10 +317,9 @@ fn planner_decomposition_matches_fixed_prefix_and_naive() {
                 );
             }
 
-            // Context entry points decompose along the planner; warm calls
-            // must match cold calls, the fixed-prefix free functions, and
-            // the naive oracle — at the sequential and the default
-            // parallelism.
+            // Context entry points: warm calls must match cold calls, the
+            // free functions, and the naive oracle — at the sequential and
+            // the default parallelism.
             let naive_bv = all_boundary_values_naive(&query, &inst).unwrap();
             let fixed_bv = all_boundary_values(&query, &inst).unwrap();
             assert_eq!(fixed_bv, naive_bv, "{shape}, seed {seed}");
@@ -359,97 +356,13 @@ fn planner_decomposition_matches_fixed_prefix_and_naive() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Join planner: sketch statistics + cost-based decomposition
-// ---------------------------------------------------------------------------
-
-/// The mergeable distinct sketch tracks exact distinct counts within the
-/// HyperLogLog error envelope across five orders of magnitude, and its
-/// merge is associative, commutative and idempotent — the properties that
-/// make morsel-parallel gathering thread-count-invariant.
-#[test]
-fn distinct_sketch_is_accurate_and_merge_is_a_semilattice() {
-    use dpsyn_relational::DistinctSketch;
-    // With 2^12 registers the HLL standard error is 1.04/64 ≈ 1.6%; 8%
-    // is a comfortable 5σ envelope (hashing is deterministic, so this is
-    // a fixed property of each value stream, not a flaky draw).
-    const TOLERANCE: f64 = 0.08;
-    for seed in 0..4u64 {
-        for n in [10u64, 100, 1_000, 10_000, 100_000, 1_000_000] {
-            // n provably-distinct values (odd stride over u64), inserted
-            // twice each so duplicate insertion is exercised at every size.
-            let stride = 0x9E37_79B9_7F4A_7C15u64 | 1;
-            let value = |i: u64| (seed << 32).wrapping_add(i).wrapping_mul(stride);
-            let mut whole = DistinctSketch::new();
-            for i in 0..n {
-                whole.insert(value(i));
-                whole.insert(value(i));
-            }
-            let est = whole.estimate() as f64;
-            let rel_err = (est - n as f64).abs() / n as f64;
-            assert!(
-                rel_err <= TOLERANCE,
-                "seed {seed}, n {n}: estimate {est} off by {rel_err}"
-            );
-            // Small streams stay exact (zero error below the cutover).
-            if n <= 1_000 {
-                assert!(whole.is_exact(), "seed {seed}, n {n}");
-                assert_eq!(whole.estimate(), n, "seed {seed}, n {n}");
-            }
-
-            // Merge laws: split the stream into three uneven chunks and
-            // recombine in every grouping/order — all equal the
-            // single-stream sketch (associativity + commutativity), and
-            // re-merging a part already absorbed changes nothing
-            // (idempotence).
-            let bounds = [0, n / 7, n / 2, n];
-            let parts: Vec<DistinctSketch> = bounds
-                .windows(2)
-                .map(|w| {
-                    let mut s = DistinctSketch::new();
-                    for i in w[0]..w[1] {
-                        s.insert(value(i));
-                    }
-                    s
-                })
-                .collect();
-            let mut left = parts[0].clone();
-            left.merge(&parts[1]);
-            left.merge(&parts[2]);
-            let mut right = parts[2].clone();
-            right.merge(&parts[1]);
-            right.merge(&parts[0]);
-            let mut nested = parts[1].clone();
-            nested.merge(&parts[2]);
-            let mut outer = parts[0].clone();
-            outer.merge(&nested);
-            for (label, merged) in [("left", &left), ("right", &right), ("outer", &outer)] {
-                assert_eq!(
-                    merged.estimate(),
-                    whole.estimate(),
-                    "seed {seed}, n {n}: {label} merge order diverged"
-                );
-                assert_eq!(merged.is_exact(), whole.is_exact(), "seed {seed}, n {n}");
-            }
-            let before = left.estimate();
-            left.merge(&parts[1]);
-            assert_eq!(
-                left.estimate(),
-                before,
-                "seed {seed}, n {n}: not idempotent"
-            );
-        }
-    }
-}
-
-/// The cost-based plan never changes observable bytes: on the correlated
-/// workload that provably breaks independence estimates and on the
-/// heavy-hitter skewed star, the cost-based populate produces the same
+/// On the correlated workload (a fat two-attribute-key pair) and the
+/// heavy-hitter skewed star, the parallel populate produces the same
 /// lattice at every worker count as the sequential populate, mask for mask,
 /// and the context entry points match the naive oracle — cold and warm, at
 /// 1/2/4/8 threads.
 #[test]
-fn cost_based_populate_is_byte_identical_across_threads_and_naive() {
+fn populate_is_byte_identical_across_threads_and_naive() {
     use dpsyn_datagen::{correlated_pair, heavy_hitter_star};
     for seed in 0..2u64 {
         let shapes: Vec<(&str, (JoinQuery, Instance))> = vec![
@@ -467,12 +380,9 @@ fn cost_based_populate_is_byte_identical_across_threads_and_naive() {
             let naive_bv = all_boundary_values_naive(query, inst).unwrap();
 
             // Direct lattice check: both populates materialise every proper
-            // mask along the same cost-based plan.
-            let plan = Arc::new(JoinPlan::cost_based(query, inst).unwrap());
+            // mask.
             let populated = |par: Parallelism| {
-                let cache = ShardedSubJoinCache::with_plan(query, inst, Arc::clone(&plan))
-                    .unwrap()
-                    .with_agg_mode(AggMode::Never);
+                let cache = ShardedSubJoinCache::new(query, inst).unwrap();
                 cache.populate(par).unwrap();
                 cache
             };
@@ -512,15 +422,12 @@ fn cost_based_populate_is_byte_identical_across_threads_and_naive() {
     }
 }
 
-/// Aggregate pushdown changes how terminal lattice masks are evaluated —
-/// count-only folds behind a Bloom pre-filter instead of materialised tuples
-/// — but never what they evaluate to: boundary values, residual sensitivity,
-/// local sensitivity and join sizes are byte-identical across every
-/// [`AggMode`], thread count and warm/cold state, and equal to the naive
-/// oracle.  `AggMode::Never` *is* the materializing oracle; `Always` forces
-/// the count-only fold even where `Auto` would serve warm tuples.
+/// Boundary values, residual sensitivity, local sensitivity and join sizes
+/// read through a context's lattice are byte-identical across thread counts
+/// and warm/cold state, and equal to the naive oracle — including when
+/// grouped weights saturate.
 #[test]
-fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
+fn lattice_reads_are_byte_identical_across_threads_and_naive() {
     use dpsyn_datagen::{correlated_pair, heavy_hitter_star};
     for seed in 0..2u64 {
         let shapes: Vec<(&str, (JoinQuery, Instance))> = vec![
@@ -546,45 +453,34 @@ fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
             let naive_size = join_size_naive(query, inst).unwrap();
             let oracle_rs = residual_sensitivity(query, inst, 0.4).unwrap();
             let oracle_ls = local_sensitivity(query, inst).unwrap();
-            for mode in [AggMode::Never, AggMode::Auto] {
-                for threads in [1usize, 2, 4, 8] {
-                    let ctx = ExecContext::with_threads(threads)
-                        .with_min_par_instance(1)
-                        .with_agg_mode(mode);
-                    let tag = format!("{shape}, seed {seed}, {mode:?}, threads {threads}");
-                    let cold = ctx.all_boundary_values(query, inst).unwrap();
-                    assert_eq!(cold, naive_bv, "{tag} (cold)");
-                    // Warm reads hit whatever the slot retained — tuples,
-                    // summaries or both — and must not drift.
-                    let warm = ctx.all_boundary_values(query, inst).unwrap();
-                    assert_eq!(warm, naive_bv, "{tag} (warm)");
-                    assert_eq!(
-                        ctx.residual_sensitivity(query, inst, 0.4).unwrap(),
-                        oracle_rs,
-                        "{tag}"
-                    );
-                    assert_eq!(
-                        ctx.local_sensitivity(query, inst).unwrap(),
-                        oracle_ls,
-                        "{tag}"
-                    );
-                    assert_eq!(ctx.join_size(query, inst).unwrap(), naive_size, "{tag}");
-                    if mode == AggMode::Never {
-                        assert_eq!(
-                            ctx.plan_stats(query, inst).unwrap().aggregated_masks,
-                            0,
-                            "{tag}: the materializing oracle must not aggregate"
-                        );
-                    }
-                }
+            for threads in [1usize, 2, 4, 8] {
+                let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
+                let tag = format!("{shape}, seed {seed}, threads {threads}");
+                let cold = ctx.all_boundary_values(query, inst).unwrap();
+                assert_eq!(cold, naive_bv, "{tag} (cold)");
+                // Warm reads hit the lattice the slot retained and must not
+                // drift.
+                let warm = ctx.all_boundary_values(query, inst).unwrap();
+                assert_eq!(warm, naive_bv, "{tag} (warm)");
+                assert_eq!(
+                    ctx.residual_sensitivity(query, inst, 0.4).unwrap(),
+                    oracle_rs,
+                    "{tag}"
+                );
+                assert_eq!(
+                    ctx.local_sensitivity(query, inst).unwrap(),
+                    oracle_ls,
+                    "{tag}"
+                );
+                assert_eq!(ctx.join_size(query, inst).unwrap(), naive_size, "{tag}");
             }
         }
     }
 
-    // Saturation: grouped weights clamp at u128::MAX on the count-only fold
-    // exactly as on the materializing path.  Three u64::MAX·u64::MAX match
-    // pairs land in one boundary group of the {0,1} sub-join, so its max
-    // (= the local sensitivity of relation 2) saturates.
+    // Saturation: grouped weights clamp at u128::MAX exactly as in the
+    // naive engine.  Three u64::MAX·u64::MAX match pairs land in one
+    // boundary group of the {0,1} sub-join, so its max (= the local
+    // sensitivity of relation 2) saturates.
     let query = JoinQuery::path(3, 4).unwrap();
     let mut inst = Instance::empty_for(&query).unwrap();
     for v in 0..3u64 {
@@ -594,22 +490,18 @@ fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
     inst.relation_mut(2).add(vec![0, 0], 1).unwrap();
     let naive_bv = all_boundary_values_naive(&query, &inst).unwrap();
     assert_eq!(naive_bv[&vec![0usize, 1]], u128::MAX, "fixture saturates");
-    for mode in [AggMode::Never, AggMode::Auto] {
-        for threads in [1usize, 2, 4] {
-            let ctx = ExecContext::with_threads(threads)
-                .with_min_par_instance(1)
-                .with_agg_mode(mode);
-            assert_eq!(
-                ctx.all_boundary_values(&query, &inst).unwrap(),
-                naive_bv,
-                "{mode:?}, threads {threads}"
-            );
-            assert_eq!(
-                ctx.local_sensitivity(&query, &inst).unwrap(),
-                u128::MAX,
-                "{mode:?}, threads {threads}"
-            );
-        }
+    for threads in [1usize, 2, 4] {
+        let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
+        assert_eq!(
+            ctx.all_boundary_values(&query, &inst).unwrap(),
+            naive_bv,
+            "threads {threads}"
+        );
+        assert_eq!(
+            ctx.local_sensitivity(&query, &inst).unwrap(),
+            u128::MAX,
+            "threads {threads}"
+        );
     }
 }
 
@@ -751,18 +643,19 @@ fn released_answers_are_linear_in_the_histogram() {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming updates: batch-maintained ≡ rebuilt ≡ naive
+// Streaming updates: updated context ≡ rebuilt ≡ naive
 // ---------------------------------------------------------------------------
 
-/// Semi-naive batch maintenance never changes observable bytes: after every
-/// batch of a seeded update stream — pure inserts, pure deletes, and mixed —
-/// the maintained context answers exactly like a cold context over a
-/// rebuilt copy of the instance, which in turn matches the naive oracle.
+/// A context never serves stale state after an update: after every batch of
+/// a seeded update stream — pure inserts, pure deletes, and mixed — a
+/// context warmed before the batch answers exactly like a cold context over
+/// a rebuilt copy of the instance, which in turn matches the naive oracle.
 /// Checked per mask (boundary values cover every lattice entry), on the
 /// full join's sorted emission, at 1/2/4/8 threads, on warm and cold
-/// contexts alike.
+/// contexts alike; and the warmed context drops its old slot rather than
+/// orphaning it, so its slot count never grows across batches.
 #[test]
-fn stream_maintenance_is_byte_identical_to_rebuild_and_naive() {
+fn updated_context_is_byte_identical_to_rebuild_and_naive() {
     use dpsyn_datagen::{update_stream, UpdateStreamConfig};
     use dpsyn_relational::apply_batch;
     for seed in 0..1u64 {
@@ -797,11 +690,17 @@ fn stream_maintenance_is_byte_identical_to_rebuild_and_naive() {
                     // other cold so both apply_updates paths run.
                     let mut live = inst.clone();
                     let _ = warm_ctx.all_boundary_values(query, &live).unwrap();
+                    assert_eq!(warm_ctx.cached_instances(), 1);
                     let mut cold_live = inst.clone();
                     let mut rebuilt = inst.clone();
                     for batch in &stream {
                         let report = warm_ctx.apply_updates(query, &mut live, batch).unwrap();
-                        assert!(report.warm, "{shape}/{kind}: the warmed slot must migrate");
+                        assert!(report.warm, "{shape}/{kind}: the warmed slot is dropped");
+                        assert_eq!(
+                            warm_ctx.cached_instances(),
+                            0,
+                            "{shape}/{kind}, threads {threads}: old slot orphaned"
+                        );
                         let cold_report = cold_ctx
                             .apply_updates(query, &mut cold_live, batch)
                             .unwrap();
@@ -811,21 +710,21 @@ fn stream_maintenance_is_byte_identical_to_rebuild_and_naive() {
                         assert_eq!(cold_live, rebuilt, "{shape}/{kind}, threads {threads}");
                         assert_eq!(report.new_fingerprint, cold_report.new_fingerprint);
 
-                        // Per mask: maintained boundary values ≡ freshly
-                        // rebuilt lattice ≡ naive recomputation.
-                        let maintained = warm_ctx.all_boundary_values(query, &live).unwrap();
+                        // Per mask: the re-warmed context's boundary values ≡
+                        // a fresh context's ≡ naive recomputation.
+                        let rewarmed = warm_ctx.all_boundary_values(query, &live).unwrap();
                         let fresh = ExecContext::with_threads(threads)
                             .with_min_par_instance(1)
                             .all_boundary_values(query, &rebuilt)
                             .unwrap();
                         let naive = all_boundary_values_naive(query, &rebuilt).unwrap();
                         assert_eq!(
-                            maintained, fresh,
-                            "{shape}/{kind}, threads {threads} (maintained vs rebuilt)"
+                            rewarmed, fresh,
+                            "{shape}/{kind}, threads {threads} (re-warmed vs rebuilt)"
                         );
                         assert_eq!(
-                            maintained, naive,
-                            "{shape}/{kind}, threads {threads} (maintained vs naive)"
+                            rewarmed, naive,
+                            "{shape}/{kind}, threads {threads} (re-warmed vs naive)"
                         );
                         assert_eq!(
                             cold_ctx.all_boundary_values(query, &cold_live).unwrap(),
@@ -833,10 +732,8 @@ fn stream_maintenance_is_byte_identical_to_rebuild_and_naive() {
                             "{shape}/{kind}, threads {threads} (cold-path ctx vs naive)"
                         );
 
-                        // Full join: the maintained entry emits the same
-                        // sorted tuple stream as a cold re-join (physical
-                        // layout may differ; emission order is the
-                        // determinism contract).
+                        // Full join: the rebuilt entry emits the same sorted
+                        // tuple stream as a cold re-join.
                         let warm_join = warm_ctx.shared_join(query, &live).unwrap();
                         let cold_join = ExecContext::sequential().join(query, &rebuilt).unwrap();
                         assert_eq!(warm_join.total(), cold_join.total());
@@ -848,9 +745,14 @@ fn stream_maintenance_is_byte_identical_to_rebuild_and_naive() {
                             warm_rows, cold_rows,
                             "{shape}/{kind}, threads {threads} (full-join emission)"
                         );
+                        assert_eq!(
+                            warm_ctx.cached_instances(),
+                            1,
+                            "{shape}/{kind}, threads {threads}: slot count grew"
+                        );
                     }
-                    // After the whole stream, sensitivities from the
-                    // maintained context match a from-scratch computation.
+                    // After the whole stream, sensitivities from the warmed
+                    // context match a from-scratch computation.
                     assert_eq!(
                         warm_ctx.local_sensitivity(query, &live).unwrap(),
                         local_sensitivity(query, &rebuilt).unwrap(),
@@ -908,12 +810,8 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
                 "{shape}, seed {seed}"
             );
             let m = query.num_relations();
-            let materializing = || {
-                ShardedSubJoinCache::new(&query, &inst)
-                    .unwrap()
-                    .with_agg_mode(AggMode::Never)
-            };
-            let seq_cache = materializing();
+            let lattice = || ShardedSubJoinCache::new(&query, &inst).unwrap();
+            let seq_cache = lattice();
             seq_cache.populate(Parallelism::SEQUENTIAL).unwrap();
             // The sequential populate is the reference below; pin its values
             // to the naive engine once, mask by mask, as sorted rows.
@@ -945,7 +843,7 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
                 // Lattice populate under stealing: every mask's sub-join is
                 // byte-identical to the sequential populate's, and every mask
                 // is claimed exactly once.
-                let sharded = materializing();
+                let sharded = lattice();
                 let stats = sharded.populate(par).unwrap();
                 assert_eq!(
                     stats.total(),

@@ -390,11 +390,11 @@ fn served_releases_answer_like_the_library() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The streaming-updates route: a batch posted to a warm dataset is
-/// delta-maintained in place, and a release over the updated dataset is
-/// byte-identical to one over a freshly uploaded copy of the same data.
+/// The streaming-updates route: a batch posted to a warm dataset drops its
+/// warm slot, and a release over the updated dataset is byte-identical to
+/// one over a freshly uploaded copy of the same data.
 #[test]
-fn wire_updates_maintain_warm_state_and_preserve_release_bytes() {
+fn wire_updates_drop_warm_state_and_preserve_release_bytes() {
     let dir = temp_dir("updates");
     let handle = start(ServerConfig::new(&dir)).unwrap();
     let addr = handle.addr.to_string();
@@ -403,7 +403,7 @@ fn wire_updates_maintain_warm_state_and_preserve_release_bytes() {
 
     // Warm the dataset's context with one release.  `multi_table` is the
     // mechanism that populates the cached sub-join lattice (via residual
-    // sensitivity), so it is the one whose warm state maintenance migrates.
+    // sensitivity), so it leaves the warm slot the update drops.
     let release = |dataset: &str| {
         release_body(0.2, 1e-7)
             .replace("two_table", "multi_table")
@@ -432,19 +432,15 @@ fn wire_updates_maintain_warm_state_and_preserve_release_bytes() {
         panic!("maintenance must be an object: {maintenance:?}");
     };
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(
-        keys,
-        [
-            "warm",
-            "maintained_masks",
-            "rebuilt_masks",
-            "relations_touched"
-        ]
-    );
+    assert_eq!(keys, ["warm", "relations_touched"]);
     assert_eq!(
         maintenance.get("warm"),
         Some(&Json::Bool(true)),
-        "the released-over dataset must have a warm slot to migrate"
+        "the released-over dataset must have a warm slot to drop"
+    );
+    assert_eq!(
+        maintenance.get("relations_touched").and_then(Json::as_f64),
+        Some(2.0)
     );
     assert_eq!(
         body.get("previous_fingerprint").and_then(Json::as_str),
@@ -464,7 +460,7 @@ fn wire_updates_maintain_warm_state_and_preserve_release_bytes() {
         Some(fp_after.as_str())
     );
 
-    // Release over the maintained dataset...
+    // Release over the updated dataset...
     let (status, warm_release) = call(&addr, "POST", "/v1/release", &release("demo"));
     assert_eq!(status, 200);
 
@@ -478,7 +474,7 @@ fn wire_updates_maintain_warm_state_and_preserve_release_bytes() {
     assert_eq!(
         warm_release.get("result"),
         cold_release.get("result"),
-        "maintained state must release the same bytes as a cold upload"
+        "an updated dataset must release the same bytes as a cold upload"
     );
 
     // Rejections: a delete that underflows, an unknown dataset, a wrong
