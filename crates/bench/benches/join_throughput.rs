@@ -11,8 +11,9 @@
 //! sequential path (`threads`/`available_cores` fields record the context —
 //! wall-clock scaling is bounded by the machine's core count, while outputs
 //! are asserted byte-identical before timing), plus a `session/cache_reuse`
-//! row measuring a warm (one `ExecContext`, lattice persisted across calls)
-//! against a cold (fresh context per call) residual-sensitivity β sweep,
+//! row measuring a warm (one `ExecContext`, boundary values memoised across
+//! calls) against a cold (fresh context per call) residual-sensitivity β
+//! sweep,
 //! plus a `sched/*` row comparing the work-stealing lattice populate at 4
 //! workers against the sequential one (`--sched-smoke` runs only this
 //! group, for CI), measured with its arms interleaved so the recorded
@@ -271,8 +272,8 @@ fn main() {
         let mut rng = seeded_rng(12);
         let (query, instance) = random_star(4, 256, per_rel, 0.4, &mut rng);
         // Fresh contexts per call so each measurement rebuilds the lattice
-        // (the persistent-cache win is measured by the session scenario
-        // below, not here).
+        // (the memo win is measured by the session scenario below, not
+        // here).
         let cold_bv = |threads: usize| {
             ExecContext::with_threads(threads)
                 .all_boundary_values(&query, &instance)
@@ -294,10 +295,10 @@ fn main() {
         ));
     }
 
-    // --- Session cache reuse: warm vs cold lattice across a β sweep -------
-    // The Session/ExecContext API persists the 2^m sub-join lattice across
-    // calls, so a residual-sensitivity sweep over several β values on one
-    // instance pays for the lattice once.  "Cold" runs each β on a fresh
+    // --- Session cache reuse: warm vs cold across a β sweep ----------------
+    // The Session/ExecContext API memoises the boundary values T_F(I) in
+    // the instance's slot, so a residual-sensitivity sweep over several β
+    // values on one instance builds the 2^m sub-join lattice once.  "Cold" runs each β on a fresh
     // context (the pre-Session cost model); "warm" runs the sweep on one
     // context.  Results are asserted identical before timing.
     {

@@ -81,7 +81,7 @@ impl IndependentLaplaceBaseline {
     /// [`IndependentLaplaceBaseline::answer_all`] through an explicit
     /// execution context: the residual-sensitivity estimate and the true
     /// workload answers both flow through `ctx`'s persistent caches, so
-    /// repeated baseline runs over one instance reuse the sub-join lattice
+    /// repeated baseline runs over one instance reuse the memoised `RS^β`
     /// and the full join.  Answers are byte-identical to
     /// [`IndependentLaplaceBaseline::answer_all`] at the same seed.
     pub fn answer_all_in<R: Rng>(

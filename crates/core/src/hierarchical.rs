@@ -241,15 +241,14 @@ impl HierarchicalRelease {
     /// byte-identical to [`HierarchicalRelease::release`] at the same seed.
     ///
     /// Note on caching: the decomposition produces *distinct* sub-instances,
-    /// so their sensitivity computations cannot share lattice entries within
+    /// so their sensitivity computations cannot share memoised values within
     /// one release — but each part claims its own slot in the context's
     /// cache LRU, and **repeated** releases over the same instance and seed
     /// (which re-derive the same parts) find up to
     /// [`dpsyn_relational::DEFAULT_CACHE_SLOTS`] of them warm, each with
     /// its `count(I)`, true answers, `RS^β` and partition degree map
-    /// memoised in its slot ([`ExecContext::slot_memo`]).  Raise the
-    /// slot capacity ([`ExecContext::with_cache_slots`]) to cover larger
-    /// partitions.
+    /// memoised in its slot ([`ExecContext::slot_memo`]).  Parts beyond
+    /// that capacity start cold on every release.
     pub fn release_in<R: Rng>(
         &self,
         ctx: &ExecContext,

@@ -23,9 +23,9 @@
 //! All six releasing algorithms additionally implement the object-safe
 //! [`Mechanism`] trait ([`mechanism`]), the single entry point behind
 //! `dpsyn::Session::release`: trait-object dispatch plus an
-//! [`dpsyn_relational::ExecContext`] whose persistent sub-join lattice makes
-//! repeated releases over one instance reuse the sensitivity machinery's
-//! `2^m` subset enumeration.  Outputs are byte-identical to the direct
+//! [`dpsyn_relational::ExecContext`] whose slot memo makes repeated releases
+//! over one instance reuse the sensitivity machinery's boundary values and
+//! `RS^β` instead of re-enumerating the `2^m` subsets.  Outputs are byte-identical to the direct
 //! per-algorithm calls at the same seed.
 
 #![forbid(unsafe_code)]

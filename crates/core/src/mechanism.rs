@@ -21,9 +21,8 @@
 //! Context use: the mechanisms whose cost is dominated by sensitivity
 //! machinery ([`MultiTable`], [`HierarchicalRelease`]) route their residual
 //! sensitivity computation through the supplied [`ExecContext`], so a warm
-//! long-lived
-//! context (a `dpsyn::Session`) reuses the `2^m` sub-join lattice across
-//! repeated releases over the same instance.  The two-table mechanisms'
+//! long-lived context (a `dpsyn::Session`) reuses the memoised boundary
+//! values and `RS^β` across repeated releases over the same instance.  The two-table mechanisms'
 //! sensitivity is a cheap degree scan with nothing worth caching.  Every
 //! mechanism's PMW step joins at the context's parallelism, so a
 //! sequential context (`dpsyn::Session::sequential`) spawns no thread.

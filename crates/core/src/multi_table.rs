@@ -62,7 +62,7 @@ impl MultiTable {
     ///
     /// Builds a throwaway [`ExecContext::default`]; use
     /// [`MultiTable::release_in`] (or `dpsyn::Session::release`) to reuse a
-    /// long-lived context's sub-join lattice across repeated releases.
+    /// long-lived context's memoised values across repeated releases.
     pub fn release<R: Rng>(
         &self,
         query: &JoinQuery,
@@ -84,11 +84,12 @@ impl MultiTable {
     /// Runs the release through an explicit execution context.
     ///
     /// The residual-sensitivity computation that dominates this algorithm
-    /// flows through `ctx`'s persistent sub-join lattice cache, so repeated
-    /// releases (or sensitivity sweeps) over the same instance skip the
-    /// `2^m` subset enumeration — and because the context keeps an **LRU of per-instance
-    /// slots**, interleaved releases over a small working set of instances
-    /// (e.g. `HierarchicalRelease`'s parts) stay warm too.  Output is
+    /// is memoised in `ctx`'s slot for the instance, so repeated releases
+    /// (or sensitivity sweeps) over the same instance skip the `2^m` subset
+    /// enumeration — and because the context keeps an **LRU of
+    /// per-instance slots**, interleaved releases over a small working set
+    /// of instances (e.g. `HierarchicalRelease`'s parts) stay warm too.
+    /// Output is
     /// byte-identical to [`MultiTable::release`] at the same seed — warm or
     /// cold cache, at any parallelism level.
     pub fn release_in<R: Rng>(
@@ -211,18 +212,20 @@ mod tests {
             let b = par.answer_all(&family).unwrap();
             assert_eq!(a.values(), b.values(), "threads {threads}");
         }
-        // A warm context (lattice reused from a prior release over the same
+        // A warm context (values memoised by a prior release over the same
         // instance) must also change nothing.
         let ctx = ExecContext::sequential();
         let mut rng = seeded_rng(11);
         let cold = MultiTable::default()
             .release_in(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
-        assert!(ctx.cached_subjoins() > 0, "lattice must persist");
+        assert_eq!(ctx.cached_instances(), 1, "the release claims one slot");
+        let (hits, _) = ctx.cache_stats();
         let mut rng = seeded_rng(11);
         let warm = MultiTable::default()
             .release_in(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
+        assert!(ctx.cache_stats().0 > hits, "the warm release hits the memo");
         assert_eq!(warm.delta_tilde(), cold.delta_tilde());
         assert_eq!(warm.delta_tilde(), seq.delta_tilde());
     }

@@ -39,10 +39,13 @@
 //!
 //! **Memory trade-off:** every memoised sub-join stays resident until the
 //! cache is dropped, so a full `2^m` enumeration holds all `2^m - 1`
-//! results at once where the uncached path held one at a time.  `m` is a
-//! small constant in the paper's data-complexity setting; callers with very
-//! heavy sub-joins read them with [`Keep::Chain`], or split the
-//! enumeration across several shorter-lived caches.
+//! results at once where the uncached path held one at a time.  A cache
+//! lives for one computation: the sensitivity entry points build one per
+//! call and drop it on return, and no [`crate::ExecContext`] keeps one, so
+//! the footprint ends with the call (a context keeps the *values* the
+//! lattice yields, in its slot memo).  `m` is a small constant in the
+//! paper's data-complexity setting; callers with very heavy sub-joins read
+//! them with [`Keep::Chain`].
 
 use std::sync::{Arc, Mutex};
 
@@ -111,10 +114,6 @@ pub struct ShardedSubJoinCache<'a> {
     query: &'a JoinQuery,
     instance: &'a Instance,
     shards: Box<[MemoShard]>,
-    /// Fingerprint of the `(query, instance)` pair, filled in by
-    /// [`crate::ExecContext`] on checkout so check-in does not have to
-    /// re-hash the whole instance.
-    pub(crate) fingerprint: Option<u64>,
 }
 
 impl<'a> ShardedSubJoinCache<'a> {
@@ -142,54 +141,12 @@ impl<'a> ShardedSubJoinCache<'a> {
             query,
             instance,
             shards,
-            fingerprint: None,
         })
-    }
-
-    /// Creates a sharded cache pre-seeded with previously materialised
-    /// sub-join results (the counterpart of
-    /// [`ShardedSubJoinCache::into_memo`]).
-    ///
-    /// This is the warm-start path of the persistent per-context cache
-    /// ([`crate::ExecContext::subjoin_cache`]): a long-lived execution
-    /// context snapshots the memo between calls and re-seeds the next cache
-    /// with it, so repeated enumerations over the same `(query, instance)`
-    /// pair skip every already-computed sub-join.  Entries whose mask is out
-    /// of range for `query` are silently dropped (they cannot be reached by
-    /// any valid lookup).
-    pub fn with_memo(
-        query: &'a JoinQuery,
-        instance: &'a Instance,
-        memo: FxHashMap<u32, Arc<JoinResult>>,
-    ) -> Result<Self> {
-        let cache = Self::new(query, instance)?;
-        let m = query.num_relations();
-        for (mask, result) in memo {
-            if mask != 0 && (mask >> m) == 0 {
-                cache.insert(mask, result);
-            }
-        }
-        Ok(cache)
-    }
-
-    /// Consumes the cache and returns its materialised sub-join results as
-    /// one flat memo map (see [`ShardedSubJoinCache::with_memo`]).
-    pub fn into_memo(self) -> FxHashMap<u32, Arc<JoinResult>> {
-        let mut out = FxHashMap::default();
-        for shard in self.shards.into_vec() {
-            out.extend(shard.into_inner().expect("cache shard poisoned"));
-        }
-        out
     }
 
     /// The query this cache evaluates sub-joins of.
     pub fn query(&self) -> &JoinQuery {
         self.query
-    }
-
-    /// The instance this cache evaluates sub-joins over.
-    pub fn instance(&self) -> &Instance {
-        self.instance
     }
 
     fn shard(&self, mask: u32) -> &MemoShard {
@@ -525,30 +482,6 @@ mod tests {
             .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
             .unwrap();
         assert_eq!(transient.as_ref(), memoised.as_ref());
-    }
-
-    #[test]
-    fn memo_roundtrip_preserves_entries_and_drops_stale_masks() {
-        let (q, inst) = star_instance(3);
-        let sharded = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        sharded.populate(Parallelism::SEQUENTIAL).unwrap();
-        let count = sharded.cached_count();
-        let mut memo = sharded.into_memo();
-        assert_eq!(memo.len(), count);
-        // An out-of-range mask (from a hypothetical wider query) is dropped
-        // on re-seed instead of poisoning lookups.
-        let stale = memo.values().next().unwrap().clone();
-        memo.insert(1 << 5, stale);
-        let reseeded = ShardedSubJoinCache::with_memo(&q, &inst, memo).unwrap();
-        assert_eq!(reseeded.cached_count(), count);
-        let reference = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        for mask in 1u32..((1 << 3) - 1) {
-            let warm = reseeded.get(mask).expect("seeded entry");
-            let cold = reference
-                .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
-                .unwrap();
-            assert_eq!(warm.as_ref(), cold.as_ref());
-        }
     }
 
     fn path_instance(m: usize, per_rel: u64) -> (JoinQuery, Instance) {

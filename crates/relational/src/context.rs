@@ -2,49 +2,43 @@
 //!
 //! [`ExecContext`] is the engine-level backing of the facade crate's
 //! `dpsyn::Session`: it owns the [`Parallelism`] knob, the small-instance
-//! sequential-fallback threshold, and — crucially — a **persistent,
-//! instance-fingerprinted sub-join cache** that survives across calls.
+//! sequential-fallback threshold, and **persistent, instance-fingerprinted
+//! caches** that survive across calls.
 //!
-//! The sensitivity computations of the paper enumerate the `2^m` relation
-//! subsets of one `(query, instance)` pair over and over: every residual
-//! sensitivity at a new smoothing parameter `β`, every local-sensitivity
-//! check and every repeated release over the same instance rebuilds the same
-//! subset lattice.  Free-function entry points rebuild their
-//! [`ShardedSubJoinCache`] from scratch each call, making cross-call reuse
-//! structurally impossible.  An `ExecContext` instead checks the lattice out
-//! of its persistent store ([`ExecContext::subjoin_cache`]), lets the
-//! computation extend it, and checks it back in
-//! ([`ExecContext::retain_subjoin_cache`]) — so a *warm* context answers
-//! repeat sensitivity queries without recomputing a single sub-join.
+//! The sensitivity computations of the paper read the `2^m` relation subsets
+//! of one `(query, instance)` pair over and over: every residual sensitivity
+//! at a new smoothing parameter `β` needs the same boundary values `T_F(I)`,
+//! and every repeated release over the same instance needs the same full
+//! join, `count(I)` and true answers.  The context keeps those *values*, not
+//! the machinery that computes them: a [`crate::ShardedSubJoinCache`] is a
+//! local of each computation and is dropped when it returns, while the
+//! values it yields are memoised in the pair's slot
+//! ([`ExecContext::slot_memo`]) — so a *warm* context answers a `β` sweep
+//! from one boundary-value map instead of re-enumerating the lattice.
 //!
 //! ### Fingerprinting and the slot LRU
 //!
 //! The cache is keyed by [`instance_fingerprint`], a 64-bit structural hash
 //! of the query (relation attribute lists, attribute domain sizes) and the
 //! full instance contents (every tuple and frequency, in the relations'
-//! deterministic iteration order).  A checkout whose fingerprint matches a
-//! stored slot receives that slot's warm lattice (Arc-shared, so concurrent
-//! checkouts all see it); an unknown fingerprint receives an empty cache,
-//! and checking it back in claims a slot of its own.  The context keeps a
-//! small **LRU of slots** ([`DEFAULT_CACHE_SLOTS`], configurable via
-//! [`ExecContext::with_cache_slots`]) rather than a single one, so
+//! deterministic iteration order).  A read whose fingerprint matches a
+//! stored slot is served from it; an unknown fingerprint computes cold, and
+//! storing the result claims a slot of its own.  The context keeps a small
+//! **LRU of slots** ([`DEFAULT_CACHE_SLOTS`]) rather than a single one, so
 //! multi-instance pipelines — `HierarchicalRelease`'s per-part `MultiTable`
-//! calls, servers answering over several instances, sensitivity sweeps that
-//! revisit a handful of neighbours — stay warm too; only the
-//! least-recently-used slot is evicted when the capacity is exceeded.
+//! calls, servers answering over several instances — stay warm too; only
+//! the least-recently-used slot is evicted when the capacity is exceeded.
 //! Mutating an instance changes its fingerprint, so ordinary edits can
 //! never be served stale results.
 //!
 //! A slot holds, for its pair:
 //!
-//! * the materialised sub-join lattice ([`ExecContext::subjoin_cache`]),
-//!   decomposed along the fixed-prefix chain of [`crate::cache`];
 //! * the full join of the size-ordered fold ([`ExecContext::shared_join`]);
 //! * the **slot memo** ([`ExecContext::slot_memo`]): release-invariant
-//!   values computed from the pair's data — PMW's true answers and
-//!   `count(I)` per workload, `RS^β(I)` per `β`, and the hierarchical
-//!   partition's `|E| > 1` degree maps per `(E, y)` — one entry per value
-//!   type, each keyed exactly by its non-data inputs.
+//!   values computed from the pair's data — the boundary values `T_F(I)`,
+//!   PMW's true answers and `count(I)` per workload, `RS^β(I)` per `β`, and
+//!   the hierarchical partition's `|E| > 1` degree maps per `(E, y)` — one
+//!   entry per value type, each keyed exactly by its non-data inputs.
 //!
 //! Beside the slots, the **context memo** ([`ExecContext::context_memo`])
 //! holds values that depend on no instance data — PMW's per-cell query
@@ -67,21 +61,16 @@
 //!
 //! ### Determinism contract
 //!
-//! Reuse never changes bytes.  Cached sub-joins are exactly the values the
-//! cold path computes (every checkout decomposes a mask the same way, and a
-//! sub-join is the same weighted tuple set under every decomposition;
-//! lattice entries are read only as join inputs and through integer
-//! aggregates, so their physical row order never shows).
-//! Memo entries are the values their cold computation returns, keyed by
-//! every input besides the slot's data, so a hit is byte-identical too.
-//! The cached full join is different: truth answers sum `f64` terms in its
-//! physical row order, so it is only ever produced by the same size-ordered
-//! fold as [`crate::join::join`].  [`ExecContext::apply_updates`] drops the
-//! pre-update slot whole, so the updated instance's caches are rebuilt by
-//! the cold path.  A warm context's outputs are therefore
-//! **byte-identical** to a cold context's, which are in turn byte-identical
-//! at every parallelism level.  The caches trade memory for wall-clock
-//! time, never output.
+//! Reuse never changes bytes.  Memo entries are the values their cold
+//! computation returns, keyed by every input besides the slot's data, so a
+//! hit is byte-identical.  The cached full join is different: truth
+//! answers sum `f64` terms in its physical row order, so it is only ever
+//! produced by the same size-ordered fold as [`crate::join::join`].
+//! [`ExecContext::apply_updates`] drops the pre-update slot whole, so the
+//! updated instance's caches are rebuilt by the cold path.  A warm
+//! context's outputs are therefore **byte-identical** to a cold context's,
+//! which are in turn byte-identical at every parallelism level.  The caches
+//! trade memory for wall-clock time, never output.
 
 use std::any::{Any, TypeId};
 use std::hash::Hasher;
@@ -89,7 +78,6 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use crate::attr::AttrId;
-use crate::cache::ShardedSubJoinCache;
 use crate::exec::{self, Parallelism};
 use crate::hash::{FxHashMap, FxHasher};
 use crate::hypergraph::JoinQuery;
@@ -107,10 +95,10 @@ use crate::Result;
 /// identical either way; only wall-clock differs.
 pub const DEFAULT_MIN_PAR_INSTANCE: usize = 2048;
 
-/// Default number of `(query, instance)` slots the persistent cache LRU
-/// keeps warm at once.  Sized for the common multi-instance pipelines
-/// (hierarchical per-part releases, small server working sets) while
-/// bounding the resident sub-join memory to a handful of instances.
+/// Number of `(query, instance)` slots the persistent cache LRU keeps warm
+/// at once.  Sized for the common multi-instance pipelines (hierarchical
+/// per-part releases, small server working sets) while bounding the
+/// resident full joins and memo values to a handful of instances.
 pub const DEFAULT_CACHE_SLOTS: usize = 8;
 
 /// A 64-bit structural fingerprint of a `(query, instance)` pair: relation
@@ -205,37 +193,23 @@ fn memo_put<T: Any + Send + Sync>(memo: &mut Memo, key: &[u64], value: Arc<T>) -
 struct CacheSlot {
     /// Fingerprint of the `(query, instance)` pair the slot belongs to.
     fingerprint: u64,
-    /// Materialised sub-join lattice entries, keyed by subset bitmask.
-    lattice: FxHashMap<u32, Arc<JoinResult>>,
     /// The full join produced by the standard size-ordered fold.
     full_join: Option<Arc<JoinResult>>,
-    /// Data-dependent values memoised by [`ExecContext::slot_memo`] (true
-    /// answers, `count(I)`, `RS^β(I)`, degree maps): dropped with the slot
-    /// by [`ExecContext::apply_updates`] and by eviction.
+    /// Data-dependent values memoised by [`ExecContext::slot_memo`]
+    /// (boundary values, true answers, `count(I)`, `RS^β(I)`, degree
+    /// maps): dropped with the slot by [`ExecContext::apply_updates`] and
+    /// by eviction.
     memo: Memo,
     /// Logical access time (monotonic per context) driving LRU eviction.
     last_used: u64,
 }
 
-impl CacheSlot {
-    /// Approximate resident bytes of the lattice entries.
-    fn approx_bytes(&self) -> usize {
-        self.lattice.values().map(|r| r.approx_bytes()).sum()
-    }
-}
-
-/// Counters of LRU slot evictions on an [`ExecContext`] — what the
-/// byte-level cache accounting lost to capacity, so the lattice footprint
-/// stays auditable even after slots churn.  Surfaced via
+/// Counters of LRU slot evictions on an [`ExecContext`], surfaced via
 /// [`ExecContext::eviction_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvictionStats {
     /// Number of slot evictions performed by the LRU.
     pub evictions: u64,
-    /// Total lattice entries discarded.
-    pub evicted_entries: usize,
-    /// Approximate bytes discarded with them.
-    pub evicted_bytes: usize,
 }
 
 /// The persistent cache state guarded by the context's mutex: a small LRU of
@@ -266,8 +240,9 @@ impl CacheState {
     }
 
     /// The slot for `fingerprint`, created (and the LRU slot evicted when
-    /// over `capacity`) if absent.  Touched as most-recently-used.
-    fn slot_mut_or_insert(&mut self, fingerprint: u64, capacity: usize) -> &mut CacheSlot {
+    /// over [`DEFAULT_CACHE_SLOTS`]) if absent.  Touched as
+    /// most-recently-used.
+    fn slot_mut_or_insert(&mut self, fingerprint: u64) -> &mut CacheSlot {
         self.clock += 1;
         let clock = self.clock;
         if let Some(pos) = self.slots.iter().position(|s| s.fingerprint == fingerprint) {
@@ -275,7 +250,7 @@ impl CacheState {
             slot.last_used = clock;
             return slot;
         }
-        if self.slots.len() >= capacity.max(1) {
+        if self.slots.len() >= DEFAULT_CACHE_SLOTS {
             let evict = self
                 .slots
                 .iter()
@@ -283,14 +258,11 @@ impl CacheState {
                 .min_by_key(|(_, s)| s.last_used)
                 .map(|(pos, _)| pos)
                 .expect("non-empty slot list");
-            let gone = self.slots.swap_remove(evict);
+            self.slots.swap_remove(evict);
             self.evictions.evictions += 1;
-            self.evictions.evicted_entries += gone.lattice.len();
-            self.evictions.evicted_bytes += gone.approx_bytes();
         }
         self.slots.push(CacheSlot {
             fingerprint,
-            lattice: FxHashMap::default(),
             full_join: None,
             memo: Memo::default(),
             last_used: clock,
@@ -319,7 +291,6 @@ impl CacheState {
 pub struct ExecContext {
     parallelism: Parallelism,
     min_par_instance: usize,
-    cache_slots: usize,
     state: Mutex<CacheState>,
 }
 
@@ -337,7 +308,6 @@ impl ExecContext {
         ExecContext {
             parallelism,
             min_par_instance: DEFAULT_MIN_PAR_INSTANCE,
-            cache_slots: DEFAULT_CACHE_SLOTS,
             state: Mutex::new(CacheState::default()),
         }
     }
@@ -359,16 +329,6 @@ impl ExecContext {
     /// differs).
     pub fn with_min_par_instance(mut self, min_par_instance: usize) -> Self {
         self.min_par_instance = min_par_instance;
-        self
-    }
-
-    /// Sets the number of `(query, instance)` slots the persistent cache LRU
-    /// keeps warm at once (clamped to at least 1; default
-    /// [`DEFAULT_CACHE_SLOTS`]).  One slot reproduces the historical
-    /// single-instance behaviour: any other instance evicts the previous
-    /// one's entries.
-    pub fn with_cache_slots(mut self, cache_slots: usize) -> Self {
-        self.cache_slots = cache_slots.max(1);
         self
     }
 
@@ -489,7 +449,7 @@ impl ExecContext {
         let full = Arc::new(join_impl(query, instance, self.parallelism)?);
         let mut state = self.state.lock().expect("context cache poisoned");
         state.misses += 1;
-        state.slot_mut_or_insert(fp, self.cache_slots).full_join = Some(Arc::clone(&full));
+        state.slot_mut_or_insert(fp).full_join = Some(Arc::clone(&full));
         Ok(full)
     }
 
@@ -519,12 +479,14 @@ impl ExecContext {
 
     /// The slot-scope memo read: [`ExecContext::context_memo`] for values
     /// that depend on the `(query, instance)` data, kept in the pair's LRU
-    /// slot (true answers, `count(I)`, `RS^β(I)`, degree maps).
+    /// slot (boundary values, true answers, `count(I)`, `RS^β(I)`, degree
+    /// maps).
     ///
-    /// The read never claims or evicts a slot: the value is stored only when
-    /// the pair already holds one.  The slot keeps one entry per `T`; its
-    /// entries are dropped with the slot, by [`ExecContext::apply_updates`]
-    /// or by eviction.
+    /// Storing a value claims the pair's slot if it holds none, as
+    /// [`ExecContext::shared_join`] does, evicting the least-recently-used
+    /// slot at capacity.  The slot keeps one entry per `T`; its entries are
+    /// dropped with the slot, by [`ExecContext::apply_updates`] or by
+    /// eviction.
     pub fn slot_memo<T, E>(
         &self,
         query: &JoinQuery,
@@ -565,70 +527,11 @@ impl ExecContext {
         let value = Arc::new(build()?);
         let mut state = self.state.lock().expect("context cache poisoned");
         state.misses += 1;
-        Ok(match scope(&mut state, fp) {
-            Some(memo) => memo_put(memo, key, value),
-            None => value,
-        })
-    }
-
-    // --- persistent sub-join lattice ---------------------------------------
-
-    /// Checks the persistent sub-join lattice out of the context for
-    /// `(query, instance)`.
-    ///
-    /// If the fingerprint matches the stored slot, the returned
-    /// [`ShardedSubJoinCache`] starts **warm** (seeded with every previously
-    /// materialised sub-join); otherwise it starts empty.  Pair with
-    /// [`ExecContext::retain_subjoin_cache`] to persist whatever the
-    /// computation materialised.  The memo entries are `Arc`-shared clones,
-    /// so concurrent checkouts of the same context all see the warm lattice
-    /// and check-ins merge rather than overwrite each other's work.
-    pub fn subjoin_cache<'a>(
-        &self,
-        query: &'a JoinQuery,
-        instance: &'a Instance,
-    ) -> Result<ShardedSubJoinCache<'a>> {
-        let fp = instance_fingerprint(query, instance);
-        let memo = {
-            let mut state = self.state.lock().expect("context cache poisoned");
-            let warm = state
-                .slot_mut(fp)
-                .filter(|slot| !slot.lattice.is_empty())
-                .map(|slot| slot.lattice.clone());
-            match warm {
-                Some(warm) => {
-                    state.hits += 1;
-                    warm
-                }
-                None => {
-                    state.misses += 1;
-                    FxHashMap::default()
-                }
-            }
+        let memo = match fp {
+            None => &mut state.memo,
+            Some(fp) => &mut state.slot_mut_or_insert(fp).memo,
         };
-        let mut cache = ShardedSubJoinCache::with_memo(query, instance, memo)?;
-        cache.fingerprint = Some(fp);
-        Ok(cache)
-    }
-
-    /// Checks a sub-join cache back into the context, persisting its
-    /// materialised lattice for the next call over the same data.  The
-    /// entries are merged into the pair's LRU slot (so concurrent callers
-    /// compound instead of clobbering each other); an unknown pair claims a
-    /// fresh slot, evicting the least-recently-used one when the context is
-    /// at capacity.
-    pub fn retain_subjoin_cache(&self, cache: ShardedSubJoinCache<'_>) {
-        // Checkout stamped the fingerprint; hand-built caches pay one hash.
-        let fp = cache
-            .fingerprint
-            .unwrap_or_else(|| instance_fingerprint(cache.query(), cache.instance()));
-        let memo = cache.into_memo();
-        let mut state = self.state.lock().expect("context cache poisoned");
-        // Values for equal masks are equal, so overwrite-on-merge is safe.
-        state
-            .slot_mut_or_insert(fp, self.cache_slots)
-            .lattice
-            .extend(memo);
+        Ok(memo_put(memo, key, value))
     }
 
     // --- streaming updates --------------------------------------------------
@@ -638,7 +541,7 @@ impl ExecContext {
     ///
     /// Three steps: validate the batch against its net effect, take and
     /// drop the slot of the pre-update fingerprint, apply the net deltas.
-    /// Everything the slot held — lattice, full join, slot memo — describes
+    /// Everything the slot held — full join, slot memo — describes
     /// the old data; the updated instance's caches rebuild lazily under its
     /// new fingerprint, by the same cold path a fresh context takes, so
     /// every downstream observable is byte-identical to a fresh context's.
@@ -670,28 +573,18 @@ impl ExecContext {
         })
     }
 
-    /// Number of sub-join lattice entries currently persisted across all LRU
-    /// slots (excluding cached full joins).
-    pub fn cached_subjoins(&self) -> usize {
-        self.state
-            .lock()
-            .expect("context cache poisoned")
-            .slots
-            .iter()
-            .map(|s| s.lattice.len())
-            .sum()
-    }
-
-    /// Approximate resident bytes across all persisted lattice entries'
-    /// flat tuple buffers; pair with [`ExecContext::eviction_stats`] to
-    /// audit what the LRU discarded.
+    /// Approximate resident bytes of the slots' cached full joins
+    /// ([`ExecContext::shared_join`]): the only join results a context
+    /// keeps, since sub-join lattices are locals of the computations that
+    /// build them.
     pub fn cached_subjoin_bytes(&self) -> usize {
         self.state
             .lock()
             .expect("context cache poisoned")
             .slots
             .iter()
-            .map(|s| s.approx_bytes())
+            .filter_map(|s| s.full_join.as_ref())
+            .map(|full| full.approx_bytes())
             .sum()
     }
 
@@ -711,16 +604,15 @@ impl ExecContext {
             .len()
     }
 
-    /// `(hits, misses)` of the persistent caches: a hit is a checkout,
-    /// shared-join call or memo read that found warm data for its
-    /// fingerprint (or, in the context-scope memo, its key).
+    /// `(hits, misses)` of the persistent caches: a hit is a shared-join
+    /// call or memo read that found warm data for its fingerprint and key.
     pub fn cache_stats(&self) -> (u64, u64) {
         let state = self.state.lock().expect("context cache poisoned");
         (state.hits, state.misses)
     }
 
-    /// Drops every persisted cache slot (full joins, lattices and slot
-    /// memos) and the context-scope memo, releasing their memory.
+    /// Drops every persisted cache slot (full joins and slot memos) and the
+    /// context-scope memo, releasing their memory.
     /// The context remains usable; the next call simply starts cold.
     pub fn clear_cache(&self) {
         let mut state = self.state.lock().expect("context cache poisoned");
@@ -811,34 +703,17 @@ mod tests {
         assert_eq!((hits, misses), (1, 1));
     }
 
-    #[test]
-    fn lattice_survives_checkin_checkout_roundtrip() {
-        let (q, inst) = star_instance(4);
-        let ctx = ExecContext::sequential();
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache.populate(Parallelism::SEQUENTIAL).unwrap();
-        let populated = cache.cached_count();
-        assert_eq!(populated, (1 << 4) - 2);
-        ctx.retain_subjoin_cache(cache);
-        assert_eq!(ctx.cached_subjoins(), populated);
-        // Warm checkout starts with everything materialised — and because
-        // checkout clones (Arc-shared) rather than moves, a second
-        // concurrent checkout is warm too.
-        let warm = ctx.subjoin_cache(&q, &inst).unwrap();
-        assert_eq!(warm.cached_count(), populated);
-        let concurrent = ctx.subjoin_cache(&q, &inst).unwrap();
-        assert_eq!(concurrent.cached_count(), populated);
-        for mask in 1u32..((1 << 4) - 1) {
-            assert!(
-                warm.get(mask).is_some(),
-                "mask {mask:#b} missing after reuse"
-            );
-        }
-        ctx.retain_subjoin_cache(warm);
-        ctx.retain_subjoin_cache(concurrent);
-        assert_eq!(ctx.cached_subjoins(), populated, "merge must not clobber");
-        let (hits, _) = ctx.cache_stats();
-        assert!(hits >= 2);
+    /// `n` star instances with pairwise distinct fingerprints.
+    fn star_variants(n: u64) -> (JoinQuery, Vec<Instance>) {
+        let (q, base) = star_instance(3);
+        let variants = (0..n)
+            .map(|v| {
+                let mut inst = base.clone();
+                inst.relation_mut(0).add(vec![9, v % 16], 1).unwrap();
+                inst
+            })
+            .collect();
+        (q, variants)
     }
 
     #[test]
@@ -846,113 +721,69 @@ mod tests {
         let (q, inst) = star_instance(3);
         let (q2, inst2) = star_instance(4);
         let ctx = ExecContext::sequential();
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache.populate(Parallelism::SEQUENTIAL).unwrap();
-        let first = cache.cached_count();
-        ctx.retain_subjoin_cache(cache);
-        // A different pair checks out cold, claims its own slot, and does
-        // NOT evict the first instance while capacity remains.
-        let other = ctx.subjoin_cache(&q2, &inst2).unwrap();
-        assert_eq!(other.cached_count(), 0);
-        ctx.retain_subjoin_cache(other);
+        let first = ctx.shared_join(&q, &inst).unwrap();
+        // A different pair claims its own slot and does NOT evict the
+        // first instance while capacity remains.
+        ctx.shared_join(&q2, &inst2).unwrap();
         assert_eq!(ctx.cached_instances(), 2);
-        let back = ctx.subjoin_cache(&q, &inst).unwrap();
-        assert_eq!(back.cached_count(), first, "first instance stays warm");
-    }
-
-    #[test]
-    fn single_slot_context_reproduces_the_historical_eviction() {
-        let (q, inst) = star_instance(3);
-        let (q2, inst2) = star_instance(4);
-        // Zero slots clamps to one: the same single-slot eviction.
-        for slots in [1usize, 0] {
-            let ctx = ExecContext::sequential().with_cache_slots(slots);
-            let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-            cache.populate(Parallelism::SEQUENTIAL).unwrap();
-            ctx.retain_subjoin_cache(cache);
-            assert!(ctx.cached_subjoins() > 0, "slots {slots}");
-            // A different pair checks out cold and evicts on check-in.
-            let other = ctx.subjoin_cache(&q2, &inst2).unwrap();
-            assert_eq!(other.cached_count(), 0);
-            ctx.retain_subjoin_cache(other);
-            assert_eq!(ctx.cached_instances(), 1, "slots {slots}");
-            let back = ctx.subjoin_cache(&q, &inst).unwrap();
-            assert_eq!(
-                back.cached_count(),
-                0,
-                "old instance must re-start cold, slots {slots}"
-            );
-        }
+        let back = ctx.shared_join(&q, &inst).unwrap();
+        assert!(Arc::ptr_eq(&first, &back), "first instance stays warm");
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used_slot_past_capacity() {
-        let (q, base) = star_instance(3);
-        // Four distinct instances (distinct fingerprints) on a 3-slot LRU.
-        let variants: Vec<Instance> = (0..4u64)
-            .map(|v| {
-                let mut inst = base.clone();
-                inst.relation_mut(0).add(vec![9, v % 8], 1).unwrap();
-                inst
-            })
+        let (q, variants) = star_variants(DEFAULT_CACHE_SLOTS as u64 + 1);
+        let ctx = ExecContext::sequential();
+        let joins: Vec<_> = variants[..DEFAULT_CACHE_SLOTS]
+            .iter()
+            .map(|inst| ctx.shared_join(&q, inst).unwrap())
             .collect();
-        let ctx = ExecContext::sequential().with_cache_slots(3);
-        for inst in &variants[..3] {
-            let cache = ctx.subjoin_cache(&q, inst).unwrap();
-            cache.populate(Parallelism::SEQUENTIAL).unwrap();
-            ctx.retain_subjoin_cache(cache);
-        }
-        assert_eq!(ctx.cached_instances(), 3);
+        assert_eq!(ctx.cached_instances(), DEFAULT_CACHE_SLOTS);
+        assert_eq!(ctx.eviction_stats(), EvictionStats::default());
         // Touch instance 0 so instance 1 becomes the LRU victim.
-        assert!(ctx.subjoin_cache(&q, &variants[0]).unwrap().cached_count() > 0);
-        let cache = ctx.subjoin_cache(&q, &variants[3]).unwrap();
-        cache.populate(Parallelism::SEQUENTIAL).unwrap();
-        ctx.retain_subjoin_cache(cache);
-        assert_eq!(ctx.cached_instances(), 3, "capacity bound holds");
-        // Instance 1 (least recently used) was evicted; 0, 2 and 3 are warm.
+        ctx.shared_join(&q, &variants[0]).unwrap();
+        ctx.shared_join(&q, &variants[DEFAULT_CACHE_SLOTS]).unwrap();
         assert_eq!(
-            ctx.subjoin_cache(&q, &variants[1]).unwrap().cached_count(),
-            0
+            ctx.cached_instances(),
+            DEFAULT_CACHE_SLOTS,
+            "capacity holds"
         );
-        for &warm in &[0usize, 2, 3] {
+        assert_eq!(ctx.eviction_stats().evictions, 1);
+        // Every other instance is still warm (the same Arc); instance 1
+        // (least recently used) was evicted and rebuilds cold.
+        for (i, join) in joins.iter().enumerate().filter(|&(i, _)| i != 1) {
             assert!(
-                ctx.subjoin_cache(&q, &variants[warm])
-                    .unwrap()
-                    .cached_count()
-                    > 0,
-                "instance {warm} must stay warm"
+                Arc::ptr_eq(join, &ctx.shared_join(&q, &variants[i]).unwrap()),
+                "instance {i} must stay warm"
             );
         }
+        let (_, misses) = ctx.cache_stats();
+        let rebuilt = ctx.shared_join(&q, &variants[1]).unwrap();
+        assert!(!Arc::ptr_eq(&joins[1], &rebuilt));
+        assert_eq!(ctx.cache_stats().1, misses + 1, "instance 1 starts cold");
+        assert_eq!(rebuilt.as_ref(), joins[1].as_ref());
     }
 
     #[test]
-    fn byte_accounting_and_eviction_counters_audit_the_lru() {
-        let (q, base) = star_instance(3);
-        let variants: Vec<Instance> = (0..2u64)
-            .map(|v| {
-                let mut inst = base.clone();
-                inst.relation_mut(0).add(vec![9, v % 8], 1).unwrap();
-                inst
-            })
-            .collect();
-        let ctx = ExecContext::sequential().with_cache_slots(1);
+    fn byte_accounting_counts_the_cached_full_joins() {
+        let (q, variants) = star_variants(DEFAULT_CACHE_SLOTS as u64 + 1);
+        let ctx = ExecContext::sequential();
         assert_eq!(ctx.cached_subjoin_bytes(), 0);
-        assert_eq!(ctx.eviction_stats(), EvictionStats::default());
-        let cache = ctx.subjoin_cache(&q, &variants[0]).unwrap();
-        cache.populate(Parallelism::SEQUENTIAL).unwrap();
-        ctx.retain_subjoin_cache(cache);
-        let resident = ctx.cached_subjoin_bytes();
-        assert!(resident > 0, "populated lattice has resident bytes");
-        // Checking a second fingerprint into a 1-slot LRU evicts the first,
-        // and the counters record exactly what was discarded (checkouts
-        // stay eviction-free; only check-in claims a slot).
-        let entries = ctx.cached_subjoins();
-        ctx.retain_subjoin_cache(ctx.subjoin_cache(&q, &variants[1]).unwrap());
-        let stats = ctx.eviction_stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.evicted_entries, entries);
-        assert_eq!(stats.evicted_bytes, resident);
-        // clear_cache resets both the slots and the audit trail.
+        // A memo value claims a slot but holds no join result.
+        ctx.slot_memo(&q, &variants[0], &[], || Ok::<_, ()>(1u64))
+            .unwrap();
+        assert_eq!(ctx.cached_instances(), 1);
+        assert_eq!(ctx.cached_subjoin_bytes(), 0);
+        let bytes: Vec<usize> = variants
+            .iter()
+            .map(|inst| ctx.shared_join(&q, inst).unwrap().approx_bytes())
+            .collect();
+        assert!(bytes.iter().all(|&b| b > 0));
+        // The last join evicted the least recently used slot, variant 0's,
+        // and its bytes with it.
+        assert_eq!(ctx.eviction_stats().evictions, 1);
+        assert_eq!(ctx.cached_subjoin_bytes(), bytes[1..].iter().sum::<usize>());
+        // clear_cache resets both the slots and the eviction counters.
         ctx.clear_cache();
         assert_eq!(ctx.cached_subjoin_bytes(), 0);
         assert_eq!(ctx.eviction_stats(), EvictionStats::default());
@@ -963,12 +794,11 @@ mod tests {
         let (q, inst) = star_instance(3);
         let ctx = ExecContext::sequential();
         ctx.shared_join(&q, &inst).unwrap();
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache.populate(Parallelism::SEQUENTIAL).unwrap();
-        ctx.retain_subjoin_cache(cache);
-        assert!(ctx.cached_subjoins() > 0);
+        assert_eq!(ctx.cached_instances(), 1);
+        assert!(ctx.cached_subjoin_bytes() > 0);
         ctx.clear_cache();
-        assert_eq!(ctx.cached_subjoins(), 0);
+        assert_eq!(ctx.cached_instances(), 0);
+        assert_eq!(ctx.cached_subjoin_bytes(), 0);
         // Still usable afterwards.
         assert_eq!(
             ctx.shared_join(&q, &inst).unwrap().as_ref(),
@@ -1002,10 +832,8 @@ mod tests {
         let ctx = ExecContext::sequential();
         // Warm everything a slot can hold.
         let mut inst = base.clone();
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache.populate(Parallelism::SEQUENTIAL).unwrap();
-        ctx.retain_subjoin_cache(cache);
         ctx.shared_join(&q, &inst).unwrap();
+        ctx.slot_memo(&q, &inst, &[], || Ok::<_, ()>(1u64)).unwrap();
         assert_eq!(ctx.cached_instances(), 1);
         let report = ctx.apply_updates(&q, &mut inst, &batch).unwrap();
         assert!(report.warm);
@@ -1014,8 +842,7 @@ mod tests {
         assert_eq!(report.new_fingerprint, instance_fingerprint(&q, &inst));
         // The old slot is gone, not orphaned; the new instance starts cold.
         assert_eq!(ctx.cached_instances(), 0);
-        assert_eq!(ctx.cached_subjoins(), 0);
-        assert_eq!(ctx.subjoin_cache(&q, &inst).unwrap().cached_count(), 0);
+        assert_eq!(ctx.cached_subjoin_bytes(), 0);
         let mut oracle = base.clone();
         stream::apply_batch(&q, &mut oracle, &batch).unwrap();
         assert_eq!(inst, oracle);
@@ -1101,35 +928,31 @@ mod tests {
 
     #[test]
     fn slot_memo_lives_and_dies_with_its_slot() {
-        let (q, base) = star_instance(3);
-        let ctx = ExecContext::sequential().with_cache_slots(1);
+        let (q, variants) = star_variants(DEFAULT_CACHE_SLOTS as u64 + 1);
+        let ctx = ExecContext::sequential();
         let slot_read = |inst: &Instance, value: u64| {
             *ctx.slot_memo(&q, inst, &[], || Ok::<_, ()>(value)).unwrap()
         };
-        // Without a slot, a read builds but stores nothing and claims no slot.
-        assert_eq!(slot_read(&base, 1), 1);
-        assert_eq!(slot_read(&base, 2), 2);
-        assert_eq!(ctx.cached_instances(), 0);
-        // With one, the value stays until the slot changes hands.
-        let mut inst = base.clone();
-        let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        cache.populate(Parallelism::SEQUENTIAL).unwrap();
-        ctx.retain_subjoin_cache(cache);
-        assert_eq!(slot_read(&inst, 3), 3);
-        assert_eq!(slot_read(&inst, 4), 3);
+        // The first store claims the pair's slot, as a shared join does;
+        // the value stays until the slot goes.
+        let mut inst = variants[0].clone();
+        assert_eq!(slot_read(&inst, 1), 1);
+        assert_eq!(ctx.cached_instances(), 1);
+        assert_eq!(slot_read(&inst, 2), 1);
         assert_eq!(*ctx.context_memo(&[], || Ok::<_, ()>(10u64)).unwrap(), 10);
         // An update drops the slot and its memo; the context memo survives.
         let report = ctx.apply_updates(&q, &mut inst, &star_batch()).unwrap();
         assert!(report.warm);
         assert_eq!(ctx.cached_instances(), 0);
-        ctx.retain_subjoin_cache(ctx.subjoin_cache(&q, &inst).unwrap());
         assert_eq!(slot_read(&inst, 5), 5);
         assert_eq!(slot_read(&inst, 6), 5);
         assert_eq!(*ctx.context_memo(&[], || Ok::<_, ()>(11u64)).unwrap(), 10);
         // Evicting the slot evicts its memo; the context memo stays.
-        ctx.retain_subjoin_cache(ctx.subjoin_cache(&q, &base).unwrap());
-        ctx.retain_subjoin_cache(ctx.subjoin_cache(&q, &inst).unwrap());
-        assert_eq!(ctx.eviction_stats().evictions, 2);
+        for other in &variants[1..] {
+            slot_read(other, 0);
+        }
+        assert_eq!(ctx.eviction_stats().evictions, 1);
+        assert_eq!(ctx.cached_instances(), DEFAULT_CACHE_SLOTS);
         assert_eq!(slot_read(&inst, 7), 7);
         assert_eq!(*ctx.context_memo(&[], || Ok::<_, ()>(12u64)).unwrap(), 10);
         // clear_cache drops both scopes.

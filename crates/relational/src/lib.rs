@@ -94,13 +94,13 @@
 //!
 //! [`ExecContext`] ([`context`]) bundles the parallelism knob with
 //! **persistent, instance-fingerprinted caches**: a small LRU of per-instance
-//! slots, each holding the sub-join lattice that survives across calls (so
-//! repeated sensitivity enumerations over the same `(query, instance)` pair
-//! reuse the `2^m` subset lattice instead of rebuilding it), a cached full
-//! join for repeated query answering, and a memo of release-invariant
-//! values.  It backs the facade crate's
-//! `dpsyn::Session`.  Cache reuse never changes output bytes — see the
-//! [`context`] module docs for the contract.
+//! slots, each holding a cached full join for repeated query answering and
+//! a memo of release-invariant values (the boundary values `T_F(I)` a
+//! sub-join lattice yields among them, so a sensitivity sweep over the same
+//! `(query, instance)` pair builds the lattice once).  The lattice itself is
+//! a local of each computation and is never kept.  The context backs the
+//! facade crate's `dpsyn::Session`.  Cache reuse never changes output
+//! bytes — see the [`context`] module docs for the contract.
 //!
 //! # Streaming updates
 //!

@@ -11,7 +11,7 @@
 //! The context-level entry point is `ExecContext::apply_updates`
 //! ([`crate::context`]): it validates the batch, drops the warm LRU slot of
 //! the pre-update fingerprint and applies the deltas, so every cache of the
-//! updated instance — lattice, full join, slot memo — is rebuilt by the
+//! updated instance — full join and slot memo — is rebuilt by the
 //! same cold path a fresh context takes, and nothing is ever served stale.
 
 use std::collections::BTreeMap;

@@ -3,18 +3,18 @@
 //!
 //! These methods are the primary API of the crate (the plain free functions
 //! build a throwaway context per call).  Running through a **long-lived**
-//! context changes the cost model, not the results: every sub-join the
-//! enumerations materialise is checked back into the context's
-//! instance-fingerprinted lattice cache ([`dpsyn_relational::cache`]), so a
-//! second call over the same `(query, instance)` pair — a residual
-//! sensitivity at a different `β`, a local-sensitivity probe, a boundary
-//! query — reuses the `2^m` subset lattice instead of recomputing it.
+//! context changes the cost model, not the results.  Each call enumerates
+//! its subsets through a [`ShardedSubJoinCache`] of its own, dropped on
+//! return; what persists is the values: the boundary map `T_F(I)` and
+//! `RS^β(I)` are memoised in the pair's slot
+//! ([`ExecContext::slot_memo`]), so a residual sensitivity at a new `β`
+//! over the same `(query, instance)` pair runs only its sweep.
 //!
 //! ### Determinism
 //!
 //! Warm or cold, sequential or parallel, the returned values are identical:
-//! every cached sub-join equals what the cold path computes (a sub-join is
-//! the same weighted tuple set under every decomposition), the engine's
+//! a memo hit returns the value its cold computation returned, a sub-join is
+//! the same weighted tuple set under every decomposition, the engine's
 //! worker pools steal work in morsels
 //! whose results merge in morsel order (claiming order is invisible — see
 //! `dpsyn_relational::exec`), and the aggregates consumed here (`max` over
@@ -26,36 +26,35 @@
 use std::collections::BTreeMap;
 
 use dpsyn_relational::exec;
-use dpsyn_relational::{AttrId, ExecContext, Instance, JoinQuery, Keep, Parallelism};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery, Keep, Parallelism, ShardedSubJoinCache};
 
-use crate::boundary::boundary_query_sharded;
-use crate::local::local_sensitivity_seq;
+use crate::boundary::{boundary_query, boundary_query_sharded};
 use crate::residual::{check_beta, maximize_over_assignments, BoundaryTable, ResidualSensitivity};
 use crate::Result;
 
 /// Sensitivity computations evaluated through an [`ExecContext`] — the
 /// context supplies the parallelism level, the small-instance sequential
-/// fallback, and the persistent sub-join lattice cache.
+/// fallback, and the slot memo that keeps release-invariant values.
 ///
 /// Implemented for [`ExecContext`]; `dpsyn::Session` forwards to these
 /// methods.
 pub trait SensitivityOps {
     /// `T_F(I)` for every proper subset `F ⊊ [m]`, keyed by the sorted
-    /// subset (the empty subset maps to 1).  All sub-joins flow through the
-    /// context's persistent lattice cache: a warm context skips every
-    /// already-materialised subset.
+    /// subset (the empty subset maps to 1).  The map is memoised in the
+    /// pair's slot ([`ExecContext::slot_memo`]), so a warm context builds
+    /// the sub-join lattice for it once.
     fn all_boundary_values(
         &self,
         query: &JoinQuery,
         instance: &Instance,
     ) -> Result<BTreeMap<Vec<usize>, u128>>;
 
-    /// Residual sensitivity `RS^β_count(I)` (Definition 3.6).  The dominant
-    /// cost — the boundary-value enumeration — is shared across calls via
-    /// the context cache, so sweeping `β` over one instance pays for the
-    /// lattice once; the result itself is memoised in the pair's slot
-    /// ([`ExecContext::slot_memo`]), keyed by `β`'s bits, so a repeat call
-    /// at the same `β` runs no sweep.
+    /// Residual sensitivity `RS^β_count(I)` (Definition 3.6).  The result
+    /// is memoised in the pair's slot ([`ExecContext::slot_memo`]), keyed by
+    /// `β`'s bits, so a repeat call at the same `β` runs no sweep; a call at
+    /// a new `β` reads the memoised boundary map
+    /// ([`SensitivityOps::all_boundary_values`]), so sweeping `β` over one
+    /// instance builds the lattice once.
     fn residual_sensitivity(
         &self,
         query: &JoinQuery,
@@ -65,20 +64,6 @@ pub trait SensitivityOps {
 
     /// Local sensitivity `LS_count(I) = max_i T_{[m]∖{i}}(I)`.
     fn local_sensitivity(&self, query: &JoinQuery, instance: &Instance) -> Result<u128>;
-
-    /// The maximum boundary query `T_E(I)` (Equation 1), cached through the
-    /// context lattice.
-    fn boundary_query(&self, query: &JoinQuery, instance: &Instance, e: &[usize]) -> Result<u128>;
-
-    /// The `q`-aggregate query `T_{E,y}(I)` (Definition 4.6), cached through
-    /// the context lattice.
-    fn aggregate_query(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        e: &[usize],
-        y: &[AttrId],
-    ) -> Result<u128>;
 }
 
 impl SensitivityOps for ExecContext {
@@ -87,23 +72,26 @@ impl SensitivityOps for ExecContext {
         query: &JoinQuery,
         instance: &Instance,
     ) -> Result<BTreeMap<Vec<usize>, u128>> {
-        let m = query.num_relations();
-        let cache = self.subjoin_cache(query, instance)?;
-        let par = self.effective_parallelism(instance);
-        if !par.is_sequential() {
-            // Every proper mask is materialised level by level through the
-            // pool; the reads below then only group the cached tuples.
-            cache.populate(par)?;
-        }
-        let full = (1u32 << m) - 1;
-        let entries = exec::par_map(par, full as usize, |i| -> Result<(Vec<usize>, u128)> {
-            let mask = i as u32;
-            let f: Vec<usize> = (0..m).filter(|r| mask & (1 << r) != 0).collect();
-            let value = boundary_query_sharded(&cache, &f, Parallelism::SEQUENTIAL)?;
-            Ok((f, value))
-        });
-        self.retain_subjoin_cache(cache);
-        entries.into_iter().collect()
+        let values = self.slot_memo(query, instance, &[], || {
+            let m = query.num_relations();
+            let cache = ShardedSubJoinCache::new(query, instance)?;
+            let par = self.effective_parallelism(instance);
+            if !par.is_sequential() {
+                // Every proper mask is materialised level by level through
+                // the pool; the reads below then only group the cached
+                // tuples.
+                cache.populate(par)?;
+            }
+            let full = (1u32 << m) - 1;
+            let entries = exec::par_map(par, full as usize, |i| -> Result<(Vec<usize>, u128)> {
+                let mask = i as u32;
+                let f: Vec<usize> = (0..m).filter(|r| mask & (1 << r) != 0).collect();
+                let value = boundary_query_sharded(&cache, &f, Parallelism::SEQUENTIAL)?;
+                Ok((f, value))
+            });
+            entries.into_iter().collect::<Result<BTreeMap<_, _>>>()
+        })?;
+        Ok(values.as_ref().clone())
     }
 
     fn residual_sensitivity(
@@ -152,17 +140,18 @@ impl SensitivityOps for ExecContext {
 
     fn local_sensitivity(&self, query: &JoinQuery, instance: &Instance) -> Result<u128> {
         let m = query.num_relations();
-        if m >= 32 {
-            // Beyond the bitmask cache's representation limit; no lattice.
-            return local_sensitivity_seq(query, instance);
-        }
-        let cache = self.subjoin_cache(query, instance)?;
+        // Beyond the bitmask cache's representation limit there is no
+        // lattice: each target is joined directly.
+        let cache = if m < 32 {
+            Some(ShardedSubJoinCache::new(query, instance)?)
+        } else {
+            None
+        };
         let par = self.effective_parallelism(instance);
         // One lazy walk per target at every thread count, with the
         // parallelism spent inside the join steps.  The m size-(m-1)
         // targets are each consumed once and can dwarf the inputs, so only
-        // their chain parents are memoised (and persisted for the next
-        // call).
+        // their chain parents are memoised while the call runs.
         let mut best = 0u128;
         for i in 0..m {
             let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
@@ -170,48 +159,18 @@ impl SensitivityOps for ExecContext {
                 best = best.max(1);
                 continue;
             }
-            let boundary = query.boundary(&others)?;
-            let mask = cache.mask_of(&others)?;
-            let sub_join = cache.join_mask(mask, par, Keep::Chain)?;
-            best = best.max(sub_join.max_group_weight(&boundary)?);
+            let t = match &cache {
+                Some(cache) => {
+                    let boundary = query.boundary(&others)?;
+                    cache
+                        .join_mask(cache.mask_of(&others)?, par, Keep::Chain)?
+                        .max_group_weight(&boundary)?
+                }
+                None => boundary_query(query, instance, &others)?,
+            };
+            best = best.max(t);
         }
-        self.retain_subjoin_cache(cache);
         Ok(best)
-    }
-
-    fn boundary_query(&self, query: &JoinQuery, instance: &Instance, e: &[usize]) -> Result<u128> {
-        if e.is_empty() {
-            return Ok(1);
-        }
-        let boundary = query.boundary(e)?;
-        self.aggregate_query(query, instance, e, &boundary)
-    }
-
-    fn aggregate_query(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        e: &[usize],
-        y: &[AttrId],
-    ) -> Result<u128> {
-        if e.is_empty() {
-            return Ok(1);
-        }
-        if query.num_relations() >= 32 {
-            // Beyond the bitmask cache's representation limit: evaluate
-            // directly without the lattice.
-            let groups = self.grouped_join_size(query, instance, e, y)?;
-            return Ok(groups.values().copied().max().unwrap_or(0));
-        }
-        let cache = self.subjoin_cache(query, instance)?;
-        let mask = cache.mask_of(e)?;
-        // Lazy chain walk: only the missing parents of `mask` are built.
-        let par = self.effective_parallelism(instance);
-        let value = cache
-            .join_mask(mask, par, Keep::Target)?
-            .max_group_weight(y)?;
-        self.retain_subjoin_cache(cache);
-        Ok(value)
     }
 }
 
@@ -257,33 +216,59 @@ mod tests {
             ctx.residual_sensitivity(&q, &inst, beta).unwrap(),
             residual_sensitivity(&q, &inst, beta).unwrap()
         );
-        assert_eq!(
-            ctx.boundary_query(&q, &inst, &[0]).unwrap(),
-            crate::boundary_query(&q, &inst, &[0]).unwrap()
-        );
-        assert_eq!(ctx.boundary_query(&q, &inst, &[]).unwrap(), 1);
     }
 
     #[test]
-    fn warm_context_reuses_the_lattice_and_matches_cold() {
+    fn cold_sensitivity_calls_keep_values_not_joins() {
+        let (q, inst) = two_table();
+        let ctx = ExecContext::sequential();
+        // Local sensitivity memoises nothing: its lattice dies with the call.
+        ctx.local_sensitivity(&q, &inst).unwrap();
+        assert_eq!(ctx.cached_instances(), 0);
+        // A cold residual sensitivity claims exactly one slot, for its
+        // memoised values, and keeps no join result in it.
+        ctx.residual_sensitivity(&q, &inst, 0.3).unwrap();
+        assert_eq!(ctx.cached_instances(), 1);
+        assert_eq!(ctx.cached_subjoin_bytes(), 0);
+        assert_eq!(ctx.cache_stats(), (0, 2), "RS^β and boundary map miss");
+    }
+
+    #[test]
+    fn beta_sweep_builds_the_boundary_map_once() {
         let (q, inst) = two_table();
         let ctx = ExecContext::sequential();
         let cold = ctx.residual_sensitivity(&q, &inst, 0.2).unwrap();
-        let cached_after_first = ctx.cached_subjoins();
-        assert!(cached_after_first > 0, "lattice must persist across calls");
-        // A sweep over β reuses the lattice: the cached count stays put and
-        // every result matches a cold single-shot context.
-        for &beta in &[0.2, 0.5, 1.0] {
+        let memoised = || {
+            ctx.slot_memo(&q, &inst, &[], || -> Result<BTreeMap<Vec<usize>, u128>> {
+                panic!("the boundary map must be memoised")
+            })
+            .unwrap()
+        };
+        let map = memoised();
+        assert_eq!(*map, cold.boundary_values);
+        let weak = std::sync::Arc::downgrade(&map);
+        drop(map);
+        // Every new β misses RS^β and hits the boundary map; the map stays
+        // the one built by the first call, and every value matches a fresh
+        // context's.
+        for &beta in &[0.5, 1.0, 0.2] {
+            let (hits, misses) = ctx.cache_stats();
             let warm = ctx.residual_sensitivity(&q, &inst, beta).unwrap();
+            assert_eq!(ctx.cache_stats(), (hits + 1, misses + 1), "beta {beta}");
             let fresh = ExecContext::sequential()
                 .residual_sensitivity(&q, &inst, beta)
                 .unwrap();
             assert_eq!(warm, fresh, "beta {beta}");
-            assert_eq!(ctx.cached_subjoins(), cached_after_first);
+            assert!(weak.upgrade().is_some(), "beta {beta}: map rebuilt");
         }
+        // A repeat β is one RS^β hit.
+        let (hits, misses) = ctx.cache_stats();
         assert_eq!(cold, ctx.residual_sensitivity(&q, &inst, 0.2).unwrap());
-        let (hits, _) = ctx.cache_stats();
-        assert!(hits >= 3, "warm calls must hit the persistent cache");
+        assert_eq!(ctx.cache_stats(), (hits + 1, misses));
+        assert!(std::sync::Arc::ptr_eq(
+            &weak.upgrade().unwrap(),
+            &memoised()
+        ));
     }
 
     #[test]

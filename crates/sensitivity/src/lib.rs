@@ -23,9 +23,9 @@
 //! enumerations and probe loops through the relational engine's worker pool
 //! ([`dpsyn_relational::exec`]), the small-instance sequential fallback
 //! ([`ExecContext::min_par_instance`](dpsyn_relational::ExecContext::min_par_instance)),
-//! and — on a long-lived context (`dpsyn::Session`) — a **persistent
-//! sub-join lattice cache** that makes repeated sensitivity computations
-//! over the same instance near-free.
+//! and — on a long-lived context (`dpsyn::Session`) — a **slot memo** of
+//! the boundary values and `RS^β`, so a `β` sweep over one instance
+//! builds its sub-join lattice once.
 //! Results are byte-identical at every parallelism level and on warm or
 //! cold caches.  `ExecContext` is the only place
 //! these execution settings live; the plain free functions use a throwaway

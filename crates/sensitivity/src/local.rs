@@ -14,9 +14,8 @@
 //! `Δ = max_b max{deg_{1,B}(b), deg_{2,B}(b)}`.
 
 use dpsyn_relational::degree::two_table_max_shared_degree;
-use dpsyn_relational::{ExecContext, Instance, JoinQuery, Keep, Parallelism, ShardedSubJoinCache};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery};
 
-use crate::boundary::boundary_query;
 use crate::context_ext::SensitivityOps;
 use crate::Result;
 
@@ -24,50 +23,10 @@ use crate::Result;
 /// query, on [`ExecContext::default`].
 ///
 /// The `m` size-`(m-1)` sub-joins overlap heavily, so they are evaluated
-/// through the context's shared sub-join lattice.  Builds a throwaway
-/// context per call; hold an [`ExecContext`] (or a `dpsyn::Session`) to
-/// reuse the sub-join lattice across calls.
+/// through one sub-join lattice that shares their chain parents
+/// ([`SensitivityOps::local_sensitivity`]).
 pub fn local_sensitivity(query: &JoinQuery, instance: &Instance) -> Result<u128> {
     ExecContext::default().local_sensitivity(query, instance)
-}
-
-/// The historical single-threaded path (also the m ≥ 32 fallback, which
-/// avoids the bitmask cache's representation limit).  Used by the smooth
-/// brute-force neighbour sweeps, whose per-neighbour instances deliberately
-/// bypass the persistent context cache.
-pub(crate) fn local_sensitivity_seq(query: &JoinQuery, instance: &Instance) -> Result<u128> {
-    let m = query.num_relations();
-    let mut best = 0u128;
-    let cache = if m < 32 {
-        Some(ShardedSubJoinCache::new(query, instance)?)
-    } else {
-        None
-    };
-    for i in 0..m {
-        let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-        let t = match &cache {
-            Some(cache) => {
-                // Transient top-level join: the m size-(m-1) results are
-                // each consumed once and can dwarf the inputs, so only
-                // their shared prefixes are memoised.
-                let boundary = query.boundary(&others)?;
-                if others.is_empty() {
-                    1
-                } else {
-                    cache
-                        .join_mask(
-                            cache.mask_of(&others)?,
-                            Parallelism::SEQUENTIAL,
-                            Keep::Chain,
-                        )?
-                        .max_group_weight(&boundary)?
-                }
-            }
-            None => boundary_query(query, instance, &others)?,
-        };
-        best = best.max(t);
-    }
-    Ok(best)
 }
 
 /// The two-table specialisation `Δ = max_b max{deg_{1,B}(b), deg_{2,B}(b)}`

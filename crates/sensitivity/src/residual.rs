@@ -136,8 +136,8 @@ pub(crate) fn check_beta(beta: f64) -> Result<()> {
 /// [`ShardedSubJoinCache`], so each subset costs a single incremental
 /// hash-join step over its cached parent instead of a full re-join from the
 /// base relations.  The context method
-/// ([`SensitivityOps::all_boundary_values`]) additionally persists the
-/// lattice across calls.
+/// ([`SensitivityOps::all_boundary_values`]) additionally memoises the map
+/// in the context.
 pub fn all_boundary_values(
     query: &JoinQuery,
     instance: &Instance,
@@ -422,7 +422,7 @@ pub(crate) fn maximize_over_assignments(
 /// [`ExecContext::default`] (available cores, byte-identical to the
 /// sequential path).  Builds a throwaway context per
 /// call; hold an [`dpsyn_relational::ExecContext`] (or a `dpsyn::Session`)
-/// to reuse the sub-join lattice across calls.
+/// to reuse the boundary values across calls.
 pub fn residual_sensitivity(
     query: &JoinQuery,
     instance: &Instance,

@@ -18,7 +18,7 @@ use dpsyn_relational::{exec, ExecContext, Instance, JoinQuery, NeighborEdit, Val
 
 use crate::context_ext::SensitivityOps;
 use crate::error::SensitivityError;
-use crate::local::{local_sensitivity, local_sensitivity_seq};
+use crate::local::local_sensitivity;
 use crate::residual::check_beta;
 use crate::Result;
 
@@ -180,15 +180,14 @@ pub fn smooth_sensitivity_bruteforce(
     for k in 1..=max_radius {
         // Generate this level's neighbours sequentially (cheap), then
         // sweep their local sensitivities through the pool (the
-        // expensive part: one multi-way join per edit).  Neighbour
-        // instances have fresh fingerprints, so they deliberately bypass
-        // the persistent cache instead of thrashing it.
+        // expensive part: one multi-way join per edit), each on a
+        // sequential context of its own.
         let mut neighbors: Vec<Instance> = Vec::new();
         for inst in &frontier {
             neighbors.extend(candidate_neighbors(query, inst)?);
         }
         let sensitivities = exec::par_map(ctx.parallelism(), neighbors.len(), |i| {
-            local_sensitivity_seq(query, &neighbors[i])
+            ExecContext::sequential().local_sensitivity(query, &neighbors[i])
         });
         let mut next: Vec<(u128, Instance)> = Vec::with_capacity(neighbors.len());
         for (neighbor, ls) in neighbors.into_iter().zip(sensitivities) {

@@ -56,8 +56,8 @@ pub struct RecoveryReport {
 }
 
 /// An uploaded dataset: the query/instance pair plus its fingerprinted
-/// execution context (shared by every release over this dataset, so the
-/// sub-join lattice stays warm across requests).
+/// execution context (shared by every release over this dataset, so its
+/// full join and memoised release values stay warm across requests).
 #[derive(Debug)]
 pub struct Dataset {
     /// Dataset name.

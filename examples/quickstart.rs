@@ -24,7 +24,7 @@ fn main() {
     }
 
     // 3. One long-lived session owns one execution context — parallelism
-    //    and the persistent sub-join caches — for everything below.
+    //    and the persistent caches — for everything below.
     let session = Session::new();
     println!("input size         : {}", instance.input_size());
     println!(

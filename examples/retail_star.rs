@@ -4,7 +4,7 @@
 //! Promotions(product, campaign)` — a three-relation hierarchical join.  The
 //! example runs the residual-sensitivity-based `MultiTable` release
 //! (Algorithm 3) and the hierarchical uniformized release (Algorithms 4+6+7)
-//! through one [`Session`], whose persistent sub-join lattice is shared by
+//! through one [`Session`], whose memoised boundary values are shared by
 //! the sensitivity diagnostics and the releases.
 //!
 //! Run with `cargo run --release --example retail_star`.
@@ -28,17 +28,17 @@ fn main() {
 
     let budget = PrivacyParams::new(2.0, 1e-4).unwrap();
     let beta = 1.0 / budget.lambda();
-    // The residual-sensitivity diagnostic populates the session's sub-join
-    // lattice; the MultiTable release below reuses it instead of
-    // re-enumerating the 2^m subsets.
+    // The residual-sensitivity diagnostic memoises the instance's boundary
+    // values and RS^β in the session; the MultiTable release below reuses
+    // them instead of re-enumerating the 2^m subsets.
     let rs = session
         .residual_sensitivity(&query, &instance, beta)
         .unwrap();
     println!(
-        "residual sensitivity RS^β = {:.1} (local sensitivity {}, {} cached sub-joins)",
+        "residual sensitivity RS^β = {:.1} (local sensitivity {}, {} cached instances)",
         rs.value,
         session.local_sensitivity(&query, &instance).unwrap(),
-        session.cached_subjoins()
+        session.cached_instances()
     );
 
     let workload = QueryFamily::random_predicate(&query, 24, 0.5, &mut rng).unwrap();

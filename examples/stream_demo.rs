@@ -12,20 +12,21 @@ use dpsyn_noise::seeded_rng;
 
 fn main() {
     // 1. A three-relation star join with a skewed hub, the shape whose
-    //    2^3-entry sub-join lattice makes warm state worth keeping.
+    //    2^3-subset boundary enumeration makes warm state worth keeping.
     let (query, mut instance) = dpsyn::datagen::random_star(3, 32, 400, 1.0, &mut seeded_rng(7));
     let session = Session::new();
 
-    // 2. A first release warms the session: the sub-join lattice and the
-    //    full join are now cached for this instance.
+    // 2. A first release warms the session: the full join, the boundary
+    //    values and the other release-invariant values are now cached in
+    //    this instance's slot.
     let workload = session.random_sign_workload(&query, 64, 7).unwrap();
     let budget = PrivacyParams::new(1.0, 1e-6).unwrap();
     let request = ReleaseRequest::new(&query, &instance, &workload, budget).with_seed(7);
     let first = session.release(&MultiTable::default(), &request).unwrap();
     println!(
-        "cold release       : mass {:.1}, {} cached sub-joins",
+        "cold release       : mass {:.1}, {} cached instances",
         first.noisy_total(),
-        session.cached_subjoins()
+        session.cached_instances()
     );
 
     // 3. Live traffic: a seeded stream of mixed insert/delete batches.
@@ -57,7 +58,8 @@ fn main() {
     }
 
     // 4. Release over the updated instance from the same session, which
-    //    rebuilds the lattice and full join for the new fingerprint...
+    //    rebuilds the full join and memoised values for the new
+    //    fingerprint...
     let request = ReleaseRequest::new(&query, &instance, &workload, budget).with_seed(13);
     let warm = session.release(&MultiTable::default(), &request).unwrap();
 

@@ -13,7 +13,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`session`] | (this crate) | [`Session`] + [`ReleaseRequest`]: the long-lived entry point owning one `ExecContext`: parallelism, the other execution settings and the persistent sub-join caches |
+//! | [`session`] | (this crate) | [`Session`] + [`ReleaseRequest`]: the long-lived entry point owning one `ExecContext`: parallelism, the other execution settings and the persistent caches |
 //! | [`relational`] | `dpsyn-relational` | schemas, annotated relations, join hypergraphs, the hash-join engine (columnar `JoinResult`, inline `TupleKey`), the `ExecContext` execution layer, the `ShardedSubJoinCache` for subset enumerations, degrees, attribute trees, plus the retained `naive` reference engine |
 //! | [`noise`] | `dpsyn-noise` | Laplace / truncated Laplace, exponential mechanism, privacy budgets & composition |
 //! | [`sensitivity`] | `dpsyn-sensitivity` | local, global, and residual sensitivity; maximum degrees; degree configurations |
@@ -62,9 +62,9 @@
 //! println!("answered {} queries privately", answers.len());
 //!
 //! // 5. Repeat calls on the same instance reuse the session's cached
-//! //    sub-join lattice and full join — same bytes, less work.
+//! //    boundary values and full join — same bytes, less work.
 //! let rs = session.residual_sensitivity(&query, &instance, 0.5)?;
-//! println!("RS^0.5 = {:.2} ({} cached sub-joins)", rs.value, session.cached_subjoins());
+//! println!("RS^0.5 = {:.2} ({} cached instances)", rs.value, session.cached_instances());
 //! # Ok(())
 //! # }
 //! ```
@@ -135,8 +135,8 @@
 //! Instances are rarely static: real traffic is a stream of insert/delete
 //! batches between releases.  [`Session::apply_updates`] validates an
 //! [`relational::UpdateBatch`] ([`relational::stream`]), drops the
-//! session's warm LRU slot for the old instance — sub-join lattice, full
-//! join, memoised release values — and applies the batch, so the next
+//! session's warm LRU slot for the old instance — full join and memoised
+//! release values — and applies the batch, so the next
 //! release rebuilds that state for the updated instance.  A post-update
 //! release is therefore identical to one from a cold session at the same
 //! seed, at every thread count.  Served datasets take the same path
@@ -150,11 +150,12 @@
 //! [`relational::TupleKey`], multi-way joins pick their fold order by
 //! relation size, and the `2^m` relation-subset enumerations behind residual
 //! sensitivity share sub-join work through a
-//! [`relational::ShardedSubJoinCache`] and persisted **across calls** by
-//! [`Session`] / [`relational::ExecContext`] (a small per-instance LRU of
-//! lattices, full joins and memoised release values), so repeated releases
-//! and sensitivity sweeps over a working set of instances pay for the
-//! lattice once ([`Session::cached_subjoin_bytes`] reports its resident
+//! [`relational::ShardedSubJoinCache`] local to each call, while
+//! [`Session`] / [`relational::ExecContext`] keep the values it yields
+//! **across calls** (a small per-instance LRU of full joins and memoised
+//! release values), so repeated releases and sensitivity sweeps over a
+//! working set of instances build the lattice once
+//! ([`Session::cached_subjoin_bytes`] reports the full joins' resident
 //! bytes).  Hash order is never observable: every tuple-exposing API sorts on emit, so runs are
 //! byte-reproducible from an RNG seed — see the determinism contract in
 //! [`relational`]'s crate docs.  The previous `BTreeMap` engine survives as

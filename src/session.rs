@@ -1,9 +1,9 @@
 //! The [`Session`] API: one long-lived entry point for the whole pipeline.
 //!
 //! A session owns one [`ExecContext`] — the [`Parallelism`] level, the
-//! engine's other execution settings, and a persistent,
-//! instance-fingerprinted sub-join cache — and exposes the paper's six
-//! release algorithms behind the object-safe [`Mechanism`] trait:
+//! engine's other execution settings, and persistent,
+//! instance-fingerprinted caches — and exposes the paper's six release
+//! algorithms behind the object-safe [`Mechanism`] trait:
 //!
 //! ```no_run
 //! use dpsyn::prelude::*;
@@ -35,21 +35,19 @@
 //! ### Cache reuse
 //!
 //! The expensive substrate of the releases is shared **across calls**: the
-//! `2^m` sub-join lattice that residual/local sensitivity enumerate is
-//! checked into the session after every call and checked back out by the
-//! next one, and the full join used for truth evaluation is kept
-//! alongside.  A session keeps a small **LRU of per-instance slots**
-//! ([`dpsyn_relational::DEFAULT_CACHE_SLOTS`]; a bare context sets its own
-//! with [`ExecContext::with_cache_slots`]), each keyed by a structural
-//! fingerprint of the data
+//! full join used for truth evaluation and the boundary values `T_F(I)`
+//! that residual sensitivity reads off the `2^m` sub-join lattice are kept
+//! in the session (the lattice itself is built and dropped inside each
+//! sensitivity call).  A session keeps a small **LRU of per-instance
+//! slots** ([`dpsyn_relational::DEFAULT_CACHE_SLOTS`]), each keyed by a
+//! structural fingerprint of the data
 //! ([`dpsyn_relational::instance_fingerprint`]): repeat releases,
 //! sensitivity sweeps over `β`, workload evaluations, and interleaved calls
 //! over a small working set of instances (hierarchical per-part releases,
 //! multi-tenant serving) skip the join work entirely, while *any* change to
 //! an instance changes its fingerprint and starts cold — stale answers are
 //! structurally impossible.  [`Session::clear_cache`] drops the cached
-//! results (they are held until then; see the memory note in
-//! [`dpsyn_relational::cache`]).
+//! results (they are held until then).
 //!
 //! A release also memoises the work that is the same for every release
 //! over one `(instance, workload)` pair, so a warm release runs only its
@@ -61,9 +59,10 @@
 //!   streaming updates and slot eviction.  `SyntheticRelease::answer_all_in`
 //!   answers a release's workload from them, so answering right after a
 //!   release builds no weights (and counts one more cache hit).
-//! - **In the instance's slot** ([`ExecContext::slot_memo`]): `count(I)`,
-//!   PMW's true answers (one workload at a time), `RS^β(I)` (one `β` at a
-//!   time) and the hierarchical partition's `|E| > 1` degree maps.  They
+//! - **In the instance's slot** ([`ExecContext::slot_memo`]): the boundary
+//!   values, `count(I)`, PMW's true answers (one workload at a time),
+//!   `RS^β(I)` (one `β` at a time) and the hierarchical partition's
+//!   `|E| > 1` degree maps.  They
 //!   are dropped with the slot, by [`Session::apply_updates`] or by
 //!   eviction.
 //!
@@ -79,12 +78,11 @@
 //!    its RNG from [`ReleaseRequest::seed`], and each mechanism consumes the
 //!    identical stream as its direct `release(...)` method — the released
 //!    histogram, noisy total and `Δ̃` match the legacy path bit for bit.
-//! 2. **Warm equals cold.** Every cached sub-join equals what a fresh
-//!    computation produces (a sub-join is the same weighted tuple set under
-//!    every decomposition; the cached full join comes from the same
-//!    size-ordered fold as [`dpsyn_relational::join()`]), and every memo
-//!    entry — the context's query weights, the slot's `count(I)`, true
-//!    answers, `RS^β` and degree maps — is the value its cold computation
+//! 2. **Warm equals cold.** The cached full join comes from the same
+//!    size-ordered fold as [`dpsyn_relational::join()`], and every memo
+//!    entry — the context's query weights, the slot's boundary values,
+//!    `count(I)`, true answers, `RS^β` and degree maps — is the value its
+//!    cold computation
 //!    returns for exactly the inputs its key encodes, so a warm session's
 //!    outputs are byte-identical to a cold session's.
 //! 3. **Parallelism is invisible.** Worker-pool loops are morsel-driven
@@ -305,7 +303,7 @@ impl Session {
 
     // --- sensitivity -------------------------------------------------------
 
-    /// Local sensitivity `LS_count(I)`, through the session cache.
+    /// Local sensitivity `LS_count(I)` at the session's parallelism.
     pub fn local_sensitivity(
         &self,
         query: &JoinQuery,
@@ -315,7 +313,7 @@ impl Session {
     }
 
     /// Residual sensitivity `RS^β_count(I)`, through the session cache —
-    /// sweeping `β` over one instance pays for the subset lattice once.
+    /// sweeping `β` over one instance builds the subset lattice once.
     pub fn residual_sensitivity(
         &self,
         query: &JoinQuery,
@@ -330,8 +328,8 @@ impl Session {
     /// Applies a streaming [`UpdateBatch`] of inserts and deletes to
     /// `instance` and drops the session's warm slot for the old instance
     /// (see [`dpsyn_relational::stream`] and [`ExecContext::apply_updates`]):
-    /// the next call over the updated instance rebuilds its lattice, full
-    /// join and memoised values.
+    /// the next call over the updated instance rebuilds its full join and
+    /// memoised values.
     ///
     /// A post-update release over the updated instance is byte-identical to
     /// one from a cold session at the same seed, at any thread count.  On a
@@ -349,13 +347,13 @@ impl Session {
 
     // --- cache introspection ------------------------------------------------
 
-    /// Number of sub-join lattice entries currently persisted.
-    pub fn cached_subjoins(&self) -> usize {
-        self.ctx.cached_subjoins()
+    /// Number of instances currently holding a cache slot.
+    pub fn cached_instances(&self) -> usize {
+        self.ctx.cached_instances()
     }
 
-    /// Approximate resident bytes of all persisted lattice entries' tuple
-    /// buffers.
+    /// Approximate resident bytes of the cached full joins' tuple buffers:
+    /// the only join results a session keeps.
     pub fn cached_subjoin_bytes(&self) -> usize {
         self.ctx.cached_subjoin_bytes()
     }
@@ -430,7 +428,7 @@ mod tests {
         let request = ReleaseRequest::new(&q, &inst, &workload, params).with_seed(2);
 
         session.release(&MultiTable::default(), &request).unwrap();
-        assert!(session.cached_subjoins() > 0);
+        assert_eq!(session.cached_instances(), 1);
         let (hits_before, _) = session.cache_stats();
         session.release(&MultiTable::default(), &request).unwrap();
         let (hits_after, _) = session.cache_stats();
@@ -439,8 +437,8 @@ mod tests {
             "second release must hit the cache"
         );
 
-        // Sensitivity through the same session reuses the lattice too, and
-        // truth answering reuses the shared join.
+        // Sensitivity through the same session reuses the memoised boundary
+        // values too, and truth answering reuses the shared join.
         let rs = session.residual_sensitivity(&q, &inst, 0.5).unwrap();
         assert_eq!(
             rs,
@@ -461,20 +459,26 @@ mod tests {
         );
 
         session.clear_cache();
-        assert_eq!(session.cached_subjoins(), 0);
+        assert_eq!(session.cached_instances(), 0);
     }
 
     #[test]
-    fn session_lattice_footprint_tracks_cached_subjoins() {
+    fn session_footprint_tracks_cached_full_joins() {
         let (q, inst) = fixture();
         let session = Session::sequential();
-        assert_eq!(session.cached_subjoins(), 0);
+        assert_eq!(session.cached_instances(), 0);
         assert_eq!(session.cached_subjoin_bytes(), 0);
-        // A residual-sensitivity call materialises every proper subset of
-        // the two relations, and the byte accounting follows.
+        // A residual-sensitivity call keeps its values, not its sub-joins.
         session.residual_sensitivity(&q, &inst, 0.5).unwrap();
-        assert_eq!(session.cached_subjoins(), (1 << 2) - 2);
-        assert!(session.cached_subjoin_bytes() > 0);
+        assert_eq!(session.cached_instances(), 1);
+        assert_eq!(session.cached_subjoin_bytes(), 0);
+        // Truth answering caches the full join, and the byte accounting
+        // follows.
+        let workload = session.random_sign_workload(&q, 4, 1).unwrap();
+        session.answer_truth(&q, &inst, &workload).unwrap();
+        let full = session.context().shared_join(&q, &inst).unwrap();
+        assert!(full.approx_bytes() > 0);
+        assert_eq!(session.cached_subjoin_bytes(), full.approx_bytes());
         session.clear_cache();
         assert_eq!(session.cached_subjoin_bytes(), 0);
     }

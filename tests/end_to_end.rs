@@ -128,14 +128,15 @@ fn multi_table_release_on_star_join_respects_sensitivity_ordering() {
     let release = session
         .release(&MultiTable::new(fast_pmw()), &request)
         .unwrap();
-    // Δ̃ ≥ RS^β ≥ LS ≥ 0 must hold along the whole chain; the sensitivity
-    // probes reuse the lattice the release just populated.
+    // Δ̃ ≥ RS^β ≥ LS ≥ 0 must hold along the whole chain; the residual
+    // probe reads the RS^β the release just memoised.
     let beta = 1.0 / budget.lambda();
-    assert!(session.cached_subjoins() > 0);
+    let (hits, misses) = session.cache_stats();
     let rs = session
         .residual_sensitivity(&query, &instance, beta)
         .unwrap()
         .value;
+    assert_eq!(session.cache_stats(), (hits + 1, misses), "RS^β memo hit");
     let ls = session.local_sensitivity(&query, &instance).unwrap() as f64;
     assert!(release.delta_tilde() + 1e-9 >= rs.max(1.0));
     assert!(rs >= ls - 1e-9);

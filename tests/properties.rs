@@ -423,7 +423,7 @@ fn populate_is_byte_identical_across_threads_and_naive() {
 }
 
 /// Boundary values, residual sensitivity, local sensitivity and join sizes
-/// read through a context's lattice are byte-identical across thread counts
+/// read through a context are byte-identical across thread counts
 /// and warm/cold state, and equal to the naive oracle — including when
 /// grouped weights saturate.
 #[test]
@@ -458,8 +458,8 @@ fn lattice_reads_are_byte_identical_across_threads_and_naive() {
                 let tag = format!("{shape}, seed {seed}, threads {threads}");
                 let cold = ctx.all_boundary_values(query, inst).unwrap();
                 assert_eq!(cold, naive_bv, "{tag} (cold)");
-                // Warm reads hit the lattice the slot retained and must not
-                // drift.
+                // Warm reads hit the boundary map the slot memoised and
+                // must not drift.
                 let warm = ctx.all_boundary_values(query, inst).unwrap();
                 assert_eq!(warm, naive_bv, "{tag} (warm)");
                 assert_eq!(

@@ -402,7 +402,7 @@ fn wire_updates_drop_warm_state_and_preserve_release_bytes() {
     assert_eq!(call(&addr, "POST", "/v1/dataset", DATASET_BODY).0, 200);
 
     // Warm the dataset's context with one release.  `multi_table` is the
-    // mechanism that populates the cached sub-join lattice (via residual
+    // mechanism that memoises the boundary values and RS^β (via residual
     // sensitivity), so it leaves the warm slot the update drops.
     let release = |dataset: &str| {
         release_body(0.2, 1e-7)

@@ -118,8 +118,8 @@ fn all_six_mechanisms_are_byte_identical_via_session_and_legacy() {
             let legacy = legacy_release(name, query, instance, &workload, params, seed);
             let cold = session.release(mechanism.as_ref(), &request).unwrap();
             assert_releases_identical(&cold, &legacy, &format!("{name}/seed{seed}/cold"));
-            // Second run on the now-warm session (lattice + full join
-            // cached) must not change a single byte.
+            // Second run on the now-warm session (full join and memoised
+            // values cached) must not change a single byte.
             let warm = session.release(mechanism.as_ref(), &request).unwrap();
             assert_releases_identical(&warm, &legacy, &format!("{name}/seed{seed}/warm"));
         }
@@ -159,30 +159,31 @@ fn legacy_release(
     }
 }
 
-/// A warm session's sensitivity sweep (the `2^m` lattice reused across β
-/// values and across releases) matches a cold session exactly, and actually
-/// hits the cache.
+/// A warm session's sensitivity sweep (the boundary values memoised by a
+/// release, read again at every β) matches a cold session exactly, and
+/// actually hits the cache.
 #[test]
 fn warm_session_cache_matches_cold_session_on_sensitivity_sweeps() {
     let (q, inst) = star_fixture();
     let warm = Session::sequential();
 
-    // Populate the lattice once via a release.
+    // Memoise the boundary values once via a release.
     let workload = warm.random_sign_workload(&q, 4, 1).unwrap();
     let params = PrivacyParams::new(1.0, 1e-5).unwrap();
     let request = ReleaseRequest::new(&q, &inst, &workload, params).with_seed(5);
     warm.release(&MultiTable::default(), &request).unwrap();
-    let lattice_size = warm.cached_subjoins();
-    assert!(lattice_size > 0, "release must persist the lattice");
+    assert_eq!(warm.cached_instances(), 1, "release claims the slot");
 
     for &beta in &[0.05, 0.2, 0.7, 1.3] {
+        let (hits, misses) = warm.cache_stats();
         let from_warm = warm.residual_sensitivity(&q, &inst, beta).unwrap();
+        // A new β misses RS^β and reads the memoised boundary values
+        // rather than re-enumerating the lattice.
+        assert_eq!(warm.cache_stats(), (hits + 1, misses + 1), "beta {beta}");
         let from_cold = Session::sequential()
             .residual_sensitivity(&q, &inst, beta)
             .unwrap();
         assert_eq!(from_warm, from_cold, "beta {beta}");
-        // The sweep reuses the lattice rather than regrowing it.
-        assert_eq!(warm.cached_subjoins(), lattice_size, "beta {beta}");
     }
     assert_eq!(
         warm.local_sensitivity(&q, &inst).unwrap(),
@@ -242,21 +243,20 @@ fn request_builder_and_mechanism_names() {
     assert_eq!(m.name(), "uniformized_two_table");
 }
 
-/// The context's slot LRU under concurrent multi-instance pressure:
-/// more live instances than slots, checked out and checked back in from
-/// several threads at once, so evictions constantly race in-flight
-/// checkouts.  Nothing may panic, every checkout must count as exactly one
-/// hit or miss, the slot count must respect capacity, and a post-storm
-/// checkout must still produce the exact cold-path lattice.
+/// The context's slot LRU under concurrent multi-instance pressure: more
+/// live instances than slots, read through the memo from several threads
+/// at once, so evictions constantly race in-flight reads.  Nothing may
+/// panic, every value must equal the cold path's, every read must count as
+/// exactly one hit or miss, and the slot count must respect capacity.
 #[test]
 fn concurrent_checkouts_race_lru_eviction_safely() {
-    use dpsyn::relational::join_subset;
+    use dpsyn::relational::{join, DEFAULT_CACHE_SLOTS};
     use std::sync::Arc;
 
-    // Four distinct star instances but only two cache slots: every round
-    // of the working set forces evictions.
+    // One more distinct star instance than there are cache slots: every
+    // round of the working set forces evictions.
     let query = Arc::new(JoinQuery::star(3, 8).unwrap());
-    let instances: Vec<Arc<Instance>> = (0..4u64)
+    let instances: Vec<Arc<Instance>> = (0..DEFAULT_CACHE_SLOTS as u64 + 1)
         .map(|variant| {
             let mut inst = Instance::empty_for(&query).unwrap();
             for hub in 0..3u64 {
@@ -271,10 +271,11 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
             Arc::new(inst)
         })
         .collect();
-    let ctx = Arc::new(ExecContext::sequential().with_cache_slots(2));
+    let ctx = Arc::new(ExecContext::sequential());
 
     const THREADS: usize = 4;
-    const ROUNDS: usize = 6;
+    const ROUNDS: usize = 3;
+    let n = instances.len();
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let ctx = Arc::clone(&ctx);
@@ -284,15 +285,18 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
                 for round in 0..ROUNDS {
                     // Offset per thread so threads hit different slots at
                     // the same instant (maximising eviction races).
-                    for i in 0..instances.len() {
-                        let inst = &instances[(i + t + round) % instances.len()];
-                        let cache = ctx.subjoin_cache(&query, inst).unwrap();
-                        cache.populate(Parallelism::SEQUENTIAL).unwrap();
-                        // The checked-out lattice stays valid even if the
-                        // slot it came from is evicted concurrently.
-                        assert!(cache.cached_count() > 0);
-                        assert!(cache.get(0b011).is_some());
-                        ctx.retain_subjoin_cache(cache);
+                    for i in 0..n {
+                        let inst = &instances[(i + t + round) % n];
+                        // A β no other read uses: RS^β always misses and
+                        // reads the boundary map, so each call is two reads.
+                        let beta = 0.25 + ((t * ROUNDS + round) * n + i) as f64 * 1e-3;
+                        let rs = ctx.residual_sensitivity(&query, inst, beta).unwrap();
+                        let cold = ExecContext::sequential()
+                            .residual_sensitivity(&query, inst, beta)
+                            .unwrap();
+                        assert_eq!(rs, cold, "beta {beta}");
+                        let full = ctx.shared_join(&query, inst).unwrap();
+                        assert_eq!(full.as_ref(), &join(&query, inst).unwrap());
                     }
                 }
             })
@@ -302,90 +306,46 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
         h.join().expect("no worker may panic");
     }
 
-    // Consistency: every checkout counted exactly once, capacity held.
+    // Consistency: every read counted exactly once, capacity held.
     let (hits, misses) = ctx.cache_stats();
     assert_eq!(
         (hits + misses) as usize,
-        THREADS * ROUNDS * instances.len(),
-        "each checkout increments exactly one of hits/misses"
+        3 * THREADS * ROUNDS * n,
+        "each read increments exactly one of hits/misses"
     );
-    assert!(misses >= 1, "cold start must miss");
+    assert!(misses >= n as u64, "every instance starts cold");
+    assert!(ctx.eviction_stats().evictions >= 1);
     assert!(
-        ctx.cached_instances() <= 2,
+        ctx.cached_instances() <= DEFAULT_CACHE_SLOTS,
         "slot LRU exceeded its capacity"
     );
-
-    // Correctness after the storm: a warm checkout's sub-joins are exactly
-    // the cold path's.
-    let cache = ctx.subjoin_cache(&query, &instances[0]).unwrap();
-    cache.populate(Parallelism::SEQUENTIAL).unwrap();
-    for mask in 1u32..0b111 {
-        let rels: Vec<usize> = (0..3).filter(|r| mask & (1 << r) != 0).collect();
-        let cold = join_subset(&query, &instances[0], &rels).unwrap();
-        let warm = cache.get(mask).expect("populated mask");
-        assert_eq!(warm.total(), cold.total(), "mask {mask:03b}: total weight");
-        assert_eq!(
-            warm.distinct_count(),
-            cold.distinct_count(),
-            "mask {mask:03b}: distinct tuples"
-        );
-    }
-}
-
-/// Interleaved checkouts of one pair — A out, B out, A in, B in, the order
-/// a shared server context produces — both land their lattice entries in
-/// the slot: the later check-in must not clobber the earlier one's.
-#[test]
-fn interleaved_checkouts_merge_their_lattice_entries() {
-    use dpsyn_relational::Keep;
-    let (q, inst) = datagen::correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(7));
-    let m = q.num_relations();
-    let full = (1u32 << m) - 1;
-    let ctx = ExecContext::sequential();
-    let a = ctx.subjoin_cache(&q, &inst).unwrap();
-    let b = ctx.subjoin_cache(&q, &inst).unwrap();
-    // A materialises every proper mask, B only the full join's chain.
-    a.populate(Parallelism::SEQUENTIAL).unwrap();
-    b.join_mask(full, Parallelism::SEQUENTIAL, Keep::Target)
-        .unwrap();
-    assert_eq!(a.cached_count(), (1 << m) - 2);
-    assert!(b.get(full).is_some() && a.get(full).is_none());
-    ctx.retain_subjoin_cache(a);
-    ctx.retain_subjoin_cache(b);
-    let merged = ctx.subjoin_cache(&q, &inst).unwrap();
-    for mask in 1..=full {
-        assert!(merged.get(mask).is_some(), "mask {mask:#b} lost on merge");
-    }
-    assert_eq!(ctx.cached_subjoins(), full as usize);
 }
 
 /// Local sensitivity walks its targets lazily at every thread count — the
 /// parallelism goes into the join steps, never into which intermediates
-/// are built — so the value and the resident lattice are identical at 1, 2
-/// and 4 threads.
+/// are built — so the value is identical at 1, 2 and 4 threads, and no
+/// thread count leaves anything resident in the context.
 #[test]
 fn local_sensitivity_feedback_is_identical_at_every_thread_count() {
     let (q, inst) = datagen::correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(7));
     let expected = local_sensitivity(&q, &inst).unwrap();
-    let runs: Vec<_> = [1usize, 2, 4]
-        .iter()
-        .map(|&threads| {
-            let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
-            let ls = ctx.local_sensitivity(&q, &inst).unwrap();
-            assert_eq!(ls, expected, "threads {threads}");
-            (ctx.cached_subjoins(), ctx.cached_subjoin_bytes())
-        })
-        .collect();
-    assert_eq!(runs[1], runs[0], "2 threads vs 1");
-    assert_eq!(runs[2], runs[0], "4 threads vs 1");
+    for threads in [1usize, 2, 4] {
+        let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
+        let ls = ctx.local_sensitivity(&q, &inst).unwrap();
+        assert_eq!(ls, expected, "threads {threads}");
+        assert_eq!(ctx.cached_instances(), 0, "threads {threads}");
+        assert_eq!(ctx.cached_subjoin_bytes(), 0, "threads {threads}");
+    }
 }
 
-/// Whatever a context's sensitivity entry points build — a parallel
-/// populate, local sensitivity's lazy walks, single aggregate reads — every
+/// Whatever the sensitivity entry points build — a parallel populate, local
+/// sensitivity's lazy walks, single aggregate reads of a lattice — every
 /// value equals the naive oracle at every thread count.
 #[test]
 fn context_sensitivity_reads_match_naive_at_every_thread_count() {
     use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive};
+    use dpsyn_relational::{Parallelism, ShardedSubJoinCache};
+    use dpsyn_sensitivity::aggregate_query_sharded;
     let (q, inst) = datagen::correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(7));
     let m = q.num_relations();
     let full = (1u32 << m) - 1;
@@ -406,6 +366,7 @@ fn context_sensitivity_reads_match_naive_at_every_thread_count() {
             naive_ls,
             "threads {threads}"
         );
+        let lattice = ShardedSubJoinCache::new(&q, &inst).unwrap();
         for mask in 1..=full {
             let e: Vec<usize> = (0..m).filter(|&r| mask & (1 << r) != 0).collect();
             let expected = if mask == full {
@@ -415,7 +376,7 @@ fn context_sensitivity_reads_match_naive_at_every_thread_count() {
             };
             let y = q.boundary(&e).unwrap();
             assert_eq!(
-                ctx.aggregate_query(&q, &inst, &e, &y).unwrap(),
+                aggregate_query_sharded(&lattice, &e, &y, Parallelism::threads(threads)).unwrap(),
                 expected,
                 "threads {threads}, mask {mask:#b}"
             );
