@@ -3,10 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsyn_bench::experiment_pmw;
-use dpsyn_core::{IndependentLaplaceBaseline, SensitivityChoice, TwoTable};
+use dpsyn_core::{IndependentLaplaceBaseline, Mechanism, SensitivityChoice, TwoTable};
 use dpsyn_datagen::zipf_two_table;
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::QueryFamily;
+use dpsyn_relational::ExecContext;
 use std::time::Duration;
 
 fn bench_baselines(c: &mut Criterion) {
@@ -24,9 +25,10 @@ fn bench_baselines(c: &mut Criterion) {
             &q_count,
             |b, _| {
                 b.iter(|| {
+                    let ctx = ExecContext::default();
                     let mut rng = seeded_rng(31);
                     TwoTable::new(experiment_pmw())
-                        .release(&query, &instance, &family, params, &mut rng)
+                        .release(&ctx, &query, &instance, &family, params, &mut rng)
                         .unwrap()
                         .noisy_total()
                 })
@@ -37,9 +39,10 @@ fn bench_baselines(c: &mut Criterion) {
             &q_count,
             |b, _| {
                 b.iter(|| {
+                    let ctx = ExecContext::default();
                     let mut rng = seeded_rng(32);
                     IndependentLaplaceBaseline::new(SensitivityChoice::Residual)
-                        .answer_all(&query, &instance, &family, params, &mut rng)
+                        .answer_all(&ctx, &query, &instance, &family, params, &mut rng)
                         .unwrap()
                         .len()
                 })

@@ -3,10 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dpsyn_bench::experiment_pmw;
-use dpsyn_core::{HierarchicalConfig, HierarchicalRelease, MultiTable};
+use dpsyn_core::{HierarchicalConfig, HierarchicalRelease, Mechanism, MultiTable};
 use dpsyn_datagen::retail_star;
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::QueryFamily;
+use dpsyn_relational::ExecContext;
 use std::time::Duration;
 
 fn bench_hierarchical(c: &mut Criterion) {
@@ -30,21 +31,23 @@ fn bench_hierarchical(c: &mut Criterion) {
     });
     group.bench_function("hierarchical_release", |b| {
         b.iter(|| {
+            let ctx = ExecContext::default();
             let mut rng = seeded_rng(22);
             HierarchicalRelease::new(HierarchicalConfig {
                 pmw: experiment_pmw(),
                 ..Default::default()
             })
-            .release(&query, &instance, &family, params, &mut rng)
+            .release(&ctx, &query, &instance, &family, params, &mut rng)
             .unwrap()
             .parts()
         })
     });
     group.bench_function("multitable_release", |b| {
         b.iter(|| {
+            let ctx = ExecContext::default();
             let mut rng = seeded_rng(23);
             MultiTable::new(experiment_pmw())
-                .release(&query, &instance, &family, params, &mut rng)
+                .release(&ctx, &query, &instance, &family, params, &mut rng)
                 .unwrap()
                 .delta_tilde()
         })

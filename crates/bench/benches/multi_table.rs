@@ -2,10 +2,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsyn_bench::experiment_pmw;
-use dpsyn_core::MultiTable;
+use dpsyn_core::{Mechanism, MultiTable};
 use dpsyn_datagen::random_star;
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::QueryFamily;
+use dpsyn_relational::ExecContext;
 use std::time::Duration;
 
 fn bench_multi_table_release(c: &mut Criterion) {
@@ -20,9 +21,10 @@ fn bench_multi_table_release(c: &mut Criterion) {
         let family = QueryFamily::random_sign(&query, 8, &mut rng).unwrap();
         group.bench_with_input(BenchmarkId::new("star3", per_rel), &per_rel, |b, _| {
             b.iter(|| {
+                let ctx = ExecContext::default();
                 let mut rng = seeded_rng(11);
                 MultiTable::new(experiment_pmw())
-                    .release(&query, &instance, &family, params, &mut rng)
+                    .release(&ctx, &query, &instance, &family, params, &mut rng)
                     .unwrap()
                     .delta_tilde()
             })

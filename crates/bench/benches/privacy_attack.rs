@@ -3,10 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dpsyn_bench::experiment_pmw;
-use dpsyn_core::{FlawedJoinAsOne, TwoTable};
+use dpsyn_core::{FlawedJoinAsOne, Mechanism, TwoTable};
 use dpsyn_datagen::fig1_pair;
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::QueryFamily;
+use dpsyn_relational::ExecContext;
 use std::time::Duration;
 
 fn bench_privacy_attack(c: &mut Criterion) {
@@ -20,15 +21,16 @@ fn bench_privacy_attack(c: &mut Criterion) {
 
     group.bench_function("flawed_join_as_one_round", |b| {
         b.iter(|| {
+            let ctx = ExecContext::default();
             let mut rng = seeded_rng(40);
             let strawman = FlawedJoinAsOne::new(experiment_pmw());
             let a = strawman
-                .release(&query, &heavy, &family, params, &mut rng)
+                .release(&ctx, &query, &heavy, &family, params, &mut rng)
                 .unwrap()
                 .histogram()
                 .total();
             let b2 = strawman
-                .release(&query, &empty, &family, params, &mut rng)
+                .release(&ctx, &query, &empty, &family, params, &mut rng)
                 .unwrap()
                 .histogram()
                 .total();
@@ -37,15 +39,16 @@ fn bench_privacy_attack(c: &mut Criterion) {
     });
     group.bench_function("two_table_round", |b| {
         b.iter(|| {
+            let ctx = ExecContext::default();
             let mut rng = seeded_rng(41);
             let fixed = TwoTable::new(experiment_pmw());
             let a = fixed
-                .release(&query, &heavy, &family, params, &mut rng)
+                .release(&ctx, &query, &heavy, &family, params, &mut rng)
                 .unwrap()
                 .histogram()
                 .total();
             let b2 = fixed
-                .release(&query, &empty, &family, params, &mut rng)
+                .release(&ctx, &query, &empty, &family, params, &mut rng)
                 .unwrap()
                 .histogram()
                 .total();

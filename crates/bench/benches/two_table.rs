@@ -3,10 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsyn_bench::experiment_pmw;
-use dpsyn_core::TwoTable;
+use dpsyn_core::{Mechanism, TwoTable};
 use dpsyn_datagen::fig2_hard_instance;
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::QueryFamily;
+use dpsyn_relational::ExecContext;
 use std::time::Duration;
 
 fn bench_two_table_release(c: &mut Criterion) {
@@ -23,9 +24,10 @@ fn bench_two_table_release(c: &mut Criterion) {
         let family = QueryFamily::random_sign(&query, 16, &mut rng).unwrap();
         group.bench_with_input(BenchmarkId::new("OUT", out), &out, |b, _| {
             b.iter(|| {
+                let ctx = ExecContext::default();
                 let mut rng = seeded_rng(2);
                 TwoTable::new(experiment_pmw())
-                    .release(&query, &instance, &family, params, &mut rng)
+                    .release(&ctx, &query, &instance, &family, params, &mut rng)
                     .unwrap()
                     .noisy_total()
             })

@@ -3,10 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsyn_bench::experiment_pmw;
-use dpsyn_core::{partition_two_table, TwoTable, UniformizedTwoTable};
+use dpsyn_core::{partition_two_table, Mechanism, TwoTable, UniformizedTwoTable};
 use dpsyn_datagen::example42_instance;
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::QueryFamily;
+use dpsyn_relational::ExecContext;
 use std::time::Duration;
 
 fn bench_partition(c: &mut Criterion) {
@@ -40,18 +41,20 @@ fn bench_release_comparison(c: &mut Criterion) {
     let family = QueryFamily::random_sign(&query, 8, &mut rng).unwrap();
     group.bench_function("join_as_one", |b| {
         b.iter(|| {
+            let ctx = ExecContext::default();
             let mut rng = seeded_rng(5);
             TwoTable::new(experiment_pmw())
-                .release(&query, &instance, &family, params, &mut rng)
+                .release(&ctx, &query, &instance, &family, params, &mut rng)
                 .unwrap()
                 .noisy_total()
         })
     });
     group.bench_function("uniformized", |b| {
         b.iter(|| {
+            let ctx = ExecContext::default();
             let mut rng = seeded_rng(5);
             UniformizedTwoTable::new(experiment_pmw())
-                .release(&query, &instance, &family, params, &mut rng)
+                .release(&ctx, &query, &instance, &family, params, &mut rng)
                 .unwrap()
                 .parts()
         })

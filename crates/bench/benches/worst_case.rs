@@ -4,11 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dpsyn_bench::experiment_pmw;
-use dpsyn_core::MultiTable;
+use dpsyn_core::{Mechanism, MultiTable};
 use dpsyn_datagen::random_star;
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_query::QueryFamily;
-use dpsyn_relational::{fractional_edge_cover_number, JoinQuery};
+use dpsyn_relational::{fractional_edge_cover_number, ExecContext, JoinQuery};
 use std::time::Duration;
 
 fn bench_worst_case_release(c: &mut Criterion) {
@@ -22,9 +22,10 @@ fn bench_worst_case_release(c: &mut Criterion) {
     let family = QueryFamily::random_sign(&query, 8, &mut rng).unwrap();
     group.bench_function("skewed_star3_release", |b| {
         b.iter(|| {
+            let ctx = ExecContext::default();
             let mut rng = seeded_rng(51);
             MultiTable::new(experiment_pmw())
-                .release(&query, &instance, &family, params, &mut rng)
+                .release(&ctx, &query, &instance, &family, params, &mut rng)
                 .unwrap()
                 .delta_tilde()
         })

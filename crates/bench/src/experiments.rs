@@ -7,14 +7,14 @@
 
 use dpsyn_core::bounds;
 use dpsyn_core::{
-    FlawedJoinAsOne, FlawedPadAfter, HierarchicalRelease, IndependentLaplaceBaseline, MultiTable,
-    SensitivityChoice, TwoTable, UniformizedTwoTable,
+    FlawedJoinAsOne, FlawedPadAfter, HierarchicalRelease, IndependentLaplaceBaseline, Mechanism,
+    MultiTable, SensitivityChoice, TwoTable, UniformizedTwoTable,
 };
 use dpsyn_datagen as datagen;
 use dpsyn_noise::{seeded_rng, PrivacyParams};
 use dpsyn_pmw::PmwConfig;
-use dpsyn_query::QueryFamily;
-use dpsyn_relational::{join_size, Instance, JoinQuery};
+use dpsyn_query::{AnswerOps, QueryFamily};
+use dpsyn_relational::{join_size, ExecContext, Instance, JoinQuery};
 use dpsyn_sensitivity::{local_sensitivity, residual_sensitivity};
 use std::time::Instant;
 
@@ -35,13 +35,14 @@ pub fn experiment_pmw() -> PmwConfig {
 }
 
 fn measured_linf(
+    ctx: &ExecContext,
     query: &JoinQuery,
     instance: &Instance,
     family: &QueryFamily,
     answers: &dpsyn_query::AnswerSet,
 ) -> f64 {
-    let truth = family
-        .answer_all_on_instance(query, instance)
+    let truth = ctx
+        .answer_all_on_instance(query, instance, family)
         .expect("truth answers");
     truth.linf_distance(answers).expect("aligned answers")
 }
@@ -56,6 +57,7 @@ fn measured_linf(
 /// releases of both instances (0.5 = cannot distinguish, 1.0 = perfect
 /// distinguisher).
 pub fn exp_privacy_attack(quick: bool) -> Vec<Row> {
+    let ctx = ExecContext::default();
     let n: u64 = if quick { 8 } else { 16 };
     let trials = if quick { 8 } else { 30 };
     let (query, heavy, empty) = datagen::fig1_pair(n);
@@ -117,17 +119,17 @@ pub fn exp_privacy_attack(quick: bool) -> Vec<Row> {
     let pmw = experiment_pmw();
     run("flawed-join", &|inst, rng| {
         FlawedJoinAsOne::new(pmw)
-            .release(&query, inst, &family, params, rng)
+            .release(&ctx, &query, inst, &family, params, rng)
             .expect("release")
     });
     run("flawed-pad", &|inst, rng| {
         FlawedPadAfter::new(pmw)
-            .release(&query, inst, &family, params, rng)
+            .release(&ctx, &query, inst, &family, params, rng)
             .expect("release")
     });
     run("two-table", &|inst, rng| {
         TwoTable::new(pmw)
-            .release(&query, inst, &family, params, rng)
+            .release(&ctx, &query, inst, &family, params, rng)
             .expect("release")
     });
     rows
@@ -136,6 +138,7 @@ pub fn exp_privacy_attack(quick: bool) -> Vec<Row> {
 /// E2 — Theorems 3.3 / 3.5: two-table error versus join size `OUT` at fixed
 /// local sensitivity `Δ`, against the upper- and lower-bound curves.
 pub fn exp_two_table_error(quick: bool) -> Vec<Row> {
+    let ctx = ExecContext::default();
     let params = standard_params();
     let delta_sens = 4u64;
     let outs: &[u64] = if quick {
@@ -157,10 +160,10 @@ pub fn exp_two_table_error(quick: bool) -> Vec<Row> {
         let mut rng = seeded_rng(42 + idx as u64);
         let family = QueryFamily::random_sign(&query, num_queries, &mut rng).unwrap();
         let release = TwoTable::new(experiment_pmw())
-            .release(&query, &instance, &family, params, &mut rng)
+            .release(&ctx, &query, &instance, &family, params, &mut rng)
             .unwrap();
         let answers = release.answer_all(&family).unwrap();
-        let err = measured_linf(&query, &instance, &family, &answers);
+        let err = measured_linf(&ctx, &query, &instance, &family, &answers);
 
         let log2_domain = query.schema().log2_full_domain();
         let upper = bounds::two_table_upper_bound(
@@ -192,6 +195,7 @@ pub fn exp_uniformize_gain(quick: bool) -> Vec<Row> {
     // separates the two algorithms.  With the standard (1, 1e-6) budget the
     // λ^{3/2}(Δ+λ) additive term dominates at these sizes and join-as-one wins.
     let params = PrivacyParams::new(4.0, 1e-3).expect("valid parameters");
+    let ctx = ExecContext::default();
     let ks: &[u64] = if quick { &[8, 16] } else { &[8, 16, 32, 48] };
     let num_queries = if quick { 8 } else { 24 };
     let mut rows = Vec::new();
@@ -203,9 +207,10 @@ pub fn exp_uniformize_gain(quick: bool) -> Vec<Row> {
         let family = QueryFamily::random_sign(&query, num_queries, &mut rng).unwrap();
 
         let join_as_one = TwoTable::new(experiment_pmw())
-            .release(&query, &instance, &family, params, &mut rng)
+            .release(&ctx, &query, &instance, &family, params, &mut rng)
             .unwrap();
         let err_join = measured_linf(
+            &ctx,
             &query,
             &instance,
             &family,
@@ -213,9 +218,10 @@ pub fn exp_uniformize_gain(quick: bool) -> Vec<Row> {
         );
 
         let uniformized = UniformizedTwoTable::new(experiment_pmw())
-            .release(&query, &instance, &family, params, &mut rng)
+            .release(&ctx, &query, &instance, &family, params, &mut rng)
             .unwrap();
         let err_uni = measured_linf(
+            &ctx,
             &query,
             &instance,
             &family,
@@ -274,6 +280,7 @@ pub fn exp_uniformize_gain(quick: bool) -> Vec<Row> {
 /// E4 — Theorem 1.5: multi-table (3-relation star) error versus input size,
 /// with the residual-sensitivity-based bound, under uniform and Zipf skew.
 pub fn exp_multi_table_error(quick: bool) -> Vec<Row> {
+    let ctx = ExecContext::default();
     let params = standard_params();
     let sizes: &[usize] = if quick {
         &[60, 120]
@@ -291,9 +298,10 @@ pub fn exp_multi_table_error(quick: bool) -> Vec<Row> {
             let rs = residual_sensitivity(&query, &instance, beta).unwrap().value;
             let family = QueryFamily::random_sign(&query, num_queries, &mut rng).unwrap();
             let release = MultiTable::new(experiment_pmw())
-                .release(&query, &instance, &family, params, &mut rng)
+                .release(&ctx, &query, &instance, &family, params, &mut rng)
                 .unwrap();
             let err = measured_linf(
+                &ctx,
                 &query,
                 &instance,
                 &family,
@@ -324,6 +332,7 @@ pub fn exp_multi_table_error(quick: bool) -> Vec<Row> {
 /// E5 — Section 4.2 / Theorem C.2: hierarchical uniformization versus plain
 /// `MultiTable` on a skewed star schema.
 pub fn exp_hierarchical(quick: bool) -> Vec<Row> {
+    let ctx = ExecContext::default();
     let params = PrivacyParams::new(2.0, 1e-4).expect("valid parameters");
     let sizes: &[usize] = if quick { &[80] } else { &[80, 160, 320] };
     let num_queries = if quick { 6 } else { 12 };
@@ -334,9 +343,10 @@ pub fn exp_hierarchical(quick: bool) -> Vec<Row> {
         let family = QueryFamily::random_sign(&query, num_queries, &mut rng).unwrap();
 
         let plain = MultiTable::new(experiment_pmw())
-            .release(&query, &instance, &family, params, &mut rng)
+            .release(&ctx, &query, &instance, &family, params, &mut rng)
             .unwrap();
         let err_plain = measured_linf(
+            &ctx,
             &query,
             &instance,
             &family,
@@ -347,9 +357,10 @@ pub fn exp_hierarchical(quick: bool) -> Vec<Row> {
             pmw: experiment_pmw(),
             ..Default::default()
         })
-        .release(&query, &instance, &family, params, &mut rng)
+        .release(&ctx, &query, &instance, &family, params, &mut rng)
         .unwrap();
         let err_hier = measured_linf(
+            &ctx,
             &query,
             &instance,
             &family,
@@ -372,6 +383,7 @@ pub fn exp_hierarchical(quick: bool) -> Vec<Row> {
 /// E6 — the Section 1.2 motivation: synthetic data versus per-query Laplace
 /// (residual- and global-calibrated) as the workload size grows.
 pub fn exp_baselines(quick: bool) -> Vec<Row> {
+    let ctx = ExecContext::default();
     let params = standard_params();
     let sizes: &[usize] = if quick { &[8, 64] } else { &[8, 64, 512, 2048] };
     let mut rows = Vec::new();
@@ -382,9 +394,10 @@ pub fn exp_baselines(quick: bool) -> Vec<Row> {
         let family = QueryFamily::random_sign(&query, q_count, &mut rng).unwrap();
 
         let synthetic = TwoTable::new(experiment_pmw())
-            .release(&query, &instance, &family, params, &mut rng)
+            .release(&ctx, &query, &instance, &family, params, &mut rng)
             .unwrap();
         let err_synth = measured_linf(
+            &ctx,
             &query,
             &instance,
             &family,
@@ -392,16 +405,16 @@ pub fn exp_baselines(quick: bool) -> Vec<Row> {
         );
 
         let residual = IndependentLaplaceBaseline::new(SensitivityChoice::Residual)
-            .answer_all(&query, &instance, &family, params, &mut rng)
+            .answer_all(&ctx, &query, &instance, &family, params, &mut rng)
             .unwrap();
-        let err_residual = measured_linf(&query, &instance, &family, &residual);
+        let err_residual = measured_linf(&ctx, &query, &instance, &family, &residual);
 
         let global = IndependentLaplaceBaseline::new(SensitivityChoice::Global {
             n_upper: instance.input_size(),
         })
-        .answer_all(&query, &instance, &family, params, &mut rng)
+        .answer_all(&ctx, &query, &instance, &family, params, &mut rng)
         .unwrap();
-        let err_global = measured_linf(&query, &instance, &family, &global);
+        let err_global = measured_linf(&ctx, &query, &instance, &family, &global);
 
         rows.push(
             Row::new(format!("|Q|={q_count}"))
@@ -448,6 +461,7 @@ pub fn exp_sensitivity_scaling(quick: bool) -> Vec<Row> {
 /// E8 — Appendix B.3: measured error on adversarially skewed instances of the
 /// triangle and star queries against the worst-case closed forms.
 pub fn exp_worst_case(quick: bool) -> Vec<Row> {
+    let ctx = ExecContext::default();
     let params = standard_params();
     let sizes: &[usize] = if quick { &[60] } else { &[60, 120, 240] };
     let mut rows = Vec::new();
@@ -457,9 +471,10 @@ pub fn exp_worst_case(quick: bool) -> Vec<Row> {
         let (query, instance) = datagen::random_star(3, 8, n, 3.0, &mut rng);
         let family = QueryFamily::random_sign(&query, 8, &mut rng).unwrap();
         let release = MultiTable::new(experiment_pmw())
-            .release(&query, &instance, &family, params, &mut rng)
+            .release(&ctx, &query, &instance, &family, params, &mut rng)
             .unwrap();
         let err = measured_linf(
+            &ctx,
             &query,
             &instance,
             &family,
@@ -494,6 +509,7 @@ pub fn exp_worst_case(quick: bool) -> Vec<Row> {
 /// grid of thresholds — a lower bound on the true ε (up to sampling error),
 /// which must not exceed the accounted ε by a wide margin.
 pub fn exp_accounting(quick: bool) -> Vec<Row> {
+    let ctx = ExecContext::default();
     let trials = if quick { 40 } else { 200 };
     let params = standard_params();
     let query = JoinQuery::two_table(8, 8, 8);
@@ -519,7 +535,7 @@ pub fn exp_accounting(quick: bool) -> Vec<Row> {
             .map(|t| {
                 let mut rng = seeded_rng(seed_base + t as u64);
                 TwoTable::new(pmw)
-                    .release(&query, instance, &family, params, &mut rng)
+                    .release(&ctx, &query, instance, &family, params, &mut rng)
                     .unwrap()
                     .answer(&dpsyn_query::ProductQuery::counting(2))
                     .unwrap()

@@ -60,31 +60,11 @@ impl IndependentLaplaceBaseline {
     /// `ε_q = ε/(2|Q|)` and `Δ̃` is the selected sensitivity bound: every
     /// linear query has per-tuple influence at most the counting query's, so
     /// a single bound covers the whole workload.
+    ///
+    /// The residual-sensitivity estimate and the true workload answers both
+    /// flow through `ctx`'s persistent caches, so repeated baseline runs
+    /// over one instance reuse the memoised `RS^β` and the full join.
     pub fn answer_all<R: Rng>(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        family: &QueryFamily,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<AnswerSet> {
-        self.answer_all_in(
-            &ExecContext::default(),
-            query,
-            instance,
-            family,
-            params,
-            rng,
-        )
-    }
-
-    /// [`IndependentLaplaceBaseline::answer_all`] through an explicit
-    /// execution context: the residual-sensitivity estimate and the true
-    /// workload answers both flow through `ctx`'s persistent caches, so
-    /// repeated baseline runs over one instance reuse the memoised `RS^β`
-    /// and the full join.  Answers are byte-identical to
-    /// [`IndependentLaplaceBaseline::answer_all`] at the same seed.
-    pub fn answer_all_in<R: Rng>(
         &self,
         ctx: &ExecContext,
         query: &JoinQuery,
@@ -147,13 +127,14 @@ mod tests {
 
     #[test]
     fn answers_have_the_right_length_and_are_reproducible() {
+        let ctx = ExecContext::sequential();
         let (q, inst) = small_instance();
         let params = PrivacyParams::new(1.0, 1e-5).unwrap();
         let run = |seed| {
             let mut rng = seeded_rng(seed);
             let family = QueryFamily::random_sign(&q, 10, &mut rng).unwrap();
             IndependentLaplaceBaseline::default()
-                .answer_all(&q, &inst, &family, params, &mut rng)
+                .answer_all(&ctx, &q, &inst, &family, params, &mut rng)
                 .unwrap()
         };
         let a = run(3);
@@ -166,6 +147,7 @@ mod tests {
     fn error_grows_with_workload_size() {
         // The ℓ∞ error of per-query Laplace should degrade markedly as |Q|
         // grows (per-query budget shrinks), while the truth stays bounded.
+        let ctx = ExecContext::sequential();
         let (q, inst) = small_instance();
         let params = PrivacyParams::new(1.0, 1e-5).unwrap();
         let baseline = IndependentLaplaceBaseline::default();
@@ -177,9 +159,9 @@ mod tests {
             for rep in 0..reps {
                 let mut rng = seeded_rng(1000 + rep);
                 let family = QueryFamily::random_sign(&q, size, &mut rng).unwrap();
-                let truth = family.answer_all_on_instance(&q, &inst).unwrap();
+                let truth = ctx.answer_all_on_instance(&q, &inst, &family).unwrap();
                 let noisy = baseline
-                    .answer_all(&q, &inst, &family, params, &mut rng)
+                    .answer_all(&ctx, &q, &inst, &family, params, &mut rng)
                     .unwrap();
                 total += noisy.linf_distance(&truth).unwrap();
             }
@@ -193,11 +175,12 @@ mod tests {
 
     #[test]
     fn global_calibration_is_much_noisier_than_residual() {
+        let ctx = ExecContext::sequential();
         let (q, inst) = small_instance();
         let params = PrivacyParams::new(1.0, 1e-5).unwrap();
         let mut rng = seeded_rng(11);
         let family = QueryFamily::random_sign(&q, 16, &mut rng).unwrap();
-        let truth = family.answer_all_on_instance(&q, &inst).unwrap();
+        let truth = ctx.answer_all_on_instance(&q, &inst, &family).unwrap();
 
         let avg_error = |choice: SensitivityChoice, seed: u64| {
             let baseline = IndependentLaplaceBaseline::new(choice);
@@ -206,7 +189,7 @@ mod tests {
             for rep in 0..reps {
                 let mut rng = seeded_rng(seed + rep);
                 let ans = baseline
-                    .answer_all(&q, &inst, &family, params, &mut rng)
+                    .answer_all(&ctx, &q, &inst, &family, params, &mut rng)
                     .unwrap();
                 total += ans.linf_distance(&truth).unwrap();
             }
@@ -232,11 +215,13 @@ mod tests {
 
     #[test]
     fn rejects_pure_dp() {
+        let ctx = ExecContext::sequential();
         let (q, inst) = small_instance();
         let mut rng = seeded_rng(1);
         let family = QueryFamily::counting(&q);
         assert!(IndependentLaplaceBaseline::default()
             .answer_all(
+                &ctx,
                 &q,
                 &inst,
                 &family,

@@ -25,6 +25,7 @@ use dpsyn_sensitivity::two_table_local_sensitivity;
 use rand::Rng;
 
 use crate::error::ReleaseError;
+use crate::mechanism::Mechanism;
 use crate::release::{ReleaseKind, SyntheticRelease};
 use crate::Result;
 
@@ -55,41 +56,28 @@ impl FlawedJoinAsOne {
     pub fn new(pmw: PmwConfig) -> Self {
         FlawedJoinAsOne { pmw }
     }
+}
 
-    /// Runs the strawman release.
-    pub fn release<R: Rng>(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        family: &QueryFamily,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<SyntheticRelease> {
-        self.release_in(
-            &ExecContext::default(),
-            query,
-            instance,
-            family,
-            params,
-            rng,
-        )
+impl Mechanism for FlawedJoinAsOne {
+    fn name(&self) -> &'static str {
+        "flawed_join_as_one"
     }
 
     /// Runs the strawman release, joining at `ctx`'s parallelism.
-    pub fn release_in<R: Rng>(
+    fn release(
         &self,
         ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
         params: PrivacyParams,
-        rng: &mut R,
+        mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
         check_two_table(query, params)?;
         let half = params.halve();
         let delta = two_table_local_sensitivity(query, instance)? as f64;
         let tlap = TruncatedLaplace::calibrated(half.epsilon(), half.delta(), 1.0)?;
-        let delta_tilde = delta + tlap.sample(rng);
+        let delta_tilde = delta + tlap.sample(&mut rng);
 
         let pmw_out = crate::run_pmw(
             self.pmw,
@@ -99,7 +87,7 @@ impl FlawedJoinAsOne {
             family,
             half,
             delta_tilde,
-            rng,
+            &mut rng,
         )?;
         // The flaw: force the released mass back to the *exact* join size, as
         // the single-table PMW of [25] would (its histogram always carries the
@@ -133,35 +121,22 @@ impl FlawedPadAfter {
     pub fn new(pmw: PmwConfig) -> Self {
         FlawedPadAfter { pmw }
     }
+}
 
-    /// Runs the strawman release.
-    pub fn release<R: Rng>(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        family: &QueryFamily,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<SyntheticRelease> {
-        self.release_in(
-            &ExecContext::default(),
-            query,
-            instance,
-            family,
-            params,
-            rng,
-        )
+impl Mechanism for FlawedPadAfter {
+    fn name(&self) -> &'static str {
+        "flawed_pad_after"
     }
 
     /// Runs the strawman release, joining at `ctx`'s parallelism.
-    pub fn release_in<R: Rng>(
+    fn release(
         &self,
         ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
         params: PrivacyParams,
-        rng: &mut R,
+        mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
         check_two_table(query, params)?;
         let half = params.halve();
@@ -169,10 +144,10 @@ impl FlawedPadAfter {
         // Step 1-2 of the strawman: noisy sensitivity and noisy padding size.
         let delta = two_table_local_sensitivity(query, instance)? as f64;
         let sens_noise = TruncatedLaplace::calibrated(half.epsilon(), half.delta(), 1.0)?;
-        let delta_tilde = delta + sens_noise.sample(rng);
+        let delta_tilde = delta + sens_noise.sample(&mut rng);
         let pad_noise =
             TruncatedLaplace::calibrated(half.epsilon(), half.delta(), delta_tilde.max(1.0))?;
-        let eta = pad_noise.sample(rng);
+        let eta = pad_noise.sample(&mut rng);
 
         // Step 3: the mass-revealing release (as in FlawedJoinAsOne).
         let pmw_out = crate::run_pmw(
@@ -183,7 +158,7 @@ impl FlawedPadAfter {
             family,
             half,
             delta_tilde,
-            rng,
+            &mut rng,
         )?;
         let mut histogram = pmw_out.histogram;
         let count = ctx.join_size(query, instance)? as f64;
@@ -232,16 +207,17 @@ mod tests {
 
     #[test]
     fn flawed_join_as_one_reveals_the_join_size() {
+        let ctx = ExecContext::sequential();
         let (q, heavy, empty) = figure1_pair(8);
         let params = PrivacyParams::new(1.0, 1e-6).unwrap();
         let family = QueryFamily::counting(&q);
         let mut rng = seeded_rng(1);
         let strawman = FlawedJoinAsOne::default();
         let rel_heavy = strawman
-            .release(&q, &heavy, &family, params, &mut rng)
+            .release(&ctx, &q, &heavy, &family, params, &mut rng)
             .unwrap();
         let rel_empty = strawman
-            .release(&q, &empty, &family, params, &mut rng)
+            .release(&ctx, &q, &empty, &family, params, &mut rng)
             .unwrap();
         // The released totals are the exact join sizes: 64 vs 0 — a perfect
         // distinguisher even though the instances are "close" (every relation
@@ -257,6 +233,7 @@ mod tests {
         // it adds to the data-carrying region stays tiny — which is what the
         // Example 3.1 attack exploits at scale (experiment E1 runs the full
         // distinguishing attack; here we check the structural properties).
+        let ctx = ExecContext::sequential();
         let (q, heavy, _) = figure1_pair(8);
         let params = PrivacyParams::new(1.0, 1e-4).unwrap();
         let family = QueryFamily::counting(&q);
@@ -264,7 +241,7 @@ mod tests {
 
         let mut rng = seeded_rng(5);
         let rel_heavy = strawman
-            .release(&q, &heavy, &family, params, &mut rng)
+            .release(&ctx, &q, &heavy, &family, params, &mut rng)
             .unwrap();
         let count = 64.0;
         let total = rel_heavy.histogram().total();
@@ -287,16 +264,17 @@ mod tests {
         // For contrast: Algorithm 1's released total never equals the exact
         // join size (the padding is strictly positive with overwhelming
         // probability) and over-estimates it for both instances.
+        let ctx = ExecContext::sequential();
         let (q, heavy, empty) = figure1_pair(8);
         let params = PrivacyParams::new(1.0, 1e-6).unwrap();
         let family = QueryFamily::counting(&q);
         let mut rng = seeded_rng(3);
         let fixed = TwoTable::default();
         let rel_heavy = fixed
-            .release(&q, &heavy, &family, params, &mut rng)
+            .release(&ctx, &q, &heavy, &family, params, &mut rng)
             .unwrap();
         let rel_empty = fixed
-            .release(&q, &empty, &family, params, &mut rng)
+            .release(&ctx, &q, &empty, &family, params, &mut rng)
             .unwrap();
         assert!(rel_heavy.answer(&ProductQuery::counting(2)).unwrap() >= 64.0);
         // The empty instance's total is pure padding — strictly positive, so
@@ -306,12 +284,14 @@ mod tests {
 
     #[test]
     fn strawmen_validate_inputs() {
+        let ctx = ExecContext::sequential();
         let q = JoinQuery::star(3, 4).unwrap();
         let inst = Instance::empty_for(&q).unwrap();
         let family = QueryFamily::counting(&q);
         let mut rng = seeded_rng(2);
         assert!(FlawedJoinAsOne::default()
             .release(
+                &ctx,
                 &q,
                 &inst,
                 &family,
@@ -321,6 +301,7 @@ mod tests {
             .is_err());
         assert!(FlawedPadAfter::default()
             .release(
+                &ctx,
                 &q,
                 &inst,
                 &family,

@@ -36,6 +36,7 @@ use dpsyn_sensitivity::config::{bucket_of, DegreeConfiguration};
 use rand::Rng;
 
 use crate::error::ReleaseError;
+use crate::mechanism::Mechanism;
 use crate::multi_table::MultiTable;
 use crate::release::{ReleaseKind, SyntheticRelease};
 use crate::Result;
@@ -213,51 +214,16 @@ impl HierarchicalRelease {
         Ok(ell.powi(c_max as i32))
     }
 
-    /// Runs the hierarchical release with an overall target of `params`.
-    ///
-    /// Builds a throwaway execution context; use
-    /// [`HierarchicalRelease::release_in`] (or `dpsyn::Session::release`) to
-    /// share a long-lived context.
-    pub fn release<R: Rng>(
+    /// The Lemma 4.11 budget split for an overall target of `params`:
+    /// `(λ, per_step, per_release)`, where `per_step` is the budget of each
+    /// noisy-degree step of the partition and `per_release` that of each
+    /// per-part `MultiTable` release.
+    fn split_budget(
         &self,
         query: &JoinQuery,
         instance: &Instance,
-        family: &QueryFamily,
         params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<SyntheticRelease> {
-        self.release_in(
-            &ExecContext::default(),
-            query,
-            instance,
-            family,
-            params,
-            rng,
-        )
-    }
-
-    /// Runs the hierarchical release through an explicit execution context
-    /// (forwarded to the per-sub-instance `MultiTable` calls).  Output is
-    /// byte-identical to [`HierarchicalRelease::release`] at the same seed.
-    ///
-    /// Note on caching: the decomposition produces *distinct* sub-instances,
-    /// so their sensitivity computations cannot share memoised values within
-    /// one release — but each part claims its own slot in the context's
-    /// cache LRU, and **repeated** releases over the same instance and seed
-    /// (which re-derive the same parts) find up to
-    /// [`dpsyn_relational::DEFAULT_CACHE_SLOTS`] of them warm, each with
-    /// its `count(I)`, true answers, `RS^β` and partition degree map
-    /// memoised in its slot ([`ExecContext::slot_memo`]).  Parts beyond
-    /// that capacity start cold on every release.
-    pub fn release_in<R: Rng>(
-        &self,
-        ctx: &ExecContext,
-        query: &JoinQuery,
-        instance: &Instance,
-        family: &QueryFamily,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<SyntheticRelease> {
+    ) -> Result<(f64, PrivacyParams, PrivacyParams)> {
         if params.delta() <= 0.0 {
             return Err(ReleaseError::UnsupportedPrivacyParams(
                 "the hierarchical release requires δ > 0".to_string(),
@@ -285,6 +251,62 @@ impl HierarchicalRelease {
             params.epsilon() / (2.0 * replication),
             (params.delta() / (2.0 * replication)).max(f64::MIN_POSITIVE),
         )?;
+        Ok((lambda, per_step, per_release))
+    }
+
+    /// Exposes the partition for diagnostics (degree configurations and
+    /// per-part instances), using the same per-step budget split as
+    /// [`Mechanism::release`], on a throwaway execution context.
+    pub fn partition<R: Rng>(
+        &self,
+        query: &JoinQuery,
+        instance: &Instance,
+        params: PrivacyParams,
+        rng: &mut R,
+    ) -> Result<Vec<HierarchicalPart>> {
+        let (lambda, per_step, _) = self.split_budget(query, instance, params)?;
+        partition_hierarchical(
+            &ExecContext::default(),
+            query,
+            instance,
+            per_step,
+            lambda,
+            self.config.max_sub_instances,
+            rng,
+        )
+    }
+}
+
+impl Mechanism for HierarchicalRelease {
+    fn name(&self) -> &'static str {
+        "hierarchical"
+    }
+
+    /// Runs the hierarchical release with an overall target of `params`
+    /// through `ctx` (shared by the partition and the per-part
+    /// [`MultiTable`] releases).
+    ///
+    /// Note on caching: the decomposition produces *distinct* sub-instances,
+    /// so their sensitivity computations cannot share memoised values within
+    /// one release — but each part claims its own slot in the context's
+    /// LRU ([`dpsyn_relational::DEFAULT_CACHE_SLOTS`] slots), holding its
+    /// `count(I)`, true answers, `RS^β` and partition degree maps
+    /// ([`ExecContext::slot_memo`]).  A repeat release over the same
+    /// instance and seed re-derives the same parts in the same order, so it
+    /// is warm only when every part's slot survived: when the release
+    /// touches more instances than there are slots, the LRU evicts each
+    /// part's slot before its turn comes round again, and *every* part
+    /// starts cold on every repeat.
+    fn release(
+        &self,
+        ctx: &ExecContext,
+        query: &JoinQuery,
+        instance: &Instance,
+        family: &QueryFamily,
+        params: PrivacyParams,
+        mut rng: &mut dyn Rng,
+    ) -> Result<SyntheticRelease> {
+        let (lambda, per_step, per_release) = self.split_budget(query, instance, params)?;
 
         let parts = partition_hierarchical(
             ctx,
@@ -293,7 +315,7 @@ impl HierarchicalRelease {
             per_step,
             lambda,
             self.config.max_sub_instances,
-            rng,
+            &mut rng,
         )?;
 
         let inner = MultiTable::new(self.config.pmw);
@@ -306,7 +328,7 @@ impl HierarchicalRelease {
                 continue;
             }
             let release =
-                inner.release_in(ctx, query, &part.sub_instance, family, per_release, rng)?;
+                inner.release(ctx, query, &part.sub_instance, family, per_release, rng)?;
             match &mut combined {
                 None => combined = Some(release),
                 Some(c) => c.absorb(&release)?,
@@ -335,38 +357,6 @@ impl HierarchicalRelease {
             combined.parts(),
             combined.delta_tilde(),
         ))
-    }
-
-    /// Exposes the partition for diagnostics (degree configurations and
-    /// per-part instances), using the same per-step budget split as
-    /// [`HierarchicalRelease::release`].
-    pub fn partition<R: Rng>(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<Vec<HierarchicalPart>> {
-        let lambda = params.lambda();
-        let n_upper = self.config.n_upper.unwrap_or_else(|| instance.input_size());
-        let replication = Self::replication_bound(query, n_upper, lambda)?;
-        let tree_size = AttributeTree::build(query)
-            .map_err(|e| ReleaseError::RequiresHierarchical(e.to_string()))?
-            .len()
-            .max(1);
-        let per_step = PrivacyParams::new(
-            params.epsilon() / (2.0 * replication * tree_size as f64),
-            (params.delta() / (2.0 * replication * tree_size as f64)).max(f64::MIN_POSITIVE),
-        )?;
-        partition_hierarchical(
-            &ExecContext::default(),
-            query,
-            instance,
-            per_step,
-            lambda,
-            self.config.max_sub_instances,
-            rng,
-        )
     }
 }
 
@@ -495,12 +485,13 @@ mod tests {
 
     #[test]
     fn release_answers_queries_on_hierarchical_instances() {
+        let ctx = ExecContext::sequential();
         let (q, inst) = star_instance();
         let params = PrivacyParams::new(4.0, 1e-3).unwrap();
         let mut rng = seeded_rng(7);
         let family = QueryFamily::random_sign(&q, 6, &mut rng).unwrap();
         let release = HierarchicalRelease::default()
-            .release(&q, &inst, &family, params, &mut rng)
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
         assert_eq!(release.kind(), ReleaseKind::Hierarchical);
         assert!(release.parts() >= 1);
@@ -510,12 +501,14 @@ mod tests {
 
     #[test]
     fn rejects_non_hierarchical_queries_and_pure_dp() {
+        let ctx = ExecContext::sequential();
         let path = JoinQuery::path(3, 4).unwrap();
         let inst = Instance::empty_for(&path).unwrap();
         let family = QueryFamily::counting(&path);
         let mut rng = seeded_rng(4);
         assert!(matches!(
             HierarchicalRelease::default().release(
+                &ctx,
                 &path,
                 &inst,
                 &family,
@@ -529,6 +522,7 @@ mod tests {
         let family = QueryFamily::counting(&star);
         assert!(matches!(
             HierarchicalRelease::default().release(
+                &ctx,
                 &star,
                 &inst,
                 &family,
@@ -540,14 +534,67 @@ mod tests {
     }
 
     #[test]
+    fn partition_rejects_pure_dp_like_the_release() {
+        // The partition splits the budget exactly as the release does, so
+        // δ = 0 (λ = ∞) is refused by both rather than partitioned at λ = ∞.
+        let ctx = ExecContext::sequential();
+        let (q, inst) = star_instance();
+        let params = PrivacyParams::pure(2.0).unwrap();
+        let family = QueryFamily::counting(&q);
+        let algo = HierarchicalRelease::default();
+        assert!(matches!(
+            algo.partition(&q, &inst, params, &mut seeded_rng(1)),
+            Err(ReleaseError::UnsupportedPrivacyParams(_))
+        ));
+        assert!(matches!(
+            algo.release(&ctx, &q, &inst, &family, params, &mut seeded_rng(1)),
+            Err(ReleaseError::UnsupportedPrivacyParams(_))
+        ));
+    }
+
+    #[test]
+    fn repeat_release_whose_parts_fit_the_lru_is_warm_and_identical() {
+        let ctx = ExecContext::sequential();
+        let (q, inst) = star_instance();
+        let params = PrivacyParams::new(4.0, 1e-3).unwrap();
+        let family = QueryFamily::random_sign(&q, 6, &mut seeded_rng(7)).unwrap();
+        let algo = HierarchicalRelease::default();
+        let first = algo
+            .release(&ctx, &q, &inst, &family, params, &mut seeded_rng(5))
+            .unwrap();
+        assert!(first.parts() >= 2, "parts {}", first.parts());
+        assert!(ctx.cached_instances() < dpsyn_relational::DEFAULT_CACHE_SLOTS);
+        let (hits, misses) = ctx.cache_stats();
+        let again = algo
+            .release(&ctx, &q, &inst, &family, params, &mut seeded_rng(5))
+            .unwrap();
+        let (hits_after, misses_after) = ctx.cache_stats();
+        assert_eq!(misses_after, misses, "the repeat misses nothing");
+        assert!(hits_after > hits);
+        let bits = |r: &SyntheticRelease| -> Vec<u64> {
+            let mut bits: Vec<u64> = r
+                .histogram()
+                .weights()
+                .iter()
+                .map(|w| w.to_bits())
+                .collect();
+            bits.extend([r.noisy_total().to_bits(), r.delta_tilde().to_bits()]);
+            bits
+        };
+        assert_eq!(bits(&again), bits(&first));
+        assert_eq!(again.parts(), first.parts());
+    }
+
+    #[test]
     fn empty_instance_gives_empty_release() {
+        let ctx = ExecContext::sequential();
         let q = JoinQuery::star(2, 8).unwrap();
         let inst = Instance::empty_for(&q).unwrap();
         let params = PrivacyParams::new(1.0, 1e-4).unwrap();
         let mut rng = seeded_rng(9);
         let family = QueryFamily::counting(&q);
         let release = HierarchicalRelease::default()
-            .release(&q, &inst, &family, params, &mut rng)
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
         assert_eq!(release.parts(), 0);
         assert_eq!(release.histogram().total(), 0.0);

@@ -16,17 +16,16 @@
 //! | per-query Laplace & global-sensitivity baselines | §1.2 motivation | [`baselines`] |
 //! | closed-form bound predictions | Theorems 1.5, 3.3, 3.5, 4.4, 4.5, App. B.3 | [`bounds`] |
 //!
-//! Every algorithm consumes an explicit RNG and a [`dpsyn_noise::PrivacyParams`]
-//! budget, and produces a [`SyntheticRelease`] from which arbitrary linear
-//! queries can be answered by post-processing.
-//!
-//! All six releasing algorithms additionally implement the object-safe
-//! [`Mechanism`] trait ([`mechanism`]), the single entry point behind
-//! `dpsyn::Session::release`: trait-object dispatch plus an
-//! [`dpsyn_relational::ExecContext`] whose slot memo makes repeated releases
-//! over one instance reuse the sensitivity machinery's boundary values and
-//! `RS^β` instead of re-enumerating the `2^m` subsets.  Outputs are byte-identical to the direct
-//! per-algorithm calls at the same seed.
+//! The six releasing algorithms run only through the object-safe
+//! [`Mechanism`] trait ([`mechanism`]): [`Mechanism::release`] takes the
+//! caller's [`dpsyn_relational::ExecContext`], an explicit RNG and a
+//! [`dpsyn_noise::PrivacyParams`] budget, and produces a
+//! [`SyntheticRelease`] from which arbitrary linear queries can be answered
+//! by post-processing.  `dpsyn::Session::release` calls it on the session's
+//! context, whose slot memo makes repeated releases over one instance reuse
+//! the sensitivity machinery's boundary values and `RS^β` instead of
+//! re-enumerating the `2^m` subsets.  Outputs depend on the seed alone:
+//! warm or fresh context, at any parallelism level.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,6 +25,7 @@ use dpsyn_sensitivity::SensitivityOps;
 use rand::Rng;
 
 use crate::error::ReleaseError;
+use crate::mechanism::Mechanism;
 use crate::release::{ReleaseKind, SyntheticRelease};
 use crate::Result;
 
@@ -40,11 +41,6 @@ impl MultiTable {
         MultiTable { pmw }
     }
 
-    /// The PMW configuration in use.
-    pub fn pmw_config(&self) -> &PmwConfig {
-        &self.pmw
-    }
-
     /// The smoothing parameter `β = 1/λ` the algorithm will use for the given
     /// privacy parameters.
     pub fn beta(params: PrivacyParams) -> Result<f64> {
@@ -57,49 +53,28 @@ impl MultiTable {
         }
         Ok(1.0 / lambda)
     }
+}
 
-    /// Runs `MultiTable_{ε,δ}(I)` and returns the synthetic release.
-    ///
-    /// Builds a throwaway [`ExecContext::default`]; use
-    /// [`MultiTable::release_in`] (or `dpsyn::Session::release`) to reuse a
-    /// long-lived context's memoised values across repeated releases.
-    pub fn release<R: Rng>(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        family: &QueryFamily,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<SyntheticRelease> {
-        self.release_in(
-            &ExecContext::default(),
-            query,
-            instance,
-            family,
-            params,
-            rng,
-        )
+impl Mechanism for MultiTable {
+    fn name(&self) -> &'static str {
+        "multi_table"
     }
 
-    /// Runs the release through an explicit execution context.
+    /// Runs `MultiTable_{ε,δ}(I)` through `ctx`.
     ///
     /// The residual-sensitivity computation that dominates this algorithm
     /// is memoised in `ctx`'s slot for the instance, so repeated releases
     /// (or sensitivity sweeps) over the same instance skip the `2^m` subset
-    /// enumeration — and because the context keeps an **LRU of
-    /// per-instance slots**, interleaved releases over a small working set
-    /// of instances (e.g. `HierarchicalRelease`'s parts) stay warm too.
-    /// Output is
-    /// byte-identical to [`MultiTable::release`] at the same seed — warm or
-    /// cold cache, at any parallelism level.
-    pub fn release_in<R: Rng>(
+    /// enumeration.  Output is byte-identical warm or cold, at any
+    /// parallelism level.
+    fn release(
         &self,
         ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
         params: PrivacyParams,
-        rng: &mut R,
+        mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
         let beta = Self::beta(params)?;
         let half = params.halve();
@@ -110,7 +85,7 @@ impl MultiTable {
         let rs = ctx.residual_sensitivity(query, instance, beta)?;
         let tlap = TruncatedLaplace::calibrated(half.epsilon(), half.delta(), beta)?;
         // RS can be 0 only on an empty instance; clamp so ln/exp stay finite.
-        let delta_tilde = rs.value.max(1.0) * tlap.sample(rng).exp();
+        let delta_tilde = rs.value.max(1.0) * tlap.sample(&mut rng).exp();
 
         // Line 3: PMW with the remaining half of the budget.
         let pmw_out = crate::run_pmw(
@@ -121,7 +96,7 @@ impl MultiTable {
             family,
             half,
             delta_tilde,
-            rng,
+            &mut rng,
         )?;
 
         Ok(SyntheticRelease::new(
@@ -165,6 +140,7 @@ mod tests {
 
     #[test]
     fn delta_tilde_dominates_residual_and_local_sensitivity() {
+        let ctx = ExecContext::sequential();
         let (q, inst) = star_instance();
         let params = PrivacyParams::new(1.0, 1e-5).unwrap();
         let beta = MultiTable::beta(params).unwrap();
@@ -176,7 +152,7 @@ mod tests {
         for seed in 0..5u64 {
             let mut rng = seeded_rng(seed);
             let release = MultiTable::default()
-                .release(&q, &inst, &family, params, &mut rng)
+                .release(&ctx, &q, &inst, &family, params, &mut rng)
                 .unwrap();
             assert!(release.delta_tilde() >= rs.max(1.0) - 1e-9);
             assert!(release.delta_tilde() >= ls - 1e-9);
@@ -200,7 +176,7 @@ mod tests {
             let mut rng = seeded_rng(11);
             let ctx = ExecContext::with_threads(threads);
             MultiTable::default()
-                .release_in(&ctx, &q, &inst, &family, params, &mut rng)
+                .release(&ctx, &q, &inst, &family, params, &mut rng)
                 .unwrap()
         };
         let seq = release_at(1);
@@ -217,13 +193,13 @@ mod tests {
         let ctx = ExecContext::sequential();
         let mut rng = seeded_rng(11);
         let cold = MultiTable::default()
-            .release_in(&ctx, &q, &inst, &family, params, &mut rng)
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
         assert_eq!(ctx.cached_instances(), 1, "the release claims one slot");
         let (hits, _) = ctx.cache_stats();
         let mut rng = seeded_rng(11);
         let warm = MultiTable::default()
-            .release_in(&ctx, &q, &inst, &family, params, &mut rng)
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
         assert!(ctx.cache_stats().0 > hits, "the warm release hits the memo");
         assert_eq!(warm.delta_tilde(), cold.delta_tilde());
@@ -235,6 +211,7 @@ mod tests {
         // MultiTable is strictly more general than TwoTable; on a two-table
         // instance it must produce a valid release as well (with a somewhat
         // larger Δ̃, since RS^β ≥ LS).
+        let ctx = ExecContext::sequential();
         let q = JoinQuery::two_table(6, 6, 6);
         let mut inst = Instance::empty_for(&q).unwrap();
         for a in 0..4u64 {
@@ -245,7 +222,7 @@ mod tests {
         let mut rng = seeded_rng(5);
         let family = QueryFamily::random_sign(&q, 8, &mut rng).unwrap();
         let release = MultiTable::default()
-            .release(&q, &inst, &family, params, &mut rng)
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
         assert_eq!(release.parts(), 1);
         assert!(release.noisy_total() >= dpsyn_relational::join_size(&q, &inst).unwrap() as f64);
@@ -256,6 +233,7 @@ mod tests {
     fn triangle_query_release() {
         // A non-hierarchical query exercises the general residual-sensitivity
         // path end to end.
+        let ctx = ExecContext::sequential();
         let q = JoinQuery::triangle(4);
         let mut inst = Instance::empty_for(&q).unwrap();
         inst.relation_mut(0).add(vec![0, 1], 1).unwrap();
@@ -266,7 +244,7 @@ mod tests {
         let mut rng = seeded_rng(6);
         let family = QueryFamily::counting(&q);
         let release = MultiTable::default()
-            .release(&q, &inst, &family, params, &mut rng)
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
         assert!(release.delta_tilde() >= 1.0);
         assert!(release.histogram().total() > 0.0);
@@ -274,13 +252,14 @@ mod tests {
 
     #[test]
     fn empty_instance_is_handled() {
+        let ctx = ExecContext::sequential();
         let q = JoinQuery::star(3, 4).unwrap();
         let inst = Instance::empty_for(&q).unwrap();
         let params = PrivacyParams::new(1.0, 1e-4).unwrap();
         let mut rng = seeded_rng(8);
         let family = QueryFamily::counting(&q);
         let release = MultiTable::default()
-            .release(&q, &inst, &family, params, &mut rng)
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
         // Only truncated-Laplace padding mass can appear.
         assert!(release.histogram().total() < 1e4);

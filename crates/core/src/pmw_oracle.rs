@@ -304,7 +304,7 @@ mod tests {
         fn release(&self, ctx: &ExecContext, seed: u64) -> SyntheticRelease {
             let (q, i, f) = (self.query, self.instance, self.family);
             self.mechanism
-                .release_ctx(ctx, q, i, f, self.params, &mut seeded_rng(seed))
+                .release(ctx, q, i, f, self.params, &mut seeded_rng(seed))
                 .unwrap()
         }
     }
@@ -479,7 +479,10 @@ mod tests {
                 max_weight_entries: limit,
                 ..PmwConfig::default()
             });
-            let run = || mechanism.release(&q, &inst, &family, params, &mut seeded_rng(2));
+            let run = || {
+                let ctx = ExecContext::sequential();
+                mechanism.release(&ctx, &q, &inst, &family, params, &mut seeded_rng(2))
+            };
             let (got, expected) = (run(), with_dense_oracle(run));
             assert_eq!(got.is_ok(), limit == entries);
             match (got, expected) {

@@ -23,6 +23,7 @@ use dpsyn_sensitivity::two_table_local_sensitivity;
 use rand::Rng;
 
 use crate::error::ReleaseError;
+use crate::mechanism::Mechanism;
 use crate::release::{ReleaseKind, SyntheticRelease};
 use crate::Result;
 
@@ -37,42 +38,22 @@ impl TwoTable {
     pub fn new(pmw: PmwConfig) -> Self {
         TwoTable { pmw }
     }
+}
 
-    /// The PMW configuration in use.
-    pub fn pmw_config(&self) -> &PmwConfig {
-        &self.pmw
+impl Mechanism for TwoTable {
+    fn name(&self) -> &'static str {
+        "two_table"
     }
 
-    /// Runs `TwoTable_{ε,δ}(I)` and returns the synthetic release.
-    pub fn release<R: Rng>(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        family: &QueryFamily,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<SyntheticRelease> {
-        self.release_in(
-            &ExecContext::default(),
-            query,
-            instance,
-            family,
-            params,
-            rng,
-        )
-    }
-
-    /// Runs the release through an explicit execution context: PMW joins at
-    /// `ctx`'s parallelism.  Output is byte-identical to
-    /// [`TwoTable::release`] at the same seed.
-    pub fn release_in<R: Rng>(
+    /// Runs `TwoTable_{ε,δ}(I)`; PMW joins at `ctx`'s parallelism.
+    fn release(
         &self,
         ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
         params: PrivacyParams,
-        rng: &mut R,
+        mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
         if query.num_relations() != 2 {
             return Err(ReleaseError::RequiresTwoTable {
@@ -90,7 +71,7 @@ impl TwoTable {
         // for two-table queries, so sensitivity-1 TLap noise suffices.
         let delta = two_table_local_sensitivity(query, instance)? as f64;
         let tlap = TruncatedLaplace::calibrated(half.epsilon(), half.delta(), 1.0)?;
-        let delta_tilde = delta + tlap.sample(rng);
+        let delta_tilde = delta + tlap.sample(&mut rng);
 
         // Line 2: PMW with the remaining half of the budget.
         let pmw_out = crate::run_pmw(
@@ -101,7 +82,7 @@ impl TwoTable {
             family,
             half,
             delta_tilde,
-            rng,
+            &mut rng,
         )?;
 
         Ok(SyntheticRelease::new(
@@ -136,12 +117,14 @@ mod tests {
 
     #[test]
     fn rejects_non_two_table_queries_and_pure_dp() {
+        let ctx = ExecContext::sequential();
         let q3 = JoinQuery::star(3, 4).unwrap();
         let inst = Instance::empty_for(&q3).unwrap();
         let family = QueryFamily::counting(&q3);
         let mut rng = seeded_rng(0);
         let err = TwoTable::default()
             .release(
+                &ctx,
                 &q3,
                 &inst,
                 &family,
@@ -156,6 +139,7 @@ mod tests {
         let family = QueryFamily::counting(&q2);
         let err = TwoTable::default()
             .release(
+                &ctx,
                 &q2,
                 &inst,
                 &family,
@@ -168,13 +152,14 @@ mod tests {
 
     #[test]
     fn delta_tilde_never_underestimates_local_sensitivity() {
+        let ctx = ExecContext::sequential();
         let (q, inst) = skewed_instance(2);
         let family = QueryFamily::counting(&q);
         let params = PrivacyParams::new(1.0, 1e-6).unwrap();
         for seed in 0..5u64 {
             let mut rng = seeded_rng(seed);
             let release = TwoTable::default()
-                .release(&q, &inst, &family, params, &mut rng)
+                .release(&ctx, &q, &inst, &family, params, &mut rng)
                 .unwrap();
             let ls = two_table_local_sensitivity(&q, &inst).unwrap() as f64;
             assert!(release.delta_tilde() >= ls);
@@ -185,13 +170,14 @@ mod tests {
 
     #[test]
     fn release_is_deterministic_given_seed_and_answers_queries() {
+        let ctx = ExecContext::sequential();
         let (q, inst) = skewed_instance(4);
         let params = PrivacyParams::new(2.0, 1e-4).unwrap();
         let run = |seed| {
             let mut rng = seeded_rng(seed);
             let family = QueryFamily::random_sign(&q, 12, &mut rng).unwrap();
             let rel = TwoTable::default()
-                .release(&q, &inst, &family, params, &mut rng)
+                .release(&ctx, &q, &inst, &family, params, &mut rng)
                 .unwrap();
             rel.answer_all(&family).unwrap()
         };
@@ -204,12 +190,13 @@ mod tests {
     fn counting_query_is_answered_within_the_noisy_padding() {
         // The synthetic data's total mass is count(I) + TLap, so the counting
         // query error is at most the padding 2τ(ε/4, δ/4, Δ̃).
+        let ctx = ExecContext::sequential();
         let (q, inst) = skewed_instance(2);
         let family = QueryFamily::counting(&q);
         let params = PrivacyParams::new(1.0, 1e-6).unwrap();
         let mut rng = seeded_rng(77);
         let release = TwoTable::default()
-            .release(&q, &inst, &family, params, &mut rng)
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
         let count = join_size(&q, &inst).unwrap() as f64;
         let answered = release

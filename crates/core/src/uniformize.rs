@@ -28,6 +28,7 @@ use dpsyn_sensitivity::config::bucket_of;
 use rand::Rng;
 
 use crate::error::ReleaseError;
+use crate::mechanism::Mechanism;
 use crate::release::{ReleaseKind, SyntheticRelease};
 use crate::two_table::TwoTable;
 use crate::Result;
@@ -116,44 +117,42 @@ impl UniformizedTwoTable {
         UniformizedTwoTable { pmw }
     }
 
-    /// Runs the uniformized release.
-    pub fn release<R: Rng>(
+    /// Exposes the partition (useful for diagnostics and experiments that
+    /// inspect bucket structure).
+    pub fn partition<R: Rng>(
         &self,
         query: &JoinQuery,
         instance: &Instance,
-        family: &QueryFamily,
         params: PrivacyParams,
         rng: &mut R,
-    ) -> Result<SyntheticRelease> {
-        self.release_in(
-            &ExecContext::default(),
-            query,
-            instance,
-            family,
-            params,
-            rng,
-        )
+    ) -> Result<Vec<PartitionBucket>> {
+        partition_two_table(query, instance, params.halve(), rng)
+    }
+}
+
+impl Mechanism for UniformizedTwoTable {
+    fn name(&self) -> &'static str {
+        "uniformized_two_table"
     }
 
-    /// Runs the uniformized release through an explicit execution context:
-    /// each bucket's PMW joins at `ctx`'s parallelism.  Output is
-    /// byte-identical to [`UniformizedTwoTable::release`] at the same seed.
-    pub fn release_in<R: Rng>(
+    /// Runs the uniformized release through `ctx`: each bucket's
+    /// [`TwoTable`] release joins at `ctx`'s parallelism.
+    fn release(
         &self,
         ctx: &ExecContext,
         query: &JoinQuery,
         instance: &Instance,
         family: &QueryFamily,
         params: PrivacyParams,
-        rng: &mut R,
+        mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
         let half = params.halve();
-        let buckets = partition_two_table(query, instance, half, rng)?;
+        let buckets = partition_two_table(query, instance, half, &mut rng)?;
 
         let inner = TwoTable::new(self.pmw);
         let mut combined: Option<SyntheticRelease> = None;
         for bucket in &buckets {
-            let release = inner.release_in(ctx, query, &bucket.sub_instance, family, half, rng)?;
+            let release = inner.release(ctx, query, &bucket.sub_instance, family, half, rng)?;
             match &mut combined {
                 None => combined = Some(release),
                 Some(c) => c.absorb(&release)?,
@@ -186,18 +185,6 @@ impl UniformizedTwoTable {
             combined.parts(),
             combined.delta_tilde(),
         ))
-    }
-
-    /// Exposes the partition (useful for diagnostics and experiments that
-    /// inspect bucket structure).
-    pub fn partition<R: Rng>(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<Vec<PartitionBucket>> {
-        partition_two_table(query, instance, params.halve(), rng)
     }
 }
 
@@ -316,12 +303,15 @@ mod tests {
 
     #[test]
     fn uniformized_release_answers_queries_and_unions_parts() {
+        let ctx = ExecContext::sequential();
         let (q, inst) = skewed();
         let params = PrivacyParams::new(2.0, 1e-4).unwrap();
         let mut rng = seeded_rng(11);
         let family = QueryFamily::random_sign(&q, 8, &mut rng).unwrap();
         let algo = UniformizedTwoTable::default();
-        let release = algo.release(&q, &inst, &family, params, &mut rng).unwrap();
+        let release = algo
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
+            .unwrap();
         assert!(release.parts() >= 1);
         assert_eq!(release.kind(), ReleaseKind::UniformizedTwoTable);
         let answers = release.answer_all(&family).unwrap();
@@ -332,13 +322,14 @@ mod tests {
 
     #[test]
     fn empty_instance_produces_empty_release() {
+        let ctx = ExecContext::sequential();
         let q = JoinQuery::two_table(8, 8, 8);
         let inst = Instance::empty_for(&q).unwrap();
         let params = PrivacyParams::new(1.0, 1e-6).unwrap();
         let mut rng = seeded_rng(2);
         let family = QueryFamily::counting(&q);
         let release = UniformizedTwoTable::default()
-            .release(&q, &inst, &family, params, &mut rng)
+            .release(&ctx, &q, &inst, &family, params, &mut rng)
             .unwrap();
         assert_eq!(release.parts(), 0);
         assert_eq!(release.histogram().total(), 0.0);

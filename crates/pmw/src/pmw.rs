@@ -326,7 +326,7 @@ fn update_and_accumulate(
 mod tests {
     use super::*;
     use dpsyn_noise::seeded_rng;
-    use dpsyn_query::linf_error;
+    use dpsyn_query::{linf_error, AnswerOps};
 
     fn ctx() -> ExecContext {
         ExecContext::sequential()
@@ -394,7 +394,7 @@ mod tests {
         let out = pmw
             .run(&ctx(), &q, &inst, &family, params, 2.0, &mut rng)
             .unwrap();
-        let truth = family.answer_all_on_instance(&q, &inst).unwrap();
+        let truth = ctx().answer_all_on_instance(&q, &inst, &family).unwrap();
         let released = out.histogram.answer_all(&q, &family).unwrap();
         let err = linf_error(truth.values(), &released).unwrap();
 

@@ -18,15 +18,6 @@ use crate::Result;
 /// sequential in construction order, so every answer is bit-identical to the
 /// free-function path at every worker count, warm or cold.
 pub trait AnswerOps {
-    /// Evaluates one query on an instance (joining through the context's
-    /// cached full join).
-    fn answer_on_instance(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        q: &ProductQuery,
-    ) -> Result<f64>;
-
     /// Answers every query of `family` on a pre-computed join result,
     /// sweeping the queries through the context's worker pool.
     fn answer_all_on_join(
@@ -47,16 +38,6 @@ pub trait AnswerOps {
 }
 
 impl AnswerOps for ExecContext {
-    fn answer_on_instance(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        q: &ProductQuery,
-    ) -> Result<f64> {
-        let j = self.shared_join(query, instance)?;
-        answer_on_join(query, &j, q)
-    }
-
     fn answer_all_on_join(
         &self,
         query: &JoinQuery,
@@ -197,12 +178,6 @@ pub fn answer_on_join(
     Ok(total)
 }
 
-/// Evaluates one query on an instance (computing the join internally,
-/// through a throwaway default [`ExecContext`]).
-pub fn answer_on_instance(query: &JoinQuery, instance: &Instance, q: &ProductQuery) -> Result<f64> {
-    ExecContext::default().answer_on_instance(query, instance, q)
-}
-
 impl QueryFamily {
     /// Answers every query in the family on a pre-computed join result.
     pub fn answer_all_on_join(
@@ -211,15 +186,6 @@ impl QueryFamily {
         join_result: &JoinResult,
     ) -> Result<AnswerSet> {
         ExecContext::default().answer_all_on_join(query, join_result, self)
-    }
-
-    /// Answers every query in the family directly on an instance.
-    pub fn answer_all_on_instance(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-    ) -> Result<AnswerSet> {
-        ExecContext::default().answer_all_on_instance(query, instance, self)
     }
 }
 
@@ -249,10 +215,15 @@ mod tests {
         (q, Instance::new(vec![r1, r2]))
     }
 
+    /// One query's answer on an instance, through the free join.
+    fn answer(q: &JoinQuery, inst: &Instance, pq: &ProductQuery) -> Result<f64> {
+        answer_on_join(q, &dpsyn_relational::join(q, inst).unwrap(), pq)
+    }
+
     #[test]
     fn counting_query_equals_join_size() {
         let (q, inst) = two_table();
-        let count = answer_on_instance(&q, &inst, &ProductQuery::counting(2)).unwrap();
+        let count = answer(&q, &inst, &ProductQuery::counting(2)).unwrap();
         let join_size = dpsyn_relational::join_size(&q, &inst).unwrap() as f64;
         assert_eq!(count, join_size);
         assert_eq!(count, 9.0);
@@ -269,7 +240,7 @@ mod tests {
             RelationQuery::sparse(w, 0.0).unwrap(),
             RelationQuery::AllOne,
         ]);
-        let ans = answer_on_instance(&q, &inst, &pq).unwrap();
+        let ans = answer(&q, &inst, &pq).unwrap();
         assert_eq!(ans, 4.0);
     }
 
@@ -283,13 +254,13 @@ mod tests {
             RelationQuery::SignHash { seed: 5 },
             RelationQuery::SignHash { seed: 6 },
         ]);
-        let base = answer_on_instance(&q, &inst, &pq).unwrap();
-        let more = answer_on_instance(&q, &heavier, &pq).unwrap();
+        let base = answer(&q, &inst, &pq).unwrap();
+        let more = answer(&q, &heavier, &pq).unwrap();
         // The (1,0) tuple's contribution is (more - base); adding the same
         // frequency again must add the same amount.
         let mut heaviest = heavier.clone();
         heaviest.relation_mut(0).add(vec![1, 0], 2).unwrap();
-        let most = answer_on_instance(&q, &heaviest, &pq).unwrap();
+        let most = answer(&q, &heaviest, &pq).unwrap();
         assert!(((most - more) - (more - base)).abs() < 1e-9);
     }
 
@@ -299,10 +270,12 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         use rand::SeedableRng;
         let family = QueryFamily::random_sign(&q, 12, &mut rng).unwrap();
-        let all = family.answer_all_on_instance(&q, &inst).unwrap();
+        let all = ExecContext::sequential()
+            .answer_all_on_instance(&q, &inst, &family)
+            .unwrap();
         assert_eq!(all.len(), 12);
         for (i, pq) in family.iter().enumerate() {
-            let single = answer_on_instance(&q, &inst, pq).unwrap();
+            let single = answer(&q, &inst, pq).unwrap();
             assert!((single - all.get(i)).abs() < 1e-9);
         }
     }
@@ -322,14 +295,14 @@ mod tests {
     fn mismatched_query_rejected() {
         let (q, inst) = two_table();
         let bad = ProductQuery::counting(3);
-        assert!(answer_on_instance(&q, &inst, &bad).is_err());
+        assert!(answer(&q, &inst, &bad).is_err());
     }
 
     #[test]
     fn empty_instance_answers_zero() {
         let q = JoinQuery::two_table(4, 4, 4);
         let inst = Instance::empty_for(&q).unwrap();
-        let ans = answer_on_instance(&q, &inst, &ProductQuery::counting(2)).unwrap();
+        let ans = answer(&q, &inst, &ProductQuery::counting(2)).unwrap();
         assert_eq!(ans, 0.0);
     }
 }

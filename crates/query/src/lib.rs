@@ -30,7 +30,7 @@ pub mod family;
 pub mod linear;
 pub mod product;
 
-pub use answer::{answer_on_instance, answer_on_join, linf_error, AnswerOps, AnswerSet};
+pub use answer::{answer_on_join, linf_error, AnswerOps, AnswerSet};
 pub use error::QueryError;
 pub use family::QueryFamily;
 pub use linear::RelationQuery;

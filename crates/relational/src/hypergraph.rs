@@ -255,33 +255,6 @@ impl JoinQuery {
         }
         Ok(())
     }
-
-    /// All subsets of `[m] \ excluded`, as sorted index vectors (including the
-    /// empty subset).  Used by the residual-sensitivity computation; `m` is a
-    /// constant in the paper's data-complexity setting.
-    pub fn subsets_excluding(&self, excluded: usize) -> Vec<Vec<usize>> {
-        let others: Vec<usize> = (0..self.num_relations())
-            .filter(|&i| i != excluded)
-            .collect();
-        let mut out = Vec::with_capacity(1 << others.len());
-        for mask in 0u32..(1u32 << others.len()) {
-            let subset: Vec<usize> = others
-                .iter()
-                .enumerate()
-                .filter(|(bit, _)| mask & (1 << bit) != 0)
-                .map(|(_, &idx)| idx)
-                .collect();
-            out.push(subset);
-        }
-        out
-    }
-
-    /// Complement `[m] \ e` of a relation subset.
-    pub fn complement(&self, e: &[usize]) -> Vec<usize> {
-        (0..self.num_relations())
-            .filter(|i| !e.contains(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -360,16 +333,6 @@ mod tests {
         )
         .unwrap();
         assert!(q.is_hierarchical());
-    }
-
-    #[test]
-    fn subsets_excluding_enumerates_powerset() {
-        let q = JoinQuery::path(3, 4).unwrap();
-        let subsets = q.subsets_excluding(1);
-        assert_eq!(subsets.len(), 4); // subsets of {0, 2}
-        assert!(subsets.contains(&vec![]));
-        assert!(subsets.contains(&vec![0, 2]));
-        assert_eq!(q.complement(&[0, 2]), vec![1]);
     }
 
     #[test]

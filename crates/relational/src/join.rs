@@ -373,24 +373,6 @@ impl JoinResult {
             .collect())
     }
 
-    /// Builds a result directly from parts (used by tests and simulators).
-    /// The map's keys are distinct by construction.
-    pub fn from_parts(attrs: Vec<AttrId>, tuples: BTreeMap<Vec<Value>, u128>) -> Self {
-        let width = attrs.len();
-        let mut values = Vec::with_capacity(tuples.len() * width);
-        let mut weights = Vec::with_capacity(tuples.len());
-        for (t, w) in tuples {
-            debug_assert_eq!(t.len(), width, "tuple arity must match the attribute list");
-            values.extend_from_slice(&t);
-            weights.push(w);
-        }
-        JoinResult {
-            attrs,
-            values,
-            weights,
-        }
-    }
-
     /// The single-relation join result: the relation's tuples with their
     /// frequencies as weights (distinct by construction).
     pub fn from_relation(relation: &Relation) -> Self {
@@ -1069,18 +1051,6 @@ mod tests {
         let (q, inst) = two_table();
         assert!(join_subset(&q, &inst, &[]).is_err());
         assert!(join_subset(&q, &inst, &[3]).is_err());
-    }
-
-    #[test]
-    fn from_parts_roundtrips() {
-        let mut tuples = BTreeMap::new();
-        tuples.insert(vec![1u64, 2], 5u128);
-        tuples.insert(vec![3, 4], 7);
-        let result = JoinResult::from_parts(ids(&[0, 2]), tuples);
-        assert_eq!(result.distinct_count(), 2);
-        assert_eq!(result.total(), 12);
-        assert_eq!(result.weight(&[3, 4]), 7);
-        assert_eq!(result.weight(&[9, 9]), 0);
     }
 
     #[test]

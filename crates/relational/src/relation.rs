@@ -200,16 +200,6 @@ impl Relation {
             .unwrap_or(0))
     }
 
-    /// The set of distinct values the relation takes on `y` (the active domain
-    /// of `y` within this relation).
-    pub fn active_domain(&self, onto: &[AttrId]) -> Result<BTreeSet<Vec<Value>>> {
-        let positions = project_positions(&self.attrs, onto)?;
-        Ok(self
-            .iter()
-            .map(|(t, _)| project_with_positions(t, &positions))
-            .collect())
-    }
-
     /// Restricts the relation to tuples whose projection onto `onto` lies in
     /// `allowed`.  This is the sub-relation `R_i^j` used by the partition
     /// procedures (Algorithms 5 and 7).
@@ -354,10 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn active_domain_and_filter() {
+    fn filter_keeps_matching_tuples() {
         let r = sample();
-        let dom = r.active_domain(&ids(&[0])).unwrap();
-        assert_eq!(dom.len(), 3);
         let only_heavy = r.filter(|_, f| f >= 2).unwrap();
         assert_eq!(only_heavy.total(), 5);
     }

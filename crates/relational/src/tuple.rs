@@ -368,31 +368,6 @@ pub fn diff_attrs(a: &[AttrId], b: &[AttrId]) -> Vec<AttrId> {
     out
 }
 
-/// Merges a tuple over `a_attrs` with a tuple over `b_attrs` into a tuple over
-/// their sorted union.  Where both sides define a value for an attribute the
-/// values must agree (the caller is expected to have checked join
-/// compatibility); the left value is used.
-pub fn merge_tuples(
-    a_tuple: &[Value],
-    a_attrs: &[AttrId],
-    b_tuple: &[Value],
-    b_attrs: &[AttrId],
-) -> (Vec<AttrId>, Vec<Value>) {
-    let attrs = union_attrs(a_attrs, b_attrs);
-    let mut values = Vec::with_capacity(attrs.len());
-    for attr in &attrs {
-        if let Ok(pos) = a_attrs.binary_search(attr) {
-            values.push(a_tuple[pos]);
-        } else {
-            let pos = b_attrs
-                .binary_search(attr)
-                .expect("attribute must come from one of the operands");
-            values.push(b_tuple[pos]);
-        }
-    }
-    (attrs, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,15 +396,6 @@ mod tests {
         assert_eq!(diff_attrs(&b, &a), ids(&[2, 7]));
         assert_eq!(union_attrs(&[], &b), b);
         assert_eq!(intersect_attrs(&a, &[]), vec![]);
-    }
-
-    #[test]
-    fn merge_preserves_sorted_union() {
-        let a_attrs = ids(&[0, 2]);
-        let b_attrs = ids(&[2, 4]);
-        let (attrs, vals) = merge_tuples(&[7, 9], &a_attrs, &[9, 11], &b_attrs);
-        assert_eq!(attrs, ids(&[0, 2, 4]));
-        assert_eq!(vals, vec![7, 9, 11]);
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl SensitivityOps for ExecContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{all_boundary_values, local_sensitivity, residual_sensitivity};
+    use crate::{local_sensitivity, residual_sensitivity};
     use dpsyn_relational::{AttrId, Relation};
 
     fn ids(v: &[u16]) -> Vec<AttrId> {
@@ -203,10 +203,6 @@ mod tests {
     fn context_results_match_free_functions() {
         let (q, inst) = two_table();
         let ctx = ExecContext::sequential();
-        assert_eq!(
-            ctx.all_boundary_values(&q, &inst).unwrap(),
-            all_boundary_values(&q, &inst).unwrap()
-        );
         assert_eq!(
             ctx.local_sensitivity(&q, &inst).unwrap(),
             local_sensitivity(&q, &inst).unwrap()

@@ -71,9 +71,8 @@
 
 use std::collections::BTreeMap;
 
-use dpsyn_relational::{ExecContext, Instance, JoinQuery, Parallelism, ShardedSubJoinCache};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery};
 
-use crate::boundary::boundary_query_sharded;
 use crate::context_ext::SensitivityOps;
 use crate::error::SensitivityError;
 use crate::Result;
@@ -130,27 +129,14 @@ pub(crate) fn check_beta(beta: f64) -> Result<()> {
 }
 
 /// Precomputes `T_F(I)` for every proper subset `F ⊊ [m]`, keyed by the sorted
-/// subset (the empty subset maps to 1).
-///
-/// All `2^m - 1` sub-joins are evaluated sequentially through one shared
-/// [`ShardedSubJoinCache`], so each subset costs a single incremental
-/// hash-join step over its cached parent instead of a full re-join from the
-/// base relations.  The context method
-/// ([`SensitivityOps::all_boundary_values`]) additionally memoises the map
-/// in the context.
+/// subset (the empty subset maps to 1): the context method
+/// ([`SensitivityOps::all_boundary_values`]) on a throwaway sequential
+/// context.
 pub fn all_boundary_values(
     query: &JoinQuery,
     instance: &Instance,
 ) -> Result<BTreeMap<Vec<usize>, u128>> {
-    let m = query.num_relations();
-    let cache = ShardedSubJoinCache::new(query, instance)?;
-    let mut out = BTreeMap::new();
-    for mask in 0u32..((1u32 << m) - 1) {
-        let f: Vec<usize> = (0..m).filter(|i| mask & (1 << i) != 0).collect();
-        let value = boundary_query_sharded(&cache, &f, Parallelism::SEQUENTIAL)?;
-        out.insert(f, value);
-    }
-    Ok(out)
+    ExecContext::sequential().all_boundary_values(query, instance)
 }
 
 /// `T_F(I)` as `f64` for every `F ⊆ [m]`, indexed by the relation bitmask

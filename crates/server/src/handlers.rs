@@ -359,7 +359,7 @@ pub fn release(store: &Store, body: &[u8], exec_timeout: Duration) -> Reply {
                 mechanism_by_name(&mechanism_name).expect("name validated before charge");
             let mut rng = seeded_rng(seed);
             let release = mechanism
-                .release_ctx(
+                .release(
                     &dataset.ctx,
                     &dataset.query,
                     &dataset.instance,

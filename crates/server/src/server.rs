@@ -46,13 +46,6 @@ pub mod signal {
         SIGTERM_RECEIVED.load(Ordering::SeqCst)
     }
 
-    /// Marks the flag as if SIGTERM had been delivered (the programmatic
-    /// half of the handler; also lets non-Unix builds and unit tests drive
-    /// the drain path).
-    pub fn trigger_sigterm() {
-        SIGTERM_RECEIVED.store(true, Ordering::SeqCst);
-    }
-
     /// Installs a SIGTERM handler that sets the flag.  Only the `dpsyn-serve`
     /// binary calls this; embedding [`crate::start`] in a larger process
     /// (e.g. the test suite) leaves signal disposition alone.

@@ -75,9 +75,10 @@
 //! Sessions never trade correctness for speed:
 //!
 //! 1. **Seeded releases are byte-reproducible.** [`Session::release`] draws
-//!    its RNG from [`ReleaseRequest::seed`], and each mechanism consumes the
-//!    identical stream as its direct `release(...)` method — the released
-//!    histogram, noisy total and `Δ̃` match the legacy path bit for bit.
+//!    its RNG from [`ReleaseRequest::seed`] and runs [`Mechanism::release`]
+//!    on the session's context — the released histogram, noisy total and
+//!    `Δ̃` equal those of `Mechanism::release` on a fresh [`ExecContext`]
+//!    with `seeded_rng(seed)`, bit for bit.
 //! 2. **Warm equals cold.** The cached full join comes from the same
 //!    size-ordered fold as [`dpsyn_relational::join()`], and every memo
 //!    entry — the context's query weights, the slot's boundary values,
@@ -94,7 +95,7 @@
 
 use dpsyn_core::{IndependentLaplaceBaseline, Mechanism, SyntheticRelease};
 use dpsyn_noise::{seeded_rng, PrivacyParams};
-use dpsyn_query::{AnswerOps, AnswerSet, ProductQuery, QueryFamily};
+use dpsyn_query::{AnswerOps, AnswerSet, QueryFamily};
 use dpsyn_relational::{ExecContext, Instance, JoinQuery, Parallelism, UpdateBatch, UpdateReport};
 use dpsyn_sensitivity::{ResidualSensitivity, SensitivityOps};
 
@@ -215,19 +216,19 @@ impl Session {
 
     // --- releasing ---------------------------------------------------------
 
-    /// Runs any release [`Mechanism`] on the bundled request, seeding the
-    /// RNG from [`ReleaseRequest::seed`].
+    /// Runs any release [`Mechanism`] on the bundled request through the
+    /// session's context, seeding the RNG from [`ReleaseRequest::seed`].
     ///
-    /// Output is byte-identical to calling the mechanism's own
-    /// `release(...)` with `seeded_rng(request.seed())` — and to re-running
-    /// the same request on this (now warm) session.
+    /// Output is byte-identical to [`Mechanism::release`] on a fresh
+    /// [`ExecContext`] with `seeded_rng(request.seed())` — and to
+    /// re-running the same request on this (now warm) session.
     pub fn release(
         &self,
         mechanism: &dyn Mechanism,
         request: &ReleaseRequest<'_>,
     ) -> dpsyn_core::Result<SyntheticRelease> {
         let mut rng = seeded_rng(request.seed);
-        mechanism.release_ctx(
+        mechanism.release(
             &self.ctx,
             request.query,
             request.instance,
@@ -246,7 +247,7 @@ impl Session {
         request: &ReleaseRequest<'_>,
     ) -> dpsyn_core::Result<AnswerSet> {
         let mut rng = seeded_rng(request.seed);
-        baseline.answer_all_in(
+        baseline.answer_all(
             &self.ctx,
             request.query,
             request.instance,
@@ -268,16 +269,6 @@ impl Session {
         workload: &QueryFamily,
     ) -> dpsyn_query::Result<AnswerSet> {
         self.ctx.answer_all_on_instance(query, instance, workload)
-    }
-
-    /// The exact (non-private) answer of one query on an instance.
-    pub fn answer_one(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        q: &ProductQuery,
-    ) -> dpsyn_query::Result<f64> {
-        self.ctx.answer_on_instance(query, instance, q)
     }
 
     /// The join size `count(I)` at the session's parallelism.
@@ -379,6 +370,7 @@ impl Session {
 mod tests {
     use super::*;
     use dpsyn_core::{HierarchicalRelease, MultiTable, TwoTable};
+    use dpsyn_query::ProductQuery;
     use rand::Rng;
 
     fn fixture() -> (JoinQuery, Instance) {
@@ -392,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn session_release_matches_legacy_and_is_seed_stable() {
+    fn session_release_matches_a_fresh_context_and_is_seed_stable() {
         let (q, inst) = fixture();
         let session = Session::sequential();
         let workload = session.random_sign_workload(&q, 8, 5).unwrap();
@@ -400,16 +392,20 @@ mod tests {
         let request = ReleaseRequest::new(&q, &inst, &workload, params).with_seed(9);
 
         let via_session = session.release(&TwoTable::default(), &request).unwrap();
-        let legacy = {
-            let mut rng = seeded_rng(9);
-            TwoTable::default()
-                .release(&q, &inst, &workload, params, &mut rng)
-                .unwrap()
-        };
-        assert_eq!(via_session.delta_tilde(), legacy.delta_tilde());
+        let fresh = TwoTable::default()
+            .release(
+                &ExecContext::default(),
+                &q,
+                &inst,
+                &workload,
+                params,
+                &mut seeded_rng(9),
+            )
+            .unwrap();
+        assert_eq!(via_session.delta_tilde(), fresh.delta_tilde());
         assert_eq!(
             via_session.answer_all(&workload).unwrap().values(),
-            legacy.answer_all(&workload).unwrap().values()
+            fresh.answer_all(&workload).unwrap().values()
         );
         // Re-running the same request on the warm session changes nothing.
         let again = session.release(&TwoTable::default(), &request).unwrap();
@@ -447,7 +443,10 @@ mod tests {
         let truth = session.answer_truth(&q, &inst, &workload).unwrap();
         assert_eq!(
             truth.values(),
-            workload.answer_all_on_instance(&q, &inst).unwrap().values()
+            ExecContext::sequential()
+                .answer_all_on_instance(&q, &inst, &workload)
+                .unwrap()
+                .values()
         );
 
         // Editing the instance starts cold (fingerprint change), never stale.

@@ -78,6 +78,7 @@ fn uniformized_release_beats_or_matches_join_as_one_on_skewed_data() {
     // exact, reviewable values for all time.
     let (query, instance) = dpsyn::datagen::example42_instance(48);
     let budget = PrivacyParams::new(1.0, 1e-6).unwrap();
+    let ctx = ExecContext::default();
     let mut err_join = 0.0;
     let mut err_uni = 0.0;
     let reps = 3;
@@ -86,9 +87,11 @@ fn uniformized_release_beats_or_matches_join_as_one_on_skewed_data() {
         let mut join_rng = seeded_rng(200 + seed);
         let mut uni_rng = seeded_rng(300 + seed);
         let workload = QueryFamily::random_sign(&query, 12, &mut workload_rng).unwrap();
-        let truth = workload.answer_all_on_instance(&query, &instance).unwrap();
+        let truth = ctx
+            .answer_all_on_instance(&query, &instance, &workload)
+            .unwrap();
         let join = dpsyn_core::TwoTable::new(fast_pmw())
-            .release(&query, &instance, &workload, budget, &mut join_rng)
+            .release(&ctx, &query, &instance, &workload, budget, &mut join_rng)
             .unwrap();
         err_join += join
             .answer_all(&workload)
@@ -96,7 +99,7 @@ fn uniformized_release_beats_or_matches_join_as_one_on_skewed_data() {
             .linf_distance(&truth)
             .unwrap();
         let uni = UniformizedTwoTable::new(fast_pmw())
-            .release(&query, &instance, &workload, budget, &mut uni_rng)
+            .release(&ctx, &query, &instance, &workload, budget, &mut uni_rng)
             .unwrap();
         err_uni += uni
             .answer_all(&workload)
@@ -161,7 +164,14 @@ fn hierarchical_release_works_on_scenario_data() {
     let budget = PrivacyParams::new(2.0, 1e-4).unwrap();
     let workload = QueryFamily::random_sign(&query, 6, &mut rng).unwrap();
     let release = HierarchicalRelease::default()
-        .release(&query, &instance, &workload, budget, &mut rng)
+        .release(
+            &ExecContext::default(),
+            &query,
+            &instance,
+            &workload,
+            budget,
+            &mut rng,
+        )
         .unwrap();
     assert!(release.parts() >= 1);
     let answers = release.answer_all(&workload).unwrap();

@@ -1,7 +1,7 @@
-//! Session-API integration tests: the unified `Session::release` entry point
-//! must be a *perfect* stand-in for the legacy per-algorithm paths — every
-//! mechanism, byte for byte, at the same RNG seed — and the session's
-//! persistent caches must never change results (warm ≡ cold).
+//! Session-API integration tests: a warm `Session::release` must equal
+//! `Mechanism::release` on a fresh context — every mechanism, byte for
+//! byte, at the same RNG seed — and the session's persistent caches must
+//! never change results (warm ≡ cold).
 
 use dpsyn::prelude::*;
 use dpsyn_core::ReleaseKind;
@@ -69,93 +69,51 @@ fn assert_releases_identical(a: &SyntheticRelease, b: &SyntheticRelease, label: 
 }
 
 /// Every one of the six mechanisms produces byte-identical output through
-/// `Session::release` and through its legacy direct `release(...)` call at
-/// the same seed — on cold *and* warm sessions, across several seeds.
+/// `Session::release` and through `Mechanism::release` on a fresh
+/// `ExecContext::default()` at the same seed — on cold *and* warm sessions,
+/// across several seeds.
 #[test]
-fn all_six_mechanisms_are_byte_identical_via_session_and_legacy() {
+fn all_six_mechanisms_are_byte_identical_via_session_and_a_fresh_context() {
     let (q2, inst2) = two_table_fixture();
     let (q3, inst3) = star_fixture();
     let params = PrivacyParams::new(1.0, 1e-5).unwrap();
 
-    // (name, mechanism, query, instance): the two-table-only mechanisms run
-    // on the two-table fixture, the general ones on the 3-star.
-    let cases: Vec<(&str, Box<dyn Mechanism>, &JoinQuery, &Instance)> = vec![
-        ("two_table", Box::new(TwoTable::default()), &q2, &inst2),
-        ("multi_table", Box::new(MultiTable::default()), &q3, &inst3),
-        (
-            "uniformized_two_table",
-            Box::new(UniformizedTwoTable::default()),
-            &q2,
-            &inst2,
-        ),
-        (
-            "hierarchical",
-            Box::new(HierarchicalRelease::default()),
-            &q3,
-            &inst3,
-        ),
-        (
-            "flawed_join_as_one",
-            Box::new(FlawedJoinAsOne::default()),
-            &q2,
-            &inst2,
-        ),
-        (
-            "flawed_pad_after",
-            Box::new(FlawedPadAfter::default()),
-            &q2,
-            &inst2,
-        ),
+    // The two-table-only mechanisms run on the two-table fixture, the
+    // general ones on the 3-star.
+    let cases: Vec<(Box<dyn Mechanism>, &JoinQuery, &Instance)> = vec![
+        (Box::new(TwoTable::default()), &q2, &inst2),
+        (Box::new(MultiTable::default()), &q3, &inst3),
+        (Box::new(UniformizedTwoTable::default()), &q2, &inst2),
+        (Box::new(HierarchicalRelease::default()), &q3, &inst3),
+        (Box::new(FlawedJoinAsOne::default()), &q2, &inst2),
+        (Box::new(FlawedPadAfter::default()), &q2, &inst2),
     ];
 
-    for (name, mechanism, query, instance) in &cases {
+    for (mechanism, query, instance) in &cases {
+        let name = mechanism.name();
         let session = Session::sequential();
         for seed in [3u64, 19, 404] {
             let mut rng = seeded_rng(seed);
             let workload = QueryFamily::random_sign(query, 6, &mut rng).unwrap();
             let request = ReleaseRequest::new(query, instance, &workload, params).with_seed(seed);
 
-            let legacy = legacy_release(name, query, instance, &workload, params, seed);
+            let fresh = mechanism
+                .release(
+                    &ExecContext::default(),
+                    query,
+                    instance,
+                    &workload,
+                    params,
+                    &mut seeded_rng(seed),
+                )
+                .unwrap();
             let cold = session.release(mechanism.as_ref(), &request).unwrap();
-            assert_releases_identical(&cold, &legacy, &format!("{name}/seed{seed}/cold"));
+            assert_releases_identical(&cold, &fresh, &format!("{name}/seed{seed}/cold"));
             // Second run on the now-warm session (full join and memoised
             // values cached) must not change a single byte.
             let warm = session.release(mechanism.as_ref(), &request).unwrap();
-            assert_releases_identical(&warm, &legacy, &format!("{name}/seed{seed}/warm"));
+            assert_releases_identical(&warm, &fresh, &format!("{name}/seed{seed}/warm"));
         }
-    }
-}
-
-/// Runs the legacy (pre-Session) direct release path for a mechanism name.
-fn legacy_release(
-    name: &str,
-    query: &JoinQuery,
-    instance: &Instance,
-    workload: &QueryFamily,
-    params: PrivacyParams,
-    seed: u64,
-) -> SyntheticRelease {
-    let mut rng = seeded_rng(seed);
-    match name {
-        "two_table" => TwoTable::default()
-            .release(query, instance, workload, params, &mut rng)
-            .unwrap(),
-        "multi_table" => MultiTable::default()
-            .release(query, instance, workload, params, &mut rng)
-            .unwrap(),
-        "uniformized_two_table" => UniformizedTwoTable::default()
-            .release(query, instance, workload, params, &mut rng)
-            .unwrap(),
-        "hierarchical" => HierarchicalRelease::default()
-            .release(query, instance, workload, params, &mut rng)
-            .unwrap(),
-        "flawed_join_as_one" => FlawedJoinAsOne::default()
-            .release(query, instance, workload, params, &mut rng)
-            .unwrap(),
-        "flawed_pad_after" => FlawedPadAfter::default()
-            .release(query, instance, workload, params, &mut rng)
-            .unwrap(),
-        other => panic!("unknown mechanism {other}"),
     }
 }
 
@@ -195,14 +153,16 @@ fn warm_session_cache_matches_cold_session_on_sensitivity_sweeps() {
     // Truth answering through the session's shared join matches the free
     // evaluation path bit for bit.
     let truth_warm = warm.answer_truth(&q, &inst, &workload).unwrap();
-    let truth_free = workload.answer_all_on_instance(&q, &inst).unwrap();
+    let truth_free = workload
+        .answer_all_on_join(&q, &join(&q, &inst).unwrap())
+        .unwrap();
     assert_eq!(truth_warm.values(), truth_free.values());
 }
 
-/// The per-query Laplace baseline through the session matches its legacy
-/// direct call at the same seed.
+/// The per-query Laplace baseline through a warm session matches its
+/// `answer_all` on a fresh context at the same seed.
 #[test]
-fn baseline_via_session_matches_legacy() {
+fn baseline_via_session_matches_a_fresh_context() {
     let (q, inst) = two_table_fixture();
     let session = Session::sequential();
     let params = PrivacyParams::new(1.0, 1e-5).unwrap();
@@ -212,16 +172,22 @@ fn baseline_via_session_matches_legacy() {
     let via_session = session
         .answer_baseline(&IndependentLaplaceBaseline::default(), &request)
         .unwrap();
-    let mut rng = seeded_rng(13);
-    let legacy = IndependentLaplaceBaseline::default()
-        .answer_all(&q, &inst, &workload, params, &mut rng)
+    let fresh = IndependentLaplaceBaseline::default()
+        .answer_all(
+            &ExecContext::default(),
+            &q,
+            &inst,
+            &workload,
+            params,
+            &mut seeded_rng(13),
+        )
         .unwrap();
-    assert_eq!(via_session.values(), legacy.values());
+    assert_eq!(via_session.values(), fresh.values());
     // Warm repeat: identical again.
     let again = session
         .answer_baseline(&IndependentLaplaceBaseline::default(), &request)
         .unwrap();
-    assert_eq!(again.values(), legacy.values());
+    assert_eq!(again.values(), fresh.values());
 }
 
 /// Mechanism metadata survives the trait object, and the request builder
