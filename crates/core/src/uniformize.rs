@@ -116,18 +116,6 @@ impl UniformizedTwoTable {
     pub fn new(pmw: PmwConfig) -> Self {
         UniformizedTwoTable { pmw }
     }
-
-    /// Exposes the partition (useful for diagnostics and experiments that
-    /// inspect bucket structure).
-    pub fn partition<R: Rng>(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<Vec<PartitionBucket>> {
-        partition_two_table(query, instance, params.halve(), rng)
-    }
 }
 
 impl Mechanism for UniformizedTwoTable {

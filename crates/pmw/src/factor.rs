@@ -16,11 +16,27 @@
 //!   order of [`JointEvaluator::weight`], so every weight has the same bits.
 //!
 //! PMW keeps one weight per cell per query for its whole run.  Sign,
-//! predicate and counting queries take at most three distinct values, so
-//! [`QueryWeights`] stores a `u8` code per cell into a **palette** of the
-//! query's distinct values (8× less memory than an `f64` per cell); only a
-//! query with more than [`PALETTE_SIZE`] distinct products keeps a dense
-//! `f64` vector.
+//! predicate and counting queries take at most three distinct values, so a
+//! query's weights are a **palette** of its distinct values and a palette
+//! code per cell.  [`QueryWeights`] packs the codes of queries that fit in
+//! one byte: consecutive palette-coded queries, at most eight, whose palette
+//! sizes multiply to at most [`PALETTE_SIZE`] form a **group** with one
+//! mixed-radix `u8` code per cell and a 256-row table whose row `b` holds
+//! each member's weight under code `b`.  Sixteen sign queries over 4,096
+//! cells are two groups: 8 KiB of codes and 32 KiB of tables, where an `f64`
+//! per cell per query would take 512 KiB.  Only a query with more than
+//! [`PALETTE_SIZE`] distinct products keeps a dense `f64` vector.
+//!
+//! A PMW round reads the groups:
+//!
+//! * **scoring** reads one table row per cell and group and adds
+//!   `F(x) · row[l]` into lane `l`, one lane per member, so each query's
+//!   answer is the same chain of IEEE operations, in cell order, as a
+//!   per-query sum; the lanes vectorise, and several groups share a pass so
+//!   that their chains overlap;
+//! * **reweighting** by one query reads its factor `exp(η · w)` through a
+//!   256-entry table indexed by its group's code, filled from one `exp`
+//!   per palette entry.
 
 use std::ops::Range;
 
@@ -28,6 +44,7 @@ use dpsyn_query::{JointEvaluator, ProductQuery, QueryFamily};
 use dpsyn_relational::tuple::project_positions;
 use dpsyn_relational::{AttrId, JoinQuery, JoinResult, Value};
 
+use crate::histogram::Histogram;
 use crate::Result;
 
 /// Most distinct values a palette-coded query may take (one `u8` code).
@@ -226,16 +243,10 @@ fn palette_of(values: &[f64]) -> Option<(Vec<f64>, Vec<u8>)> {
     Some((bits.into_iter().map(f64::from_bits).collect(), codes))
 }
 
-/// One query's per-cell weights `x ↦ Π_i q_i(π_{x_i} x)`, held for a PMW run.
-#[derive(Debug, Clone)]
-pub(crate) enum QueryWeights {
+/// One query's per-cell weights, as the shared cell walk leaves them.
+enum Coded {
     /// Cell `x` weighs `palette[codes[x]]`.
-    Palette {
-        /// The query's distinct weights.
-        palette: Vec<f64>,
-        /// One code per cell.
-        codes: Vec<u8>,
-    },
+    Palette { palette: Vec<f64>, codes: Vec<u8> },
     /// More than [`PALETTE_SIZE`] distinct weights: one `f64` per cell.
     Dense(Vec<f64>),
 }
@@ -324,27 +335,148 @@ impl Builder {
         }
     }
 
-    fn finish(self) -> QueryWeights {
+    fn finish(self) -> Coded {
         match self {
-            Builder::Combos { palette, out, .. } => QueryWeights::Palette {
+            Builder::Combos { palette, out, .. } => Coded::Palette {
                 palette,
                 codes: out,
             },
             Builder::Direct { out, .. } => match palette_of(&out) {
-                Some((palette, codes)) => QueryWeights::Palette { palette, codes },
-                None => QueryWeights::Dense(out),
+                Some((palette, codes)) => Coded::Palette { palette, codes },
+                None => Coded::Dense(out),
             },
         }
     }
 }
 
+/// Most queries one code byte packs.
+const LANES: usize = 8;
+
+/// Palette-coded queries, consecutive in family order, that share one code
+/// byte per cell.
+#[derive(Debug, Clone)]
+struct Group {
+    /// The members, in family order.
+    members: Vec<Member>,
+    /// One mixed-radix code per cell: the sum of each member's palette code
+    /// times its place.
+    codes: Vec<u8>,
+    /// The lanes of a row: the member count rounded up to a power of two.
+    width: usize,
+    /// [`PALETTE_SIZE`] rows of `width` lanes: row `b` holds each member's
+    /// weight under code `b`, in member order, padded with zeros.
+    rows: Vec<f64>,
+}
+
+/// One query of a [`Group`].
+#[derive(Debug, Clone)]
+struct Member {
+    /// The query's index in its family.
+    query: usize,
+    /// The product of the palette sizes of the members before it.
+    place: usize,
+    /// The query's distinct weights.
+    palette: Vec<f64>,
+}
+
+impl Member {
+    /// `per_entry` indexed by code: entry `b` is `per_entry[d]` for the
+    /// member's digit `d = (b / place) % palette.len()` of `b`.
+    fn expand(&self, per_entry: &[f64]) -> [f64; PALETTE_SIZE] {
+        let mut out = [0.0; PALETTE_SIZE];
+        let (mut digit, mut step) = (0, 0);
+        for e in &mut out {
+            *e = per_entry[digit];
+            step += 1;
+            if step == self.place {
+                step = 0;
+                digit += 1;
+                if digit == self.palette.len() {
+                    digit = 0;
+                }
+            }
+        }
+        out
+    }
+}
+
+impl Group {
+    /// Packs `queries` (index, palette, per-cell palette codes), whose
+    /// palette sizes multiply to at most [`PALETTE_SIZE`], into one code
+    /// per cell, the first query least significant.
+    fn pack(queries: Vec<(usize, Vec<f64>, Vec<u8>)>, cells: usize) -> Group {
+        let mut codes = vec![0u8; cells];
+        let mut members = Vec::with_capacity(queries.len());
+        let mut place = 1;
+        for (query, palette, digits) in queries {
+            for (code, &d) in codes.iter_mut().zip(&digits) {
+                *code += (d as usize * place) as u8;
+            }
+            let radix = palette.len();
+            members.push(Member {
+                query,
+                place,
+                palette,
+            });
+            place *= radix;
+        }
+        let width = members.len().next_power_of_two();
+        let mut rows = vec![0.0; PALETTE_SIZE * width];
+        for (l, m) in members.iter().enumerate() {
+            for (row, w) in rows.chunks_exact_mut(width).zip(m.expand(&m.palette)) {
+                row[l] = w;
+            }
+        }
+        Group {
+            members,
+            codes,
+            width,
+            rows,
+        }
+    }
+
+    /// Row `b`: each member's weight under code `b`.
+    fn row(&self, b: u8) -> &[f64] {
+        &self.rows[b as usize * self.width..][..self.width]
+    }
+}
+
+/// Where one query's weights live in a [`QueryWeights`].
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// Lane `lane` of group `group`.
+    Lane { group: usize, lane: usize },
+    /// Entry `index` of the dense queries.
+    Dense(usize),
+}
+
+/// The per-cell weights `x ↦ Π_i q_i(π_{x_i} x)` of every query of a
+/// workload over a histogram's cells, as [`crate::Pmw::run`] holds them for
+/// its rounds and memoises them in its context.
+///
+/// Palette-coded queries are packed, in family order, into groups of at
+/// most eight whose palette sizes multiply to at most 256.  A group keeps
+/// one mixed-radix `u8` code per cell and a 256-row table whose row `b`
+/// holds each member's weight under code `b` (rows are as wide as the
+/// member count rounded up to a power of two), so scoring a group reads
+/// one row per cell.  A query with more than 256 distinct weights keeps a
+/// dense `f64` per cell.
+#[derive(Debug, Clone)]
+pub struct QueryWeights {
+    cells: usize,
+    groups: Vec<Group>,
+    /// `(query index, weight per cell)` of each dense query.
+    dense: Vec<(usize, Vec<f64>)>,
+    /// Per query, in family order.
+    places: Vec<Place>,
+}
+
 impl QueryWeights {
-    /// Every query's weights, filled in one walk over the cells.
-    pub(crate) fn build(
-        fz: &Factorization,
-        query: &JoinQuery,
-        family: &QueryFamily,
-    ) -> Result<Vec<QueryWeights>> {
+    /// The weights of every query of `family` over `layout`'s cells: the
+    /// same weights [`crate::Pmw::run`] memoises for that layout and family.
+    /// They are filled in one walk over the cells, then packed into groups.
+    pub fn new(query: &JoinQuery, layout: &Histogram, family: &QueryFamily) -> Result<Self> {
+        let fz = layout.factorization(query)?;
         let mut builders = family
             .iter()
             .map(|q| Ok(Builder::new(fz.tables(query, q)?, fz.cells())))
@@ -355,46 +487,141 @@ impl QueryWeights {
                 b.extend(cells.len(), offsets, &mut index);
             }
         });
-        Ok(builders.into_iter().map(Builder::finish).collect())
+        let mut weights = QueryWeights {
+            cells: fz.cells(),
+            groups: Vec::new(),
+            dense: Vec::new(),
+            places: Vec::with_capacity(builders.len()),
+        };
+        let mut open = Vec::new();
+        let mut combos = 1;
+        for (query, builder) in builders.into_iter().enumerate() {
+            match builder.finish() {
+                Coded::Palette { palette, codes } => {
+                    if open.len() == LANES || combos * palette.len() > PALETTE_SIZE {
+                        let group = Group::pack(std::mem::take(&mut open), fz.cells());
+                        weights.groups.push(group);
+                        combos = 1;
+                    }
+                    weights.places.push(Place::Lane {
+                        group: weights.groups.len(),
+                        lane: open.len(),
+                    });
+                    combos *= palette.len();
+                    open.push((query, palette, codes));
+                }
+                Coded::Dense(w) => {
+                    weights.places.push(Place::Dense(weights.dense.len()));
+                    weights.dense.push((query, w));
+                }
+            }
+        }
+        if !open.is_empty() {
+            weights.groups.push(Group::pack(open, fz.cells()));
+        }
+        Ok(weights)
     }
 
-    /// The weight of cell `x`.
-    #[inline]
-    fn at(&self, x: usize) -> f64 {
-        match self {
-            QueryWeights::Palette { palette, codes } => palette[codes[x] as usize],
-            QueryWeights::Dense(w) => w[x],
+    /// Answers every query on `histogram`: `out[j] = Σ_x F(x) · q_j(x)`,
+    /// each summed in cell order from `-0.0`, the neutral element
+    /// `Iterator::sum::<f64>` starts from.  Each answer equals
+    /// [`Histogram::answer_all`]'s bit for bit.
+    ///
+    /// Groups are scored several per pass over the cells, reading one row
+    /// per cell and group: two groups of eight lanes, four of four, eight
+    /// of two, or eight of one, so that the adds of different queries
+    /// overlap instead of running one latency-bound chain at a time.
+    ///
+    /// # Panics
+    ///
+    /// When `histogram` has another cell count than these weights, or `out`
+    /// holds another number of answers than the family has queries.
+    pub fn answer_all(&self, histogram: &Histogram, out: &mut [f64]) {
+        let cells = histogram.weights();
+        assert_eq!(cells.len(), self.cells, "histogram over another layout");
+        assert_eq!(out.len(), self.places.len(), "one answer per query");
+        // Groups by row width (1, 2, 4 or 8).
+        let mut widths: [Vec<&Group>; 4] = Default::default();
+        for g in &self.groups {
+            widths[g.width.trailing_zeros() as usize].push(g);
+        }
+        answer_groups::<8, 1>(cells, &widths[0], out);
+        answer_groups::<8, 2>(cells, &widths[1], out);
+        answer_groups::<4, 4>(cells, &widths[2], out);
+        answer_groups::<2, 8>(cells, &widths[3], out);
+        for (j, w) in &self.dense {
+            out[*j] = cells.iter().zip(w).map(|(f, w)| f * w).sum();
         }
     }
 
-    /// Resident bytes of the per-cell weights.
-    #[cfg(test)]
-    pub(crate) fn bytes(&self) -> usize {
-        match self {
-            QueryWeights::Palette { palette, codes } => 8 * palette.len() + codes.len(),
-            QueryWeights::Dense(w) => 8 * w.len(),
+    /// One multiplicative-weights round of query `j` on `current`, followed
+    /// by `average += current`; `total` is the mass of `current` before the
+    /// round, and the mass after it is returned.
+    ///
+    /// Bit-identical to `current.multiplicative_update(w, eta)` followed by
+    /// `average.accumulate(&current)`, where `w` is query `j`'s
+    /// [`Histogram::query_weight_vector`]: the update computes one `exp`
+    /// per palette entry, the renormalisation sum is taken during the
+    /// update pass, and the next round's mass during the accumulate pass,
+    /// each in cell order.
+    ///
+    /// # Panics
+    ///
+    /// When either histogram has another cell count than these weights, or
+    /// `j` is not a query of the family.
+    pub fn update_and_accumulate(
+        &self,
+        j: usize,
+        current: &mut Histogram,
+        average: &mut Histogram,
+        eta: f64,
+        total: f64,
+    ) -> f64 {
+        let cells = current.weights_mut();
+        let sum = average.weights_mut();
+        assert_eq!(cells.len(), self.cells, "histogram over another layout");
+        assert_eq!(sum.len(), self.cells, "histogram over another layout");
+        let mass = self.reweight(j, cells, eta);
+        if mass > 0.0 && total >= 0.0 {
+            let factor = total / mass;
+            let mut next = -0.0;
+            for (f, s) in cells.iter_mut().zip(sum.iter_mut()) {
+                *f *= factor;
+                *s += *f;
+                next += *f;
+            }
+            next
+        } else {
+            for (f, s) in cells.iter().zip(sum.iter_mut()) {
+                *s += f;
+            }
+            mass
         }
     }
 
-    /// The multiplicative-weights step `F(x) ← F(x) · exp(q(x) · η)`, with
-    /// one `exp` per palette entry; returns the new mass `Σ_x F(x)`, summed
-    /// in cell order.
-    pub(crate) fn reweight(&self, cells: &mut [f64], eta: f64) -> f64 {
+    /// The step `F(x) ← F(x) · exp(q_j(x) · η)`; returns the new mass
+    /// `Σ_x F(x)`, summed in cell order.  A palette-coded query reads its
+    /// factor through a table indexed by its group's code, filled with one
+    /// `exp` per palette entry.
+    fn reweight(&self, j: usize, cells: &mut [f64], eta: f64) -> f64 {
         // -0.0 is the neutral element `Iterator::sum::<f64>` starts from.
         let mut mass = -0.0;
-        match self {
-            QueryWeights::Palette { palette, codes } => {
-                let mut factors = [0.0; PALETTE_SIZE];
-                for (e, w) in factors.iter_mut().zip(palette) {
+        match self.places[j] {
+            Place::Lane { group, lane } => {
+                let g = &self.groups[group];
+                let m = &g.members[lane];
+                let mut exps = [0.0; PALETTE_SIZE];
+                for (e, w) in exps.iter_mut().zip(&m.palette) {
                     *e = (w * eta).exp();
                 }
-                for (f, &c) in cells.iter_mut().zip(codes) {
+                let factors = m.expand(&exps);
+                for (f, &c) in cells.iter_mut().zip(&g.codes) {
                     *f *= factors[c as usize];
                     mass += *f;
                 }
             }
-            QueryWeights::Dense(weights) => {
-                for (f, w) in cells.iter_mut().zip(weights) {
+            Place::Dense(d) => {
+                for (f, w) in cells.iter_mut().zip(&self.dense[d].1) {
                     *f *= (w * eta).exp();
                     mass += *f;
                 }
@@ -402,60 +629,99 @@ impl QueryWeights {
         }
         mass
     }
-}
 
-/// Answers every query on the histogram `cells`: `out[j] = Σ_x F(x) · q_j(x)`
-/// in cell order.  Palette-coded queries are scored [`BLOCK`] at a time in
-/// one pass with one accumulator each, so the adds of different queries
-/// overlap instead of running one latency-bound chain at a time.
-pub(crate) fn answer_all(weights: &[QueryWeights], cells: &[f64], out: &mut [f64]) {
-    let mut coded = Vec::with_capacity(weights.len());
-    for (j, w) in weights.iter().enumerate() {
-        match w {
-            QueryWeights::Palette { palette, codes } => coded.push((j, palette, codes)),
-            QueryWeights::Dense(w) => out[j] = cells.iter().zip(w).map(|(f, w)| f * w).sum(),
+    /// The weight of query `j` at cell `x`.
+    #[cfg(test)]
+    fn weight(&self, j: usize, x: usize) -> f64 {
+        match self.places[j] {
+            Place::Lane { group, lane } => {
+                let g = &self.groups[group];
+                g.row(g.codes[x])[lane]
+            }
+            Place::Dense(d) => self.dense[d].1[x],
         }
     }
-    let mut blocks = coded.chunks_exact(BLOCK);
-    for block in &mut blocks {
-        let sums = answer_block::<BLOCK>(
-            cells,
-            std::array::from_fn(|k| (&block[k].1[..], &block[k].2[..])),
-        );
-        for (&(j, _, _), s) in block.iter().zip(sums) {
-            out[j] = s;
+
+    /// The number of queries.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.places.len()
+    }
+
+    /// Query `j`'s palette size, or `None` for a dense query.
+    #[cfg(test)]
+    fn palette_len(&self, j: usize) -> Option<usize> {
+        match self.places[j] {
+            Place::Lane { group, lane } => Some(self.groups[group].members[lane].palette.len()),
+            Place::Dense(_) => None,
         }
     }
-    for &(j, palette, codes) in blocks.remainder() {
-        out[j] = answer_block::<1>(cells, [(&palette[..], &codes[..])])[0];
+
+    /// Resident bytes of the per-cell weights: each group's codes, row
+    /// table and palettes, and each dense query's vector.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> usize {
+        let groups = self.groups.iter().map(|g| {
+            let palettes: usize = g.members.iter().map(|m| 8 * m.palette.len()).sum();
+            g.codes.len() + 8 * g.rows.len() + palettes
+        });
+        let dense = self.dense.iter().map(|(_, w)| 8 * w.len());
+        groups.chain(dense).sum()
     }
 }
 
-/// Queries scored per pass by [`answer_all`].
-const BLOCK: usize = 8;
+/// Scores `groups`, whose members fit in `N` lanes, `G` groups per pass
+/// over the cells (the last few one at a time), into `out`.
+fn answer_groups<const G: usize, const N: usize>(
+    cells: &[f64],
+    groups: &[&Group],
+    out: &mut [f64],
+) {
+    let mut passes = groups.chunks_exact(G);
+    for pass in &mut passes {
+        let sums = answer_rows::<G, N>(cells, std::array::from_fn(|k| pass[k]));
+        scatter(pass, &sums, out);
+    }
+    for &g in passes.remainder() {
+        scatter(&[g], &answer_rows::<1, N>(cells, [g]), out);
+    }
+}
 
-/// `Σ_x F(x) · palette_k[codes_k[x]]` for each of `N` queries, each summed
-/// in cell order from `-0.0`, the neutral element `Iterator::sum::<f64>`
-/// starts from.
-fn answer_block<const N: usize>(cells: &[f64], queries: [(&[f64], &[u8]); N]) -> [f64; N] {
-    // Full-size palettes and codes cut to the cell count let the compiler
-    // drop every bounds check from the inner loop.
-    let palettes: [[f64; PALETTE_SIZE]; N] = std::array::from_fn(|k| padded(queries[k].0));
-    let codes: [&[u8]; N] = std::array::from_fn(|k| &queries[k].1[..cells.len()]);
-    let mut sums = [-0.0f64; N];
+/// Writes each group's lane sums to its members' answers.
+fn scatter<const N: usize>(groups: &[&Group], sums: &[[f64; N]], out: &mut [f64]) {
+    for (g, sums) in groups.iter().zip(sums) {
+        for (m, &s) in g.members.iter().zip(sums) {
+            out[m.query] = s;
+        }
+    }
+}
+
+/// `Σ_x F(x) · rows_g[codes_g[x]][l]` for the first `N` lanes `l` of each
+/// of `G` groups, each summed in cell order from `-0.0`.  The lanes are
+/// independent chains of the same IEEE operations as a per-query sum; the
+/// compiler vectorises each group's lanes, and the `G` groups' chains
+/// overlap.
+fn answer_rows<const G: usize, const N: usize>(
+    cells: &[f64],
+    groups: [&Group; G],
+) -> [[f64; N]; G] {
+    // Codes cut to the cell count and full-size row tables let the
+    // compiler drop every bounds check from the inner loop.
+    let codes: [&[u8]; G] = std::array::from_fn(|k| &groups[k].codes[..cells.len()]);
+    let rows: [&[[f64; N]; PALETTE_SIZE]; G] = std::array::from_fn(|k| {
+        let (rows, _) = groups[k].rows.as_chunks::<N>();
+        rows.try_into()
+            .expect("a group's rows are as wide as its lanes")
+    });
+    let mut sums = [[-0.0f64; N]; G];
     for (x, &f) in cells.iter().enumerate() {
-        for k in 0..N {
-            sums[k] += f * palettes[k][codes[k][x] as usize];
+        for k in 0..G {
+            for (s, w) in sums[k].iter_mut().zip(&rows[k][codes[k][x] as usize]) {
+                *s += f * w;
+            }
         }
     }
     sums
-}
-
-/// `values` padded with zeros to [`PALETTE_SIZE`] entries.
-fn padded(values: &[f64]) -> [f64; PALETTE_SIZE] {
-    let mut out = [0.0; PALETTE_SIZE];
-    out[..values.len()].copy_from_slice(values);
-    out
 }
 
 /// The true answers `Σ_t J(t) · q_j(t)` over the join rows: one walk over
@@ -469,18 +735,23 @@ pub(crate) fn true_answers(
     query: &JoinQuery,
     join_result: &JoinResult,
     family: &QueryFamily,
-    weights: &[QueryWeights],
+    weights: &QueryWeights,
 ) -> Result<Vec<f64>> {
     let positions = project_positions(join_result.attrs(), attrs)?;
     let evaluator = JointEvaluator::new(query, join_result.attrs())?;
     let mut scratch = Vec::new();
-    let mut totals = vec![0.0; weights.len()];
+    let mut totals = vec![0.0; weights.places.len()];
     for (t, w) in join_result.iter_unordered() {
         let w = w as f64;
         match fz.cell_of(t, &positions) {
             Some(x) => {
-                for (total, qw) in totals.iter_mut().zip(weights) {
-                    *total += w * qw.at(x);
+                for g in &weights.groups {
+                    for (m, qw) in g.members.iter().zip(g.row(g.codes[x])) {
+                        totals[m.query] += w * qw;
+                    }
+                }
+                for (j, d) in &weights.dense {
+                    totals[*j] += w * d[x];
                 }
             }
             None => {
@@ -548,7 +819,7 @@ mod tests {
     #[test]
     fn weights_take_the_smallest_exact_representation() {
         let query = JoinQuery::two_table(6, 8, 7);
-        let (h, fz) = layout(&query);
+        let (h, _) = layout(&query);
         let grid = |a: u64, b: u64| (0..a).flat_map(move |u| (0..b).map(move |v| (u, v)));
         let queries = vec![
             // Counting and sign products: one and two palette entries.
@@ -582,14 +853,8 @@ mod tests {
             ]),
         ];
         let family = QueryFamily::new(&query, queries).unwrap();
-        let weights = QueryWeights::build(&fz, &query, &family).unwrap();
-        let palette_len: Vec<Option<usize>> = weights
-            .iter()
-            .map(|w| match w {
-                QueryWeights::Palette { palette, .. } => Some(palette.len()),
-                QueryWeights::Dense(_) => None,
-            })
-            .collect();
+        let weights = QueryWeights::new(&query, &h, &family).unwrap();
+        let palette_len: Vec<Option<usize>> = (0..4).map(|j| weights.palette_len(j)).collect();
         assert_eq!(palette_len[0], Some(1));
         assert_eq!(palette_len[1], Some(2));
         assert!(palette_len[2].is_some_and(|n| n > 2 && n <= PALETTE_SIZE));
@@ -597,30 +862,242 @@ mod tests {
 
         let evaluator = JointEvaluator::full_domain(&query).unwrap();
         let mut scratch = Vec::new();
-        for (q, w) in family.iter().zip(&weights) {
+        for (j, q) in family.iter().enumerate() {
             for x in 0..h.len() {
-                let got = match w {
-                    QueryWeights::Palette { palette, codes } => palette[codes[x] as usize],
-                    QueryWeights::Dense(d) => d[x],
-                };
                 let expected = evaluator.weight(q, &h.tuple_of(x), &mut scratch);
-                assert_eq!(got.to_bits(), expected.to_bits(), "cell {x}");
+                let got = weights.weight(j, x);
+                assert_eq!(got.to_bits(), expected.to_bits(), "query {j} cell {x}");
             }
         }
     }
 
-    /// A 16-query sign workload over 4,096 cells holds 64 KiB of codes
-    /// where dense vectors would hold 512 KiB.
+    /// A 16-query sign workload over 4,096 cells (the counting query and 15
+    /// two-entry palettes) packs into two groups of eight: two code bytes
+    /// per cell plus two 256-row tables, 40 KiB where one code byte per
+    /// query held 64 KiB and dense vectors 512 KiB.
     #[test]
-    fn sign_workloads_hold_one_byte_per_cell_per_query() {
+    fn sign_workloads_hold_two_code_bytes_per_cell_plus_group_tables() {
         let query = JoinQuery::star(3, 8).unwrap();
-        let (h, fz) = layout(&query);
+        let (h, _) = layout(&query);
         assert_eq!(h.len(), 4096);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let family = QueryFamily::random_sign(&query, 16, &mut rng).unwrap();
-        let weights = QueryWeights::build(&fz, &query, &family).unwrap();
-        let bytes: usize = weights.iter().map(QueryWeights::bytes).sum();
+        let weights = QueryWeights::new(&query, &h, &family).unwrap();
+        assert_eq!(weights.groups.len(), 2);
+        assert!(weights.dense.is_empty());
         let palettes = 8 * (1 + 2 * 15);
-        assert_eq!(bytes, 16 * 4096 + palettes);
+        let tables = 2 * 256 * 8 * 8;
+        assert_eq!(weights.bytes(), 2 * 4096 + tables + palettes);
+    }
+
+    /// A weight in `[-0.9, 0.9]`, never zero, from a hash of `key`: products
+    /// of different keys' weights are distinct.
+    fn generic(key: u64) -> f64 {
+        let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let u = (z ^ (z >> 31)) >> 11;
+        let sign = if z & 1 == 0 { 1.0 } else { -1.0 };
+        sign * (0.1 + 0.8 * (u as f64 / (1u64 << 53) as f64))
+    }
+
+    /// A query whose weight takes exactly `n` distinct values over the cells
+    /// of a layout whose relations 0 and 1 are `R_0(X, Y)` and `R_1(Y, Z)`
+    /// (any others weigh 1), or `None` when the layout cannot hold `n`.
+    ///
+    /// For each `y`, the cells with `x < a_y` and `z < c_y` weigh a product
+    /// of two generic values, distinct per cell, and every other cell
+    /// weighs `0.0`; the `a_y · c_y` sum to `n - 1`.  When `n` is the cell
+    /// count, every cell weighs its own product.
+    fn with_distinct_weights(query: &JoinQuery, n: usize, salt: u64) -> Option<ProductQuery> {
+        let domain = |a: AttrId| query.schema().domain_size(a).unwrap();
+        let (r0, r1) = (query.relation_attrs(0), query.relation_attrs(1));
+        let (dx, dy, dz) = (domain(r0[0]), domain(r0[1]), domain(r1[1]));
+        let cells = (dx * dy * dz) as usize;
+        if n == 1 {
+            return Some(ProductQuery::counting(query.num_relations()));
+        }
+        let (mut a, mut c) = (vec![0; dy as usize], vec![0; dy as usize]);
+        if n == cells {
+            a.fill(dx);
+            c.fill(dz);
+        } else {
+            let mut left = n.checked_sub(1)?;
+            for y in 0..dy as usize {
+                // The largest product of an `a ≤ dx` and a `c ≤ dz` that fits.
+                let (best_a, best_c) = (1..=dx)
+                    .flat_map(|a| (1..=dz).map(move |c| (a, c)))
+                    .filter(|&(a, c)| (a * c) as usize <= left)
+                    .max_by_key(|&(a, c)| a * c)
+                    .unwrap_or((0, 0));
+                (a[y], c[y]) = (best_a, best_c);
+                left -= (best_a * best_c) as usize;
+            }
+            if left > 0 {
+                return None;
+            }
+        }
+        let mut components = vec![
+            sparse(
+                (0..dx)
+                    .flat_map(|x| (0..dy).map(move |y| (x, y)))
+                    .map(|(x, y)| {
+                        let w = if x < a[y as usize] {
+                            generic(salt ^ (x << 32 | y))
+                        } else {
+                            0.0
+                        };
+                        ((x, y), w)
+                    }),
+                0.0,
+            ),
+            sparse(
+                (0..dy)
+                    .flat_map(|y| (0..dz).map(move |z| (y, z)))
+                    .map(|(y, z)| {
+                        let w = if z < c[y as usize] {
+                            generic(!salt ^ (y << 32 | z))
+                        } else {
+                            0.0
+                        };
+                        ((y, z), w)
+                    }),
+                0.0,
+            ),
+        ];
+        components.resize(query.num_relations(), RelationQuery::AllOne);
+        Some(ProductQuery::new(components))
+    }
+
+    /// Packing never changes a bit: on layouts of 336, 315 and 125 cells
+    /// (the last two not multiples of 8), families of 1, 7, 8, 9 and 17 queries that mix
+    /// palette sizes on both sides of every group boundary (1, 2, 3, 5, 16,
+    /// 17, 128, 129, 256) with dense queries (257 and every-cell-distinct
+    /// weights) score, reweight, renormalise, accumulate and take true
+    /// answers exactly as the context-free paths do.
+    #[test]
+    fn grouped_weights_match_the_context_free_paths_at_group_boundaries() {
+        use dpsyn_relational::Instance;
+        use rand::Rng;
+        const SIZES: [usize; 10] = [1, 2, 3, 5, 16, 17, 128, 129, 256, 257];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        let mut dense_seen = 0;
+        for query in [
+            JoinQuery::two_table(6, 8, 7),
+            JoinQuery::two_table(5, 9, 7),
+            JoinQuery::triangle(5),
+        ] {
+            let (h, fz) = layout(&query);
+            let sizes: Vec<usize> = SIZES
+                .into_iter()
+                .chain([h.len()])
+                .filter(|&n| with_distinct_weights(&query, n, 0).is_some())
+                .collect();
+            // Every size fits the two-table layouts; 125 cells hold up to 17.
+            let expected = if h.len() > 257 { SIZES.len() + 1 } else { 7 };
+            assert_eq!(sizes.len(), expected, "{sizes:?}");
+            // Cells with a spread of weights, some of them zero.
+            let mut cells = Histogram::zeros(&query, DEFAULT_MAX_CELLS).unwrap();
+            for (x, f) in cells.weights_mut().iter_mut().enumerate() {
+                *f = if x % 11 == 3 {
+                    0.0
+                } else {
+                    rng.random::<f64>() * 9.0
+                };
+            }
+            let mut sum = cells.clone();
+            sum.scale(0.5);
+            let mut instance = Instance::empty_for(&query).unwrap();
+            for i in 0..query.num_relations() {
+                for _ in 0..40 {
+                    let tuple = query
+                        .relation_attrs(i)
+                        .iter()
+                        .map(|&a| rng.random_range(0..query.schema().domain_size(a).unwrap()))
+                        .collect();
+                    instance
+                        .relation_mut(i)
+                        .add(tuple, rng.random_range(1..4))
+                        .unwrap();
+                }
+            }
+            let join = dpsyn_relational::join(&query, &instance).unwrap();
+            assert!(join.distinct_count() > 0);
+            for len in [1, 7, 8, 9, 17] {
+                for trial in 0..6 {
+                    // Trial 0 is all two-entry palettes: full groups of 8.
+                    let pick: Vec<usize> = (0..len)
+                        .map(|_| match trial {
+                            0 => 2,
+                            _ => sizes[rng.random_range(0..sizes.len())],
+                        })
+                        .collect();
+                    let queries = pick
+                        .iter()
+                        .map(|&n| with_distinct_weights(&query, n, rng.random()).unwrap())
+                        .collect();
+                    let family = QueryFamily::new(&query, queries).unwrap();
+                    let weights = QueryWeights::new(&query, &h, &family).unwrap();
+                    for (j, &n) in pick.iter().enumerate() {
+                        let expected = (n <= PALETTE_SIZE).then_some(n);
+                        assert_eq!(weights.palette_len(j), expected, "query {j} of {pick:?}");
+                        dense_seen += usize::from(expected.is_none());
+                    }
+                    let case = format!("{} cells, palettes {pick:?}", h.len());
+
+                    let mut scores = vec![0.0; len];
+                    weights.answer_all(&cells, &mut scores);
+                    let expected = cells.answer_all(&query, &family).unwrap();
+                    assert_eq!(bits(&scores), bits(&expected), "scores, {case}");
+
+                    let truth = true_answers(&fz, h.attrs(), &query, &join, &family, &weights);
+                    let expected = family.answer_all_on_join(&query, &join).unwrap();
+                    assert_eq!(
+                        bits(&truth.unwrap()),
+                        bits(expected.values()),
+                        "truth, {case}"
+                    );
+
+                    for (j, q) in family.iter().enumerate() {
+                        let eta = rng.random::<f64>() * 2.0 - 1.0;
+                        let (mut current, mut average) = (cells.clone(), sum.clone());
+                        let mass = weights.update_and_accumulate(
+                            j,
+                            &mut current,
+                            &mut average,
+                            eta,
+                            cells.total(),
+                        );
+                        let mut expected = cells.clone();
+                        expected.multiplicative_update(
+                            &cells.query_weight_vector(&query, q).unwrap(),
+                            eta,
+                        );
+                        let mut expected_sum = sum.clone();
+                        expected_sum.accumulate(&expected).unwrap();
+                        assert_eq!(
+                            bits(current.weights()),
+                            bits(expected.weights()),
+                            "query {j}, {case}"
+                        );
+                        assert_eq!(
+                            mass.to_bits(),
+                            expected.total().to_bits(),
+                            "query {j}, {case}"
+                        );
+                        assert_eq!(
+                            bits(average.weights()),
+                            bits(expected_sum.weights()),
+                            "query {j}, {case}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(dense_seen > 0);
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 }

@@ -12,16 +12,18 @@
 //! `q_i` evaluated once over its relation's own domain `dom(x_i)` — and a
 //! cell's weight is the product of its table entries, found by stride
 //! arithmetic while the cells are walked in order (see the `factor`
-//! module).  PMW holds each query's weights for its run as `u8` codes into
-//! a palette of the query's distinct values, or as a dense `f64` vector
-//! only for a query with more than 256 distinct values, and memoises them
-//! in the run's [`ExecContext`].  A workload is answered on one of two
+//! module).  PMW holds a workload's weights for its run as
+//! [`QueryWeights`](crate::QueryWeights) — queries whose palettes of
+//! distinct values fit in one byte share one mixed-radix `u8` code per
+//! cell and a table of weight rows, and only a query with more than 256
+//! distinct values keeps a dense `f64` vector — and memoises them in the
+//! run's [`ExecContext`].  A workload is answered on one of two
 //! paths:
 //!
 //! - [`Histogram::answer_all_in`], given a context, reads those memoised
-//!   weights and scores them in one blocked pass.  This is the path for
-//!   answering a release right after it, over the context that produced
-//!   it: the server's `POST /v1/release` reply takes it.
+//!   weights and scores them with a PMW round's scoring pass.  This is the
+//!   path for answering a release right after it, over the context that
+//!   produced it: the server's `POST /v1/release` reply takes it.
 //! - [`Histogram::answer_all`], with no context, answers the family in one
 //!   streaming walk that multiplies out each cell's weight and stores no
 //!   per-cell weight.  It is the reference the context path is tested
@@ -37,7 +39,7 @@ use dpsyn_relational::{AttrId, ExecContext, JoinQuery, Value};
 use rand::Rng;
 
 use crate::error::PmwError;
-use crate::factor::{self, cell_weight, Factorization};
+use crate::factor::{cell_weight, Factorization};
 use crate::pmw::query_weights;
 use crate::Result;
 
@@ -201,12 +203,14 @@ impl Histogram {
     /// [`Histogram::answer_all`] through an execution context: the per-cell
     /// weights of `family` over this histogram's layout are read from
     /// `ctx`'s context memo, where a [`crate::Pmw::run`] over the same
-    /// layout and family has left them, and scored in one blocked pass.
+    /// layout and family has left them, and scored by
+    /// [`QueryWeights::answer_all`](crate::QueryWeights::answer_all).
     ///
     /// A miss builds the weights exactly as that run would and keeps them
-    /// in `ctx` (a byte per cell per palette-coded query, eight for a
-    /// dense one) in place of the workload it held before, so the next run
-    /// over that workload misses in turn.  Answers equal
+    /// in `ctx` (a code byte per cell per group of palette-coded queries
+    /// plus the group's row table, eight bytes per cell for a dense query)
+    /// in place of the workload it held before, so the next run over that
+    /// workload misses in turn.  Answers equal
     /// [`Histogram::answer_all`]'s bit for bit.
     pub fn answer_all_in(
         &self,
@@ -216,7 +220,7 @@ impl Histogram {
     ) -> Result<Vec<f64>> {
         let weights = query_weights(ctx, query, self, family, &family.key())?;
         let mut answers = vec![0.0; family.len()];
-        factor::answer_all(&weights, &self.weights, &mut answers);
+        weights.answer_all(self, &mut answers);
         Ok(answers)
     }
 

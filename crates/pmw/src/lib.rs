@@ -25,6 +25,7 @@ pub mod pmw;
 pub mod theory;
 
 pub use error::PmwError;
+pub use factor::QueryWeights;
 pub use histogram::Histogram;
 pub use pmw::{Pmw, PmwConfig, PmwOutput};
 pub use theory::{f_lower, f_upper, pmw_error_bound, recommended_iterations};

@@ -17,12 +17,16 @@
 //!
 //! The run is factorized (see the `factor` module): each query's per-cell
 //! weights are built once from its per-relation factor tables and held as
-//! palette codes; the true answers are a row-order gather from those
-//! weights over the join rows; and each round scores every query in one pass
-//! over the cells, computes one `exp` per palette entry, and folds the
-//! renormalisation sum into the update pass.  Every product keeps its
-//! multiply order and every sum its cell or row order, so the released bits
-//! equal those of the direct per-cell evaluation at every thread count.
+//! [`QueryWeights`]: queries whose palettes fit in one byte together share
+//! one mixed-radix code per cell and a table of weight rows, and only a
+//! query with more than 256 distinct weights keeps an `f64` per cell.  The
+//! true answers are a row-order gather from those weights over the join
+//! rows; each round scores every query by reading one table row per cell
+//! and group, computes one `exp` per palette entry of the selected query,
+//! and folds the renormalisation sum into the update pass.  Every product
+//! keeps its multiply order and every sum its cell or row order, so the
+//! released bits equal those of the direct per-cell evaluation at every
+//! thread count.
 //!
 //! Everything before the first round except the noise is the same for every
 //! run over one `(I, Q)` pair, so [`Pmw::run`] memoises it in the
@@ -68,8 +72,9 @@ pub struct PmwConfig {
     /// Cap on the dense joint-domain size.
     pub max_domain_cells: u128,
     /// Cap on `|Q| · |dom(x)|`, the number of per-cell query weights a run
-    /// holds (as palette codes, or `f64`s for a query with more than 256
-    /// distinct weights).
+    /// holds.  The cap counts queries, not bytes: queries whose palettes
+    /// fit in one byte share one code per cell (up to eight to a byte), and
+    /// a query with more than 256 distinct weights holds an `f64` per cell.
     pub max_weight_entries: u128,
 }
 
@@ -216,7 +221,7 @@ impl Pmw {
 
         for _ in 0..k {
             // Line 5: exponential mechanism over the per-query error scores.
-            factor::answer_all(&weights, current.weights(), &mut answers);
+            weights.answer_all(&current, &mut answers);
             let scores: Vec<f64> = answers
                 .iter()
                 .zip(true_answers)
@@ -235,7 +240,7 @@ impl Pmw {
             } else {
                 0.0
             };
-            total = update_and_accumulate(&mut current, &mut average, &weights[j], eta, total);
+            total = weights.update_and_accumulate(j, &mut current, &mut average, eta, total);
         }
         average.scale(1.0 / k as f64);
 
@@ -264,9 +269,9 @@ pub(crate) fn query_weights(
     layout: &Histogram,
     family: &QueryFamily,
     family_key: &[u64],
-) -> Result<Arc<Vec<QueryWeights>>> {
+) -> Result<Arc<QueryWeights>> {
     ctx.context_memo(&weights_key(query, layout, family_key), || {
-        QueryWeights::build(&layout.factorization(query)?, query, family)
+        QueryWeights::new(query, layout, family)
     })
 }
 
@@ -285,41 +290,6 @@ fn weights_key(query: &JoinQuery, histogram: &Histogram, family_key: &[u64]) -> 
     }
     key.extend(family_key);
     key
-}
-
-/// One multiplicative-weights round on `current` followed by
-/// `average += current`; `total` is the mass of `current` before the round,
-/// and the mass after it is returned.
-///
-/// Bit-identical to `current.multiplicative_update(w, eta)` followed by
-/// `average.accumulate(&current)`: the renormalisation sum is taken during
-/// the update pass, and the next round's mass during the accumulate pass,
-/// each in cell order.
-fn update_and_accumulate(
-    current: &mut Histogram,
-    average: &mut Histogram,
-    weights: &QueryWeights,
-    eta: f64,
-    total: f64,
-) -> f64 {
-    let cells = current.weights_mut();
-    let mass = weights.reweight(cells, eta);
-    let sum = average.weights_mut();
-    if mass > 0.0 && total >= 0.0 {
-        let factor = total / mass;
-        let mut next = -0.0;
-        for (f, s) in cells.iter_mut().zip(sum.iter_mut()) {
-            *f *= factor;
-            *s += *f;
-            next += *f;
-        }
-        next
-    } else {
-        for (f, s) in cells.iter().zip(sum.iter_mut()) {
-            *s += f;
-        }
-        mass
-    }
 }
 
 #[cfg(test)]
@@ -500,7 +470,7 @@ mod tests {
                 .unwrap();
             assert_eq!(out.iterations, out.selected_queries.len());
             let key = family.key();
-            let weights: Arc<Vec<QueryWeights>> = ctx
+            let weights: Arc<QueryWeights> = ctx
                 .context_memo(&weights_key(&q, &layout, &key), memoised)
                 .unwrap();
             let truths: Arc<TrueAnswers> = ctx.slot_memo(&q, &inst, &key, memoised).unwrap();
