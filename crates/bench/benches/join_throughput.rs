@@ -14,8 +14,8 @@
 //! row measuring a warm (one `ExecContext`, boundary values memoised across
 //! calls) against a cold (fresh context per call) residual-sensitivity β
 //! sweep,
-//! plus a `sched/*` row comparing the work-stealing lattice populate at 4
-//! workers against the sequential one (`--sched-smoke` runs only this
+//! plus a `sched/*` row comparing the level-by-level sub-join lattice build
+//! at 4 workers against the sequential one (`--sched-smoke` runs only this
 //! group, for CI), measured with its arms interleaved so the recorded
 //! speedup is immune to machine-speed drift between arms.
 
@@ -26,9 +26,7 @@ use dpsyn_bench::{print_table, rows_to_json_pretty, Row};
 use dpsyn_datagen::{heavy_hitter_star, random_star, random_two_table, zipf_two_table};
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive};
-use dpsyn_relational::{
-    join_size, ExecContext, Instance, JoinQuery, Parallelism, ShardedSubJoinCache,
-};
+use dpsyn_relational::{join_size, ExecContext, Instance, JoinQuery, Parallelism, SubJoinLattice};
 use dpsyn_sensitivity::{all_boundary_values, SensitivityOps};
 
 /// Median wall-clock time of `f` over `samples` runs (with one warm-up run),
@@ -117,42 +115,31 @@ fn bench_scaling(label: &str, mut par: impl FnMut(), mut seq: impl FnMut()) -> R
         .with("available_cores", cores as f64)
 }
 
-/// The scheduler group: the morsel-driven work-stealing lattice populate at
-/// [`SCALING_THREADS`] workers vs the sequential populate on a heavy-hitter
-/// skewed star.
-///
-/// Byte-identity of the parallel populate against the sequential one is
-/// asserted for every mask before timing, as is that every mask is claimed
-/// exactly once.  The row records the per-worker claim counts
-/// ([`dpsyn_relational::SchedulerStats`]): the spread tracks actual mask cost
-/// (the worker stuck on the heavy-hitter mask claims few while the others
-/// drain the level) — that spread, not wall-clock (which is capped by
-/// `available_cores`), is the rebalancing evidence.
+/// The scheduler group: the sub-join lattice build
+/// ([`SubJoinLattice::build`], each level's masks claimed by work stealing)
+/// at [`SCALING_THREADS`] workers vs the sequential build on a heavy-hitter
+/// skewed star.  Byte-identity of the parallel build against the sequential
+/// one is asserted for every mask before timing; wall-clock speedup is
+/// capped by `available_cores`.
 fn sched_rows(quick: bool) -> Vec<Row> {
     let per_rel = if quick { 120 } else { 300 };
     let (query, instance) = heavy_hitter_star(4, 64, per_rel, 0.6, &mut seeded_rng(31));
     let m = query.num_relations();
     let par = Parallelism::threads(SCALING_THREADS);
-    // The populate: every proper mask, built level by level along the
-    // fixed-prefix chain.
-    let populated = |par: Parallelism| {
-        let cache = ShardedSubJoinCache::new(&query, &instance).expect("cache");
-        let stats = cache.populate(par).expect("populate");
-        (cache, stats)
-    };
-    let (seq_cache, _) = populated(Parallelism::SEQUENTIAL);
-    let (cache, stats) = populated(par);
-    assert_eq!(stats.total(), (1usize << m) - 2, "every mask claimed once");
+    let build = |par: Parallelism| SubJoinLattice::build(&query, &instance, par).expect("lattice");
+    let sequential = build(Parallelism::SEQUENTIAL);
+    let parallel = build(par);
     for mask in 1u32..((1u32 << m) - 1) {
-        let got = cache.get(mask).expect("populated");
-        let want = seq_cache.get(mask).expect("populated");
         assert!(
-            got.iter_unordered().eq(want.iter_unordered()),
+            parallel
+                .get(mask)
+                .iter_unordered()
+                .eq(sequential.get(mask).iter_unordered()),
             "mask {mask:#b}: parallel lattice must be byte-identical to sequential"
         );
     }
     let run = |par: Parallelism| {
-        black_box(populated(par).1.total());
+        black_box(build(par));
     };
     let probe = Instant::now();
     run(Parallelism::SEQUENTIAL);
@@ -164,16 +151,12 @@ fn sched_rows(quick: bool) -> Vec<Row> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let label = format!("sched/populate/heavy_star{m}/{per_rel}");
     println!(
-        "bench: {label:<32} par  {par_ns:>14.1} ns  seq   {seq_ns:>14.1} ns  speedup {speedup:>6.2}x  claims {:?} ({SCALING_THREADS} threads, {cores} cores)",
-        stats.claimed()
+        "bench: {label:<32} par  {par_ns:>14.1} ns  seq   {seq_ns:>14.1} ns  speedup {speedup:>6.2}x ({SCALING_THREADS} threads, {cores} cores)"
     );
     vec![Row::new(&label)
         .with("par_ns", par_ns)
         .with("seq_ns", seq_ns)
         .with("speedup", speedup)
-        .with("max_claimed", stats.max_claimed() as f64)
-        .with("min_claimed", stats.min_claimed() as f64)
-        .with("morsels", stats.total() as f64)
         .with("threads", SCALING_THREADS as f64)
         .with("available_cores", cores as f64)]
 }
@@ -195,11 +178,11 @@ fn join_scenarios() -> Vec<(String, JoinQuery, Instance)> {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    // CI's scheduler smoke: the morsel scheduler group only (quick sizes,
-    // byte-identity and claim-once asserts included), no JSON write.
+    // CI's scheduler smoke: the lattice build group only (quick sizes,
+    // byte-identity asserts included), no JSON write.
     if std::env::args().any(|a| a == "--sched-smoke") {
         let rows = sched_rows(true);
-        print_table("scheduler smoke — work-stealing lattice populate", &rows);
+        print_table("scheduler smoke — sub-join lattice build", &rows);
         return;
     }
     let mut rows = Vec::new();
@@ -356,7 +339,7 @@ fn main() {
         );
     }
 
-    // --- Morsel scheduler: stealing populate vs sequential ------------------
+    // --- Lattice build: work stealing vs sequential -------------------------
     rows.extend(sched_rows(quick));
 
     print_table("join_throughput — hash engine vs naive reference", &rows);

@@ -10,7 +10,7 @@
 //! at a new smoothing parameter `β` needs the same boundary values `T_F(I)`,
 //! and every repeated release over the same instance needs the same full
 //! join, `count(I)` and true answers.  The context keeps those *values*, not
-//! the machinery that computes them: a [`crate::ShardedSubJoinCache`] is a
+//! the machinery that computes them: a [`crate::SubJoinLattice`] is a
 //! local of each computation and is dropped when it returns, while the
 //! values it yields are memoised in the pair's slot
 //! ([`ExecContext::slot_memo`]) — so a *warm* context answers a `β` sweep
@@ -74,25 +74,22 @@
 
 use std::any::{Any, TypeId};
 use std::hash::Hasher;
-use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use crate::attr::AttrId;
-use crate::exec::{self, Parallelism};
+use crate::exec::Parallelism;
 use crate::hash::{FxHashMap, FxHasher};
 use crate::hypergraph::JoinQuery;
 use crate::instance::Instance;
-use crate::join::{
-    grouped_join_size_impl, join_impl, join_size_impl, join_subset_impl, JoinResult,
-};
+use crate::join::{join_impl, join_size_impl, join_subset_impl, JoinResult};
 use crate::stream::{self, UpdateBatch};
 use crate::tuple::Value;
 use crate::Result;
 
 /// Default threshold (total distinct tuples across relations) below which
-/// multi-threaded entry points take the sequential code paths — pool and
-/// shard-lock overhead would dominate such tiny joins.  Results are
-/// identical either way; only wall-clock differs.
+/// multi-threaded entry points take the sequential code paths — pool
+/// overhead would dominate such tiny joins.  Results are identical either
+/// way; only wall-clock differs.
 pub const DEFAULT_MIN_PAR_INSTANCE: usize = 2048;
 
 /// Number of `(query, instance)` slots the persistent cache LRU keeps warm
@@ -388,18 +385,6 @@ impl ExecContext {
         join_size_impl(query, instance, self.parallelism)
     }
 
-    /// Joins the relation subset `rels` and groups by `group_by` (the
-    /// `T_{E,y}` substrate).
-    pub fn grouped_join_size(
-        &self,
-        query: &JoinQuery,
-        instance: &Instance,
-        rels: &[usize],
-        group_by: &[AttrId],
-    ) -> Result<std::collections::BTreeMap<Vec<Value>, u128>> {
-        grouped_join_size_impl(query, instance, rels, group_by, self.parallelism)
-    }
-
     /// The degree map `deg_{E,y}` of Definition 4.7
     /// ([`crate::degree::deg_multi`]), joining at this context's
     /// parallelism.  A map over `|E| > 1` relations is memoised in the
@@ -619,27 +604,6 @@ impl ExecContext {
         state.slots.clear();
         state.memo.clear();
         state.evictions = EvictionStats::default();
-    }
-
-    // --- worker-pool access -------------------------------------------------
-
-    /// Runs `f(0), …, f(tasks - 1)` on this context's worker pool, returning
-    /// results in task order (see [`exec::par_map`]).
-    pub fn par_map<T, F>(&self, tasks: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        exec::par_map(self.parallelism, tasks, f)
-    }
-
-    /// Range-partitioned worker-pool map (see [`exec::par_map_ranges`]).
-    pub fn par_map_ranges<T, F>(&self, len: usize, min_chunk: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        exec::par_map_ranges(self.parallelism, len, min_chunk, f)
     }
 }
 

@@ -16,8 +16,7 @@
 //! until the counter passes the morsel count.  A worker stuck on a heavy
 //! morsel (a skewed hash bucket, a hot lattice subset) simply claims fewer
 //! morsels while the others drain the queue, so imbalance self-corrects
-//! without any cost model.  [`SchedulerStats`] reports how many morsels each
-//! worker actually claimed so benches can show the rebalancing directly.
+//! without any cost model.
 //!
 //! ### Determinism contract
 //!
@@ -41,7 +40,7 @@
 //!
 //! Consequently `Parallelism::threads(1)`, `threads(4)` and `threads(64)`, at
 //! any morsel size down to 1, all produce identical bytes; only wall-clock
-//! time and the per-worker claim counts differ.
+//! time differs.
 //!
 //! ### Panic handling
 //!
@@ -141,159 +140,28 @@ impl Default for Parallelism {
     }
 }
 
-/// Per-invocation scheduler telemetry: how many morsels each worker claimed.
-///
-/// On a skewed workload the spread between
-/// [`max_claimed`](SchedulerStats::max_claimed) and
-/// [`min_claimed`](SchedulerStats::min_claimed) shows the rebalancing at
-/// work — the worker that drew the heavy morsel claims few, the others pick
-/// up the slack.
-#[derive(Debug, Clone, Default)]
-pub struct SchedulerStats {
-    claimed: Vec<usize>,
-}
-
-impl SchedulerStats {
-    /// Builds stats from explicit per-worker claim counts (index 0 is the
-    /// calling thread) — for callers that run work inline outside the pool
-    /// but still want it accounted in an [`absorb`](Self::absorb) aggregate.
-    pub fn from_claims(claimed: Vec<usize>) -> Self {
-        SchedulerStats { claimed }
-    }
-
-    /// Morsels claimed per worker; index 0 is the calling thread.
-    pub fn claimed(&self) -> &[usize] {
-        &self.claimed
-    }
-
-    /// The number of workers that participated.
-    pub fn workers(&self) -> usize {
-        self.claimed.len()
-    }
-
-    /// Total morsels executed.
-    pub fn total(&self) -> usize {
-        self.claimed.iter().sum()
-    }
-
-    /// The largest per-worker claim count (0 if no workers ran).
-    pub fn max_claimed(&self) -> usize {
-        self.claimed.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The smallest per-worker claim count (0 if no workers ran).
-    pub fn min_claimed(&self) -> usize {
-        self.claimed.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Accumulates another invocation's counts into this one, worker by
-    /// worker (used to aggregate stats across the levels of a lattice
-    /// populate).  Worker lists of different lengths are zero-padded.
-    pub fn absorb(&mut self, other: &SchedulerStats) {
-        if self.claimed.len() < other.claimed.len() {
-            self.claimed.resize(other.claimed.len(), 0);
-        }
-        for (mine, theirs) in self.claimed.iter_mut().zip(other.claimed.iter()) {
-            *mine += *theirs;
-        }
-    }
-}
-
 /// Claims morsel indices from the shared `counter` until it passes `tasks`,
-/// running `run(i)` on each; returns how many morsels this worker claimed.
+/// running `run(i)` on each until `run` returns `false`.
 #[inline]
-fn claim_until_done(
-    counter: &AtomicUsize,
-    tasks: usize,
-    mut run: impl FnMut(usize) -> bool,
-) -> usize {
-    let mut claimed = 0usize;
+fn claim_until_done(counter: &AtomicUsize, tasks: usize, mut run: impl FnMut(usize) -> bool) {
     loop {
         let i = counter.fetch_add(1, Ordering::Relaxed);
-        if i >= tasks {
-            return claimed;
-        }
-        claimed += 1;
-        if !run(i) {
-            return claimed;
+        if i >= tasks || !run(i) {
+            return;
         }
     }
-}
-
-/// Runs `f(0), …, f(tasks - 1)` on up to `par` workers and returns the
-/// results **in task order** plus the per-worker claim counts.
-///
-/// This is the scheduler core: morsel indices are stolen from a shared
-/// counter, workers 1… send `(index, result)` pairs over a channel while
-/// worker 0 (the calling thread) claims from the same queue and fills its
-/// own slots directly, and the slot vector — indexed by task — is the
-/// merge-in-morsel-order step that makes output independent of who ran
-/// what.  With `par = 1` or `tasks ≤ 1` everything runs inline: no thread
-/// is spawned and the stats report one worker claiming everything.
-///
-/// A panicking task propagates its payload to the caller after all workers
-/// have been joined (see the module docs).
-pub fn par_map_stats<T, F>(par: Parallelism, tasks: usize, f: F) -> (Vec<T>, SchedulerStats)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = par.get().min(tasks.max(1));
-    if workers <= 1 {
-        let out: Vec<T> = (0..tasks).map(f).collect();
-        return (
-            out,
-            SchedulerStats {
-                claimed: vec![tasks],
-            },
-        );
-    }
-
-    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-    let counter = AtomicUsize::new(0);
-    let claim_counts: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        let f = &f;
-        let counter = &counter;
-        let claim_counts = &claim_counts;
-        for count in claim_counts.iter().skip(1) {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                // A closed receiver means the coordinator bailed out (it
-                // panicked in its own morsels); stop early.
-                let claimed = claim_until_done(counter, tasks, |i| tx.send((i, f(i))).is_ok());
-                count.store(claimed, Ordering::Relaxed);
-            });
-        }
-        drop(tx);
-        // Worker 0 claims from the same queue inline on the calling thread.
-        let claimed = claim_until_done(counter, tasks, |i| {
-            slots[i] = Some(f(i));
-            true
-        });
-        claim_counts[0].store(claimed, Ordering::Relaxed);
-        // Collect until every sender is gone.  If a worker panicked, its
-        // sender is dropped early, the loop ends, and the scope re-raises
-        // the panic when joining below.
-        for (i, value) in rx {
-            slots[i] = Some(value);
-        }
-    });
-    let out: Vec<T> = slots
-        .into_iter()
-        .map(|s| s.expect("all workers completed (scope propagates panics)"))
-        .collect();
-    let claimed = claim_counts
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed))
-        .collect();
-    (out, SchedulerStats { claimed })
 }
 
 /// Runs `f(0), …, f(tasks - 1)` on up to `par` workers and returns the
 /// results **in task order**, claiming tasks by work stealing.  Each task is
 /// its own morsel, so this is the maximal-interleaving case (morsel size 1).
+///
+/// Morsel indices are stolen from a shared counter: workers 1… send
+/// `(index, result)` pairs over a channel while worker 0 (the calling
+/// thread) claims from the same queue and fills its own slots directly, and
+/// the slot vector — indexed by task — is the merge-in-morsel-order step
+/// that makes output independent of who ran what.  With `par = 1` or
+/// `tasks ≤ 1` everything runs inline and no thread is spawned.
 ///
 /// A panicking task propagates its payload to the caller after all workers
 /// have been joined (see the module docs).
@@ -302,7 +170,42 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_map_stats(par, tasks, f).0
+    let workers = par.get().min(tasks.max(1));
+    if workers <= 1 {
+        return (0..tasks).map(f).collect();
+    }
+
+    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
+    let counter = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<(usize, T)>();
+        let f = &f;
+        let counter = &counter;
+        for _ in 1..workers {
+            let tx = tx.clone();
+            scope.spawn(move || {
+                // A closed receiver means the coordinator bailed out (it
+                // panicked in its own morsels); stop early.
+                claim_until_done(counter, tasks, |i| tx.send((i, f(i))).is_ok());
+            });
+        }
+        drop(tx);
+        // Worker 0 claims from the same queue inline on the calling thread.
+        claim_until_done(counter, tasks, |i| {
+            slots[i] = Some(f(i));
+            true
+        });
+        // Collect until every sender is gone.  If a worker panicked, its
+        // sender is dropped early, the loop ends, and the scope re-raises
+        // the panic when joining below.
+        for (i, value) in rx {
+            slots[i] = Some(value);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("all workers completed (scope propagates panics)"))
+        .collect()
 }
 
 /// Splits `0..len` into at most `chunks` contiguous ranges of near-equal
@@ -421,23 +324,9 @@ mod tests {
         };
         let expect: Vec<u64> = (0..311).map(f).collect();
         for threads in [1, 2, 4, 8] {
-            let (got, stats) = par_map_stats(Parallelism::threads(threads), 311, f);
+            let got = par_map(Parallelism::threads(threads), 311, f);
             assert_eq!(got, expect, "threads={threads}");
-            assert_eq!(stats.total(), 311, "every morsel claimed exactly once");
-            assert!(stats.workers() >= 1 && stats.workers() <= threads);
         }
-    }
-
-    #[test]
-    fn scheduler_stats_absorb_pads_and_sums() {
-        let mut a = SchedulerStats {
-            claimed: vec![2, 1],
-        };
-        a.absorb(&SchedulerStats {
-            claimed: vec![1, 1, 5],
-        });
-        assert_eq!(a.claimed(), &[3, 2, 5]);
-        assert_eq!(a.total(), 10);
     }
 
     #[test]

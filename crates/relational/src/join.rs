@@ -44,7 +44,7 @@
 //!
 //! The probe loop of each binary step is partitioned into contiguous
 //! probe-row morsels and driven through the work-stealing worker pool of
-//! [`crate::exec`] (see [`hash_join_step_with`]).  Each worker probes the
+//! [`crate::exec`] (see `hash_join_step_with`).  Each worker probes the
 //! shared frozen index and emits into its own flat buffer; the per-morsel
 //! buffers are concatenated **in morsel order**, which reproduces the
 //! sequential emission order byte for byte at every worker count no matter
@@ -521,7 +521,7 @@ fn probe_rows<'a>(
 /// distinct merged tuples.  Weight multiplication saturates instead of
 /// wrapping, so adversarial worst-case instances degrade gracefully rather
 /// than overflow-panicking.
-pub fn hash_join_step_with(
+pub(crate) fn hash_join_step_with(
     acc: &JoinResult,
     rel: &Relation,
     par: Parallelism,
@@ -740,24 +740,12 @@ pub fn grouped_join_size(
     rels: &[usize],
     group_by: &[AttrId],
 ) -> Result<BTreeMap<Vec<Value>, u128>> {
-    grouped_join_size_impl(query, instance, rels, group_by, Parallelism::default())
-}
-
-/// Shared implementation behind [`grouped_join_size`] and
-/// [`crate::ExecContext::grouped_join_size`].
-pub(crate) fn grouped_join_size_impl(
-    query: &JoinQuery,
-    instance: &Instance,
-    rels: &[usize],
-    group_by: &[AttrId],
-    par: Parallelism,
-) -> Result<BTreeMap<Vec<Value>, u128>> {
     if rels.is_empty() {
         let mut out = BTreeMap::new();
         out.insert(Vec::new(), 1u128);
         return Ok(out);
     }
-    join_subset_impl(query, instance, rels, par)?.group_by(group_by)
+    join_subset(query, instance, rels)?.group_by(group_by)
 }
 
 #[cfg(test)]

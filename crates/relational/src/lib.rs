@@ -12,7 +12,7 @@
 //! * multi-way natural **hash-join** evaluation and grouped join sizes
 //!   ([`join`](mod@join)), with the original `BTreeMap` engine retained as
 //!   a cross-check oracle ([`naive`]),
-//! * shared sub-join caching for relation-subset enumerations ([`cache`]),
+//! * the sub-join lattice behind relation-subset enumerations ([`lattice`]),
 //! * validated streaming insert/delete batches ([`stream`]),
 //! * degree statistics `deg`, `Ψ_E` and maximum degrees `mdeg` ([`degree`]),
 //! * attribute trees for hierarchical joins ([`tree`]),
@@ -54,37 +54,32 @@
 //!
 //! # The sub-join lattice
 //!
-//! [`ShardedSubJoinCache`] memoises sub-join results per subset bitmask so that
-//! `2^m`-subset enumerations (residual sensitivity, multi-relation degree
-//! statistics) perform one hash-join step per distinct subset instead of
-//! re-joining from the base relations each time.  Each subset is built from
-//! the subset minus its highest relation index (the fixed-prefix chain), so
-//! every consumer decomposes the lattice identically.  It has two entry
-//! points, both `&self`: [`ShardedSubJoinCache::populate`] materialises
-//! every proper subset level by level through the worker pool, and the lazy
-//! read [`ShardedSubJoinCache::join_mask`] evaluates one mask along its
-//! chain, memoising the read mask itself or — with [`Keep::Chain`] — only
-//! its chain parents.  A sub-join is the same weighted tuple set under
-//! every decomposition and lattice entries are read only as join inputs
-//! and through integer aggregates, so the output bytes equal the naive
-//! oracle's at every thread count.
+//! [`SubJoinLattice::build`] joins every non-empty proper subset of a
+//! query's relations, one hash-join step per subset, so that residual
+//! sensitivity's `2^m`-subset enumeration does not re-join each subset
+//! from the base relations.  Each subset is built from the subset minus its
+//! highest relation index (the fixed-prefix chain), walking the lattice
+//! level by level with each level's subsets spread over the worker pool;
+//! [`SubJoinLattice::get`] reads one subset by bitmask.  A sub-join is the
+//! same weighted tuple set under every decomposition and lattice entries
+//! are read only as join inputs and through integer aggregates, so the output bytes equal the
+//! naive oracle's at every thread count.
 //!
 //! # Parallel execution
 //!
 //! The [`exec`] module provides a dependency-free scoped worker pool with a
 //! [`Parallelism`] knob and a **morsel-driven, work-stealing scheduler**:
 //! work is cut into fixed-size index morsels that workers claim dynamically
-//! from a shared atomic counter, and per-worker claim counts surface through
-//! [`SchedulerStats`].  The join engine's probe loops partition across the
-//! pool ([`join::hash_join_step_with`]) and [`ShardedSubJoinCache`]
-//! populates each lattice level by stealing — with outputs that are
-//! **byte-identical** to sequential execution at every worker count and
-//! morsel size (morsel boundaries are pure functions of the input length
-//! and results merge in morsel order; only *claiming* order varies), so the
-//! determinism contract above is unchanged.  Defaults come from [`Parallelism::available`] (the
-//! `DPSYN_THREADS` environment variable — read once per process — or the
-//! machine's core count); `Parallelism::SEQUENTIAL` is the exact
-//! single-threaded code path.
+//! from a shared atomic counter.  The join engine's probe loops partition
+//! across the pool (see the [`join`](mod@join) module docs) and
+//! [`SubJoinLattice::build`] spreads each lattice level's subsets over it —
+//! with outputs that are **byte-identical** to sequential execution at
+//! every worker count and morsel size (morsel boundaries are pure functions
+//! of the input length and results merge in morsel order; only *claiming*
+//! order varies), so the determinism contract above is unchanged.
+//! Defaults come from [`Parallelism::available`] (the `DPSYN_THREADS`
+//! environment variable — read once per process — or the machine's core
+//! count); `Parallelism::SEQUENTIAL` is the exact single-threaded code path.
 //!
 //! The probe loops themselves are **batched**: probe keys are projected and
 //! hashed a batch at a time before the chains are walked (see the
@@ -115,7 +110,6 @@
 #![warn(missing_docs)]
 
 pub mod attr;
-pub mod cache;
 pub mod context;
 pub mod cover;
 pub mod degree;
@@ -125,6 +119,7 @@ pub mod hash;
 pub mod hypergraph;
 pub mod instance;
 pub mod join;
+pub mod lattice;
 pub mod naive;
 pub mod relation;
 pub mod stream;
@@ -132,7 +127,6 @@ pub mod tree;
 pub mod tuple;
 
 pub use attr::{AttrId, Attribute, Schema};
-pub use cache::{Keep, ShardedSubJoinCache};
 pub use context::{
     instance_fingerprint, EvictionStats, ExecContext, UpdateReport, DEFAULT_CACHE_SLOTS,
     DEFAULT_MIN_PAR_INSTANCE,
@@ -140,13 +134,12 @@ pub use context::{
 pub use cover::{agm_bound, fractional_edge_cover, fractional_edge_cover_number};
 pub use degree::{deg_multi, deg_single, max_degree, psi};
 pub use error::RelationalError;
-pub use exec::{Parallelism, SchedulerStats};
+pub use exec::Parallelism;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hypergraph::JoinQuery;
 pub use instance::{Instance, NeighborEdit};
-pub use join::{
-    fold_order, grouped_join_size, hash_join_step_with, join, join_size, join_subset, JoinResult,
-};
+pub use join::{fold_order, grouped_join_size, join, join_size, join_subset, JoinResult};
+pub use lattice::SubJoinLattice;
 pub use relation::Relation;
 pub use stream::{apply_batch, UpdateBatch, UpdateOp};
 pub use tree::AttributeTree;

@@ -7,9 +7,7 @@
 //! hierarchical machinery of Section 4.2 upper-bounds them by products of
 //! maximum degrees.
 
-use dpsyn_relational::{
-    grouped_join_size, AttrId, Instance, JoinQuery, Keep, Parallelism, ShardedSubJoinCache,
-};
+use dpsyn_relational::{grouped_join_size, AttrId, Instance, JoinQuery};
 
 use crate::Result;
 
@@ -32,38 +30,6 @@ pub fn aggregate_query(
     }
     let groups = grouped_join_size(query, instance, e, y)?;
     Ok(groups.values().copied().max().unwrap_or(0))
-}
-
-/// [`aggregate_query`] evaluated through a [`ShardedSubJoinCache`], so that
-/// enumerating many subsets `E` of the same instance shares sub-join work
-/// (the `2^m` enumeration of residual sensitivity in particular).  Safe to
-/// call from pool workers enumerating subsets in parallel.
-pub fn aggregate_query_sharded(
-    cache: &ShardedSubJoinCache<'_>,
-    e: &[usize],
-    y: &[AttrId],
-    par: Parallelism,
-) -> Result<u128> {
-    if e.is_empty() {
-        return Ok(1);
-    }
-    let mask = cache.mask_of(e)?;
-    Ok(cache
-        .join_mask(mask, par, Keep::Target)?
-        .max_group_weight(y)?)
-}
-
-/// [`boundary_query`] evaluated through a [`ShardedSubJoinCache`].
-pub fn boundary_query_sharded(
-    cache: &ShardedSubJoinCache<'_>,
-    e: &[usize],
-    par: Parallelism,
-) -> Result<u128> {
-    if e.is_empty() {
-        return Ok(1);
-    }
-    let boundary = cache.query().boundary(e)?;
-    aggregate_query_sharded(cache, e, &boundary, par)
 }
 
 /// The maximum boundary query `T_E(I) = T_{E, ∂E}(I)` of Equation (1).

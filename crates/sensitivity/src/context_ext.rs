@@ -3,18 +3,18 @@
 //!
 //! These methods are the primary API of the crate (the plain free functions
 //! build a throwaway context per call).  Running through a **long-lived**
-//! context changes the cost model, not the results.  Each call enumerates
-//! its subsets through a [`ShardedSubJoinCache`] of its own, dropped on
-//! return; what persists is the values: the boundary map `T_F(I)` and
-//! `RS^β(I)` are memoised in the pair's slot
-//! ([`ExecContext::slot_memo`]), so a residual sensitivity at a new `β`
-//! over the same `(query, instance)` pair runs only its sweep.
+//! context changes the cost model, not the results.  A cold call builds a
+//! [`SubJoinLattice`] of its own and drops it on return; what persists is
+//! the values: the boundary map `T_F(I)` and `RS^β(I)` are memoised in the
+//! pair's slot ([`ExecContext::slot_memo`]).  Local sensitivity and a
+//! residual sensitivity at a new `β` over the same `(query, instance)` pair
+//! read the memoised map, so they build nothing.
 //!
 //! ### Determinism
 //!
 //! Warm or cold, sequential or parallel, the returned values are identical:
 //! a memo hit returns the value its cold computation returned, a sub-join is
-//! the same weighted tuple set under every decomposition, the engine's
+//! the same weighted tuple set at every parallelism, the engine's
 //! worker pools steal work in morsels
 //! whose results merge in morsel order (claiming order is invisible — see
 //! `dpsyn_relational::exec`), and the aggregates consumed here (`max` over
@@ -26,9 +26,8 @@
 use std::collections::BTreeMap;
 
 use dpsyn_relational::exec;
-use dpsyn_relational::{ExecContext, Instance, JoinQuery, Keep, Parallelism, ShardedSubJoinCache};
+use dpsyn_relational::{ExecContext, Instance, JoinQuery, SubJoinLattice};
 
-use crate::boundary::{boundary_query, boundary_query_sharded};
 use crate::residual::{check_beta, maximize_over_assignments, BoundaryTable, ResidualSensitivity};
 use crate::Result;
 
@@ -40,9 +39,10 @@ use crate::Result;
 /// methods.
 pub trait SensitivityOps {
     /// `T_F(I)` for every proper subset `F ⊊ [m]`, keyed by the sorted
-    /// subset (the empty subset maps to 1).  The map is memoised in the
-    /// pair's slot ([`ExecContext::slot_memo`]), so a warm context builds
-    /// the sub-join lattice for it once.
+    /// subset (the empty subset maps to 1).  A cold call builds the pair's
+    /// [`SubJoinLattice`] and reads each subset's `max_group_weight` over
+    /// its boundary; the map is memoised in the pair's slot
+    /// ([`ExecContext::slot_memo`]), so a warm context builds nothing.
     fn all_boundary_values(
         &self,
         query: &JoinQuery,
@@ -62,7 +62,10 @@ pub trait SensitivityOps {
         beta: f64,
     ) -> Result<ResidualSensitivity>;
 
-    /// Local sensitivity `LS_count(I) = max_i T_{[m]∖{i}}(I)`.
+    /// Local sensitivity `LS_count(I) = max_i T_{[m]∖{i}}(I)`: the largest
+    /// size-`(m-1)` entry of the memoised boundary map
+    /// ([`SensitivityOps::all_boundary_values`]), so `LS = T_∅ = 1` when
+    /// `m = 1`.
     fn local_sensitivity(&self, query: &JoinQuery, instance: &Instance) -> Result<u128>;
 }
 
@@ -74,19 +77,17 @@ impl SensitivityOps for ExecContext {
     ) -> Result<BTreeMap<Vec<usize>, u128>> {
         let values = self.slot_memo(query, instance, &[], || {
             let m = query.num_relations();
-            let cache = ShardedSubJoinCache::new(query, instance)?;
             let par = self.effective_parallelism(instance);
-            if !par.is_sequential() {
-                // Every proper mask is materialised level by level through
-                // the pool; the reads below then only group the cached
-                // tuples.
-                cache.populate(par)?;
-            }
+            let lattice = SubJoinLattice::build(query, instance, par)?;
             let full = (1u32 << m) - 1;
             let entries = exec::par_map(par, full as usize, |i| -> Result<(Vec<usize>, u128)> {
                 let mask = i as u32;
                 let f: Vec<usize> = (0..m).filter(|r| mask & (1 << r) != 0).collect();
-                let value = boundary_query_sharded(&cache, &f, Parallelism::SEQUENTIAL)?;
+                let value = if mask == 0 {
+                    1
+                } else {
+                    lattice.get(mask).max_group_weight(&query.boundary(&f)?)?
+                };
                 Ok((f, value))
             });
             entries.into_iter().collect::<Result<BTreeMap<_, _>>>()
@@ -140,37 +141,13 @@ impl SensitivityOps for ExecContext {
 
     fn local_sensitivity(&self, query: &JoinQuery, instance: &Instance) -> Result<u128> {
         let m = query.num_relations();
-        // Beyond the bitmask cache's representation limit there is no
-        // lattice: each target is joined directly.
-        let cache = if m < 32 {
-            Some(ShardedSubJoinCache::new(query, instance)?)
-        } else {
-            None
-        };
-        let par = self.effective_parallelism(instance);
-        // One lazy walk per target at every thread count, with the
-        // parallelism spent inside the join steps.  The m size-(m-1)
-        // targets are each consumed once and can dwarf the inputs, so only
-        // their chain parents are memoised while the call runs.
-        let mut best = 0u128;
-        for i in 0..m {
-            let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-            if others.is_empty() {
-                best = best.max(1);
-                continue;
-            }
-            let t = match &cache {
-                Some(cache) => {
-                    let boundary = query.boundary(&others)?;
-                    cache
-                        .join_mask(cache.mask_of(&others)?, par, Keep::Chain)?
-                        .max_group_weight(&boundary)?
-                }
-                None => boundary_query(query, instance, &others)?,
-            };
-            best = best.max(t);
-        }
-        Ok(best)
+        let boundary_values = self.all_boundary_values(query, instance)?;
+        Ok(boundary_values
+            .into_iter()
+            .filter(|(f, _)| f.len() + 1 == m)
+            .map(|(_, t)| t)
+            .max()
+            .unwrap_or(0))
     }
 }
 
@@ -218,15 +195,21 @@ mod tests {
     fn cold_sensitivity_calls_keep_values_not_joins() {
         let (q, inst) = two_table();
         let ctx = ExecContext::sequential();
-        // Local sensitivity memoises nothing: its lattice dies with the call.
-        ctx.local_sensitivity(&q, &inst).unwrap();
-        assert_eq!(ctx.cached_instances(), 0);
         // A cold residual sensitivity claims exactly one slot, for its
         // memoised values, and keeps no join result in it.
         ctx.residual_sensitivity(&q, &inst, 0.3).unwrap();
         assert_eq!(ctx.cached_instances(), 1);
         assert_eq!(ctx.cached_subjoin_bytes(), 0);
         assert_eq!(ctx.cache_stats(), (0, 2), "RS^β and boundary map miss");
+        // Local sensitivity then reads the memoised boundary map: one hit,
+        // no new slot, no lattice.
+        assert_eq!(
+            ctx.local_sensitivity(&q, &inst).unwrap(),
+            local_sensitivity(&q, &inst).unwrap()
+        );
+        assert_eq!(ctx.cache_stats(), (1, 2));
+        assert_eq!(ctx.cached_instances(), 1);
+        assert_eq!(ctx.cached_subjoin_bytes(), 0);
     }
 
     #[test]
@@ -265,6 +248,28 @@ mod tests {
             &weak.upgrade().unwrap(),
             &memoised()
         ));
+    }
+
+    #[test]
+    fn single_relation_query_has_a_unit_boundary_map() {
+        let q = JoinQuery::star(1, 8).unwrap();
+        let mut inst = Instance::empty_for(&q).unwrap();
+        inst.relation_mut(0).add(vec![0, 1], 3).unwrap();
+        inst.relation_mut(0).add(vec![2, 5], 4).unwrap();
+        for threads in [1usize, 4] {
+            let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
+            let map = ctx.all_boundary_values(&q, &inst).unwrap();
+            assert_eq!(map, BTreeMap::from([(Vec::new(), 1)]), "threads {threads}");
+            // LS = T_∅ = 1: one added tuple adds exactly one join result.
+            assert_eq!(ctx.local_sensitivity(&q, &inst).unwrap(), 1);
+            // RS^β = max_k e^{-βk}·T_∅ = 1, at distance 0.
+            let rs = ctx.residual_sensitivity(&q, &inst, 0.5).unwrap();
+            assert_eq!(
+                (rs.value, rs.maximizing_distance),
+                (1.0, 0),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]

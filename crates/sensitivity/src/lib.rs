@@ -24,8 +24,10 @@
 //! ([`dpsyn_relational::exec`]), the small-instance sequential fallback
 //! ([`ExecContext::min_par_instance`](dpsyn_relational::ExecContext::min_par_instance)),
 //! and — on a long-lived context (`dpsyn::Session`) — a **slot memo** of
-//! the boundary values and `RS^β`, so a `β` sweep over one instance
-//! builds its sub-join lattice once.
+//! the boundary values and `RS^β`.  The boundary values come from one
+//! [`SubJoinLattice`](dpsyn_relational::SubJoinLattice) built per cold call
+//! and dropped on return; local sensitivity and every `RS^β` read the
+//! memoised map, so a `β` sweep over one instance builds the lattice once.
 //! Results are byte-identical at every parallelism level and on warm or
 //! cold caches.  `ExecContext` is the only place
 //! these execution settings live; the plain free functions use a throwaway
@@ -44,9 +46,7 @@ pub mod mdeg_bound;
 pub mod residual;
 pub mod smooth;
 
-pub use boundary::{
-    aggregate_query, aggregate_query_sharded, boundary_query, boundary_query_sharded,
-};
+pub use boundary::{aggregate_query, boundary_query};
 pub use config::{DegreeConfiguration, UniformPartitionSpec};
 pub use context_ext::SensitivityOps;
 pub use error::SensitivityError;

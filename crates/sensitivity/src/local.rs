@@ -22,8 +22,8 @@ use crate::Result;
 /// Local sensitivity `LS_count(I) = max_i T_{[m]∖{i}}(I)` of the counting
 /// query, on [`ExecContext::default`].
 ///
-/// The `m` size-`(m-1)` sub-joins overlap heavily, so they are evaluated
-/// through one sub-join lattice that shares their chain parents
+/// The `T_{[m]∖{i}}` are the size-`(m-1)` entries of the boundary map that
+/// residual sensitivity reads, so this reads that map
 /// ([`SensitivityOps::local_sensitivity`]).
 pub fn local_sensitivity(query: &JoinQuery, instance: &Instance) -> Result<u128> {
     ExecContext::default().local_sensitivity(query, instance)

@@ -675,8 +675,8 @@ mod tests {
     #[test]
     fn parallel_enumeration_matches_sequential() {
         // Large enough (≥ DEFAULT_MIN_PAR_INSTANCE distinct tuples) that the
-        // multi-thread calls really take the sharded-cache path instead of
-        // the small-instance sequential fallback.
+        // multi-thread calls really build the lattice on the pool instead
+        // of taking the small-instance sequential fallback.
         let q = JoinQuery::star(4, 64).unwrap();
         let mut inst = Instance::empty_for(&q).unwrap();
         for r in 0..4usize {

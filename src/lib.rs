@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`session`] | (this crate) | [`Session`] + [`ReleaseRequest`]: the long-lived entry point owning one `ExecContext`: parallelism, the other execution settings and the persistent caches |
-//! | [`relational`] | `dpsyn-relational` | schemas, annotated relations, join hypergraphs, the hash-join engine (columnar `JoinResult`, inline `TupleKey`), the `ExecContext` execution layer, the `ShardedSubJoinCache` for subset enumerations, degrees, attribute trees, plus the retained `naive` reference engine |
+//! | [`relational`] | `dpsyn-relational` | schemas, annotated relations, join hypergraphs, the hash-join engine (columnar `JoinResult`, inline `TupleKey`), the `ExecContext` execution layer, the `SubJoinLattice` behind subset enumerations, degrees, attribute trees, plus the retained `naive` reference engine |
 //! | [`noise`] | `dpsyn-noise` | Laplace / truncated Laplace, exponential mechanism, privacy budgets & composition |
 //! | [`sensitivity`] | `dpsyn-sensitivity` | local, global, and residual sensitivity; maximum degrees; degree configurations |
 //! | [`query`] | `dpsyn-query` | linear query families over joins and their evaluation |
@@ -150,8 +150,8 @@
 //! [`relational::TupleKey`], multi-way joins pick their fold order by
 //! relation size, and the `2^m` relation-subset enumerations behind residual
 //! sensitivity share sub-join work through a
-//! [`relational::ShardedSubJoinCache`] local to each call, while
-//! [`Session`] / [`relational::ExecContext`] keep the values it yields
+//! [`relational::SubJoinLattice`] built level by level inside each cold
+//! call, while [`Session`] / [`relational::ExecContext`] keep the values it yields
 //! **across calls** (a small per-instance LRU of full joins and memoised
 //! release values), so repeated releases and sensitivity sweeps over a
 //! working set of instances build the lattice once

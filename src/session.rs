@@ -37,8 +37,9 @@
 //! The expensive substrate of the releases is shared **across calls**: the
 //! full join used for truth evaluation and the boundary values `T_F(I)`
 //! that residual sensitivity reads off the `2^m` sub-join lattice are kept
-//! in the session (the lattice itself is built and dropped inside each
-//! sensitivity call).  A session keeps a small **LRU of per-instance
+//! in the session (the lattice itself is built and dropped inside the cold
+//! call that first needs those values; local sensitivity and every later
+//! `RS^β` read the kept map).  A session keeps a small **LRU of per-instance
 //! slots** ([`dpsyn_relational::DEFAULT_CACHE_SLOTS`]), each keyed by a
 //! structural fingerprint of the data
 //! ([`dpsyn_relational::instance_fingerprint`]): repeat releases,
@@ -294,7 +295,9 @@ impl Session {
 
     // --- sensitivity -------------------------------------------------------
 
-    /// Local sensitivity `LS_count(I)` at the session's parallelism.
+    /// Local sensitivity `LS_count(I)`, read off the session's memoised
+    /// boundary values (built once per instance, at the session's
+    /// parallelism).
     pub fn local_sensitivity(
         &self,
         query: &JoinQuery,

@@ -12,9 +12,7 @@ use dpsyn_core::{partition_two_table, verify_two_table_partition};
 use dpsyn_datagen::{random_path, random_star, random_two_table, zipf_two_table};
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive, join_subset_naive};
-use dpsyn_relational::{
-    deg_multi, join_subset, JoinResult, Keep, NeighborEdit, ShardedSubJoinCache, Value,
-};
+use dpsyn_relational::{deg_multi, join_subset, JoinResult, NeighborEdit, SubJoinLattice, Value};
 use dpsyn_sensitivity::{all_boundary_values, candidate_edits, ls_hat_k, SensitivityOps};
 
 const CASES: u64 = 24;
@@ -227,8 +225,8 @@ fn parallel_join_is_byte_identical_to_sequential_and_matches_naive() {
 /// across every parallelism level.  Small instances (the seq-vs-naive
 /// agreement is covered by `cached_boundary_values_match_naive_recomputation`)
 /// exercise the small-instance sequential fallback; the large instances here
-/// are sized past the engine's parallelism threshold so the sharded-cache
-/// path really runs.
+/// are sized past the engine's parallelism threshold so the pooled lattice
+/// build really runs.
 #[test]
 fn parallel_sensitivity_matches_sequential_and_naive() {
     for seed in 0..3u64 {
@@ -291,12 +289,10 @@ fn lattice_decomposition_matches_direct_fold_and_naive() {
         ];
         for (shape, (query, inst)) in shapes {
             let m = query.num_relations();
-            let lattice = ShardedSubJoinCache::new(&query, &inst).unwrap();
-            for rels in non_empty_subsets(m) {
-                let mask = lattice.mask_of(&rels).unwrap();
-                let a = lattice
-                    .join_mask(mask, Parallelism::SEQUENTIAL, Keep::Target)
-                    .unwrap();
+            let lattice = SubJoinLattice::build(&query, &inst, Parallelism::SEQUENTIAL).unwrap();
+            for rels in non_empty_subsets(m).into_iter().filter(|r| r.len() < m) {
+                let mask = rels.iter().fold(0u32, |mask, &i| mask | (1 << i));
+                let a = lattice.get(mask);
                 let b = join_subset(&query, &inst, &rels).unwrap();
                 let naive = join_subset_naive(&query, &inst, &rels).unwrap();
                 assert_eq!(a.total(), naive.total(), "{shape}, seed {seed}");
@@ -308,7 +304,7 @@ fn lattice_decomposition_matches_direct_fold_and_naive() {
                 // Lattice and direct fold agree as weighted tuple sets
                 // (order-insensitive equality), and on every aggregate the
                 // lattice consumers read.
-                assert_eq!(a.as_ref(), &b, "{shape}, seed {seed}");
+                assert_eq!(a, &b, "{shape}, seed {seed}");
                 let boundary = query.boundary(&rels).unwrap();
                 assert_eq!(
                     a.group_by(&boundary).unwrap(),
@@ -357,8 +353,8 @@ fn lattice_decomposition_matches_direct_fold_and_naive() {
 }
 
 /// On the correlated workload (a fat two-attribute-key pair) and the
-/// heavy-hitter skewed star, the parallel populate produces the same
-/// lattice at every worker count as the sequential populate, mask for mask,
+/// heavy-hitter skewed star, the parallel lattice build produces the same
+/// lattice at every worker count as the sequential build, mask for mask,
 /// and the context entry points match the naive oracle — cold and warm, at
 /// 1/2/4/8 threads.
 #[test]
@@ -379,20 +375,16 @@ fn populate_is_byte_identical_across_threads_and_naive() {
             let m = query.num_relations();
             let naive_bv = all_boundary_values_naive(query, inst).unwrap();
 
-            // Direct lattice check: both populates materialise every proper
+            // Direct lattice check: both builds materialise every proper
             // mask.
-            let populated = |par: Parallelism| {
-                let cache = ShardedSubJoinCache::new(query, inst).unwrap();
-                cache.populate(par).unwrap();
-                cache
-            };
-            let sequential = populated(Parallelism::SEQUENTIAL);
+            let built = |par: Parallelism| SubJoinLattice::build(query, inst, par).unwrap();
+            let sequential = built(Parallelism::SEQUENTIAL);
             for threads in [1usize, 2, 4, 8] {
-                let parallel = populated(Parallelism::threads(threads));
+                let parallel = built(Parallelism::threads(threads));
                 for mask in 1u32..((1u32 << m) - 1) {
                     assert_eq!(
-                        parallel.get(mask).expect("populated").as_ref(),
-                        sequential.get(mask).expect("populated").as_ref(),
+                        parallel.get(mask),
+                        sequential.get(mask),
                         "{shape}, seed {seed}, threads {threads}, mask {mask:#b}"
                     );
                 }
@@ -810,10 +802,9 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
                 "{shape}, seed {seed}"
             );
             let m = query.num_relations();
-            let lattice = || ShardedSubJoinCache::new(&query, &inst).unwrap();
-            let seq_cache = lattice();
-            seq_cache.populate(Parallelism::SEQUENTIAL).unwrap();
-            // The sequential populate is the reference below; pin its values
+            let seq_lattice =
+                SubJoinLattice::build(&query, &inst, Parallelism::SEQUENTIAL).unwrap();
+            // The sequential build is the reference below; pin its values
             // to the naive engine once, mask by mask, as sorted rows.
             for mask in 1u32..((1u32 << m) - 1) {
                 let rels: Vec<usize> = (0..m).filter(|r| mask & (1 << r) != 0).collect();
@@ -822,9 +813,8 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
                     .iter()
                     .map(|(t, w)| (t.clone(), w))
                     .collect();
-                let seq_rows: Vec<(Vec<Value>, u128)> = seq_cache
+                let seq_rows: Vec<(Vec<Value>, u128)> = seq_lattice
                     .get(mask)
-                    .expect("populated")
                     .iter()
                     .map(|(t, w)| (t.to_vec(), w))
                     .collect();
@@ -840,22 +830,13 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
                     stored(&seq),
                     "{shape}, seed {seed}, threads {threads}"
                 );
-                // Lattice populate under stealing: every mask's sub-join is
-                // byte-identical to the sequential populate's, and every mask
-                // is claimed exactly once.
-                let sharded = lattice();
-                let stats = sharded.populate(par).unwrap();
-                assert_eq!(
-                    stats.total(),
-                    (1usize << m) - 2,
-                    "{shape}, seed {seed}, threads {threads}"
-                );
+                // Lattice build under stealing: every mask's sub-join is
+                // byte-identical to the sequential build's.
+                let lattice = SubJoinLattice::build(&query, &inst, par).unwrap();
                 for mask in 1u32..((1u32 << m) - 1) {
-                    let got = sharded.get(mask).expect("populated");
-                    let want = seq_cache.get(mask).expect("populated");
                     assert_eq!(
-                        stored(&got),
-                        stored(&want),
+                        stored(lattice.get(mask)),
+                        stored(seq_lattice.get(mask)),
                         "{shape}, mask {mask:#b}, threads {threads}"
                     );
                 }
@@ -879,13 +860,11 @@ fn work_stealing_is_byte_identical_to_sequential_and_naive() {
                     .map(|start| start..(start + morsel).min(rows.len()))
                     .collect();
                 for threads in [1usize, 2, 4, 8] {
-                    let (parts, stats) =
-                        exec::par_map_stats(Parallelism::threads(threads), morsels.len(), |i| {
-                            rows[morsels[i].clone()].to_vec()
-                        });
+                    let parts = exec::par_map(Parallelism::threads(threads), morsels.len(), |i| {
+                        rows[morsels[i].clone()].to_vec()
+                    });
                     let merged: Vec<(Vec<Value>, u128)> = parts.into_iter().flatten().collect();
                     assert_eq!(merged, rows, "{shape}, threads {threads}, morsel {morsel}");
-                    assert_eq!(stats.total(), rows.len().div_ceil(morsel));
                 }
             }
         }

@@ -287,10 +287,9 @@ fn concurrent_checkouts_race_lru_eviction_safely() {
     );
 }
 
-/// Local sensitivity walks its targets lazily at every thread count — the
-/// parallelism goes into the join steps, never into which intermediates
-/// are built — so the value is identical at 1, 2 and 4 threads, and no
-/// thread count leaves anything resident in the context.
+/// Local sensitivity reads the boundary map at every thread count, so the
+/// value is identical at 1, 2 and 4 threads; every thread count claims one
+/// slot, for the memoised map, and keeps no join result in it.
 #[test]
 fn local_sensitivity_feedback_is_identical_at_every_thread_count() {
     let (q, inst) = datagen::correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(7));
@@ -299,19 +298,18 @@ fn local_sensitivity_feedback_is_identical_at_every_thread_count() {
         let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
         let ls = ctx.local_sensitivity(&q, &inst).unwrap();
         assert_eq!(ls, expected, "threads {threads}");
-        assert_eq!(ctx.cached_instances(), 0, "threads {threads}");
+        assert_eq!(ctx.cached_instances(), 1, "threads {threads}");
         assert_eq!(ctx.cached_subjoin_bytes(), 0, "threads {threads}");
     }
 }
 
-/// Whatever the sensitivity entry points build — a parallel populate, local
-/// sensitivity's lazy walks, single aggregate reads of a lattice — every
-/// value equals the naive oracle at every thread count.
+/// Whatever the sensitivity entry points read — the boundary map, local
+/// sensitivity, single aggregate reads of a lattice built at that thread
+/// count — every value equals the naive oracle at every thread count.
 #[test]
 fn context_sensitivity_reads_match_naive_at_every_thread_count() {
-    use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive};
-    use dpsyn_relational::{Parallelism, ShardedSubJoinCache};
-    use dpsyn_sensitivity::aggregate_query_sharded;
+    use dpsyn_relational::naive::all_boundary_values_naive;
+    use dpsyn_relational::{Parallelism, SubJoinLattice};
     let (q, inst) = datagen::correlated_pair(3, 64, 16, 512, 8, &mut seeded_rng(7));
     let m = q.num_relations();
     let full = (1u32 << m) - 1;
@@ -332,18 +330,13 @@ fn context_sensitivity_reads_match_naive_at_every_thread_count() {
             naive_ls,
             "threads {threads}"
         );
-        let lattice = ShardedSubJoinCache::new(&q, &inst).unwrap();
-        for mask in 1..=full {
+        let lattice = SubJoinLattice::build(&q, &inst, Parallelism::threads(threads)).unwrap();
+        for mask in 1..full {
             let e: Vec<usize> = (0..m).filter(|&r| mask & (1 << r) != 0).collect();
-            let expected = if mask == full {
-                join_size_naive(&q, &inst).unwrap()
-            } else {
-                naive_bv[&e]
-            };
             let y = q.boundary(&e).unwrap();
             assert_eq!(
-                aggregate_query_sharded(&lattice, &e, &y, Parallelism::threads(threads)).unwrap(),
-                expected,
+                lattice.get(mask).max_group_weight(&y).unwrap(),
+                naive_bv[&e],
                 "threads {threads}, mask {mask:#b}"
             );
         }
