@@ -11,6 +11,14 @@
 //! (Definition 4.9) and is released with `MultiTable` (Algorithm 3); the union
 //! of the synthetic datasets is returned.
 //!
+//! Sub-instances share relations with the input copy-on-write
+//! ([`Instance`]): a part starts as a clone of its parent, which copies no
+//! tuple, and a decomposition replaces a relation of `atom(x)` only when its
+//! bucket drops one of its tuples ([`Instance::restrict_relation`]).  A
+//! relation the walk never shrinks is the input's own: in a one-part
+//! partition, that is every relation unless a decomposition dropped a
+//! dangling tuple (one outside the join of `atom(x)`).
+//!
 //! ### Privacy accounting
 //!
 //! Unlike the two-table case, a tuple of a relation *outside* `atom(x)` is
@@ -26,7 +34,7 @@
 //! bookkeeping.  Utility therefore degrades with `G`; the experiments use
 //! small trees where `G` stays moderate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dpsyn_noise::{PrivacyParams, TruncatedLaplace};
 use dpsyn_pmw::{Histogram, PmwConfig};
@@ -77,13 +85,14 @@ pub struct HierarchicalPart {
 }
 
 /// Algorithm 7: `Decompose_{ε,δ}(I, x)` — splits one sub-instance by the
-/// noisy degrees of attribute `x` over its ancestors.
+/// noisy degrees of attribute `x` over its ancestors.  Each bucket starts
+/// from a clone of `part`'s sub-instance and restricts `atom(x)` in place.
 #[allow(clippy::too_many_arguments)]
 fn decompose<R: Rng>(
     ctx: &ExecContext,
     query: &JoinQuery,
     tree: &AttributeTree,
-    part: &HierarchicalPart,
+    mut part: HierarchicalPart,
     attr: AttrId,
     params: PrivacyParams,
     lambda: f64,
@@ -92,62 +101,58 @@ fn decompose<R: Rng>(
     let relations = query.atom(attr);
     if relations.is_empty() {
         // Attribute unused by the query: nothing to decompose.
-        return Ok(vec![part.clone()]);
+        return Ok(vec![part]);
     }
     let ancestors = tree.ancestors(attr);
-    let instance = &part.sub_instance;
 
     // Noisy degree per ancestor tuple (Algorithm 7, lines 3-6).  Only tuples
     // with non-zero degree matter: zero-degree ancestor tuples induce empty
     // sub-relations.
-    let degrees = ctx.deg_multi(query, instance, &relations, &ancestors)?;
+    let degrees = ctx.deg_multi(query, &part.sub_instance, &relations, &ancestors)?;
     let tlap = TruncatedLaplace::calibrated(params.epsilon(), params.delta(), 1.0)?;
-    let mut bucket_members: BTreeMap<usize, std::collections::BTreeSet<Vec<Value>>> =
-        BTreeMap::new();
-    for (tuple, deg) in &degrees {
-        let noisy = *deg as f64 + tlap.sample(rng);
+    let mut bucket_members: BTreeMap<usize, BTreeSet<Vec<Value>>> = BTreeMap::new();
+    for (tuple, deg) in degrees {
+        let noisy = deg as f64 + tlap.sample(rng);
         bucket_members
             .entry(bucket_of(noisy, lambda))
             .or_default()
-            .insert(tuple.clone());
+            .insert(tuple);
     }
     if bucket_members.is_empty() {
-        // The relations of atom(x) are empty in this sub-instance; keep it as
-        // a single (still empty on those relations) part labelled bucket 1.
-        let mut configuration = part.configuration.clone();
-        configuration.set(attr, 1);
-        return Ok(vec![HierarchicalPart {
-            sub_instance: instance.clone(),
-            configuration,
-        }]);
+        // The join of atom(x) is empty in this sub-instance; keep it as a
+        // single part labelled bucket 1.
+        part.configuration.set(attr, 1);
+        return Ok(vec![part]);
     }
 
     // Build one sub-instance per non-empty bucket (lines 7-10).
     let mut out = Vec::with_capacity(bucket_members.len());
     for (bucket, members) in bucket_members {
-        let mut relations_out = Vec::with_capacity(instance.num_relations());
-        for j in 0..instance.num_relations() {
-            if relations.contains(&j) {
-                relations_out.push(instance.relation(j).restrict(&ancestors, &members)?);
-            } else {
-                relations_out.push(instance.relation(j).clone());
-            }
+        let mut sub_instance = part.sub_instance.clone();
+        for &j in &relations {
+            sub_instance.restrict_relation(j, &ancestors, &members)?;
         }
         let mut configuration = part.configuration.clone();
         configuration.set(attr, bucket);
         out.push(HierarchicalPart {
-            sub_instance: Instance::new(relations_out),
+            sub_instance,
             configuration,
         });
     }
     Ok(out)
 }
 
+/// The attribute tree of a hierarchical query (Algorithm 6's input).
+fn attribute_tree(query: &JoinQuery) -> Result<AttributeTree> {
+    AttributeTree::build(query).map_err(|e| ReleaseError::RequiresHierarchical(e.to_string()))
+}
+
 /// Algorithm 6: `Partition-Hierarchical_{ε,δ}(H, I)` — walks the attribute
 /// tree bottom-up and decomposes every current sub-instance at every
 /// attribute.  `params` is the budget of a *single* noisy-degree mechanism;
 /// the caller is responsible for the Lemma 4.11 accounting.  Degree
-/// sub-joins run at `ctx`'s parallelism.
+/// sub-joins run at `ctx`'s parallelism.  Every part shares each relation
+/// its walk never shrank with `instance`.
 pub fn partition_hierarchical<R: Rng>(
     ctx: &ExecContext,
     query: &JoinQuery,
@@ -157,17 +162,40 @@ pub fn partition_hierarchical<R: Rng>(
     max_sub_instances: usize,
     rng: &mut R,
 ) -> Result<Vec<HierarchicalPart>> {
-    let tree = AttributeTree::build(query)
-        .map_err(|e| ReleaseError::RequiresHierarchical(e.to_string()))?;
+    let tree = attribute_tree(query)?;
+    partition_over(
+        ctx,
+        query,
+        &tree,
+        instance,
+        per_step,
+        lambda,
+        max_sub_instances,
+        rng,
+    )
+}
+
+/// [`partition_hierarchical`] over an already built attribute tree.
+#[allow(clippy::too_many_arguments)]
+fn partition_over<R: Rng>(
+    ctx: &ExecContext,
+    query: &JoinQuery,
+    tree: &AttributeTree,
+    instance: &Instance,
+    per_step: PrivacyParams,
+    lambda: f64,
+    max_sub_instances: usize,
+    rng: &mut R,
+) -> Result<Vec<HierarchicalPart>> {
     let mut parts = vec![HierarchicalPart {
         sub_instance: instance.clone(),
         configuration: DegreeConfiguration::new(),
     }];
     for &attr in tree.bottom_up_order() {
         let mut next = Vec::new();
-        for part in &parts {
+        for part in parts {
             next.extend(decompose(
-                ctx, query, &tree, part, attr, per_step, lambda, rng,
+                ctx, query, tree, part, attr, per_step, lambda, rng,
             )?);
             if next.len() > max_sub_instances {
                 return Err(ReleaseError::InvalidConfig(format!(
@@ -199,44 +227,32 @@ impl HierarchicalRelease {
     /// over relations `j`, of the number of tree attributes whose `atom` does
     /// not contain `j` (each such decomposition can replicate `R_j`'s tuples).
     pub fn replication_bound(query: &JoinQuery, n_upper: u64, lambda: f64) -> Result<f64> {
-        let tree = AttributeTree::build(query)
-            .map_err(|e| ReleaseError::RequiresHierarchical(e.to_string()))?;
-        let ell = ((n_upper.max(2) as f64 / lambda.max(1e-9)).log2().ceil()).max(1.0) + 1.0;
-        let mut c_max = 0usize;
-        for j in 0..query.num_relations() {
-            let c = tree
-                .bottom_up_order()
-                .iter()
-                .filter(|&&x| !query.atom(x).contains(&j) && !query.atom(x).is_empty())
-                .count();
-            c_max = c_max.max(c);
-        }
-        Ok(ell.powi(c_max as i32))
+        Ok(replication_over(
+            &attribute_tree(query)?,
+            query,
+            n_upper,
+            lambda,
+        ))
     }
 
-    /// The Lemma 4.11 budget split for an overall target of `params`:
-    /// `(λ, per_step, per_release)`, where `per_step` is the budget of each
-    /// noisy-degree step of the partition and `per_release` that of each
-    /// per-part `MultiTable` release.
+    /// The Lemma 4.11 budget split for an overall target of `params`, with
+    /// the attribute tree it was computed from.
     fn split_budget(
         &self,
         query: &JoinQuery,
         instance: &Instance,
         params: PrivacyParams,
-    ) -> Result<(f64, PrivacyParams, PrivacyParams)> {
+    ) -> Result<BudgetSplit> {
         if params.delta() <= 0.0 {
             return Err(ReleaseError::UnsupportedPrivacyParams(
                 "the hierarchical release requires δ > 0".to_string(),
             ));
         }
+        let tree = attribute_tree(query)?;
         let lambda = params.lambda();
         let n_upper = self.config.n_upper.unwrap_or_else(|| instance.input_size());
-        let replication = Self::replication_bound(query, n_upper, lambda)?;
-
-        let tree_size = AttributeTree::build(query)
-            .map_err(|e| ReleaseError::RequiresHierarchical(e.to_string()))?
-            .len()
-            .max(1);
+        let replication = replication_over(&tree, query, n_upper, lambda);
+        let tree_size = tree.len().max(1);
 
         // Lemma 4.11 bookkeeping: partition noise gets (ε/2, δ/2) divided by
         // the replication bound and the number of decomposition steps; each
@@ -251,7 +267,33 @@ impl HierarchicalRelease {
             params.epsilon() / (2.0 * replication),
             (params.delta() / (2.0 * replication)).max(f64::MIN_POSITIVE),
         )?;
-        Ok((lambda, per_step, per_release))
+        Ok(BudgetSplit {
+            tree,
+            lambda,
+            per_step,
+            per_release,
+        })
+    }
+
+    /// The partition of `instance` under the budget split `split`.
+    fn partition_in<R: Rng>(
+        &self,
+        ctx: &ExecContext,
+        query: &JoinQuery,
+        instance: &Instance,
+        split: &BudgetSplit,
+        rng: &mut R,
+    ) -> Result<Vec<HierarchicalPart>> {
+        partition_over(
+            ctx,
+            query,
+            &split.tree,
+            instance,
+            split.per_step,
+            split.lambda,
+            self.config.max_sub_instances,
+            rng,
+        )
     }
 
     /// Exposes the partition for diagnostics (degree configurations and
@@ -264,17 +306,34 @@ impl HierarchicalRelease {
         params: PrivacyParams,
         rng: &mut R,
     ) -> Result<Vec<HierarchicalPart>> {
-        let (lambda, per_step, _) = self.split_budget(query, instance, params)?;
-        partition_hierarchical(
-            &ExecContext::default(),
-            query,
-            instance,
-            per_step,
-            lambda,
-            self.config.max_sub_instances,
-            rng,
-        )
+        let split = self.split_budget(query, instance, params)?;
+        self.partition_in(&ExecContext::default(), query, instance, &split, rng)
     }
+}
+
+/// [`HierarchicalRelease::replication_bound`] over an already built tree.
+fn replication_over(tree: &AttributeTree, query: &JoinQuery, n_upper: u64, lambda: f64) -> f64 {
+    let ell = ((n_upper.max(2) as f64 / lambda.max(1e-9)).log2().ceil()).max(1.0) + 1.0;
+    let mut c_max = 0usize;
+    for j in 0..query.num_relations() {
+        let c = tree
+            .bottom_up_order()
+            .iter()
+            .filter(|&&x| !query.atom(x).contains(&j) && !query.atom(x).is_empty())
+            .count();
+        c_max = c_max.max(c);
+    }
+    ell.powi(c_max as i32)
+}
+
+/// The Lemma 4.11 budget split of one release: `per_step` is the budget of
+/// each noisy-degree step of the partition and `per_release` that of each
+/// per-part `MultiTable` release.
+struct BudgetSplit {
+    tree: AttributeTree,
+    lambda: f64,
+    per_step: PrivacyParams,
+    per_release: PrivacyParams,
 }
 
 impl Mechanism for HierarchicalRelease {
@@ -296,7 +355,10 @@ impl Mechanism for HierarchicalRelease {
     /// is warm only when every part's slot survived: when the release
     /// touches more instances than there are slots, the LRU evicts each
     /// part's slot before its turn comes round again, and *every* part
-    /// starts cold on every repeat.
+    /// starts cold on every repeat.  A one-part partition whose walk
+    /// dropped no dangling tuple has a sub-instance that shares every
+    /// relation of the input, so it has the input's fingerprint and its
+    /// release uses the input's slot.
     fn release(
         &self,
         ctx: &ExecContext,
@@ -306,17 +368,8 @@ impl Mechanism for HierarchicalRelease {
         params: PrivacyParams,
         mut rng: &mut dyn Rng,
     ) -> Result<SyntheticRelease> {
-        let (lambda, per_step, per_release) = self.split_budget(query, instance, params)?;
-
-        let parts = partition_hierarchical(
-            ctx,
-            query,
-            instance,
-            per_step,
-            lambda,
-            self.config.max_sub_instances,
-            &mut rng,
-        )?;
+        let split = self.split_budget(query, instance, params)?;
+        let parts = self.partition_in(ctx, query, instance, &split, &mut rng)?;
 
         let inner = MultiTable::new(self.config.pmw);
         let mut combined: Option<SyntheticRelease> = None;
@@ -327,16 +380,22 @@ impl Mechanism for HierarchicalRelease {
             if part.sub_instance.input_size() == 0 {
                 continue;
             }
-            let release =
-                inner.release(ctx, query, &part.sub_instance, family, per_release, rng)?;
+            let release = inner.release(
+                ctx,
+                query,
+                &part.sub_instance,
+                family,
+                split.per_release,
+                rng,
+            )?;
             match &mut combined {
                 None => combined = Some(release),
                 Some(c) => c.absorb(&release)?,
             }
         }
 
-        let combined = match combined {
-            Some(c) => c,
+        Ok(match combined {
+            Some(c) => c.relabel(ReleaseKind::Hierarchical, params),
             None => SyntheticRelease::new(
                 query.clone(),
                 Histogram::zeros(query, self.config.pmw.max_domain_cells)?,
@@ -346,17 +405,7 @@ impl Mechanism for HierarchicalRelease {
                 0,
                 0.0,
             ),
-        };
-
-        Ok(SyntheticRelease::new(
-            query.clone(),
-            combined.histogram().clone(),
-            ReleaseKind::Hierarchical,
-            params,
-            combined.noisy_total(),
-            combined.parts(),
-            combined.delta_tilde(),
-        ))
+        })
     }
 }
 
@@ -408,6 +457,200 @@ mod tests {
             inst.relation_mut(1).add(vec![b, 0], 1).unwrap();
         }
         (q, inst)
+    }
+
+    /// The decomposition as it was before sub-instances shared relations:
+    /// every bucket rebuilds each relation of `atom(x)` with
+    /// `Relation::restrict` and deep-copies every other one.  The oracle for
+    /// [`partition_hierarchical`]'s content and RNG draw order.
+    mod clone_and_restrict {
+        use super::*;
+        use dpsyn_relational::Relation;
+
+        #[allow(clippy::too_many_arguments)]
+        fn decompose<R: Rng>(
+            ctx: &ExecContext,
+            query: &JoinQuery,
+            tree: &AttributeTree,
+            part: &HierarchicalPart,
+            attr: AttrId,
+            params: PrivacyParams,
+            lambda: f64,
+            rng: &mut R,
+        ) -> Vec<HierarchicalPart> {
+            let relations = query.atom(attr);
+            if relations.is_empty() {
+                return vec![part.clone()];
+            }
+            let ancestors = tree.ancestors(attr);
+            let instance = &part.sub_instance;
+            let degrees = ctx
+                .deg_multi(query, instance, &relations, &ancestors)
+                .unwrap();
+            let tlap = TruncatedLaplace::calibrated(params.epsilon(), params.delta(), 1.0).unwrap();
+            let mut bucket_members: BTreeMap<usize, BTreeSet<Vec<Value>>> = BTreeMap::new();
+            for (tuple, deg) in &degrees {
+                let noisy = *deg as f64 + tlap.sample(rng);
+                bucket_members
+                    .entry(bucket_of(noisy, lambda))
+                    .or_default()
+                    .insert(tuple.clone());
+            }
+            if bucket_members.is_empty() {
+                let mut configuration = part.configuration.clone();
+                configuration.set(attr, 1);
+                return vec![HierarchicalPart {
+                    sub_instance: instance.clone(),
+                    configuration,
+                }];
+            }
+            let mut out = Vec::new();
+            for (bucket, members) in bucket_members {
+                let relations_out: Vec<Relation> = (0..instance.num_relations())
+                    .map(|j| {
+                        if relations.contains(&j) {
+                            instance.relation(j).restrict(&ancestors, &members).unwrap()
+                        } else {
+                            instance.relation(j).clone()
+                        }
+                    })
+                    .collect();
+                let mut configuration = part.configuration.clone();
+                configuration.set(attr, bucket);
+                out.push(HierarchicalPart {
+                    sub_instance: Instance::new(relations_out),
+                    configuration,
+                });
+            }
+            out
+        }
+
+        pub(super) fn partition<R: Rng>(
+            query: &JoinQuery,
+            instance: &Instance,
+            per_step: PrivacyParams,
+            lambda: f64,
+            rng: &mut R,
+        ) -> Vec<HierarchicalPart> {
+            let ctx = ExecContext::sequential();
+            let tree = AttributeTree::build(query).unwrap();
+            let mut parts = vec![HierarchicalPart {
+                sub_instance: instance.clone(),
+                configuration: DegreeConfiguration::new(),
+            }];
+            for &attr in tree.bottom_up_order() {
+                parts = parts
+                    .iter()
+                    .flat_map(|part| {
+                        decompose(&ctx, query, &tree, part, attr, per_step, lambda, rng)
+                    })
+                    .collect();
+            }
+            parts
+        }
+    }
+
+    /// `R0(A, B, C) ⋈ R1(A, B, D) ⋈ R2(A, E)`: `atom(B) = {R0, R1}` with
+    /// ancestor `A`, and `R0` holds one tuple at `A = 5`, which `R1` lacks,
+    /// so decomposing `B` drops it even when every degree lands in one
+    /// bucket.
+    fn dangling_instance() -> (JoinQuery, Instance) {
+        use dpsyn_relational::Schema;
+        let ids = |v: &[u16]| v.iter().map(|&a| AttrId(a)).collect::<Vec<_>>();
+        let q = JoinQuery::new(
+            Schema::uniform(&["A", "B", "C", "D", "E"], 8),
+            vec![ids(&[0, 1, 2]), ids(&[0, 1, 3]), ids(&[0, 4])],
+        )
+        .unwrap();
+        let mut inst = Instance::empty_for(&q).unwrap();
+        for a in 0..3u64 {
+            inst.relation_mut(0).add(vec![a, 1, a], 1).unwrap();
+            inst.relation_mut(1).add(vec![a, 1, 2], 1).unwrap();
+            inst.relation_mut(2).add(vec![a, 3], 1).unwrap();
+        }
+        inst.relation_mut(0).add(vec![5, 1, 0], 1).unwrap();
+        (q, inst)
+    }
+
+    #[test]
+    fn shared_partition_matches_clone_and_restrict_and_shares_whole_relations() {
+        let per_step = PrivacyParams::new(4.0, 1e-3).unwrap();
+        let (star_q, star) = star_instance();
+        let (dangling_q, dangling) = dangling_instance();
+        // (query, instance, λ, expected part count): λ = 64 puts every
+        // degree in bucket 1, λ = 1 splits the heavy hub from the light ones.
+        let cases = [
+            (&star_q, &star, 64.0, Some(1)),
+            (&star_q, &star, 1.0, None),
+            (&dangling_q, &dangling, 64.0, Some(1)),
+        ];
+        for (case, &(q, inst, lambda, one_part)) in cases.iter().enumerate() {
+            let mut rng = seeded_rng(3);
+            let mut oracle_rng = seeded_rng(3);
+            let parts = partition_hierarchical(
+                &ExecContext::sequential(),
+                q,
+                inst,
+                per_step,
+                lambda,
+                4096,
+                &mut rng,
+            )
+            .unwrap();
+            let oracle = clone_and_restrict::partition(q, inst, per_step, lambda, &mut oracle_rng);
+            match one_part {
+                Some(n) => assert_eq!(parts.len(), n, "case {case}"),
+                None => assert!(parts.len() >= 2, "case {case}: {} parts", parts.len()),
+            }
+            assert_eq!(parts.len(), oracle.len(), "case {case}");
+            for (part, expected) in parts.iter().zip(&oracle) {
+                assert_eq!(part.sub_instance, expected.sub_instance, "case {case}");
+                assert_eq!(part.configuration, expected.configuration, "case {case}");
+            }
+            // Same noise draws, in the same order.
+            assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "case {case}");
+            // A relation kept whole is the input's own; a shrunk one is not.
+            for part in &parts {
+                for j in 0..inst.num_relations() {
+                    let (got, input) = (part.sub_instance.relation(j), inst.relation(j));
+                    assert_eq!(std::ptr::eq(got, input), got == input, "case {case}, R{j}");
+                }
+            }
+        }
+        // The dangling tuple is dropped from R0 alone, even in one part.
+        let parts = partition_hierarchical(
+            &ExecContext::sequential(),
+            &dangling_q,
+            &dangling,
+            per_step,
+            64.0,
+            4096,
+            &mut seeded_rng(3),
+        )
+        .unwrap();
+        let sub = &parts[0].sub_instance;
+        assert!(!std::ptr::eq(sub.relation(0), dangling.relation(0)));
+        assert_eq!(sub.relation(0).freq(&[5, 1, 0]), 0);
+        assert_eq!(sub.relation(0).total(), 3);
+        assert!(std::ptr::eq(sub.relation(1), dangling.relation(1)));
+        assert!(std::ptr::eq(sub.relation(2), dangling.relation(2)));
+        // A one-part star partition shares every relation of the input.
+        let star_parts = partition_hierarchical(
+            &ExecContext::sequential(),
+            &star_q,
+            &star,
+            per_step,
+            64.0,
+            4096,
+            &mut seeded_rng(3),
+        )
+        .unwrap();
+        for j in 0..star.num_relations() {
+            assert!(std::ptr::eq(
+                star_parts[0].sub_instance.relation(j),
+                star.relation(j)
+            ));
+        }
     }
 
     #[test]

@@ -136,6 +136,16 @@ impl SyntheticRelease {
         self.histogram.round_to_records(rng)
     }
 
+    /// The same release under another algorithm label and overall
+    /// guarantee (a composite mechanism relabelling the union of its parts).
+    pub(crate) fn relabel(self, kind: ReleaseKind, guarantee: PrivacyParams) -> Self {
+        SyntheticRelease {
+            kind,
+            guarantee,
+            ..self
+        }
+    }
+
     /// Merges another release into this one (cell-wise sum of the synthetic
     /// functions), used to take the union of per-sub-instance releases.
     pub(crate) fn absorb(&mut self, other: &SyntheticRelease) -> Result<()> {

@@ -147,32 +147,19 @@ impl Mechanism for UniformizedTwoTable {
             }
         }
 
-        let combined = match combined {
-            Some(c) => c,
-            None => {
-                // No join values at all: release an all-zero histogram.
-                let histogram = Histogram::zeros(query, self.pmw.max_domain_cells)?;
-                SyntheticRelease::new(
-                    query.clone(),
-                    histogram,
-                    ReleaseKind::UniformizedTwoTable,
-                    params,
-                    0.0,
-                    0,
-                    0.0,
-                )
-            }
-        };
-
-        Ok(SyntheticRelease::new(
-            query.clone(),
-            combined.histogram().clone(),
-            ReleaseKind::UniformizedTwoTable,
-            params,
-            combined.noisy_total(),
-            combined.parts(),
-            combined.delta_tilde(),
-        ))
+        Ok(match combined {
+            Some(c) => c.relabel(ReleaseKind::UniformizedTwoTable, params),
+            // No join values at all: release an all-zero histogram.
+            None => SyntheticRelease::new(
+                query.clone(),
+                Histogram::zeros(query, self.pmw.max_domain_cells)?,
+                ReleaseKind::UniformizedTwoTable,
+                params,
+                0.0,
+                0,
+                0.0,
+            ),
+        })
     }
 }
 

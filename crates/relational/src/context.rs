@@ -120,7 +120,7 @@ pub fn instance_fingerprint(query: &JoinQuery, instance: &Instance) -> u64 {
         h.write_u64(schema.domain_size(id).unwrap_or(0));
     }
     h.write_usize(instance.num_relations());
-    for r in instance.relations() {
+    for r in (0..instance.num_relations()).map(|i| instance.relation(i)) {
         h.write_usize(r.distinct_count());
         for (t, f) in r.iter() {
             for &v in t {
@@ -639,6 +639,41 @@ mod tests {
         let mut heavier = inst.clone();
         heavier.relation_mut(0).add(vec![0, 0], 1).unwrap();
         assert_ne!(fp, instance_fingerprint(&q, &heavier));
+
+        // Clones share relations copy-on-write: each mutation path copies
+        // the relation it writes, never the original's, and leaves the
+        // relations it does not touch shared.
+        let snapshot: Vec<crate::Relation> = (0..3).map(|j| inst.relation(j).clone()).collect();
+        let shares =
+            |a: &Instance, b: &Instance, j: usize| std::ptr::eq(a.relation(j), b.relation(j));
+        let clone = inst.clone();
+        assert!((0..3).all(|j| shares(&clone, &inst, j)));
+        let edited_by_edit = inst
+            .apply_edit(&crate::NeighborEdit::Remove {
+                relation: 1,
+                tuple: vec![0, 1],
+            })
+            .unwrap();
+        let mut updated = inst.clone();
+        let mut batch = UpdateBatch::new();
+        batch.insert(2, vec![7, 7], 2);
+        ExecContext::sequential()
+            .apply_updates(&q, &mut updated, &batch)
+            .unwrap();
+        for (written, j) in [(&edited, 0), (&edited_by_edit, 1), (&updated, 2)] {
+            assert!(
+                !shares(written, &inst, j),
+                "R{j} was copied before the write"
+            );
+            assert!(
+                (0..3)
+                    .filter(|&k| k != j)
+                    .all(|k| shares(written, &inst, k)),
+                "relations other than R{j} stay shared"
+            );
+        }
+        assert_eq!(instance_fingerprint(&q, &inst), fp);
+        assert!((0..3).all(|j| inst.relation(j) == &snapshot[j]));
     }
 
     #[test]

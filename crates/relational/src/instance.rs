@@ -1,16 +1,25 @@
 //! Multi-table instances and the neighbouring relation of Definition 1.1.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use crate::attr::AttrId;
 use crate::error::RelationalError;
 use crate::hypergraph::JoinQuery;
 use crate::relation::Relation;
-use crate::tuple::Value;
+use crate::tuple::{project_into, project_positions, Value};
 use crate::Result;
 
 /// A database instance `I = (R_1, …, R_m)` over a join query.
+///
+/// Relations are shared copy-on-write: a clone costs one reference-count
+/// increment per relation, and the first mutation of a shared relation
+/// ([`Instance::relation_mut`], [`Instance::apply_edit`],
+/// [`Instance::restrict_relation`], an update batch) copies that relation
+/// only, so the other instance never sees the change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
-    relations: Vec<Relation>,
+    relations: Vec<Arc<Relation>>,
 }
 
 /// A single-tuple edit turning an instance into a neighbouring instance
@@ -36,7 +45,9 @@ pub enum NeighborEdit {
 impl Instance {
     /// Creates an instance from relations (one per query relation, in order).
     pub fn new(relations: Vec<Relation>) -> Self {
-        Instance { relations }
+        Instance {
+            relations: relations.into_iter().map(Arc::new).collect(),
+        }
     }
 
     /// Creates an empty instance matching the query's relation attribute lists.
@@ -44,7 +55,7 @@ impl Instance {
         let relations = (0..query.num_relations())
             .map(|i| Relation::new(query.relation_attrs(i).to_vec()))
             .collect::<Result<Vec<_>>>()?;
-        Ok(Instance { relations })
+        Ok(Instance::new(relations))
     }
 
     /// Number of relations.
@@ -57,19 +68,41 @@ impl Instance {
         &self.relations[i]
     }
 
-    /// Mutable access to relation `i`.
+    /// Mutable access to relation `i`, copying it first if another instance
+    /// shares it.
     pub fn relation_mut(&mut self, i: usize) -> &mut Relation {
-        &mut self.relations[i]
+        Arc::make_mut(&mut self.relations[i])
     }
 
-    /// All relations.
-    pub fn relations(&self) -> &[Relation] {
-        &self.relations
+    /// Restricts relation `i` to the tuples whose projection onto `onto` is
+    /// in `allowed` (Algorithm 7's `R_j ⋉ bucket`).  When every tuple
+    /// passes, the relation is left as it is, still shared with any clone
+    /// of this instance; otherwise relation `i` is replaced by its
+    /// restriction.  The check projects every tuple into one reused key
+    /// buffer, so it allocates nothing per tuple.
+    pub fn restrict_relation(
+        &mut self,
+        i: usize,
+        onto: &[AttrId],
+        allowed: &BTreeSet<Vec<Value>>,
+    ) -> Result<()> {
+        let rel = &self.relations[i];
+        let positions = project_positions(rel.attrs(), onto)?;
+        let mut key = Vec::with_capacity(positions.len());
+        let mut keep = |t: &[Value]| {
+            project_into(t, &positions, &mut key);
+            allowed.contains(key.as_slice())
+        };
+        if rel.iter().all(|(t, _)| keep(t)) {
+            return Ok(());
+        }
+        self.relations[i] = Arc::new(rel.filter(|t, _| keep(t))?);
+        Ok(())
     }
 
     /// The input size `n = Σ_i Σ_t R_i(t)`.
     pub fn input_size(&self) -> u64 {
-        self.relations.iter().map(Relation::total).sum()
+        self.relations.iter().map(|r| r.total()).sum()
     }
 
     /// Validates the instance against a join query: relation count, attribute

@@ -8,7 +8,8 @@
 //! * frequency-annotated relations `R_i : D_i → Z≥0` ([`relation`]),
 //! * join queries as hypergraphs `H = (x, {x_1, …, x_m})` with boundaries,
 //!   connectivity and the hierarchical-query test ([`hypergraph`]),
-//! * multi-table instances and neighbouring-instance edits ([`instance`]),
+//! * multi-table instances, whose clones share relations copy-on-write, and
+//!   neighbouring-instance edits ([`instance`]),
 //! * multi-way natural **hash-join** evaluation and grouped join sizes
 //!   ([`join`](mod@join)), with the original `BTreeMap` engine retained as
 //!   a cross-check oracle ([`naive`]),

@@ -284,9 +284,11 @@ pub fn apply_batch(query: &JoinQuery, instance: &mut Instance, batch: &UpdateBat
 }
 
 /// Applies pre-validated net deltas to the live instance.  Infallible after
-/// [`UpdateBatch::net_deltas`] validated the final frequencies.
+/// [`UpdateBatch::net_deltas`] validated the final frequencies.  A relation
+/// the batch leaves unchanged is not written, so it stays shared with any
+/// clone of the instance.
 pub(crate) fn apply_net_deltas(instance: &mut Instance, deltas: &[RelationDelta]) {
-    for delta in deltas {
+    for delta in deltas.iter().filter(|d| !d.is_empty()) {
         delta.apply_to(instance.relation_mut(delta.relation));
     }
 }
