@@ -118,9 +118,9 @@ fn bench_scaling(label: &str, mut par: impl FnMut(), mut seq: impl FnMut()) -> R
 /// The scheduler group: the sub-join lattice build
 /// ([`SubJoinLattice::build`], each level's masks claimed by work stealing)
 /// at [`SCALING_THREADS`] workers vs the sequential build on a heavy-hitter
-/// skewed star.  Byte-identity of the parallel build against the sequential
-/// one is asserted for every mask before timing; wall-clock speedup is
-/// capped by `available_cores`.
+/// skewed star, each arm on a spawned thread.  Byte-identity of the
+/// parallel build against the sequential one is asserted for every mask
+/// before timing; wall-clock speedup is capped by `available_cores`.
 fn sched_rows(quick: bool) -> Vec<Row> {
     let per_rel = if quick { 120 } else { 300 };
     let (query, instance) = heavy_hitter_star(4, 64, per_rel, 0.6, &mut seeded_rng(31));
@@ -138,8 +138,19 @@ fn sched_rows(quick: bool) -> Vec<Row> {
             "mask {mask:#b}: parallel lattice must be byte-identical to sequential"
         );
     }
+    // Both arms build, and drop, the lattice on a thread of their own, so
+    // both allocate from the same kind of malloc arena.  On the calling
+    // thread, glibc's main arena hands a dropped lattice's pages back to the
+    // OS and each build faults them in again: a sequential build there took
+    // about twice as long as with the arena's trim and mmap thresholds
+    // raised (`GLIBC_TUNABLES`), while 4 workers allocate mostly in their
+    // own arenas.
     let run = |par: Parallelism| {
-        black_box(build(par));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                black_box(build(par));
+            });
+        });
     };
     let probe = Instant::now();
     run(Parallelism::SEQUENTIAL);

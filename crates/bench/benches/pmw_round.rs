@@ -1,18 +1,25 @@
 //! One PMW round's two passes over the cells, on the 4,096-cell `star(3, 8)`
 //! layout: the scoring pass that answers every query on the current
-//! histogram ([`QueryWeights::answer_all`]) and the update pass that
-//! reweights by one query, renormalises and accumulates the iterate
-//! ([`QueryWeights::update_and_accumulate`]).  Three 16-query families:
+//! histogram and sums its mass ([`QueryWeights::answer_all`]) and the update
+//! pass that reweights by one query, renormalises to that mass and
+//! accumulates the iterate ([`QueryWeights::update_and_accumulate`]), each
+//! alone (`score/*`, `update/*`) and one after the other as `Pmw::run`'s
+//! loop makes them (`round/*`).  Four 16-query families:
 //!
 //! - `sign`: [`QueryFamily::random_sign`] (the counting query and 15
-//!   two-entry palettes: two groups of eight queries per code byte);
-//! - `palette16`: 16-entry palettes (two queries per code byte);
-//! - `dense257`: 257 distinct weights each (one `f64` per cell per query).
+//!   two-entry palettes: two groups of eight queries per code byte; the
+//!   counting query's lane is the mass lane);
+//! - `sign_nocount`: 16 two-entry sign queries without the counting query
+//!   (two full groups, so the mass is a chain beside their pass's lanes);
+//! - `palette16`: 16-entry palettes (two queries per code byte, every group
+//!   full: the mass is a chain beside the first pass's lanes);
+//! - `dense257`: 257 distinct weights each (one `f64` per cell per query;
+//!   the mass is a chain beside the first query's sum).
 //!
 //! Before timing, every family's answers are checked against the
-//! context-free [`Histogram::answer_all`] bit for bit, and one update
-//! against [`Histogram::multiplicative_update`] plus
-//! [`Histogram::accumulate`].
+//! context-free [`Histogram::answer_all`] bit for bit, its mass against
+//! [`Histogram::total`], and one update against
+//! [`Histogram::multiplicative_update`] plus [`Histogram::accumulate`].
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsyn_noise::seeded_rng;
@@ -78,14 +85,29 @@ fn distinct_weights(query: &JoinQuery, layout: &Histogram, q: &ProductQuery) -> 
     bits.len()
 }
 
+/// 16 two-entry sign queries, without the counting query.
+fn sign_nocount(query: &JoinQuery) -> QueryFamily {
+    let queries = (0..16)
+        .map(|k| {
+            ProductQuery::new(
+                (0..3)
+                    .map(|i| RelationQuery::SignHash { seed: 3 * k + i })
+                    .collect(),
+            )
+        })
+        .collect();
+    QueryFamily::new(query, queries).unwrap()
+}
+
 /// A non-uniform histogram: the uniform start after a few updates.
 fn warmed(query: &JoinQuery, weights: &QueryWeights, queries: usize) -> Histogram {
     let mut current = Histogram::uniform(query, 4096.0, DEFAULT_MAX_CELLS).unwrap();
     let mut average = Histogram::zeros(query, DEFAULT_MAX_CELLS).unwrap();
-    let mut total = current.total();
+    let mut answers = vec![0.0; queries];
     for j in 0..queries {
         let eta = if j % 2 == 0 { 0.3 } else { -0.2 };
-        total = weights.update_and_accumulate(j, &mut current, &mut average, eta, total);
+        let total = weights.answer_all(&current, &mut answers);
+        weights.update_and_accumulate(j, &mut current, &mut average, eta, total);
     }
     current
 }
@@ -103,6 +125,7 @@ fn bench_pmw_round(c: &mut Criterion) {
             "sign",
             QueryFamily::random_sign(&query, 16, &mut seeded_rng(1)).unwrap(),
         ),
+        ("sign_nocount", sign_nocount(&query)),
         (
             "palette16",
             QueryFamily::new(&query, (0..16).map(palette16).collect()).unwrap(),
@@ -112,7 +135,7 @@ fn bench_pmw_round(c: &mut Criterion) {
             QueryFamily::new(&query, (0..16).map(dense257).collect()).unwrap(),
         ),
     ];
-    for (name, family) in &families[1..] {
+    for (name, family) in &families[2..] {
         let expected = if *name == "palette16" { 16 } else { 257 };
         for q in family.iter() {
             assert_eq!(distinct_weights(&query, &layout, q), expected, "{name}");
@@ -127,15 +150,20 @@ fn bench_pmw_round(c: &mut Criterion) {
         let weights = QueryWeights::new(&query, &layout, family).unwrap();
         let current = warmed(&query, &weights, family.len());
         let mut answers = vec![0.0; family.len()];
-        weights.answer_all(&current, &mut answers);
+        let total = weights.answer_all(&current, &mut answers);
         assert_eq!(
             bits(&answers),
             bits(&current.answer_all(&query, family).unwrap()),
             "{name}: scoring must equal the context-free answers"
         );
+        assert_eq!(
+            total.to_bits(),
+            current.total().to_bits(),
+            "{name}: the mass lane must equal the histogram's total"
+        );
         let j = family.len() - 1;
         let (mut next, mut average) = (current.clone(), current.clone());
-        weights.update_and_accumulate(j, &mut next, &mut average, 0.25, current.total());
+        weights.update_and_accumulate(j, &mut next, &mut average, 0.25, total);
         let mut expected = current.clone();
         let w = expected
             .query_weight_vector(&query, &family.queries()[j])
@@ -152,26 +180,37 @@ fn bench_pmw_round(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("score", name), &(), |b, _| {
             b.iter(|| {
-                weights.answer_all(black_box(&current), &mut answers);
-                answers[0]
+                let total = weights.answer_all(black_box(&current), &mut answers);
+                (total, answers[0])
             })
         });
         let (mut next, mut average) = (current.clone(), current.clone());
-        let mut total = next.total();
+        let total = current.total();
         let mut round = 0;
         group.bench_with_input(BenchmarkId::new("update", name), &(), |b, _| {
             b.iter(|| {
-                // Alternate the sign of η so the histogram stays bounded.
+                // Each query takes η = +0.01 and then −0.01 on consecutive
+                // rounds, so the histogram stays bounded (no cell drifts
+                // into subnormals); the mass stays the start's, as
+                // renormalisation keeps it.
                 round += 1;
                 let eta = if round % 2 == 0 { 0.01 } else { -0.01 };
-                total = weights.update_and_accumulate(
-                    round % family.len(),
-                    &mut next,
-                    &mut average,
-                    eta,
-                    total,
-                );
-                total
+                let j = (round / 2) % family.len();
+                weights.update_and_accumulate(j, &mut next, &mut average, eta, total);
+            })
+        });
+        let (mut next, mut average) = (current.clone(), current.clone());
+        let mut round = 0;
+        group.bench_with_input(BenchmarkId::new("round", name), &(), |b, _| {
+            b.iter(|| {
+                // Scoring, then the update renormalised to the mass scoring
+                // returned, as `Pmw::run`'s loop does.
+                round += 1;
+                let eta = if round % 2 == 0 { 0.01 } else { -0.01 };
+                let total = weights.answer_all(black_box(&next), &mut answers);
+                let j = (round / 2) % family.len();
+                weights.update_and_accumulate(j, &mut next, &mut average, eta, total);
+                answers[0]
             })
         });
     }

@@ -125,12 +125,18 @@ fn decompose<R: Rng>(
         return Ok(vec![part]);
     }
 
-    // Build one sub-instance per non-empty bucket (lines 7-10).
+    // Build one sub-instance per non-empty bucket (lines 7-10).  A single
+    // bucket drops no tuple when `atom(x)` is one relation (every tuple's
+    // projection has degree ≥ 1) or `x` has no ancestors (every projection
+    // is the key `[]`), so its restriction is skipped.
+    let whole = bucket_members.len() == 1 && (relations.len() == 1 || ancestors.is_empty());
     let mut out = Vec::with_capacity(bucket_members.len());
     for (bucket, members) in bucket_members {
         let mut sub_instance = part.sub_instance.clone();
-        for &j in &relations {
-            sub_instance.restrict_relation(j, &ancestors, &members)?;
+        if !whole {
+            for &j in &relations {
+                sub_instance.restrict_relation(j, &ancestors, &members)?;
+            }
         }
         let mut configuration = part.configuration.clone();
         configuration.set(attr, bucket);

@@ -255,6 +255,15 @@ mod tests {
             "cross_product_zeros",
             QueryFamily::cross_product(query, zeros).unwrap(),
         ));
+        // Five sign queries and no counting query: one group of five lanes
+        // in a row of eight, scored alone, whose pass also sums the mass.
+        let signs = (0..5u64)
+            .map(|k| {
+                let seeds = (0..m as u64).map(|i| RelationQuery::SignHash { seed: 8 * k + i });
+                ProductQuery::new(seeds.collect())
+            })
+            .collect();
+        out.push(("signs_no_count", QueryFamily::new(query, signs).unwrap()));
         out
     }
 
@@ -363,6 +372,33 @@ mod tests {
         let generous = PrivacyParams::new(24.0, 1e-5).unwrap();
         let (multi, hier) = (MultiTable::default(), HierarchicalRelease::default());
         let (w2, w3) = (workloads(&q2), workloads(&q3));
+        // A workload with no query that weighs every cell 1.0 makes PMW sum
+        // the mass in a chain beside its first pass, a group's
+        // (`cross_product_zeros`, `signs_no_count`) or a dense query's
+        // (`cross_product_dense`), not in a counting query's lane.
+        for (q, w) in [(&q2, &w2), (&q3, &w3)] {
+            let layout = Histogram::zeros(q, DEFAULT_MAX_CELLS).unwrap();
+            let ones = vec![1.0; layout.len()];
+            let no_ones: Vec<&str> = w
+                .iter()
+                .filter(|(_, family)| {
+                    family
+                        .iter()
+                        .all(|f| dense_weight_vector(&layout, q, f) != ones)
+                })
+                .map(|(label, _)| *label)
+                .collect();
+            assert!(
+                [
+                    "cross_product_zeros",
+                    "signs_no_count",
+                    "cross_product_dense"
+                ]
+                .iter()
+                .all(|label| no_ones.contains(label)),
+                "workloads without an all-ones query: {no_ones:?}"
+            );
+        }
         let mut all: Vec<Case<'_>> = two_table_mechanisms
             .iter()
             .flat_map(|m| cases(m.as_ref(), &q2, &i2, &w2, params))

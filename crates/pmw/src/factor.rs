@@ -34,9 +34,17 @@
 //!   answer is the same chain of IEEE operations, in cell order, as a
 //!   per-query sum; the lanes vectorise, and several groups share a pass so
 //!   that their chains overlap;
+//! * the **mass lane** sums the histogram's mass in the scoring pass, as
+//!   `-0.0 + F(0) · 1.0 + F(1) · 1.0 + …`, which is [`Histogram::total`]
+//!   operation for operation (`F · 1.0 == F` exactly): the lane of a query
+//!   whose palette is exactly `[1.0]` (the counting query), else one more
+//!   chain `+= F(x)` beside the first pass's sums.  So scoring also yields
+//!   the mass the round renormalises to;
 //! * **reweighting** by one query reads its factor `exp(η · w)` through a
 //!   256-entry table indexed by its group's code, filled from one `exp`
-//!   per palette entry.
+//!   per palette entry, and sums the new mass in cell order; the
+//!   renormalising pass then scales each cell and adds it to the running
+//!   sum of iterates, with no sum of its own.
 
 use std::ops::Range;
 
@@ -460,7 +468,9 @@ enum Place {
 /// holds each member's weight under code `b` (rows are as wide as the
 /// member count rounded up to a power of two), so scoring a group reads
 /// one row per cell.  A query with more than 256 distinct weights keeps a
-/// dense `f64` per cell.
+/// dense `f64` per cell.  Scoring also sums the histogram's mass: the
+/// counting query's answer, or one more chain in the first scoring pass
+/// (see [`Self::answer_all`]).
 #[derive(Debug, Clone)]
 pub struct QueryWeights {
     cells: usize,
@@ -469,6 +479,9 @@ pub struct QueryWeights {
     dense: Vec<(usize, Vec<f64>)>,
     /// Per query, in family order.
     places: Vec<Place>,
+    /// The first query whose palette is exactly `[1.0]`: its answer is the
+    /// histogram's mass.
+    counting: Option<usize>,
 }
 
 impl QueryWeights {
@@ -492,6 +505,7 @@ impl QueryWeights {
             groups: Vec::new(),
             dense: Vec::new(),
             places: Vec::with_capacity(builders.len()),
+            counting: None,
         };
         let mut open = Vec::new();
         let mut combos = 1;
@@ -508,6 +522,9 @@ impl QueryWeights {
                         lane: open.len(),
                     });
                     combos *= palette.len();
+                    if palette == [1.0] && weights.counting.is_none() {
+                        weights.counting = Some(query);
+                    }
                     open.push((query, palette, codes));
                 }
                 Coded::Dense(w) => {
@@ -525,18 +542,24 @@ impl QueryWeights {
     /// Answers every query on `histogram`: `out[j] = Σ_x F(x) · q_j(x)`,
     /// each summed in cell order from `-0.0`, the neutral element
     /// `Iterator::sum::<f64>` starts from.  Each answer equals
-    /// [`Histogram::answer_all`]'s bit for bit.
+    /// [`Histogram::answer_all`]'s bit for bit.  Returns the histogram's
+    /// mass as the mass lane sums it (see the module docs), which equals
+    /// [`Histogram::total`] bit for bit: the mass a PMW round renormalises
+    /// to.
     ///
     /// Groups are scored several per pass over the cells, reading one row
-    /// per cell and group: two groups of eight lanes, four of four, eight
+    /// per cell and group: two groups of eight lanes, four of four, four
     /// of two, or eight of one, so that the adds of different queries
     /// overlap instead of running one latency-bound chain at a time.
+    /// Dense queries are scored first, one pass each.  Without a counting
+    /// query, the first pass (a dense query's, else the first group pass)
+    /// also sums the mass, so that chain overlaps with the pass's own.
     ///
     /// # Panics
     ///
     /// When `histogram` has another cell count than these weights, or `out`
     /// holds another number of answers than the family has queries.
-    pub fn answer_all(&self, histogram: &Histogram, out: &mut [f64]) {
+    pub fn answer_all(&self, histogram: &Histogram, out: &mut [f64]) -> f64 {
         let cells = histogram.weights();
         assert_eq!(cells.len(), self.cells, "histogram over another layout");
         assert_eq!(out.len(), self.places.len(), "one answer per query");
@@ -545,25 +568,47 @@ impl QueryWeights {
         for g in &self.groups {
             widths[g.width.trailing_zeros() as usize].push(g);
         }
-        answer_groups::<8, 1>(cells, &widths[0], out);
-        answer_groups::<8, 2>(cells, &widths[1], out);
-        answer_groups::<4, 4>(cells, &widths[2], out);
-        answer_groups::<2, 8>(cells, &widths[3], out);
-        for (j, w) in &self.dense {
-            out[*j] = cells.iter().zip(w).map(|(f, w)| f * w).sum();
+        let mut mass = None;
+        let mut dense = self.dense.iter();
+        if self.counting.is_none() {
+            if let Some((j, w)) = dense.next() {
+                let (answer, m) = answer_dense::<true>(cells, w);
+                (out[*j], mass) = (answer, Some(m));
+            }
+        }
+        for (j, w) in dense {
+            out[*j] = answer_dense::<false>(cells, w).0;
+        }
+        // Without a counting query or a dense one, the first width scored
+        // (the widest) sums the mass in its first pass.
+        let first = match (self.counting, mass) {
+            (None, None) => widths.iter().rposition(|g| !g.is_empty()),
+            _ => None,
+        };
+        let group_mass = [
+            answer_groups::<2, 8>(cells, &widths[3], out, first == Some(3)),
+            answer_groups::<4, 4>(cells, &widths[2], out, first == Some(2)),
+            answer_groups::<4, 2>(cells, &widths[1], out, first == Some(1)),
+            answer_groups::<8, 1>(cells, &widths[0], out, first == Some(0)),
+        ];
+        match self.counting {
+            Some(j) => out[j],
+            None => mass
+                .or(group_mass.into_iter().flatten().next())
+                .expect("a family has at least one query, so one pass"),
         }
     }
 
     /// One multiplicative-weights round of query `j` on `current`, followed
     /// by `average += current`; `total` is the mass of `current` before the
-    /// round, and the mass after it is returned.
+    /// round, as [`Self::answer_all`] returns it.
     ///
     /// Bit-identical to `current.multiplicative_update(w, eta)` followed by
     /// `average.accumulate(&current)`, where `w` is query `j`'s
     /// [`Histogram::query_weight_vector`]: the update computes one `exp`
-    /// per palette entry, the renormalisation sum is taken during the
-    /// update pass, and the next round's mass during the accumulate pass,
-    /// each in cell order.
+    /// per palette entry and takes the renormalisation sum in cell order
+    /// during the update pass.  The next round's mass is not summed here:
+    /// the next scoring pass yields it.
     ///
     /// # Panics
     ///
@@ -576,7 +621,7 @@ impl QueryWeights {
         average: &mut Histogram,
         eta: f64,
         total: f64,
-    ) -> f64 {
+    ) {
         let cells = current.weights_mut();
         let sum = average.weights_mut();
         assert_eq!(cells.len(), self.cells, "histogram over another layout");
@@ -584,18 +629,14 @@ impl QueryWeights {
         let mass = self.reweight(j, cells, eta);
         if mass > 0.0 && total >= 0.0 {
             let factor = total / mass;
-            let mut next = -0.0;
             for (f, s) in cells.iter_mut().zip(sum.iter_mut()) {
                 *f *= factor;
                 *s += *f;
-                next += *f;
             }
-            next
         } else {
             for (f, s) in cells.iter().zip(sum.iter_mut()) {
                 *s += f;
             }
-            mass
         }
     }
 
@@ -670,21 +711,52 @@ impl QueryWeights {
     }
 }
 
+/// `Σ_x F(x) · w(x)` and, when `MASS`, `Σ_x F(x)` in the same loop, each
+/// summed in cell order from `-0.0`: one dense query's pass.
+fn answer_dense<const MASS: bool>(cells: &[f64], w: &[f64]) -> (f64, f64) {
+    let (mut answer, mut mass) = (-0.0, -0.0);
+    for (f, w) in cells.iter().zip(w) {
+        answer += f * w;
+        if MASS {
+            mass += f;
+        }
+    }
+    (answer, mass)
+}
+
 /// Scores `groups`, whose members fit in `N` lanes, `G` groups per pass
-/// over the cells (the last few one at a time), into `out`.
+/// over the cells (the last few one at a time), into `out`.  With
+/// `sum_mass`, the first pass also sums the mass, which is returned.
 fn answer_groups<const G: usize, const N: usize>(
     cells: &[f64],
     groups: &[&Group],
     out: &mut [f64],
-) {
+    sum_mass: bool,
+) -> Option<f64> {
+    let mut mass = None;
     let mut passes = groups.chunks_exact(G);
     for pass in &mut passes {
-        let sums = answer_rows::<G, N>(cells, std::array::from_fn(|k| pass[k]));
-        scatter(pass, &sums, out);
+        let pass = std::array::from_fn(|k| pass[k]);
+        let sums = if sum_mass && mass.is_none() {
+            let (sums, m) = answer_rows::<G, N, true>(cells, pass);
+            mass = Some(m);
+            sums
+        } else {
+            answer_rows::<G, N, false>(cells, pass).0
+        };
+        scatter(&pass, &sums, out);
     }
     for &g in passes.remainder() {
-        scatter(&[g], &answer_rows::<1, N>(cells, [g]), out);
+        let sums = if sum_mass && mass.is_none() {
+            let (sums, m) = answer_rows::<1, N, true>(cells, [g]);
+            mass = Some(m);
+            sums
+        } else {
+            answer_rows::<1, N, false>(cells, [g]).0
+        };
+        scatter(&[g], &sums, out);
     }
+    mass
 }
 
 /// Writes each group's lane sums to its members' answers.
@@ -697,14 +769,14 @@ fn scatter<const N: usize>(groups: &[&Group], sums: &[[f64; N]], out: &mut [f64]
 }
 
 /// `Σ_x F(x) · rows_g[codes_g[x]][l]` for the first `N` lanes `l` of each
-/// of `G` groups, each summed in cell order from `-0.0`.  The lanes are
-/// independent chains of the same IEEE operations as a per-query sum; the
-/// compiler vectorises each group's lanes, and the `G` groups' chains
-/// overlap.
-fn answer_rows<const G: usize, const N: usize>(
+/// of `G` groups, each summed in cell order from `-0.0`, and, when `MASS`,
+/// `Σ_x F(x)` beside them.  The lanes are independent chains of the same
+/// IEEE operations as a per-query sum; the compiler vectorises each
+/// group's lanes, and the `G` groups' chains overlap.
+fn answer_rows<const G: usize, const N: usize, const MASS: bool>(
     cells: &[f64],
     groups: [&Group; G],
-) -> [[f64; N]; G] {
+) -> ([[f64; N]; G], f64) {
     // Codes cut to the cell count and full-size row tables let the
     // compiler drop every bounds check from the inner loop.
     let codes: [&[u8]; G] = std::array::from_fn(|k| &groups[k].codes[..cells.len()]);
@@ -714,14 +786,18 @@ fn answer_rows<const G: usize, const N: usize>(
             .expect("a group's rows are as wide as its lanes")
     });
     let mut sums = [[-0.0f64; N]; G];
+    let mut mass = -0.0;
     for (x, &f) in cells.iter().enumerate() {
         for k in 0..G {
             for (s, w) in sums[k].iter_mut().zip(&rows[k][codes[k][x] as usize]) {
                 *s += f * w;
             }
         }
+        if MASS {
+            mass += f;
+        }
     }
-    sums
+    (sums, mass)
 }
 
 /// The true answers `Σ_t J(t) · q_j(t)` over the join rows: one walk over
@@ -890,6 +966,126 @@ mod tests {
         assert_eq!(weights.bytes(), 2 * 4096 + tables + palettes);
     }
 
+    /// A relation over `(B, A_i)` of `star(3, 8)` weighing `(b, a)` by
+    /// `f(b, a)`.
+    fn star_relation(f: impl Fn(u64, u64) -> f64) -> RelationQuery {
+        let grid = (0..8).flat_map(|b| (0..8).map(move |a| (b, a)));
+        sparse(grid.map(|(b, a)| ((b, a), f(b, a))), 0.0)
+    }
+
+    /// The mass [`QueryWeights::answer_all`] returns equals
+    /// [`Histogram::total`] bit for bit, on a uniform histogram, along a run
+    /// of updates, on an all-`+0.0` one (the update's `mass ≤ 0` branch) and
+    /// on an all-`-0.0` one (where a sum from `+0.0` would differ), for the
+    /// counting query's lane and for the chain beside a dense query's pass,
+    /// a full group pass's and a lone group's with padded lanes; the
+    /// answers stay the context-free ones.
+    #[test]
+    fn mass_lane_sums_the_histograms_total() {
+        let query = JoinQuery::star(3, 8).unwrap();
+        let (h, _) = layout(&query);
+        let sign = |k: u64| {
+            ProductQuery::new(
+                (0..3)
+                    .map(|i| RelationQuery::SignHash { seed: 3 * k + i })
+                    .collect(),
+            )
+        };
+        let palette16 = |k: u64| {
+            ProductQuery::new(vec![
+                star_relation(|b, a| generic(16 * k + (b * 8 + a) % 16)),
+                RelationQuery::AllOne,
+                RelationQuery::AllOne,
+            ])
+        };
+        let dense257 = |k: u64| {
+            ProductQuery::new(vec![
+                star_relation(|b, a| generic(1000 + 64 * k + b * 8 + a)),
+                star_relation(|_, a| generic(5000 + 4 * k + a % 4)),
+                star_relation(|_, a| if a == 7 { 0.0 } else { 1.0 }),
+            ])
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(28);
+        let families = [
+            (
+                "random_sign",
+                QueryFamily::random_sign(&query, 16, &mut rng).unwrap(),
+                "query",
+            ),
+            (
+                "16 signs",
+                QueryFamily::new(&query, (0..16).map(sign).collect()).unwrap(),
+                "group pass",
+            ),
+            (
+                "5 signs",
+                QueryFamily::new(&query, (0..5).map(sign).collect()).unwrap(),
+                "group pass",
+            ),
+            (
+                "palette16",
+                QueryFamily::new(&query, (0..16).map(palette16).collect()).unwrap(),
+                "group pass",
+            ),
+            (
+                "dense257",
+                QueryFamily::new(&query, (0..16).map(dense257).collect()).unwrap(),
+                "dense pass",
+            ),
+            (
+                "one dense",
+                QueryFamily::new(&query, vec![dense257(0)]).unwrap(),
+                "dense pass",
+            ),
+        ];
+        for (name, family, placement) in &families {
+            let weights = QueryWeights::new(&query, &h, family).unwrap();
+            let summed_by = match (weights.counting, weights.dense.is_empty()) {
+                (Some(_), _) => "query",
+                (None, false) => "dense pass",
+                (None, true) => "group pass",
+            };
+            assert_eq!(summed_by, *placement, "{name}");
+            let palette = match *name {
+                "palette16" => Some(Some(16)),
+                "dense257" | "one dense" => Some(None),
+                _ => None,
+            };
+            if let Some(expected) = palette {
+                for j in 0..family.len() {
+                    assert_eq!(weights.palette_len(j), expected, "{name}");
+                }
+            }
+            let mut answers = vec![0.0; family.len()];
+            let mut check = |current: &Histogram, step: &str| {
+                let mass = weights.answer_all(current, &mut answers);
+                assert_eq!(mass.to_bits(), current.total().to_bits(), "{name}, {step}");
+                let expected = current.answer_all(&query, family).unwrap();
+                assert_eq!(bits(&answers), bits(&expected), "{name}, {step}");
+                mass
+            };
+
+            let mut current = Histogram::uniform(&query, 4096.0, DEFAULT_MAX_CELLS).unwrap();
+            let mut average = Histogram::zeros(&query, DEFAULT_MAX_CELLS).unwrap();
+            for round in 0..6 {
+                let total = check(&current, &format!("round {round}"));
+                let eta = if round % 2 == 0 { 0.7 } else { -0.4 };
+                let j = round % family.len();
+                weights.update_and_accumulate(j, &mut current, &mut average, eta, total);
+            }
+            check(&current, "after the updates");
+
+            for zero in [0.0, -0.0] {
+                let mut current = Histogram::zeros(&query, DEFAULT_MAX_CELLS).unwrap();
+                current.weights_mut().fill(zero);
+                let total = check(&current, &format!("all {zero:?}"));
+                assert_eq!(total.to_bits(), zero.to_bits(), "{name}");
+                weights.update_and_accumulate(0, &mut current, &mut average, 0.5, total);
+                check(&current, &format!("all {zero:?}, updated"));
+            }
+        }
+    }
+
     /// A weight in `[-0.9, 0.9]`, never zero, from a hash of `key`: products
     /// of different keys' weights are distinct.
     fn generic(key: u64) -> f64 {
@@ -1046,9 +1242,10 @@ mod tests {
                     let case = format!("{} cells, palettes {pick:?}", h.len());
 
                     let mut scores = vec![0.0; len];
-                    weights.answer_all(&cells, &mut scores);
+                    let mass = weights.answer_all(&cells, &mut scores);
                     let expected = cells.answer_all(&query, &family).unwrap();
                     assert_eq!(bits(&scores), bits(&expected), "scores, {case}");
+                    assert_eq!(mass.to_bits(), cells.total().to_bits(), "mass, {case}");
 
                     let truth = true_answers(&fz, h.attrs(), &query, &join, &family, &weights);
                     let expected = family.answer_all_on_join(&query, &join).unwrap();
@@ -1061,13 +1258,8 @@ mod tests {
                     for (j, q) in family.iter().enumerate() {
                         let eta = rng.random::<f64>() * 2.0 - 1.0;
                         let (mut current, mut average) = (cells.clone(), sum.clone());
-                        let mass = weights.update_and_accumulate(
-                            j,
-                            &mut current,
-                            &mut average,
-                            eta,
-                            cells.total(),
-                        );
+                        weights.update_and_accumulate(j, &mut current, &mut average, eta, mass);
+                        let next = weights.answer_all(&current, &mut scores);
                         let mut expected = cells.clone();
                         expected.multiplicative_update(
                             &cells.query_weight_vector(&query, q).unwrap(),
@@ -1081,7 +1273,7 @@ mod tests {
                             "query {j}, {case}"
                         );
                         assert_eq!(
-                            mass.to_bits(),
+                            next.to_bits(),
                             expected.total().to_bits(),
                             "query {j}, {case}"
                         );

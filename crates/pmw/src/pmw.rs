@@ -22,11 +22,12 @@
 //! query with more than 256 distinct weights keeps an `f64` per cell.  The
 //! true answers are a row-order gather from those weights over the join
 //! rows; each round scores every query by reading one table row per cell
-//! and group, computes one `exp` per palette entry of the selected query,
-//! and folds the renormalisation sum into the update pass.  Every product
-//! keeps its multiply order and every sum its cell or row order, so the
-//! released bits equal those of the direct per-cell evaluation at every
-//! thread count.
+//! and group, taking the histogram's mass from the same pass (a lane, or
+//! a chain beside the pass's lanes, that weighs every cell `1.0`), then
+//! computes one `exp` per palette entry of the selected query and
+//! renormalises to that mass.  Every product keeps its multiply order and
+//! every sum its cell or row order, so the released bits equal those of
+//! the direct per-cell evaluation at every thread count.
 //!
 //! Everything before the first round except the noise is the same for every
 //! run over one `(I, Q)` pair, so [`Pmw::run`] memoises it in the
@@ -217,16 +218,15 @@ impl Pmw {
         let mut average = Histogram::zeros(query, self.config.max_domain_cells)?;
         let mut selected_queries = Vec::with_capacity(k);
         let mut answers = vec![0.0; family.len()];
-        let mut total = current.total();
+        let mut scores = vec![0.0; family.len()];
 
         for _ in 0..k {
             // Line 5: exponential mechanism over the per-query error scores.
-            weights.answer_all(&current, &mut answers);
-            let scores: Vec<f64> = answers
-                .iter()
-                .zip(true_answers)
-                .map(|(a, t)| (a - t).abs() / delta_tilde)
-                .collect();
+            // Scoring also sums the mass the update renormalises to.
+            let total = weights.answer_all(&current, &mut answers);
+            for ((s, a), t) in scores.iter_mut().zip(&answers).zip(true_answers) {
+                *s = (a - t).abs() / delta_tilde;
+            }
             let j = exponential_mechanism(&scores, eps_prime, 1.0, rng)?;
             selected_queries.push(j);
 
@@ -240,7 +240,7 @@ impl Pmw {
             } else {
                 0.0
             };
-            total = weights.update_and_accumulate(j, &mut current, &mut average, eta, total);
+            weights.update_and_accumulate(j, &mut current, &mut average, eta, total);
         }
         average.scale(1.0 / k as f64);
 
